@@ -7,153 +7,4 @@ and a CLI gateway tying them into an end-to-end register / login /
 upload / query / dedup flow.
 """
 
-from .assets import (
-    AssetContract,
-    AssetRecord,
-    get_asset_payload,
-    query_all_assets,
-    query_owned_assets,
-)
-from .clock import Clock, SimClock, WallClock
-from .codec import canonical_json, from_canonical_json, sha256, sha256_hex
-from .did import (
-    Address,
-    Did,
-    DidDocument,
-    KeyPair,
-    MalformedDid,
-    derive_address,
-    environmental_fingerprint,
-    format_did,
-    generate_keypair,
-    make_did,
-    make_possession_proof,
-    parse_did,
-    verify_possession_proof,
-    verify_signature,
-)
-from .gateway import Gateway, GatewayError, KeyEntry, Keystore
-from .idm import (
-    AuthError,
-    BadSignatureError,
-    Challenge,
-    DeviceRecord,
-    DidRecord,
-    ExpiredChallengeError,
-    IdmContract,
-    LoginService,
-    NoSuchChallengeError,
-    NotAuthenticatedError,
-    NotRegisteredError,
-    Session,
-    UnknownDidError,
-    resolve_did,
-)
-from .ledger import (
-    MVCC_CONFLICT,
-    POLICY_FAILURE,
-    VALID,
-    Block,
-    ChainReport,
-    ContractError,
-    Endorsement,
-    EndorsementPolicy,
-    GenesisConfig,
-    LedgerEngine,
-    LedgerError,
-    MetricsReport,
-    ReadWriteSet,
-    Transaction,
-    TxProposal,
-    WorldState,
-    transaction_hash,
-    verify_chain_file,
-)
-from .sim import (
-    FlowConfig,
-    SensorReading,
-    SimNetwork,
-    build_network,
-    render_payload,
-    run,
-    write_asset_files,
-)
-from .store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Address",
-    "AssetContract",
-    "AssetRecord",
-    "AuthError",
-    "BadSignatureError",
-    "Block",
-    "ChainReport",
-    "Challenge",
-    "Clock",
-    "ContentHash",
-    "ContentNotFound",
-    "ContentStore",
-    "ContractError",
-    "DeviceRecord",
-    "Did",
-    "DidDocument",
-    "DidRecord",
-    "Endorsement",
-    "EndorsementPolicy",
-    "ExpiredChallengeError",
-    "FlowConfig",
-    "Gateway",
-    "GatewayError",
-    "GenesisConfig",
-    "IdmContract",
-    "IntegrityFailure",
-    "KeyEntry",
-    "KeyPair",
-    "Keystore",
-    "LedgerEngine",
-    "LedgerError",
-    "LoginService",
-    "MVCC_CONFLICT",
-    "MalformedDid",
-    "MetricsReport",
-    "NoSuchChallengeError",
-    "NotAuthenticatedError",
-    "NotRegisteredError",
-    "POLICY_FAILURE",
-    "ReadWriteSet",
-    "SensorReading",
-    "Session",
-    "SimClock",
-    "SimNetwork",
-    "Transaction",
-    "TxProposal",
-    "UnknownDidError",
-    "VALID",
-    "WallClock",
-    "WorldState",
-    "canonical_json",
-    "derive_address",
-    "environmental_fingerprint",
-    "format_did",
-    "from_canonical_json",
-    "generate_keypair",
-    "get_asset_payload",
-    "make_did",
-    "make_possession_proof",
-    "parse_did",
-    "query_all_assets",
-    "query_owned_assets",
-    "render_payload",
-    "resolve_did",
-    "sha256",
-    "sha256_hex",
-    "transaction_hash",
-    "verify_chain_file",
-    "verify_possession_proof",
-    "verify_signature",
-    "build_network",
-    "run",
-    "write_asset_files",
-]

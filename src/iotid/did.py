@@ -209,18 +209,3 @@ def verify_possession_proof(public_key: bytes, did: Did, owner: Address,
                             proof: bytes) -> bool:
     """True iff ``proof`` signs the exact canonical message under ``public_key``."""
     return verify_signature(public_key, _proof_message(did, owner, public_key), proof)
-
-
-def environmental_fingerprint(readings: list[tuple[str, object]],
-                              public_key: bytes) -> bytes:
-    """32-byte digest binding a key to a set of environmental inputs.
-
-    Readings are (label, value) pairs; the digest is the SHA-256 of
-    ``<publicKey hex>|<label>=<value>;...`` with readings sorted by label,
-    so reordering never changes the result.
-    """
-    if not readings:
-        raise ValueError("at least one reading is required")
-    parts = sorted((label, str(value)) for label, value in readings)
-    canon = public_key.hex() + "|" + ";".join(f"{k}={v}" for k, v in parts)
-    return sha256(canon.encode("utf-8"))

@@ -9,8 +9,8 @@ the CLI layer.
 
 Single commands open the ledger, do their work, and close it; the
 scenario and the benchmark hold one engine open end to end because
-latency timings live with the engine instance that submitted the
-transactions.
+receipts and latency timings live with the engine instance that
+submitted the transactions.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .ledger import (
 )
 from .sim import (
     FlowConfig,
+    SensorReading,
     build_network,
     device_key_seed,
     reading_file_path,
@@ -354,18 +355,24 @@ class Gateway:
 
     def cmd_sim_run(self, config: FlowConfig, duration_seconds: int,
                     output_dir: str | Path) -> dict:
-        network = build_network(config)
-        readings = run(network, duration_seconds)
+        return self._simulate(config, duration_seconds, output_dir)[0]
+
+    @staticmethod
+    def _simulate(config: FlowConfig, duration_seconds: int,
+                  output_dir: str | Path) -> tuple[dict, list[SensorReading]]:
+        """Run the simulator once: the file-tree summary and the readings."""
+        readings = run(build_network(config), duration_seconds)
         written = write_asset_files(readings, Path(output_dir))
         per_device: dict[str, int] = {}
         for reading in readings:
             key = f"device{reading.device_index}"
             per_device[key] = per_device.get(key, 0) + 1
-        return {
+        summary = {
             "outputDir": str(output_dir),
             "files": len(written),
             "perDevice": dict(sorted(per_device.items())),
         }
+        return summary, readings
 
     def cmd_chain_verify(self) -> dict:
         # verification reads the journal directly: it must keep working on
@@ -378,28 +385,20 @@ class Gateway:
             raise GatewayError("tx count must be >= 1")
         seed = secrets.token_bytes(32)
         keypair = generate_keypair(seed)
-        did = make_did(keypair.public_key)
-        owner = derive_address(keypair.public_key)
-        label = f"bench-{seed[:4].hex()}"
+        # the label names the device's nonce counter; it is never a key file
+        entry = KeyEntry(name=f"bench-{seed[:4].hex()}", seed=seed,
+                         did=make_did(keypair.public_key))
         with self._open_engine() as engine:
-            if not engine.genesis.registrars:
-                raise GatewayError("genesis config lists no registrars")
-            registrar = engine.genesis.registrars[0].keypair
-            proof = make_possession_proof(keypair, did, owner)
-            self._submit(engine, self._proposal(
-                registrar, "registrar", "idm", "createIdentity",
-                [keypair.public_key.hex(), did.method_id, str(owner), proof.hex()]))
-            self._submit(engine, self._proposal(
-                keypair, label, "idm", "registerDevice", [str(did), "BENCH"]))
+            self._register_with(engine, entry, "BENCH")
             mark = engine.timings_mark()
             for i in range(tx_count):
-                payload = f"bench|{label}|{i}".encode("utf-8")
+                payload = f"bench|{entry.name}|{i}".encode("utf-8")
                 engine.submit(self._proposal(
-                    keypair, label, "asset", "uploadAsset",
-                    [str(did), f"bench/{i}.txt", payload.hex()]))
+                    keypair, entry.name, "asset", "uploadAsset",
+                    [str(entry.did), f"bench/{i}.txt", payload.hex()]))
             engine.flush()
             report = engine.metrics(since=mark).to_dict()
-            report["benchDevice"] = str(did)
+            report["benchDevice"] = str(entry.did)
             return report
 
     # -- the end-to-end scenario ----------------------------------------------
@@ -450,8 +449,8 @@ class Gateway:
                         for entry in entries}
             logged_in = len(sessions)
 
-            sim_summary = self.cmd_sim_run(config, duration_seconds, output_dir)
-            readings = run(build_network(config), duration_seconds)
+            sim_summary, readings = self._simulate(config, duration_seconds,
+                                                   output_dir)
 
             by_index = {entry.name: entry for entry in entries}
             uploaded = 0

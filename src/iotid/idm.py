@@ -305,10 +305,10 @@ def session_is_valid(session: Session | None, now: float) -> bool:
 class LoginService:
     """Challenge-response login for registered devices.
 
-    State (outstanding challenges, issued sessions) lives in this object,
-    off chain. Single-use challenges expire after ``challenge_ttl``
-    seconds. Pass a seeded ``rng`` for reproducible nonces; the default is
-    OS entropy.
+    Outstanding challenges live in this object, off chain; the issued
+    session belongs to the caller. Single-use challenges expire after
+    ``challenge_ttl`` seconds. Pass a seeded ``rng`` for reproducible
+    nonces; the default is OS entropy.
     """
 
     def __init__(self, state: StateView, store: ContentStore, clock: Clock,
@@ -322,7 +322,6 @@ class LoginService:
         self._challenge_ttl = challenge_ttl
         self._session_ttl = session_ttl
         self._challenges: dict[tuple[str, bytes], Challenge] = {}
-        self._sessions: dict[bytes, Session] = {}
 
     def _nonce(self) -> bytes:
         if self._rng is not None:
@@ -354,13 +353,5 @@ class LoginService:
             raise BadSignatureError(f"login signature does not verify for {did}")
         del self._challenges[(str(did), nonce)]  # single use
         token = sha256(f"{did}|{nonce.hex()}|{challenge.issued_at}".encode("utf-8"))
-        session = Session(token=token, did=did,
-                          expires_at=int(now) + self._session_ttl)
-        self._sessions[token] = session
-        return session
-
-    def validate_session(self, token: bytes) -> Session:
-        session = self._sessions.get(token)
-        if not session_is_valid(session, self._clock.now()):
-            raise NotAuthenticatedError("no valid session for token")
-        return session
+        return Session(token=token, did=did,
+                       expires_at=int(now) + self._session_ttl)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from statistics import mean
 from typing import Protocol
@@ -479,10 +480,12 @@ class GenesisConfig:
 
 @dataclass
 class TxTimings:
-    tx_id: bytes
+    """The receipt of one submitted transaction, filled in at commit."""
+
     submit_time: float
     commit_time: float | None = None
     flag: str | None = None
+    block: int | None = None
 
 
 @dataclass
@@ -543,7 +546,7 @@ class LedgerEngine:
         self._tip_hash = ZERO_HASH
         self._pending: list[Transaction] = []
         self._pending_since: float | None = None
-        self._timings: list[TxTimings] = []
+        self._timings: dict[bytes, TxTimings] = {}  # txId -> receipt
         self._acquire_lock()
         if _create:
             self._write_genesis()
@@ -781,12 +784,13 @@ class LedgerEngine:
             fh.write(canonical_json(block.to_dict()).decode("utf-8") + "\n")
         self._apply_block(block)
         commit_time = self.clock.now()
-        by_id = {t.tx_id: f for t, f in zip(block.transactions,
-                                            block.validation_flags)}
-        for timing in self._timings:
-            if timing.commit_time is None and timing.tx_id in by_id:
+        for tx, flag in zip(block.transactions, block.validation_flags):
+            timing = self._timings.get(tx.tx_id)
+            # a txId submitted twice lands twice; its first copy is the receipt
+            if timing is not None and timing.block is None:
                 timing.commit_time = commit_time
-                timing.flag = by_id[timing.tx_id]
+                timing.flag = flag
+                timing.block = block.number
         return block
 
     # -- submission pipeline ------------------------------------------------
@@ -795,13 +799,14 @@ class LedgerEngine:
         """Execute, endorse, and queue; cuts a block when the batch fills."""
         submit_time = self.clock.now()
         tx = self.build_transaction(proposal)
+        tx_id = tx.tx_id
         self._pending.append(tx)
-        self._timings.append(TxTimings(tx_id=tx.tx_id, submit_time=submit_time))
+        self._timings.setdefault(tx_id, TxTimings(submit_time=submit_time))
         if self._pending_since is None:
             self._pending_since = submit_time
         if len(self._pending) >= self.genesis.max_block_txs:
             self.commit_pending()
-        return tx.tx_id
+        return tx_id
 
     def tick(self) -> Block | None:
         """Cut on timeout: commit pending txs older than the batch timeout."""
@@ -836,18 +841,19 @@ class LedgerEngine:
         return self.state.range(prefix)
 
     def tx_flag(self, tx_id: bytes) -> str | None:
-        for timing in self._timings:
-            if timing.tx_id == tx_id:
-                return timing.flag
-        return None
+        """Validation flag of a tx submitted through this engine, else None."""
+        timing = self._timings.get(tx_id)
+        return timing.flag if timing is not None else None
 
     def block_number_of(self, tx_id: bytes) -> int | None:
-        """Scan the journal for the block containing tx_id."""
-        for block in self.read_blocks():
-            for tx in block.transactions:
-                if tx.tx_id == tx_id:
-                    return block.number
-        return None
+        """Block that committed a tx submitted through this engine.
+
+        None while the tx is pending, and for any tx this engine instance
+        did not submit (e.g. one committed before the ledger was reopened);
+        the journal itself is never re-read.
+        """
+        timing = self._timings.get(tx_id)
+        return timing.block if timing is not None else None
 
     def read_blocks(self) -> list[Block]:
         path = self._dir / BLOCKS_FILE
@@ -878,8 +884,8 @@ class LedgerEngine:
         Throughput is VALID transactions divided by the clock span between
         the first submission and the last commit in the window.
         """
-        window = [t for t in self._timings[since:]
-                  if t.flag == VALID and t.commit_time is not None]
+        window = [t for t in islice(self._timings.values(), since, None)
+                  if t.flag == VALID]
         if not window:
             return MetricsReport(0, 0.0, 0.0, 0.0, 0.0)
         latencies = sorted(t.commit_time - t.submit_time for t in window)

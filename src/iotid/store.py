@@ -93,11 +93,3 @@ class ContentStore:
         if sha256(data) != key.digest:
             raise IntegrityFailure(f"content {key.hex} failed verification")
         return data
-
-    def has(self, key: ContentHash) -> bool:
-        """True iff get would succeed, including the integrity check."""
-        try:
-            self.get(key)
-            return True
-        except (ContentNotFound, IntegrityFailure):
-            return False

@@ -18,7 +18,6 @@ from iotid.did import (
     DidDocument,
     MalformedDid,
     derive_address,
-    environmental_fingerprint,
     format_did,
     generate_keypair,
     make_did,
@@ -168,24 +167,3 @@ def test_possession_proof_binds_every_field():
                                        owner, proof)
     assert not verify_possession_proof(other.public_key, did, owner, proof)
     assert not verify_possession_proof(kp.public_key, did, owner, b"junk")
-
-
-def test_fingerprint_frozen_digest():
-    # sha256("<pub hex>|humidity=40;temp=21.5"), assembled by hand
-    pub = bytes.fromhex(PUB_01)
-    digest = environmental_fingerprint([("temp", 21.5), ("humidity", 40)], pub)
-    assert digest.hex() == \
-        "768048b1b0686d0b2cafbff7b97f255a5aabe2da6b948ce9ccae4993033a2879"
-
-
-def test_fingerprint_order_independent():
-    pub = bytes.fromhex(PUB_01)
-    a = environmental_fingerprint([("a", 1), ("b", 2)], pub)
-    b = environmental_fingerprint([("b", 2), ("a", 1)], pub)
-    assert a == b
-    assert environmental_fingerprint([("a", 1)], pub) != a
-
-
-def test_fingerprint_requires_readings():
-    with pytest.raises(ValueError):
-        environmental_fingerprint([], bytes.fromhex(PUB_01))

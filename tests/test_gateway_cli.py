@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from iotid.cli import main
+from iotid.clock import SimClock
 from iotid.gateway import Gateway, Keystore
 from iotid.idm import Session
+from iotid.ledger import LedgerEngine
 from iotid.did import parse_did
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
@@ -144,6 +146,24 @@ def test_upload_and_dedup(capsys, env, ready, tmp_path):
     assert duplicate.data["error"] == "DuplicateAsset"
     assert duplicate.data["details"]["dataId"] == \
         hashlib.sha256(payload).hexdigest()
+
+
+def test_upload_receipt_never_rereads_the_journal(capsys, env, ready,
+                                                  tmp_path, monkeypatch):
+    def no_journal_read(self):
+        raise AssertionError("receipt re-read the journal")
+
+    monkeypatch.setattr(LedgerEngine, "read_blocks", no_journal_read)
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"receipt payload")
+    result = invoke(capsys, env, "asset-upload", "dev1", str(source))
+    assert result.code == 0
+    assert result.data["flag"] == "VALID"
+    # the upload's block is the journal's last line
+    journal = Path(env["ledger"]) / "blocks.jsonl"
+    last = json.loads(journal.read_bytes().splitlines()[-1])
+    assert result.data["block"] == last["number"]
+    assert result.data["txId"] == last["transactions"][0]["txId"]
 
 
 def test_upload_names_device_directory_files(capsys, env, ready, tmp_path):
@@ -280,6 +300,19 @@ def test_scenario_single_device(capsys, env, tmp_path):
     assert rerun.code == 1
     assert rerun.data["error"] == "GatewayError"
     assert invoke(capsys, env, "scenario", "--devices", "1", "--force").code == 0
+
+
+# the default scenario's journal, fixed so that refactors prove they leave
+# every committed byte unchanged; update only with a deliberate format change
+SCENARIO_JOURNAL_SHA256 = \
+    "6787047ca9eaff3d2ed9dda7148a0f0e0d6d0a977ff6d2617d5ca91a353060d5"
+
+
+def test_scenario_journal_is_golden(tmp_path):
+    gateway = Gateway(tmp_path / "ledger", tmp_path / "keys", clock=SimClock())
+    assert gateway.cmd_scenario()["ok"] is True
+    journal = (tmp_path / "ledger" / "blocks.jsonl").read_bytes()
+    assert hashlib.sha256(journal).hexdigest() == SCENARIO_JOURNAL_SHA256
 
 
 # -- plumbing --------------------------------------------------------------------

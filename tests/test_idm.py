@@ -15,7 +15,6 @@ from iotid.idm import (
     ExpiredChallengeError,
     LoginService,
     NoSuchChallengeError,
-    NotAuthenticatedError,
     NotRegisteredError,
     Session,
     UnknownDidError,
@@ -319,7 +318,7 @@ def test_login_round_trip(service, clock, device):
     assert session.token == expected
     assert session.did == device.did
     assert session.expires_at == int(clock.now()) + 3600
-    assert service.validate_session(session.token) == session
+    assert session_is_valid(session, clock.now())
 
 
 def test_login_message_binds_did_and_nonce(device):
@@ -374,11 +373,10 @@ def test_session_expires(service, clock, device):
     challenge = service.begin_login(device.did)
     session = service.complete_login(device.did, challenge.nonce,
                                      sign_challenge(device, challenge))
-    clock.advance(3600)
-    with pytest.raises(NotAuthenticatedError):
-        service.validate_session(session.token)
-    with pytest.raises(NotAuthenticatedError):
-        service.validate_session(b"\x00" * 32)
+    clock.advance(3599)
+    assert session_is_valid(session, clock.now())
+    clock.advance(1)
+    assert not session_is_valid(session, clock.now())
     assert not session_is_valid(None, clock.now())
 
 

@@ -131,6 +131,33 @@ def test_nonce_reuse_in_one_block_conflicts(engine, alice):
     assert engine.query_state("kv/y") is None
 
 
+def test_proposal_submitted_twice_keeps_first_receipt(engine, alice):
+    # both copies share one txId; MVCC flags the second, the first is the receipt
+    proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
+    first = engine.submit(proposal)
+    second = engine.submit(proposal)
+    assert first == second
+    block = engine.flush()
+    assert block.validation_flags == [VALID, MVCC_CONFLICT]
+    assert engine.tx_flag(first) == VALID
+    assert engine.block_number_of(first) == block.number
+    assert engine.metrics().committed_tx_count == 1
+
+
+def test_receipts_cover_only_this_engines_submissions(tmp_path, engine, alice):
+    tx_id = engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    assert engine.block_number_of(tx_id) is None  # still pending
+    engine.flush()
+    assert engine.block_number_of(tx_id) == 1
+    engine.close()
+    reopened = reopen_engine(tmp_path)
+    try:
+        assert reopened.block_number_of(tx_id) is None
+        assert reopened.tx_flag(tx_id) is None
+    finally:
+        reopened.close()
+
+
 # -- ordering -----------------------------------------------------------------
 
 

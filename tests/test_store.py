@@ -22,7 +22,6 @@ def test_put_get_round_trip(store):
     h = store.put(b"hello world")
     assert h.hex == HELLO
     assert store.get(h) == b"hello world"
-    assert store.has(h)
 
 
 def test_content_file_named_by_digest(store, tmp_path):
@@ -45,7 +44,6 @@ def test_empty_content_refused(store):
 
 def test_missing_content(store):
     missing = ContentHash.of(b"never stored")
-    assert not store.has(missing)
     with pytest.raises(ContentNotFound):
         store.get(missing)
 
@@ -58,8 +56,6 @@ def test_tampered_content_detected_on_read(store, tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(IntegrityFailure):
         store.get(h)
-    # a tampered entry also stops counting as present
-    assert not store.has(h)
 
 
 def test_reopen_indexes_existing_content(store, tmp_path):
