@@ -269,11 +269,10 @@ class Challenge:
     did: Did
     nonce: bytes
     issued_at: int
-    ttl: int = CHALLENGE_TTL
 
     @property
     def expires_at(self) -> int:
-        return self.issued_at + self.ttl
+        return self.issued_at + CHALLENGE_TTL
 
 
 @dataclass(frozen=True)
@@ -307,20 +306,16 @@ class LoginService:
 
     Outstanding challenges live in this object, off chain; the issued
     session belongs to the caller. Single-use challenges expire after
-    ``challenge_ttl`` seconds. Pass a seeded ``rng`` for reproducible
-    nonces; the default is OS entropy.
+    ``CHALLENGE_TTL`` seconds and sessions after ``SESSION_TTL``. Pass a
+    seeded ``rng`` for reproducible nonces; the default is OS entropy.
     """
 
     def __init__(self, state: StateView, store: ContentStore, clock: Clock,
-                 rng: random.Random | None = None,
-                 challenge_ttl: int = CHALLENGE_TTL,
-                 session_ttl: int = SESSION_TTL):
+                 rng: random.Random | None = None):
         self._state = state
         self._store = store
         self._clock = clock
         self._rng = rng
-        self._challenge_ttl = challenge_ttl
-        self._session_ttl = session_ttl
         self._challenges: dict[tuple[str, bytes], Challenge] = {}
 
     def _nonce(self) -> bytes:
@@ -333,8 +328,7 @@ class LoginService:
         if get_device_record(self._state, did) is None:
             raise NotRegisteredError(f"device not registered: {did}")
         challenge = Challenge(did=did, nonce=self._nonce(),
-                              issued_at=int(self._clock.now()),
-                              ttl=self._challenge_ttl)
+                              issued_at=int(self._clock.now()))
         self._challenges[(str(did), challenge.nonce)] = challenge
         return challenge
 
@@ -354,4 +348,4 @@ class LoginService:
         del self._challenges[(str(did), nonce)]  # single use
         token = sha256(f"{did}|{nonce.hex()}|{challenge.issued_at}".encode("utf-8"))
         return Session(token=token, did=did,
-                       expires_at=int(now) + self._session_ttl)
+                       expires_at=int(now) + SESSION_TTL)

@@ -5,8 +5,9 @@ in-process:
 
 1. execute: a signed proposal runs against the current committed state and
    yields a read/write set; contract errors abort here with no rwset.
-2. endorse: every roster peer re-executes, checks it got an identical
-   rwset, and signs the transaction hash.
+2. endorse: every roster peer executes the proposal once and signs the
+   txId of its own rwset; the collector checks that all peers computed
+   the same txId and merges their endorsements into one transaction.
 3. order: a solo orderer batches transactions in arrival order, cutting a
    block on size or timeout.
 4. validate: per transaction, endorsement policy first, then MVCC (every
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from statistics import mean
@@ -78,7 +80,7 @@ class UnknownPeer(LedgerError):
 
 
 class RwsetMismatch(LedgerError):
-    """A peer's re-execution diverged from the submitted read/write set."""
+    """Endorsing peers computed different read/write sets for one proposal."""
 
 
 class EmptyBatch(LedgerError):
@@ -172,9 +174,6 @@ class ReadWriteSet:
             "writes": [[k, v.hex() if v is not None else None] for k, v in self.writes],
         }
 
-    def canonical_bytes(self) -> bytes:
-        return canonical_json(self.to_dict())
-
     @classmethod
     def from_dict(cls, d: dict) -> "ReadWriteSet":
         return cls(
@@ -196,25 +195,29 @@ class Endorsement:
         return cls(peer_id=d["peerId"], signature=bytes.fromhex(d["signature"]))
 
 
-def transaction_hash(proposal: TxProposal, rwset: ReadWriteSet) -> bytes:
-    """The txId: hash of the canonical (proposal, rwset) encoding.
-
-    Endorsements are excluded so that attaching or stripping them never
-    changes a transaction's identity.
-    """
-    return sha256(canonical_json({"proposal": proposal.to_dict(),
-                                  "rwset": rwset.to_dict()}))
-
-
 @dataclass
 class Transaction:
+    """An executed proposal, its read/write set and the peers' endorsements.
+
+    The proposal and rwset are never mutated once a Transaction holds
+    them, so the txId is hashed once per object.
+    """
+
     proposal: TxProposal
     rwset: ReadWriteSet
     endorsements: list[Endorsement]
 
-    @property
+    @cached_property
     def tx_id(self) -> bytes:
-        return transaction_hash(self.proposal, self.rwset)
+        """Hash of the canonical (proposal, rwset) encoding.
+
+        Endorsements are excluded so that attaching or stripping them never
+        changes a transaction's identity. It is always computed from the
+        decoded fields, never taken from a journal's stored ``txId``, so a
+        tampered id fails ``verify_chain_file``'s re-encoding check.
+        """
+        return sha256(canonical_json({"proposal": self.proposal.to_dict(),
+                                      "rwset": self.rwset.to_dict()}))
 
     def to_dict(self) -> dict:
         return {
@@ -657,6 +660,8 @@ class LedgerEngine:
                     ValueError, TypeError) as exc:
                 raise LedgerError(
                     f"corrupt journal at block {number}: {exc}") from exc
+            if block.number != self._height or block.prev_hash != self._tip_hash:
+                raise LedgerError(f"broken chain link at block {number}")
             self._apply_block(block)
 
     def _apply_block(self, block: Block) -> None:
@@ -694,23 +699,25 @@ class LedgerEngine:
         ctx.put(nonce_key, b"\x01")
         return ctx.rwset(), response
 
-    def endorse(self, peer_id: str, proposal: TxProposal,
-                rwset: ReadWriteSet) -> Endorsement:
-        """Peer re-executes the proposal and signs the tx hash on agreement."""
+    def endorse(self, peer_id: str, proposal: TxProposal) -> Transaction:
+        """One peer executes the proposal and signs the txId of its own rwset."""
         keypair = self._peers.get(peer_id)
         if keypair is None:
             raise UnknownPeer(peer_id)
-        re_rwset, _ = self.execute_proposal(proposal)
-        if re_rwset.canonical_bytes() != rwset.canonical_bytes():
-            raise RwsetMismatch(f"peer {peer_id} computed a different rwset")
-        return Endorsement(peer_id=peer_id,
-                           signature=keypair.sign(transaction_hash(proposal, rwset)))
+        rwset, _ = self.execute_proposal(proposal)
+        tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[])
+        tx.endorsements.append(Endorsement(peer_id, keypair.sign(tx.tx_id)))
+        return tx
 
     def build_transaction(self, proposal: TxProposal) -> Transaction:
-        """Execute and collect endorsements from the full roster."""
-        rwset, _ = self.execute_proposal(proposal)
-        endorsements = [self.endorse(pid, proposal, rwset) for pid in self._peers]
-        return Transaction(proposal=proposal, rwset=rwset, endorsements=endorsements)
+        """Collect every roster peer's endorsement; their txIds must agree."""
+        tx, *others = [self.endorse(pid, proposal) for pid in self._peers]
+        for other in others:
+            if other.tx_id != tx.tx_id:
+                raise RwsetMismatch(
+                    f"peer {other.endorsements[0].peer_id} computed a different rwset")
+            tx.endorsements += other.endorsements
+        return tx
 
     # -- ordering ----------------------------------------------------------
 
@@ -796,7 +803,7 @@ class LedgerEngine:
     # -- submission pipeline ------------------------------------------------
 
     def submit(self, proposal: TxProposal) -> bytes:
-        """Execute, endorse, and queue; cuts a block when the batch fills."""
+        """Endorse on every peer and queue; cuts a block when the batch fills."""
         submit_time = self.clock.now()
         tx = self.build_transaction(proposal)
         tx_id = tx.tx_id
@@ -833,12 +840,6 @@ class LedgerEngine:
     @property
     def height(self) -> int:
         return self._height
-
-    def query_state(self, key: str) -> tuple[bytes, Version] | None:
-        return self.state.get(key)
-
-    def query_range(self, prefix: str) -> list[tuple[str, bytes, Version]]:
-        return self.state.range(prefix)
 
     def tx_flag(self, tx_id: bytes) -> str | None:
         """Validation flag of a tx submitted through this engine, else None."""

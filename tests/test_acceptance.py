@@ -240,8 +240,8 @@ def test_4_validation_flags_and_replay(tmp_path, capsys):
         block.validation_flags = engine.validate_block(block)
         assert block.validation_flags == [POLICY_FAILURE]
         engine.commit_block(block)
-        assert engine.query_state("kv/starved") is None
-        assert engine.query_state("kv/hot")[0] == b"1"
+        assert engine.state.get("kv/starved") is None
+        assert engine.state.get("kv/hot")[0] == b"1"
 
         # independent replay oracle: plain-json walk over the journal,
         # applying only writes of VALID transactions, in order
@@ -373,7 +373,7 @@ def test_6_content_dedup(tmp_path, capsys):
             for payload, details in rejections:
                 digest = hashlib.sha256(payload).hexdigest()
                 assert details == {"dataId": digest}
-                value, _ = engine.query_state(f"asset/{digest}")
+                value, _ = engine.state.get(f"asset/{digest}")
                 record = AssetRecord.from_bytes(value)
                 assert record.data_id.hex == digest
                 assert record.asset_name == first_name[digest]

@@ -41,7 +41,7 @@ def test_upload_writes_record_and_payload(engine, registrar, registered):
     engine.flush()
 
     data_id = ContentHash(hashlib.sha256(PAYLOAD).digest())
-    value, _ = engine.query_state(asset_key(data_id))
+    value, _ = engine.state.get(asset_key(data_id))
     record = AssetRecord.from_bytes(value)
     assert record.data_id == data_id
     assert record.owner == registered.did

@@ -53,7 +53,7 @@ def bob():
 
 def test_genesis_block_provisions_the_network(engine):
     assert engine.height == 1
-    registrars, version = engine.query_state("config/registrars")
+    registrars, version = engine.state.get("config/registrars")
     assert version == (0, 0)
     assert json.loads(registrars) == engine.genesis.registrar_addresses()
     assert engine.verify_chain().ok
@@ -78,7 +78,7 @@ def test_submit_and_commit(engine, alice):
     tx_id = engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
     engine.flush()
     assert engine.tx_flag(tx_id) == VALID
-    value, version = engine.query_state("kv/x")
+    value, version = engine.state.get("kv/x")
     assert value == b"1"
     assert version == (1, 0)
     assert engine.block_number_of(tx_id) == 1
@@ -115,7 +115,7 @@ def test_nonce_replay_rejected_across_blocks(engine, alice):
     with pytest.raises(ContractError) as err:
         engine.submit(replay)
     assert err.value.code == "NonceReplayed"
-    assert engine.query_state("kv/x")[0] == b"1"
+    assert engine.state.get("kv/x")[0] == b"1"
 
 
 def test_nonce_reuse_in_one_block_conflicts(engine, alice):
@@ -128,7 +128,7 @@ def test_nonce_reuse_in_one_block_conflicts(engine, alice):
     engine.submit(second)
     block = engine.flush()
     assert block.validation_flags == [VALID, MVCC_CONFLICT]
-    assert engine.query_state("kv/y") is None
+    assert engine.state.get("kv/y") is None
 
 
 def test_proposal_submitted_twice_keeps_first_receipt(engine, alice):
@@ -175,7 +175,7 @@ def test_tick_cuts_on_timeout(engine, alice, clock):
     clock.advance(engine.genesis.batch_timeout)
     block = engine.tick()
     assert block is not None
-    assert engine.query_state("kv/x") is not None
+    assert engine.state.get("kv/x") is not None
 
 
 def test_batch_preserves_arrival_order(engine, alice, bob):
@@ -236,15 +236,42 @@ def test_forged_endorsement_does_not_count(engine, alice):
     assert engine.validate_block(engine.order_batch([doctored])) == [POLICY_FAILURE]
 
 
+class DriftContract:
+    """Non-deterministic on purpose: every execution writes a new value."""
+
+    name = "drift"
+
+    def __init__(self):
+        self.runs = 0
+
+    def invoke(self, ctx, function, args):
+        self.runs += 1
+        ctx.put("drift/x", str(self.runs).encode("utf-8"))
+        return b"ok"
+
+
 def test_endorsement_rejects_divergent_rwset(engine, alice):
-    proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
-    rwset, _ = engine.execute_proposal(proposal)
-    doctored = type(rwset)(reads=rwset.reads,
-                           writes=[("kv/x", b"evil")] + rwset.writes[1:])
+    engine.contracts["drift"] = DriftContract()
+    proposal = alice.proposal(engine, "drift", "set", [])
     with pytest.raises(RwsetMismatch):
-        engine.endorse("peer1", proposal, doctored)
+        engine.submit(proposal)
+    assert engine.flush() is None  # nothing was queued
     with pytest.raises(UnknownPeer):
-        engine.endorse("peer9", proposal, rwset)
+        engine.endorse("peer9", proposal)
+
+
+def test_build_transaction_executes_once_per_peer(engine, alice, monkeypatch):
+    calls = []
+    execute = engine.execute_proposal
+
+    def counting(proposal):
+        calls.append(proposal)
+        return execute(proposal)
+
+    monkeypatch.setattr(engine, "execute_proposal", counting)
+    tx = engine.build_transaction(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    assert len(calls) == len(engine.genesis.peers) == 3
+    assert [e.peer_id for e in tx.endorsements] == ["peer1", "peer2", "peer3"]
 
 
 def test_policy_failure_wins_over_mvcc(engine, alice, bob):
@@ -288,7 +315,7 @@ def test_same_block_same_key_conflict(engine, alice, bob):
     block.validation_flags = engine.validate_block(block)
     assert block.validation_flags == [VALID, MVCC_CONFLICT]
     engine.commit_block(block)
-    assert engine.query_state("kv/x")[0] == b"1"
+    assert engine.state.get("kv/x")[0] == b"1"
 
 
 def test_same_block_distinct_keys_both_valid(engine, alice, bob):
@@ -306,7 +333,7 @@ def test_cross_block_stale_read_conflicts(engine, alice, bob):
     block.validation_flags = engine.validate_block(block)
     assert block.validation_flags == [MVCC_CONFLICT]
     engine.commit_block(block)
-    assert engine.query_state("kv/x")[0] == b"1"  # conflicting write discarded
+    assert engine.state.get("kv/x")[0] == b"1"  # conflicting write discarded
 
 
 def test_exactly_one_flag_per_transaction(engine, alice, bob):
@@ -415,6 +442,22 @@ def test_corrupt_journal_refuses_to_open(tmp_path, engine, alice):
     data[10] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(LedgerError):
+        reopen_engine(tmp_path)
+    assert not verify_chain_file(path).ok
+
+
+def test_replay_rejects_a_missing_block(tmp_path, engine, alice):
+    # every block parses on its own; only the number/prevHash links show
+    # that block 1 (the one writing kv/k1) was cut out of the journal
+    for i in range(1, 4):
+        engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
+        engine.flush()
+    engine.close()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 4
+    path.write_bytes(b"".join(lines[:1] + lines[2:]))
+    with pytest.raises(LedgerError, match="broken chain link at block 1"):
         reopen_engine(tmp_path)
     assert not verify_chain_file(path).ok
 
