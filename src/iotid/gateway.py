@@ -184,11 +184,6 @@ class Gateway:
     def _store(self) -> ContentStore:
         return ContentStore(self.ledger_dir / OBJECTS_DIR)
 
-    def _create_engine(self, genesis: GenesisConfig) -> LedgerEngine:
-        return LedgerEngine.create(self.ledger_dir, genesis, self._store(),
-                                   default_contracts(), clock=self.clock,
-                                   commit_tick=self._commit_tick())
-
     def _open_engine(self) -> LedgerEngine:
         return LedgerEngine.open(self.ledger_dir, self._store(),
                                  default_contracts(), clock=self.clock,
@@ -277,15 +272,15 @@ class Gateway:
 
     def cmd_network_init(self, genesis_path: str | None = None,
                          force: bool = False) -> dict:
-        genesis = (GenesisConfig.load(genesis_path) if genesis_path
-                   else GenesisConfig.default())
-        blocks = self.ledger_dir / BLOCKS_FILE
-        if blocks.exists():
-            if not force:
-                raise GatewayError(
-                    f"ledger already exists at {self.ledger_dir}; use --force")
-            blocks.unlink()
-        with self._create_engine(genesis) as engine:
+        genesis = (GenesisConfig.from_dict(json.loads(Path(genesis_path).read_bytes()))
+                   if genesis_path else GenesisConfig.default())
+        if (self.ledger_dir / BLOCKS_FILE).exists() and not force:
+            raise GatewayError(
+                f"ledger already exists at {self.ledger_dir}; use --force")
+        with LedgerEngine.create(self.ledger_dir, genesis, self._store(),
+                                 default_contracts(), clock=self.clock,
+                                 commit_tick=self._commit_tick(),
+                                 force=force) as engine:
             return {
                 "ledgerDir": str(self.ledger_dir),
                 "height": engine.height,

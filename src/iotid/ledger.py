@@ -19,18 +19,21 @@ in-process:
 Blocks persist as one append-only file of canonically encoded JSON lines,
 so replaying valid transactions from genesis reproduces the world state
 exactly, and any byte-level tampering is detectable from hashes alone.
+Block 0 carries the network config, so the engine keeps only the journal
+and a lock file in its directory; open cuts off a torn last record.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from statistics import mean
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from .clock import Clock, WallClock
 from .codec import canonical_json, sha256
@@ -46,7 +49,6 @@ ZERO_HASH = bytes(32)
 ZERO_ADDRESS = Address(bytes(20))
 
 BLOCKS_FILE = "blocks.jsonl"
-GENESIS_FILE = "genesis.json"
 LOCK_FILE = ".lock"
 
 # world-state key namespaces; prefix scans implement the "view all" queries
@@ -88,7 +90,15 @@ class EmptyBatch(LedgerError):
 
 
 class NonSequentialBlock(LedgerError):
-    pass
+    """Block does not extend the chain: wrong number, flag count or prevHash."""
+
+
+class CorruptJournal(LedgerError):
+    """Undecodable journal record; ``torn_at`` is the offset of a torn last one."""
+
+    def __init__(self, index: int, reason: str, torn_at: int | None = None):
+        super().__init__(f"corrupt journal at block {index}: {reason}")
+        self.index, self.reason, self.torn_at = index, reason, torn_at
 
 
 class LedgerLocked(LedgerError):
@@ -390,7 +400,7 @@ class PeerSpec:
     peer_id: str
     seed: bytes
 
-    @property
+    @cached_property
     def keypair(self) -> KeyPair:
         return generate_keypair(self.seed)
 
@@ -400,7 +410,7 @@ class RegistrarSpec:
     name: str
     seed: bytes
 
-    @property
+    @cached_property
     def keypair(self) -> KeyPair:
         return generate_keypair(self.seed)
 
@@ -455,18 +465,14 @@ class GenesisConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenesisConfig":
-        peers = [PeerSpec(p["id"], bytes.fromhex(p["seed"])) for p in d["peers"]]
-        registrars = [RegistrarSpec(r["name"], bytes.fromhex(r["seed"]))
-                      for r in d.get("registrars", [])]
-        cfg = cls(
-            peers=peers,
-            registrars=registrars,
+        return cls(
+            peers=[PeerSpec(p["id"], bytes.fromhex(p["seed"])) for p in d["peers"]],
+            registrars=[RegistrarSpec(r["name"], bytes.fromhex(r["seed"]))
+                        for r in d.get("registrars", [])],
             threshold=int(d["endorsementThreshold"]) if "endorsementThreshold" in d else None,
             max_block_txs=int(d.get("maxBlockTxs", 10)),
             batch_timeout=float(d.get("batchTimeoutSeconds", 2.0)),
         )
-        cfg.policy()  # surface roster/threshold problems at load time
-        return cfg
 
     @classmethod
     def default(cls) -> "GenesisConfig":
@@ -476,9 +482,11 @@ class GenesisConfig:
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> "GenesisConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+    def from_block(cls, block: Block) -> "GenesisConfig":
+        try:  # block 0's one transaction carries the config as its argument
+            return cls.from_dict(json.loads(block.transactions[0].proposal.args[0]))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise LedgerError(f"block 0 carries no network config: {exc}") from exc
 
 
 @dataclass
@@ -531,19 +539,16 @@ class LedgerEngine:
     ever see fully committed blocks.
     """
 
-    def __init__(self, directory: str | Path, genesis: GenesisConfig,
-                 store: ContentStore, contracts: dict[str, Contract],
-                 clock: Clock | None = None, commit_tick: float = 0.0,
-                 _create: bool = False):
+    def __init__(self, directory: str | Path, store: ContentStore,
+                 contracts: dict[str, Contract], clock: Clock | None = None,
+                 commit_tick: float = 0.0, genesis: GenesisConfig | None = None,
+                 force: bool = False):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self.genesis = genesis
         self.store = store
         self.contracts = dict(contracts)
         self.clock = clock if clock is not None else WallClock()
         self.commit_tick = commit_tick
-        self.policy = genesis.policy()
-        self._peers = {p.peer_id: p.keypair for p in genesis.peers}
         self.state = WorldState()
         self._height = 0
         self._tip_hash = ZERO_HASH
@@ -551,38 +556,41 @@ class LedgerEngine:
         self._pending_since: float | None = None
         self._timings: dict[bytes, TxTimings] = {}  # txId -> receipt
         self._acquire_lock()
-        if _create:
-            self._write_genesis()
-        else:
-            self._replay()
+        try:
+            journal = self._dir / BLOCKS_FILE
+            if genesis is None:
+                genesis = self._replay()
+            elif journal.exists() and not force:
+                raise LedgerError(f"ledger already exists at {self._dir}")
+            self.genesis = genesis
+            self.policy = genesis.policy()
+            self._peers = {p.peer_id: p.keypair for p in genesis.peers}
+            if self._height == 0:  # provisioning replaces any old journal
+                journal.unlink(missing_ok=True)
+                self.commit_block(self._genesis_block())
+        except BaseException:
+            self._release_lock()
+            raise
 
     # -- lifecycle -----------------------------------------------------
 
     @classmethod
     def create(cls, directory: str | Path, genesis: GenesisConfig,
                store: ContentStore, contracts: dict[str, Contract],
-               clock: Clock | None = None, commit_tick: float = 0.0) -> "LedgerEngine":
-        """Provision a fresh ledger directory and commit the genesis block."""
-        directory = Path(directory)
-        if (directory / BLOCKS_FILE).exists():
-            raise LedgerError(f"ledger already exists at {directory}")
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / GENESIS_FILE, "w", encoding="utf-8") as fh:
-            json.dump(genesis.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return cls(directory, genesis, store, contracts, clock, commit_tick,
-                   _create=True)
+               clock: Clock | None = None, commit_tick: float = 0.0,
+               force: bool = False) -> "LedgerEngine":
+        """Provision a ledger; ``force`` replaces its journal under the lock."""
+        return cls(directory, store, contracts, clock, commit_tick,
+                   genesis=genesis, force=force)
 
     @classmethod
     def open(cls, directory: str | Path, store: ContentStore,
              contracts: dict[str, Contract], clock: Clock | None = None,
              commit_tick: float = 0.0) -> "LedgerEngine":
-        """Open an existing ledger, rebuilding world state by replay."""
-        directory = Path(directory)
-        if not (directory / BLOCKS_FILE).exists():
+        """Open an existing ledger: config and world state come from replay."""
+        if not (Path(directory) / BLOCKS_FILE).exists():
             raise LedgerError(f"no ledger at {directory}")
-        genesis = GenesisConfig.load(directory / GENESIS_FILE)
-        return cls(directory, genesis, store, contracts, clock, commit_tick)
+        return cls(directory, store, contracts, clock, commit_tick)
 
     def close(self) -> None:
         self._release_lock()
@@ -608,11 +616,9 @@ class LedgerEngine:
 
     def _release_lock(self) -> None:
         lock = self._dir / LOCK_FILE
-        try:
-            if lock.exists() and lock.read_text().strip() == str(os.getpid()):
+        with suppress(OSError):
+            if lock.read_text().strip() == str(os.getpid()):
                 lock.unlink()
-        except OSError:
-            pass
 
     # -- genesis and replay ---------------------------------------------
 
@@ -638,31 +644,30 @@ class LedgerEngine:
             })),
         ])
         tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[])
-        block = Block(number=0, prev_hash=ZERO_HASH,
-                      data_hash=Block.compute_data_hash([tx]), transactions=[tx],
-                      validation_flags=[VALID])
-        return block
+        return Block(number=0, prev_hash=ZERO_HASH,
+                     data_hash=Block.compute_data_hash([tx]), transactions=[tx],
+                     validation_flags=[VALID])
 
-    def _write_genesis(self) -> None:
-        self.commit_block(self._genesis_block())
+    def _replay(self) -> GenesisConfig:
+        """Rebuild height, tip hash and world state; return block 0's config.
 
-    def _replay(self) -> None:
-        """Rebuild height, tip hash, and world state from the journal."""
+        A torn last record was never committed: it is cut off, and the
+        ledger opens at the height before it (never below block 0).
+        """
         path = self._dir / BLOCKS_FILE
-        if not path.exists():
-            return
-        for number, raw in enumerate(path.read_bytes().split(b"\n")):
-            if not raw.strip():
-                continue
-            try:
-                block = Block.from_dict(json.loads(raw.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                    ValueError, TypeError) as exc:
-                raise LedgerError(
-                    f"corrupt journal at block {number}: {exc}") from exc
-            if block.number != self._height or block.prev_hash != self._tip_hash:
-                raise LedgerError(f"broken chain link at block {number}")
-            self._apply_block(block)
+        genesis = None
+        try:
+            for index, _, block in _read_journal(path):
+                if problem := _link_problem(block, self._height, self._tip_hash):
+                    raise LedgerError(f"broken chain link at block {index}: {problem}")
+                if index == 0:
+                    genesis = GenesisConfig.from_block(block)
+                self._apply_block(block)
+        except CorruptJournal as exc:
+            if exc.torn_at is None or genesis is None:
+                raise
+            os.truncate(path, exc.torn_at)
+        return genesis
 
     def _apply_block(self, block: Block) -> None:
         for idx, (tx, flag) in enumerate(zip(block.transactions,
@@ -777,18 +782,11 @@ class LedgerEngine:
 
     def commit_block(self, block: Block) -> Block:
         """Append the validated block and apply its VALID writes."""
-        if block.validation_flags is None:
-            raise LedgerError("block must be validated before commit")
-        if len(block.validation_flags) != len(block.transactions):
-            raise LedgerError("one flag per transaction required")
-        if block.number != self._height:
-            raise NonSequentialBlock(
-                f"expected block {self._height}, got {block.number}")
-        if block.prev_hash != self._tip_hash:
-            raise NonSequentialBlock("block does not extend the current tip")
+        if problem := _link_problem(block, self._height, self._tip_hash):
+            raise NonSequentialBlock(problem)
         self.clock.advance(self.commit_tick)
-        with open(self._dir / BLOCKS_FILE, "a", encoding="utf-8") as fh:
-            fh.write(canonical_json(block.to_dict()).decode("utf-8") + "\n")
+        with open(self._dir / BLOCKS_FILE, "ab") as fh:
+            fh.write(canonical_json(block.to_dict()) + b"\n")
         self._apply_block(block)
         commit_time = self.clock.now()
         for tx, flag in zip(block.transactions, block.validation_flags):
@@ -857,15 +855,7 @@ class LedgerEngine:
         return timing.block if timing is not None else None
 
     def read_blocks(self) -> list[Block]:
-        path = self._dir / BLOCKS_FILE
-        if not path.exists():
-            return []
-        blocks = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    blocks.append(Block.from_dict(json.loads(line)))
-        return blocks
+        return [block for _, _, block in _read_journal(self._dir / BLOCKS_FILE)]
 
     # -- integrity ---------------------------------------------------------------
 
@@ -903,18 +893,36 @@ class LedgerEngine:
         )
 
 
-def _check_block(block: Block, index: int, prev_header_hash: bytes) -> str | None:
-    if block.number != index:
-        return f"block number {block.number} at position {index}"
+def _read_journal(path: Path) -> Iterator[tuple[int, bytes, Block]]:
+    """Decode a journal record by record: ``(index, raw line, block)``.
+
+    Raises CorruptJournal at the first undecodable record, on an empty
+    journal, or with ``torn_at`` set at an unterminated (torn) last record.
+    """
+    data = path.read_bytes()
+    *lines, tail = data.split(b"\n")
+    for index, raw in enumerate(lines):
+        try:
+            block = Block.from_dict(json.loads(raw))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptJournal(index, "undecodable block") from exc
+        yield index, raw, block
+    if tail:
+        raise CorruptJournal(len(lines), "unterminated last record",
+                             torn_at=len(data) - len(tail))
+    if not lines:
+        raise CorruptJournal(0, "empty chain")
+
+
+def _link_problem(block: Block, height: int, tip_hash: bytes) -> str | None:
+    """Why ``block`` cannot extend a chain of ``height`` blocks ending in ``tip_hash``."""
+    if block.number != height:
+        return f"block number {block.number} at height {height}"
     if block.validation_flags is None or \
             len(block.validation_flags) != len(block.transactions):
         return "flag count does not match transaction count"
-    if any(f not in FLAG_VALUES for f in block.validation_flags):
-        return "unknown validation flag"
-    if block.prev_hash != prev_header_hash:
+    if block.prev_hash != tip_hash:
         return "previous-hash link broken"
-    if block.data_hash != Block.compute_data_hash(block.transactions):
-        return "data hash does not match transactions"
     return None
 
 
@@ -922,35 +930,31 @@ def verify_chain_file(path: str | Path) -> ChainReport:
     """Recompute every hash and link over a persisted journal file.
 
     Works directly on the raw bytes, without replaying state, so it stays
-    usable on a journal too damaged to open; reports the first bad block.
+    usable on a journal too damaged to open; reports the first bad block,
+    a torn last record included, and never modifies the file.
     """
     path = Path(path)
     if not path.exists():
         return ChainReport(ok=False, height=0, bad_block=0, reason="no journal file")
-    raw_lines = path.read_bytes().split(b"\n")
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()  # the journal ends with one newline
-    prev_header_hash = ZERO_HASH
-    count = 0
-    for index, raw in enumerate(raw_lines):
-        try:
-            block = Block.from_dict(json.loads(raw.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, ValueError,
-                TypeError):
-            return ChainReport(ok=False, height=count, bad_block=index,
-                               reason="undecodable block")
-        # the journal is written canonically, so any surviving byte change
-        # in derived fields (txId, flagsHash, hex case) shows up as a
-        # re-encoding mismatch even when parsing succeeded
-        if canonical_json(block.to_dict()) != raw:
-            return ChainReport(ok=False, height=count, bad_block=index,
-                               reason="non-canonical block encoding")
-        problem = _check_block(block, index, prev_header_hash)
-        if problem is not None:
-            return ChainReport(ok=False, height=count, bad_block=index,
-                               reason=problem)
-        prev_header_hash = block.header_hash()
-        count += 1
-    if count == 0:
-        return ChainReport(ok=False, height=0, bad_block=0, reason="empty chain")
-    return ChainReport(ok=True, height=count)
+    height, tip_hash = 0, ZERO_HASH
+    try:
+        for index, raw, block in _read_journal(path):
+            problem = _link_problem(block, index, tip_hash)
+            if problem is None:
+                # the journal is written canonically, so any surviving byte
+                # change in derived fields (txId, flagsHash, hex case) shows
+                # up as a re-encoding mismatch even when parsing succeeded
+                if canonical_json(block.to_dict()) != raw:
+                    problem = "non-canonical block encoding"
+                elif any(f not in FLAG_VALUES for f in block.validation_flags):
+                    problem = "unknown validation flag"
+                elif block.data_hash != Block.compute_data_hash(block.transactions):
+                    problem = "data hash does not match transactions"
+            if problem is not None:
+                return ChainReport(ok=False, height=index, bad_block=index,
+                                   reason=problem)
+            height, tip_hash = index + 1, block.header_hash()
+    except CorruptJournal as exc:
+        return ChainReport(ok=False, height=exc.index, bad_block=exc.index,
+                           reason=exc.reason)
+    return ChainReport(ok=True, height=height)

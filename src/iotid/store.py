@@ -54,42 +54,42 @@ class ContentHash:
 
 
 class ContentStore:
-    """Directory-backed store with an in-memory index built at startup.
+    """Directory-backed store whose only index is its file names.
 
-    Reads may run concurrently; identical concurrent puts are safe because
-    put is idempotent (same bytes, same file).
+    ``len()`` counts the files once, then adds this store's own new puts.
+    Identical concurrent puts are safe because put is idempotent.
     """
 
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._index: set[str] = {
-            p.name for p in self._dir.iterdir()
-            if p.is_file() and len(p.name) == HASH_BYTES * 2
-        }
+        self._count: int | None = None
 
     def __len__(self) -> int:
-        return len(self._index)
+        if self._count is None:
+            self._count = sum(len(p.name) == HASH_BYTES * 2 for p in self._dir.iterdir())
+        return self._count
 
     def put(self, data: bytes) -> ContentHash:
         """Store bytes, returning their hash. Re-putting is a no-op."""
         if not data:
             raise EmptyContent("cannot store empty content")
         key = ContentHash.of(data)
-        if key.hex not in self._index:
-            path = self._dir / key.hex
+        path = self._dir / key.hex
+        if not path.exists():
             tmp = path.with_suffix(".tmp")
             tmp.write_bytes(data)
             tmp.replace(path)
-            self._index.add(key.hex)
+            if self._count is not None:
+                self._count += 1
         return key
 
     def get(self, key: ContentHash) -> bytes:
         """Fetch bytes by hash, verifying them against the key before return."""
-        path = self._dir / key.hex
-        if key.hex not in self._index or not path.exists():
-            raise ContentNotFound(key.hex)
-        data = path.read_bytes()
+        try:
+            data = (self._dir / key.hex).read_bytes()
+        except FileNotFoundError:
+            raise ContentNotFound(key.hex) from None
         if sha256(data) != key.digest:
             raise IntegrityFailure(f"content {key.hex} failed verification")
         return data

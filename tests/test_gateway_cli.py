@@ -6,6 +6,7 @@ it, with machine output parsed back as JSON.
 
 import hashlib
 import json
+import os
 import stat
 from collections import namedtuple
 from pathlib import Path
@@ -16,7 +17,7 @@ from iotid.cli import main
 from iotid.clock import SimClock
 from iotid.gateway import Gateway, Keystore
 from iotid.idm import Session
-from iotid.ledger import LedgerEngine
+from iotid.ledger import BLOCKS_FILE, LOCK_FILE, LedgerEngine, LedgerLocked
 from iotid.did import parse_did
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
@@ -66,6 +67,19 @@ def test_network_init(capsys, env):
     assert again.code == 1
     assert again.data["error"] == "GatewayError"
     assert invoke(capsys, env, "network-init", "--force").code == 0
+
+
+def test_forced_init_leaves_a_locked_ledger_intact(ready):
+    # another live process holds the ledger: --force must not touch it
+    ledger_dir = Path(ready["ledger"])
+    journal = ledger_dir / BLOCKS_FILE
+    before = journal.read_bytes()
+    assert len(before.splitlines()) == 3
+    (ledger_dir / LOCK_FILE).write_text(str(os.getppid()))
+    gateway = Gateway(ready["ledger"], ready["keystore"])
+    with pytest.raises(LedgerLocked):
+        gateway.cmd_network_init(force=True)
+    assert journal.read_bytes() == before
 
 
 def test_keygen_is_deterministic_and_private(capsys, env):

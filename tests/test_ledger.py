@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from iotid import ledger as ledger_module
 from iotid.codec import canonical_json
 from iotid.ledger import (
     BLOCKS_FILE,
@@ -460,6 +461,93 @@ def test_replay_rejects_a_missing_block(tmp_path, engine, alice):
     with pytest.raises(LedgerError, match="broken chain link at block 1"):
         reopen_engine(tmp_path)
     assert not verify_chain_file(path).ok
+
+
+def test_failed_open_releases_the_lock(tmp_path, engine, alice):
+    for i in range(1, 4):
+        engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
+        engine.flush()
+    engine.close()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + lines[2:]))
+    with pytest.raises(LedgerError, match="broken chain link at block 1"):
+        reopen_engine(tmp_path)
+    assert not (tmp_path / "ledger" / LOCK_FILE).exists()
+
+
+def test_torn_last_record_opens_at_the_previous_height(tmp_path, alice):
+    # a one-peer network keeps each of the ~1,200 reopen-and-commit rounds cheap
+    solo = GenesisConfig(peers=[PeerSpec("peer1", bytes(32))], registrars=[])
+    engine = make_engine(tmp_path, genesis=solo)
+    engine.submit(alice.proposal(engine, "kv", "set", ["k1", "v"]))
+    engine.flush()
+    engine.submit(alice.proposal(engine, "kv", "set", ["k2", "v"]))
+    engine.flush()
+    engine.close()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    intact = path.read_bytes()
+    last = intact.rindex(b"\n", 0, len(intact) - 1) + 1  # start of block 2
+    # the torn state reverts, so one signed proposal commits on every reopen
+    retry = alice.proposal(engine, "kv", "set", ["k3", "v"])
+    # every cut inside block 2, up to the full line without its newline
+    for cut in range(last + 1, len(intact)):
+        path.write_bytes(intact[:cut])
+        report = verify_chain_file(path)
+        assert (report.ok, report.bad_block, report.reason) == \
+            (False, 2, "unterminated last record")
+        assert path.read_bytes() == intact[:cut]  # verify never writes
+        reopened = reopen_engine(tmp_path)
+        try:
+            assert reopened.height == 2
+            assert path.read_bytes() == intact[:last]
+            assert reopened.state.get("kv/k2") is None
+            assert reopened.tx_flag(reopened.submit(retry)) is None
+            reopened.flush()
+            assert reopened.height == 3
+        finally:
+            reopened.close()
+        assert verify_chain_file(path).ok
+
+
+def test_torn_genesis_block_refuses_to_open(tmp_path, engine):
+    engine.close()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    torn = path.read_bytes()[:-1]
+    path.write_bytes(torn)
+    with pytest.raises(LedgerError, match="unterminated last record"):
+        reopen_engine(tmp_path)
+    assert path.read_bytes() == torn
+    assert not (tmp_path / "ledger" / LOCK_FILE).exists()
+
+
+def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
+    engine.close()
+    ledger_dir = tmp_path / "ledger"
+    assert sorted(p.name for p in ledger_dir.iterdir()) == [BLOCKS_FILE]
+    # a config file planted beside the journal, with a foreign peer1 key
+    # and a 1-of-3 policy, must not change who may endorse
+    planted = GenesisConfig.default().to_dict()
+    planted["peers"][0]["seed"] = bytes(32).hex()
+    planted["endorsementThreshold"] = 1
+    (ledger_dir / "genesis.json").write_text(json.dumps(planted))
+    reopened = reopen_engine(tmp_path)
+    try:
+        assert reopened.policy == GenesisConfig.default().policy()
+        assert reopened.policy.threshold == 2
+    finally:
+        reopened.close()
+
+
+def test_open_derives_each_genesis_key_once(tmp_path, engine, monkeypatch):
+    engine.close()
+    seeds = []
+    real = ledger_module.generate_keypair
+    monkeypatch.setattr(ledger_module, "generate_keypair",
+                        lambda seed: seeds.append(seed) or real(seed))
+    reopen_engine(tmp_path).close()
+    peer_seeds = [p.seed for p in GenesisConfig.default().peers]
+    assert sorted(seeds) == sorted(peer_seeds)
 
 
 def test_directory_lock(tmp_path, engine):
