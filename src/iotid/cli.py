@@ -102,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("chain-verify", help="recompute every hash and link")
 
-    p = sub.add_parser("bench", help="measure throughput and latency")
-    p.add_argument("--count", type=int, default=200,
-                   help="synthetic transactions to submit")
-
     return parser
 
 
@@ -162,8 +158,6 @@ def _dispatch(args: argparse.Namespace, gateway: Gateway) -> dict:
                                     force=args.force)
     if args.command == "chain-verify":
         return gateway.cmd_chain_verify()
-    if args.command == "bench":
-        return gateway.cmd_bench(args.count)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -1,16 +1,13 @@
-"""In-process gateway: keystore, command operations, end-to-end scenario.
+"""In-process gateway: keystore, one method per CLI command, the scenario.
 
 The gateway owns the plumbing between the CLI and the engine: key files
 on disk, session caching so separate invocations share a login, nonce
-counters for replay protection, and the composition of multi-step flows
-(create identity then register, challenge then response, simulate then
-upload). Every operation returns a JSON-ready dict; rendering belongs to
-the CLI layer.
-
-Single commands open the ledger, do their work, and close it; the
-scenario and the benchmark hold one engine open end to end because
-receipts and latency timings live with the engine instance that
-submitted the transactions.
+counters for replay protection, and the composition of multi-step
+commands (create identity then register, challenge then response).
+Every command opens the ledger, does its work and closes it, and
+returns a JSON-ready dict; rendering belongs to the CLI layer. The
+end-to-end scenario is a script over those same commands, run as
+separate client steps the way a CLI user would run them.
 """
 
 from __future__ import annotations
@@ -20,7 +17,9 @@ import os
 import random
 import re
 import secrets
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .assets import AssetContract, query_all_assets, query_owned_assets
@@ -81,11 +80,11 @@ class KeyEntry:
     seed: bytes
     did: Did
 
-    @property
+    @cached_property
     def keypair(self) -> KeyPair:
         return generate_keypair(self.seed)
 
-    @property
+    @cached_property
     def address(self) -> Address:
         return derive_address(self.keypair.public_key)
 
@@ -178,7 +177,7 @@ class Gateway:
 
     def _commit_tick(self) -> float:
         # on the simulated clock each commit advances time one tick, which
-        # stands in for the batch timeout and keeps metrics reproducible
+        # stands in for the batch timeout and keeps timestamps reproducible
         return 1.0 if isinstance(self.clock, SimClock) else 0.0
 
     def _store(self) -> ContentStore:
@@ -213,61 +212,6 @@ class Gateway:
             "block": engine.block_number_of(tx_id),
         }
 
-    # -- engine-level steps shared by commands and the scenario --------------
-
-    def _register_with(self, engine: LedgerEngine, entry: KeyEntry,
-                       manufacturer_id: str) -> dict:
-        """Registrar creates the identity, then the owner registers the device."""
-        if not engine.genesis.registrars:
-            raise GatewayError("genesis config lists no registrars")
-        registrar = engine.genesis.registrars[0].keypair
-        keypair = entry.keypair
-        owner = entry.address
-        proof = make_possession_proof(keypair, entry.did, owner)
-        create = self._proposal(
-            registrar, "registrar", "idm", "createIdentity",
-            [keypair.public_key.hex(), entry.did.method_id, str(owner), proof.hex()])
-        create_receipt = self._submit(engine, create)
-        register = self._proposal(
-            keypair, entry.name, "idm", "registerDevice",
-            [str(entry.did), manufacturer_id])
-        register_receipt = self._submit(engine, register)
-        return {
-            "name": entry.name,
-            "did": str(entry.did),
-            "manufacturerId": manufacturer_id,
-            "createIdentity": create_receipt,
-            "registerDevice": register_receipt,
-        }
-
-    def _login_with(self, engine: LedgerEngine, entry: KeyEntry,
-                    rng: random.Random | None = None) -> Session:
-        service = LoginService(engine.state, engine.store, self.clock, rng=rng)
-        challenge = service.begin_login(entry.did)
-        signature = entry.keypair.sign(login_message(entry.did, challenge.nonce))
-        session = service.complete_login(entry.did, challenge.nonce, signature)
-        self.keystore.save_session(entry.name, session)
-        return session
-
-    def _upload_with(self, engine: LedgerEngine, entry: KeyEntry,
-                     session: Session, path: Path,
-                     asset_name: str | None = None) -> dict:
-        if not session_is_valid(session, self.clock.now()):
-            raise NotAuthenticatedError(f"no live session for {entry.name}")
-        payload = path.read_bytes()
-        if asset_name is None:
-            asset_name = self.default_asset_name(path)
-        proposal = self._proposal(
-            entry.keypair, entry.name, "asset", "uploadAsset",
-            [str(session.did), asset_name, payload.hex()])
-        receipt = self._submit(engine, proposal)
-        return {
-            "name": entry.name,
-            "assetName": asset_name,
-            "dataId": sha256(payload).hex(),
-            **receipt,
-        }
-
     # -- commands ---------------------------------------------------------
 
     def cmd_network_init(self, genesis_path: str | None = None,
@@ -300,19 +244,42 @@ class Gateway:
         }
 
     def cmd_device_register(self, name: str, manufacturer_id: str) -> dict:
+        """Registrar creates the identity, then the owner registers the device."""
         entry = self.keystore.load(name)
         with self._open_engine() as engine:
-            return self._register_with(engine, entry, manufacturer_id)
+            if not engine.genesis.registrars:
+                raise GatewayError("genesis config lists no registrars")
+            registrar = engine.genesis.registrars[0].keypair
+            proof = make_possession_proof(entry.keypair, entry.did, entry.address)
+            create = self._proposal(
+                registrar, "registrar", "idm", "createIdentity",
+                [entry.keypair.public_key.hex(), entry.did.method_id,
+                 str(entry.address), proof.hex()])
+            create_receipt = self._submit(engine, create)
+            register = self._proposal(
+                entry.keypair, entry.name, "idm", "registerDevice",
+                [str(entry.did), manufacturer_id])
+            return {
+                "name": entry.name,
+                "did": str(entry.did),
+                "manufacturerId": manufacturer_id,
+                "createIdentity": create_receipt,
+                "registerDevice": self._submit(engine, register),
+            }
 
     def cmd_device_login(self, name: str,
                          rng: random.Random | None = None) -> dict:
+        """Challenge-response login; the session is cached in the keystore."""
         entry = self.keystore.load(name)
         with self._open_engine() as engine:
-            session = self._login_with(engine, entry, rng=rng)
+            service = LoginService(engine.state, engine.store, self.clock, rng=rng)
+            challenge = service.begin_login(entry.did)
+            signature = entry.keypair.sign(login_message(entry.did, challenge.nonce))
+            session = service.complete_login(entry.did, challenge.nonce, signature)
+        self.keystore.save_session(entry.name, session)
         return {
             "name": name,
             "did": str(entry.did),
-            "token": session.token.hex(),
             "expiresAt": session.expires_at,
         }
 
@@ -333,9 +300,21 @@ class Gateway:
                          asset_name: str | None = None) -> dict:
         session = self._require_session(name)
         entry = self.keystore.load(name)
+        path = Path(file_path)
+        payload = path.read_bytes()
+        if asset_name is None:
+            asset_name = self.default_asset_name(path)
         with self._open_engine() as engine:
-            return self._upload_with(engine, entry, session, Path(file_path),
-                                     asset_name)
+            proposal = self._proposal(
+                entry.keypair, entry.name, "asset", "uploadAsset",
+                [str(session.did), asset_name, payload.hex()])
+            receipt = self._submit(engine, proposal)
+        return {
+            "name": entry.name,
+            "assetName": asset_name,
+            "dataId": sha256(payload).hex(),
+            **receipt,
+        }
 
     def cmd_asset_list(self, mine: str | None = None) -> dict:
         with self._open_engine() as engine:
@@ -374,127 +353,98 @@ class Gateway:
         # a ledger too damaged to open and replay
         return verify_chain_file(self.ledger_dir / BLOCKS_FILE).to_dict()
 
-    def cmd_bench(self, tx_count: int) -> dict:
-        """Throughput/latency probe: synthetic uploads from one bench device."""
-        if tx_count < 1:
-            raise GatewayError("tx count must be >= 1")
-        seed = secrets.token_bytes(32)
-        keypair = generate_keypair(seed)
-        # the label names the device's nonce counter; it is never a key file
-        entry = KeyEntry(name=f"bench-{seed[:4].hex()}", seed=seed,
-                         did=make_did(keypair.public_key))
-        with self._open_engine() as engine:
-            self._register_with(engine, entry, "BENCH")
-            mark = engine.timings_mark()
-            for i in range(tx_count):
-                payload = f"bench|{entry.name}|{i}".encode("utf-8")
-                engine.submit(self._proposal(
-                    keypair, entry.name, "asset", "uploadAsset",
-                    [str(entry.did), f"bench/{i}.txt", payload.hex()]))
-            engine.flush()
-            report = engine.metrics(since=mark).to_dict()
-            report["benchDevice"] = str(entry.did)
-            return report
-
     # -- the end-to-end scenario ----------------------------------------------
 
     def cmd_scenario(self, seed: int = 0, device_count: int = 5,
                      interval_seconds: int = 30, duration_seconds: int = 300,
                      sim_output_dir: str | Path | None = None,
-                     manufacturer_id: str | None = None,
                      force: bool = False) -> dict:
-        """Register, login, simulate, upload, dedup, query, verify, measure.
+        """Init, register, login, simulate, upload, dedup, query, verify.
 
-        Runs entirely on the simulated clock so two runs with one seed
-        produce identical reports.
+        A script over the CLI commands above, each of which opens the
+        ledger itself. Runs entirely on the simulated clock so two runs
+        with one seed produce identical reports.
         """
         if not isinstance(self.clock, SimClock):
             self.clock = SimClock()
-        config = FlowConfig(
-            device_count=device_count,
-            interval_seconds=interval_seconds,
-            manufacturer_id=(manufacturer_id if manufacturer_id is not None
-                             else FlowConfig().manufacturer_id),
-            seed=seed,
-        )
+        config = FlowConfig(device_count=device_count,
+                            interval_seconds=interval_seconds, seed=seed)
         output_dir = (Path(sim_output_dir) if sim_output_dir is not None
                       else self.ledger_dir / "sensor-data")
+        names = [f"device{index}" for index in range(1, device_count + 1)]
 
         init = self.cmd_network_init(force=force)
-        entries = [
-            self.keystore.create(f"device{index}",
-                                 seed=device_key_seed(seed, index),
-                                 overwrite=force)
-            for index in range(1, device_count + 1)
-        ]
+        for index, name in enumerate(names, 1):
+            self.cmd_device_keygen(name, seed=device_key_seed(seed, index),
+                                   overwrite=force)
+        registered = 0
+        for name in names:
+            receipt = self.cmd_device_register(name, config.manufacturer_id)
+            if receipt["createIdentity"]["flag"] != VALID or \
+                    receipt["registerDevice"]["flag"] != VALID:
+                raise GatewayError(f"registration not VALID for {name}")
+            registered += 1
 
-        with self._open_engine() as engine:
-            registered = 0
-            for entry in entries:
-                receipt = self._register_with(engine, entry,
-                                              config.manufacturer_id)
-                if receipt["createIdentity"]["flag"] != VALID or \
-                        receipt["registerDevice"]["flag"] != VALID:
-                    raise GatewayError(f"registration not VALID for {entry.name}")
-                registered += 1
+        login_rng = random.Random(int.from_bytes(
+            sha256(f"iotid/login/{seed}".encode("utf-8")), "big"))
+        logged_in = 0
+        for name in names:
+            self.cmd_device_login(name, rng=login_rng)
+            logged_in += 1
 
-            login_rng = random.Random(int.from_bytes(
-                sha256(f"iotid/login/{seed}".encode("utf-8")), "big"))
-            sessions = {entry.name: self._login_with(engine, entry, rng=login_rng)
-                        for entry in entries}
-            logged_in = len(sessions)
+        sim_summary, readings = self._simulate(config, duration_seconds,
+                                               output_dir)
+        # render_payload carries no device id, so two devices can emit
+        # byte-identical readings in one tick; only the first one lands
+        seen: set[bytes] = set()
+        expected_owned: Counter[str] = Counter()
+        uploaded = 0
+        upload_failures = []
+        for reading in readings:
+            name = f"device{reading.device_index}"
+            path = reading_file_path(output_dir, reading)
+            data_id = sha256(path.read_bytes())
+            repeat = data_id in seen
+            if not repeat:
+                seen.add(data_id)
+                expected_owned[name] += 1
+            try:
+                receipt = self.cmd_asset_upload(name, path)
+            except ContractError as exc:
+                if not (repeat and exc.code == "DuplicateAsset"):
+                    raise
+                continue
+            if receipt["flag"] == VALID and not repeat:
+                uploaded += 1
+            else:
+                upload_failures.append(receipt)
 
-            sim_summary, readings = self._simulate(config, duration_seconds,
-                                                   output_dir)
+        # one duplicate attempt per device: re-upload its first reading
+        duplicates_rejected = 0
+        duplicate_data_ids = []
+        for index, name in enumerate(names, 1):
+            first = next(r for r in readings if r.device_index == index)
+            try:
+                self.cmd_asset_upload(name, reading_file_path(output_dir, first))
+            except ContractError as exc:
+                if exc.code != "DuplicateAsset":
+                    raise
+                duplicates_rejected += 1
+                duplicate_data_ids.append(exc.details.get("dataId"))
+            else:
+                raise GatewayError(f"duplicate upload for {name} was not rejected")
 
-            by_index = {entry.name: entry for entry in entries}
-            uploaded = 0
-            upload_failures = []
-            for reading in readings:
-                entry = by_index[f"device{reading.device_index}"]
-                receipt = self._upload_with(engine, entry, sessions[entry.name],
-                                            reading_file_path(output_dir, reading))
-                if receipt["flag"] == VALID:
-                    uploaded += 1
-                else:
-                    upload_failures.append(receipt)
-
-            # one duplicate attempt per device: re-upload its first reading
-            duplicates_rejected = 0
-            duplicate_data_ids = []
-            for entry in entries:
-                index = int(entry.name.removeprefix("device"))
-                first = next(r for r in readings if r.device_index == index)
-                try:
-                    self._upload_with(engine, entry, sessions[entry.name],
-                                      reading_file_path(output_dir, first))
-                except ContractError as exc:
-                    if exc.code != "DuplicateAsset":
-                        raise
-                    duplicates_rejected += 1
-                    duplicate_data_ids.append(exc.details.get("dataId"))
-                else:
-                    raise GatewayError(
-                        f"duplicate upload for {entry.name} was not rejected")
-
-            all_records = query_all_assets(engine.state)
-            owned = {
-                entry.name: len(query_owned_assets(engine.state,
-                                                   sessions[entry.name],
-                                                   self.clock.now()))
-                for entry in entries
-            }
-            verify = engine.verify_chain().to_dict()
-            metrics = engine.metrics().to_dict()
-            height = engine.height
+        all_count = self.cmd_asset_list()["count"]
+        owned = {name: self.cmd_asset_list(mine=name)["count"] for name in names}
+        verify = self.cmd_chain_verify()
 
         per_device = duration_seconds // interval_seconds
-        expected = per_device * device_count
         ok = (registered == device_count and logged_in == device_count
-              and sim_summary["files"] == expected and uploaded == expected
-              and not upload_failures and duplicates_rejected == device_count
-              and len(all_records) == expected
-              and all(count == per_device for count in owned.values())
+              and sim_summary["files"] == per_device * device_count
+              and uploaded == len(seen) and not upload_failures
+              and duplicates_rejected == device_count
+              and all_count == len(seen)
+              and all(owned[name] == expected_owned[name] for name in names)
               and verify["ok"])
         return {
             "ok": ok,
@@ -508,9 +458,8 @@ class Gateway:
             "uploaded": uploaded,
             "duplicatesRejected": duplicates_rejected,
             "duplicateDataIds": duplicate_data_ids,
-            "queryAllCount": len(all_records),
-            "queryOwnedCounts": dict(sorted(owned.items())),
-            "chainHeight": height,
+            "queryAllCount": all_count,
+            "queryOwnedCounts": owned,
+            "chainHeight": verify["height"],
             "verifyChain": verify,
-            "metrics": metrics,
         }

@@ -18,7 +18,8 @@ import secrets
 from dataclasses import dataclass, replace
 
 from .clock import Clock
-from .codec import canonical_json, from_canonical_json, sha256
+from .codec import canonical_json, from_canonical_json
+from .codec import sha256  # noqa: F401 -- perfbench/tracing.py wraps idm.sha256
 from .did import (
     Address,
     Did,
@@ -277,20 +278,17 @@ class Challenge:
 
 @dataclass(frozen=True)
 class Session:
-    """Bearer credential for one logged-in device."""
+    """One logged-in device, until ``expires_at``."""
 
-    token: bytes
     did: Did
     expires_at: int
 
     def to_dict(self) -> dict:
-        return {"token": self.token.hex(), "did": str(self.did),
-                "expiresAt": self.expires_at}
+        return {"did": str(self.did), "expiresAt": self.expires_at}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Session":
-        return cls(token=bytes.fromhex(d["token"]), did=parse_did(d["did"]),
-                   expires_at=int(d["expiresAt"]))
+        return cls(did=parse_did(d["did"]), expires_at=int(d["expiresAt"]))
 
 
 def login_message(did: Did, nonce: bytes) -> bytes:
@@ -346,6 +344,4 @@ class LoginService:
         if not verify_signature(public_key, login_message(did, nonce), signature):
             raise BadSignatureError(f"login signature does not verify for {did}")
         del self._challenges[(str(did), nonce)]  # single use
-        token = sha256(f"{did}|{nonce.hex()}|{challenge.issued_at}".encode("utf-8"))
-        return Session(token=token, did=did,
-                       expires_at=int(now) + SESSION_TTL)
+        return Session(did=did, expires_at=int(now) + SESSION_TTL)

@@ -30,9 +30,7 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
-from statistics import mean
 from typing import Iterator, Protocol
 
 from .clock import Clock, WallClock
@@ -490,36 +488,6 @@ class GenesisConfig:
 
 
 @dataclass
-class TxTimings:
-    """The receipt of one submitted transaction, filled in at commit."""
-
-    submit_time: float
-    commit_time: float | None = None
-    flag: str | None = None
-    block: int | None = None
-
-
-@dataclass
-class MetricsReport:
-    committed_tx_count: int
-    throughput_tx_per_sec: float
-    latency_min: float
-    latency_mean: float
-    latency_p95: float
-
-    def to_dict(self) -> dict:
-        return {
-            "committedTxCount": self.committed_tx_count,
-            "throughputTxPerSec": self.throughput_tx_per_sec,
-            "latencies": {
-                "min": self.latency_min,
-                "mean": self.latency_mean,
-                "p95": self.latency_p95,
-            },
-        }
-
-
-@dataclass
 class ChainReport:
     ok: bool
     height: int
@@ -554,7 +522,9 @@ class LedgerEngine:
         self._tip_hash = ZERO_HASH
         self._pending: list[Transaction] = []
         self._pending_since: float | None = None
-        self._timings: dict[bytes, TxTimings] = {}  # txId -> receipt
+        # txId -> (flag, block) of every tx this engine instance committed
+        self._receipts: dict[bytes, tuple[str, int]] = {}
+        self._held: Path | None = None  # the directory whose .lock we share
         self._acquire_lock()
         try:
             journal = self._dir / BLOCKS_FILE
@@ -569,7 +539,7 @@ class LedgerEngine:
                 journal.unlink(missing_ok=True)
                 self.commit_block(self._genesis_block())
         except BaseException:
-            self._release_lock()
+            self.close()
             raise
 
     # -- lifecycle -----------------------------------------------------
@@ -593,7 +563,21 @@ class LedgerEngine:
         return cls(directory, store, contracts, clock, commit_tick)
 
     def close(self) -> None:
-        self._release_lock()
+        """Release this engine's hold on the directory; a second call is a no-op.
+
+        ``.lock`` is unlinked when the last engine of this process closes.
+        """
+        key, self._held = self._held, None
+        if key is None:
+            return
+        _open_engines[key] -= 1
+        if _open_engines[key]:
+            return
+        del _open_engines[key]
+        lock = key / LOCK_FILE
+        with suppress(OSError):
+            if lock.read_text().strip() == str(os.getpid()):
+                lock.unlink()
 
     def __enter__(self) -> "LedgerEngine":
         return self
@@ -602,23 +586,23 @@ class LedgerEngine:
         self.close()
 
     def _acquire_lock(self) -> None:
-        lock = self._dir / LOCK_FILE
-        if lock.exists():
-            try:
-                pid = int(lock.read_text().strip())
-                os.kill(pid, 0)  # raises if the process is gone
-            except (ValueError, OSError):
-                lock.unlink(missing_ok=True)  # stale lock
-            else:
-                if pid != os.getpid():
-                    raise LedgerLocked(f"ledger in use by pid {pid}")
-        lock.write_text(str(os.getpid()))
-
-    def _release_lock(self) -> None:
-        lock = self._dir / LOCK_FILE
-        with suppress(OSError):
-            if lock.read_text().strip() == str(os.getpid()):
-                lock.unlink()
+        """Hold ``.lock`` for this process; engines in one process share it."""
+        key = self._dir.resolve()
+        if key not in _open_engines:
+            lock = key / LOCK_FILE
+            for retry in (False, True):
+                try:
+                    fd = os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+                except FileExistsError:
+                    if retry or not _lock_is_stale(lock):
+                        raise LedgerLocked(f"ledger in use: {lock}") from None
+                    lock.unlink(missing_ok=True)
+                    continue
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(str(os.getpid()))
+                break
+        _open_engines[key] = _open_engines.get(key, 0) + 1
+        self._held = key
 
     # -- genesis and replay ---------------------------------------------
 
@@ -788,14 +772,9 @@ class LedgerEngine:
         with open(self._dir / BLOCKS_FILE, "ab") as fh:
             fh.write(canonical_json(block.to_dict()) + b"\n")
         self._apply_block(block)
-        commit_time = self.clock.now()
         for tx, flag in zip(block.transactions, block.validation_flags):
-            timing = self._timings.get(tx.tx_id)
             # a txId submitted twice lands twice; its first copy is the receipt
-            if timing is not None and timing.block is None:
-                timing.commit_time = commit_time
-                timing.flag = flag
-                timing.block = block.number
+            self._receipts.setdefault(tx.tx_id, (flag, block.number))
         return block
 
     # -- submission pipeline ------------------------------------------------
@@ -804,14 +783,12 @@ class LedgerEngine:
         """Endorse on every peer and queue; cuts a block when the batch fills."""
         submit_time = self.clock.now()
         tx = self.build_transaction(proposal)
-        tx_id = tx.tx_id
         self._pending.append(tx)
-        self._timings.setdefault(tx_id, TxTimings(submit_time=submit_time))
         if self._pending_since is None:
             self._pending_since = submit_time
         if len(self._pending) >= self.genesis.max_block_txs:
             self.commit_pending()
-        return tx_id
+        return tx.tx_id
 
     def tick(self) -> Block | None:
         """Cut on timeout: commit pending txs older than the batch timeout."""
@@ -840,19 +817,19 @@ class LedgerEngine:
         return self._height
 
     def tx_flag(self, tx_id: bytes) -> str | None:
-        """Validation flag of a tx submitted through this engine, else None."""
-        timing = self._timings.get(tx_id)
-        return timing.flag if timing is not None else None
+        """Validation flag of a tx this engine committed, else None."""
+        receipt = self._receipts.get(tx_id)
+        return receipt[0] if receipt is not None else None
 
     def block_number_of(self, tx_id: bytes) -> int | None:
-        """Block that committed a tx submitted through this engine.
+        """Block that committed a tx through this engine.
 
         None while the tx is pending, and for any tx this engine instance
-        did not submit (e.g. one committed before the ledger was reopened);
+        did not commit (e.g. one committed before the ledger was reopened);
         the journal itself is never re-read.
         """
-        timing = self._timings.get(tx_id)
-        return timing.block if timing is not None else None
+        receipt = self._receipts.get(tx_id)
+        return receipt[1] if receipt is not None else None
 
     def read_blocks(self) -> list[Block]:
         return [block for _, _, block in _read_journal(self._dir / BLOCKS_FILE)]
@@ -863,34 +840,28 @@ class LedgerEngine:
         """Recompute every hash and link over the persisted journal."""
         return verify_chain_file(self._dir / BLOCKS_FILE)
 
-    # -- metrics ---------------------------------------------------------------
 
-    def timings_mark(self) -> int:
-        """Marker for metrics windows (e.g. a benchmark run)."""
-        return len(self._timings)
+# ledger directory -> engines open on it in this process, which share one .lock
+_open_engines: dict[Path, int] = {}
 
-    def metrics(self, since: int = 0) -> MetricsReport:
-        """Throughput and latency over committed VALID transactions.
 
-        Throughput is VALID transactions divided by the clock span between
-        the first submission and the last commit in the window.
-        """
-        window = [t for t in islice(self._timings.values(), since, None)
-                  if t.flag == VALID]
-        if not window:
-            return MetricsReport(0, 0.0, 0.0, 0.0, 0.0)
-        latencies = sorted(t.commit_time - t.submit_time for t in window)
-        span = max(t.commit_time for t in window) - min(t.submit_time for t in window)
-        count = len(window)
-        throughput = count / span if span > 0 else float(count)
-        p95_index = min(count - 1, max(0, -(-95 * count // 100) - 1))
-        return MetricsReport(
-            committed_tx_count=count,
-            throughput_tx_per_sec=throughput,
-            latency_min=latencies[0],
-            latency_mean=mean(latencies),
-            latency_p95=latencies[p95_index],
-        )
+def _lock_is_stale(lock: Path) -> bool:
+    """True unless ``lock`` names another live process.
+
+    Our own pid counts as stale: an engine of this process that holds the
+    directory is counted in ``_open_engines``, so such a file is a leftover.
+    """
+    try:
+        pid = int(lock.read_text().strip())
+    except (ValueError, OSError):
+        return True
+    if pid <= 0 or pid == os.getpid():
+        return True
+    try:
+        os.kill(pid, 0)
+    except OSError as exc:  # PermissionError: alive, owned by another user
+        return isinstance(exc, ProcessLookupError)
+    return False
 
 
 def _read_journal(path: Path) -> Iterator[tuple[int, bytes, Block]]:

@@ -1,4 +1,4 @@
-"""Acceptance suite: eight end-to-end guarantees, one test each.
+"""Acceptance suite: seven end-to-end guarantees, one test each.
 
 Each test prints one ``ACCEPTANCE <n> <label>: PASS|FAIL`` line on the
 real stdout (capture suspended) so the outcome is visible in any run.
@@ -403,14 +403,3 @@ def test_7_scenario_determinism(tmp_path, capsys):
         assert reports[0] == reports[1]
         assert trees[0] == trees[1] and len(trees[0]) == 50
         assert data_ids[0] == data_ids[1] and len(set(data_ids[0])) == 50
-
-
-def test_8_benchmark(tmp_path, capsys):
-    with criterion(capsys, 8, "benchmark"):
-        gateway = Gateway(tmp_path / "ledger", tmp_path / "keys")  # wall clock
-        gateway.cmd_network_init()
-        report = gateway.cmd_bench(200)
-        assert report["committedTxCount"] == 200
-        assert report["throughputTxPerSec"] > 0
-        latencies = report["latencies"]
-        assert latencies["min"] <= latencies["mean"] <= latencies["p95"]

@@ -156,8 +156,7 @@ def test_owned_query_requires_live_session(engine, clock, registrar, registered,
     upload_payload(engine, registered, b"mine", name="mine.txt")
     upload_payload(engine, other_device, b"theirs", name="theirs.txt")
 
-    session = Session(token=b"\x01" * 32, did=registered.did,
-                      expires_at=int(clock.now()) + 60)
+    session = Session(did=registered.did, expires_at=int(clock.now()) + 60)
     owned = query_owned_assets(engine.state, session, clock.now())
     assert [r.asset_name for r in owned] == ["mine.txt"]
 

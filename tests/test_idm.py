@@ -1,6 +1,5 @@
 """Identity chaincode gates and the challenge-response login flow."""
 
-import hashlib
 import json
 import random
 
@@ -312,10 +311,6 @@ def test_login_round_trip(service, clock, device):
 
     session = service.complete_login(device.did, challenge.nonce,
                                      sign_challenge(device, challenge))
-    expected = hashlib.sha256(
-        f"{device.did}|{challenge.nonce.hex()}|{challenge.issued_at}"
-        .encode("utf-8")).digest()
-    assert session.token == expected
     assert session.did == device.did
     assert session.expires_at == int(clock.now()) + 3600
     assert session_is_valid(session, clock.now())

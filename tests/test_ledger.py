@@ -1,6 +1,6 @@
 """Engine pipeline: signing, endorsement, ordering, MVCC, commit, replay.
 
-Expected flag vectors and metric values are hand-walked from the pipeline
+Expected flag vectors and receipts are hand-walked from the pipeline
 rules before being asserted, not read back from the implementation.
 """
 
@@ -142,7 +142,6 @@ def test_proposal_submitted_twice_keeps_first_receipt(engine, alice):
     assert block.validation_flags == [VALID, MVCC_CONFLICT]
     assert engine.tx_flag(first) == VALID
     assert engine.block_number_of(first) == block.number
-    assert engine.metrics().committed_tx_count == 1
 
 
 def test_receipts_cover_only_this_engines_submissions(tmp_path, engine, alice):
@@ -565,57 +564,33 @@ def test_directory_lock(tmp_path, engine):
         reopened.close()
 
 
+def test_engines_in_one_process_share_the_lock(tmp_path, engine):
+    # .lock stays until the last engine of this process closes
+    lock = tmp_path / "ledger" / LOCK_FILE
+    second = reopen_engine(tmp_path)
+    second.close()
+    assert lock.read_text() == str(os.getpid())
+    second.close()  # a second close releases nothing more
+    assert lock.read_text() == str(os.getpid())
+    with pytest.raises(LedgerError):
+        make_engine(tmp_path)  # a failed open gives back only its own hold
+    assert lock.read_text() == str(os.getpid())
+    engine.close()
+    assert not lock.exists()
+    lock.write_text(str(os.getpid()))  # our pid, no engine open: a leftover
+    reopen_engine(tmp_path).close()
+    assert not lock.exists()
+    lock.write_text(str(os.getppid()))
+    with pytest.raises(LedgerLocked):
+        reopen_engine(tmp_path)
+    assert lock.read_text() == str(os.getppid())
+
+
 def test_verify_reports_missing_and_empty(tmp_path):
     assert verify_chain_file(tmp_path / "absent.jsonl").reason == "no journal file"
     empty = tmp_path / "empty.jsonl"
     empty.write_bytes(b"")
     assert verify_chain_file(empty).reason == "empty chain"
-
-
-# -- metrics -------------------------------------------------------------------
-
-
-def test_metrics_hand_computed(engine, alice, clock):
-    # submit at t=1 and t=3, commit at t=4: latencies [3, 1], span 3
-    engine.submit(alice.proposal(engine, "kv", "set", ["a", "1"]))
-    clock.advance(2)
-    engine.submit(alice.proposal(engine, "kv", "set", ["b", "2"]))
-    engine.flush()
-    report = engine.metrics()
-    assert report.committed_tx_count == 2
-    assert report.latency_min == 1.0
-    assert report.latency_mean == 2.0
-    assert report.latency_p95 == 3.0
-    assert report.throughput_tx_per_sec == pytest.approx(2 / 3)
-
-
-def test_metrics_window_and_empty(engine, alice):
-    assert engine.metrics().committed_tx_count == 0
-    engine.submit(alice.proposal(engine, "kv", "set", ["a", "1"]))
-    engine.flush()
-    mark = engine.timings_mark()
-    engine.submit(alice.proposal(engine, "kv", "set", ["b", "2"]))
-    engine.flush()
-    assert engine.metrics(since=mark).committed_tx_count == 1
-    assert engine.metrics().committed_tx_count == 2
-
-
-def test_metrics_count_only_valid(engine, alice, bob):
-    engine.submit(alice.proposal(engine, "kv", "bump", ["x"]))
-    engine.submit(bob.proposal(engine, "kv", "bump", ["x"]))  # will conflict
-    engine.flush()
-    assert engine.metrics().committed_tx_count == 1
-
-
-def test_p95_nearest_rank(engine, alice, clock):
-    # 20 txs, one block each, latency fixed at 1 tick; p95 of equal values
-    for i in range(20):
-        engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
-        engine.flush()
-    report = engine.metrics()
-    assert report.committed_tx_count == 20
-    assert report.latency_p95 == 1.0
-    assert report.latency_min <= report.latency_mean <= report.latency_p95
 
 
 # -- canonical encodings -----------------------------------------------------
