@@ -9,6 +9,8 @@ only the record keyed by ``asset/<dataId>`` goes on chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from weakref import WeakKeyDictionary
 
 from .codec import canonical_json, from_canonical_json
 from .did import Did, derive_address, parse_did
@@ -115,11 +117,25 @@ class AssetContract:
 # -- read-side queries --------------------------------------------------------
 
 
+# Decoded records per state, keyed by their committed bytes. Those bytes
+# never change and ``asset/<dataId>`` is never rewritten, so an entry
+# cannot go stale; the memo lives exactly as long as its state, and a
+# freshly opened ledger starts with none.
+_decoded: WeakKeyDictionary[StateView, dict[bytes, AssetRecord]] = WeakKeyDictionary()
+
+
 def query_all_assets(state: StateView) -> list[AssetRecord]:
     """Every committed asset record, ordered by (addedAt, dataId)."""
-    records = [AssetRecord.from_bytes(value)
-               for _, value, _ in state.range(KEY_ASSET)]
-    records.sort(key=lambda r: (r.added_at, r.data_id.hex))
+    memo = _decoded.setdefault(state, {})
+    records = []
+    for _, value, _ in state.range(KEY_ASSET):
+        record = memo.get(value)
+        if record is None:
+            record = memo[value] = AssetRecord.from_bytes(value)
+        records.append(record)
+    # range yields key order, which is dataId order; the stable sort keeps
+    # it among records that share a timestamp
+    records.sort(key=attrgetter("added_at"))
     return records
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -86,8 +87,12 @@ class KeyPair:
     public_key: bytes
     private_key: bytes = field(repr=False)
 
+    @cached_property
+    def _signer(self) -> Ed25519PrivateKey:
+        return Ed25519PrivateKey.from_private_bytes(self.private_key)
+
     def sign(self, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(self.private_key).sign(message)
+        return self._signer.sign(message)
 
 
 def generate_keypair(seed: bytes) -> KeyPair:

@@ -17,6 +17,7 @@ import os
 import random
 import re
 import secrets
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,10 +108,18 @@ class Keystore:
         return self.directory / f"{name}.json"
 
     def _write_private(self, path: Path, payload: dict) -> None:
+        """Replace ``path`` whole: a failed write leaves the old file as it was."""
         data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+        # mkstemp creates the file with mode 0o600
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def create(self, name: str, seed: bytes | None = None,
                overwrite: bool = False) -> KeyEntry:

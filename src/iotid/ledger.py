@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left, insort
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -306,10 +308,16 @@ class EndorsementPolicy:
 
 
 class WorldState:
-    """Current key -> (value, version) view of all valid transactions."""
+    """Current key -> (value, version) view of all valid transactions.
+
+    Range reads walk a sorted key list kept beside the data. The first
+    read builds it with one sort; from then on ``apply`` keeps it current.
+    Replay only applies, so a state that is never read never sorts.
+    """
 
     def __init__(self):
         self._data: dict[str, tuple[bytes, Version]] = {}
+        self._keys: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -317,20 +325,36 @@ class WorldState:
     def get(self, key: str) -> tuple[bytes, Version] | None:
         return self._data.get(key)
 
+    def _sorted_keys(self) -> list[str]:
+        if self._keys is None:
+            self._keys = sorted(self._data)
+        return self._keys
+
     def range(self, prefix: str) -> list[tuple[str, bytes, Version]]:
         """All entries whose key starts with prefix, sorted by key."""
-        return [(k, v[0], v[1]) for k, v in sorted(self._data.items())
-                if k.startswith(prefix)]
+        keys, data = self._sorted_keys(), self._data
+        rows = []
+        for key in islice(keys, bisect_left(keys, prefix), None):
+            if not key.startswith(prefix):
+                break
+            value, version = data[key]
+            rows.append((key, value, version))
+        return rows
 
     def apply(self, writes: list[tuple[str, bytes | None]], version: Version) -> None:
+        data, keys = self._data, self._keys
         for key, value in writes:
             if value is None:
-                self._data.pop(key, None)
+                if data.pop(key, None) is not None and keys is not None:
+                    del keys[bisect_left(keys, key)]
             else:
-                self._data[key] = (value, version)
+                if keys is not None and key not in data:
+                    insort(keys, key)
+                data[key] = (value, version)
 
     def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
-        return sorted(self._data.items())
+        data = self._data
+        return [(key, data[key]) for key in self._sorted_keys()]
 
 
 class StateView(Protocol):

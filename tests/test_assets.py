@@ -1,6 +1,8 @@
 """Asset upload, content-hash dedup, and ownership-gated queries."""
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -13,10 +15,16 @@ from iotid.assets import (
 )
 from iotid.codec import canonical_json
 from iotid.idm import NotAuthenticatedError, Session
-from iotid.ledger import ContractError
+from iotid.ledger import ContractError, WorldState
 from iotid.store import ContentHash
 
-from util import create_identity, register_device, state_snapshot, upload_payload
+from util import (
+    create_identity,
+    register_device,
+    reopen_engine,
+    state_snapshot,
+    upload_payload,
+)
 
 PAYLOAD = b'{"d":{"temperature":21.5}}'
 
@@ -164,6 +172,65 @@ def test_owned_query_requires_live_session(engine, clock, registrar, registered,
         query_owned_assets(engine.state, None, clock.now())
     with pytest.raises(NotAuthenticatedError):
         query_owned_assets(engine.state, session, session.expires_at)
+
+
+def count_decodes(monkeypatch) -> list[AssetRecord]:
+    """Record every AssetRecord.from_bytes result from here on."""
+    decoded = []
+    original = AssetRecord.from_bytes
+
+    def counting(cls, data):
+        decoded.append(original(data))
+        return decoded[-1]
+
+    monkeypatch.setattr(AssetRecord, "from_bytes", classmethod(counting))
+    return decoded
+
+
+def test_warm_queries_decode_each_record_once(tmp_path, engine, clock, registrar,
+                                              registered, other_device, monkeypatch):
+    register_device(engine, registrar, other_device)
+    upload_payload(engine, registered, b"one", name="one.txt")
+    upload_payload(engine, other_device, b"two", name="two.txt")
+    decoded = count_decodes(monkeypatch)
+
+    first = query_all_assets(engine.state)
+    assert len(decoded) == 2
+    decoded.clear()
+    assert query_all_assets(engine.state) == first
+    assert decoded == []
+
+    upload_payload(engine, registered, b"three", name="three.txt")
+    records = query_all_assets(engine.state)
+    assert [r.asset_name for r in decoded] == ["three.txt"]
+    assert records == first + decoded
+
+    session = Session(did=registered.did, expires_at=int(clock.now()) + 60)
+    owned = query_owned_assets(engine.state, session, clock.now())
+    assert [r.asset_name for r in owned] == ["one.txt", "three.txt"]
+    assert [r.asset_name for r in decoded] == ["three.txt"]
+
+    # a second engine on the same directory replays its own state and
+    # starts with nothing decoded
+    decoded.clear()
+    second = reopen_engine(tmp_path)
+    try:
+        assert query_all_assets(second.state) == records
+        assert len(decoded) == 3
+    finally:
+        second.close()
+
+
+def test_decoded_records_do_not_outlive_their_state(registered):
+    record = AssetRecord(data_id=ContentHash(hashlib.sha256(b"x").digest()),
+                         owner=registered.did, asset_name="x.txt", added_at=1)
+    state = WorldState()
+    state.apply([(asset_key(record.data_id), canonical_json(record.to_dict()))], (1, 0))
+    assert query_all_assets(state) == [record]
+    alive = weakref.ref(state)
+    del state
+    gc.collect()
+    assert alive() is None
 
 
 def test_missing_asset_payload_is_none(engine):

@@ -363,6 +363,42 @@ def test_nonce_counters_are_monotonic(tmp_path):
     assert keystore.next_nonce("devB") == (1).to_bytes(32, "big")
 
 
+def test_torn_keystore_write_keeps_the_old_counters(tmp_path, monkeypatch):
+    keystore = Keystore(tmp_path / "keys")
+    keystore.next_nonce("devA")
+    keystore.next_nonce("devA")
+    nonces = keystore.directory / "nonces.json"
+    before = sorted(os.listdir(keystore.directory))
+    real_fdopen = os.fdopen
+
+    class TornFile:
+        """Writes half of what it is given, then fails as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, *a, **kw: TornFile(real_fdopen(fd, *a, **kw)))
+    with pytest.raises(OSError):
+        keystore.next_nonce("devA")
+    monkeypatch.undo()
+
+    assert json.loads(nonces.read_text()) == {"devA": 2}
+    assert sorted(os.listdir(keystore.directory)) == before  # no temp file left
+    assert keystore.next_nonce("devA") == (3).to_bytes(32, "big")
+    assert stat.S_IMODE(nonces.stat().st_mode) == 0o600
+
+
 def test_session_cache_round_trip(tmp_path):
     keystore = Keystore(tmp_path / "keys")
     assert keystore.load_session("dev1") is None

@@ -8,6 +8,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iotid import ledger as ledger_module
 from iotid.codec import canonical_json
@@ -33,6 +35,7 @@ from iotid.ledger import (
     UnknownContract,
     UnknownFunction,
     UnknownPeer,
+    WorldState,
     verify_chain_file,
 )
 
@@ -387,6 +390,54 @@ def test_flags_hash_requires_validation():
                   transactions=[])
     with pytest.raises(ValueError):
         block.flags_hash()
+
+
+# -- world state index ----------------------------------------------------------
+
+_PREFIXES = ["", "a", "a/", "ab/", "asset/", "b/", "z"]
+_state_keys = st.builds(lambda p, s: p + s, st.sampled_from(_PREFIXES[1:]),
+                  st.text("ab/x", max_size=3))
+_writes = st.lists(st.tuples(_state_keys, st.none() | st.binary(min_size=1, max_size=2)),
+                   min_size=1, max_size=4)
+_steps = st.lists(st.one_of(st.tuples(st.just("apply"), _writes),
+                            st.tuples(st.just("range"), st.sampled_from(_PREFIXES)),
+                            st.tuples(st.just("items"), st.none())),
+                  max_size=40)
+
+
+@given(_steps)
+def test_range_and_items_match_a_sorted_filter(steps):
+    # reads at random points build the key index mid-stream; later writes
+    # and deletes must keep it in step with a plain dict
+    state, model = WorldState(), {}
+    for n, (kind, arg) in enumerate(steps):
+        if kind == "apply":
+            state.apply(arg, (n, 0))
+            for key, value in arg:
+                if value is None:
+                    model.pop(key, None)
+                else:
+                    model[key] = (value, (n, 0))
+        elif kind == "range":
+            assert state.range(arg) == [(k, v[0], v[1]) for k, v in sorted(model.items())
+                                        if k.startswith(arg)]
+        else:
+            assert state.items() == sorted(model.items())
+    assert state.range("") == [(k, v[0], v[1]) for k, v in sorted(model.items())]
+    assert len(state) == len(model)
+
+
+def test_replay_leaves_the_key_index_unbuilt(tmp_path, engine, alice):
+    # a cold open pays no sort; the first range read does
+    engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    engine.flush()
+    engine.close()
+    reopened = reopen_engine(tmp_path)
+    try:
+        assert reopened.state._keys is None
+        assert [k for k, _, _ in reopened.state.range("kv/")] == ["kv/x"]
+    finally:
+        reopened.close()
 
 
 # -- persistence and replay ------------------------------------------------------
