@@ -1,13 +1,17 @@
 """Canonical byte encodings shared across the ledger, store, and contracts.
 
 Everything that gets hashed, signed, or persisted goes through these
-helpers so that equal values always produce equal bytes.
+helpers so that equal values always produce equal bytes, and files that
+are rewritten in place are replaced whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
+from pathlib import Path
 from typing import Any
 
 HASH_BYTES = 32
@@ -35,3 +39,20 @@ def canonical_number(value: float) -> float | int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write ``path`` whole: a failed write leaves the old file as it was.
+
+    The bytes go to a sibling temp file, which mkstemp creates with mode
+    0o600, and a rename puts it in place.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

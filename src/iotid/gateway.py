@@ -17,7 +17,6 @@ import os
 import random
 import re
 import secrets
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +24,7 @@ from pathlib import Path
 
 from .assets import AssetContract, query_all_assets, query_owned_assets
 from .clock import Clock, SimClock, WallClock
-from .codec import sha256
+from .codec import replace_file, sha256
 from .did import (
     Address,
     Did,
@@ -65,6 +64,7 @@ from .sim import (
 from .store import ContentStore
 
 OBJECTS_DIR = "objects"
+NONCES_FILE = "nonces.json"
 _NAME_RE = re.compile(r"^[a-zA-Z0-9_-]{1,64}$")
 _DEVICE_DIR_RE = re.compile(r"^device\d+$")
 
@@ -105,21 +105,15 @@ class Keystore:
     def _entry_path(self, name: str) -> Path:
         if not _NAME_RE.match(name):
             raise GatewayError(f"invalid device name: {name!r}")
-        return self.directory / f"{name}.json"
+        path = self.directory / f"{name}.json"
+        if path.name == NONCES_FILE:
+            raise GatewayError(f"reserved name: {name!r} names the nonce counters")
+        return path
 
-    def _write_private(self, path: Path, payload: dict) -> None:
-        """Replace ``path`` whole: a failed write leaves the old file as it was."""
-        data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        # mkstemp creates the file with mode 0o600
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+    @staticmethod
+    def _write_private(path: Path, payload: dict) -> None:
+        replace_file(path, (json.dumps(payload, indent=2, sort_keys=True)
+                            + "\n").encode("utf-8"))
 
     def create(self, name: str, seed: bytes | None = None,
                overwrite: bool = False) -> KeyEntry:
@@ -139,18 +133,22 @@ class Keystore:
         if not path.exists():
             raise GatewayError(f"no keystore entry named {name}")
         data = json.loads(path.read_text(encoding="utf-8"))
-        return KeyEntry(name=data["name"], seed=bytes.fromhex(data["seed"]),
-                        did=parse_did(data["did"]))
+        try:
+            fields = data["name"], data["seed"], data["did"]
+        except (KeyError, TypeError):
+            raise GatewayError(f"keystore entry {name} is not a key file") from None
+        return KeyEntry(name=fields[0], seed=bytes.fromhex(fields[1]),
+                        did=parse_did(fields[2]))
 
     def names(self) -> list[str]:
         return sorted(p.stem for p in self.directory.glob("*.json")
-                      if _NAME_RE.match(p.stem))
+                      if _NAME_RE.match(p.stem) and p.name != NONCES_FILE)
 
     # -- nonce counters ---------------------------------------------------
 
     def next_nonce(self, label: str) -> bytes:
         """Monotonic per-principal proposal nonce; deterministic by design."""
-        path = self.directory / "nonces.json"
+        path = self.directory / NONCES_FILE
         counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
         counters[label] = int(counters.get(label, 0)) + 1
         self._write_private(path, counters)
@@ -326,11 +324,11 @@ class Gateway:
         }
 
     def cmd_asset_list(self, mine: str | None = None) -> dict:
+        session = self._require_session(mine) if mine is not None else None
         with self._open_engine() as engine:
-            if mine is None:
+            if session is None:
                 records = query_all_assets(engine.state)
             else:
-                session = self._require_session(mine)
                 records = query_owned_assets(engine.state, session,
                                              self.clock.now())
             return {"count": len(records),

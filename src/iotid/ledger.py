@@ -19,8 +19,10 @@ in-process:
 Blocks persist as one append-only file of canonically encoded JSON lines,
 so replaying valid transactions from genesis reproduces the world state
 exactly, and any byte-level tampering is detectable from hashes alone.
-Block 0 carries the network config, so the engine keeps only the journal
-and a lock file in its directory; open cuts off a torn last record.
+Block 0 carries the network config; open cuts off a torn last record.
+Beside the journal, a checkpoint of the world state lets open replay only
+the blocks after it. It is a cache: open uses it only while it matches
+the journal, and otherwise replays from block 0.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import BinaryIO, Iterator, Protocol
 
 from .clock import Clock, WallClock
-from .codec import canonical_json, sha256
+from .codec import canonical_json, replace_file, sha256
 from .did import Address, KeyPair, derive_address, generate_keypair, verify_signature
 from .store import ContentStore
 
@@ -49,7 +51,11 @@ ZERO_HASH = bytes(32)
 ZERO_ADDRESS = Address(bytes(20))
 
 BLOCKS_FILE = "blocks.jsonl"
+CHECKPOINT_FILE = "checkpoint.json"
 LOCK_FILE = ".lock"
+# close() rewrites the checkpoint once the chain is this many blocks past
+# it, so an open after a clean close replays fewer blocks than this
+CHECKPOINT_BLOCKS = 64
 
 # world-state key namespaces; prefix scans implement the "view all" queries
 KEY_DID = "did/"
@@ -356,6 +362,17 @@ class WorldState:
         data = self._data
         return [(key, data[key]) for key in self._sorted_keys()]
 
+    def to_entries(self) -> list[list]:
+        """``[key, value hex, [block, tx]]`` per key, in key order."""
+        return [[key, value.hex(), list(version)] for key, (value, version) in self.items()]
+
+    @classmethod
+    def from_entries(cls, entries: list[list]) -> "WorldState":
+        state = cls()
+        state._data = {key: (bytes.fromhex(value), (number, index))
+                       for key, value, (number, index) in entries}
+        return state
+
 
 class StateView(Protocol):
     """Read-only state access, satisfied by WorldState."""
@@ -544,6 +561,8 @@ class LedgerEngine:
         self.state = WorldState()
         self._height = 0
         self._tip_hash = ZERO_HASH
+        self._offset = 0  # journal bytes up to the end of block height - 1
+        self._checkpoint_height = 0  # of the checkpoint opened from or written
         self._pending: list[Transaction] = []
         self._pending_since: float | None = None
         # txId -> (flag, block) of every tx this engine instance committed
@@ -559,11 +578,12 @@ class LedgerEngine:
             self.genesis = genesis
             self.policy = genesis.policy()
             self._peers = {p.peer_id: p.keypair for p in genesis.peers}
-            if self._height == 0:  # provisioning replaces any old journal
+            if self._height == 0:  # provisioning replaces any old ledger
                 journal.unlink(missing_ok=True)
+                (self._dir / CHECKPOINT_FILE).unlink(missing_ok=True)
                 self.commit_block(self._genesis_block())
         except BaseException:
-            self.close()
+            self._release()
             raise
 
     # -- lifecycle -----------------------------------------------------
@@ -587,10 +607,20 @@ class LedgerEngine:
         return cls(directory, store, contracts, clock, commit_tick)
 
     def close(self) -> None:
-        """Release this engine's hold on the directory; a second call is a no-op.
+        """Checkpoint if due, then release the directory; a second call is a no-op.
 
+        The checkpoint is written under the lock, once the chain is
+        ``CHECKPOINT_BLOCKS`` past the one this engine opened from.
         ``.lock`` is unlinked when the last engine of this process closes.
         """
+        try:
+            if self._held is not None and \
+                    self._height - self._checkpoint_height >= CHECKPOINT_BLOCKS:
+                self._write_checkpoint()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
         key, self._held = self._held, None
         if key is None:
             return
@@ -659,23 +689,64 @@ class LedgerEngine:
     def _replay(self) -> GenesisConfig:
         """Rebuild height, tip hash and world state; return block 0's config.
 
-        A torn last record was never committed: it is cut off, and the
-        ledger opens at the height before it (never below block 0).
+        Replay starts after the checkpoint if it matches the journal, else
+        at block 0. A torn last record was never committed: it is cut off,
+        and the ledger opens at the height before it (never below block 0).
         """
         path = self._dir / BLOCKS_FILE
-        genesis = None
+        genesis = self._load_checkpoint(path)
         try:
-            for index, _, block in _read_journal(path):
+            for index, raw, block in _read_journal(path, self._offset, self._height):
                 if problem := _link_problem(block, self._height, self._tip_hash):
                     raise LedgerError(f"broken chain link at block {index}: {problem}")
                 if index == 0:
                     genesis = GenesisConfig.from_block(block)
                 self._apply_block(block)
+                self._offset += len(raw) + 1
         except CorruptJournal as exc:
             if exc.torn_at is None or genesis is None:
                 raise
             os.truncate(path, exc.torn_at)
         return genesis
+
+    def _load_checkpoint(self, journal: Path) -> GenesisConfig | None:
+        """Take height, tip hash, offset and state from a matching checkpoint.
+
+        It matches when its digest checks and the journal record that ends
+        at its offset is its last block. Returns block 0's config then;
+        otherwise None, with the engine left at height 0.
+        """
+        point = _read_checkpoint(self._dir / CHECKPOINT_FILE)
+        if point is None:
+            return None
+        height, tip_hash, offset, state = point
+        with open(journal, "rb") as fh:
+            head = fh.readline()
+            raw = _record_ending_at(fh, offset)
+        if raw is None:
+            return None
+        try:
+            genesis = GenesisConfig.from_block(_decode_block(0, head.rstrip(b"\n")))
+            last = _decode_block(height - 1, raw)
+        except LedgerError:  # the full replay reports what is wrong
+            return None
+        if last.number != height - 1 or last.header_hash() != tip_hash:
+            return None
+        self.state = state
+        self._height = self._checkpoint_height = height
+        self._tip_hash, self._offset = tip_hash, offset
+        return genesis
+
+    def _write_checkpoint(self) -> None:
+        body = canonical_json({
+            "height": self._height,
+            "offset": self._offset,
+            "state": self.state.to_entries(),
+            "tipHash": self._tip_hash.hex(),
+        })
+        replace_file(self._dir / CHECKPOINT_FILE,
+                     sha256(body).hex().encode("ascii") + b"\n" + body)
+        self._checkpoint_height = self._height
 
     def _apply_block(self, block: Block) -> None:
         for idx, (tx, flag) in enumerate(zip(block.transactions,
@@ -793,9 +864,11 @@ class LedgerEngine:
         if problem := _link_problem(block, self._height, self._tip_hash):
             raise NonSequentialBlock(problem)
         self.clock.advance(self.commit_tick)
+        line = canonical_json(block.to_dict()) + b"\n"
         with open(self._dir / BLOCKS_FILE, "ab") as fh:
-            fh.write(canonical_json(block.to_dict()) + b"\n")
+            fh.write(line)
         self._apply_block(block)
+        self._offset += len(line)
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt
             self._receipts.setdefault(tx.tx_id, (flag, block.number))
@@ -888,25 +961,67 @@ def _lock_is_stale(lock: Path) -> bool:
     return False
 
 
-def _read_journal(path: Path) -> Iterator[tuple[int, bytes, Block]]:
+def _decode_block(index: int, raw: bytes) -> Block:
+    try:
+        return Block.from_dict(json.loads(raw))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptJournal(index, "undecodable block") from exc
+
+
+def _read_journal(path: Path, start: int = 0,
+                  first: int = 0) -> Iterator[tuple[int, bytes, Block]]:
     """Decode a journal record by record: ``(index, raw line, block)``.
 
-    Raises CorruptJournal at the first undecodable record, on an empty
-    journal, or with ``torn_at`` set at an unterminated (torn) last record.
+    Reading begins at byte ``start``, where block ``first`` begins. Raises
+    CorruptJournal at the first undecodable record, on an empty journal,
+    or with ``torn_at`` set at an unterminated (torn) last record.
     """
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read()
     *lines, tail = data.split(b"\n")
-    for index, raw in enumerate(lines):
-        try:
-            block = Block.from_dict(json.loads(raw))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptJournal(index, "undecodable block") from exc
-        yield index, raw, block
+    for index, raw in enumerate(lines, first):
+        yield index, raw, _decode_block(index, raw)
     if tail:
-        raise CorruptJournal(len(lines), "unterminated last record",
-                             torn_at=len(data) - len(tail))
-    if not lines:
+        raise CorruptJournal(first + len(lines), "unterminated last record",
+                             torn_at=start + len(data) - len(tail))
+    if not lines and start == 0:
         raise CorruptJournal(0, "empty chain")
+
+
+def _record_ending_at(fh: BinaryIO, end: int) -> bytes | None:
+    """The journal record whose newline is the byte before ``end``, if any."""
+    window = 1 << 16
+    while True:
+        start = max(0, end - window)
+        fh.seek(start)
+        chunk = fh.read(end - start)
+        if len(chunk) != end - start or not chunk.endswith(b"\n"):
+            return None
+        cut = chunk.rfind(b"\n", 0, len(chunk) - 1)
+        if cut >= 0 or start == 0:
+            return chunk[cut + 1:-1]
+        window *= 4
+
+
+def _read_checkpoint(path: Path) -> tuple[int, bytes, int, WorldState] | None:
+    """``(height, tip hash, offset, world state)``, or None unless intact.
+
+    The file is the hex sha256 of its body, a newline, then the body.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:  # missing or unreadable: replay from block 0
+        return None
+    digest, _, body = data.partition(b"\n")
+    if digest != sha256(body).hex().encode("ascii"):
+        return None
+    try:
+        point = json.loads(body)
+        return (int(point["height"]), bytes.fromhex(point["tipHash"]),
+                int(point["offset"]), WorldState.from_entries(point["state"]))
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def _link_problem(block: Block, height: int, tip_hash: bytes) -> str | None:
@@ -919,6 +1034,10 @@ def _link_problem(block: Block, height: int, tip_hash: bytes) -> str | None:
     if block.prev_hash != tip_hash:
         return "previous-hash link broken"
     return None
+
+
+# the keys around a block record's transaction list, in canonical key order
+_TXS_KEY, _FLAGS_KEY = b',"transactions":', b',"validationFlags":'
 
 
 def verify_chain_file(path: str | Path) -> ChainReport:
@@ -943,7 +1062,10 @@ def verify_chain_file(path: str | Path) -> ChainReport:
                     problem = "non-canonical block encoding"
                 elif any(f not in FLAG_VALUES for f in block.validation_flags):
                     problem = "unknown validation flag"
-                elif block.data_hash != Block.compute_data_hash(block.transactions):
+                # a canonical record holds its transaction list's canonical
+                # encoding verbatim, so the data hash is taken over that slice
+                elif block.data_hash != sha256(raw[raw.index(_TXS_KEY) + len(_TXS_KEY):
+                                                   raw.rindex(_FLAGS_KEY)]):
                     problem = "data hash does not match transactions"
             if problem is not None:
                 return ChainReport(ok=False, height=index, bad_block=index,

@@ -11,7 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from iotid.ledger import VALID
+from iotid.ledger import CHECKPOINT_BLOCKS, CHECKPOINT_FILE, VALID
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,4 +56,31 @@ def test_harness_provisions_uploads_and_checks(tmp_path):
     engine.close()
     engine.close()
     assert harness.check_cold_reader(env, model, device, b'{"d":{"cold":1}}',
+                                     height) == []
+
+
+def test_benchmark_checks_pass_on_a_checkpointed_ledger(tmp_path):
+    harness = load("harness")
+    env = harness.provision(tmp_path, seed=1, device_count=2, tick=lambda: None)
+    model = harness.UploadModel(batch=1)
+    engine = env.open_engine()
+    for i in range(CHECKPOINT_BLOCKS):
+        device = env.devices[i % 2]
+        payload = b'{"d":{"guard":%d}}' % i
+        model.upload(i, device.index, payload)
+        engine.submit(harness.make_upload(device, engine.clock, payload,
+                                          f"guard/{i}.txt"))
+        engine.flush()
+    height = engine.height
+    engine.close()
+    assert (env.ledger_dir / CHECKPOINT_FILE).exists()
+    # every engine opened from here on starts from the checkpoint
+    assert harness.check_chain(env, engine.state) == []
+    reader = env.open_engine()
+    try:
+        assert harness.query_counts_ok(reader, model, env.devices,
+                                       env.login_rng) == []
+    finally:
+        reader.close()
+    assert harness.check_cold_reader(env, model, env.devices[0], b'{"d":{"cold":1}}',
                                      height) == []

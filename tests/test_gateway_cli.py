@@ -15,7 +15,7 @@ import pytest
 
 from iotid.cli import main
 from iotid.clock import SimClock
-from iotid.gateway import Gateway, Keystore
+from iotid.gateway import Gateway, GatewayError, Keystore
 from iotid.idm import Session
 from iotid.ledger import BLOCKS_FILE, LOCK_FILE, LedgerEngine, LedgerLocked
 from iotid.did import parse_did
@@ -226,6 +226,17 @@ def test_asset_list_all_and_mine(capsys, env, ready, tmp_path):
     assert stranger.data["error"] == "NotAuthenticated"
 
 
+def test_asset_list_mine_checks_the_session_before_opening_the_ledger(
+        capsys, env, ready, monkeypatch):
+    def no_open(*args, **kwargs):
+        raise AssertionError("the ledger was opened")
+
+    monkeypatch.setattr(LedgerEngine, "open", no_open)
+    result = invoke(capsys, env, "asset-list", "--mine", "nobody")
+    assert result.code == 1
+    assert result.data["error"] == "NotAuthenticated"
+
+
 def test_asset_list_renders_a_table(capsys, env, ready, tmp_path):
     source = tmp_path / "r.txt"
     source.write_bytes(b"table payload")
@@ -397,6 +408,39 @@ def test_torn_keystore_write_keeps_the_old_counters(tmp_path, monkeypatch):
     assert sorted(os.listdir(keystore.directory)) == before  # no temp file left
     assert keystore.next_nonce("devA") == (3).to_bytes(32, "big")
     assert stat.S_IMODE(nonces.stat().st_mode) == 0o600
+
+
+def test_a_device_cannot_be_named_after_the_nonce_counters(capsys, env):
+    keystore = Keystore(env["keystore"])
+    keystore.next_nonce("dev1")
+    nonces = keystore.directory / "nonces.json"
+    before = nonces.read_bytes()
+    result = invoke(capsys, env, "device-keygen", "nonces")
+    assert result.code == 1
+    assert result.data["error"] == "GatewayError"
+    assert nonces.read_bytes() == before
+
+    login = invoke(capsys, env, "device-login", "nonces")
+    assert login.code == 1
+    assert login.data["error"] == "GatewayError"
+
+
+def test_names_never_lists_the_nonce_counters(tmp_path):
+    keystore = Keystore(tmp_path / "keys")
+    keystore.next_nonce("dev1")
+    keystore.create("dev1")
+    keystore.next_nonce("dev1")
+    assert keystore.names() == ["dev1"]
+
+
+def test_a_key_file_without_its_fields_is_a_gateway_error(capsys, env):
+    keystore = Keystore(env["keystore"])
+    (keystore.directory / "dev9.json").write_text('{"name": "dev9"}')
+    with pytest.raises(GatewayError, match="not a key file"):
+        keystore.load("dev9")
+    result = invoke(capsys, env, "device-login", "dev9")
+    assert result.code == 1
+    assert result.data["error"] == "GatewayError"
 
 
 def test_session_cache_round_trip(tmp_path):

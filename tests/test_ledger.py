@@ -644,6 +644,26 @@ def test_verify_reports_missing_and_empty(tmp_path):
     assert verify_chain_file(empty).reason == "empty chain"
 
 
+def test_verify_finds_transactions_changed_under_their_data_hash(tmp_path, engine, alice):
+    # block 2 is re-encoded canonically with one transaction altered: its
+    # header, and so every link, is unchanged; only the data hash differs
+    for i in range(1, 4):
+        engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
+        engine.flush()
+    engine.close()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["transactions"][0]["proposal"]["args"][1] = "forged"
+    block = Block.from_dict(record)
+    assert block.header_hash() == Block.from_dict(json.loads(lines[2])).header_hash()
+    lines[2] = canonical_json(block.to_dict()) + b"\n"
+    path.write_bytes(b"".join(lines))
+    report = verify_chain_file(path)
+    assert (report.ok, report.bad_block, report.reason) == \
+        (False, 2, "data hash does not match transactions")
+
+
 # -- canonical encodings -----------------------------------------------------
 
 
