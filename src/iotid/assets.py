@@ -19,6 +19,7 @@ from .idm import (
     Session,
     device_key,
     did_key,
+    get_did_document,
     session_is_valid,
 )
 from .ledger import (
@@ -90,10 +91,9 @@ class AssetContract:
         if raw_record is None or ctx.get(device_key(did)) is None:
             raise ContractError("NotAuthenticated",
                                 f"device not registered: {did}")
-        record = from_canonical_json(raw_record)
-        doc_bytes = ctx.store.get(ContentHash.from_hex(record["docHash"]))
-        document = from_canonical_json(doc_bytes)
-        device_address = derive_address(bytes.fromhex(document["publicKey"]))
+        doc_hash = ContentHash.from_hex(from_canonical_json(raw_record)["docHash"])
+        document = get_did_document(ctx.store, doc_hash)
+        device_address = derive_address(bytes.fromhex(document.public_key_hex))
         if device_address != ctx.invoker:
             raise ContractError("NotAuthenticated",
                                 f"proposal not signed by device key of {did}")
@@ -124,8 +124,8 @@ class AssetContract:
 _decoded: WeakKeyDictionary[StateView, dict[bytes, AssetRecord]] = WeakKeyDictionary()
 
 
-def query_all_assets(state: StateView) -> list[AssetRecord]:
-    """Every committed asset record, ordered by (addedAt, dataId)."""
+def _records(state: StateView) -> list[AssetRecord]:
+    """Every committed asset record in key order, which is dataId order."""
     memo = _decoded.setdefault(state, {})
     records = []
     for _, value, _ in state.range(KEY_ASSET):
@@ -133,18 +133,29 @@ def query_all_assets(state: StateView) -> list[AssetRecord]:
         if record is None:
             record = memo[value] = AssetRecord.from_bytes(value)
         records.append(record)
-    # range yields key order, which is dataId order; the stable sort keeps
-    # it among records that share a timestamp
+    return records
+
+
+def _by_time(records: list[AssetRecord]) -> list[AssetRecord]:
+    # a stable sort of dataId order: (addedAt, dataId)
     records.sort(key=attrgetter("added_at"))
     return records
 
 
+def query_all_assets(state: StateView) -> list[AssetRecord]:
+    """Every committed asset record, ordered by (addedAt, dataId)."""
+    return _by_time(_records(state))
+
+
 def query_owned_assets(state: StateView, session: Session | None,
                        now: float) -> list[AssetRecord]:
-    """Assets owned by the session's device; requires a live session."""
+    """Assets owned by the session's device; requires a live session.
+
+    Same order as ``query_all_assets``; only the caller's rows are sorted.
+    """
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")
-    return [r for r in query_all_assets(state) if r.owner == session.did]
+    return _by_time([r for r in _records(state) if r.owner == session.did])
 
 
 def get_asset_payload(state: StateView, store: ContentStore,

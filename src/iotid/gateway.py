@@ -132,13 +132,15 @@ class Keystore:
         path = self._entry_path(name)
         if not path.exists():
             raise GatewayError(f"no keystore entry named {name}")
-        data = json.loads(path.read_text(encoding="utf-8"))
         try:
+            data = json.loads(path.read_text(encoding="utf-8"))
             fields = data["name"], data["seed"], data["did"]
-        except (KeyError, TypeError):
+            if not all(isinstance(f, str) for f in fields):
+                raise TypeError("key file fields must be strings")
+            return KeyEntry(name=fields[0], seed=bytes.fromhex(fields[1]),
+                            did=parse_did(fields[2]))
+        except (KeyError, TypeError, ValueError):
             raise GatewayError(f"keystore entry {name} is not a key file") from None
-        return KeyEntry(name=fields[0], seed=bytes.fromhex(fields[1]),
-                        did=parse_did(fields[2]))
 
     def names(self) -> list[str]:
         return sorted(p.stem for p in self.directory.glob("*.json")
@@ -164,7 +166,10 @@ class Keystore:
         path = self.directory / f"{name}.session.json"
         if not path.exists():
             return None
-        return Session.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            return Session.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except (KeyError, TypeError, ValueError):
+            raise GatewayError(f"{path.name} is not a session file") from None
 
 
 def default_contracts() -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import secrets
 from dataclasses import dataclass, replace
+from weakref import WeakKeyDictionary
 
 from .clock import Clock
 from .codec import canonical_json, from_canonical_json
@@ -227,7 +228,7 @@ class IdmContract:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
         # the former owner is replaced in both the record and the document
-        document = DidDocument.from_bytes(ctx.store.get(record.doc_hash))
+        document = get_did_document(ctx.store, record.doc_hash)
         new_document = replace(document, owner=new_owner)
         new_hash = ctx.store.put(new_document.canonical_bytes())
         updated = DidRecord(did=did, doc_hash=new_hash, owner=new_owner,
@@ -238,6 +239,23 @@ class IdmContract:
 
 
 # -- read-side resolution ---------------------------------------------------
+
+
+# Decoded DID documents per store, keyed by docHash. A document is content
+# addressed, so an entry, made only from bytes ``store.get`` checked against
+# that hash, cannot go stale; the memo lives exactly as long as its store,
+# and a freshly built store reads from disk again.
+_documents: WeakKeyDictionary[ContentStore, dict[ContentHash, DidDocument]] = \
+    WeakKeyDictionary()
+
+
+def get_did_document(store: ContentStore, doc_hash: ContentHash) -> DidDocument:
+    """The DID document stored under ``doc_hash``, decoded once per store."""
+    memo = _documents.setdefault(store, {})
+    document = memo.get(doc_hash)
+    if document is None:
+        document = memo[doc_hash] = DidDocument.from_bytes(store.get(doc_hash))
+    return document
 
 
 def get_did_record(state: StateView, did: Did) -> DidRecord | None:
@@ -255,7 +273,7 @@ def resolve_did(state: StateView, store: ContentStore, did: Did) -> DidDocument:
     record = get_did_record(state, did)
     if record is None:
         raise UnknownDidError(str(did))
-    document = DidDocument.from_bytes(store.get(record.doc_hash))
+    document = get_did_document(store, record.doc_hash)
     if document.id != did or document.owner != record.owner:
         raise IntegrityFailure(
             f"document for {did} does not match its on-chain record")
@@ -288,7 +306,11 @@ class Session:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Session":
-        return cls(did=parse_did(d["did"]), expires_at=int(d["expiresAt"]))
+        """Inverse of ``to_dict``; KeyError, TypeError or ValueError if malformed."""
+        did, expires_at = d["did"], d["expiresAt"]
+        if not isinstance(did, str) or not isinstance(expires_at, int):
+            raise TypeError("a session is a DID string and an integer expiry")
+        return cls(did=parse_did(did), expires_at=expires_at)
 
 
 def login_message(did: Did, nonce: bytes) -> bytes:

@@ -216,12 +216,18 @@ class Transaction:
     """An executed proposal, its read/write set and the peers' endorsements.
 
     The proposal and rwset are never mutated once a Transaction holds
-    them, so the txId is hashed once per object.
+    them, so they are encoded, and the txId hashed, once per object.
     """
 
     proposal: TxProposal
     rwset: ReadWriteSet
     endorsements: list[Endorsement]
+
+    @cached_property
+    def _body(self) -> bytes:
+        """Canonical encoding of ``{"proposal", "rwset"}``, the txId preimage."""
+        return canonical_json({"proposal": self.proposal.to_dict(),
+                               "rwset": self.rwset.to_dict()})
 
     @cached_property
     def tx_id(self) -> bytes:
@@ -232,8 +238,19 @@ class Transaction:
         decoded fields, never taken from a journal's stored ``txId``, so a
         tampered id fails ``verify_chain_file``'s re-encoding check.
         """
-        return sha256(canonical_json({"proposal": self.proposal.to_dict(),
-                                      "rwset": self.rwset.to_dict()}))
+        return sha256(self._body)
+
+    def encode(self) -> bytes:
+        """``canonical_json(self.to_dict())``, assembled around the cached body.
+
+        Canonical key order is endorsements < proposal < rwset < txId, so
+        the body's two members sit in the record verbatim; only the
+        endorsements are encoded here.
+        """
+        return b"".join((b'{"endorsements":',
+                         canonical_json([e.to_dict() for e in self.endorsements]),
+                         b",", self._body[1:-1], b',"txId":"',
+                         self.tx_id.hex().encode("ascii"), b'"}'))
 
     def to_dict(self) -> dict:
         return {
@@ -264,7 +281,7 @@ class Block:
 
     @staticmethod
     def compute_data_hash(transactions: list[Transaction]) -> bytes:
-        return sha256(canonical_json([t.to_dict() for t in transactions]))
+        return sha256(encode_transactions(transactions))
 
     def flags_hash(self) -> bytes:
         if self.validation_flags is None:
@@ -289,6 +306,17 @@ class Block:
         d["validationFlags"] = list(self.validation_flags)
         return d
 
+    def encode(self, transactions: bytes) -> bytes:
+        """``canonical_json(self.to_dict())``, given ``encode_transactions``'s bytes.
+
+        The header keys sort before ``transactions``, and ``validationFlags``
+        after it, so the record is the header with the two lists appended.
+        """
+        return b"".join((canonical_json(self.header_dict())[:-1],
+                         b',"transactions":', transactions,
+                         b',"validationFlags":', canonical_json(self.validation_flags),
+                         b"}"))
+
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
         return cls(
@@ -298,6 +326,11 @@ class Block:
             transactions=[Transaction.from_dict(t) for t in d["transactions"]],
             validation_flags=list(d["validationFlags"]),
         )
+
+
+def encode_transactions(transactions: list[Transaction]) -> bytes:
+    """``canonical_json([t.to_dict() for t in transactions])``: what the data hash covers."""
+    return b"[" + b",".join(t.encode() for t in transactions) + b"]"
 
 
 @dataclass(frozen=True)
@@ -819,13 +852,22 @@ class LedgerEngine:
     # -- validation ---------------------------------------------------------
 
     def _endorsements_satisfy_policy(self, tx: Transaction) -> bool:
-        tx_hash = tx.tx_id
-        valid_peers = set()
+        """True once ``threshold`` distinct roster peers have signed the txId.
+
+        Peers off the roster and peers already counted are skipped unchecked,
+        and checking stops at the threshold: the verdict is that of counting
+        every endorsement, with fewer signature checks.
+        """
+        tx_hash, roster, counted = tx.tx_id, self.policy.roster, set()
         for end in tx.endorsements:
-            key = self.policy.roster.get(end.peer_id)
-            if key is not None and verify_signature(key, tx_hash, end.signature):
-                valid_peers.add(end.peer_id)
-        return len(valid_peers) >= self.policy.threshold
+            key = roster.get(end.peer_id)
+            if key is None or end.peer_id in counted:
+                continue
+            if verify_signature(key, tx_hash, end.signature):
+                counted.add(end.peer_id)
+                if len(counted) >= self.policy.threshold:
+                    return True
+        return False
 
     def validate_block(self, block: Block) -> list[str]:
         """Flag each transaction: policy first, then MVCC, else VALID.
@@ -864,7 +906,7 @@ class LedgerEngine:
         if problem := _link_problem(block, self._height, self._tip_hash):
             raise NonSequentialBlock(problem)
         self.clock.advance(self.commit_tick)
-        line = canonical_json(block.to_dict()) + b"\n"
+        line = block.encode(encode_transactions(block.transactions)) + b"\n"
         with open(self._dir / BLOCKS_FILE, "ab") as fh:
             fh.write(line)
         self._apply_block(block)
@@ -1036,10 +1078,6 @@ def _link_problem(block: Block, height: int, tip_hash: bytes) -> str | None:
     return None
 
 
-# the keys around a block record's transaction list, in canonical key order
-_TXS_KEY, _FLAGS_KEY = b',"transactions":', b',"validationFlags":'
-
-
 def verify_chain_file(path: str | Path) -> ChainReport:
     """Recompute every hash and link over a persisted journal file.
 
@@ -1057,15 +1095,14 @@ def verify_chain_file(path: str | Path) -> ChainReport:
             if problem is None:
                 # the journal is written canonically, so any surviving byte
                 # change in derived fields (txId, flagsHash, hex case) shows
-                # up as a re-encoding mismatch even when parsing succeeded
-                if canonical_json(block.to_dict()) != raw:
+                # up as a re-encoding mismatch even when parsing succeeded;
+                # the data hash then covers the same transaction-list bytes
+                transactions = encode_transactions(block.transactions)
+                if block.encode(transactions) != raw:
                     problem = "non-canonical block encoding"
                 elif any(f not in FLAG_VALUES for f in block.validation_flags):
                     problem = "unknown validation flag"
-                # a canonical record holds its transaction list's canonical
-                # encoding verbatim, so the data hash is taken over that slice
-                elif block.data_hash != sha256(raw[raw.index(_TXS_KEY) + len(_TXS_KEY):
-                                                   raw.rindex(_FLAGS_KEY)]):
+                elif block.data_hash != sha256(transactions):
                     problem = "data hash does not match transactions"
             if problem is not None:
                 return ChainReport(ok=False, height=index, bad_block=index,

@@ -3,8 +3,9 @@
 The off-chain half of the system: DID documents and asset payloads live
 here, keyed by the SHA-256 of their bytes, while the chain holds only the
 hashes. One file per content under the store directory, named by hex
-digest; integrity is re-checked on every read because this store is the
-trust boundary for document bytes.
+digest; integrity is re-checked on every read from disk because this store
+is the trust boundary for document bytes. Callers that memoize a decode
+(``idm.get_did_document``) keep only decodes of bytes ``get`` has checked.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import hashlib
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iotid.assets import (
     AssetRecord,
@@ -14,6 +16,7 @@ from iotid.assets import (
     query_owned_assets,
 )
 from iotid.codec import canonical_json
+from iotid.did import parse_did
 from iotid.idm import NotAuthenticatedError, Session
 from iotid.ledger import ContractError, WorldState
 from iotid.store import ContentHash
@@ -231,6 +234,30 @@ def test_decoded_records_do_not_outlive_their_state(registered):
     del state
     gc.collect()
     assert alive() is None
+
+
+_OWNERS = [parse_did(f"did:iotid:owner{n}") for n in range(3)]
+# (payload, owner, addedAt): few timestamps, so many rows tie on addedAt
+_rows = st.lists(st.tuples(st.binary(min_size=1, max_size=4),
+                           st.sampled_from(_OWNERS), st.integers(0, 3)),
+                 max_size=20, unique_by=lambda row: row[0])
+
+
+@given(_rows)
+def test_owned_assets_are_the_owners_rows_of_all_assets(rows):
+    state = WorldState()
+    for payload, owner, added_at in rows:
+        record = AssetRecord(data_id=ContentHash(hashlib.sha256(payload).digest()),
+                             owner=owner, asset_name="a.txt", added_at=added_at)
+        state.apply([(asset_key(record.data_id), canonical_json(record.to_dict()))],
+                    (1, 0))
+    everything = query_all_assets(state)
+    assert [(r.added_at, r.data_id) for r in everything] == \
+        sorted((r.added_at, r.data_id) for r in everything)
+    for owner in _OWNERS:
+        session = Session(did=owner, expires_at=10)
+        assert query_owned_assets(state, session, 0) == \
+            [r for r in everything if r.owner == owner]
 
 
 def test_missing_asset_payload_is_none(engine):

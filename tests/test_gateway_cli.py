@@ -441,6 +441,31 @@ def test_a_key_file_without_its_fields_is_a_gateway_error(capsys, env):
     result = invoke(capsys, env, "device-login", "dev9")
     assert result.code == 1
     assert result.data["error"] == "GatewayError"
+    # fields of the wrong type: each command refuses the file and leaves it
+    entry = {"name": "dev9", "seed": SEED_01.hex(), "did": DID_01}
+    key_file = keystore.directory / "dev9.json"
+    for field, value in [("seed", 5), ("did", 7), ("name", None)]:
+        key_file.write_text(json.dumps({**entry, field: value}))
+        before = key_file.read_bytes()
+        for command in ("device-login", "device-register"):
+            result = invoke(capsys, env, command, "dev9")
+            assert (result.code, result.data["error"]) == (1, "GatewayError"), field
+            assert key_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("session", [{"did": DID_01}, {"did": 7, "expiresAt": 4000},
+                                     {"did": DID_01, "expiresAt": "soon"}, [DID_01]])
+def test_a_malformed_session_file_is_a_gateway_error(capsys, ready, tmp_path, session):
+    session_file = Path(ready["keystore"]) / "dev1.session.json"
+    session_file.write_text(json.dumps(session))
+    before = session_file.read_bytes()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    for command in (["asset-upload", "dev1", str(source)],
+                    ["asset-list", "--mine", "dev1"]):
+        result = invoke(capsys, ready, *command)
+        assert (result.code, result.data["error"]) == (1, "GatewayError"), command
+        assert session_file.read_bytes() == before
 
 
 def test_session_cache_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from iotid import idm as idm_module
 from iotid.codec import canonical_json, sha256
 from iotid.did import DidDocument, make_possession_proof
 from iotid.idm import (
@@ -24,15 +25,17 @@ from iotid.idm import (
     resolve_did,
     session_is_valid,
 )
-from iotid.ledger import ContractError, WorldState
-from iotid.store import ContentHash, ContentStore, IntegrityFailure
+from iotid.ledger import VALID, ContractError, WorldState
+from iotid.store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
 
 from util import (
     MANUFACTURER,
     Principal,
     create_identity,
     register_device,
+    reopen_engine,
     state_snapshot,
+    upload_payload,
 )
 
 
@@ -288,6 +291,77 @@ def test_records_round_trip(device):
     entry = DeviceRecord(did=device.did, manufacturer_id=MANUFACTURER,
                          registered_at=9)
     assert DeviceRecord.from_bytes(canonical_json(entry.to_dict())) == entry
+
+
+# -- the decoded-document memo ------------------------------------------------
+
+
+def document_path(tmp_path, engine, did):
+    return tmp_path / "objects" / get_did_record(engine.state, did).doc_hash.hex
+
+
+@pytest.fixture
+def store_reads(monkeypatch):
+    """The store of every ContentStore.get, in call order."""
+    reads, real = [], ContentStore.get
+    monkeypatch.setattr(ContentStore, "get",
+                        lambda store, key: reads.append(store) or real(store, key))
+    return reads
+
+
+def test_a_document_tampered_before_its_first_read_is_refused(tmp_path, engine,
+                                                              registrar, device):
+    register_device(engine, registrar, device)
+    path = document_path(tmp_path, engine, device.did)
+    original = path.read_bytes()
+    path.write_bytes(original.replace(b'"created":', b'"created": '))
+    store = ContentStore(tmp_path / "objects")
+    for _ in range(2):  # the refusal is not memoized either
+        with pytest.raises(IntegrityFailure):
+            resolve_did(engine.state, store, device.did)
+    assert not idm_module._documents.get(store)
+    path.write_bytes(original)
+    assert resolve_did(engine.state, store, device.did).id == device.did
+
+
+def test_each_store_reads_a_document_from_disk_once(tmp_path, engine, registrar,
+                                                    device, store_reads):
+    register_device(engine, registrar, device)
+    upload_payload(engine, device, b"one")  # three peer executions
+    resolve_did(engine.state, engine.store, device.did)
+    assert store_reads == [engine.store]
+    fresh = ContentStore(tmp_path / "objects")
+    for _ in range(2):
+        resolve_did(engine.state, fresh, device.did)
+    assert store_reads == [engine.store, fresh]
+
+
+def test_a_transfer_resolves_to_the_new_document(engine, registrar, device,
+                                                 other_device):
+    register_device(engine, registrar, device)
+    assert resolve_did(engine.state, engine.store, device.did).owner == device.address
+    engine.submit(device.proposal(engine, "idm", "transferOwnership",
+                                  [str(device.did), str(other_device.address)]))
+    engine.flush()
+    document = resolve_did(engine.state, engine.store, device.did)
+    assert document.owner == other_device.address
+    assert engine.tx_flag(upload_payload(engine, device, b"after transfer")) == VALID
+
+
+def test_a_missing_document_fails_on_a_fresh_engine(tmp_path, engine, registrar,
+                                                    device):
+    register_device(engine, registrar, device)
+    upload_payload(engine, device, b"one")
+    document_path(tmp_path, engine, device.did).unlink()
+    engine.close()
+    reopened = reopen_engine(tmp_path)
+    try:
+        with pytest.raises(ContentNotFound):
+            upload_payload(reopened, device, b"two")
+        with pytest.raises(ContentNotFound):
+            resolve_did(reopened.state, reopened.store, device.did)
+    finally:
+        reopened.close()
 
 
 # -- login ---------------------------------------------------------------------

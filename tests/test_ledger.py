@@ -6,15 +6,18 @@ rules before being asserted, not read back from the implementation.
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from iotid import ledger as ledger_module
-from iotid.codec import canonical_json
+from iotid.codec import canonical_json, sha256
+from iotid.did import Address, generate_keypair, verify_signature
 from iotid.ledger import (
     BLOCKS_FILE,
+    FLAG_VALUES,
     LOCK_FILE,
     MVCC_CONFLICT,
     POLICY_FAILURE,
@@ -23,19 +26,24 @@ from iotid.ledger import (
     Block,
     ContractError,
     EmptyBatch,
+    Endorsement,
     EndorsementPolicy,
     GenesisConfig,
     InvalidProposalSignature,
+    LedgerEngine,
     LedgerError,
     LedgerLocked,
     NonSequentialBlock,
     PeerSpec,
+    ReadWriteSet,
     RwsetMismatch,
     Transaction,
+    TxProposal,
     UnknownContract,
     UnknownFunction,
     UnknownPeer,
     WorldState,
+    encode_transactions,
     verify_chain_file,
 )
 
@@ -237,6 +245,53 @@ def test_forged_endorsement_does_not_count(engine, alice):
     forged[1] = type(forged[1])(peer_id=forged[1].peer_id, signature=b"\x00" * 64)
     doctored = Transaction(tx.proposal, tx.rwset, forged)
     assert engine.validate_block(engine.order_batch([doctored])) == [POLICY_FAILURE]
+
+
+def test_policy_stops_checking_at_the_threshold(engine, alice, monkeypatch):
+    # 2 of 3: with every signature good the third is never checked; with
+    # peer1's forged, peers 2 and 3 make the threshold on the third check
+    tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
+    forged = [Endorsement(tx.endorsements[0].peer_id, bytes(64)), *tx.endorsements[1:]]
+    block = engine.order_batch([tx, Transaction(tx.proposal, tx.rwset, forged)])
+    checks = []
+    monkeypatch.setattr(ledger_module, "verify_signature",
+                        lambda *args: checks.append(args[2]) or verify_signature(*args))
+    assert engine.validate_block(block) == [VALID, MVCC_CONFLICT]
+    assert checks == [e.signature for e in tx.endorsements[:2] + forged]
+
+
+_PEER_KEYS = [generate_keypair(bytes([n]) * 32) for n in range(40, 45)]
+_POLICY_TX = Transaction(
+    TxProposal(invoker=Address(bytes(20)), invoker_key=bytes(32), contract="kv",
+               function="set", args=["x", "1"], nonce=bytes(32), timestamp=1),
+    ReadWriteSet(writes=[("kv/x", b"1")]), [])
+# (peer number, kind): peers numbered from the roster size up are off the
+# roster; a forgery is another key's signature, or the right key's over
+# other bytes
+_endorsement_picks = st.lists(
+    st.tuples(st.integers(0, len(_PEER_KEYS) - 1),
+              st.sampled_from(["valid", "foreign", "other-message"])),
+    max_size=8)
+
+
+@given(st.data())
+def test_early_stop_policy_matches_a_full_count(data):
+    n = data.draw(st.integers(1, len(_PEER_KEYS) - 1), label="roster size")
+    threshold = data.draw(st.integers(1, n), label="threshold")
+    roster = {f"peer{i}": _PEER_KEYS[i].public_key for i in range(n)}
+    tx_id = _POLICY_TX.tx_id
+    endorsements = []
+    for peer, kind in data.draw(_endorsement_picks, label="endorsements"):
+        signer = _PEER_KEYS[(peer + 1) % len(_PEER_KEYS)] if kind == "foreign" \
+            else _PEER_KEYS[peer]
+        message = tx_id if kind != "other-message" else sha256(tx_id)
+        endorsements.append(Endorsement(f"peer{peer}", signer.sign(message)))
+    tx = Transaction(_POLICY_TX.proposal, _POLICY_TX.rwset, endorsements)
+    full_count = len({e.peer_id for e in endorsements if e.peer_id in roster and
+                      verify_signature(roster[e.peer_id], tx_id, e.signature)})
+    holder = SimpleNamespace(policy=EndorsementPolicy(threshold, roster))
+    assert LedgerEngine._endorsements_satisfy_policy(holder, tx) == \
+        (full_count >= threshold)
 
 
 class DriftContract:
@@ -664,6 +719,54 @@ def test_verify_finds_transactions_changed_under_their_data_hash(tmp_path, engin
         (False, 2, "data hash does not match transactions")
 
 
+def _header_hash(record: dict) -> bytes:
+    return sha256(canonical_json({k: record[k] for k in
+                                  ("dataHash", "flagsHash", "number", "prevHash")}))
+
+
+def _rewrite_block(path, index: int, change) -> None:
+    """Apply ``change`` to one block's record, then recompute its dataHash over
+    the changed transaction list and every later block's prevHash, so that
+    only the record's own encoding can give the change away."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines[index:]]
+    change(records[0])
+    records[0]["dataHash"] = sha256(canonical_json(records[0]["transactions"])).hex()
+    for prev, record in zip(records, records[1:]):
+        record["prevHash"] = _header_hash(prev).hex()
+    path.write_bytes(b"".join(lines[:index] + [canonical_json(r) + b"\n" for r in records]))
+
+
+@pytest.fixture
+def three_blocks(tmp_path, engine, alice):
+    for i in range(1, 4):
+        engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
+        engine.flush()
+    engine.close()
+    return tmp_path / "ledger" / BLOCKS_FILE
+
+
+def test_verify_refuses_uppercase_hex_under_recomputed_hashes(three_blocks):
+    def shout(record):
+        endorsement = record["transactions"][0]["endorsements"][0]
+        endorsement["signature"] = endorsement["signature"].upper()
+
+    _rewrite_block(three_blocks, 2, shout)
+    report = verify_chain_file(three_blocks)
+    assert (report.ok, report.bad_block, report.reason) == \
+        (False, 2, "non-canonical block encoding")
+
+
+def test_verify_refuses_a_changed_tx_id_under_recomputed_hashes(three_blocks):
+    def rename(record):
+        record["transactions"][0]["txId"] = "ab" * 32
+
+    _rewrite_block(three_blocks, 2, rename)
+    report = verify_chain_file(three_blocks)
+    assert (report.ok, report.bad_block, report.reason) == \
+        (False, 2, "non-canonical block encoding")
+
+
 # -- canonical encodings -----------------------------------------------------
 
 
@@ -678,3 +781,35 @@ def test_tx_id_ignores_endorsements(engine, alice):
     tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
     stripped = Transaction(tx.proposal, tx.rwset, [])
     assert tx.tx_id == stripped.tx_id
+
+
+# any text, with characters JSON must escape or writes as \u escapes
+_texts = st.text(max_size=8) | st.sampled_from(['"', "\\", "\n", "\x00", "é", "\u2028", "😀"])
+_proposals = st.builds(
+    TxProposal, invoker=st.binary(min_size=20, max_size=20).map(Address),
+    invoker_key=st.binary(max_size=32), contract=_texts, function=_texts,
+    args=st.lists(_texts, max_size=3), nonce=st.binary(max_size=32),
+    timestamp=st.integers(-2**63, 2**63), signature=st.binary(max_size=64))
+_versions = st.none() | st.tuples(st.integers(0, 2**31), st.integers(0, 2**31))
+_rwsets = st.builds(
+    ReadWriteSet, reads=st.lists(st.tuples(_texts, _versions), max_size=3),
+    writes=st.lists(st.tuples(_texts, st.none() | st.binary(max_size=16)), max_size=3))
+_transactions = st.builds(
+    Transaction, proposal=_proposals, rwset=_rwsets,
+    endorsements=st.lists(st.builds(Endorsement, peer_id=_texts,
+                                    signature=st.binary(max_size=64)), max_size=3))
+_hashes = st.binary(min_size=32, max_size=32)
+_blocks = st.builds(
+    Block, number=st.integers(0, 2**31), prev_hash=_hashes, data_hash=_hashes,
+    transactions=st.lists(_transactions, max_size=3),
+    validation_flags=st.lists(st.sampled_from(FLAG_VALUES) | _texts, max_size=3))
+
+
+@given(_blocks)
+def test_assembled_records_equal_the_canonical_encoding(block):
+    for tx in block.transactions:
+        assert tx.encode() == canonical_json(tx.to_dict())
+    transactions = encode_transactions(block.transactions)
+    assert transactions == canonical_json([t.to_dict() for t in block.transactions])
+    assert block.encode(transactions) == canonical_json(block.to_dict())
+    assert Block.compute_data_hash(block.transactions) == sha256(transactions)
