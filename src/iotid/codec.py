@@ -30,10 +30,6 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def canonical_number(value: float) -> float | int:
     """Collapse whole-valued floats to ints so JSON carries no trailing zeros."""
     if isinstance(value, float) and value.is_integer():

@@ -110,6 +110,9 @@ class Keystore:
             raise GatewayError(f"reserved name: {name!r} names the nonce counters")
         return path
 
+    def _session_path(self, name: str) -> Path:
+        return self._entry_path(name).with_suffix(".session.json")
+
     @staticmethod
     def _write_private(path: Path, payload: dict) -> None:
         replace_file(path, (json.dumps(payload, indent=2, sort_keys=True)
@@ -137,33 +140,36 @@ class Keystore:
             fields = data["name"], data["seed"], data["did"]
             if not all(isinstance(f, str) for f in fields):
                 raise TypeError("key file fields must be strings")
+            if fields[0] != name:
+                raise ValueError("key file names another entry")
             return KeyEntry(name=fields[0], seed=bytes.fromhex(fields[1]),
                             did=parse_did(fields[2]))
         except (KeyError, TypeError, ValueError):
             raise GatewayError(f"keystore entry {name} is not a key file") from None
-
-    def names(self) -> list[str]:
-        return sorted(p.stem for p in self.directory.glob("*.json")
-                      if _NAME_RE.match(p.stem) and p.name != NONCES_FILE)
 
     # -- nonce counters ---------------------------------------------------
 
     def next_nonce(self, label: str) -> bytes:
         """Monotonic per-principal proposal nonce; deterministic by design."""
         path = self.directory / NONCES_FILE
-        counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-        counters[label] = int(counters.get(label, 0)) + 1
+        try:
+            counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        except ValueError:
+            counters = None
+        if not isinstance(counters, dict) or \
+                not all(type(count) is int for count in counters.values()):
+            raise GatewayError(f"{NONCES_FILE} is not an object of integer counters")
+        counters[label] = counters.get(label, 0) + 1
         self._write_private(path, counters)
         return counters[label].to_bytes(32, "big")
 
     # -- session cache -----------------------------------------------------
 
     def save_session(self, name: str, session: Session) -> None:
-        self._write_private(self.directory / f"{name}.session.json",
-                            session.to_dict())
+        self._write_private(self._session_path(name), session.to_dict())
 
     def load_session(self, name: str) -> Session | None:
-        path = self.directory / f"{name}.session.json"
+        path = self._session_path(name)
         if not path.exists():
             return None
         try:
@@ -228,8 +234,15 @@ class Gateway:
 
     def cmd_network_init(self, genesis_path: str | None = None,
                          force: bool = False) -> dict:
-        genesis = (GenesisConfig.from_dict(json.loads(Path(genesis_path).read_bytes()))
-                   if genesis_path else GenesisConfig.default())
+        genesis = GenesisConfig.default()
+        if genesis_path:
+            try:
+                genesis = GenesisConfig.from_dict(json.loads(Path(genesis_path).read_bytes()))
+                genesis.policy()  # derives every peer key and checks the threshold
+                genesis.registrar_addresses()  # derives every registrar key
+            except (KeyError, TypeError, ValueError) as exc:
+                raise GatewayError(
+                    f"{genesis_path} is not a genesis config: {exc!r}") from None
         if (self.ledger_dir / BLOCKS_FILE).exists() and not force:
             raise GatewayError(
                 f"ledger already exists at {self.ledger_dir}; use --force")

@@ -27,10 +27,10 @@ the journal, and otherwise replays from block 0.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from bisect import bisect_left, insort
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -612,9 +612,10 @@ class LedgerEngine:
             self.policy = genesis.policy()
             self._peers = {p.peer_id: p.keypair for p in genesis.peers}
             if self._height == 0:  # provisioning replaces any old ledger
+                block = self._genesis_block()  # a bad config raises before the unlink
                 journal.unlink(missing_ok=True)
                 (self._dir / CHECKPOINT_FILE).unlink(missing_ok=True)
-                self.commit_block(self._genesis_block())
+                self.commit_block(block)
         except BaseException:
             self._release()
             raise
@@ -644,7 +645,7 @@ class LedgerEngine:
 
         The checkpoint is written under the lock, once the chain is
         ``CHECKPOINT_BLOCKS`` past the one this engine opened from.
-        ``.lock`` is unlinked when the last engine of this process closes.
+        The lock is freed when the last engine of this process closes.
         """
         try:
             if self._held is not None and \
@@ -657,14 +658,11 @@ class LedgerEngine:
         key, self._held = self._held, None
         if key is None:
             return
-        _open_engines[key] -= 1
-        if _open_engines[key]:
-            return
-        del _open_engines[key]
-        lock = key / LOCK_FILE
-        with suppress(OSError):
-            if lock.read_text().strip() == str(os.getpid()):
-                lock.unlink()
+        held = _open_engines[key]
+        held[1] -= 1
+        if not held[1]:
+            del _open_engines[key]
+            os.close(held[0])  # never unlinked: a new inode would be a second lock
 
     def __enter__(self) -> "LedgerEngine":
         return self
@@ -673,22 +671,20 @@ class LedgerEngine:
         self.close()
 
     def _acquire_lock(self) -> None:
-        """Hold ``.lock`` for this process; engines in one process share it."""
+        """Hold an ``flock`` on ``.lock``; engines in one process share its fd.
+
+        The kernel frees the lock when its holder exits, however it exits.
+        """
         key = self._dir.resolve()
         if key not in _open_engines:
-            lock = key / LOCK_FILE
-            for retry in (False, True):
-                try:
-                    fd = os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-                except FileExistsError:
-                    if retry or not _lock_is_stale(lock):
-                        raise LedgerLocked(f"ledger in use: {lock}") from None
-                    lock.unlink(missing_ok=True)
-                    continue
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(str(os.getpid()))
-                break
-        _open_engines[key] = _open_engines.get(key, 0) + 1
+            fd = os.open(key / LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise LedgerLocked(f"ledger in use: {key / LOCK_FILE}") from None
+            _open_engines[key] = [fd, 0]
+        _open_engines[key][1] += 1
         self._held = key
 
     # -- genesis and replay ---------------------------------------------
@@ -980,27 +976,9 @@ class LedgerEngine:
         return verify_chain_file(self._dir / BLOCKS_FILE)
 
 
-# ledger directory -> engines open on it in this process, which share one .lock
-_open_engines: dict[Path, int] = {}
-
-
-def _lock_is_stale(lock: Path) -> bool:
-    """True unless ``lock`` names another live process.
-
-    Our own pid counts as stale: an engine of this process that holds the
-    directory is counted in ``_open_engines``, so such a file is a leftover.
-    """
-    try:
-        pid = int(lock.read_text().strip())
-    except (ValueError, OSError):
-        return True
-    if pid <= 0 or pid == os.getpid():
-        return True
-    try:
-        os.kill(pid, 0)
-    except OSError as exc:  # PermissionError: alive, owned by another user
-        return isinstance(exc, ProcessLookupError)
-    return False
+# ledger directory -> [fd holding the flock on its .lock, engines open on it]
+# in this process; flock conflicts between two fds even in one process
+_open_engines: dict[Path, list[int]] = {}
 
 
 def _decode_block(index: int, raw: bytes) -> Block:

@@ -9,7 +9,6 @@ from iotid.codec import (
     canonical_number,
     from_canonical_json,
     sha256,
-    sha256_hex,
 )
 
 json_values = st.recursive(
@@ -46,7 +45,6 @@ def test_sha256_known_digest():
     # independently verifiable: sha256 of the ASCII bytes "hello world"
     expected = "b94d27b9934d3e08a52e52d7da7dabfac484efe37a5380ee9088f7ace2efcde9"
     assert sha256(b"hello world").hex() == expected
-    assert sha256_hex(b"hello world") == expected
 
 
 @given(st.binary(max_size=64))

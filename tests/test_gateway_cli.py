@@ -17,10 +17,11 @@ from iotid.cli import main
 from iotid.clock import SimClock
 from iotid.gateway import Gateway, GatewayError, Keystore
 from iotid.idm import Session
-from iotid.ledger import BLOCKS_FILE, LOCK_FILE, LedgerEngine, LedgerLocked
+from iotid.ledger import BLOCKS_FILE, LedgerEngine, LedgerLocked
 from iotid.did import parse_did
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
+from util import foreign_hold
 
 Result = namedtuple("Result", "code data out err")
 
@@ -70,15 +71,39 @@ def test_network_init(capsys, env):
 
 
 def test_forced_init_leaves_a_locked_ledger_intact(ready):
-    # another live process holds the ledger: --force must not touch it
+    # another holder has the ledger locked: --force must not touch it
     ledger_dir = Path(ready["ledger"])
     journal = ledger_dir / BLOCKS_FILE
     before = journal.read_bytes()
     assert len(before.splitlines()) == 3
-    (ledger_dir / LOCK_FILE).write_text(str(os.getppid()))
     gateway = Gateway(ready["ledger"], ready["keystore"])
-    with pytest.raises(LedgerLocked):
+    with foreign_hold(ledger_dir), pytest.raises(LedgerLocked):
         gateway.cmd_network_init(force=True)
+    assert journal.read_bytes() == before
+
+
+SEED_HEX = "00" * 32
+
+
+@pytest.mark.parametrize("genesis", [
+    "{}", '{"peers": [{"id": "peer1"}]}', '{"peers": "peer1"}', "[]", "{",
+    '{"peers": [{"id": "peer1", "seed": "00"}]}',
+    f'{{"peers": [{{"id": "peer1", "seed": "{SEED_HEX}"}}], "endorsementThreshold": 2}}',
+    f'{{"peers": [{{"id": "peer1", "seed": "{SEED_HEX}"}}],'
+    f' "registrars": [{{"name": "r", "seed": "00"}}]}}',
+], ids=["no-peers", "peer-without-seed", "peers-not-a-list", "not-an-object",
+        "not-json", "short-peer-seed", "threshold-above-roster", "short-registrar-seed"])
+def test_a_malformed_genesis_file_is_a_gateway_error(capsys, env, tmp_path, genesis):
+    config = tmp_path / "genesis.json"
+    config.write_text(genesis)
+    result = invoke(capsys, env, "network-init", "--genesis", str(config))
+    assert (result.code, result.data["error"]) == (1, "GatewayError")
+    assert not Path(env["ledger"]).exists()  # refused before any engine opened
+    assert invoke(capsys, env, "network-init").code == 0
+    journal = Path(env["ledger"]) / BLOCKS_FILE
+    before = journal.read_bytes()
+    result = invoke(capsys, env, "network-init", "--genesis", str(config), "--force")
+    assert (result.code, result.data["error"]) == (1, "GatewayError")
     assert journal.read_bytes() == before
 
 
@@ -425,12 +450,21 @@ def test_a_device_cannot_be_named_after_the_nonce_counters(capsys, env):
     assert login.data["error"] == "GatewayError"
 
 
-def test_names_never_lists_the_nonce_counters(tmp_path):
-    keystore = Keystore(tmp_path / "keys")
-    keystore.next_nonce("dev1")
-    keystore.create("dev1")
-    keystore.next_nonce("dev1")
-    assert keystore.names() == ["dev1"]
+@pytest.mark.parametrize("counters", ["[]", '{"dev1": "x"}', '{"dev1": 1.5}',
+                                      '{"dev1": true}', "{"],
+                         ids=["not-an-object", "string-count", "float-count",
+                              "bool-count", "not-json"])
+def test_a_malformed_nonce_file_is_a_gateway_error(capsys, ready, tmp_path, counters):
+    nonces = Path(ready["keystore"]) / "nonces.json"
+    nonces.write_text(counters)
+    journal = Path(ready["ledger"]) / BLOCKS_FILE
+    before = nonces.read_bytes(), journal.read_bytes()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    for command in (["device-register", "dev1"], ["asset-upload", "dev1", str(source)]):
+        result = invoke(capsys, ready, *command)
+        assert (result.code, result.data["error"]) == (1, "GatewayError"), command
+        assert (nonces.read_bytes(), journal.read_bytes()) == before
 
 
 def test_a_key_file_without_its_fields_is_a_gateway_error(capsys, env):
@@ -468,10 +502,44 @@ def test_a_malformed_session_file_is_a_gateway_error(capsys, ready, tmp_path, se
         assert session_file.read_bytes() == before
 
 
+def test_a_session_name_outside_the_keystore_is_refused(capsys, ready, tmp_path):
+    # a live session planted beside the keystore must not pass for one
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    planted = outside / "x.session.json"
+    planted.write_text(json.dumps(Session(did=parse_did(DID_01),
+                                          expires_at=2 ** 40).to_dict()))
+    before = planted.read_bytes()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    for command in (["asset-list", "--mine", "../outside/x"],
+                    ["asset-upload", "../outside/x", str(source)]):
+        result = invoke(capsys, ready, *command)
+        assert (result.code, result.data["error"]) == (1, "GatewayError"), command
+    assert planted.read_bytes() == before
+    assert sorted(p.name for p in outside.iterdir()) == ["x.session.json"]
+
+
+def test_a_key_file_naming_another_entry_is_refused(capsys, ready, tmp_path):
+    # dev1.json whose name field points outside: no session lands there
+    keystore = Path(ready["keystore"])
+    key_file = keystore / "dev1.json"
+    key_file.write_text(json.dumps({**json.loads(key_file.read_text()),
+                                    "name": "../escaped"}))
+    listing = sorted(p.name for p in tmp_path.rglob("*"))
+    session = (keystore / "dev1.session.json").read_bytes()
+    with pytest.raises(GatewayError, match="not a key file"):
+        Keystore(keystore).load("dev1")
+    for command in ("device-login", "device-register"):
+        result = invoke(capsys, ready, command, "dev1")
+        assert (result.code, result.data["error"]) == (1, "GatewayError"), command
+    assert sorted(p.name for p in tmp_path.rglob("*")) == listing
+    assert (keystore / "dev1.session.json").read_bytes() == session
+
+
 def test_session_cache_round_trip(tmp_path):
     keystore = Keystore(tmp_path / "keys")
     assert keystore.load_session("dev1") is None
     session = Session(did=parse_did(DID_01), expires_at=4000)
     keystore.save_session("dev1", session)
     assert keystore.load_session("dev1") == session
-    assert keystore.names() == []  # sessions are not key entries

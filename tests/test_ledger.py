@@ -5,7 +5,6 @@ rules before being asserted, not read back from the implementation.
 """
 
 import json
-import os
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from iotid import ledger as ledger_module
 from iotid.codec import canonical_json, sha256
 from iotid.did import Address, generate_keypair, verify_signature
+from iotid.store import ContentStore
 from iotid.ledger import (
     BLOCKS_FILE,
     FLAG_VALUES,
@@ -36,6 +36,7 @@ from iotid.ledger import (
     NonSequentialBlock,
     PeerSpec,
     ReadWriteSet,
+    RegistrarSpec,
     RwsetMismatch,
     Transaction,
     TxProposal,
@@ -47,7 +48,14 @@ from iotid.ledger import (
     verify_chain_file,
 )
 
-from util import Principal, make_engine, reopen_engine, state_snapshot
+from util import (
+    Principal,
+    foreign_hold,
+    lock_is_free,
+    make_engine,
+    reopen_engine,
+    state_snapshot,
+)
 
 
 @pytest.fixture
@@ -81,6 +89,20 @@ def test_genesis_prev_hash_is_zero(engine):
 def test_create_refuses_existing_ledger(tmp_path, engine):
     with pytest.raises(LedgerError):
         make_engine(tmp_path)
+
+
+def test_forced_create_with_a_bad_config_keeps_the_old_ledger(tmp_path, engine):
+    # block 0 is built before the old journal goes, so a bad key stops it first
+    engine.close()
+    journal = tmp_path / "ledger" / BLOCKS_FILE
+    before = journal.read_bytes()
+    bad = GenesisConfig(peers=GenesisConfig.default().peers,
+                        registrars=[RegistrarSpec("registrar", b"short")])
+    with pytest.raises(ValueError, match="seed must be 32 bytes"):
+        LedgerEngine.create(tmp_path / "ledger", bad, ContentStore(tmp_path / "objects"),
+                            {}, force=True)
+    assert journal.read_bytes() == before
+    assert lock_is_free(tmp_path / "ledger")
 
 
 # -- proposals and signatures ---------------------------------------------------
@@ -578,7 +600,7 @@ def test_failed_open_releases_the_lock(tmp_path, engine, alice):
     path.write_bytes(b"".join(lines[:1] + lines[2:]))
     with pytest.raises(LedgerError, match="broken chain link at block 1"):
         reopen_engine(tmp_path)
-    assert not (tmp_path / "ledger" / LOCK_FILE).exists()
+    assert lock_is_free(tmp_path / "ledger")
 
 
 def test_torn_last_record_opens_at_the_previous_height(tmp_path, alice):
@@ -623,13 +645,13 @@ def test_torn_genesis_block_refuses_to_open(tmp_path, engine):
     with pytest.raises(LedgerError, match="unterminated last record"):
         reopen_engine(tmp_path)
     assert path.read_bytes() == torn
-    assert not (tmp_path / "ledger" / LOCK_FILE).exists()
+    assert lock_is_free(tmp_path / "ledger")
 
 
 def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
     engine.close()
     ledger_dir = tmp_path / "ledger"
-    assert sorted(p.name for p in ledger_dir.iterdir()) == [BLOCKS_FILE]
+    assert sorted(p.name for p in ledger_dir.iterdir()) == [LOCK_FILE, BLOCKS_FILE]
     # a config file planted beside the journal, with a foreign peer1 key
     # and a 1-of-3 policy, must not change who may endorse
     planted = GenesisConfig.default().to_dict()
@@ -656,40 +678,40 @@ def test_open_derives_each_genesis_key_once(tmp_path, engine, monkeypatch):
 
 
 def test_directory_lock(tmp_path, engine):
-    # the lock rejects other live processes and reclaims dead ones
+    # a foreign flock holder is refused; once it lets go, the ledger opens
     engine.close()
-    lock = tmp_path / "ledger" / LOCK_FILE
-    lock.write_text(str(os.getppid()))
-    with pytest.raises(LedgerLocked):
-        reopen_engine(tmp_path)
-    lock.write_text("999999999")  # no such pid: stale, reclaimed
+    ledger_dir = tmp_path / "ledger"
+    with foreign_hold(ledger_dir):
+        with pytest.raises(LedgerLocked):
+            reopen_engine(tmp_path)
     reopened = reopen_engine(tmp_path)
     try:
         assert reopened.height == 1
+        assert not lock_is_free(ledger_dir)
     finally:
         reopened.close()
+    assert lock_is_free(ledger_dir)
 
 
 def test_engines_in_one_process_share_the_lock(tmp_path, engine):
-    # .lock stays until the last engine of this process closes
-    lock = tmp_path / "ledger" / LOCK_FILE
+    # the flock stays held until the last engine of this process closes
+    ledger_dir = tmp_path / "ledger"
     second = reopen_engine(tmp_path)
     second.close()
-    assert lock.read_text() == str(os.getpid())
+    assert not lock_is_free(ledger_dir)
     second.close()  # a second close releases nothing more
-    assert lock.read_text() == str(os.getpid())
+    assert not lock_is_free(ledger_dir)
     with pytest.raises(LedgerError):
         make_engine(tmp_path)  # a failed open gives back only its own hold
-    assert lock.read_text() == str(os.getpid())
+    assert not lock_is_free(ledger_dir)
     engine.close()
-    assert not lock.exists()
-    lock.write_text(str(os.getpid()))  # our pid, no engine open: a leftover
+    assert lock_is_free(ledger_dir)
+    assert (ledger_dir / LOCK_FILE).exists()  # never unlinked
     reopen_engine(tmp_path).close()
-    assert not lock.exists()
-    lock.write_text(str(os.getppid()))
-    with pytest.raises(LedgerLocked):
-        reopen_engine(tmp_path)
-    assert lock.read_text() == str(os.getppid())
+    assert lock_is_free(ledger_dir)
+    with foreign_hold(ledger_dir):
+        with pytest.raises(LedgerLocked):
+            reopen_engine(tmp_path)
 
 
 def test_verify_reports_missing_and_empty(tmp_path):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from iotid.clock import Clock, SimClock
 from iotid.did import (
@@ -16,7 +20,14 @@ from iotid.did import (
     make_possession_proof,
 )
 from iotid.gateway import default_contracts
-from iotid.ledger import Contract, GenesisConfig, LedgerEngine, TxContext, TxProposal
+from iotid.ledger import (
+    LOCK_FILE,
+    Contract,
+    GenesisConfig,
+    LedgerEngine,
+    TxContext,
+    TxProposal,
+)
 from iotid.store import ContentStore
 
 MANUFACTURER = "ABCDEF00001"
@@ -144,3 +155,34 @@ def upload_payload(engine: LedgerEngine, device: Principal, payload: bytes,
 
 def state_snapshot(engine: LedgerEngine) -> dict:
     return {k: (v, ver) for k, v, ver in engine.state.range("")}
+
+
+def _try_flock(ledger_dir: Path) -> int | None:
+    """A new fd on ``.lock`` holding its flock, or None if another fd has it."""
+    fd = os.open(Path(ledger_dir) / LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    return fd
+
+
+@contextlib.contextmanager
+def foreign_hold(ledger_dir: Path) -> Iterator[None]:
+    """Hold the ledger's lock through a second fd, as another process would."""
+    fd = _try_flock(ledger_dir)
+    assert fd is not None, "the ledger lock is already held"
+    try:
+        yield
+    finally:
+        os.close(fd)
+
+
+def lock_is_free(ledger_dir: Path) -> bool:
+    """True when no fd, in this process or another, holds the ledger's lock."""
+    fd = _try_flock(ledger_dir)
+    if fd is None:
+        return False
+    os.close(fd)
+    return True
