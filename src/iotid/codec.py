@@ -16,10 +16,14 @@ from typing import Any
 
 HASH_BYTES = 32
 
+# json.dumps with non-default arguments builds a new encoder per call; this
+# one is configured the same way, so it gives the same bytes
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(value: Any) -> bytes:
     """Serialize to UTF-8 JSON with sorted keys and no insignificant whitespace."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _CANONICAL.encode(value).encode("utf-8")
 
 
 def from_canonical_json(data: bytes) -> Any:

@@ -4,7 +4,8 @@ Transaction flow mirrors the Fabric model at desk scale, entirely
 in-process:
 
 1. execute: a signed proposal runs against the current committed state and
-   yields a read/write set; contract errors abort here with no rwset.
+   yields a read/write set; contract errors abort here with no rwset. Its
+   signature is verified once, and every peer's execution shares that verdict.
 2. endorse: every roster peer executes the proposal once and signs the
    txId of its own rwset; the collector checks that all peers computed
    the same txId and merges their endorsements into one transaction.
@@ -271,7 +272,12 @@ class Transaction:
 
 @dataclass
 class Block:
-    """One journal entry; ``validation_flags`` is None until validated."""
+    """One journal entry; ``validation_flags`` is None until validated.
+
+    The transaction list is never changed once a Block holds it, so it is
+    encoded once per object. The flags are set after ordering, so they and
+    the header that hashes them are encoded when the record is.
+    """
 
     number: int
     prev_hash: bytes
@@ -279,43 +285,55 @@ class Block:
     transactions: list[Transaction]
     validation_flags: list[str] | None = None
 
-    @staticmethod
-    def compute_data_hash(transactions: list[Transaction]) -> bytes:
-        return sha256(encode_transactions(transactions))
+    @classmethod
+    def cut(cls, number: int, prev_hash: bytes, transactions: list[Transaction],
+            validation_flags: list[str] | None = None) -> "Block":
+        """A new block whose data hash covers the encoding its record reuses."""
+        block = cls(number, prev_hash, ZERO_HASH, list(transactions), validation_flags)
+        block.data_hash = sha256(block._encoded_transactions)
+        return block
 
-    def flags_hash(self) -> bytes:
+    @cached_property
+    def _encoded_transactions(self) -> bytes:
+        return encode_transactions(self.transactions)
+
+    def _encoded_flags(self) -> bytes:
         if self.validation_flags is None:
             raise ValueError("validation flags not set")
-        return sha256(canonical_json(self.validation_flags))
+        return canonical_json(self.validation_flags)
 
-    def header_dict(self) -> dict:
+    def flags_hash(self) -> bytes:
+        return sha256(self._encoded_flags())
+
+    def _header_dict(self, flags_hash: bytes) -> dict:
         return {
             "dataHash": self.data_hash.hex(),
-            "flagsHash": self.flags_hash().hex(),
+            "flagsHash": flags_hash.hex(),
             "number": self.number,
             "prevHash": self.prev_hash.hex(),
         }
 
     def header_hash(self) -> bytes:
         """Hash chained into the next block's prevHash."""
-        return sha256(canonical_json(self.header_dict()))
+        return sha256(canonical_json(self._header_dict(self.flags_hash())))
 
     def to_dict(self) -> dict:
-        d = self.header_dict()
+        d = self._header_dict(self.flags_hash())
         d["transactions"] = [t.to_dict() for t in self.transactions]
         d["validationFlags"] = list(self.validation_flags)
         return d
 
-    def encode(self, transactions: bytes) -> bytes:
-        """``canonical_json(self.to_dict())``, given ``encode_transactions``'s bytes.
+    def encode(self) -> tuple[bytes, bytes]:
+        """``canonical_json(self.to_dict())`` and ``header_hash()``, each part encoded once.
 
         The header keys sort before ``transactions``, and ``validationFlags``
         after it, so the record is the header with the two lists appended.
         """
-        return b"".join((canonical_json(self.header_dict())[:-1],
-                         b',"transactions":', transactions,
-                         b',"validationFlags":', canonical_json(self.validation_flags),
-                         b"}"))
+        flags = self._encoded_flags()
+        header = canonical_json(self._header_dict(sha256(flags)))
+        return (b"".join((header[:-1], b',"transactions":', self._encoded_transactions,
+                          b',"validationFlags":', flags, b"}")),
+                sha256(header))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
@@ -600,6 +618,8 @@ class LedgerEngine:
         self._pending_since: float | None = None
         # txId -> (flag, block) of every tx this engine instance committed
         self._receipts: dict[bytes, tuple[str, int]] = {}
+        # (signing bytes, signature) of the last proposal that authenticated
+        self._authenticated: tuple[bytes, bytes] | None = None
         self._held: Path | None = None  # the directory whose .lock we share
         self._acquire_lock()
         try:
@@ -711,9 +731,7 @@ class LedgerEngine:
             })),
         ])
         tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[])
-        return Block(number=0, prev_hash=ZERO_HASH,
-                     data_hash=Block.compute_data_hash([tx]), transactions=[tx],
-                     validation_flags=[VALID])
+        return Block.cut(0, ZERO_HASH, [tx], [VALID])
 
     def _replay(self) -> GenesisConfig:
         """Rebuild height, tip hash and world state; return block 0's config.
@@ -730,7 +748,7 @@ class LedgerEngine:
                     raise LedgerError(f"broken chain link at block {index}: {problem}")
                 if index == 0:
                     genesis = GenesisConfig.from_block(block)
-                self._apply_block(block)
+                self._apply_block(block, block.header_hash())
                 self._offset += len(raw) + 1
         except CorruptJournal as exc:
             if exc.torn_at is None or genesis is None:
@@ -777,29 +795,25 @@ class LedgerEngine:
                      sha256(body).hex().encode("ascii") + b"\n" + body)
         self._checkpoint_height = self._height
 
-    def _apply_block(self, block: Block) -> None:
+    def _apply_block(self, block: Block, header_hash: bytes) -> None:
         for idx, (tx, flag) in enumerate(zip(block.transactions,
                                              block.validation_flags)):
             if flag == VALID:
                 self.state.apply(tx.rwset.writes, (block.number, idx))
         self._height = block.number + 1
-        self._tip_hash = block.header_hash()
+        self._tip_hash = header_hash
 
     # -- execution -------------------------------------------------------
 
     def execute_proposal(self, proposal: TxProposal) -> tuple[ReadWriteSet, bytes]:
-        """Run the named contract function against the committed snapshot.
+        """Authenticate the proposal, then run its contract function on the snapshot.
 
         Pure: identical snapshot and proposal always yield an identical
         rwset. The execution harness brackets the call with nonce replay
         protection (a read+write of the invoker's nonce key), so replays
         fail here and same-block duplicates fall out of MVCC.
         """
-        if derive_address(proposal.invoker_key) != proposal.invoker:
-            raise InvalidProposalSignature("invoker key does not match invoker address")
-        if not verify_signature(proposal.invoker_key, proposal.signing_bytes(),
-                                proposal.signature):
-            raise InvalidProposalSignature("proposal signature invalid")
+        self._authenticate(proposal)
         contract = self.contracts.get(proposal.contract)
         if contract is None:
             raise UnknownContract(proposal.contract)
@@ -811,6 +825,23 @@ class LedgerEngine:
         response = contract.invoke(ctx, proposal.function, proposal.args)
         ctx.put(nonce_key, b"\x01")
         return ctx.rwset(), response
+
+    def _authenticate(self, proposal: TxProposal) -> None:
+        """Refuse a proposal unless its key hashes to the invoker and signed it.
+
+        The last proposal that passed is remembered by its signing bytes,
+        which name the invoker and its key, and its signature: every peer's
+        execution of one proposal shares one Ed25519 verify. A changed field
+        is checked afresh, and a proposal that fails is never remembered.
+        """
+        checked = (proposal.signing_bytes(), proposal.signature)
+        if checked == self._authenticated:
+            return
+        if derive_address(proposal.invoker_key) != proposal.invoker:
+            raise InvalidProposalSignature("invoker key does not match invoker address")
+        if not verify_signature(proposal.invoker_key, *checked):
+            raise InvalidProposalSignature("proposal signature invalid")
+        self._authenticated = checked
 
     def endorse(self, peer_id: str, proposal: TxProposal) -> Transaction:
         """One peer executes the proposal and signs the txId of its own rwset."""
@@ -838,12 +869,7 @@ class LedgerEngine:
         """Solo ordering: arrival order, hashes filled, flags unset."""
         if not transactions:
             raise EmptyBatch("no transactions to order")
-        return Block(
-            number=self._height,
-            prev_hash=self._tip_hash,
-            data_hash=Block.compute_data_hash(transactions),
-            transactions=list(transactions),
-        )
+        return Block.cut(self._height, self._tip_hash, transactions)
 
     # -- validation ---------------------------------------------------------
 
@@ -902,11 +928,11 @@ class LedgerEngine:
         if problem := _link_problem(block, self._height, self._tip_hash):
             raise NonSequentialBlock(problem)
         self.clock.advance(self.commit_tick)
-        line = block.encode(encode_transactions(block.transactions)) + b"\n"
+        record, header_hash = block.encode()
         with open(self._dir / BLOCKS_FILE, "ab") as fh:
-            fh.write(line)
-        self._apply_block(block)
-        self._offset += len(line)
+            fh.write(record + b"\n")
+        self._apply_block(block, header_hash)
+        self._offset += len(record) + 1
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt
             self._receipts.setdefault(tx.tx_id, (flag, block.number))
@@ -1075,17 +1101,17 @@ def verify_chain_file(path: str | Path) -> ChainReport:
                 # change in derived fields (txId, flagsHash, hex case) shows
                 # up as a re-encoding mismatch even when parsing succeeded;
                 # the data hash then covers the same transaction-list bytes
-                transactions = encode_transactions(block.transactions)
-                if block.encode(transactions) != raw:
+                record, header_hash = block.encode()
+                if record != raw:
                     problem = "non-canonical block encoding"
                 elif any(f not in FLAG_VALUES for f in block.validation_flags):
                     problem = "unknown validation flag"
-                elif block.data_hash != sha256(transactions):
+                elif block.data_hash != sha256(block._encoded_transactions):
                     problem = "data hash does not match transactions"
             if problem is not None:
                 return ChainReport(ok=False, height=index, bad_block=index,
                                    reason=problem)
-            height, tip_hash = index + 1, block.header_hash()
+            height, tip_hash = index + 1, header_hash
     except CorruptJournal as exc:
         return ChainReport(ok=False, height=exc.index, bad_block=exc.index,
                            reason=exc.reason)

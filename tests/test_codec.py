@@ -11,14 +11,29 @@ from iotid.codec import (
     sha256,
 )
 
-json_values = st.recursive(
-    st.none() | st.booleans()
-    | st.integers(min_value=-(2 ** 53), max_value=2 ** 53)
-    | st.text(max_size=20),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=10), children, max_size=4),
-    max_leaves=25,
-)
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=10), children, max_size=4),
+        max_leaves=25,
+    )
+
+
+_scalars = (st.none() | st.booleans()
+            | st.integers(min_value=-(2 ** 53), max_value=2 ** 53)
+            | st.text(max_size=20))
+json_values = _json_trees(_scalars)
+# floats too, NaN and the infinities included, which json writes as NaN and
+# Infinity; text is any unicode, so non-ASCII strings are escaped
+json_values_with_floats = _json_trees(_scalars | st.floats())
+
+
+@given(json_values_with_floats)
+def test_reused_encoder_gives_the_json_dumps_bytes(value):
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert canonical_json(value) == expected
 
 
 @given(json_values)

@@ -5,6 +5,9 @@ rules before being asserted, not read back from the implementation.
 """
 
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -130,6 +133,102 @@ def test_invoker_must_match_key(engine, alice, bob):
     proposal.invoker = bob.address
     with pytest.raises(InvalidProposalSignature):
         engine.submit(proposal)
+
+
+def test_submit_verifies_the_proposal_signature_once(engine, alice, monkeypatch):
+    # three peers execute the proposal; only the first verifies its signature
+    proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
+    checks, executions = [], []
+    monkeypatch.setattr(ledger_module, "verify_signature",
+                        lambda *args: checks.append(args) or verify_signature(*args))
+    execute = engine.execute_proposal
+    monkeypatch.setattr(engine, "execute_proposal",
+                        lambda p: executions.append(p) or execute(p))
+    engine.submit(proposal)
+    assert checks == [(proposal.invoker_key, proposal.signing_bytes(), proposal.signature)]
+    assert len(executions) == 3
+
+
+class StoringContract:
+    """Writes its argument to the content store and to state; counts its calls."""
+
+    name = "storing"
+
+    def __init__(self):
+        self.calls = 0
+
+    def invoke(self, ctx, function, args):
+        self.calls += 1
+        ctx.put(f"storing/{args[0]}", ctx.store.put(args[0].encode("utf-8")).digest)
+        return b"ok"
+
+
+_FIELD_CHANGES = st.sampled_from(
+    ["signature", "args", "nonce", "timestamp", "invoker", "invoker_key", "signer"])
+
+
+@given(change=_FIELD_CHANGES, data=st.data())
+def test_a_changed_proposal_is_verified_afresh(change, data):
+    # the engine has just authenticated ``signed``; a copy with one field
+    # changed must be refused by every entry point before any contract runs
+    with tempfile.TemporaryDirectory() as base:
+        engine = make_engine(Path(base))
+        try:
+            contract = engine.contracts["storing"] = StoringContract()
+            alice, bob = Principal.from_seed(11), Principal.from_seed(12)
+            signed = alice.proposal(engine, "storing", "put", ["first"])
+            engine.submit(signed)
+            engine.flush()
+            if change == "signature":
+                forged = replace(signed, signature=data.draw(
+                    st.binary(min_size=64, max_size=64).filter(lambda b: b != signed.signature)))
+            elif change == "args":
+                forged = replace(signed, args=[data.draw(
+                    st.text(min_size=1, max_size=8).filter(lambda a: a != "first"))])
+            elif change == "nonce":
+                forged = replace(signed, nonce=data.draw(
+                    st.binary(min_size=32, max_size=32).filter(lambda n: n != signed.nonce)))
+            elif change == "timestamp":
+                forged = replace(signed, timestamp=data.draw(
+                    st.integers(-2**63, 2**63).filter(lambda t: t != signed.timestamp)))
+            elif change == "invoker":
+                forged = replace(signed, invoker=bob.address)
+            elif change == "invoker_key":
+                forged = replace(signed, invoker_key=bob.public_key)
+            else:  # another signer's matching address and key, alice's signature
+                forged = replace(signed, invoker=bob.address, invoker_key=bob.public_key)
+            calls, before = contract.calls, state_snapshot(engine)
+            objects = sorted((Path(base) / "objects").rglob("*"))
+            for entry in (engine.submit, engine.build_transaction, engine.execute_proposal):
+                with pytest.raises(InvalidProposalSignature):
+                    entry(forged)
+            assert contract.calls == calls
+            assert engine.flush() is None
+            assert state_snapshot(engine) == before
+            assert sorted((Path(base) / "objects").rglob("*")) == objects
+        finally:
+            engine.close()
+
+
+def test_each_proposal_gets_its_own_verdict(engine, alice, monkeypatch):
+    good = alice.proposal(engine, "kv", "set", ["x", "1"])
+    bad = replace(good, signature=bytes(64))
+    checks = []
+    monkeypatch.setattr(ledger_module, "verify_signature",
+                        lambda *args: checks.append(args[2]) or verify_signature(*args))
+    # a refused proposal is never remembered, so the good one is verified
+    with pytest.raises(InvalidProposalSignature):
+        engine.execute_proposal(bad)
+    engine.execute_proposal(good)
+    assert checks == [bad.signature, good.signature]
+    # a remembered good proposal does not vouch for a bad one that follows
+    with pytest.raises(InvalidProposalSignature):
+        engine.execute_proposal(bad)
+    engine.execute_proposal(good)
+    assert checks == [bad.signature, good.signature, bad.signature]
+    other = alice.proposal(engine, "kv", "set", ["y", "2"])
+    engine.execute_proposal(other)  # a second good proposal is checked too
+    assert checks[3:] == [other.signature]
 
 
 def test_unknown_contract_and_function(engine, alice):
@@ -833,5 +932,8 @@ def test_assembled_records_equal_the_canonical_encoding(block):
         assert tx.encode() == canonical_json(tx.to_dict())
     transactions = encode_transactions(block.transactions)
     assert transactions == canonical_json([t.to_dict() for t in block.transactions])
-    assert block.encode(transactions) == canonical_json(block.to_dict())
-    assert Block.compute_data_hash(block.transactions) == sha256(transactions)
+    assert block.encode() == (canonical_json(block.to_dict()), block.header_hash())
+    cut = Block.cut(block.number, block.prev_hash, block.transactions,
+                    block.validation_flags)
+    assert cut.data_hash == sha256(transactions)
+    assert cut.encode()[0] == canonical_json(cut.to_dict())
