@@ -3,7 +3,8 @@
 An asset's identity is the sha256 of its payload bytes, so the same
 content can never be stored twice anywhere on the chain, regardless of
 uploader or filename. The payload itself goes to the content store;
-only the record keyed by ``asset/<dataId>`` goes on chain.
+world state holds only the record keyed by ``asset/<dataId>``, though the
+journal keeps the payload hex-encoded in the upload proposal's arguments.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ledger import (
     TxContext,
     UnknownFunction,
 )
-from .store import ContentHash, ContentStore
+from .store import ContentHash
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,3 @@ def query_owned_assets(state: StateView, session: Session | None,
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")
     return _by_time([r for r in _records(state) if r.owner == session.did])
-
-
-def get_asset_payload(state: StateView, store: ContentStore,
-                      data_id: ContentHash) -> bytes | None:
-    """Payload bytes for a committed asset, or None if never uploaded."""
-    if state.get(asset_key(data_id)) is None:
-        return None
-    return store.get(data_id)

@@ -26,6 +26,7 @@ from .assets import AssetContract, query_all_assets, query_owned_assets
 from .clock import Clock, SimClock, WallClock
 from .codec import replace_file, sha256
 from .did import (
+    SEED_BYTES,
     Address,
     Did,
     KeyPair,
@@ -142,8 +143,10 @@ class Keystore:
                 raise TypeError("key file fields must be strings")
             if fields[0] != name:
                 raise ValueError("key file names another entry")
-            return KeyEntry(name=fields[0], seed=bytes.fromhex(fields[1]),
-                            did=parse_did(fields[2]))
+            seed = bytes.fromhex(fields[1])
+            if len(seed) != SEED_BYTES:
+                raise ValueError(f"seed must be {SEED_BYTES} bytes")
+            return KeyEntry(name=fields[0], seed=seed, did=parse_did(fields[2]))
         except (KeyError, TypeError, ValueError):
             raise GatewayError(f"keystore entry {name} is not a key file") from None
 
@@ -238,8 +241,6 @@ class Gateway:
         if genesis_path:
             try:
                 genesis = GenesisConfig.from_dict(json.loads(Path(genesis_path).read_bytes()))
-                genesis.policy()  # derives every peer key and checks the threshold
-                genesis.registrar_addresses()  # derives every registrar key
             except (KeyError, TypeError, ValueError) as exc:
                 raise GatewayError(
                     f"{genesis_path} is not a genesis config: {exc!r}") from None
@@ -253,9 +254,9 @@ class Gateway:
             return {
                 "ledgerDir": str(self.ledger_dir),
                 "height": engine.height,
-                "peers": [p.peer_id for p in genesis.peers],
+                "peers": [p.name for p in genesis.peers],
                 "registrars": genesis.registrar_addresses(),
-                "endorsementThreshold": genesis.effective_threshold(),
+                "endorsementThreshold": genesis.threshold,
             }
 
     def cmd_device_keygen(self, name: str, seed: bytes | None = None,

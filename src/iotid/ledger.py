@@ -40,7 +40,7 @@ from typing import BinaryIO, Iterator, Protocol
 
 from .clock import Clock, WallClock
 from .codec import canonical_json, replace_file, sha256
-from .did import Address, KeyPair, derive_address, generate_keypair, verify_signature
+from .did import SEED_BYTES, Address, KeyPair, derive_address, generate_keypair, verify_signature
 from .store import ContentStore
 
 VALID = "VALID"
@@ -180,22 +180,22 @@ class TxProposal:
 
 @dataclass
 class ReadWriteSet:
-    """Keys read (with the version seen) and keys written (None = delete)."""
+    """Keys read (with the version seen, None if absent) and keys written."""
 
     reads: list[tuple[str, Version | None]] = field(default_factory=list)
-    writes: list[tuple[str, bytes | None]] = field(default_factory=list)
+    writes: list[tuple[str, bytes]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "reads": [[k, list(v) if v is not None else None] for k, v in self.reads],
-            "writes": [[k, v.hex() if v is not None else None] for k, v in self.writes],
+            "writes": [[k, v.hex()] for k, v in self.writes],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReadWriteSet":
         return cls(
             reads=[(k, tuple(v) if v is not None else None) for k, v in d["reads"]],
-            writes=[(k, bytes.fromhex(v) if v is not None else None) for k, v in d["writes"]],
+            writes=[(k, bytes.fromhex(v)) for k, v in d["writes"]],
         )
 
 
@@ -351,19 +351,6 @@ def encode_transactions(transactions: list[Transaction]) -> bytes:
     return b"[" + b",".join(t.encode() for t in transactions) + b"]"
 
 
-@dataclass(frozen=True)
-class EndorsementPolicy:
-    """m-of-n: a transaction needs ``threshold`` distinct valid peer signatures."""
-
-    threshold: int
-    roster: dict[str, bytes]  # peer id -> public key
-
-    def __post_init__(self):
-        if not 1 <= self.threshold <= len(self.roster):
-            raise ValueError(
-                f"threshold {self.threshold} out of range for roster of {len(self.roster)}")
-
-
 class WorldState:
     """Current key -> (value, version) view of all valid transactions.
 
@@ -398,16 +385,12 @@ class WorldState:
             rows.append((key, value, version))
         return rows
 
-    def apply(self, writes: list[tuple[str, bytes | None]], version: Version) -> None:
+    def apply(self, writes: list[tuple[str, bytes]], version: Version) -> None:
         data, keys = self._data, self._keys
         for key, value in writes:
-            if value is None:
-                if data.pop(key, None) is not None and keys is not None:
-                    del keys[bisect_left(keys, key)]
-            else:
-                if keys is not None and key not in data:
-                    insort(keys, key)
-                data[key] = (value, version)
+            if keys is not None and key not in data:
+                insort(keys, key)
+            data[key] = (value, version)
 
     def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
         data = self._data
@@ -446,7 +429,7 @@ class TxContext:
         self.store = store
         self.proposal = proposal
         self._reads: dict[str, Version | None] = {}
-        self._writes: dict[str, bytes | None] = {}
+        self._writes: dict[str, bytes] = {}
 
     @property
     def invoker(self) -> Address:
@@ -467,9 +450,6 @@ class TxContext:
     def put(self, key: str, value: bytes) -> None:
         self._writes[key] = value
 
-    def delete(self, key: str) -> None:
-        self._writes[key] = None
-
     def rwset(self) -> ReadWriteSet:
         return ReadWriteSet(
             reads=list(self._reads.items()),
@@ -486,17 +466,9 @@ class Contract(Protocol):
 
 
 @dataclass
-class PeerSpec:
-    peer_id: str
-    seed: bytes
+class Member:
+    """A peer or registrar of the network: its name and 32-byte key seed."""
 
-    @cached_property
-    def keypair(self) -> KeyPair:
-        return generate_keypair(self.seed)
-
-
-@dataclass
-class RegistrarSpec:
     name: str
     seed: bytes
 
@@ -520,24 +492,34 @@ _DEFAULT_REGISTRAR_SEED = sha256(b"iotid/registrar/1")
 
 @dataclass
 class GenesisConfig:
-    """Network provisioning: peer roster, endorsement policy, block cutting."""
+    """Network provisioning: peer roster, endorsement policy, block cutting.
 
-    peers: list[PeerSpec]
-    registrars: list[RegistrarSpec]
-    threshold: int | None = None  # None -> majority
+    m-of-n endorsement: a transaction needs ``threshold`` distinct valid
+    peer signatures; ``None`` at construction means a majority. Seeds,
+    peer names and the threshold are checked here, before any key is derived.
+    """
+
+    peers: list[Member]
+    registrars: list[Member]
+    threshold: int | None = None
     max_block_txs: int = 10
     batch_timeout: float = 2.0
 
-    def effective_threshold(self) -> int:
-        if self.threshold is not None:
-            return self.threshold
-        return len(self.peers) // 2 + 1
-
-    def policy(self) -> EndorsementPolicy:
-        roster = {p.peer_id: p.keypair.public_key for p in self.peers}
-        if len(roster) != len(self.peers):
+    def __post_init__(self):
+        if any(len(m.seed) != SEED_BYTES for m in (*self.peers, *self.registrars)):
+            raise ValueError(f"seed must be {SEED_BYTES} bytes")
+        if len({p.name for p in self.peers}) != len(self.peers):
             raise ValueError("duplicate peer ids in roster")
-        return EndorsementPolicy(threshold=self.effective_threshold(), roster=roster)
+        if self.threshold is None:
+            self.threshold = len(self.peers) // 2 + 1
+        if not 1 <= self.threshold <= len(self.peers):
+            raise ValueError(
+                f"threshold {self.threshold} out of range for roster of {len(self.peers)}")
+
+    @cached_property
+    def roster(self) -> dict[str, bytes]:
+        """Peer id -> public key."""
+        return {p.name: p.keypair.public_key for p in self.peers}
 
     def registrar_addresses(self) -> list[str]:
         return sorted(str(r.address) for r in self.registrars)
@@ -546,8 +528,8 @@ class GenesisConfig:
         return {
             "batchTimeoutSeconds": self.batch_timeout,
             "maxBlockTxs": self.max_block_txs,
-            "endorsementThreshold": self.effective_threshold(),
-            "peers": [{"id": p.peer_id, "seed": p.seed.hex(),
+            "endorsementThreshold": self.threshold,
+            "peers": [{"id": p.name, "seed": p.seed.hex(),
                        "publicKey": p.keypair.public_key.hex()} for p in self.peers],
             "registrars": [{"name": r.name, "seed": r.seed.hex(),
                             "address": str(r.address)} for r in self.registrars],
@@ -556,8 +538,8 @@ class GenesisConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "GenesisConfig":
         return cls(
-            peers=[PeerSpec(p["id"], bytes.fromhex(p["seed"])) for p in d["peers"]],
-            registrars=[RegistrarSpec(r["name"], bytes.fromhex(r["seed"]))
+            peers=[Member(p["id"], bytes.fromhex(p["seed"])) for p in d["peers"]],
+            registrars=[Member(r["name"], bytes.fromhex(r["seed"]))
                         for r in d.get("registrars", [])],
             threshold=int(d["endorsementThreshold"]) if "endorsementThreshold" in d else None,
             max_block_txs=int(d.get("maxBlockTxs", 10)),
@@ -567,8 +549,8 @@ class GenesisConfig:
     @classmethod
     def default(cls) -> "GenesisConfig":
         return cls(
-            peers=[PeerSpec(pid, seed) for pid, seed in _DEFAULT_PEER_SEEDS.items()],
-            registrars=[RegistrarSpec("registrar", _DEFAULT_REGISTRAR_SEED)],
+            peers=[Member(pid, seed) for pid, seed in _DEFAULT_PEER_SEEDS.items()],
+            registrars=[Member("registrar", _DEFAULT_REGISTRAR_SEED)],
         )
 
     @classmethod
@@ -629,8 +611,7 @@ class LedgerEngine:
             elif journal.exists() and not force:
                 raise LedgerError(f"ledger already exists at {self._dir}")
             self.genesis = genesis
-            self.policy = genesis.policy()
-            self._peers = {p.peer_id: p.keypair for p in genesis.peers}
+            self._peers = {p.name: p.keypair for p in genesis.peers}
             if self._height == 0:  # provisioning replaces any old ledger
                 block = self._genesis_block()  # a bad config raises before the unlink
                 journal.unlink(missing_ok=True)
@@ -721,13 +702,13 @@ class LedgerEngine:
             nonce=bytes(32),
             timestamp=int(self.clock.now()),
         )
-        roster = {p.peer_id: p.keypair.public_key.hex() for p in config.peers}
+        roster = {name: key.hex() for name, key in config.roster.items()}
         rwset = ReadWriteSet(writes=[
             (KEY_CONFIG + "registrars", canonical_json(config.registrar_addresses())),
             (KEY_CONFIG + "peers", canonical_json(roster)),
             (KEY_CONFIG + "policy", canonical_json({
                 "maxBlockTxs": config.max_block_txs,
-                "threshold": config.effective_threshold(),
+                "threshold": config.threshold,
             })),
         ])
         tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[])
@@ -880,14 +861,15 @@ class LedgerEngine:
         and checking stops at the threshold: the verdict is that of counting
         every endorsement, with fewer signature checks.
         """
-        tx_hash, roster, counted = tx.tx_id, self.policy.roster, set()
+        tx_hash, counted = tx.tx_id, set()
+        roster, threshold = self.genesis.roster, self.genesis.threshold
         for end in tx.endorsements:
             key = roster.get(end.peer_id)
             if key is None or end.peer_id in counted:
                 continue
             if verify_signature(key, tx_hash, end.signature):
                 counted.add(end.peer_id)
-                if len(counted) >= self.policy.threshold:
+                if len(counted) >= threshold:
                     return True
         return False
 
@@ -898,7 +880,7 @@ class LedgerEngine:
         the same block are visible to later MVCC checks via an overlay.
         """
         flags: list[str] = []
-        overlay: dict[str, Version | None] = {}
+        overlay: dict[str, Version] = {}
         for idx, tx in enumerate(block.transactions):
             if not self._endorsements_satisfy_policy(tx):
                 flags.append(POLICY_FAILURE)
@@ -917,8 +899,8 @@ class LedgerEngine:
                 flags.append(MVCC_CONFLICT)
                 continue
             flags.append(VALID)
-            for key, value in tx.rwset.writes:
-                overlay[key] = (block.number, idx) if value is not None else None
+            for key, _ in tx.rwset.writes:
+                overlay[key] = (block.number, idx)
         return flags
 
     # -- commitment -----------------------------------------------------------
@@ -994,12 +976,6 @@ class LedgerEngine:
 
     def read_blocks(self) -> list[Block]:
         return [block for _, _, block in _read_journal(self._dir / BLOCKS_FILE)]
-
-    # -- integrity ---------------------------------------------------------------
-
-    def verify_chain(self) -> ChainReport:
-        """Recompute every hash and link over the persisted journal."""
-        return verify_chain_file(self._dir / BLOCKS_FILE)
 
 
 # ledger directory -> [fd holding the flock on its .lock, engines open on it]

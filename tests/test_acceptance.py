@@ -235,7 +235,7 @@ def test_4_validation_flags_and_replay(tmp_path, capsys):
         tx = engine.build_transaction(
             alice.proposal(engine, "kv", "set", ["starved", "1"]))
         starved = Transaction(tx.proposal, tx.rwset,
-                              tx.endorsements[:engine.policy.threshold - 1])
+                              tx.endorsements[:engine.genesis.threshold - 1])
         block = engine.order_batch([starved])
         block.validation_flags = engine.validate_block(block)
         assert block.validation_flags == [POLICY_FAILURE]

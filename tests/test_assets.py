@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from iotid.assets import (
     AssetRecord,
     asset_key,
-    get_asset_payload,
     query_all_assets,
     query_owned_assets,
 )
@@ -59,7 +58,6 @@ def test_upload_writes_record_and_payload(engine, registrar, registered):
     assert record.asset_name == "device1/1.txt"
     assert record.added_at == proposal.timestamp
     assert engine.store.get(data_id) == PAYLOAD
-    assert get_asset_payload(engine.state, engine.store, data_id) == PAYLOAD
 
 
 def test_duplicate_content_rejected_with_original_id(engine, registrar,
@@ -258,11 +256,6 @@ def test_owned_assets_are_the_owners_rows_of_all_assets(rows):
         session = Session(did=owner, expires_at=10)
         assert query_owned_assets(state, session, 0) == \
             [r for r in everything if r.owner == owner]
-
-
-def test_missing_asset_payload_is_none(engine):
-    ghost = ContentHash(hashlib.sha256(b"never uploaded").digest())
-    assert get_asset_payload(engine.state, engine.store, ghost) is None
 
 
 def test_asset_record_round_trip(device):

@@ -25,7 +25,7 @@ from iotid.ledger import (
     GenesisConfig,
     LedgerEngine,
     LedgerError,
-    PeerSpec,
+    Member,
     verify_chain_file,
 )
 from iotid.store import ContentStore
@@ -33,7 +33,7 @@ from iotid.store import ContentStore
 from util import Principal, make_engine, reopen_engine
 
 # one peer keeps each of the many commits cheap
-SOLO = GenesisConfig(peers=[PeerSpec("peer1", bytes(32))], registrars=[])
+SOLO = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[])
 
 
 def grow(engine, writer, blocks, tag="v"):
@@ -143,10 +143,12 @@ def test_a_checkpoint_from_another_ledger(tmp_path, checkpointed, decoded):
         engine.close()
 
 
-def resealed(data, **changes):
-    """The checkpoint with fields changed under a digest that checks."""
+def resealed(data, *dropped, **changes):
+    """The checkpoint with fields dropped or changed under a digest that checks."""
     body = json.loads(data.partition(b"\n")[2])
     body.update(changes)
+    for name in dropped:
+        del body[name]
     body = canonical_json(body)
     return sha256(body).hex().encode() + b"\n" + body
 
@@ -159,6 +161,7 @@ def resealed(data, **changes):
     lambda data: data[:100] + bytes([data[100] ^ 0x01]) + data[101:],  # in the body
     lambda data: bytes([data[3] ^ 0x01]) + data[:3] + data[4:],  # in the digest
     lambda data: b"",
+    lambda data: resealed(data, "tipHash"),
 ])
 def test_a_damaged_checkpoint(checkpointed, decoded, damage):
     checkpoint = checkpointed / "ledger" / CHECKPOINT_FILE
@@ -175,6 +178,23 @@ def test_a_damaged_checkpoint(checkpointed, decoded, damage):
     decoded.clear()
     assert observe(checkpointed) == expected
     assert decoded == [0, expected[0] - 1]
+
+
+def test_a_last_record_longer_than_the_read_window(tmp_path, decoded):
+    # the checkpoint's last block is found by reading back from its offset
+    # in a window that grows until it holds the record's start
+    writer = Principal.from_seed(11)
+    engine = make_engine(tmp_path, genesis=SOLO)
+    grow(engine, writer, CHECKPOINT_BLOCKS - 1)
+    engine.submit(writer.proposal(engine, "kv", "set", ["big", "x" * 100_000]))
+    engine.flush()
+    engine.close()
+    journal = (tmp_path / "ledger" / BLOCKS_FILE).read_bytes()
+    assert len(journal) - journal.rindex(b"\n", 0, len(journal) - 1) > 1 << 16
+    expected = full_replay(tmp_path)
+    decoded.clear()
+    assert observe(tmp_path) == expected
+    assert decoded == [0, CHECKPOINT_BLOCKS]
 
 
 def test_an_unreadable_checkpoint(checkpointed, decoded, monkeypatch):

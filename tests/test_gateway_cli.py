@@ -275,6 +275,33 @@ def test_asset_list_renders_a_table(capsys, env, ready, tmp_path):
     assert footer == "(1 assets)"
 
 
+def test_human_output_and_human_errors(capsys, env, ready, tmp_path):
+    source = tmp_path / "r.txt"
+    source.write_bytes(b"human payload")
+    data_id = hashlib.sha256(b"human payload").hexdigest()
+    # one `key: value` line per field, an object as one sorted JSON value
+    result = invoke(capsys, env, "asset-upload", "dev1", str(source), machine=False)
+    assert result.code == 0
+    fields = dict(line.split(": ", 1) for line in result.out.splitlines())
+    assert (fields["name"], fields["assetName"], fields["dataId"], fields["flag"]) == \
+        ("dev1", "r.txt", data_id, "VALID")
+    invoke(capsys, env, "device-keygen", "dev2")
+    result = invoke(capsys, env, "device-register", "dev2", machine=False)
+    fields = dict(line.split(": ", 1) for line in result.out.splitlines())
+    assert json.loads(fields["registerDevice"])["flag"] == "VALID"
+    # an error is `error[Code]: message` on stderr with exit 1, and a
+    # contract error's details follow as one sorted JSON line
+    result = invoke(capsys, env, "asset-upload", "dev1", str(source), machine=False)
+    assert (result.code, result.out) == (1, "")
+    message, details = result.err.splitlines()
+    assert message.startswith("error[DuplicateAsset]: ")
+    assert details == json.dumps({"dataId": data_id}, sort_keys=True)
+    result = invoke(capsys, env, "device-login", "ghost", machine=False)
+    assert (result.code, result.out) == (1, "")
+    assert result.err.startswith("error[GatewayError]: ")
+    assert len(result.err.splitlines()) == 1
+
+
 # -- simulator ------------------------------------------------------------------
 
 
@@ -475,10 +502,11 @@ def test_a_key_file_without_its_fields_is_a_gateway_error(capsys, env):
     result = invoke(capsys, env, "device-login", "dev9")
     assert result.code == 1
     assert result.data["error"] == "GatewayError"
-    # fields of the wrong type: each command refuses the file and leaves it
+    # fields of the wrong type or a short seed: each command refuses the
+    # file and leaves it
     entry = {"name": "dev9", "seed": SEED_01.hex(), "did": DID_01}
     key_file = keystore.directory / "dev9.json"
-    for field, value in [("seed", 5), ("did", 7), ("name", None)]:
+    for field, value in [("seed", 5), ("did", 7), ("name", None), ("seed", "00" * 16)]:
         key_file.write_text(json.dumps({**entry, field: value}))
         before = key_file.read_bytes()
         for command in ("device-login", "device-register"):

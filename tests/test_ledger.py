@@ -28,18 +28,17 @@ from iotid.ledger import (
     ZERO_HASH,
     Block,
     ContractError,
+    CorruptJournal,
     EmptyBatch,
     Endorsement,
-    EndorsementPolicy,
     GenesisConfig,
     InvalidProposalSignature,
     LedgerEngine,
     LedgerError,
     LedgerLocked,
+    Member,
     NonSequentialBlock,
-    PeerSpec,
     ReadWriteSet,
-    RegistrarSpec,
     RwsetMismatch,
     Transaction,
     TxProposal,
@@ -74,12 +73,12 @@ def bob():
 # -- genesis -----------------------------------------------------------------
 
 
-def test_genesis_block_provisions_the_network(engine):
+def test_genesis_block_provisions_the_network(tmp_path, engine):
     assert engine.height == 1
     registrars, version = engine.state.get("config/registrars")
     assert version == (0, 0)
     assert json.loads(registrars) == engine.genesis.registrar_addresses()
-    assert engine.verify_chain().ok
+    assert verify_chain_file(tmp_path / "ledger" / BLOCKS_FILE).ok
 
 
 def test_genesis_prev_hash_is_zero(engine):
@@ -95,13 +94,13 @@ def test_create_refuses_existing_ledger(tmp_path, engine):
 
 
 def test_forced_create_with_a_bad_config_keeps_the_old_ledger(tmp_path, engine):
-    # block 0 is built before the old journal goes, so a bad key stops it first
+    # a bad key is refused with the config, before any engine could open
     engine.close()
     journal = tmp_path / "ledger" / BLOCKS_FILE
     before = journal.read_bytes()
-    bad = GenesisConfig(peers=GenesisConfig.default().peers,
-                        registrars=[RegistrarSpec("registrar", b"short")])
     with pytest.raises(ValueError, match="seed must be 32 bytes"):
+        bad = GenesisConfig(peers=GenesisConfig.default().peers,
+                            registrars=[Member("registrar", b"short")])
         LedgerEngine.create(tmp_path / "ledger", bad, ContentStore(tmp_path / "objects"),
                             {}, force=True)
     assert journal.read_bytes() == before
@@ -346,7 +345,7 @@ def test_stripped_endorsements_fail_policy(engine, alice):
 def test_threshold_is_exact(engine, alice):
     # default policy: 2 of 3
     tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
-    threshold = engine.policy.threshold
+    threshold = engine.genesis.threshold
     enough = Transaction(tx.proposal, tx.rwset, tx.endorsements[:threshold])
     short = Transaction(tx.proposal, tx.rwset, tx.endorsements[:threshold - 1])
     assert engine.validate_block(engine.order_batch([enough]))[0] == VALID
@@ -410,7 +409,7 @@ def test_early_stop_policy_matches_a_full_count(data):
     tx = Transaction(_POLICY_TX.proposal, _POLICY_TX.rwset, endorsements)
     full_count = len({e.peer_id for e in endorsements if e.peer_id in roster and
                       verify_signature(roster[e.peer_id], tx_id, e.signature)})
-    holder = SimpleNamespace(policy=EndorsementPolicy(threshold, roster))
+    holder = SimpleNamespace(genesis=SimpleNamespace(roster=roster, threshold=threshold))
     assert LedgerEngine._endorsements_satisfy_policy(holder, tx) == \
         (full_count >= threshold)
 
@@ -463,23 +462,38 @@ def test_policy_failure_wins_over_mvcc(engine, alice, bob):
 
 
 def test_policy_threshold_bounds():
+    peers = [Member("p", bytes(32))]
     with pytest.raises(ValueError):
-        EndorsementPolicy(threshold=0, roster={"p": b"k"})
+        GenesisConfig(peers=peers, registrars=[], threshold=0)
     with pytest.raises(ValueError):
-        EndorsementPolicy(threshold=2, roster={"p": b"k"})
+        GenesisConfig(peers=peers, registrars=[], threshold=2)
 
 
 def test_genesis_config_majority_and_validation():
     cfg = GenesisConfig.default()
-    assert cfg.effective_threshold() == 2  # majority of 3
-    bad = GenesisConfig(peers=cfg.peers, registrars=[], threshold=4)
+    assert cfg.threshold == 2  # majority of 3
     with pytest.raises(ValueError):
-        bad.policy()
-    dup = GenesisConfig(peers=[PeerSpec("p", bytes(32)), PeerSpec("p", bytes(32))],
-                        registrars=[])
+        GenesisConfig(peers=cfg.peers, registrars=[], threshold=4)
     with pytest.raises(ValueError):
-        dup.policy()
+        GenesisConfig(peers=[Member("p", bytes(32)), Member("p", bytes(32))],
+                      registrars=[])
     assert GenesisConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("change", [
+    {"peers": [Member("p", bytes(16))]},
+    {"registrars": [Member("r", bytes(16))]},
+    {"peers": [Member("p", bytes(32)), Member("p", bytes(32))]},
+    {"threshold": 0},
+    {"threshold": 4},
+], ids=["short-peer-seed", "short-registrar-seed", "duplicate-peer", "threshold-0",
+        "threshold-above-roster"])
+def test_a_bad_genesis_config_is_refused_before_any_key_is_derived(monkeypatch, change):
+    fields = {"peers": GenesisConfig.default().peers, "registrars": [], **change}
+    monkeypatch.setattr(ledger_module, "generate_keypair",
+                        lambda seed: pytest.fail("derived a key"))
+    with pytest.raises(ValueError):
+        GenesisConfig(**fields)
 
 
 # -- MVCC ---------------------------------------------------------------------
@@ -549,7 +563,7 @@ def test_commit_requires_flags_and_sequence(engine, alice):
     assert engine.height == 2
 
 
-def test_headers_chain(engine, alice, bob):
+def test_headers_chain(tmp_path, engine, alice, bob):
     engine.submit(alice.proposal(engine, "kv", "set", ["a", "1"]))
     engine.flush()
     engine.submit(bob.proposal(engine, "kv", "set", ["b", "2"]))
@@ -557,8 +571,9 @@ def test_headers_chain(engine, alice, bob):
     blocks = engine.read_blocks()
     for prev, cur in zip(blocks, blocks[1:]):
         assert cur.prev_hash == prev.header_hash()
-    assert engine.verify_chain() == engine.verify_chain()
-    assert engine.verify_chain().height == len(blocks)
+    report = verify_chain_file(tmp_path / "ledger" / BLOCKS_FILE)
+    assert report == verify_chain_file(tmp_path / "ledger" / BLOCKS_FILE)
+    assert report.height == len(blocks)
 
 
 def test_flags_hash_requires_validation():
@@ -573,7 +588,7 @@ def test_flags_hash_requires_validation():
 _PREFIXES = ["", "a", "a/", "ab/", "asset/", "b/", "z"]
 _state_keys = st.builds(lambda p, s: p + s, st.sampled_from(_PREFIXES[1:]),
                   st.text("ab/x", max_size=3))
-_writes = st.lists(st.tuples(_state_keys, st.none() | st.binary(min_size=1, max_size=2)),
+_writes = st.lists(st.tuples(_state_keys, st.binary(min_size=1, max_size=2)),
                    min_size=1, max_size=4)
 _steps = st.lists(st.one_of(st.tuples(st.just("apply"), _writes),
                             st.tuples(st.just("range"), st.sampled_from(_PREFIXES)),
@@ -584,16 +599,13 @@ _steps = st.lists(st.one_of(st.tuples(st.just("apply"), _writes),
 @given(_steps)
 def test_range_and_items_match_a_sorted_filter(steps):
     # reads at random points build the key index mid-stream; later writes
-    # and deletes must keep it in step with a plain dict
+    # must keep it in step with a plain dict
     state, model = WorldState(), {}
     for n, (kind, arg) in enumerate(steps):
         if kind == "apply":
             state.apply(arg, (n, 0))
             for key, value in arg:
-                if value is None:
-                    model.pop(key, None)
-                else:
-                    model[key] = (value, (n, 0))
+                model[key] = (value, (n, 0))
         elif kind == "range":
             assert state.range(arg) == [(k, v[0], v[1]) for k, v in sorted(model.items())
                                         if k.startswith(arg)]
@@ -653,10 +665,7 @@ def test_valid_writes_replayed_from_raw_journal(tmp_path, engine, alice, bob):
             if flag != "VALID":
                 continue
             for key, value in tx["rwset"]["writes"]:
-                if value is None:
-                    expected.pop(key, None)
-                else:
-                    expected[key] = (bytes.fromhex(value), (raw["number"], idx))
+                expected[key] = (bytes.fromhex(value), (raw["number"], idx))
     assert state_snapshot(engine) == expected
 
 
@@ -704,7 +713,7 @@ def test_failed_open_releases_the_lock(tmp_path, engine, alice):
 
 def test_torn_last_record_opens_at_the_previous_height(tmp_path, alice):
     # a one-peer network keeps each of the ~1,200 reopen-and-commit rounds cheap
-    solo = GenesisConfig(peers=[PeerSpec("peer1", bytes(32))], registrars=[])
+    solo = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[])
     engine = make_engine(tmp_path, genesis=solo)
     engine.submit(alice.proposal(engine, "kv", "set", ["k1", "v"]))
     engine.flush()
@@ -759,8 +768,8 @@ def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
     (ledger_dir / "genesis.json").write_text(json.dumps(planted))
     reopened = reopen_engine(tmp_path)
     try:
-        assert reopened.policy == GenesisConfig.default().policy()
-        assert reopened.policy.threshold == 2
+        assert reopened.genesis == GenesisConfig.default()
+        assert reopened.genesis.threshold == 2
     finally:
         reopened.close()
 
@@ -888,6 +897,34 @@ def test_verify_refuses_a_changed_tx_id_under_recomputed_hashes(three_blocks):
         (False, 2, "non-canonical block encoding")
 
 
+def test_verify_refuses_an_unknown_flag_under_recomputed_hashes(three_blocks):
+    def promote(record):
+        record["validationFlags"] = ["TRUSTED"]
+        record["flagsHash"] = sha256(canonical_json(record["validationFlags"])).hex()
+
+    _rewrite_block(three_blocks, 2, promote)
+    report = verify_chain_file(three_blocks)
+    assert (report.ok, report.bad_block, report.reason) == \
+        (False, 2, "unknown validation flag")
+
+
+def test_a_null_write_value_is_an_undecodable_block(tmp_path, three_blocks):
+    # a write with no value is no longer a delete: the block it sits in
+    # does not decode, under a recomputed txId and recomputed hashes
+    def erase(record):
+        tx = record["transactions"][0]
+        tx["rwset"]["writes"][0][1] = None
+        tx["txId"] = sha256(canonical_json({"proposal": tx["proposal"],
+                                            "rwset": tx["rwset"]})).hex()
+
+    _rewrite_block(three_blocks, 2, erase)
+    report = verify_chain_file(three_blocks)
+    assert (report.ok, report.bad_block, report.reason) == \
+        (False, 2, "undecodable block")
+    with pytest.raises(CorruptJournal, match="block 2: undecodable block"):
+        reopen_engine(tmp_path)
+
+
 # -- canonical encodings -----------------------------------------------------
 
 
@@ -914,7 +951,7 @@ _proposals = st.builds(
 _versions = st.none() | st.tuples(st.integers(0, 2**31), st.integers(0, 2**31))
 _rwsets = st.builds(
     ReadWriteSet, reads=st.lists(st.tuples(_texts, _versions), max_size=3),
-    writes=st.lists(st.tuples(_texts, st.none() | st.binary(max_size=16)), max_size=3))
+    writes=st.lists(st.tuples(_texts, st.binary(max_size=16)), max_size=3))
 _transactions = st.builds(
     Transaction, proposal=_proposals, rwset=_rwsets,
     endorsements=st.lists(st.builds(Endorsement, peer_id=_texts,

@@ -101,7 +101,7 @@ def test_a_killed_holder_leaves_the_ledger_openable(tmp_path):
             reopen_engine(tmp_path)
     finally:
         child.kill()
-        child.wait(timeout=60)
+        child.communicate(timeout=60)  # reaps the child and closes its pipes
     reopened = reopen_engine(tmp_path)  # at once: nothing to reclaim
     try:
         assert reopened.height == 1
@@ -124,13 +124,15 @@ def test_a_lock_file_without_a_holder_opens(tmp_path, content):
 
 def test_a_child_spawned_while_open_does_not_keep_the_lock(tmp_path):
     engine = make_engine(tmp_path)
-    # close_fds=False passes on every inheritable fd: the lock's must not be one
-    child = spawn("import sys; sys.stdin.read()",
-                  stdin=subprocess.PIPE, close_fds=False)
+    # close_fds=False passes on every inheritable fd: the lock's must not be
+    # one. The child says when it runs, since until its exec a forked child
+    # shares every fd, inheritable or not.
+    child = spawn("import sys; print('running', flush=True); sys.stdin.read()",
+                  stdin=subprocess.PIPE, stdout=subprocess.PIPE, close_fds=False)
     try:
+        assert child.stdout.readline() == b"running\n"
         engine.close()
         assert lock_is_free(tmp_path / "ledger")
         reopen_engine(tmp_path).close()
     finally:
-        child.stdin.close()
-        child.wait(timeout=60)
+        child.communicate(timeout=60)
