@@ -5,10 +5,17 @@ content can never be stored twice anywhere on the chain, regardless of
 uploader or filename. The payload itself goes to the content store;
 world state holds only the record keyed by ``asset/<dataId>``, though the
 journal keeps the payload hex-encoded in the upload proposal's arguments.
+
+The read-side queries serve from one view per world state, kept in query
+order. A state's first query seeds it with one decode per record and one
+sort; later queries fold in only what commits wrote since, through the
+state's write feed, so a warm query costs the rows it returns. A freshly
+opened ledger, as in each CLI command, pays the seed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from weakref import WeakKeyDictionary
@@ -118,42 +125,80 @@ class AssetContract:
 # -- read-side queries --------------------------------------------------------
 
 
-# Decoded records per state, keyed by their committed bytes. Those bytes
-# never change and ``asset/<dataId>`` is never rewritten, so an entry
-# cannot go stale; the memo lives exactly as long as its state, and a
-# freshly opened ledger starts with none.
-_decoded: WeakKeyDictionary[StateView, dict[bytes, AssetRecord]] = WeakKeyDictionary()
+def _order(record: AssetRecord) -> tuple[int, bytes]:
+    return record.added_at, record.data_id.digest
 
 
-def _records(state: StateView) -> list[AssetRecord]:
-    """Every committed asset record in key order, which is dataId order."""
-    memo = _decoded.setdefault(state, {})
-    records = []
-    for _, value, _ in state.range(KEY_ASSET):
-        record = memo.get(value)
-        if record is None:
-            record = memo[value] = AssetRecord.from_bytes(value)
-        records.append(record)
-    return records
+class _AssetView:
+    """One state's asset records in query order: all of them, and per owner.
+
+    Seeded once from the state's ``asset/`` range, as a cold query would
+    read it: one decode per record and one stable sort. An owner's list is
+    cut from ``by_time`` on that owner's first query. From then on each
+    read first folds in the keys that the state's write feed collected
+    since the last read: it decodes each new or rewritten record once and
+    bisects it into ``by_time`` and its owner's list, and a rewritten key
+    replaces its old row. The view holds no reference to its state.
+    """
+
+    def __init__(self, state: StateView):
+        self._feed = state.watch(KEY_ASSET)
+        # key -> its current record; key order is dataId order
+        self._by_key = {key: AssetRecord.from_bytes(value)
+                        for key, value, _ in state.range(KEY_ASSET)}
+        # a stable sort of dataId order: (addedAt, dataId)
+        self.by_time = sorted(self._by_key.values(), key=attrgetter("added_at"))
+        self._by_owner: dict[Did, list[AssetRecord]] = {}
+
+    def catch_up(self, state: StateView) -> None:
+        keys = dict.fromkeys(self._feed)  # a key written twice is read once
+        self._feed.clear()
+        by_owner = self._by_owner
+        for key in keys:
+            record = AssetRecord.from_bytes(state.get(key)[0])
+            old = self._by_key.get(key)
+            self._by_key[key] = record
+            if old is not None:
+                for rows in (self.by_time, by_owner.get(old.owner)):
+                    if rows is not None:
+                        del rows[bisect_left(rows, _order(old), key=_order)]
+            for rows in (self.by_time, by_owner.get(record.owner)):
+                if rows is not None:
+                    insort(rows, record, key=_order)
+
+    def owned(self, owner: Did) -> list[AssetRecord]:
+        rows = self._by_owner.get(owner)
+        if rows is None:
+            rows = self._by_owner[owner] = [r for r in self.by_time if r.owner == owner]
+        return rows
 
 
-def _by_time(records: list[AssetRecord]) -> list[AssetRecord]:
-    # a stable sort of dataId order: (addedAt, dataId)
-    records.sort(key=attrgetter("added_at"))
-    return records
+# One view per state, living exactly as long as its state; a freshly
+# opened ledger starts with none.
+_views: WeakKeyDictionary[StateView, _AssetView] = WeakKeyDictionary()
+
+
+def _view(state: StateView) -> _AssetView:
+    view = _views.get(state)
+    if view is None:
+        view = _views[state] = _AssetView(state)
+    else:
+        view.catch_up(state)
+    return view
 
 
 def query_all_assets(state: StateView) -> list[AssetRecord]:
     """Every committed asset record, ordered by (addedAt, dataId)."""
-    return _by_time(_records(state))
+    return _view(state).by_time.copy()
 
 
 def query_owned_assets(state: StateView, session: Session | None,
                        now: float) -> list[AssetRecord]:
     """Assets owned by the session's device; requires a live session.
 
-    Same order as ``query_all_assets``; only the caller's rows are sorted.
+    Same order as ``query_all_assets``. On a warm state the read costs
+    only the caller's rows: a copy of the owner's list.
     """
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")
-    return _by_time([r for r in _records(state) if r.owner == session.did])
+    return _view(state).owned(session.did).copy()

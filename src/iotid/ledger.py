@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Iterator, Protocol
 
@@ -354,14 +353,19 @@ def encode_transactions(transactions: list[Transaction]) -> bytes:
 class WorldState:
     """Current key -> (value, version) view of all valid transactions.
 
-    Range reads walk a sorted key list kept beside the data. The first
-    read builds it with one sort; from then on ``apply`` keeps it current.
-    Replay only applies, so a state that is never read never sorts.
+    A range read scans the keys and sorts the ones under its prefix, so
+    replay and the warm path keep no key order up to date.
+
+    A reader that keeps its own index over a prefix follows later writes
+    through a feed: ``watch(prefix)`` returns a list to which every later
+    ``apply`` appends the key of each write under that prefix, in write
+    order. The reader drains the list when it reads; a state nobody
+    watches pays one loop over no watchers per ``apply``.
     """
 
     def __init__(self):
         self._data: dict[str, tuple[bytes, Version]] = {}
-        self._keys: list[str] | None = None
+        self._watchers: list[tuple[str, list[str]]] = []
 
     def __len__(self) -> int:
         return len(self._data)
@@ -369,32 +373,27 @@ class WorldState:
     def get(self, key: str) -> tuple[bytes, Version] | None:
         return self._data.get(key)
 
-    def _sorted_keys(self) -> list[str]:
-        if self._keys is None:
-            self._keys = sorted(self._data)
-        return self._keys
-
     def range(self, prefix: str) -> list[tuple[str, bytes, Version]]:
         """All entries whose key starts with prefix, sorted by key."""
-        keys, data = self._sorted_keys(), self._data
-        rows = []
-        for key in islice(keys, bisect_left(keys, prefix), None):
-            if not key.startswith(prefix):
-                break
-            value, version = data[key]
-            rows.append((key, value, version))
-        return rows
+        data = self._data
+        return [(key, *data[key]) for key in sorted(k for k in data if k.startswith(prefix))]
 
     def apply(self, writes: list[tuple[str, bytes]], version: Version) -> None:
-        data, keys = self._data, self._keys
+        data = self._data
         for key, value in writes:
-            if keys is not None and key not in data:
-                insort(keys, key)
             data[key] = (value, version)
+        for prefix, feed in self._watchers:
+            feed.extend([key for key, _ in writes if key.startswith(prefix)])
+
+    def watch(self, prefix: str) -> list[str]:
+        """A feed of the keys under ``prefix`` that later applies write."""
+        feed: list[str] = []
+        self._watchers.append((prefix, feed))
+        return feed
 
     def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
         data = self._data
-        return [(key, data[key]) for key in self._sorted_keys()]
+        return [(key, data[key]) for key in sorted(data)]
 
     def to_entries(self) -> list[list]:
         """``[key, value hex, [block, tx]]`` per key, in key order."""
@@ -414,6 +413,8 @@ class StateView(Protocol):
     def get(self, key: str) -> tuple[bytes, Version] | None: ...
 
     def range(self, prefix: str) -> list[tuple[str, bytes, Version]]: ...
+
+    def watch(self, prefix: str) -> list[str]: ...
 
 
 class TxContext:
@@ -490,13 +491,31 @@ _DEFAULT_PEER_SEEDS = {
 _DEFAULT_REGISTRAR_SEED = sha256(b"iotid/registrar/1")
 
 
+def _json_int(d: dict, name: str, default: int | None) -> int | None:
+    if name not in d:
+        return default
+    value = d[name]
+    # int() would truncate 2.7, and JSON true is a Python int
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_number(d: dict, name: str, default: float) -> float:
+    value = d.get(name, default)
+    if type(value) not in (int, float):  # not a string, and not true/false
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class GenesisConfig:
     """Network provisioning: peer roster, endorsement policy, block cutting.
 
     m-of-n endorsement: a transaction needs ``threshold`` distinct valid
     peer signatures; ``None`` at construction means a majority. Seeds,
-    peer names and the threshold are checked here, before any key is derived.
+    peer names, the threshold and the block cutting are checked here,
+    before any key is derived.
     """
 
     peers: list[Member]
@@ -515,6 +534,12 @@ class GenesisConfig:
         if not 1 <= self.threshold <= len(self.peers):
             raise ValueError(
                 f"threshold {self.threshold} out of range for roster of {len(self.peers)}")
+        if self.max_block_txs < 1:
+            raise ValueError(f"maxBlockTxs must be at least 1, got {self.max_block_txs}")
+        # NaN would never cut a block on timeout, and is not strict JSON
+        if not (math.isfinite(self.batch_timeout) and self.batch_timeout >= 0):
+            raise ValueError(
+                f"batchTimeoutSeconds must be a finite number >= 0, got {self.batch_timeout}")
 
     @cached_property
     def roster(self) -> dict[str, bytes]:
@@ -541,9 +566,9 @@ class GenesisConfig:
             peers=[Member(p["id"], bytes.fromhex(p["seed"])) for p in d["peers"]],
             registrars=[Member(r["name"], bytes.fromhex(r["seed"]))
                         for r in d.get("registrars", [])],
-            threshold=int(d["endorsementThreshold"]) if "endorsementThreshold" in d else None,
-            max_block_txs=int(d.get("maxBlockTxs", 10)),
-            batch_timeout=float(d.get("batchTimeoutSeconds", 2.0)),
+            threshold=_json_int(d, "endorsementThreshold", None),
+            max_block_txs=_json_int(d, "maxBlockTxs", 10),
+            batch_timeout=_json_number(d, "batchTimeoutSeconds", 2.0),
         )
 
     @classmethod

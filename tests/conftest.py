@@ -1,8 +1,17 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from iotid.clock import SimClock
 
 from util import Principal, make_engine, registrar_principal
+
+# CI runs the property tests harder: HYPOTHESIS_PROFILE=ci. Tests that set
+# their own max_examples keep it.
+settings.register_profile("ci", max_examples=500, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -258,6 +258,72 @@ def test_owned_assets_are_the_owners_rows_of_all_assets(rows):
             [r for r in everything if r.owner == owner]
 
 
+def reference_queries(state):
+    """Both queries the slow way: decode every record, stable-sort by addedAt."""
+    records = [AssetRecord.from_bytes(value) for _, value, _ in state.range("asset/")]
+    records.sort(key=lambda r: r.added_at)
+    return records, {owner: [r for r in records if r.owner == owner]
+                     for owner in _OWNERS}
+
+
+def asset_write(payload, owner, added_at):
+    record = AssetRecord(data_id=ContentHash(hashlib.sha256(payload).digest()),
+                         owner=owner, asset_name="a.txt", added_at=added_at)
+    return asset_key(record.data_id), canonical_json(record.to_dict())
+
+
+# one write: an asset record (a pool of 6 payloads, so keys get rewritten
+# with another owner and addedAt) or a key outside the asset/ prefix
+_writes = st.one_of(
+    st.builds(asset_write, st.integers(0, 5).map(lambda n: bytes([n])),
+              st.sampled_from(_OWNERS), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["assets", "asset", "did/x", "nonce/a/1", "zzz"]),
+              st.binary(max_size=3)),
+)
+# a step: one or more applies (each one block of writes), then the queries
+_steps = st.lists(st.lists(st.lists(_writes, min_size=1, max_size=3),
+                           min_size=1, max_size=3), min_size=1, max_size=12)
+
+
+@given(_steps, st.data())
+def test_queries_equal_a_full_decode_after_every_step(steps, data):
+    state, version = WorldState(), 0
+    for step in steps:
+        for writes in step:
+            version += 1
+            state.apply(writes, (version, 0))
+        everything, owned = reference_queries(state)
+        assert query_all_assets(state) == everything
+        # owners are queried first at different steps, so some owner lists
+        # are cut from an already updated view
+        for owner in data.draw(st.lists(st.sampled_from(_OWNERS), unique=True)):
+            session = Session(did=owner, expires_at=10)
+            assert query_owned_assets(state, session, 0) == owned[owner]
+    for owner in _OWNERS:
+        assert query_owned_assets(state, Session(did=owner, expires_at=10), 0) == \
+            owned[owner]
+
+
+def test_changing_a_returned_list_changes_no_later_result():
+    state = WorldState()
+    state.apply([asset_write(bytes([n]), _OWNERS[n % 2], n % 3) for n in range(6)],
+                (1, 0))
+    session = Session(did=_OWNERS[0], expires_at=10)
+    everything, owned = reference_queries(state)
+    for query in (lambda: query_all_assets(state),
+                  lambda: query_owned_assets(state, session, 0)):
+        query().append(everything[0])
+        query().sort(key=lambda r: r.data_id.digest, reverse=True)
+        query().clear()
+    assert query_all_assets(state) == everything
+    assert query_owned_assets(state, session, 0) == owned[_OWNERS[0]]
+
+    state.apply([asset_write(b"new", _OWNERS[0], 1)], (2, 0))
+    everything, owned = reference_queries(state)
+    assert query_all_assets(state) == everything
+    assert query_owned_assets(state, session, 0) == owned[_OWNERS[0]]
+
+
 def test_asset_record_round_trip(device):
     record = AssetRecord(data_id=ContentHash(hashlib.sha256(b"x").digest()),
                          owner=device.did, asset_name="device1/1.txt",

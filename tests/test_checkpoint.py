@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotid import ledger as ledger_module
+from iotid.assets import query_all_assets, query_owned_assets
 from iotid.clock import SimClock
 from iotid.codec import canonical_json, sha256
+from iotid.idm import Session
 from iotid.ledger import (
     BLOCKS_FILE,
     CHECKPOINT_BLOCKS,
@@ -30,7 +32,14 @@ from iotid.ledger import (
 )
 from iotid.store import ContentStore
 
-from util import Principal, make_engine, reopen_engine
+from util import (
+    Principal,
+    make_engine,
+    register_device,
+    registrar_principal,
+    reopen_engine,
+    upload_payload,
+)
 
 # one peer keeps each of the many commits cheap
 SOLO = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[])
@@ -298,3 +307,55 @@ def test_any_history_opens_to_the_full_replay_state(history):
                 assert verify_chain_file(journal).ok
         finally:
             engine.close()
+
+
+def upload_round(engine, devices, tag):
+    # both uploads sign at the same clock reading and share one block, so
+    # their addedAt ties and only the dataId orders them
+    for n, device in enumerate(devices):
+        upload_payload(engine, device, f"{tag}/{n}".encode(), flush=False)
+    engine.flush()
+
+
+def asset_queries(engine, devices):
+    owned = [query_owned_assets(engine.state, Session(did=d.did, expires_at=2**40), 0)
+             for d in devices]
+    return query_all_assets(engine.state), owned
+
+
+def test_assets_from_a_checkpoint_equal_assets_from_a_full_replay(tmp_path, decoded):
+    genesis = GenesisConfig(peers=[Member("peer1", bytes(32))],
+                            registrars=[Member("registrar", bytes([1]) * 32)])
+    devices = [Principal.from_seed(21), Principal.from_seed(22)]
+    engine = make_engine(tmp_path, genesis=genesis)
+    registrar = registrar_principal(engine)
+    for device in devices:
+        register_device(engine, registrar, device)
+    for n in range(CHECKPOINT_BLOCKS):
+        upload_round(engine, devices, n)
+    engine.close()
+    assert (tmp_path / "ledger" / CHECKPOINT_FILE).exists()
+    replayed = tmp_path / "replayed"
+    shutil.copytree(tmp_path / "ledger", replayed / "ledger",
+                    ignore=shutil.ignore_patterns(CHECKPOINT_FILE, LOCK_FILE))
+    shutil.copytree(tmp_path / "objects", replayed / "objects")
+
+    decoded.clear()
+    # both clocks restart at 0, below every committed addedAt, so the
+    # uploads below land at the front of the order, not the end
+    from_checkpoint = reopen_engine(tmp_path)
+    assert len(decoded) < from_checkpoint.height
+    from_genesis = reopen_engine(replayed)
+    try:
+        assert asset_queries(from_checkpoint, devices) == \
+            asset_queries(from_genesis, devices)
+        assert len(asset_queries(from_genesis, devices)[0]) == 2 * CHECKPOINT_BLOCKS
+        for n in range(3):
+            for engine in (from_checkpoint, from_genesis):
+                upload_round(engine, devices, f"more{n}")
+            assert asset_queries(from_checkpoint, devices) == \
+                asset_queries(from_genesis, devices)
+        assert len(asset_queries(from_genesis, devices)[0]) == 2 * CHECKPOINT_BLOCKS + 6
+    finally:
+        from_checkpoint.close()
+        from_genesis.close()

@@ -83,6 +83,19 @@ def test_forced_init_leaves_a_locked_ledger_intact(ready):
 
 
 SEED_HEX = "00" * 32
+# three peers, so that a threshold read as 1 would still be in range
+ROSTER = ", ".join(f'{{"id": "peer{n}", "seed": "{n:064x}"}}' for n in (1, 2, 3))
+# each is refused, where int() or float() used to let it through
+BAD_FIELDS = {
+    "timeout-nan": '"batchTimeoutSeconds": NaN',
+    "timeout-infinite": '"batchTimeoutSeconds": Infinity',
+    "timeout-negative": '"batchTimeoutSeconds": -1',
+    "timeout-a-string": '"batchTimeoutSeconds": "2"',
+    "block-txs-zero": '"maxBlockTxs": 0',
+    "block-txs-fractional": '"maxBlockTxs": 2.7',
+    "threshold-true": '"endorsementThreshold": true',
+    "threshold-fractional": '"endorsementThreshold": 2.0',
+}
 
 
 @pytest.mark.parametrize("genesis", [
@@ -91,8 +104,10 @@ SEED_HEX = "00" * 32
     f'{{"peers": [{{"id": "peer1", "seed": "{SEED_HEX}"}}], "endorsementThreshold": 2}}',
     f'{{"peers": [{{"id": "peer1", "seed": "{SEED_HEX}"}}],'
     f' "registrars": [{{"name": "r", "seed": "00"}}]}}',
+    *[f'{{"peers": [{ROSTER}], {field}}}' for field in BAD_FIELDS.values()],
 ], ids=["no-peers", "peer-without-seed", "peers-not-a-list", "not-an-object",
-        "not-json", "short-peer-seed", "threshold-above-roster", "short-registrar-seed"])
+        "not-json", "short-peer-seed", "threshold-above-roster", "short-registrar-seed",
+        *BAD_FIELDS])
 def test_a_malformed_genesis_file_is_a_gateway_error(capsys, env, tmp_path, genesis):
     config = tmp_path / "genesis.json"
     config.write_text(genesis)

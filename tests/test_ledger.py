@@ -486,8 +486,13 @@ def test_genesis_config_majority_and_validation():
     {"peers": [Member("p", bytes(32)), Member("p", bytes(32))]},
     {"threshold": 0},
     {"threshold": 4},
+    {"max_block_txs": 0},
+    {"batch_timeout": -1.0},
+    {"batch_timeout": float("nan")},
+    {"batch_timeout": float("inf")},
 ], ids=["short-peer-seed", "short-registrar-seed", "duplicate-peer", "threshold-0",
-        "threshold-above-roster"])
+        "threshold-above-roster", "no-block-txs", "negative-timeout", "nan-timeout",
+        "infinite-timeout"])
 def test_a_bad_genesis_config_is_refused_before_any_key_is_derived(monkeypatch, change):
     fields = {"peers": GenesisConfig.default().peers, "registrars": [], **change}
     monkeypatch.setattr(ledger_module, "generate_keypair",
@@ -583,7 +588,7 @@ def test_flags_hash_requires_validation():
         block.flags_hash()
 
 
-# -- world state index ----------------------------------------------------------
+# -- world state reads ----------------------------------------------------------
 
 _PREFIXES = ["", "a", "a/", "ab/", "asset/", "b/", "z"]
 _state_keys = st.builds(lambda p, s: p + s, st.sampled_from(_PREFIXES[1:]),
@@ -598,8 +603,7 @@ _steps = st.lists(st.one_of(st.tuples(st.just("apply"), _writes),
 
 @given(_steps)
 def test_range_and_items_match_a_sorted_filter(steps):
-    # reads at random points build the key index mid-stream; later writes
-    # must keep it in step with a plain dict
+    # reads at random points between writes must match a plain dict
     state, model = WorldState(), {}
     for n, (kind, arg) in enumerate(steps):
         if kind == "apply":
@@ -615,17 +619,17 @@ def test_range_and_items_match_a_sorted_filter(steps):
     assert len(state) == len(model)
 
 
-def test_replay_leaves_the_key_index_unbuilt(tmp_path, engine, alice):
-    # a cold open pays no sort; the first range read does
-    engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
-    engine.flush()
-    engine.close()
-    reopened = reopen_engine(tmp_path)
-    try:
-        assert reopened.state._keys is None
-        assert [k for k, _, _ in reopened.state.range("kv/")] == ["kv/x"]
-    finally:
-        reopened.close()
+def test_a_watch_feed_lists_the_later_writes_under_its_prefix():
+    state = WorldState()
+    state.apply([("a/1", b"x")], (1, 0))
+    feed, other = state.watch("a/"), state.watch("b/")
+    state.apply([("a/2", b"x"), ("b/1", b"x"), ("ab/1", b"x"), ("a/1", b"y")], (2, 0))
+    state.apply([("a/2", b"z")], (3, 0))
+    assert feed == ["a/2", "a/1", "a/2"]
+    assert other == ["b/1"]
+    feed.clear()
+    state.apply([("c/1", b"x")], (4, 0))
+    assert feed == []
 
 
 # -- persistence and replay ------------------------------------------------------
