@@ -162,11 +162,7 @@ def _dispatch(args: argparse.Namespace, gateway: Gateway) -> dict:
 
 
 def _failed(command: str, result: dict) -> bool:
-    if command == "chain-verify":
-        return not result.get("ok", False)
-    if command == "scenario":
-        return not result.get("ok", False)
-    return False
+    return command in ("chain-verify", "scenario") and not result.get("ok", False)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .codec import canonical_json, sha256
+from .codec import canonical_json, from_canonical_json, sha256
 
 DEFAULT_METHOD = "iotid"
 
@@ -196,9 +196,7 @@ class DidDocument:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DidDocument":
-        import json
-
-        return cls.from_dict(json.loads(data.decode("utf-8")))
+        return cls.from_dict(from_canonical_json(data))
 
 
 def _proof_message(did: Did, owner: Address, public_key: bytes) -> bytes:

@@ -140,8 +140,10 @@ def device_key(did: Did) -> str:
 class IdmContract:
     """Chaincode ``idm``: createIdentity, registerDevice, transferOwnership.
 
-    Functions are pure over the execution snapshot; every error path
-    raises before any write is staged, so failed calls leave no rwset.
+    Functions yield a deterministic rwset over the execution snapshot, but
+    createIdentity and transferOwnership write a DID document to
+    ``objects/`` on every execution; every error path raises before any
+    write is staged, so failed calls leave no rwset.
     """
 
     name = "idm"

@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Iterator, Protocol
+from typing import Iterator, Protocol
 
 from .clock import Clock, WallClock
 from .codec import canonical_json, replace_file, sha256
@@ -601,14 +601,16 @@ class ChainReport:
 class LedgerEngine:
     """Single-channel ledger: solo ordering, m-of-n endorsement, MVCC commit.
 
-    Proposal execution is pure over the committed state; ordering,
-    validation, and commit run as one serialized pipeline. Queries only
-    ever see fully committed blocks.
+    Proposal execution yields a deterministic rwset over the committed
+    state, though each peer's execution writes any content to ``objects/``;
+    ordering, validation, and commit run as one serialized pipeline.
+    Queries only ever see fully committed blocks. Each commit advances the
+    clock ``commit_tick`` seconds: a ``SimClock`` one second by default.
     """
 
     def __init__(self, directory: str | Path, store: ContentStore,
                  contracts: dict[str, Contract], clock: Clock | None = None,
-                 commit_tick: float = 0.0, genesis: GenesisConfig | None = None,
+                 commit_tick: float = 1.0, genesis: GenesisConfig | None = None,
                  force: bool = False):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
@@ -619,6 +621,7 @@ class LedgerEngine:
         self.state = WorldState()
         self._height = 0
         self._tip_hash = ZERO_HASH
+        self._tip_start = 0  # journal offset where block height - 1 begins
         self._offset = 0  # journal bytes up to the end of block height - 1
         self._checkpoint_height = 0  # of the checkpoint opened from or written
         self._pending: list[Transaction] = []
@@ -651,7 +654,7 @@ class LedgerEngine:
     @classmethod
     def create(cls, directory: str | Path, genesis: GenesisConfig,
                store: ContentStore, contracts: dict[str, Contract],
-               clock: Clock | None = None, commit_tick: float = 0.0,
+               clock: Clock | None = None, commit_tick: float = 1.0,
                force: bool = False) -> "LedgerEngine":
         """Provision a ledger; ``force`` replaces its journal under the lock."""
         return cls(directory, store, contracts, clock, commit_tick,
@@ -660,7 +663,7 @@ class LedgerEngine:
     @classmethod
     def open(cls, directory: str | Path, store: ContentStore,
              contracts: dict[str, Contract], clock: Clock | None = None,
-             commit_tick: float = 0.0) -> "LedgerEngine":
+             commit_tick: float = 1.0) -> "LedgerEngine":
         """Open an existing ledger: config and world state come from replay."""
         if not (Path(directory) / BLOCKS_FILE).exists():
             raise LedgerError(f"no ledger at {directory}")
@@ -754,8 +757,7 @@ class LedgerEngine:
                     raise LedgerError(f"broken chain link at block {index}: {problem}")
                 if index == 0:
                     genesis = GenesisConfig.from_block(block)
-                self._apply_block(block, block.header_hash())
-                self._offset += len(raw) + 1
+                self._apply_block(block, block.header_hash(), len(raw) + 1)
         except CorruptJournal as exc:
             if exc.torn_at is None or genesis is None:
                 raise
@@ -763,59 +765,63 @@ class LedgerEngine:
         return genesis
 
     def _load_checkpoint(self, journal: Path) -> GenesisConfig | None:
-        """Take height, tip hash, offset and state from a matching checkpoint.
+        """Take height, tip hash, offsets and state from a matching checkpoint.
 
-        It matches when its digest checks and the journal record that ends
-        at its offset is its last block. Returns block 0's config then;
-        otherwise None, with the engine left at height 0.
+        It matches when its digest checks and the journal holds a whole
+        record at its ``tipStart`` that is its last block. Returns block 0's
+        config then; otherwise None, with the engine left at height 0.
         """
         point = _read_checkpoint(self._dir / CHECKPOINT_FILE)
         if point is None:
             return None
-        height, tip_hash, offset, state = point
+        height, tip_hash, tip_start, state = point
         with open(journal, "rb") as fh:
             head = fh.readline()
-            raw = _record_ending_at(fh, offset)
-        if raw is None:
+            fh.seek(tip_start)
+            raw = fh.readline()
+        if not raw.endswith(b"\n"):  # past the end, or a torn last record
             return None
         try:
             genesis = GenesisConfig.from_block(_decode_block(0, head.rstrip(b"\n")))
-            last = _decode_block(height - 1, raw)
+            last = _decode_block(height - 1, raw[:-1])
         except LedgerError:  # the full replay reports what is wrong
             return None
         if last.number != height - 1 or last.header_hash() != tip_hash:
             return None
         self.state = state
         self._height = self._checkpoint_height = height
-        self._tip_hash, self._offset = tip_hash, offset
+        self._tip_hash, self._tip_start, self._offset = tip_hash, tip_start, tip_start + len(raw)
         return genesis
 
     def _write_checkpoint(self) -> None:
         body = canonical_json({
             "height": self._height,
-            "offset": self._offset,
             "state": self.state.to_entries(),
             "tipHash": self._tip_hash.hex(),
+            "tipStart": self._tip_start,
         })
         replace_file(self._dir / CHECKPOINT_FILE,
                      sha256(body).hex().encode("ascii") + b"\n" + body)
         self._checkpoint_height = self._height
 
-    def _apply_block(self, block: Block, header_hash: bytes) -> None:
+    def _apply_block(self, block: Block, header_hash: bytes, size: int) -> None:
+        """Apply VALID writes; ``size`` is the block's record length, newline included."""
         for idx, (tx, flag) in enumerate(zip(block.transactions,
                                              block.validation_flags)):
             if flag == VALID:
                 self.state.apply(tx.rwset.writes, (block.number, idx))
         self._height = block.number + 1
         self._tip_hash = header_hash
+        self._tip_start, self._offset = self._offset, self._offset + size
 
     # -- execution -------------------------------------------------------
 
     def execute_proposal(self, proposal: TxProposal) -> tuple[ReadWriteSet, bytes]:
         """Authenticate the proposal, then run its contract function on the snapshot.
 
-        Pure: identical snapshot and proposal always yield an identical
-        rwset. The execution harness brackets the call with nonce replay
+        Identical snapshot and proposal always yield an identical rwset, but
+        a contract that stores content writes it to ``objects/`` on every
+        execution. The execution harness brackets the call with nonce replay
         protection (a read+write of the invoker's nonce key), so replays
         fail here and same-block duplicates fall out of MVCC.
         """
@@ -938,8 +944,7 @@ class LedgerEngine:
         record, header_hash = block.encode()
         with open(self._dir / BLOCKS_FILE, "ab") as fh:
             fh.write(record + b"\n")
-        self._apply_block(block, header_hash)
-        self._offset += len(record) + 1
+        self._apply_block(block, header_hash, len(record) + 1)
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt
             self._receipts.setdefault(tx.tx_id, (flag, block.number))
@@ -1036,23 +1041,8 @@ def _read_journal(path: Path, start: int = 0,
         raise CorruptJournal(0, "empty chain")
 
 
-def _record_ending_at(fh: BinaryIO, end: int) -> bytes | None:
-    """The journal record whose newline is the byte before ``end``, if any."""
-    window = 1 << 16
-    while True:
-        start = max(0, end - window)
-        fh.seek(start)
-        chunk = fh.read(end - start)
-        if len(chunk) != end - start or not chunk.endswith(b"\n"):
-            return None
-        cut = chunk.rfind(b"\n", 0, len(chunk) - 1)
-        if cut >= 0 or start == 0:
-            return chunk[cut + 1:-1]
-        window *= 4
-
-
 def _read_checkpoint(path: Path) -> tuple[int, bytes, int, WorldState] | None:
-    """``(height, tip hash, offset, world state)``, or None unless intact.
+    """``(height, tip hash, tip start, world state)``, or None unless intact.
 
     The file is the hex sha256 of its body, a newline, then the body.
     """
@@ -1065,8 +1055,11 @@ def _read_checkpoint(path: Path) -> tuple[int, bytes, int, WorldState] | None:
         return None
     try:
         point = json.loads(body)
+        # an old checkpoint, which records ``offset`` instead, raises KeyError
+        if (tip_start := int(point["tipStart"])) < 0:
+            raise ValueError("negative tipStart")
         return (int(point["height"]), bytes.fromhex(point["tipHash"]),
-                int(point["offset"]), WorldState.from_entries(point["state"]))
+                tip_start, WorldState.from_entries(point["state"]))
     except (KeyError, TypeError, ValueError):
         return None
 

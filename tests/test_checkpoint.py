@@ -162,9 +162,14 @@ def resealed(data, *dropped, **changes):
     return sha256(body).hex().encode() + b"\n" + body
 
 
+def tip_start(data):
+    return json.loads(data.partition(b"\n")[2])["tipStart"]
+
+
 @pytest.mark.parametrize("damage", [
     lambda data: resealed(data, height=30),
-    lambda data: resealed(data, offset=json.loads(data.partition(b"\n")[2])["offset"] - 1),
+    lambda data: resealed(data, tipStart=tip_start(data) - 1),
+    lambda data: resealed(data, tipStart=tip_start(data) + 1),
     lambda data: data[:len(data) // 2],
     lambda data: data[:-1],
     lambda data: data[:100] + bytes([data[100] ^ 0x01]) + data[101:],  # in the body
@@ -190,8 +195,8 @@ def test_a_damaged_checkpoint(checkpointed, decoded, damage):
 
 
 def test_a_last_record_longer_than_the_read_window(tmp_path, decoded):
-    # the checkpoint's last block is found by reading back from its offset
-    # in a window that grows until it holds the record's start
+    # the checkpoint's last block is read whole from its tipStart, however
+    # long the record: over 64 KiB here
     writer = Principal.from_seed(11)
     engine = make_engine(tmp_path, genesis=SOLO)
     grow(engine, writer, CHECKPOINT_BLOCKS - 1)
@@ -204,6 +209,22 @@ def test_a_last_record_longer_than_the_read_window(tmp_path, decoded):
     decoded.clear()
     assert observe(tmp_path) == expected
     assert decoded == [0, CHECKPOINT_BLOCKS]
+
+
+def test_an_old_format_checkpoint_is_replaced(checkpointed, decoded):
+    # a checkpoint from before tipStart records where its last block ends
+    checkpoint = checkpointed / "ledger" / CHECKPOINT_FILE
+    journal = checkpointed / "ledger" / BLOCKS_FILE
+    checkpoint.write_bytes(resealed(checkpoint.read_bytes(), "tipStart",
+                                    offset=journal.stat().st_size))
+    expected = full_replay(checkpointed)
+    decoded.clear()
+    assert observe(checkpointed) == expected
+    assert decoded == list(range(expected[0]))  # a full replay
+    # the close after it was due, and wrote a checkpoint that opens
+    decoded.clear()
+    assert observe(checkpointed) == expected
+    assert decoded == [0, expected[0] - 1]
 
 
 def test_an_unreadable_checkpoint(checkpointed, decoded, monkeypatch):

@@ -563,6 +563,29 @@ def test_a_session_name_outside_the_keystore_is_refused(capsys, ready, tmp_path)
     assert sorted(p.name for p in outside.iterdir()) == ["x.session.json"]
 
 
+def test_a_session_naming_another_device_is_refused(capsys, ready, tmp_path):
+    # dev1.session.json planted with dev2's DID: dev1 must neither list
+    # dev2's assets nor upload in dev2's name, and nothing is spent
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"dev2's reading")
+    for command in (["device-keygen", "dev2"], ["device-register", "dev2"],
+                    ["device-login", "dev2"], ["asset-upload", "dev2", str(source)]):
+        assert invoke(capsys, ready, *command).code == 0, command
+    keystore = Keystore(ready["keystore"])
+    keystore.save_session("dev1", Session(did=keystore.load("dev2").did,
+                                          expires_at=2 ** 40))
+    source.write_bytes(b"dev1's reading")
+    journal = Path(ready["ledger"]) / BLOCKS_FILE
+    nonces = keystore.directory / "nonces.json"
+    before = journal.read_bytes(), nonces.read_bytes()
+    for command in (["asset-list", "--mine", "dev1"],
+                    ["asset-upload", "dev1", str(source)]):
+        result = invoke(capsys, ready, *command)
+        assert (result.code, result.data["error"]) == (1, "NotAuthenticated"), command
+        assert "assets" not in result.data
+    assert (journal.read_bytes(), nonces.read_bytes()) == before
+
+
 def test_a_key_file_naming_another_entry_is_refused(capsys, ready, tmp_path):
     # dev1.json whose name field points outside: no session lands there
     keystore = Path(ready["keystore"])

@@ -20,6 +20,8 @@ from iotid.did import Address, generate_keypair, verify_signature
 from iotid.store import ContentStore
 from iotid.ledger import (
     BLOCKS_FILE,
+    CHECKPOINT_BLOCKS,
+    CHECKPOINT_FILE,
     FLAG_VALUES,
     LOCK_FILE,
     MVCC_CONFLICT,
@@ -747,6 +749,29 @@ def test_torn_last_record_opens_at_the_previous_height(tmp_path, alice):
         finally:
             reopened.close()
         assert verify_chain_file(path).ok
+
+
+def test_a_torn_newline_after_the_checkpoints_last_block(tmp_path, alice):
+    # the checkpoint's last block is whole but for its newline: it was
+    # never committed, so open cuts it off and replays from block 0
+    solo = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[])
+    engine = make_engine(tmp_path, genesis=solo)
+    for n in range(CHECKPOINT_BLOCKS):
+        engine.submit(alice.proposal(engine, "kv", "set", [f"k{n}", "v"]))
+        engine.flush()
+    engine.close()
+    assert (tmp_path / "ledger" / CHECKPOINT_FILE).exists()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    intact = path.read_bytes()
+    path.write_bytes(intact[:-1])
+    reopened = reopen_engine(tmp_path)
+    try:
+        assert reopened.height == CHECKPOINT_BLOCKS
+        assert reopened.state.get(f"kv/k{CHECKPOINT_BLOCKS - 1}") is None
+        assert path.read_bytes() == intact[:intact.rindex(b"\n", 0, len(intact) - 1) + 1]
+    finally:
+        reopened.close()
+    assert verify_chain_file(path).ok
 
 
 def test_torn_genesis_block_refuses_to_open(tmp_path, engine):

@@ -102,8 +102,7 @@ def make_engine(base: Path, clock: Clock | None = None,
     contracts["kv"] = KvContract()
     return LedgerEngine.create(
         base / "ledger", genesis or GenesisConfig.default(),
-        ContentStore(base / "objects"), contracts,
-        clock=clock, commit_tick=1.0 if isinstance(clock, SimClock) else 0.0)
+        ContentStore(base / "objects"), contracts, clock=clock)
 
 
 def reopen_engine(base: Path, clock: Clock | None = None) -> LedgerEngine:
@@ -111,8 +110,7 @@ def reopen_engine(base: Path, clock: Clock | None = None) -> LedgerEngine:
     contracts: dict[str, Contract] = dict(default_contracts())
     contracts["kv"] = KvContract()
     return LedgerEngine.open(
-        base / "ledger", ContentStore(base / "objects"), contracts,
-        clock=clock, commit_tick=1.0 if isinstance(clock, SimClock) else 0.0)
+        base / "ledger", ContentStore(base / "objects"), contracts, clock=clock)
 
 
 def registrar_principal(engine: LedgerEngine) -> Principal:
