@@ -7,10 +7,11 @@ world state holds only the record keyed by ``asset/<dataId>``, though the
 journal keeps the payload hex-encoded in the upload proposal's arguments.
 
 The read-side queries serve from one view per world state, kept in query
-order. A state's first query seeds it with one decode per record and one
-sort; later queries fold in only what commits wrote since, through the
-state's write feed, so a warm query costs the rows it returns. A freshly
-opened ledger, as in each CLI command, pays the seed.
+order. A state's first query seeds it with one decode per record, one
+sort and one grouping by owner; later queries fold in only what commits
+wrote since, through the state's write feed, so a warm query costs the
+rows it returns. A freshly opened ledger, as in each CLI command, pays
+the seed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from weakref import WeakKeyDictionary
 from .codec import canonical_json, from_canonical_json
 from .did import Did, derive_address, parse_did
 from .idm import (
+    DidRecord,
     NotAuthenticatedError,
     Session,
     device_key,
@@ -33,9 +35,9 @@ from .idm import (
 from .ledger import (
     KEY_ASSET,
     ContractError,
-    StateView,
     TxContext,
     UnknownFunction,
+    WorldState,
 )
 from .store import ContentHash
 
@@ -99,8 +101,8 @@ class AssetContract:
         if raw_record is None or ctx.get(device_key(did)) is None:
             raise ContractError("NotAuthenticated",
                                 f"device not registered: {did}")
-        doc_hash = ContentHash.from_hex(from_canonical_json(raw_record)["docHash"])
-        document = get_did_document(ctx.store, doc_hash)
+        document = get_did_document(ctx.store,
+                                    DidRecord.from_bytes(raw_record).doc_hash)
         device_address = derive_address(bytes.fromhex(document.public_key_hex))
         if device_address != ctx.invoker:
             raise ContractError("NotAuthenticated",
@@ -133,15 +135,15 @@ class _AssetView:
     """One state's asset records in query order: all of them, and per owner.
 
     Seeded once from the state's ``asset/`` range, as a cold query would
-    read it: one decode per record and one stable sort. An owner's list is
-    cut from ``by_time`` on that owner's first query. From then on each
-    read first folds in the keys that the state's write feed collected
-    since the last read: it decodes each new or rewritten record once and
-    bisects it into ``by_time`` and its owner's list, and a rewritten key
-    replaces its old row. The view holds no reference to its state.
+    read it: one decode per record and one stable sort, and the sorted
+    rows grouped by owner. From then on each read first folds in the keys
+    that the state's write feed collected since the last read: it decodes
+    each new or rewritten record once and bisects it into ``by_time`` and
+    its owner's list, and a rewritten key's old row leaves both. The view
+    holds no reference to its state.
     """
 
-    def __init__(self, state: StateView):
+    def __init__(self, state: WorldState):
         self._feed = state.watch(KEY_ASSET)
         # key -> its current record; key order is dataId order
         self._by_key = {key: AssetRecord.from_bytes(value)
@@ -149,8 +151,10 @@ class _AssetView:
         # a stable sort of dataId order: (addedAt, dataId)
         self.by_time = sorted(self._by_key.values(), key=attrgetter("added_at"))
         self._by_owner: dict[Did, list[AssetRecord]] = {}
+        for record in self.by_time:
+            self._by_owner.setdefault(record.owner, []).append(record)
 
-    def catch_up(self, state: StateView) -> None:
+    def catch_up(self, state: WorldState) -> None:
         keys = dict.fromkeys(self._feed)  # a key written twice is read once
         self._feed.clear()
         by_owner = self._by_owner
@@ -159,26 +163,21 @@ class _AssetView:
             old = self._by_key.get(key)
             self._by_key[key] = record
             if old is not None:
-                for rows in (self.by_time, by_owner.get(old.owner)):
-                    if rows is not None:
-                        del rows[bisect_left(rows, _order(old), key=_order)]
-            for rows in (self.by_time, by_owner.get(record.owner)):
-                if rows is not None:
-                    insort(rows, record, key=_order)
+                for rows in (self.by_time, by_owner[old.owner]):
+                    del rows[bisect_left(rows, _order(old), key=_order)]
+            for rows in (self.by_time, by_owner.setdefault(record.owner, [])):
+                insort(rows, record, key=_order)
 
     def owned(self, owner: Did) -> list[AssetRecord]:
-        rows = self._by_owner.get(owner)
-        if rows is None:
-            rows = self._by_owner[owner] = [r for r in self.by_time if r.owner == owner]
-        return rows
+        return self._by_owner.get(owner, [])
 
 
 # One view per state, living exactly as long as its state; a freshly
 # opened ledger starts with none.
-_views: WeakKeyDictionary[StateView, _AssetView] = WeakKeyDictionary()
+_views: WeakKeyDictionary[WorldState, _AssetView] = WeakKeyDictionary()
 
 
-def _view(state: StateView) -> _AssetView:
+def _view(state: WorldState) -> _AssetView:
     view = _views.get(state)
     if view is None:
         view = _views[state] = _AssetView(state)
@@ -187,12 +186,12 @@ def _view(state: StateView) -> _AssetView:
     return view
 
 
-def query_all_assets(state: StateView) -> list[AssetRecord]:
+def query_all_assets(state: WorldState) -> list[AssetRecord]:
     """Every committed asset record, ordered by (addedAt, dataId)."""
     return _view(state).by_time.copy()
 
 
-def query_owned_assets(state: StateView, session: Session | None,
+def query_owned_assets(state: WorldState, session: Session | None,
                        now: float) -> list[AssetRecord]:
     """Assets owned by the session's device; requires a live session.
 

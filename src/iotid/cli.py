@@ -2,8 +2,8 @@
 
 Exit codes are stable for scripting: 0 success, 1 domain error (contract
 rejection, failed login, broken chain), 2 usage or IO error. ``--machine``
-switches every command from human-oriented output to a single JSON
-document on stdout. Private key material never appears in either mode.
+switches every command from human-oriented output to one canonical
+JSON document on stdout. Private key material never appears in either mode.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import os
 import sys
 from pathlib import Path
 
+from .codec import canonical_json
 from .gateway import Gateway, GatewayError
 from .idm import AuthError
 from .ledger import ContractError, LedgerError
 from .sim import FlowConfig
+from .store import ContentNotFound, IntegrityFailure
 
 LEDGER_DIR_ENV = "IOTID_LEDGER_DIR"
 KEYSTORE_DIR_ENV = "IOTID_KEYSTORE_DIR"
@@ -171,12 +173,13 @@ def main(argv: list[str] | None = None) -> int:
     gateway = Gateway(args.ledger_dir, args.keystore_dir)
     try:
         result = _dispatch(args, gateway)
-    except (ContractError, AuthError, GatewayError, LedgerError, ValueError) as exc:
+    except (ContractError, AuthError, GatewayError, LedgerError, ValueError,
+            IntegrityFailure, ContentNotFound) as exc:
         code = getattr(exc, "code", exc.__class__.__name__)
         details = getattr(exc, "details", None)
         if args.machine:
-            print(json.dumps({"error": code, "message": str(exc),
-                              "details": details or {}}, sort_keys=True))
+            print(canonical_json({"error": code, "message": str(exc),
+                                  "details": details or {}}).decode())
         else:
             print(f"error[{code}]: {exc}", file=sys.stderr)
             if details:
@@ -186,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     if args.machine:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(canonical_json(result).decode())
     else:
         print(_render_human(args.command, result))
     return 1 if _failed(args.command, result) else 0

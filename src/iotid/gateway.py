@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .assets import AssetContract, query_all_assets, query_owned_assets
 from .clock import Clock, SimClock, WallClock
-from .codec import replace_file, sha256
+from .codec import canonical_json, replace_file, sha256
 from .did import (
     SEED_BYTES,
     Address,
@@ -116,8 +116,7 @@ class Keystore:
 
     @staticmethod
     def _write_private(path: Path, payload: dict) -> None:
-        replace_file(path, (json.dumps(payload, indent=2, sort_keys=True)
-                            + "\n").encode("utf-8"))
+        replace_file(path, canonical_json(payload) + b"\n")
 
     def create(self, name: str, seed: bytes | None = None,
                overwrite: bool = False) -> KeyEntry:
@@ -388,6 +387,8 @@ class Gateway:
             self.clock = SimClock()
         config = FlowConfig(device_count=device_count,
                             interval_seconds=interval_seconds, seed=seed)
+        if duration_seconds < interval_seconds:
+            raise GatewayError(f"duration {duration_seconds} s is under one interval")
         output_dir = (Path(sim_output_dir) if sim_output_dir is not None
                       else self.ledger_dir / "sensor-data")
         names = [f"device{index}" for index in range(1, device_count + 1)]

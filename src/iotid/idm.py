@@ -36,8 +36,8 @@ from .ledger import (
     KEY_DEVICE,
     KEY_DID,
     ContractError,
-    StateView,
     TxContext,
+    WorldState,
     UnknownFunction,
 )
 from .store import ContentHash, ContentStore, IntegrityFailure
@@ -260,17 +260,17 @@ def get_did_document(store: ContentStore, doc_hash: ContentHash) -> DidDocument:
     return document
 
 
-def get_did_record(state: StateView, did: Did) -> DidRecord | None:
+def get_did_record(state: WorldState, did: Did) -> DidRecord | None:
     entry = state.get(did_key(did))
     return DidRecord.from_bytes(entry[0]) if entry is not None else None
 
 
-def get_device_record(state: StateView, did: Did) -> DeviceRecord | None:
+def get_device_record(state: WorldState, did: Did) -> DeviceRecord | None:
     entry = state.get(device_key(did))
     return DeviceRecord.from_bytes(entry[0]) if entry is not None else None
 
 
-def resolve_did(state: StateView, store: ContentStore, did: Did) -> DidDocument:
+def resolve_did(state: WorldState, store: ContentStore, did: Did) -> DidDocument:
     """Fetch and verify the DID document referenced by the on-chain record."""
     record = get_did_record(state, did)
     if record is None:
@@ -332,7 +332,7 @@ class LoginService:
     seeded ``rng`` for reproducible nonces; the default is OS entropy.
     """
 
-    def __init__(self, state: StateView, store: ContentStore, clock: Clock,
+    def __init__(self, state: WorldState, store: ContentStore, clock: Clock,
                  rng: random.Random | None = None):
         self._state = state
         self._store = store

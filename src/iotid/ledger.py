@@ -407,16 +407,6 @@ class WorldState:
         return state
 
 
-class StateView(Protocol):
-    """Read-only state access, satisfied by WorldState."""
-
-    def get(self, key: str) -> tuple[bytes, Version] | None: ...
-
-    def range(self, prefix: str) -> list[tuple[str, bytes, Version]]: ...
-
-    def watch(self, prefix: str) -> list[str]: ...
-
-
 class TxContext:
     """Execution context handed to contract functions.
 
@@ -425,7 +415,7 @@ class TxContext:
     transaction return the staged value without touching the snapshot.
     """
 
-    def __init__(self, snapshot: StateView, store: ContentStore, proposal: TxProposal):
+    def __init__(self, snapshot: WorldState, store: ContentStore, proposal: TxProposal):
         self._snapshot = snapshot
         self.store = store
         self.proposal = proposal

@@ -15,8 +15,9 @@ import pytest
 
 from iotid.cli import main
 from iotid.clock import SimClock
+from iotid.codec import canonical_json
 from iotid.gateway import Gateway, GatewayError, Keystore
-from iotid.idm import Session
+from iotid.idm import Session, get_did_record
 from iotid.ledger import BLOCKS_FILE, LedgerEngine, LedgerLocked
 from iotid.did import parse_did
 
@@ -609,3 +610,68 @@ def test_session_cache_round_trip(tmp_path):
     session = Session(did=parse_did(DID_01), expires_at=4000)
     keystore.save_session("dev1", session)
     assert keystore.load_session("dev1") == session
+
+
+# -- machine-read JSON ----------------------------------------------------------
+
+
+def test_machine_output_is_one_canonical_document(capsys, env, ready, tmp_path):
+    for i in range(2):
+        source = tmp_path / f"r{i}.txt"
+        source.write_bytes(f"payload {i}".encode())
+        assert invoke(capsys, env, "asset-upload", "dev1", str(source)).code == 0
+    listing = invoke(capsys, env, "asset-list")
+    assert (listing.code, listing.data["count"]) == (0, 2)
+    assert listing.out == canonical_json(listing.data).decode() + "\n"
+    error = invoke(capsys, env, "asset-list", "--mine", "nobody")
+    assert (error.code, error.data["error"]) == (1, "NotAuthenticated")
+    assert error.out == canonical_json(error.data).decode() + "\n"
+
+
+def test_keystore_files_are_canonical(ready):
+    keystore = Path(ready["keystore"])
+    for name in ("dev1.json", "dev1.session.json", "nonces.json"):
+        raw = (keystore / name).read_bytes()
+        assert raw == canonical_json(json.loads(raw)) + b"\n", name
+
+
+def test_indented_keystore_files_still_load(tmp_path):
+    # key, session and nonce files as earlier versions wrote them
+    keystore = Keystore(tmp_path / "keys")
+    session = Session(did=parse_did(DID_01), expires_at=4000)
+    for name, payload in [
+            ("dev1.json", {"name": "dev1", "seed": SEED_01.hex(), "did": DID_01}),
+            ("dev1.session.json", session.to_dict()),
+            ("nonces.json", {"dev1": 7})]:
+        (keystore.directory / name).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    entry = keystore.load("dev1")
+    assert (entry.seed, str(entry.did)) == (SEED_01, DID_01)
+    assert keystore.load_session("dev1") == session
+    assert keystore.next_nonce("dev1") == (8).to_bytes(32, "big")
+    assert keystore.next_nonce("dev2") == (1).to_bytes(32, "big")
+
+
+# -- store faults ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fault, error", [
+    (lambda path: path.write_bytes(path.read_bytes().replace(b"did:", b"dix:", 1)),
+     "IntegrityFailure"),
+    (lambda path: path.unlink(), "ContentNotFound"),
+], ids=["damaged", "deleted"])
+def test_a_broken_did_document_is_a_machine_error(capsys, ready, fault, error):
+    with Gateway(ready["ledger"], ready["keystore"])._open_engine() as engine:
+        record = get_did_record(engine.state, parse_did(DID_01))
+    fault(Path(ready["ledger"]) / "objects" / record.doc_hash.hex)
+    result = invoke(capsys, ready, "device-login", "dev1")
+    assert (result.code, result.data["error"]) == (1, error)
+    assert result.out == canonical_json(result.data).decode() + "\n"
+
+
+@pytest.mark.parametrize("duration", ["10", "-30"])
+def test_a_scenario_shorter_than_one_interval_is_refused(capsys, env, duration):
+    result = invoke(capsys, env, "scenario", "--devices", "1",
+                    f"--duration={duration}")
+    assert (result.code, result.data["error"]) == (1, "GatewayError")
+    assert not (Path(env["ledger"]) / BLOCKS_FILE).exists()
