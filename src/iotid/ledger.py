@@ -10,7 +10,7 @@ in-process:
    txId of its own rwset; the collector checks that all peers computed
    the same txId and merges their endorsements into one transaction.
 3. order: a solo orderer batches transactions in arrival order, cutting a
-   block on size or timeout.
+   block when it is full or on ``flush()``.
 4. validate: per transaction, endorsement policy first, then MVCC (every
    read must still be at the version it saw, counting writes by earlier
    valid transactions in the same block); exactly one flag each.
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -491,32 +490,27 @@ def _json_int(d: dict, name: str, default: int | None) -> int | None:
     return value
 
 
-def _json_number(d: dict, name: str, default: float) -> float:
-    value = d.get(name, default)
-    if type(value) not in (int, float):  # not a string, and not true/false
-        raise ValueError(f"{name} must be a JSON number, got {value!r}")
-    return float(value)
-
-
 @dataclass
 class GenesisConfig:
-    """Network provisioning: peer roster, endorsement policy, block cutting.
+    """Network provisioning: peer roster, endorsement policy, block size.
 
     m-of-n endorsement: a transaction needs ``threshold`` distinct valid
     peer signatures; ``None`` at construction means a majority. Seeds,
-    peer names, the threshold and the block cutting are checked here,
-    before any key is derived.
+    peer and registrar names, the threshold and the block size are checked
+    here, before any key is derived.
     """
 
     peers: list[Member]
     registrars: list[Member]
     threshold: int | None = None
     max_block_txs: int = 10
-    batch_timeout: float = 2.0
 
     def __post_init__(self):
-        if any(len(m.seed) != SEED_BYTES for m in (*self.peers, *self.registrars)):
+        members = (*self.peers, *self.registrars)
+        if any(len(m.seed) != SEED_BYTES for m in members):
             raise ValueError(f"seed must be {SEED_BYTES} bytes")
+        if any(type(m.name) is not str for m in members):
+            raise ValueError("peer ids and registrar names must be strings")
         if len({p.name for p in self.peers}) != len(self.peers):
             raise ValueError("duplicate peer ids in roster")
         if self.threshold is None:
@@ -526,10 +520,6 @@ class GenesisConfig:
                 f"threshold {self.threshold} out of range for roster of {len(self.peers)}")
         if self.max_block_txs < 1:
             raise ValueError(f"maxBlockTxs must be at least 1, got {self.max_block_txs}")
-        # NaN would never cut a block on timeout, and is not strict JSON
-        if not (math.isfinite(self.batch_timeout) and self.batch_timeout >= 0):
-            raise ValueError(
-                f"batchTimeoutSeconds must be a finite number >= 0, got {self.batch_timeout}")
 
     @cached_property
     def roster(self) -> dict[str, bytes]:
@@ -541,7 +531,6 @@ class GenesisConfig:
 
     def to_dict(self) -> dict:
         return {
-            "batchTimeoutSeconds": self.batch_timeout,
             "maxBlockTxs": self.max_block_txs,
             "endorsementThreshold": self.threshold,
             "peers": [{"id": p.name, "seed": p.seed.hex(),
@@ -558,7 +547,6 @@ class GenesisConfig:
                         for r in d.get("registrars", [])],
             threshold=_json_int(d, "endorsementThreshold", None),
             max_block_txs=_json_int(d, "maxBlockTxs", 10),
-            batch_timeout=_json_number(d, "batchTimeoutSeconds", 2.0),
         )
 
     @classmethod
@@ -615,7 +603,6 @@ class LedgerEngine:
         self._offset = 0  # journal bytes up to the end of block height - 1
         self._checkpoint_height = 0  # of the checkpoint opened from or written
         self._pending: list[Transaction] = []
-        self._pending_since: float | None = None
         # txId -> (flag, block) of every tx this engine instance committed
         self._receipts: dict[bytes, tuple[str, int]] = {}
         # (signing bytes, signature) of the last proposal that authenticated
@@ -720,14 +707,9 @@ class LedgerEngine:
             nonce=bytes(32),
             timestamp=int(self.clock.now()),
         )
-        roster = {name: key.hex() for name, key in config.roster.items()}
+        # the one config key a contract reads (idm.create_identity)
         rwset = ReadWriteSet(writes=[
             (KEY_CONFIG + "registrars", canonical_json(config.registrar_addresses())),
-            (KEY_CONFIG + "peers", canonical_json(roster)),
-            (KEY_CONFIG + "policy", canonical_json({
-                "maxBlockTxs": config.max_block_txs,
-                "threshold": config.threshold,
-            })),
         ])
         tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[])
         return Block.cut(0, ZERO_HASH, [tx], [VALID])
@@ -944,21 +926,11 @@ class LedgerEngine:
 
     def submit(self, proposal: TxProposal) -> bytes:
         """Endorse on every peer and queue; cuts a block when the batch fills."""
-        submit_time = self.clock.now()
         tx = self.build_transaction(proposal)
         self._pending.append(tx)
-        if self._pending_since is None:
-            self._pending_since = submit_time
         if len(self._pending) >= self.genesis.max_block_txs:
             self.commit_pending()
         return tx.tx_id
-
-    def tick(self) -> Block | None:
-        """Cut on timeout: commit pending txs older than the batch timeout."""
-        if self._pending and self._pending_since is not None:
-            if self.clock.now() - self._pending_since >= self.genesis.batch_timeout:
-                return self.commit_pending()
-        return None
 
     def flush(self) -> Block | None:
         """Force-cut whatever is pending."""
@@ -969,7 +941,6 @@ class LedgerEngine:
     def commit_pending(self) -> Block:
         block = self.order_batch(self._pending)
         self._pending = []
-        self._pending_since = None
         block.validation_flags = self.validate_block(block)
         return self.commit_block(block)
 

@@ -20,7 +20,7 @@ class EmptyContent(ValueError):
     """Refused to store an empty byte string."""
 
 
-class ContentNotFound(KeyError):
+class ContentNotFound(LookupError):
     """No content stored under that hash."""
 
 
@@ -90,7 +90,7 @@ class ContentStore:
         try:
             data = (self._dir / key.hex).read_bytes()
         except FileNotFoundError:
-            raise ContentNotFound(key.hex) from None
+            raise ContentNotFound(f"no content stored under {key.hex}") from None
         if sha256(data) != key.digest:
             raise IntegrityFailure(f"content {key.hex} failed verification")
         return data

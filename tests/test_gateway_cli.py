@@ -83,15 +83,40 @@ def test_forced_init_leaves_a_locked_ledger_intact(ready):
     assert journal.read_bytes() == before
 
 
+# block 0 of the default network as earlier versions wrote it: its config
+# carries batchTimeoutSeconds, and its rwset config/peers and config/policy
+OLD_BLOCK0 = Path(__file__).parent / "golden" / "parent_block0.jsonl"
+
+
+def test_a_ledger_from_an_earlier_version_still_opens(capsys, env, tmp_path):
+    ledger_dir = Path(env["ledger"])
+    ledger_dir.mkdir()
+    (ledger_dir / BLOCKS_FILE).write_bytes(OLD_BLOCK0.read_bytes())
+    with Gateway(ledger_dir, env["keystore"])._open_engine() as engine:
+        assert (engine.genesis.threshold, engine.genesis.max_block_txs) == (2, 10)
+    assert invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex()).code == 0
+    assert invoke(capsys, env, "device-register", "dev1").code == 0
+    assert invoke(capsys, env, "device-login", "dev1").code == 0
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b'{"d":{"temperature":20.01}}')
+    assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
+    assert invoke(capsys, env, "chain-verify").data["ok"] is True
+
+
+def test_block0_writes_only_the_config_key_a_contract_reads(capsys, env):
+    assert invoke(capsys, env, "network-init").code == 0
+    with Gateway(env["ledger"], env["keystore"])._open_engine() as engine:
+        (config_tx,) = engine.read_blocks()[0].transactions
+    assert [key for key, _ in config_tx.rwset.writes] == ["config/registrars"]
+    assert "batchTimeoutSeconds" not in json.loads(config_tx.proposal.args[0])
+
+
 SEED_HEX = "00" * 32
 # three peers, so that a threshold read as 1 would still be in range
 ROSTER = ", ".join(f'{{"id": "peer{n}", "seed": "{n:064x}"}}' for n in (1, 2, 3))
+NUMBERED_ROSTER = ROSTER.replace('"peer1"', "5")  # peer1's id a JSON number
 # each is refused, where int() or float() used to let it through
 BAD_FIELDS = {
-    "timeout-nan": '"batchTimeoutSeconds": NaN',
-    "timeout-infinite": '"batchTimeoutSeconds": Infinity',
-    "timeout-negative": '"batchTimeoutSeconds": -1',
-    "timeout-a-string": '"batchTimeoutSeconds": "2"',
     "block-txs-zero": '"maxBlockTxs": 0',
     "block-txs-fractional": '"maxBlockTxs": 2.7',
     "threshold-true": '"endorsementThreshold": true',
@@ -106,9 +131,12 @@ BAD_FIELDS = {
     f'{{"peers": [{{"id": "peer1", "seed": "{SEED_HEX}"}}],'
     f' "registrars": [{{"name": "r", "seed": "00"}}]}}',
     *[f'{{"peers": [{ROSTER}], {field}}}' for field in BAD_FIELDS.values()],
+    # a name must be a JSON string: a number would sign endorsements as "peerId":5
+    f'{{"peers": [{NUMBERED_ROSTER}]}}',
+    f'{{"peers": [{ROSTER}], "registrars": [{{"name": 5, "seed": "{SEED_HEX}"}}]}}',
 ], ids=["no-peers", "peer-without-seed", "peers-not-a-list", "not-an-object",
         "not-json", "short-peer-seed", "threshold-above-roster", "short-registrar-seed",
-        *BAD_FIELDS])
+        *BAD_FIELDS, "peer-id-a-number", "registrar-name-a-number"])
 def test_a_malformed_genesis_file_is_a_gateway_error(capsys, env, tmp_path, genesis):
     config = tmp_path / "genesis.json"
     config.write_text(genesis)
@@ -383,7 +411,7 @@ def test_scenario_single_device(capsys, env, tmp_path):
 # the default scenario's journal, fixed so that refactors prove they leave
 # every committed byte unchanged; update only with a deliberate format change
 SCENARIO_JOURNAL_SHA256 = \
-    "6787047ca9eaff3d2ed9dda7148a0f0e0d6d0a977ff6d2617d5ca91a353060d5"
+    "1890a9377b3498bc9833b5c4619a0369fdd885cf0496ad61ee68e5179be00d88"
 
 
 def test_scenario_journal_is_golden(tmp_path):
@@ -667,6 +695,9 @@ def test_a_broken_did_document_is_a_machine_error(capsys, ready, fault, error):
     result = invoke(capsys, ready, "device-login", "dev1")
     assert (result.code, result.data["error"]) == (1, error)
     assert result.out == canonical_json(result.data).decode() + "\n"
+    if error == "ContentNotFound":  # says what is missing, not a quoted key
+        assert record.doc_hash.hex in result.data["message"]
+        assert "'" not in result.data["message"]
 
 
 @pytest.mark.parametrize("duration", ["10", "-30"])

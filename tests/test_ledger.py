@@ -302,15 +302,6 @@ def test_block_cuts_at_max_txs(engine, alice):
     assert engine.flush() is None
 
 
-def test_tick_cuts_on_timeout(engine, alice, clock):
-    engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
-    assert engine.tick() is None  # too early
-    clock.advance(engine.genesis.batch_timeout)
-    block = engine.tick()
-    assert block is not None
-    assert engine.state.get("kv/x") is not None
-
-
 def test_batch_preserves_arrival_order(engine, alice, bob):
     a = engine.submit(alice.proposal(engine, "kv", "set", ["a", "1"]))
     b = engine.submit(bob.proposal(engine, "kv", "set", ["b", "2"]))
@@ -489,12 +480,11 @@ def test_genesis_config_majority_and_validation():
     {"threshold": 0},
     {"threshold": 4},
     {"max_block_txs": 0},
-    {"batch_timeout": -1.0},
-    {"batch_timeout": float("nan")},
-    {"batch_timeout": float("inf")},
+    {"peers": [Member(5, bytes(32))]},
+    {"registrars": [Member(5, bytes(32))]},
 ], ids=["short-peer-seed", "short-registrar-seed", "duplicate-peer", "threshold-0",
-        "threshold-above-roster", "no-block-txs", "negative-timeout", "nan-timeout",
-        "infinite-timeout"])
+        "threshold-above-roster", "no-block-txs", "peer-id-a-number",
+        "registrar-name-a-number"])
 def test_a_bad_genesis_config_is_refused_before_any_key_is_derived(monkeypatch, change):
     fields = {"peers": GenesisConfig.default().peers, "registrars": [], **change}
     monkeypatch.setattr(ledger_module, "generate_keypair",
