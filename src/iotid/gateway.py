@@ -158,9 +158,9 @@ class Keystore:
             counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
         except ValueError:
             counters = None
-        if not isinstance(counters, dict) or \
-                not all(type(count) is int for count in counters.values()):
-            raise GatewayError(f"{NONCES_FILE} is not an object of integer counters")
+        if not isinstance(counters, dict) or not all(  # each next count fits 32 bytes
+                type(count) is int and 0 <= count < 2**256 - 1 for count in counters.values()):
+            raise GatewayError(f"{NONCES_FILE} is not an object of counters in [0, 2**256 - 1)")
         counters[label] = counters.get(label, 0) + 1
         self._write_private(path, counters)
         return counters[label].to_bytes(32, "big")

@@ -99,11 +99,17 @@ class NonSequentialBlock(LedgerError):
 
 
 class CorruptJournal(LedgerError):
-    """Undecodable journal record; ``torn_at`` is the offset of a torn last one."""
+    """A bad journal record; ``torn_at`` is the offset of a torn last one."""
+
+    what = "corrupt journal"
 
     def __init__(self, index: int, reason: str, torn_at: int | None = None):
-        super().__init__(f"corrupt journal at block {index}: {reason}")
+        super().__init__(f"{self.what} at block {index}: {reason}")
         self.index, self.reason, self.torn_at = index, reason, torn_at
+
+
+class BrokenChainLink(CorruptJournal):
+    what = "broken chain link"  # a record that decodes but does not extend the chain
 
 
 class LedgerLocked(LedgerError):
@@ -724,12 +730,10 @@ class LedgerEngine:
         path = self._dir / BLOCKS_FILE
         genesis = self._load_checkpoint(path)
         try:
-            for index, raw, block in _read_journal(path, self._offset, self._height):
-                if problem := _link_problem(block, self._height, self._tip_hash):
-                    raise LedgerError(f"broken chain link at block {index}: {problem}")
-                if index == 0:
+            for block, header_hash, size in _walk(path, self._offset, self._height, self._tip_hash):
+                if block.number == 0:
                     genesis = GenesisConfig.from_block(block)
-                self._apply_block(block, block.header_hash(), len(raw) + 1)
+                self._apply_block(block, header_hash, size)
         except CorruptJournal as exc:
             if exc.torn_at is None or genesis is None:
                 raise
@@ -747,22 +751,16 @@ class LedgerEngine:
         if point is None:
             return None
         height, tip_hash, tip_start, state = point
-        with open(journal, "rb") as fh:
-            head = fh.readline()
-            fh.seek(tip_start)
-            raw = fh.readline()
-        if not raw.endswith(b"\n"):  # past the end, or a torn last record
+        try:  # a record past the end raises StopIteration
+            genesis = GenesisConfig.from_block(next(_walk(journal))[0])
+            _, last_hash, size = next(_walk(journal, tip_start, height - 1, None))
+        except (LedgerError, StopIteration):  # the full replay reports what is wrong
             return None
-        try:
-            genesis = GenesisConfig.from_block(_decode_block(0, head.rstrip(b"\n")))
-            last = _decode_block(height - 1, raw[:-1])
-        except LedgerError:  # the full replay reports what is wrong
-            return None
-        if last.number != height - 1 or last.header_hash() != tip_hash:
+        if last_hash != tip_hash:
             return None
         self.state = state
         self._height = self._checkpoint_height = height
-        self._tip_hash, self._tip_start, self._offset = tip_hash, tip_start, tip_start + len(raw)
+        self._tip_hash, self._tip_start, self._offset = tip_hash, tip_start, tip_start + size
         return genesis
 
     def _write_checkpoint(self) -> None:
@@ -929,16 +927,13 @@ class LedgerEngine:
         tx = self.build_transaction(proposal)
         self._pending.append(tx)
         if len(self._pending) >= self.genesis.max_block_txs:
-            self.commit_pending()
+            self.flush()
         return tx.tx_id
 
     def flush(self) -> Block | None:
-        """Force-cut whatever is pending."""
+        """Cut, validate and commit whatever is pending; None if nothing is."""
         if not self._pending:
             return None
-        return self.commit_pending()
-
-    def commit_pending(self) -> Block:
         block = self.order_batch(self._pending)
         self._pending = []
         block.validation_flags = self.validate_block(block)
@@ -966,7 +961,7 @@ class LedgerEngine:
         return receipt[1] if receipt is not None else None
 
     def read_blocks(self) -> list[Block]:
-        return [block for _, _, block in _read_journal(self._dir / BLOCKS_FILE)]
+        return [block for block, _, _ in _walk(self._dir / BLOCKS_FILE)]
 
 
 # ledger directory -> [fd holding the flock on its .lock, engines open on it]
@@ -981,24 +976,28 @@ def _decode_block(index: int, raw: bytes) -> Block:
         raise CorruptJournal(index, "undecodable block") from exc
 
 
-def _read_journal(path: Path, start: int = 0,
-                  first: int = 0) -> Iterator[tuple[int, bytes, Block]]:
-    """Decode a journal record by record: ``(index, raw line, block)``.
+def _walk(path: str | Path, start: int = 0, height: int = 0, tip_hash: bytes | None = ZERO_HASH,
+          normal_form: bool = False) -> Iterator[tuple[Block, bytes, int]]:
+    """Stream the journal from byte ``start``: ``(block, header hash, record size)``.
 
-    Reading begins at byte ``start``, where block ``first`` begins. Raises
-    CorruptJournal at the first undecodable record, on an empty journal,
-    or with ``torn_at`` set at an unterminated (torn) last record.
+    Block ``height`` begins at ``start`` and must extend ``tip_hash`` (None:
+    unknown, so its prevHash goes unchecked), each later block the one
+    before it; ``normal_form`` adds chain-verify's checks. Raises
+    CorruptJournal at the first bad record, on an empty journal, or with
+    ``torn_at`` set at an unterminated (torn) last record.
     """
     with open(path, "rb") as fh:
         fh.seek(start)
-        data = fh.read()
-    *lines, tail = data.split(b"\n")
-    for index, raw in enumerate(lines, first):
-        yield index, raw, _decode_block(index, raw)
-    if tail:
-        raise CorruptJournal(first + len(lines), "unterminated last record",
-                             torn_at=start + len(data) - len(tail))
-    if not lines and start == 0:
+        for raw in fh:
+            if not raw.endswith(b"\n"):
+                raise CorruptJournal(height, "unterminated last record", torn_at=start)
+            block = _decode_block(height, raw)
+            if problem := _link_problem(block, height, tip_hash or block.prev_hash):
+                raise BrokenChainLink(height, problem)
+            tip_hash = _check_normal_form(block, raw) if normal_form else block.header_hash()
+            yield block, tip_hash, len(raw)
+            start, height = start + len(raw), height + 1
+    if height == 0:
         raise CorruptJournal(0, "empty chain")
 
 
@@ -1037,6 +1036,27 @@ def _link_problem(block: Block, height: int, tip_hash: bytes) -> str | None:
     return None
 
 
+def _check_normal_form(block: Block, raw: bytes) -> bytes:
+    """Header hash of a linked block whose ``raw`` line is as commit wrote it.
+
+    Re-encoding catches any byte change to derived fields (txId, flagsHash,
+    hex case) that parsing survived; block 0 must carry a config open accepts.
+    """
+    record, header_hash = block.encode()
+    if record + b"\n" != raw:
+        raise CorruptJournal(block.number, "non-canonical block encoding")
+    if any(f not in FLAG_VALUES for f in block.validation_flags):
+        raise CorruptJournal(block.number, "unknown validation flag")
+    if block.data_hash != sha256(block._encoded_transactions):
+        raise CorruptJournal(block.number, "data hash does not match transactions")
+    if block.number == 0:
+        try:
+            GenesisConfig.from_block(block)
+        except LedgerError as exc:
+            raise CorruptJournal(0, str(exc)) from exc
+    return header_hash
+
+
 def verify_chain_file(path: str | Path) -> ChainReport:
     """Recompute every hash and link over a persisted journal file.
 
@@ -1044,30 +1064,10 @@ def verify_chain_file(path: str | Path) -> ChainReport:
     usable on a journal too damaged to open; reports the first bad block,
     a torn last record included, and never modifies the file.
     """
-    path = Path(path)
-    if not path.exists():
-        return ChainReport(ok=False, height=0, bad_block=0, reason="no journal file")
-    height, tip_hash = 0, ZERO_HASH
     try:
-        for index, raw, block in _read_journal(path):
-            problem = _link_problem(block, index, tip_hash)
-            if problem is None:
-                # the journal is written canonically, so any surviving byte
-                # change in derived fields (txId, flagsHash, hex case) shows
-                # up as a re-encoding mismatch even when parsing succeeded;
-                # the data hash then covers the same transaction-list bytes
-                record, header_hash = block.encode()
-                if record != raw:
-                    problem = "non-canonical block encoding"
-                elif any(f not in FLAG_VALUES for f in block.validation_flags):
-                    problem = "unknown validation flag"
-                elif block.data_hash != sha256(block._encoded_transactions):
-                    problem = "data hash does not match transactions"
-            if problem is not None:
-                return ChainReport(ok=False, height=index, bad_block=index,
-                                   reason=problem)
-            height, tip_hash = index + 1, header_hash
+        return ChainReport(ok=True, height=sum(1 for _ in _walk(path, normal_form=True)))
+    except FileNotFoundError:
+        return ChainReport(ok=False, height=0, bad_block=0, reason="no journal file")
     except CorruptJournal as exc:
         return ChainReport(ok=False, height=exc.index, bad_block=exc.index,
                            reason=exc.reason)
-    return ChainReport(ok=True, height=height)

@@ -522,9 +522,11 @@ def test_a_device_cannot_be_named_after_the_nonce_counters(capsys, env):
 
 
 @pytest.mark.parametrize("counters", ["[]", '{"dev1": "x"}', '{"dev1": 1.5}',
-                                      '{"dev1": true}', "{"],
+                                      '{"dev1": true}', "{", '{"dev1": -5}',
+                                      f'{{"dev1": {2**256 - 1}}}'],
                          ids=["not-an-object", "string-count", "float-count",
-                              "bool-count", "not-json"])
+                              "bool-count", "not-json", "negative-count",
+                              "count-with-no-next-nonce"])
 def test_a_malformed_nonce_file_is_a_gateway_error(capsys, ready, tmp_path, counters):
     nonces = Path(ready["keystore"]) / "nonces.json"
     nonces.write_text(counters)

@@ -694,6 +694,26 @@ def test_replay_rejects_a_missing_block(tmp_path, engine, alice):
     assert not verify_chain_file(path).ok
 
 
+def test_read_blocks_refuses_a_missing_block(tmp_path, engine, alice):
+    for i in range(1, 4):
+        engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
+        engine.flush()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + lines[2:]))
+    with pytest.raises(CorruptJournal, match="broken chain link at block 1"):
+        engine.read_blocks()
+
+
+def test_a_partly_read_walk_closes_its_journal(three_blocks, monkeypatch):
+    opened = []
+    monkeypatch.setattr(ledger_module, "open",
+                        lambda *args: opened.append(open(*args)) or opened[-1], raising=False)
+    block, _, _ = next(ledger_module._walk(three_blocks))
+    assert block.number == 0
+    assert len(opened) == 1 and opened[0].closed
+
+
 def test_failed_open_releases_the_lock(tmp_path, engine, alice):
     for i in range(1, 4):
         engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
@@ -941,6 +961,25 @@ def test_a_null_write_value_is_an_undecodable_block(tmp_path, three_blocks):
     assert (report.ok, report.bad_block, report.reason) == \
         (False, 2, "undecodable block")
     with pytest.raises(CorruptJournal, match="block 2: undecodable block"):
+        reopen_engine(tmp_path)
+
+
+def test_verify_refuses_a_block_0_config_that_open_refuses(tmp_path, three_blocks):
+    # a threshold above the roster, under a recomputed txId and hashes: the
+    # links and encodings all hold, and only block 0's config is wrong
+    def overreach(record):
+        tx = record["transactions"][0]
+        config = json.loads(tx["proposal"]["args"][0])
+        config["endorsementThreshold"] = 7
+        tx["proposal"]["args"][0] = canonical_json(config).decode()
+        tx["txId"] = sha256(canonical_json({"proposal": tx["proposal"],
+                                            "rwset": tx["rwset"]})).hex()
+
+    _rewrite_block(three_blocks, 0, overreach)
+    reason = "block 0 carries no network config: threshold 7 out of range for roster of 3"
+    report = verify_chain_file(three_blocks)
+    assert (report.ok, report.bad_block, report.reason) == (False, 0, reason)
+    with pytest.raises(LedgerError, match=reason):
         reopen_engine(tmp_path)
 
 
