@@ -7,18 +7,18 @@ world state holds only the record keyed by ``asset/<dataId>``, though the
 journal keeps the payload hex-encoded in the upload proposal's arguments.
 
 The read-side queries serve from one view per world state, kept in query
-order. A state's first query seeds it with one decode per record, one
-sort and one grouping by owner; later queries fold in only what commits
-wrote since, through the state's write feed, so a warm query costs the
-rows it returns. A freshly opened ledger, as in each CLI command, pays
-the seed.
+order. The first query for all assets seeds the view with one decode per
+record and one sort; the first query for one owner reads only that
+owner's rows, through the state's owner index, so a freshly opened
+ledger, as in each CLI command, pays for the rows it lists. Later queries
+fold in only what commits wrote since, through the state's write feed,
+so a warm query costs the rows it returns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import attrgetter
 from weakref import WeakKeyDictionary
 
 from .codec import canonical_json, from_canonical_json
@@ -132,44 +132,69 @@ def _order(record: AssetRecord) -> tuple[int, bytes]:
 
 
 class _AssetView:
-    """One state's asset records in query order: all of them, and per owner.
+    """One state's asset records in query order, seeded as queries ask.
 
-    Seeded once from the state's ``asset/`` range, as a cold query would
-    read it: one decode per record and one stable sort, and the sorted
-    rows grouped by owner. From then on each read first folds in the keys
-    that the state's write feed collected since the last read: it decodes
-    each new or rewritten record once and bisects it into ``by_time`` and
-    its owner's list, and a rewritten key's old row leaves both. The view
-    holds no reference to its state.
+    ``_by_time`` holds every record once the first query for all assets
+    seeds it from the state's ``asset/`` range: one decode per record and
+    one sort. An owner's list is seeded by the first query for that
+    owner: cut from ``_by_time`` if that is seeded, else decoded from the
+    owner's rows alone (``WorldState.owned``). From then on each read first
+    folds in the keys that the state's write feed collected since the
+    last read: it decodes each new or rewritten record once and bisects
+    it into the seeded lists it belongs in, and a rewritten key's old row
+    leaves them. The view holds no reference to its state.
     """
 
     def __init__(self, state: WorldState):
         self._feed = state.watch(KEY_ASSET)
-        # key -> its current record; key order is dataId order
-        self._by_key = {key: AssetRecord.from_bytes(value)
-                        for key, value, _ in state.range(KEY_ASSET)}
-        # a stable sort of dataId order: (addedAt, dataId)
-        self.by_time = sorted(self._by_key.values(), key=attrgetter("added_at"))
-        self._by_owner: dict[Did, list[AssetRecord]] = {}
-        for record in self.by_time:
-            self._by_owner.setdefault(record.owner, []).append(record)
+        # key -> its current record, for every record a seeded list holds
+        self._by_key: dict[str, AssetRecord] = {}
+        self._by_time: list[AssetRecord] | None = None
+        self._by_owner: dict[Did, list[AssetRecord]] = {}  # seeded owners only
+
+    def _lists(self, owner: Did) -> list[list[AssetRecord]]:
+        """The seeded lists that hold, or would hold, a record of ``owner``."""
+        lists = [] if self._by_time is None else [self._by_time]
+        if owner in self._by_owner:
+            lists.append(self._by_owner[owner])
+        return lists
 
     def catch_up(self, state: WorldState) -> None:
         keys = dict.fromkeys(self._feed)  # a key written twice is read once
         self._feed.clear()
-        by_owner = self._by_owner
         for key in keys:
             record = AssetRecord.from_bytes(state.get(key)[0])
-            old = self._by_key.get(key)
-            self._by_key[key] = record
+            old = self._by_key.pop(key, None)
             if old is not None:
-                for rows in (self.by_time, by_owner[old.owner]):
+                for rows in self._lists(old.owner):
                     del rows[bisect_left(rows, _order(old), key=_order)]
-            for rows in (self.by_time, by_owner.setdefault(record.owner, [])):
-                insort(rows, record, key=_order)
+            if lists := self._lists(record.owner):
+                self._by_key[key] = record
+                for rows in lists:
+                    insort(rows, record, key=_order)
 
-    def owned(self, owner: Did) -> list[AssetRecord]:
-        return self._by_owner.get(owner, [])
+    def all(self, state: WorldState) -> list[AssetRecord]:
+        if self._by_time is None:
+            by_key = self._by_key
+            for key, value, _ in state.range(KEY_ASSET):
+                if key not in by_key:
+                    by_key[key] = AssetRecord.from_bytes(value)
+            self._by_time = sorted(by_key.values(), key=_order)
+        return self._by_time
+
+    def owned(self, state: WorldState, owner: Did) -> list[AssetRecord]:
+        rows = self._by_owner.get(owner)
+        if rows is None:
+            if self._by_time is not None:
+                rows = [record for record in self._by_time if record.owner == owner]
+            else:
+                rows = []
+                for key, value, _ in state.owned(str(owner)):
+                    rows.append(AssetRecord.from_bytes(value))
+                    self._by_key[key] = rows[-1]
+                rows.sort(key=_order)
+            self._by_owner[owner] = rows
+        return rows
 
 
 # One view per state, living exactly as long as its state; a freshly
@@ -188,16 +213,17 @@ def _view(state: WorldState) -> _AssetView:
 
 def query_all_assets(state: WorldState) -> list[AssetRecord]:
     """Every committed asset record, ordered by (addedAt, dataId)."""
-    return _view(state).by_time.copy()
+    return _view(state).all(state).copy()
 
 
 def query_owned_assets(state: WorldState, session: Session | None,
                        now: float) -> list[AssetRecord]:
     """Assets owned by the session's device; requires a live session.
 
-    Same order as ``query_all_assets``. On a warm state the read costs
-    only the caller's rows: a copy of the owner's list.
+    Same order as ``query_all_assets``. The read costs only the caller's
+    rows: the owner's rows from the state when cold, a copy of the owner's
+    list when warm.
     """
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")
-    return _view(state).owned(session.did).copy()
+    return _view(state).owned(state, session.did).copy()

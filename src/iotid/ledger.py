@@ -21,9 +21,10 @@ Blocks persist as one append-only file of canonically encoded JSON lines,
 so replaying valid transactions from genesis reproduces the world state
 exactly, and any byte-level tampering is detectable from hashes alone.
 Block 0 carries the network config; open cuts off a torn last record.
-Beside the journal, a checkpoint of the world state lets open replay only
-the blocks after it. It is a cache: open uses it only while it matches
-the journal, and otherwise replays from block 0.
+Beside the journal, an SQLite store holds the world state as of its
+savepoint block, so open replays only the blocks after it and reads only
+the keys a command touches. It is a cache: open uses it only while its
+savepoint matches the journal, and otherwise rebuilds it from block 0.
 """
 
 from __future__ import annotations
@@ -31,13 +32,16 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import sqlite3
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Protocol
 
 from .clock import Clock, WallClock
-from .codec import canonical_json, replace_file, sha256
+from .codec import canonical_json, sha256
 from .did import SEED_BYTES, Address, KeyPair, derive_address, generate_keypair, verify_signature
 from .store import ContentStore
 
@@ -50,11 +54,10 @@ ZERO_HASH = bytes(32)
 ZERO_ADDRESS = Address(bytes(20))
 
 BLOCKS_FILE = "blocks.jsonl"
-CHECKPOINT_FILE = "checkpoint.json"
+STATE_FILE = "state.sqlite"
 LOCK_FILE = ".lock"
-# close() rewrites the checkpoint once the chain is this many blocks past
-# it, so an open after a clean close replays fewer blocks than this
-CHECKPOINT_BLOCKS = 64
+# the whole-state file that earlier versions wrote; the rebuild deletes it
+_OLD_CHECKPOINT_FILE = "checkpoint.json"
 
 # world-state key namespaces; prefix scans implement the "view all" queries
 KEY_DID = "did/"
@@ -114,6 +117,14 @@ class BrokenChainLink(CorruptJournal):
 
 class LedgerLocked(LedgerError):
     """Another live process holds the ledger directory."""
+
+
+class CorruptStore(LedgerError):
+    """A read from the world-state store failed its row check or SQLite's own.
+
+    The store is deleted before this is raised, so the next open rebuilds
+    it from the journal.
+    """
 
 
 class ContractError(LedgerError):
@@ -355,11 +366,62 @@ def encode_transactions(transactions: list[Transaction]) -> bytes:
     return b"[" + b",".join(t.encode() for t in transactions) + b"]"
 
 
+# WAL, never synced, as no other ledger write is yet (ROADMAP item 8): a
+# flush appends to the -wal file, and the last connection's close copies
+# it back. A killed process leaves the file whole; a power cut may not.
+# synchronous=NORMAL would sync that copy at every close: two fsyncs per
+# command that commits.
+_SCHEMA = """
+PRAGMA journal_mode = WAL;
+PRAGMA synchronous = OFF;
+CREATE TABLE IF NOT EXISTS state (
+    key TEXT PRIMARY KEY, value BLOB NOT NULL, block INTEGER NOT NULL,
+    tx INTEGER NOT NULL, owner TEXT, checksum INTEGER NOT NULL) WITHOUT ROWID;
+CREATE INDEX IF NOT EXISTS state_owner ON state (owner) WHERE owner IS NOT NULL;
+CREATE TABLE IF NOT EXISTS savepoint (
+    height INTEGER NOT NULL, tip_hash BLOB NOT NULL, tip_start INTEGER NOT NULL,
+    checksum INTEGER NOT NULL);
+"""
+_SELECT_ROWS = "SELECT key, value, block, tx, owner, checksum FROM state"
+
+
+def _check(key: object, value: bytes, block: object = None, tx: object = None,
+           owner: object = None) -> int:
+    """The check value stored in a row: crc32 over its other columns."""
+    return zlib.crc32(value, zlib.crc32(f"{key}\0{block}\0{tx}\0{owner}".encode()))
+
+
+def _owner(key: str, value: bytes) -> str | None:
+    """The ``owner`` an ``asset/`` record names: the store's indexed column."""
+    if not key.startswith(KEY_ASSET):
+        return None
+    try:
+        owner = json.loads(value)["owner"]
+    except (KeyError, TypeError, ValueError):
+        return None
+    return owner if isinstance(owner, str) else None
+
+
+def _store_files(path: Path) -> list[Path]:
+    """The store and the -wal and -shm files SQLite keeps beside it."""
+    return [path.with_name(path.name + suffix) for suffix in ("", "-wal", "-shm")]
+
+
 class WorldState:
     """Current key -> (value, version) view of all valid transactions.
 
-    A range read scans the keys and sorts the ones under its prefix, so
-    replay and the warm path keep no key order up to date.
+    Memory first, then the store: an SQLite file that holds the state as of
+    its savepoint block. ``apply`` writes to memory only. ``get`` serves a
+    key from memory, a remembered miss included, and otherwise runs one
+    point query. ``range`` and ``owned`` merge the store's rows with the
+    keys applied since the last ``flush``, which writes those keys and the
+    new savepoint in one transaction. Those keys need no list of their
+    own: they are the ones whose version names a block at or above the
+    savepoint's height, as every block below it is in the store. Every row
+    read from the store must match its check value: a mismatch or an SQLite
+    error deletes the store and raises ``CorruptStore``, as does every
+    later read that needs it, so no answer comes from a damaged file.
+    ``WorldState()`` has no store and lives in memory.
 
     A reader that keeps its own index over a prefix follows later writes
     through a feed: ``watch(prefix)`` returns a list to which every later
@@ -368,20 +430,82 @@ class WorldState:
     watches pays one loop over no watchers per ``apply``.
     """
 
-    def __init__(self):
-        self._data: dict[str, tuple[bytes, Version]] = {}
+    def __init__(self, path: Path | None = None):
+        """Open the store at ``path``, empty if new; sqlite3.Error if unusable."""
+        self._data: dict[str, tuple[bytes, Version] | None] = {}
+        self._height = 0  # the savepoint's: blocks below it are in the store
         self._watchers: list[tuple[str, list[str]]] = []
+        self._path = path
+        self._db: sqlite3.Connection | None = None
+        self._gone: LedgerError | None = None  # why store reads now fail
+        if path is not None:
+            db = sqlite3.connect(path, isolation_level=None)
+            try:
+                db.executescript(_SCHEMA)
+            except sqlite3.Error:
+                db.close()
+                raise
+            self._db = db
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._unflushed().union(key for key, _, _ in self._rows("")))
 
     def get(self, key: str) -> tuple[bytes, Version] | None:
-        return self._data.get(key)
+        try:
+            return self._data[key]
+        except KeyError:
+            rows = self._rows(" WHERE key = ?", (key,))
+            entry = self._data[key] = rows[0][1:] if rows else None
+            return entry
 
     def range(self, prefix: str) -> list[tuple[str, bytes, Version]]:
         """All entries whose key starts with prefix, sorted by key."""
+        return self._merge(self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix),
+                           lambda key: key.startswith(prefix))
+
+    def owned(self, owner: str) -> list[tuple[str, bytes, Version]]:
+        """The ``asset/`` entries whose record names ``owner``, sorted by key.
+
+        The store answers through its owner index, so this reads that
+        owner's rows only; keys applied since the flush are decoded here.
+        """
         data = self._data
-        return [(key, *data[key]) for key in sorted(k for k in data if k.startswith(prefix))]
+        return self._merge(self._rows(" WHERE owner = ?", (owner,)),
+                           lambda key: _owner(key, data[key][0]) == owner)
+
+    def _unflushed(self) -> set[str]:
+        since = self._height
+        return {key for key, entry in self._data.items()
+                if entry is not None and entry[1][0] >= since}
+
+    def _merge(self, stored, wanted) -> list[tuple[str, bytes, Version]]:
+        """Store rows without the keys applied since the flush, plus the
+        applied keys that ``wanted`` accepts, sorted by key."""
+        data, unflushed = self._data, self._unflushed()
+        rows = [row for row in stored if row[0] not in unflushed]
+        rows += [(key, *data[key]) for key in unflushed if wanted(key)]
+        rows.sort(key=itemgetter(0))
+        return rows
+
+    def _rows(self, where: str, params: tuple = (),
+              prefix: str = "") -> list[tuple[str, bytes, Version]]:
+        """Checked ``(key, value, version)`` rows, up to the first key outside ``prefix``."""
+        if self._db is None:
+            if self._gone is not None:
+                raise self._gone
+            return []
+        rows = []
+        try:
+            for key, value, block, tx, owner, check in self._db.execute(_SELECT_ROWS + where,
+                                                                        params):
+                if not key.startswith(prefix):
+                    break
+                if check != _check(key, value, block, tx, owner):
+                    raise ValueError(f"row {key!r} fails its check")
+                rows.append((key, value, (block, tx)))
+        except (sqlite3.Error, AttributeError, TypeError, ValueError) as exc:
+            raise self._drop(f"state store unreadable, deleted: {exc}") from exc
+        return rows
 
     def apply(self, writes: list[tuple[str, bytes]], version: Version) -> None:
         data = self._data
@@ -397,19 +521,64 @@ class WorldState:
         return feed
 
     def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
-        data = self._data
-        return [(key, data[key]) for key in sorted(data)]
+        return [(key, (value, version)) for key, value, version in self.range("")]
 
-    def to_entries(self) -> list[list]:
-        """``[key, value hex, [block, tx]]`` per key, in key order."""
-        return [[key, value.hex(), list(version)] for key, (value, version) in self.items()]
+    # -- the store ---------------------------------------------------------
 
-    @classmethod
-    def from_entries(cls, entries: list[list]) -> "WorldState":
-        state = cls()
-        state._data = {key: (bytes.fromhex(value), (number, index))
-                       for key, value, (number, index) in entries}
-        return state
+    def savepoint(self) -> tuple[int, bytes, int] | None:
+        """``(height, tip hash, tipStart)`` of the last flush, None unless it checks."""
+        try:
+            (height, tip_hash, tip_start, check), = self._db.execute(
+                "SELECT height, tip_hash, tip_start, checksum FROM savepoint").fetchall()
+            if check != _check(height, tip_hash, tip_start):
+                return None
+        except (sqlite3.Error, TypeError, ValueError):
+            return None
+        self._height = height
+        return height, tip_hash, tip_start
+
+    def flush(self, height: int, tip_hash: bytes, tip_start: int) -> None:
+        """Write the keys applied since the last flush and the savepoint, in one transaction.
+
+        The savepoint names the chain's last block: the chain height, that
+        block's header hash and ``tipStart``. Nothing is written when no key
+        was applied. An SQLite error deletes the store instead, which holds
+        nothing the journal does not.
+        """
+        db = self._db
+        if db is None or not (unflushed := self._unflushed()):
+            return
+        data, rows = self._data, []
+        for key in unflushed:
+            value, (block, tx) = data[key]
+            owner = _owner(key, value)
+            rows.append((key, value, block, tx, owner, _check(key, value, block, tx, owner)))
+        try:
+            db.execute("BEGIN")
+            db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?)", rows)
+            db.execute("DELETE FROM savepoint")
+            db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)",
+                       (height, tip_hash, tip_start, _check(height, tip_hash, tip_start)))
+            db.execute("COMMIT")
+        except sqlite3.Error as exc:
+            self._drop(f"state store flush failed, deleted: {exc}")
+            return
+        self._height = height
+
+    def _drop(self, reason: str) -> CorruptStore:
+        """Close and delete the store: the error that its reads raise from now on."""
+        self.close()
+        for path in _store_files(self._path):
+            path.unlink(missing_ok=True)
+        self._gone = CorruptStore(reason)
+        return self._gone
+
+    def close(self) -> None:
+        """Close the store; a read that needs it raises LedgerError from now on."""
+        if self._db is not None:
+            self._db.close()
+            self._db = None
+            self._gone = LedgerError("world state read after its ledger closed")
 
 
 class TxContext:
@@ -607,7 +776,6 @@ class LedgerEngine:
         self._tip_hash = ZERO_HASH
         self._tip_start = 0  # journal offset where block height - 1 begins
         self._offset = 0  # journal bytes up to the end of block height - 1
-        self._checkpoint_height = 0  # of the checkpoint opened from or written
         self._pending: list[Transaction] = []
         # txId -> (flag, block) of every tx this engine instance committed
         self._receipts: dict[bytes, tuple[str, int]] = {}
@@ -626,9 +794,10 @@ class LedgerEngine:
             if self._height == 0:  # provisioning replaces any old ledger
                 block = self._genesis_block()  # a bad config raises before the unlink
                 journal.unlink(missing_ok=True)
-                (self._dir / CHECKPOINT_FILE).unlink(missing_ok=True)
+                self._new_store()
                 self.commit_block(block)
         except BaseException:
+            self.state.close()
             self._release()
             raise
 
@@ -653,17 +822,17 @@ class LedgerEngine:
         return cls(directory, store, contracts, clock, commit_tick)
 
     def close(self) -> None:
-        """Checkpoint if due, then release the directory; a second call is a no-op.
+        """Flush the state store, then release the directory; a second call is a no-op.
 
-        The checkpoint is written under the lock, once the chain is
-        ``CHECKPOINT_BLOCKS`` past the one this engine opened from.
-        The lock is freed when the last engine of this process closes.
+        The flush runs under the lock: the keys applied since the store's
+        savepoint and the new savepoint, in one transaction. The lock is
+        freed when the last engine of this process closes.
         """
         try:
-            if self._held is not None and \
-                    self._height - self._checkpoint_height >= CHECKPOINT_BLOCKS:
-                self._write_checkpoint()
+            if self._held is not None:
+                self.state.flush(self._height, self._tip_hash, self._tip_start)
         finally:
+            self.state.close()
             self._release()
 
     def _release(self) -> None:
@@ -723,12 +892,15 @@ class LedgerEngine:
     def _replay(self) -> GenesisConfig:
         """Rebuild height, tip hash and world state; return block 0's config.
 
-        Replay starts after the checkpoint if it matches the journal, else
-        at block 0. A torn last record was never committed: it is cut off,
-        and the ledger opens at the height before it (never below block 0).
+        Replay starts after the store's savepoint if it matches the journal;
+        otherwise the store is made anew and replay starts at block 0. A
+        torn last record was never committed: it is cut off, and the ledger
+        opens at the height before it (never below block 0).
         """
         path = self._dir / BLOCKS_FILE
-        genesis = self._load_checkpoint(path)
+        genesis = self._open_store(path)
+        if genesis is None:
+            self._new_store()
         try:
             for block, header_hash, size in _walk(path, self._offset, self._height, self._tip_hash):
                 if block.number == 0:
@@ -740,39 +912,50 @@ class LedgerEngine:
             os.truncate(path, exc.torn_at)
         return genesis
 
-    def _load_checkpoint(self, journal: Path) -> GenesisConfig | None:
-        """Take height, tip hash, offsets and state from a matching checkpoint.
+    def _open_store(self, journal: Path) -> GenesisConfig | None:
+        """Take the state store, with height, tip hash and offsets, if its savepoint matches.
 
-        It matches when its digest checks and the journal holds a whole
-        record at its ``tipStart`` that is its last block. Returns block 0's
-        config then; otherwise None, with the engine left at height 0.
+        It matches when the journal holds a whole record at its ``tipStart``
+        that is its last block: the number and header hash agree. Returns
+        block 0's config then; otherwise None, with the engine left at
+        height 0 and the store closed.
         """
-        point = _read_checkpoint(self._dir / CHECKPOINT_FILE)
-        if point is None:
+        try:
+            state = WorldState(self._dir / STATE_FILE)
+        except sqlite3.Error:  # unreadable, or not an SQLite file
             return None
-        height, tip_hash, tip_start, state = point
-        try:  # a record past the end raises StopIteration
-            genesis = GenesisConfig.from_block(next(_walk(journal))[0])
-            _, last_hash, size = next(_walk(journal, tip_start, height - 1, None))
-        except (LedgerError, StopIteration):  # the full replay reports what is wrong
-            return None
-        if last_hash != tip_hash:
-            return None
-        self.state = state
-        self._height = self._checkpoint_height = height
-        self._tip_hash, self._tip_start, self._offset = tip_hash, tip_start, tip_start + size
-        return genesis
+        point = state.savepoint()
+        if point is not None:
+            height, tip_hash, tip_start = point
+            # a record past the end raises StopIteration; the full replay
+            # reports what is wrong
+            try:
+                genesis = GenesisConfig.from_block(next(_walk(journal))[0])
+                _, last_hash, size = next(_walk(journal, tip_start, height - 1, None))
+            except (LedgerError, OSError, StopIteration, TypeError):
+                last_hash = None
+            if last_hash == tip_hash:
+                self.state = state
+                self._height = height
+                self._tip_hash, self._tip_start = tip_hash, tip_start
+                self._offset = tip_start + size
+                return genesis
+        state.close()
+        return None
 
-    def _write_checkpoint(self) -> None:
-        body = canonical_json({
-            "height": self._height,
-            "state": self.state.to_entries(),
-            "tipHash": self._tip_hash.hex(),
-            "tipStart": self._tip_start,
-        })
-        replace_file(self._dir / CHECKPOINT_FILE,
-                     sha256(body).hex().encode("ascii") + b"\n" + body)
-        self._checkpoint_height = self._height
+    def _new_store(self) -> None:
+        """Replace the state store with an empty one, which the next flush fills.
+
+        Runs under the lock, before any block is applied. It also deletes
+        the whole-state ``checkpoint.json`` of earlier versions. A store that
+        cannot be made leaves the state in memory only.
+        """
+        for path in (*_store_files(self._dir / STATE_FILE), self._dir / _OLD_CHECKPOINT_FILE):
+            path.unlink(missing_ok=True)
+        try:
+            self.state = WorldState(self._dir / STATE_FILE)
+        except sqlite3.Error:
+            self.state = WorldState()
 
     def _apply_block(self, block: Block, header_hash: bytes, size: int) -> None:
         """Apply VALID writes; ``size`` is the block's record length, newline included."""
@@ -999,29 +1182,6 @@ def _walk(path: str | Path, start: int = 0, height: int = 0, tip_hash: bytes | N
             start, height = start + len(raw), height + 1
     if height == 0:
         raise CorruptJournal(0, "empty chain")
-
-
-def _read_checkpoint(path: Path) -> tuple[int, bytes, int, WorldState] | None:
-    """``(height, tip hash, tip start, world state)``, or None unless intact.
-
-    The file is the hex sha256 of its body, a newline, then the body.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError:  # missing or unreadable: replay from block 0
-        return None
-    digest, _, body = data.partition(b"\n")
-    if digest != sha256(body).hex().encode("ascii"):
-        return None
-    try:
-        point = json.loads(body)
-        # an old checkpoint, which records ``offset`` instead, raises KeyError
-        if (tip_start := int(point["tipStart"])) < 0:
-            raise ValueError("negative tipStart")
-        return (int(point["height"]), bytes.fromhex(point["tipHash"]),
-                tip_start, WorldState.from_entries(point["state"]))
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 def _link_problem(block: Block, height: int, tip_hash: bytes) -> str | None:

@@ -11,7 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from iotid.ledger import CHECKPOINT_BLOCKS, CHECKPOINT_FILE, VALID
+from iotid import ledger as ledger_module
+from iotid.ledger import STATE_FILE, VALID
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,12 +60,12 @@ def test_harness_provisions_uploads_and_checks(tmp_path):
                                      height) == []
 
 
-def test_benchmark_checks_pass_on_a_checkpointed_ledger(tmp_path):
+def test_benchmark_checks_pass_on_a_checkpointed_ledger(tmp_path, monkeypatch):
     harness = load("harness")
     env = harness.provision(tmp_path, seed=1, device_count=2, tick=lambda: None)
     model = harness.UploadModel(batch=1)
     engine = env.open_engine()
-    for i in range(CHECKPOINT_BLOCKS):
+    for i in range(20):
         device = env.devices[i % 2]
         payload = b'{"d":{"guard":%d}}' % i
         model.upload(i, device.index, payload)
@@ -73,11 +74,17 @@ def test_benchmark_checks_pass_on_a_checkpointed_ledger(tmp_path):
         engine.flush()
     height = engine.height
     engine.close()
-    assert (env.ledger_dir / CHECKPOINT_FILE).exists()
-    # every engine opened from here on starts from the checkpoint
-    assert harness.check_chain(env, engine.state) == []
+    assert (env.ledger_dir / STATE_FILE).exists()
+    # every engine opened from here on starts from the state store: it
+    # decodes block 0 and the savepoint's block, and replays nothing
+    decoded = []
+    real = ledger_module._decode_block
+    monkeypatch.setattr(ledger_module, "_decode_block",
+                        lambda index, raw: decoded.append(index) or real(index, raw))
     reader = env.open_engine()
     try:
+        assert decoded == [0, height - 1]
+        assert harness.check_chain(env, reader.state) == []
         assert harness.query_counts_ok(reader, model, env.devices,
                                        env.login_rng) == []
     finally:

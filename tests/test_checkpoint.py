@@ -1,12 +1,15 @@
-"""The world-state checkpoint beside the journal.
+"""The world-state store beside the journal, and its savepoint.
 
-Open may start from the checkpoint only while it matches the journal;
-every case here must reach the height, tip hash and state that a full
-replay of the same journal, with no checkpoint, reaches.
+The store is the ledger's checkpoint of world state, and the test names
+call it that. Open may start from it only while its savepoint matches the
+journal; every case here must reach the height, tip hash and state that a
+full replay of the same journal, with no store, reaches. A store that
+fails a read must fail the command, never answer it, and the next open
+rebuilds the store from the journal.
 """
 
-import json
 import shutil
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -16,18 +19,21 @@ from hypothesis import strategies as st
 
 from iotid import ledger as ledger_module
 from iotid.assets import query_all_assets, query_owned_assets
+from iotid.cli import main as cli_main
 from iotid.clock import SimClock
 from iotid.codec import canonical_json, sha256
+from iotid.gateway import Gateway
 from iotid.idm import Session
 from iotid.ledger import (
     BLOCKS_FILE,
-    CHECKPOINT_BLOCKS,
-    CHECKPOINT_FILE,
     LOCK_FILE,
+    STATE_FILE,
+    CorruptStore,
     GenesisConfig,
     LedgerEngine,
     LedgerError,
     Member,
+    WorldState,
     verify_chain_file,
 )
 from iotid.store import ContentStore
@@ -43,6 +49,9 @@ from util import (
 
 # one peer keeps each of the many commits cheap
 SOLO = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[])
+# blocks after block 0 in the ``stored`` fixture's ledger
+BLOCKS = 40
+STORE_FILES = [STATE_FILE, STATE_FILE + "-wal", STATE_FILE + "-shm"]
 
 
 def grow(engine, writer, blocks, tag="v"):
@@ -65,12 +74,33 @@ def observe(base):
 
 
 def full_replay(base):
-    """What an open of a copy of the journal, with no checkpoint, sees."""
+    """What an open of a copy of the journal, with no store, sees."""
     ref = base / "full-replay"
     shutil.rmtree(ref, ignore_errors=True)
     shutil.copytree(base / "ledger", ref / "ledger",
-                    ignore=shutil.ignore_patterns(CHECKPOINT_FILE, LOCK_FILE))
+                    ignore=shutil.ignore_patterns(STATE_FILE + "*", LOCK_FILE))
     return observe(ref)
+
+
+def crash(engine):
+    """End an engine as a killed process would: its blocks are in the
+    journal, and the store keeps the savepoint of the last flush."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WorldState, "flush", lambda state, *point: None)
+        engine.close()
+
+
+def store_of(base):
+    return base / "ledger" / STATE_FILE
+
+
+def savepoint_height(base):
+    (height,), = run_sql(store_of(base), "SELECT height FROM savepoint")
+    return height
+
+
+def store_files(base):
+    return sorted(p.name for p in (base / "ledger").iterdir() if p.name.startswith(STATE_FILE))
 
 
 @pytest.fixture
@@ -84,64 +114,62 @@ def decoded(monkeypatch):
 
 
 @pytest.fixture
-def checkpointed(tmp_path):
-    """A ledger closed at height 1 + CHECKPOINT_BLOCKS, so checkpointed there."""
+def stored(tmp_path):
+    """A ledger closed at height 1 + BLOCKS, so its store's savepoint is there."""
     engine = make_engine(tmp_path, genesis=SOLO)
-    grow(engine, Principal.from_seed(11), CHECKPOINT_BLOCKS)
+    grow(engine, Principal.from_seed(11), BLOCKS)
     engine.close()
-    assert (tmp_path / "ledger" / CHECKPOINT_FILE).exists()
+    assert savepoint_height(tmp_path) == 1 + BLOCKS
     return tmp_path
 
 
-def test_close_checkpoints_once_the_chain_is_far_enough_past_it(tmp_path, decoded):
+def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, decoded):
     writer = Principal.from_seed(11)
-    checkpoint = tmp_path / "ledger" / CHECKPOINT_FILE
     engine = make_engine(tmp_path, genesis=SOLO)
-    grow(engine, writer, CHECKPOINT_BLOCKS - 2)
+    grow(engine, writer, 3)
     engine.close()
-    assert not checkpoint.exists()  # height 63
-    engine = reopen_engine(tmp_path)
-    grow(engine, writer, 1)
-    engine.close()
-    assert checkpoint.exists()  # height 64, 64 past no checkpoint
-    written = checkpoint.read_bytes()
+    assert store_files(tmp_path) == [STATE_FILE]  # SQLite's -wal and -shm went at close
+    assert savepoint_height(tmp_path) == 4
+    written = store_of(tmp_path).read_bytes()
 
     decoded.clear()
     engine = reopen_engine(tmp_path)
-    assert decoded == [0, CHECKPOINT_BLOCKS - 1]  # block 0 and the checkpoint's last
-    grow(engine, writer, CHECKPOINT_BLOCKS - 1)
+    assert decoded == [0, 3]  # block 0 and the savepoint's block
     engine.close()
-    assert checkpoint.read_bytes() == written
+    assert store_of(tmp_path).read_bytes() == written  # nothing new, nothing written
 
     decoded.clear()
     engine = reopen_engine(tmp_path)
-    assert decoded == [0, *range(CHECKPOINT_BLOCKS - 1, 2 * CHECKPOINT_BLOCKS - 1)]
-    grow(engine, writer, 1)
+    grow(engine, writer, 2)
     engine.close()
-    assert checkpoint.read_bytes() != written
+    assert savepoint_height(tmp_path) == 6
+    decoded.clear()
     assert observe(tmp_path) == full_replay(tmp_path)
+    assert decoded[:2] == [0, 5]
 
 
-def test_a_checkpoint_older_than_the_journal(checkpointed, decoded):
-    engine = reopen_engine(checkpointed)
+def test_a_checkpoint_older_than_the_journal(stored, decoded):
+    # the store lags when an engine dies before its close flushes
+    engine = reopen_engine(stored)
     grow(engine, Principal.from_seed(12), 10, tag="w")
     expected = seen(engine)
-    engine.close()
+    crash(engine)
+    assert savepoint_height(stored) == 1 + BLOCKS
     decoded.clear()
-    assert observe(checkpointed) == expected
-    assert decoded == [0, *range(CHECKPOINT_BLOCKS, CHECKPOINT_BLOCKS + 11)]
-    assert full_replay(checkpointed) == expected
+    assert observe(stored) == expected
+    assert decoded == [0, *range(BLOCKS, BLOCKS + 11)]
+    assert savepoint_height(stored) == 1 + BLOCKS + 10  # the close caught it up
+    assert full_replay(stored) == expected
 
 
-def test_a_checkpoint_from_another_ledger(tmp_path, checkpointed, decoded):
-    # records of the same lengths, so the foreign offset ends a record here
-    # too: only that record's hash tells the two ledgers apart
+def test_a_checkpoint_from_another_ledger(tmp_path, stored, decoded):
+    # records of the same lengths, so the foreign tipStart starts a record
+    # here too: only that record's hash tells the two ledgers apart
     other = tmp_path / "other"
     engine = make_engine(other, genesis=SOLO)
-    grow(engine, Principal.from_seed(13), CHECKPOINT_BLOCKS + 20, tag="w")
+    grow(engine, Principal.from_seed(13), BLOCKS + 20, tag="w")
     engine.close()
-    shutil.copy(checkpointed / "ledger" / CHECKPOINT_FILE,
-                other / "ledger" / CHECKPOINT_FILE)
+    shutil.copy(store_of(stored), store_of(other))
     expected = full_replay(other)
     decoded.clear()
     engine = reopen_engine(other)
@@ -152,54 +180,59 @@ def test_a_checkpoint_from_another_ledger(tmp_path, checkpointed, decoded):
         engine.close()
 
 
-def resealed(data, *dropped, **changes):
-    """The checkpoint with fields dropped or changed under a digest that checks."""
-    body = json.loads(data.partition(b"\n")[2])
-    body.update(changes)
-    for name in dropped:
-        del body[name]
-    body = canonical_json(body)
-    return sha256(body).hex().encode() + b"\n" + body
+def reseal(store, **changes):
+    """Change savepoint fields, each by a function of its old value, under
+    a check value that matches."""
+    (height, tip_hash, tip_start), = run_sql(
+        store, "SELECT height, tip_hash, tip_start FROM savepoint")
+    point = {"height": height, "tip_hash": tip_hash, "tip_start": tip_start}
+    for name, change in changes.items():
+        point[name] = change(point[name])
+    run_sql(store, "UPDATE savepoint SET height = ?, tip_hash = ?, tip_start = ?, checksum = ?",
+            (*point.values(), ledger_module._check(*point.values())))
 
 
-def tip_start(data):
-    return json.loads(data.partition(b"\n")[2])["tipStart"]
+def run_sql(store, sql, params=()):
+    db = sqlite3.connect(store, isolation_level=None)
+    try:
+        return db.execute(sql, params).fetchall()
+    finally:
+        db.close()
 
 
 @pytest.mark.parametrize("damage", [
-    lambda data: resealed(data, height=30),
-    lambda data: resealed(data, tipStart=tip_start(data) - 1),
-    lambda data: resealed(data, tipStart=tip_start(data) + 1),
-    lambda data: data[:len(data) // 2],
-    lambda data: data[:-1],
-    lambda data: data[:100] + bytes([data[100] ^ 0x01]) + data[101:],  # in the body
-    lambda data: bytes([data[3] ^ 0x01]) + data[:3] + data[4:],  # in the digest
-    lambda data: b"",
-    lambda data: resealed(data, "tipHash"),
+    lambda store: reseal(store, height=lambda n: 30),
+    lambda store: reseal(store, tip_start=lambda n: n - 1),
+    lambda store: reseal(store, tip_start=lambda n: n + 1),
+    lambda store: reseal(store, tip_hash=lambda h: bytes(32)),
+    lambda store: run_sql(store, "UPDATE savepoint SET height = height - 1"),  # fails its check
+    lambda store: run_sql(store, "UPDATE savepoint SET tip_hash = zeroblob(32)"),
+    lambda store: run_sql(store, "DELETE FROM savepoint"),
+    lambda store: store.write_bytes(b""),
+    lambda store: store.write_bytes(bytes(100) + store.read_bytes()[100:]),  # no SQLite header
 ])
-def test_a_damaged_checkpoint(checkpointed, decoded, damage):
-    checkpoint = checkpointed / "ledger" / CHECKPOINT_FILE
-    checkpoint.write_bytes(damage(checkpoint.read_bytes()))
-    expected = full_replay(checkpointed)
+def test_a_damaged_checkpoint(stored, decoded, damage):
+    damage(store_of(stored))
+    expected = full_replay(stored)
     decoded.clear()
-    engine = reopen_engine(checkpointed)
+    engine = reopen_engine(stored)
     try:
         assert seen(engine) == expected
         assert decoded[-engine.height:] == list(range(engine.height))
     finally:
         engine.close()
-    # the close after a full replay wrote a good checkpoint again
+    # the close after a full replay wrote a good store again
     decoded.clear()
-    assert observe(checkpointed) == expected
+    assert observe(stored) == expected
     assert decoded == [0, expected[0] - 1]
 
 
 def test_a_last_record_longer_than_the_read_window(tmp_path, decoded):
-    # the checkpoint's last block is read whole from its tipStart, however
-    # long the record: over 64 KiB here
+    # the savepoint's block is read whole from its tipStart, however long
+    # the record: over 64 KiB here
     writer = Principal.from_seed(11)
     engine = make_engine(tmp_path, genesis=SOLO)
-    grow(engine, writer, CHECKPOINT_BLOCKS - 1)
+    grow(engine, writer, 3)
     engine.submit(writer.proposal(engine, "kv", "set", ["big", "x" * 100_000]))
     engine.flush()
     engine.close()
@@ -208,91 +241,193 @@ def test_a_last_record_longer_than_the_read_window(tmp_path, decoded):
     expected = full_replay(tmp_path)
     decoded.clear()
     assert observe(tmp_path) == expected
-    assert decoded == [0, CHECKPOINT_BLOCKS]
+    assert decoded == [0, 4]
 
 
-def test_an_old_format_checkpoint_is_replaced(checkpointed, decoded):
-    # a checkpoint from before tipStart records where its last block ends
-    checkpoint = checkpointed / "ledger" / CHECKPOINT_FILE
-    journal = checkpointed / "ledger" / BLOCKS_FILE
-    checkpoint.write_bytes(resealed(checkpoint.read_bytes(), "tipStart",
-                                    offset=journal.stat().st_size))
-    expected = full_replay(checkpointed)
+def test_an_old_format_checkpoint_is_replaced(stored, decoded):
+    # a ledger directory as earlier versions left it: the journal and a
+    # whole-state checkpoint.json (its sha256, a newline, then the body),
+    # and no store
+    expected = full_replay(stored)
+    height, tip_hash, items = expected
+    body = canonical_json({
+        "height": height,
+        "state": [[key, value.hex(), list(version)] for key, (value, version) in items],
+        "tipHash": tip_hash.hex(),
+        "tipStart": 0,
+    })
+    old = stored / "ledger" / "checkpoint.json"
+    old.write_bytes(sha256(body).hex().encode() + b"\n" + body)
+    for name in STORE_FILES:
+        (stored / "ledger" / name).unlink(missing_ok=True)
     decoded.clear()
-    assert observe(checkpointed) == expected
-    assert decoded == list(range(expected[0]))  # a full replay
-    # the close after it was due, and wrote a checkpoint that opens
+    engine = reopen_engine(stored)
+    try:
+        assert not old.exists()  # deleted under the lock
+        assert seen(engine) == expected
+        assert decoded == list(range(height))  # a full replay
+    finally:
+        engine.close()
     decoded.clear()
-    assert observe(checkpointed) == expected
-    assert decoded == [0, expected[0] - 1]
+    assert observe(stored) == expected
+    assert decoded == [0, height - 1]
 
 
-def test_an_unreadable_checkpoint(checkpointed, decoded, monkeypatch):
-    # e.g. written 0o600 by another user who shares the ledger directory
-    real = Path.read_bytes
+def test_an_unreadable_checkpoint(stored, decoded, monkeypatch):
+    # e.g. written 0o600 by another user who shares the ledger directory:
+    # no store opens, and none can be made, so the state stays in memory
+    def refuse(*args, **kwargs):
+        raise sqlite3.OperationalError("unable to open database file")
 
-    def read_bytes(path):
-        if path.name == CHECKPOINT_FILE:
-            raise PermissionError(13, "Permission denied", str(path))
-        return real(path)
-
-    monkeypatch.setattr(Path, "read_bytes", read_bytes)
-    expected = full_replay(checkpointed)
+    expected = full_replay(stored)
+    monkeypatch.setattr(ledger_module.sqlite3, "connect", refuse)
     decoded.clear()
-    assert observe(checkpointed) == expected
+    assert observe(stored) == expected
     assert decoded == list(range(expected[0]))
 
 
-def test_a_journal_torn_below_the_checkpoint(checkpointed):
-    journal = checkpointed / "ledger" / BLOCKS_FILE
+def test_a_journal_torn_below_the_checkpoint(stored):
+    journal = stored / "ledger" / BLOCKS_FILE
     data = journal.read_bytes()
     end_of_block_29 = [i for i, byte in enumerate(data) if byte == ord("\n")][29] + 1
     journal.write_bytes(data[:end_of_block_29 + 40])  # mid-way through block 30
-    expected = full_replay(checkpointed)
+    expected = full_replay(stored)
     assert expected[0] == 30
-    assert observe(checkpointed) == expected
+    assert observe(stored) == expected
     assert journal.read_bytes() == data[:end_of_block_29]
+    assert savepoint_height(stored) == 30  # rebuilt at the cut
 
 
-def test_a_journal_torn_above_the_checkpoint(checkpointed, decoded):
-    engine = reopen_engine(checkpointed)
+def test_a_journal_torn_above_the_checkpoint(stored, decoded):
+    engine = reopen_engine(stored)
     grow(engine, Principal.from_seed(12), 3, tag="w")
-    engine.close()
-    journal = checkpointed / "ledger" / BLOCKS_FILE
+    crash(engine)  # the savepoint stays at 1 + BLOCKS
+    journal = stored / "ledger" / BLOCKS_FILE
     data = journal.read_bytes()
     journal.write_bytes(data[:-7])
-    expected = full_replay(checkpointed)
-    assert expected[0] == CHECKPOINT_BLOCKS + 3
+    expected = full_replay(stored)
+    assert expected[0] == 1 + BLOCKS + 2
     decoded.clear()
-    assert observe(checkpointed) == expected
-    assert decoded[:2] == [0, CHECKPOINT_BLOCKS]  # torn off from the checkpoint on
+    assert observe(stored) == expected
+    assert decoded[:2] == [0, BLOCKS]  # torn off from the savepoint on
     assert journal.read_bytes() == data[:data.rindex(b"\n", 0, len(data) - 1) + 1]
 
 
-def test_forced_create_discards_the_checkpoint(checkpointed):
-    engine = LedgerEngine.create(checkpointed / "ledger", SOLO,
-                                 ContentStore(checkpointed / "objects"), {},
+def test_forced_create_discards_the_checkpoint(stored):
+    # a store whose last flush is still in its -wal file, as a crash
+    # leaves it: a reader holds the store open through the close, so
+    # SQLite does not fold the -wal file back, and the copy keeps all three
+    engine = reopen_engine(stored)
+    grow(engine, Principal.from_seed(12), 3, tag="w")
+    with sqlite3.connect(store_of(stored)) as reader:
+        reader.execute("SELECT count(*) FROM state").fetchall()
+        engine.close()
+        crashed = stored / "crashed"
+        shutil.copytree(stored / "ledger", crashed / "ledger",
+                        ignore=shutil.ignore_patterns(LOCK_FILE))
+    reader.close()
+    assert store_files(crashed) == sorted(STORE_FILES)
+    assert (crashed / "ledger" / (STATE_FILE + "-wal")).stat().st_size > 0
+    engine = LedgerEngine.create(crashed / "ledger", SOLO,
+                                 ContentStore(crashed / "objects"), {},
                                  clock=SimClock(), force=True)
     try:
-        assert not (checkpointed / "ledger" / CHECKPOINT_FILE).exists()
         fresh = seen(engine)
+        assert [key for key, _ in engine.state.items()] == ["config/registrars"]
     finally:
         engine.close()
     assert fresh[0] == 1
-    assert observe(checkpointed) == fresh == full_replay(checkpointed)
+    assert store_files(crashed) == [STATE_FILE]
+    assert savepoint_height(crashed) == 1
+    assert observe(crashed) == fresh == full_replay(crashed)
 
 
-def test_a_block_cut_below_the_checkpoint_breaks_the_chain(checkpointed):
-    journal = checkpointed / "ledger" / BLOCKS_FILE
+def test_a_block_cut_below_the_checkpoint_breaks_the_chain(stored):
+    journal = stored / "ledger" / BLOCKS_FILE
     lines = journal.read_bytes().splitlines(keepends=True)
     journal.write_bytes(b"".join(lines[:10] + lines[11:]))
     with pytest.raises(LedgerError, match="broken chain link at block 10"):
-        reopen_engine(checkpointed)
+        reopen_engine(stored)
+
+
+def flip_byte_in(path, needle):
+    data = path.read_bytes()
+    at = data.index(needle) + len(needle) // 2
+    assert data.count(needle) == 1
+    path.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
+
+
+def test_a_flipped_byte_in_a_stored_value_fails_the_read(tmp_path):
+    writer = Principal.from_seed(11)
+    engine = make_engine(tmp_path, genesis=SOLO)
+    engine.submit(writer.proposal(engine, "kv", "set", ["needle", "stored-value-0123456789"]))
+    engine.flush()
+    grow(engine, writer, 3)
+    engine.close()
+    flip_byte_in(store_of(tmp_path), b"stored-value-0123456789")
+    expected = full_replay(tmp_path)
+    engine = reopen_engine(tmp_path)
+    try:
+        assert engine.state.get("kv/k2") is not None  # an intact row still reads
+        with pytest.raises(CorruptStore, match="kv/needle"):
+            engine.state.get("kv/needle")
+        assert store_files(tmp_path) == []  # dropped at once
+        with pytest.raises(CorruptStore):  # and no later read answers
+            engine.state.range("kv/")
+    finally:
+        engine.close()
+    assert store_files(tmp_path) == []
+    assert observe(tmp_path) == expected  # rebuilt from the journal
+    assert savepoint_height(tmp_path) == expected[0]
+
+
+def test_a_zeroed_store_header_rebuilds_the_store(stored, decoded):
+    store = store_of(stored)
+    store.write_bytes(bytes(4096) + store.read_bytes()[4096:])
+    expected = full_replay(stored)
+    decoded.clear()
+    assert observe(stored) == expected
+    assert decoded[-expected[0]:] == list(range(expected[0]))
+    assert savepoint_height(stored) == expected[0]
+
+
+def test_a_truncated_store_rebuilds_the_store(stored, decoded):
+    # SQLite finds the file shorter than its header says at the first read
+    store = store_of(stored)
+    data = store.read_bytes()
+    store.write_bytes(data[:len(data) // 2])
+    expected = full_replay(stored)
+    decoded.clear()
+    assert observe(stored) == expected
+    assert decoded[-expected[0]:] == list(range(expected[0]))
+    assert savepoint_height(stored) == expected[0]
+
+
+def test_cli_listings_fail_on_a_damaged_row_and_then_rebuild(tmp_path):
+    gw = Gateway(tmp_path / "ledger", tmp_path / "keystore", clock=SimClock())
+    gw.cmd_network_init()
+    gw.cmd_device_keygen("dev1", seed=bytes([5]) * 32)
+    gw.cmd_device_register("dev1", "ABCDEF00001")
+    gw.cmd_device_login("dev1")
+    for n in range(3):
+        path = tmp_path / f"reading-{n}.txt"
+        path.write_bytes(f"reading {n}".encode())
+        gw.cmd_asset_upload("dev1", str(path))
+    argv = ["--ledger-dir", str(tmp_path / "ledger"),
+            "--keystore-dir", str(tmp_path / "keystore"), "--machine"]
+    assert cli_main([*argv, "device-login", "dev1"]) == 0
+    flip_byte_in(store_of(tmp_path), b"reading-1.txt")
+    assert cli_main([*argv, "asset-list", "--mine", "dev1"]) == 1
+    assert store_files(tmp_path) == []
+    assert gw.cmd_asset_list(mine="dev1")["count"] == 3
+    assert gw.cmd_asset_list()["count"] == 3
 
 
 _histories = st.lists(st.one_of(
-    st.tuples(st.just("grow"), st.integers(1, 70)),
+    st.tuples(st.just("grow"), st.integers(1, 50)),
     st.tuples(st.just("reopen"), st.none()),
+    st.tuples(st.just("crash"), st.none()),
+    st.tuples(st.just("delete"), st.none()),
     st.tuples(st.just("tear"), st.integers(1, 4000)),
 ), min_size=1, max_size=8)
 
@@ -300,9 +435,10 @@ _histories = st.lists(st.one_of(
 @settings(max_examples=20, deadline=None)
 @given(_histories)
 def test_any_history_opens_to_the_full_replay_state(history):
-    # commits, reopens and torn appends cross the checkpoint threshold at
-    # random points; each reopen must see what a full replay sees, and a
-    # torn append must cost exactly the block it tore
+    # commits, reopens, crashes before the flush (the savepoint lags and
+    # the tail replays), deleted stores and torn appends, at random
+    # points; each reopen must see what a full replay sees, and a torn
+    # append must cost exactly the block it tore
     writer = Principal.from_seed(14)
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
@@ -315,7 +451,13 @@ def test_any_history_opens_to_the_full_replay_state(history):
                     grow(engine, writer, arg)
                     height += arg
                     continue
-                engine.close()
+                if kind == "crash":
+                    crash(engine)
+                else:
+                    engine.close()
+                if kind == "delete":
+                    for name in STORE_FILES:
+                        (base / "ledger" / name).unlink(missing_ok=True)
                 if kind == "tear" and height > 1:
                     data = journal.read_bytes()
                     last = data.rindex(b"\n", 0, len(data) - 1) + 1
@@ -339,6 +481,8 @@ def upload_round(engine, devices, tag):
 
 
 def asset_queries(engine, devices):
+    # the owner queries come first, so a fresh engine answers them from
+    # its store's owner index
     owned = [query_owned_assets(engine.state, Session(did=d.did, expires_at=2**40), 0)
              for d in devices]
     return query_all_assets(engine.state), owned
@@ -352,31 +496,106 @@ def test_assets_from_a_checkpoint_equal_assets_from_a_full_replay(tmp_path, deco
     registrar = registrar_principal(engine)
     for device in devices:
         register_device(engine, registrar, device)
-    for n in range(CHECKPOINT_BLOCKS):
+    for n in range(BLOCKS):
         upload_round(engine, devices, n)
     engine.close()
-    assert (tmp_path / "ledger" / CHECKPOINT_FILE).exists()
     replayed = tmp_path / "replayed"
     shutil.copytree(tmp_path / "ledger", replayed / "ledger",
-                    ignore=shutil.ignore_patterns(CHECKPOINT_FILE, LOCK_FILE))
+                    ignore=shutil.ignore_patterns(STATE_FILE + "*", LOCK_FILE))
     shutil.copytree(tmp_path / "objects", replayed / "objects")
 
     decoded.clear()
     # both clocks restart at 0, below every committed addedAt, so the
     # uploads below land at the front of the order, not the end
-    from_checkpoint = reopen_engine(tmp_path)
-    assert len(decoded) < from_checkpoint.height
+    from_store = reopen_engine(tmp_path)
+    assert len(decoded) == 2
     from_genesis = reopen_engine(replayed)
     try:
-        assert asset_queries(from_checkpoint, devices) == \
-            asset_queries(from_genesis, devices)
-        assert len(asset_queries(from_genesis, devices)[0]) == 2 * CHECKPOINT_BLOCKS
+        assert asset_queries(from_store, devices) == asset_queries(from_genesis, devices)
+        assert len(asset_queries(from_genesis, devices)[0]) == 2 * BLOCKS
         for n in range(3):
-            for engine in (from_checkpoint, from_genesis):
+            for engine in (from_store, from_genesis):
                 upload_round(engine, devices, f"more{n}")
-            assert asset_queries(from_checkpoint, devices) == \
+            assert asset_queries(from_store, devices) == \
                 asset_queries(from_genesis, devices)
-        assert len(asset_queries(from_genesis, devices)[0]) == 2 * CHECKPOINT_BLOCKS + 6
+        assert len(asset_queries(from_genesis, devices)[0]) == 2 * BLOCKS + 6
     finally:
-        from_checkpoint.close()
+        from_store.close()
         from_genesis.close()
+
+
+def test_a_cold_owner_query_reads_only_the_owners_rows(tmp_path, monkeypatch):
+    genesis = GenesisConfig(peers=[Member("peer1", bytes(32))],
+                            registrars=[Member("registrar", bytes([1]) * 32)])
+    devices = [Principal.from_seed(21), Principal.from_seed(22)]
+    engine = make_engine(tmp_path, genesis=genesis)
+    registrar = registrar_principal(engine)
+    for device in devices:
+        register_device(engine, registrar, device)
+    for n in range(10):
+        upload_payload(engine, devices[n % 5 == 0], f"{n}".encode())
+    engine.close()
+    rows = []
+    real = WorldState._rows
+
+    def counted(state, *args):
+        result = real(state, *args)
+        rows.extend(result)
+        return result
+
+    monkeypatch.setattr(WorldState, "_rows", counted)
+    engine = reopen_engine(tmp_path)
+    try:
+        session = Session(did=devices[1].did, expires_at=2**40)
+        assert len(query_owned_assets(engine.state, session, 0)) == 2
+        assert [key for key, _, _ in rows] == \
+            [f"asset/{r.data_id.hex}" for r in query_owned_assets(engine.state, session, 0)]
+    finally:
+        engine.close()
+
+
+_keys = st.builds(lambda p, s: p + s, st.sampled_from(["a/", "ab/", "asset/", "b/"]),
+                  st.text("ab/x", max_size=3))
+_values = st.one_of(st.binary(min_size=1, max_size=2),
+                    st.sampled_from([b'{"owner":"o1"}', b'{"owner":"o2"}']))
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("apply"), st.lists(st.tuples(_keys, _values), min_size=1, max_size=4)),
+    st.tuples(st.just("flush"), st.none()),
+    st.tuples(st.just("reopen"), st.none()),
+    st.tuples(st.just("get"), _keys),
+    st.tuples(st.just("range"), st.sampled_from(["", "a", "a/", "asset/", "b/", "z"])),
+    st.tuples(st.just("owned"), st.sampled_from(["o1", "o2"])),
+), max_size=30)
+
+
+@given(_steps)
+def test_a_stored_state_reads_like_a_plain_dict(steps):
+    # reads at random points between writes, flushes and reopens of the
+    # store must match a dict that holds every write
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / STATE_FILE
+        state, model, flushed = WorldState(path), {}, {}
+        try:
+            for n, (kind, arg) in enumerate(steps, start=1):
+                if kind == "apply":
+                    state.apply(arg, (n, 0))
+                    model.update((key, (value, (n, 0))) for key, value in arg)
+                elif kind == "flush":
+                    state.flush(n, bytes(32), 0)
+                    flushed = dict(model)
+                elif kind == "reopen":  # what was not flushed is lost
+                    state.close()
+                    state, model = WorldState(path), dict(flushed)
+                elif kind == "get":
+                    assert state.get(arg) == model.get(arg)
+                elif kind == "range":
+                    assert state.range(arg) == [(k, *v) for k, v in sorted(model.items())
+                                                if k.startswith(arg)]
+                else:
+                    owner = b'{"owner":"%s"}' % arg.encode()
+                    assert state.owned(arg) == [(k, *v) for k, v in sorted(model.items())
+                                                if k.startswith("asset/") and v[0] == owner]
+            assert state.items() == sorted(model.items())
+            assert len(state) == len(model)
+        finally:
+            state.close()

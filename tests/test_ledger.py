@@ -20,12 +20,11 @@ from iotid.did import Address, generate_keypair, verify_signature
 from iotid.store import ContentStore
 from iotid.ledger import (
     BLOCKS_FILE,
-    CHECKPOINT_BLOCKS,
-    CHECKPOINT_FILE,
     FLAG_VALUES,
     LOCK_FILE,
     MVCC_CONFLICT,
     POLICY_FAILURE,
+    STATE_FILE,
     VALID,
     ZERO_HASH,
     Block,
@@ -762,22 +761,24 @@ def test_torn_last_record_opens_at_the_previous_height(tmp_path, alice):
 
 
 def test_a_torn_newline_after_the_checkpoints_last_block(tmp_path, alice):
-    # the checkpoint's last block is whole but for its newline: it was
-    # never committed, so open cuts it off and replays from block 0
+    # the block the state store's savepoint names is whole but for its
+    # newline: it was never committed, so open cuts it off and rebuilds
+    # the store from block 0
     solo = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[])
     engine = make_engine(tmp_path, genesis=solo)
-    for n in range(CHECKPOINT_BLOCKS):
+    for n in range(5):
         engine.submit(alice.proposal(engine, "kv", "set", [f"k{n}", "v"]))
         engine.flush()
     engine.close()
-    assert (tmp_path / "ledger" / CHECKPOINT_FILE).exists()
+    assert (tmp_path / "ledger" / STATE_FILE).exists()
     path = tmp_path / "ledger" / BLOCKS_FILE
     intact = path.read_bytes()
     path.write_bytes(intact[:-1])
     reopened = reopen_engine(tmp_path)
     try:
-        assert reopened.height == CHECKPOINT_BLOCKS
-        assert reopened.state.get(f"kv/k{CHECKPOINT_BLOCKS - 1}") is None
+        assert reopened.height == 5
+        assert reopened.state.get("kv/k4") is None
+        assert reopened.state.get("kv/k3") is not None
         assert path.read_bytes() == intact[:intact.rindex(b"\n", 0, len(intact) - 1) + 1]
     finally:
         reopened.close()
@@ -798,7 +799,8 @@ def test_torn_genesis_block_refuses_to_open(tmp_path, engine):
 def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
     engine.close()
     ledger_dir = tmp_path / "ledger"
-    assert sorted(p.name for p in ledger_dir.iterdir()) == [LOCK_FILE, BLOCKS_FILE]
+    # the store's -wal and -shm files go when its last connection closes
+    assert sorted(p.name for p in ledger_dir.iterdir()) == [LOCK_FILE, BLOCKS_FILE, STATE_FILE]
     # a config file planted beside the journal, with a foreign peer1 key
     # and a 1-of-3 policy, must not change who may endorse
     planted = GenesisConfig.default().to_dict()
