@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .codec import canonical_json
@@ -35,16 +36,17 @@ def _seed_bytes(text: str) -> bytes:
     return seed
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: the directory defaults come
+    from the environment when ``main`` parses."""
     parser = argparse.ArgumentParser(
         prog="iotid",
         description="Decentralized identity and access management for IoT "
                     "devices on a miniature permissioned ledger.")
     parser.add_argument("--ledger-dir",
-                        default=os.environ.get(LEDGER_DIR_ENV, "./ledger"),
                         help="ledger directory (env %s)" % LEDGER_DIR_ENV)
     parser.add_argument("--keystore-dir",
-                        default=os.environ.get(KEYSTORE_DIR_ENV, "./keystore"),
                         help="keystore directory (env %s)" % KEYSTORE_DIR_ENV)
     parser.add_argument("--machine", action="store_true",
                         help="print one JSON document instead of tables")
@@ -167,10 +169,14 @@ def _failed(command: str, result: dict) -> bool:
     return command in ("chain-verify", "scenario") and not result.get("ok", False)
 
 
+def _directory(given: str | None, env: str, default: str) -> str:
+    return given if given is not None else os.environ.get(env, default)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    gateway = Gateway(args.ledger_dir, args.keystore_dir)
+    args = build_parser().parse_args(argv)
+    gateway = Gateway(_directory(args.ledger_dir, LEDGER_DIR_ENV, "./ledger"),
+                      _directory(args.keystore_dir, KEYSTORE_DIR_ENV, "./keystore"))
     try:
         result = _dispatch(args, gateway)
     except (ContractError, AuthError, GatewayError, LedgerError, ValueError,

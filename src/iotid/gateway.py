@@ -95,13 +95,13 @@ class Keystore:
     """Directory of per-device key files, owner-readable only.
 
     Also persists two pieces of cross-invocation state: cached login
-    sessions and monotonic proposal-nonce counters.
+    sessions and monotonic proposal-nonce counters. The directory is made,
+    or set back to 0o700, by each write, so a command that writes none of
+    these files makes no directory.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        os.chmod(self.directory, 0o700)
 
     def _entry_path(self, name: str) -> Path:
         if not _NAME_RE.match(name):
@@ -114,8 +114,9 @@ class Keystore:
     def _session_path(self, name: str) -> Path:
         return self._entry_path(name).with_suffix(".session.json")
 
-    @staticmethod
-    def _write_private(path: Path, payload: dict) -> None:
+    def _write_private(self, path: Path, payload: dict) -> None:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        os.chmod(self.directory, 0o700)
         replace_file(path, canonical_json(payload) + b"\n")
 
     def create(self, name: str, seed: bytes | None = None,

@@ -36,7 +36,6 @@ import sqlite3
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -383,6 +382,7 @@ CREATE TABLE IF NOT EXISTS savepoint (
     checksum INTEGER NOT NULL);
 """
 _SELECT_ROWS = "SELECT key, value, block, tx, owner, checksum FROM state"
+_MEMORY = ":memory:"  # SQLite's name for a store that lives in memory only
 
 
 def _check(key: object, value: bytes, block: object = None, tx: object = None,
@@ -410,45 +410,42 @@ def _store_files(path: Path) -> list[Path]:
 class WorldState:
     """Current key -> (value, version) view of all valid transactions.
 
-    Memory first, then the store: an SQLite file that holds the state as of
-    its savepoint block. ``apply`` writes to memory only. ``get`` serves a
-    key from memory, a remembered miss included, and otherwise runs one
-    point query. ``range`` and ``owned`` merge the store's rows with the
-    keys applied since the last ``flush``, which writes those keys and the
-    new savepoint in one transaction. Those keys need no list of their
-    own: they are the ones whose version names a block at or above the
-    savepoint's height, as every block below it is in the store. Every row
-    read from the store must match its check value: a mismatch or an SQLite
-    error deletes the store and raises ``CorruptStore``, as does every
-    later read that needs it, so no answer comes from a damaged file.
-    ``WorldState()`` has no store and lives in memory.
+    One SQLite store, a file or ``:memory:`` for ``WorldState()``, holds
+    the state as of its savepoint, and ``tip`` names the block the state
+    has reached: ``(height, tip hash, tipStart)``. ``apply`` writes to
+    memory only. ``get`` serves a key from memory, a remembered miss
+    included, and otherwise runs one point query. ``range`` and ``owned``
+    first ``flush``, then answer with one SQL query. Every row read from
+    the store must match its check value: a mismatch or an SQLite error
+    deletes the store and raises ``CorruptStore``, as does every later
+    read that needs it, so no answer comes from a damaged file.
 
     A reader that keeps its own index over a prefix follows later writes
     through a feed: ``watch(prefix)`` returns a list to which every later
     ``apply`` appends the key of each write under that prefix, in write
-    order. The reader drains the list when it reads; a state nobody
-    watches pays one loop over no watchers per ``apply``.
+    order. The reader drains the list when it reads; the flush drains a
+    feed of its own, over every key.
     """
 
-    def __init__(self, path: Path | None = None):
+    def __init__(self, path: str | Path = _MEMORY):
         """Open the store at ``path``, empty if new; sqlite3.Error if unusable."""
         self._data: dict[str, tuple[bytes, Version] | None] = {}
-        self._height = 0  # the savepoint's: blocks below it are in the store
+        self.tip: tuple[int, bytes, int] = (0, ZERO_HASH, 0)
         self._watchers: list[tuple[str, list[str]]] = []
+        self._unflushed = self.watch("")
         self._path = path
-        self._db: sqlite3.Connection | None = None
         self._gone: LedgerError | None = None  # why store reads now fail
-        if path is not None:
-            db = sqlite3.connect(path, isolation_level=None)
-            try:
-                db.executescript(_SCHEMA)
-            except sqlite3.Error:
-                db.close()
-                raise
-            self._db = db
+        db = sqlite3.connect(path, isolation_level=None)
+        try:
+            db.executescript(_SCHEMA)
+        except sqlite3.Error:
+            db.close()
+            raise
+        self._db: sqlite3.Connection | None = db
 
     def __len__(self) -> int:
-        return len(self._unflushed().union(key for key, _, _ in self._rows("")))
+        self.flush()
+        return len(self._rows(""))
 
     def get(self, key: str) -> tuple[bytes, Version] | None:
         try:
@@ -460,40 +457,23 @@ class WorldState:
 
     def range(self, prefix: str) -> list[tuple[str, bytes, Version]]:
         """All entries whose key starts with prefix, sorted by key."""
-        return self._merge(self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix),
-                           lambda key: key.startswith(prefix))
+        self.flush()
+        return self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix)
 
     def owned(self, owner: str) -> list[tuple[str, bytes, Version]]:
         """The ``asset/`` entries whose record names ``owner``, sorted by key.
 
         The store answers through its owner index, so this reads that
-        owner's rows only; keys applied since the flush are decoded here.
+        owner's rows only.
         """
-        data = self._data
-        return self._merge(self._rows(" WHERE owner = ?", (owner,)),
-                           lambda key: _owner(key, data[key][0]) == owner)
-
-    def _unflushed(self) -> set[str]:
-        since = self._height
-        return {key for key, entry in self._data.items()
-                if entry is not None and entry[1][0] >= since}
-
-    def _merge(self, stored, wanted) -> list[tuple[str, bytes, Version]]:
-        """Store rows without the keys applied since the flush, plus the
-        applied keys that ``wanted`` accepts, sorted by key."""
-        data, unflushed = self._data, self._unflushed()
-        rows = [row for row in stored if row[0] not in unflushed]
-        rows += [(key, *data[key]) for key in unflushed if wanted(key)]
-        rows.sort(key=itemgetter(0))
-        return rows
+        self.flush()
+        return self._rows(" WHERE owner = ? ORDER BY key", (owner,))
 
     def _rows(self, where: str, params: tuple = (),
               prefix: str = "") -> list[tuple[str, bytes, Version]]:
         """Checked ``(key, value, version)`` rows, up to the first key outside ``prefix``."""
         if self._db is None:
-            if self._gone is not None:
-                raise self._gone
-            return []
+            raise self._gone
         rows = []
         try:
             for key, value, block, tx, owner, check in self._db.execute(_SELECT_ROWS + where,
@@ -534,42 +514,44 @@ class WorldState:
                 return None
         except (sqlite3.Error, TypeError, ValueError):
             return None
-        self._height = height
         return height, tip_hash, tip_start
 
-    def flush(self, height: int, tip_hash: bytes, tip_start: int) -> None:
-        """Write the keys applied since the last flush and the savepoint, in one transaction.
+    def flush(self) -> None:
+        """Write the keys applied since the last flush, and ``tip`` as the savepoint.
 
-        The savepoint names the chain's last block: the chain height, that
-        block's header hash and ``tipStart``. Nothing is written when no key
-        was applied. An SQLite error deletes the store instead, which holds
-        nothing the journal does not.
+        One transaction, with nothing written when no key was applied. A
+        savepoint above ``tip`` is left as it is: another engine on the
+        same journal wrote it, and the store already holds what this
+        state would write. An SQLite error deletes the store instead,
+        which holds nothing the journal does not.
         """
         db = self._db
-        if db is None or not (unflushed := self._unflushed()):
+        if db is None or not self._unflushed:
             return
         data, rows = self._data, []
-        for key in unflushed:
+        for key in dict.fromkeys(self._unflushed):
             value, (block, tx) = data[key]
             owner = _owner(key, value)
             rows.append((key, value, block, tx, owner, _check(key, value, block, tx, owner)))
+        self._unflushed.clear()
+        height, tip_hash, tip_start = self.tip
         try:
             db.execute("BEGIN")
-            db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?)", rows)
-            db.execute("DELETE FROM savepoint")
-            db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)",
-                       (height, tip_hash, tip_start, _check(height, tip_hash, tip_start)))
+            if not db.execute("SELECT 1 FROM savepoint WHERE height > ?", (height,)).fetchall():
+                db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?)", rows)
+                db.execute("DELETE FROM savepoint")
+                db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)",
+                           (height, tip_hash, tip_start, _check(height, tip_hash, tip_start)))
             db.execute("COMMIT")
         except sqlite3.Error as exc:
             self._drop(f"state store flush failed, deleted: {exc}")
-            return
-        self._height = height
 
     def _drop(self, reason: str) -> CorruptStore:
         """Close and delete the store: the error that its reads raise from now on."""
         self.close()
-        for path in _store_files(self._path):
-            path.unlink(missing_ok=True)
+        if self._path != _MEMORY:
+            for path in _store_files(Path(self._path)):
+                path.unlink(missing_ok=True)
         self._gone = CorruptStore(reason)
         return self._gone
 
@@ -771,11 +753,7 @@ class LedgerEngine:
         self.contracts = dict(contracts)
         self.clock = clock if clock is not None else WallClock()
         self.commit_tick = commit_tick
-        self.state = WorldState()
-        self._height = 0
-        self._tip_hash = ZERO_HASH
-        self._tip_start = 0  # journal offset where block height - 1 begins
-        self._offset = 0  # journal bytes up to the end of block height - 1
+        self._offset = 0  # journal bytes up to the end of the tip block
         self._pending: list[Transaction] = []
         # txId -> (flag, block) of every tx this engine instance committed
         self._receipts: dict[bytes, tuple[str, int]] = {}
@@ -786,18 +764,19 @@ class LedgerEngine:
         try:
             journal = self._dir / BLOCKS_FILE
             if genesis is None:
-                genesis = self._replay()
+                self.genesis = self._replay()
             elif journal.exists() and not force:
                 raise LedgerError(f"ledger already exists at {self._dir}")
-            self.genesis = genesis
-            self._peers = {p.name: p.keypair for p in genesis.peers}
-            if self._height == 0:  # provisioning replaces any old ledger
+            else:  # provisioning replaces any old ledger
+                self.genesis = genesis
                 block = self._genesis_block()  # a bad config raises before the unlink
                 journal.unlink(missing_ok=True)
                 self._new_store()
                 self.commit_block(block)
+            self._peers = {p.name: p.keypair for p in self.genesis.peers}
         except BaseException:
-            self.state.close()
+            if hasattr(self, "state"):  # none yet when provisioning is refused
+                self.state.close()
             self._release()
             raise
 
@@ -824,13 +803,14 @@ class LedgerEngine:
     def close(self) -> None:
         """Flush the state store, then release the directory; a second call is a no-op.
 
-        The flush runs under the lock: the keys applied since the store's
-        savepoint and the new savepoint, in one transaction. The lock is
+        The flush runs under the lock and writes, in one transaction, the
+        keys applied since the last flush (a query's, or else the open's
+        savepoint) with the tip block as the new savepoint. The lock is
         freed when the last engine of this process closes.
         """
         try:
             if self._held is not None:
-                self.state.flush(self._height, self._tip_hash, self._tip_start)
+                self.state.flush()
         finally:
             self.state.close()
             self._release()
@@ -890,7 +870,7 @@ class LedgerEngine:
         return Block.cut(0, ZERO_HASH, [tx], [VALID])
 
     def _replay(self) -> GenesisConfig:
-        """Rebuild height, tip hash and world state; return block 0's config.
+        """Rebuild the world state up to the journal's last block; return block 0's config.
 
         Replay starts after the store's savepoint if it matches the journal;
         otherwise the store is made anew and replay starts at block 0. A
@@ -901,8 +881,9 @@ class LedgerEngine:
         genesis = self._open_store(path)
         if genesis is None:
             self._new_store()
+        height, tip_hash, _ = self.state.tip
         try:
-            for block, header_hash, size in _walk(path, self._offset, self._height, self._tip_hash):
+            for block, header_hash, size in _walk(path, self._offset, height, tip_hash):
                 if block.number == 0:
                     genesis = GenesisConfig.from_block(block)
                 self._apply_block(block, header_hash, size)
@@ -913,12 +894,11 @@ class LedgerEngine:
         return genesis
 
     def _open_store(self, journal: Path) -> GenesisConfig | None:
-        """Take the state store, with height, tip hash and offsets, if its savepoint matches.
+        """Take the state store, at its savepoint's tip, if that savepoint matches.
 
         It matches when the journal holds a whole record at its ``tipStart``
         that is its last block: the number and header hash agree. Returns
-        block 0's config then; otherwise None, with the engine left at
-        height 0 and the store closed.
+        block 0's config then; otherwise None, with the store closed.
         """
         try:
             state = WorldState(self._dir / STATE_FILE)
@@ -935,9 +915,7 @@ class LedgerEngine:
             except (LedgerError, OSError, StopIteration, TypeError):
                 last_hash = None
             if last_hash == tip_hash:
-                self.state = state
-                self._height = height
-                self._tip_hash, self._tip_start = tip_hash, tip_start
+                self.state, state.tip = state, point
                 self._offset = tip_start + size
                 return genesis
         state.close()
@@ -948,7 +926,7 @@ class LedgerEngine:
 
         Runs under the lock, before any block is applied. It also deletes
         the whole-state ``checkpoint.json`` of earlier versions. A store that
-        cannot be made leaves the state in memory only.
+        cannot be made is made in memory instead.
         """
         for path in (*_store_files(self._dir / STATE_FILE), self._dir / _OLD_CHECKPOINT_FILE):
             path.unlink(missing_ok=True)
@@ -963,9 +941,8 @@ class LedgerEngine:
                                              block.validation_flags)):
             if flag == VALID:
                 self.state.apply(tx.rwset.writes, (block.number, idx))
-        self._height = block.number + 1
-        self._tip_hash = header_hash
-        self._tip_start, self._offset = self._offset, self._offset + size
+        self.state.tip = (block.number + 1, header_hash, self._offset)
+        self._offset += size
 
     # -- execution -------------------------------------------------------
 
@@ -1034,7 +1011,8 @@ class LedgerEngine:
         """Solo ordering: arrival order, hashes filled, flags unset."""
         if not transactions:
             raise EmptyBatch("no transactions to order")
-        return Block.cut(self._height, self._tip_hash, transactions)
+        height, tip_hash, _ = self.state.tip
+        return Block.cut(height, tip_hash, transactions)
 
     # -- validation ---------------------------------------------------------
 
@@ -1091,7 +1069,7 @@ class LedgerEngine:
 
     def commit_block(self, block: Block) -> Block:
         """Append the validated block and apply its VALID writes."""
-        if problem := _link_problem(block, self._height, self._tip_hash):
+        if problem := _link_problem(block, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
         self.clock.advance(self.commit_tick)
         record, header_hash = block.encode()
@@ -1126,7 +1104,7 @@ class LedgerEngine:
 
     @property
     def height(self) -> int:
-        return self._height
+        return self.state.tip[0]
 
     def tx_flag(self, tx_id: bytes) -> str | None:
         """Validation flag of a tx this engine committed, else None."""

@@ -58,17 +58,20 @@ class ContentStore:
     """Directory-backed store whose only index is its file names.
 
     ``len()`` counts the files once, then adds this store's own new puts.
-    Identical concurrent puts are safe because put is idempotent.
+    Identical concurrent puts are safe because put is idempotent. The
+    directory is made by the first put that needs it.
     """
 
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
         self._count: int | None = None
 
     def __len__(self) -> int:
         if self._count is None:
-            self._count = sum(len(p.name) == HASH_BYTES * 2 for p in self._dir.iterdir())
+            try:
+                self._count = sum(len(p.name) == HASH_BYTES * 2 for p in self._dir.iterdir())
+            except FileNotFoundError:
+                self._count = 0
         return self._count
 
     def put(self, data: bytes) -> ContentHash:
@@ -79,7 +82,11 @@ class ContentStore:
         path = self._dir / key.hex
         if not path.exists():
             tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
+            try:
+                tmp.write_bytes(data)
+            except FileNotFoundError:
+                self._dir.mkdir(parents=True, exist_ok=True)
+                tmp.write_bytes(data)
             tmp.replace(path)
             if self._count is not None:
                 self._count += 1

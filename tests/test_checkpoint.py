@@ -62,7 +62,8 @@ def grow(engine, writer, blocks, tag="v"):
 
 
 def seen(engine):
-    return engine.height, engine._tip_hash, engine.state.items()
+    height, tip_hash, _ = engine.state.tip
+    return height, tip_hash, engine.state.items()
 
 
 def observe(base):
@@ -86,7 +87,7 @@ def crash(engine):
     """End an engine as a killed process would: its blocks are in the
     journal, and the store keeps the savepoint of the last flush."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(WorldState, "flush", lambda state, *point: None)
+        patch.setattr(WorldState, "flush", lambda state: None)
         engine.close()
 
 
@@ -152,14 +153,52 @@ def test_a_checkpoint_older_than_the_journal(stored, decoded):
     # the store lags when an engine dies before its close flushes
     engine = reopen_engine(stored)
     grow(engine, Principal.from_seed(12), 10, tag="w")
-    expected = seen(engine)
     crash(engine)
     assert savepoint_height(stored) == 1 + BLOCKS
+    expected = full_replay(stored)
+    assert expected[0] == 1 + BLOCKS + 10
     decoded.clear()
     assert observe(stored) == expected
     assert decoded == [0, *range(BLOCKS, BLOCKS + 11)]
-    assert savepoint_height(stored) == 1 + BLOCKS + 10  # the close caught it up
-    assert full_replay(stored) == expected
+    assert savepoint_height(stored) == 1 + BLOCKS + 10  # the query caught it up
+
+
+def test_a_query_moves_the_checkpoint_to_its_tip(tmp_path, decoded):
+    # a warm engine's first query flushes, so a crash after it replays only
+    # the blocks committed since
+    writer = Principal.from_seed(11)
+    engine = make_engine(tmp_path, genesis=SOLO)
+    grow(engine, writer, 5)
+    query_all_assets(engine.state)
+    queried = engine.height
+    grow(engine, writer, 3)
+    crash(engine)
+    assert savepoint_height(tmp_path) == queried
+    expected = full_replay(tmp_path)
+    decoded.clear()
+    assert observe(tmp_path) == expected
+    assert decoded == [0, *range(queried - 1, queried + 3)]
+
+
+def test_a_lagging_engine_in_the_same_process_keeps_the_checkpoint_whole(stored):
+    # perfbench's check_chain opens a second engine beside a live one; when
+    # the second lags, its query must not pull the savepoint back below
+    # rows the first engine already flushed
+    writer = Principal.from_seed(12)
+    first = reopen_engine(stored)
+    grow(first, writer, 10, tag="w")  # the store lags at 1 + BLOCKS
+    second = reopen_engine(stored)
+    try:
+        grow(first, writer, 3, tag="x")
+        first.state.items()
+        assert savepoint_height(stored) == 1 + BLOCKS + 13
+        second.state.items()
+        assert savepoint_height(stored) == 1 + BLOCKS + 13
+        grow(first, writer, 1, tag="y")
+    finally:
+        second.close()
+        first.close()
+    assert observe(stored) == full_replay(stored)
 
 
 def test_a_checkpoint_from_another_ledger(tmp_path, stored, decoded):
@@ -275,8 +314,13 @@ def test_an_old_format_checkpoint_is_replaced(stored, decoded):
 
 def test_an_unreadable_checkpoint(stored, decoded, monkeypatch):
     # e.g. written 0o600 by another user who shares the ledger directory:
-    # no store opens, and none can be made, so the state stays in memory
-    def refuse(*args, **kwargs):
+    # no store file opens, and none can be made, so the store is made in
+    # memory
+    real = sqlite3.connect
+
+    def refuse(path, *args, **kwargs):
+        if path == ":memory:":
+            return real(path, *args, **kwargs)
         raise sqlite3.OperationalError("unable to open database file")
 
     expected = full_replay(stored)
@@ -581,20 +625,24 @@ def test_a_stored_state_reads_like_a_plain_dict(steps):
                     state.apply(arg, (n, 0))
                     model.update((key, (value, (n, 0))) for key, value in arg)
                 elif kind == "flush":
-                    state.flush(n, bytes(32), 0)
+                    state.tip = (n, bytes(32), 0)
+                    state.flush()
                     flushed = dict(model)
                 elif kind == "reopen":  # what was not flushed is lost
                     state.close()
                     state, model = WorldState(path), dict(flushed)
+                    state.tip = state.savepoint() or state.tip  # as an engine's open does
                 elif kind == "get":
                     assert state.get(arg) == model.get(arg)
-                elif kind == "range":
+                elif kind == "range":  # a query flushes first
                     assert state.range(arg) == [(k, *v) for k, v in sorted(model.items())
                                                 if k.startswith(arg)]
+                    flushed = dict(model)
                 else:
                     owner = b'{"owner":"%s"}' % arg.encode()
                     assert state.owned(arg) == [(k, *v) for k, v in sorted(model.items())
                                                 if k.startswith("asset/") and v[0] == owner]
+                    flushed = dict(model)
             assert state.items() == sorted(model.items())
             assert len(state) == len(model)
         finally:

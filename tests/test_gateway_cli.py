@@ -463,6 +463,42 @@ def test_directories_come_from_environment(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "env-ledger" / "blocks.jsonl").exists()
 
 
+def test_each_call_reads_the_directories_from_the_environment(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process, and each call reads the
+    # environment when it parses
+    for name in ("first", "second"):
+        monkeypatch.setenv("IOTID_LEDGER_DIR", str(tmp_path / name / "ledger"))
+        monkeypatch.setenv("IOTID_KEYSTORE_DIR", str(tmp_path / name / "keys"))
+        assert main(["--machine", "network-init"]) == 0
+        assert main(["--machine", "device-keygen", "dev1"]) == 0
+    capsys.readouterr()
+    for name in ("first", "second"):
+        assert (tmp_path / name / "ledger" / "blocks.jsonl").exists()
+        assert (tmp_path / name / "keys" / "dev1.json").exists()
+
+
+@pytest.mark.parametrize("keystore", ["absent", "below-a-file"])
+def test_commands_that_read_no_key_leave_the_keystore_alone(capsys, env, tmp_path, keystore):
+    assert invoke(capsys, env, "network-init").code == 0
+    (tmp_path / "afile").write_bytes(b"")
+    keys = tmp_path / ("afile/ks" if keystore == "below-a-file" else "no-keys")
+    before = sorted(tmp_path.rglob("*"))
+    for command in ("chain-verify", "asset-list"):
+        assert invoke(capsys, {**env, "keystore": str(keys)}, command).code == 0, command
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_commands_on_a_missing_ledger_create_no_directory(capsys, ready, tmp_path):
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    missing = tmp_path / "nope"
+    for command in (["asset-list"], ["device-login", "dev1"],
+                    ["asset-upload", "dev1", str(source)]):
+        result = invoke(capsys, {**ready, "ledger": str(missing)}, *command)
+        assert (result.code, result.data["error"]) == (1, "LedgerError"), command
+    assert not missing.exists()
+
+
 def test_nonce_counters_are_monotonic(tmp_path):
     keystore = Keystore(tmp_path / "keys")
     values = [keystore.next_nonce("devA") for _ in range(3)]
@@ -542,6 +578,7 @@ def test_a_malformed_nonce_file_is_a_gateway_error(capsys, ready, tmp_path, coun
 
 def test_a_key_file_without_its_fields_is_a_gateway_error(capsys, env):
     keystore = Keystore(env["keystore"])
+    keystore.directory.mkdir()  # a keystore makes it on its first write
     (keystore.directory / "dev9.json").write_text('{"name": "dev9"}')
     with pytest.raises(GatewayError, match="not a key file"):
         keystore.load("dev9")
@@ -668,6 +705,7 @@ def test_keystore_files_are_canonical(ready):
 def test_indented_keystore_files_still_load(tmp_path):
     # key, session and nonce files as earlier versions wrote them
     keystore = Keystore(tmp_path / "keys")
+    keystore.directory.mkdir()  # a keystore makes it on its first write
     session = Session(did=parse_did(DID_01), expires_at=4000)
     for name, payload in [
             ("dev1.json", {"name": "dev1", "seed": SEED_01.hex(), "did": DID_01}),

@@ -37,6 +37,18 @@ def test_put_is_idempotent(store, tmp_path):
     assert len(list((tmp_path / "objects").iterdir())) == 1
 
 
+def test_the_directory_is_made_by_the_first_put(store, tmp_path):
+    objects = tmp_path / "objects"
+    assert not objects.exists()
+    assert len(store) == 0
+    with pytest.raises(ContentNotFound):
+        store.get(ContentHash.from_hex(HELLO))
+    assert not objects.exists()
+    assert store.get(store.put(b"hello world")) == b"hello world"
+    assert len(store) == 1
+    assert [p.name for p in objects.iterdir()] == [HELLO]
+
+
 def test_empty_content_refused(store):
     with pytest.raises(EmptyContent):
         store.put(b"")
