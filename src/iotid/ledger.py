@@ -32,7 +32,9 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import signal
 import sqlite3
+import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -1137,22 +1139,28 @@ def _decode_block(index: int, raw: bytes) -> Block:
         raise CorruptJournal(index, "undecodable block") from exc
 
 
-def _walk(path: str | Path, start: int = 0, height: int = 0, tip_hash: bytes | None = ZERO_HASH,
-          normal_form: bool = False) -> Iterator[tuple[Block, bytes, int]]:
+def _walk(path: str | Path, start: int = 0, height: int | None = 0,
+          tip_hash: bytes | None = ZERO_HASH, normal_form: bool = False,
+          end: int | None = None) -> Iterator[tuple[Block, bytes, int]]:
     """Stream the journal from byte ``start``: ``(block, header hash, record size)``.
 
     Block ``height`` begins at ``start`` and must extend ``tip_hash`` (None:
-    unknown, so its prevHash goes unchecked), each later block the one
-    before it; ``normal_form`` adds chain-verify's checks. Raises
+    unknown, so its number or prevHash goes unchecked), each later block the
+    one before it; the walk stops at the record boundary ``end`` (None: the
+    end of the file). ``normal_form`` adds chain-verify's checks. Raises
     CorruptJournal at the first bad record, on an empty journal, or with
     ``torn_at`` set at an unterminated (torn) last record.
     """
     with open(path, "rb") as fh:
         fh.seek(start)
         for raw in fh:
+            if start == end:
+                break
             if not raw.endswith(b"\n"):
                 raise CorruptJournal(height, "unterminated last record", torn_at=start)
             block = _decode_block(height, raw)
+            if height is None:
+                height = block.number
             if problem := _link_problem(block, height, tip_hash or block.prev_hash):
                 raise BrokenChainLink(height, problem)
             tip_hash = _check_normal_form(block, raw) if normal_form else block.header_hash()
@@ -1195,17 +1203,147 @@ def _check_normal_form(block: Block, raw: bytes) -> bytes:
     return header_hash
 
 
+# chain-verify splits a journal into record-aligned parts of at least
+# _VERIFY_PART_BYTES, one per usable CPU and at most _VERIFY_MAX_PARTS, and
+# verifies every part but the first in a forked worker. On a 2-vCPU VM a
+# fork round trip costs about 3 ms, and verifying 512 KiB of journal 12-25 ms.
+_VERIFY_PART_BYTES = 512 * 1024
+_VERIFY_MAX_PARTS = 4
+
+
 def verify_chain_file(path: str | Path) -> ChainReport:
     """Recompute every hash and link over a persisted journal file.
 
     Works directly on the raw bytes, without replaying state, so it stays
     usable on a journal too damaged to open; reports the first bad block,
-    a torn last record included, and never modifies the file.
+    a torn last record included, and never modifies the file. A large
+    journal is verified in parallel parts, with the serial walk's report.
     """
     try:
-        return ChainReport(ok=True, height=sum(1 for _ in _walk(path, normal_form=True)))
+        return ChainReport(ok=True, height=_verify_parts(path, _part_starts(path)))
     except FileNotFoundError:
         return ChainReport(ok=False, height=0, bad_block=0, reason="no journal file")
     except CorruptJournal as exc:
         return ChainReport(ok=False, height=exc.index, bad_block=exc.index,
                            reason=exc.reason)
+
+
+def _part_starts(path: str | Path) -> list[int]:
+    """Where verify's parts begin: 0, then a record boundary for each later part.
+
+    One part, the serial walk, on a platform that cannot name the usable
+    CPUs, and while other threads run: a forked child gets copies of the
+    locks they may hold.
+    """
+    size = os.stat(path).st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if threading.active_count() > 1:
+        cpus = 1
+    parts = min(cpus, size // _VERIFY_PART_BYTES, _VERIFY_MAX_PARTS)
+    starts = [0]
+    if parts < 2:
+        return starts
+    with open(path, "rb") as fh:
+        for k in range(1, parts):
+            fh.seek(k * size // parts)
+            fh.readline()  # on to the end of the record the cut falls in
+            if starts[-1] < fh.tell() < size:
+                starts.append(fh.tell())
+    return starts
+
+
+def _verify_parts(path: str | Path, starts: list[int]) -> int:
+    """Height of a sound journal; else CorruptJournal at its first bad record.
+
+    The parent walks the first part while a forked worker walks each later
+    one, then combines the answers in journal order. A worker cannot know
+    the tip before its part, so the parent checks each part's first block
+    against it as the serial walk does. Where no worker answers (fork
+    failed, or the worker died), the parent walks on from there itself.
+    """
+    ends = [*starts[1:], None]
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for start, end in zip(starts[1:], ends[1:]):
+            try:
+                workers.append(_fork_part(path, start, end))
+            except OSError:
+                break
+        height, tip = _verify_range(path, 0, ends[0], 0, ZERO_HASH)
+        rest = ends[0]  # where the blocks not yet verified begin; None: none are left
+        for (_, fd), start, end in zip(workers, starts[1:], ends[1:]):
+            answer = _answer(fd)
+            if answer is None:
+                break
+            # the part's first block against the tip before it, as the serial walk checks it
+            next(_walk(path, start, height, tip, normal_form=True))
+            if "reason" in answer:
+                raise CorruptJournal(height + answer["count"], answer["reason"])
+            height, tip, rest = height + answer["count"], bytes.fromhex(answer["tip"]), end
+        if rest is not None:
+            count, tip = _verify_range(path, rest, None, height, tip)
+            height += count
+        return height
+    finally:
+        # a worker that has answered is a zombie, which the signal leaves as it is
+        for pid, fd in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+
+def _verify_range(path: str | Path, start: int, end: int | None, height: int,
+                  tip_hash: bytes) -> tuple[int, bytes]:
+    """Verify the blocks from ``start`` to ``end``: their count and the last one's hash."""
+    count = 0
+    for _, tip_hash, _ in _walk(path, start, height, tip_hash, normal_form=True, end=end):
+        count += 1
+    return count, tip_hash
+
+
+def _fork_part(path: str | Path, start: int, end: int | None) -> tuple[int, int]:
+    """Fork a worker that verifies one part: its pid and the read end of its pipe.
+
+    The worker writes one short answer and leaves through ``os._exit``, so it
+    runs no atexit handler or finaliser, on an inherited SQLite connection
+    say, and flushes no stdio buffer it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.write(write_fd, _part_answer(path, start, end))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _part_answer(path: str | Path, start: int, end: int | None) -> bytes:
+    """A worker's answer: its block count and last hash, or where and why it failed.
+
+    The part's first block sets its height and tip, which the parent checks.
+    """
+    count, tip_hash = 0, b""
+    try:
+        for _, tip_hash, _ in _walk(path, start, None, None, normal_form=True, end=end):
+            count += 1
+    except CorruptJournal as exc:
+        return canonical_json({"count": count, "reason": exc.reason})
+    return canonical_json({"count": count, "tip": tip_hash.hex()})
+
+
+def _answer(fd: int) -> dict | None:
+    """The answer a worker wrote to its pipe; None if it ended without one."""
+    chunks = []
+    while chunk := os.read(fd, 4096):
+        chunks.append(chunk)
+    try:
+        return json.loads(b"".join(chunks))
+    except ValueError:
+        return None

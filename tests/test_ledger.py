@@ -4,8 +4,13 @@ Expected flag vectors and receipts are hand-walked from the pipeline
 rules before being asserted, not read back from the implementation.
 """
 
+import contextlib
+import itertools
 import json
+import os
 import tempfile
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -995,6 +1000,187 @@ def test_verify_refuses_a_block_0_config_that_open_refuses(tmp_path, three_block
     assert (report.ok, report.bad_block, report.reason) == (False, 0, reason)
     with pytest.raises(LedgerError, match=reason):
         reopen_engine(tmp_path)
+
+
+# -- chain-verify in parallel parts ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def grown_journal(tmp_path_factory) -> bytes:
+    """The bytes of a 13-block journal: block 0, then one kv write per block."""
+    base = tmp_path_factory.mktemp("grown")
+    engine = make_engine(base)
+    alice = Principal.from_seed(11)
+    try:
+        for i in range(12):
+            engine.submit(alice.proposal(engine, "kv", "set", [f"k{i}", "v"]))
+            engine.flush()
+    finally:
+        engine.close()
+    return (base / "ledger" / BLOCKS_FILE).read_bytes()
+
+
+@contextlib.contextmanager
+def _three_parts():
+    """Verify a journal of a few KiB in three parts, on a host of any size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ledger_module, "_VERIFY_PART_BYTES", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        yield
+
+
+def _serial_report(path) -> tuple:
+    """The serial walk's report: the oracle for the split verify."""
+    try:
+        return True, sum(1 for _ in ledger_module._walk(path, normal_form=True)), None, None
+    except CorruptJournal as exc:
+        return False, exc.index, exc.index, exc.reason
+
+
+def _split_report(path) -> tuple:
+    with _three_parts():
+        report = verify_chain_file(path)
+    return report.ok, report.height, report.bad_block, report.reason
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# rewrites under recomputed hashes (_rewrite_block), each found by the
+# block's own normal-form check
+_REWRITES = {
+    "txId": lambda record: record["transactions"][0].update(txId="ab" * 32),
+    "flag": lambda record: record.update(
+        validationFlags=["TRUSTED"], flagsHash=sha256(b'["TRUSTED"]').hex()),
+}
+
+
+def _tamper(path, journal: bytes, kind: str, where: int, xor: int = 0xFF) -> None:
+    """Write ``journal`` to ``path`` with one change at byte or record ``where``."""
+    records = journal.splitlines(keepends=True)
+    if kind == "flip":
+        data = bytearray(journal)
+        data[where] ^= xor
+        path.write_bytes(bytes(data))
+    elif kind == "cut":
+        path.write_bytes(journal[:where])
+    elif kind == "delete":
+        path.write_bytes(b"".join(records[:where] + records[where + 1:]))
+    elif kind == "duplicate":
+        path.write_bytes(b"".join(records[:where + 1] + records[where:]))
+    else:
+        path.write_bytes(journal)
+        _rewrite_block(path, where, _REWRITES[kind])
+
+
+def _junctions(journal: bytes) -> list[tuple[int, int]]:
+    """(offset, record index) where the second and the third part begin."""
+    with tempfile.TemporaryDirectory() as base:
+        path = Path(base) / BLOCKS_FILE
+        path.write_bytes(journal)
+        with _three_parts():
+            starts = ledger_module._part_starts(path)
+    assert len(starts) == 3
+    ends = list(itertools.accumulate(len(r) for r in journal.splitlines(keepends=True)))
+    return [(start, ends.index(start) + 1) for start in starts[1:]]
+
+
+@given(kind=st.sampled_from(["flip", "cut", "delete", "duplicate", *_REWRITES]),
+       data=st.data())
+def test_a_split_verify_gives_the_serial_report(grown_journal, kind, data):
+    # the positions drawn include both sides of each junction between parts
+    records = grown_journal.splitlines(keepends=True)
+    junctions = _junctions(grown_journal)
+    if kind in ("flip", "cut"):
+        near = [start + d for start, _ in junctions for d in (-2, -1, 0, 1)]
+        where = data.draw(st.sampled_from(near) | st.integers(0, len(grown_journal) - 1))
+    else:
+        near = [index + d for _, index in junctions for d in (-1, 0)]
+        where = data.draw(st.sampled_from(near) | st.integers(0, len(records) - 1))
+    with tempfile.TemporaryDirectory() as base:
+        path = Path(base) / BLOCKS_FILE
+        _tamper(path, grown_journal, kind, where, data.draw(st.integers(1, 255)))
+        tampered = path.read_bytes()
+        report = _split_report(path)
+        assert report == _serial_report(path)
+        assert path.read_bytes() == tampered
+    if kind == "flip":
+        # any flipped byte is found at its block, in every part
+        block = sum(1 for end in itertools.accumulate(map(len, records)) if end <= where)
+        assert report[0] is False and report[2] == block
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("case", ["passes", "fails in the parent's part",
+                                  "fails in a worker's part", "parent's part raises"])
+def test_a_split_verify_leaves_no_child(tmp_path, monkeypatch, grown_journal, case):
+    path = tmp_path / BLOCKS_FILE
+    if case == "fails in the parent's part":
+        _tamper(path, grown_journal, "delete", 1)
+    elif case == "fails in a worker's part":
+        _tamper(path, grown_journal, "duplicate", len(grown_journal.splitlines()) - 1)
+    else:
+        path.write_bytes(grown_journal)
+    before = path.read_bytes()
+    if case == "parent's part raises":
+        # the workers would run for a minute: only killing them ends the verify
+        parent, walk = os.getpid(), ledger_module._walk
+        monkeypatch.setattr(ledger_module, "_part_answer", lambda *args: time.sleep(60))
+
+        def interrupted(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(ledger_module, "_walk", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _split_report(path)
+        assert time.monotonic() - started < 30
+    else:
+        report = _split_report(path)
+        assert report == _serial_report(path)
+        assert report[0] is (case == "passes")
+    assert _no_child_left()
+    assert path.read_bytes() == before
+
+
+def _raise(exc: BaseException):
+    raise exc
+
+
+@pytest.mark.parametrize("fallback", ["fork fails", "a worker dies", "a thread runs"])
+def test_a_verify_without_workers_gives_the_serial_report(tmp_path, monkeypatch,
+                                                          grown_journal, fallback):
+    forks = []
+    fork = os.fork
+    if fallback == "fork fails":
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _raise(OSError(11, "EAGAIN")))
+    else:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    if fallback == "a worker dies":
+        monkeypatch.setattr(ledger_module, "_part_answer", lambda *args: _raise(MemoryError))
+    done = threading.Event()
+    if fallback == "a thread runs":
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+    try:
+        path = tmp_path / BLOCKS_FILE
+        last = len(grown_journal.splitlines()) - 1
+        for kind, where in (("cut", len(grown_journal)), ("duplicate", last), ("txId", last)):
+            _tamper(path, grown_journal, kind, where)
+            assert _split_report(path) == _serial_report(path)
+            assert _no_child_left()
+    finally:
+        done.set()
+        if fallback == "a thread runs":
+            waiter.join(timeout=10)
+    assert len(forks) == {"fork fails": 3, "a worker dies": 6, "a thread runs": 0}[fallback]
 
 
 # -- canonical encodings -----------------------------------------------------
