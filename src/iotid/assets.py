@@ -60,10 +60,20 @@ class AssetRecord:
         }
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "AssetRecord":
+    def from_bytes(cls, data: bytes, dids: dict[str, Did] | None = None) -> "AssetRecord":
+        """Decode a record; ``dids`` caches parsed owners by their text.
+
+        A caller that decodes many rows passes one ``dids``, so that each
+        distinct owner is parsed once; ``Did`` is frozen, so records share it.
+        """
         d = from_canonical_json(data)
+        owner = d["owner"]
+        if dids is None:
+            did = parse_did(owner)
+        elif (did := dids.get(owner)) is None:
+            did = dids[owner] = parse_did(owner)
         return cls(data_id=ContentHash.from_hex(d["dataId"]),
-                   owner=parse_did(d["owner"]),
+                   owner=did,
                    asset_name=d["assetName"],
                    added_at=int(d["addedAt"]))
 
@@ -175,10 +185,10 @@ class _AssetView:
 
     def all(self, state: WorldState) -> list[AssetRecord]:
         if self._by_time is None:
-            by_key = self._by_key
+            by_key, dids = self._by_key, {}
             for key, value, _ in state.range(KEY_ASSET):
                 if key not in by_key:
-                    by_key[key] = AssetRecord.from_bytes(value)
+                    by_key[key] = AssetRecord.from_bytes(value, dids)
             self._by_time = sorted(by_key.values(), key=_order)
         return self._by_time
 
@@ -188,9 +198,10 @@ class _AssetView:
             if self._by_time is not None:
                 rows = [record for record in self._by_time if record.owner == owner]
             else:
-                rows = []
+                # every row names ``owner``, whose text the index matched
+                rows, dids = [], {str(owner): owner}
                 for key, value, _ in state.owned(str(owner)):
-                    rows.append(AssetRecord.from_bytes(value))
+                    rows.append(AssetRecord.from_bytes(value, dids))
                     self._by_key[key] = rows[-1]
                 rows.sort(key=_order)
             self._by_owner[owner] = rows

@@ -14,19 +14,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .codec import canonical_json, from_canonical_json, sha256
 
@@ -82,17 +76,16 @@ def format_did(did: Did) -> str:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Ed25519 keypair. The private half never appears in any serialized output."""
+    """Ed25519 keypair. The private half never appears in any serialized output.
+
+    It holds the parsed private key, so signing never parses the seed again.
+    """
 
     public_key: bytes
-    private_key: bytes = field(repr=False)
-
-    @cached_property
-    def _signer(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self.private_key)
+    private_key: Ed25519PrivateKey = field(repr=False, compare=False)
 
     def sign(self, message: bytes) -> bytes:
-        return self._signer.sign(message)
+        return self.private_key.sign(message)
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
@@ -104,8 +97,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
     public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    raw = private.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
-    return KeyPair(public_key=public, private_key=raw)
+    return KeyPair(public_key=public, private_key=private)
 
 
 def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:

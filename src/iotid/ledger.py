@@ -5,10 +5,13 @@ in-process:
 
 1. execute: a signed proposal runs against the current committed state and
    yields a read/write set; contract errors abort here with no rwset. Its
-   signature is verified once, and every peer's execution shares that verdict.
-2. endorse: every roster peer executes the proposal once and signs the
-   txId of its own rwset; the collector checks that all peers computed
-   the same txId and merges their endorsements into one transaction.
+   signature is verified once, and each endorser's execution shares that
+   verdict.
+2. endorse: as Fabric's client does, the collector asks only as many peers
+   as the policy needs, the first ``threshold`` of the roster in roster
+   order. Each executes the proposal once and signs the txId of its own
+   rwset; the collector checks that they computed the same txId and merges
+   their endorsements into one transaction.
 3. order: a solo orderer batches transactions in arrival order, cutting a
    block when it is full or on ``flush()``.
 4. validate: per transaction, endorsement policy first, then MVCC (every
@@ -738,9 +741,12 @@ class ChainReport:
 class LedgerEngine:
     """Single-channel ledger: solo ordering, m-of-n endorsement, MVCC commit.
 
-    Proposal execution yields a deterministic rwset over the committed
-    state, though each peer's execution writes any content to ``objects/``;
-    ordering, validation, and commit run as one serialized pipeline.
+    A proposal is endorsed by the first m peers of the roster, and validation
+    accepts any m distinct roster signatures. Proposal execution yields a
+    deterministic rwset over the committed state, though each endorser's
+    execution writes any content to ``objects/``; ordering, validation, and
+    commit run as one serialized pipeline. A peer's signing key is derived
+    when it first endorses, so an engine that only reads derives none.
     Queries only ever see fully committed blocks. Each commit advances the
     clock ``commit_tick`` seconds: a ``SimClock`` one second by default.
     """
@@ -775,7 +781,6 @@ class LedgerEngine:
                 journal.unlink(missing_ok=True)
                 self._new_store()
                 self.commit_block(block)
-            self._peers = {p.name: p.keypair for p in self.genesis.peers}
         except BaseException:
             if hasattr(self, "state"):  # none yet when provisioning is refused
                 self.state.close()
@@ -953,9 +958,9 @@ class LedgerEngine:
 
         Identical snapshot and proposal always yield an identical rwset, but
         a contract that stores content writes it to ``objects/`` on every
-        execution. The execution harness brackets the call with nonce replay
-        protection (a read+write of the invoker's nonce key), so replays
-        fail here and same-block duplicates fall out of MVCC.
+        endorser's execution. The execution harness brackets the call with
+        nonce replay protection (a read+write of the invoker's nonce key), so
+        replays fail here and same-block duplicates fall out of MVCC.
         """
         self._authenticate(proposal)
         contract = self.contracts.get(proposal.contract)
@@ -974,8 +979,8 @@ class LedgerEngine:
         """Refuse a proposal unless its key hashes to the invoker and signed it.
 
         The last proposal that passed is remembered by its signing bytes,
-        which name the invoker and its key, and its signature: every peer's
-        execution of one proposal shares one Ed25519 verify. A changed field
+        which name the invoker and its key, and its signature: the endorsers'
+        executions of one proposal share one Ed25519 verify. A changed field
         is checked afresh, and a proposal that fails is never remembered.
         """
         checked = (proposal.signing_bytes(), proposal.signature)
@@ -987,19 +992,29 @@ class LedgerEngine:
             raise InvalidProposalSignature("proposal signature invalid")
         self._authenticated = checked
 
+    @cached_property
+    def _peers(self) -> dict[str, Member]:
+        """Roster peer id -> member; a member's key is derived when it first signs."""
+        return {p.name: p for p in self.genesis.peers}
+
     def endorse(self, peer_id: str, proposal: TxProposal) -> Transaction:
         """One peer executes the proposal and signs the txId of its own rwset."""
-        keypair = self._peers.get(peer_id)
-        if keypair is None:
+        peer = self._peers.get(peer_id)
+        if peer is None:
             raise UnknownPeer(peer_id)
         rwset, _ = self.execute_proposal(proposal)
         tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[])
-        tx.endorsements.append(Endorsement(peer_id, keypair.sign(tx.tx_id)))
+        tx.endorsements.append(Endorsement(peer_id, peer.keypair.sign(tx.tx_id)))
         return tx
 
     def build_transaction(self, proposal: TxProposal) -> Transaction:
-        """Collect every roster peer's endorsement; their txIds must agree."""
-        tx, *others = [self.endorse(pid, proposal) for pid in self._peers]
+        """Collect the endorsements of the first ``threshold`` roster peers.
+
+        Those are all the policy needs, and roster order keeps the journal
+        the same from run to run. Their txIds must agree.
+        """
+        endorsers = self.genesis.peers[:self.genesis.threshold]
+        tx, *others = [self.endorse(peer.name, proposal) for peer in endorsers]
         for other in others:
             if other.tx_id != tx.tx_id:
                 raise RwsetMismatch(
@@ -1086,7 +1101,7 @@ class LedgerEngine:
     # -- submission pipeline ------------------------------------------------
 
     def submit(self, proposal: TxProposal) -> bytes:
-        """Endorse on every peer and queue; cuts a block when the batch fills."""
+        """Endorse on the peers the policy needs and queue; cuts a block when the batch fills."""
         tx = self.build_transaction(proposal)
         self._pending.append(tx)
         if len(self._pending) >= self.genesis.max_block_txs:

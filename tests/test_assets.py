@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iotid import assets as assets_module
 from iotid.assets import (
     AssetRecord,
     asset_key,
@@ -15,7 +16,7 @@ from iotid.assets import (
     query_owned_assets,
 )
 from iotid.codec import canonical_json
-from iotid.did import parse_did
+from iotid.did import MalformedDid, parse_did
 from iotid.idm import NotAuthenticatedError, Session
 from iotid.ledger import ContractError, WorldState
 from iotid.store import ContentHash
@@ -180,8 +181,8 @@ def count_decodes(monkeypatch) -> list[AssetRecord]:
     decoded = []
     original = AssetRecord.from_bytes
 
-    def counting(cls, data):
-        decoded.append(original(data))
+    def counting(cls, data, *dids):
+        decoded.append(original(data, *dids))
         return decoded[-1]
 
     monkeypatch.setattr(AssetRecord, "from_bytes", classmethod(counting))
@@ -270,6 +271,35 @@ def asset_write(payload, owner, added_at):
     record = AssetRecord(data_id=ContentHash(hashlib.sha256(payload).digest()),
                          owner=owner, asset_name="a.txt", added_at=added_at)
     return asset_key(record.data_id), canonical_json(record.to_dict())
+
+
+def test_a_cold_listing_parses_each_owner_once(monkeypatch):
+    # six rows of two owners: the listing of all parses each owner once and
+    # its records share the parsed DID; a cold owner query parses none
+    writes = [asset_write(bytes([n]), _OWNERS[n % 2], n) for n in range(6)]
+    parsed = []
+    monkeypatch.setattr(assets_module, "parse_did",
+                        lambda text: parsed.append(text) or parse_did(text))
+    state = WorldState()
+    state.apply(writes, (1, 0))
+    records = query_all_assets(state)
+    assert sorted(parsed) == [str(_OWNERS[0]), str(_OWNERS[1])]
+    assert len({id(r.owner) for r in records}) == 2
+    parsed.clear()
+    state = WorldState()
+    state.apply(writes, (1, 0))
+    session = Session(did=_OWNERS[1], expires_at=10)
+    assert len(query_owned_assets(state, session, 0)) == 3
+    assert parsed == []
+
+
+def test_a_malformed_owner_still_fails_the_listing():
+    bad = canonical_json({"addedAt": 1, "assetName": "a.txt",
+                          "dataId": hashlib.sha256(b"bad").hexdigest(), "owner": "did:x"})
+    state = WorldState()
+    state.apply([asset_write(b"good", _OWNERS[0], 0), ("asset/ff", bad)], (1, 0))
+    with pytest.raises(MalformedDid):
+        query_all_assets(state)
 
 
 # one write: an asset record (a pool of 6 payloads, so keys get rewritten

@@ -8,8 +8,9 @@ import hashlib
 import json
 import os
 import stat
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,8 @@ from iotid.clock import SimClock
 from iotid.codec import canonical_json
 from iotid.gateway import Gateway, GatewayError, Keystore
 from iotid.idm import Session, get_did_record
-from iotid.ledger import BLOCKS_FILE, LedgerEngine, LedgerLocked
+from iotid import did as did_module
+from iotid.ledger import BLOCKS_FILE, VALID, GenesisConfig, LedgerEngine, LedgerLocked
 from iotid.did import parse_did
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
@@ -101,6 +103,46 @@ def test_a_ledger_from_an_earlier_version_still_opens(capsys, env, tmp_path):
     source.write_bytes(b'{"d":{"temperature":20.01}}')
     assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
     assert invoke(capsys, env, "chain-verify").data["ok"] is True
+
+
+# `iotid scenario --devices 2 --duration 60` as earlier versions wrote it,
+# when every roster peer endorsed: three endorsements on each transaction
+# after block 0, where the 2-of-3 policy now asks two peers
+THREE_ENDORSEMENTS = Path(__file__).parent / "golden" / "three_endorsements.jsonl"
+
+
+def test_a_journal_with_three_endorsements_per_transaction_still_opens(capsys, env, tmp_path):
+    ledger_dir = Path(env["ledger"])
+    ledger_dir.mkdir()
+    (ledger_dir / BLOCKS_FILE).write_bytes(THREE_ENDORSEMENTS.read_bytes())
+    with Gateway(ledger_dir, env["keystore"])._open_engine() as engine:  # replays from block 0
+        assert engine.height == 9
+        blocks = engine.read_blocks()
+        assert {len(tx.endorsements) for block in blocks[1:] for tx in block.transactions} == {3}
+        assert all(block.validation_flags == [VALID] for block in blocks)
+    assert invoke(capsys, env, "chain-verify").data["ok"] is True
+    listing = invoke(capsys, env, "asset-list").data
+    assert listing["count"] == 4
+    owners = Counter(asset["owner"] for asset in listing["assets"])
+    assert sorted(owners.values()) == [2, 2]
+
+    # blocks with two endorsements follow the blocks with three; the
+    # registrar's counter goes past the two nonces the scenario's keystore used
+    assert invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex()).code == 0
+    (Path(env["keystore"]) / "nonces.json").write_text('{"registrar": 2}')
+    assert invoke(capsys, env, "device-register", "dev1").code == 0
+    assert invoke(capsys, env, "device-login", "dev1").code == 0
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b'{"d":{"temperature":20.01}}')
+    assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
+    with Gateway(ledger_dir, env["keystore"])._open_engine() as engine:
+        assert engine.height == 12
+        assert [[e.peer_id for e in block.transactions[0].endorsements]
+                for block in engine.read_blocks()[9:]] == [["peer1", "peer2"]] * 3
+    assert invoke(capsys, env, "chain-verify").data == {
+        "ok": True, "height": 12, "badBlock": None, "reason": None}
+    assert invoke(capsys, env, "asset-list").data["count"] == 5
+    assert invoke(capsys, env, "asset-list", "--mine", "dev1").data["count"] == 1
 
 
 def test_block0_writes_only_the_config_key_a_contract_reads(capsys, env):
@@ -246,6 +288,27 @@ def test_upload_receipt_never_rereads_the_journal(capsys, env, ready,
     last = json.loads(journal.read_bytes().splitlines()[-1])
     assert result.data["block"] == last["number"]
     assert result.data["txId"] == last["transactions"][0]["txId"]
+
+
+def test_cold_commands_parse_only_the_keys_they_sign_or_check_with(capsys, env, ready,
+                                                                   tmp_path, monkeypatch):
+    # each private key is parsed once, when its keypair is derived; a read
+    # derives no peer key, and an upload derives the device's key and the
+    # three roster keys that the policy check reads
+    parsed = []
+    parse = did_module.Ed25519PrivateKey.from_private_bytes
+    monkeypatch.setattr(did_module, "Ed25519PrivateKey", SimpleNamespace(
+        from_private_bytes=lambda seed: parsed.append(seed) or parse(seed)))
+    assert invoke(capsys, env, "asset-list").code == 0
+    assert parsed == []
+    assert invoke(capsys, env, "device-login", "dev1").code == 0
+    assert parsed == [SEED_01]
+    parsed.clear()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"one cold upload")
+    assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
+    peer_seeds = [p.seed for p in GenesisConfig.default().peers]
+    assert sorted(parsed) == sorted([SEED_01, *peer_seeds])
 
 
 def test_upload_names_device_directory_files(capsys, env, ready, tmp_path):
@@ -410,8 +473,9 @@ def test_scenario_single_device(capsys, env, tmp_path):
 
 # the default scenario's journal, fixed so that refactors prove they leave
 # every committed byte unchanged; update only with a deliberate format change
+# (the last: each transaction carries only the policy's 2 endorsements, not 3)
 SCENARIO_JOURNAL_SHA256 = \
-    "1890a9377b3498bc9833b5c4619a0369fdd885cf0496ad61ee68e5179be00d88"
+    "22ef7c763d02d5802114a52b6b86abd3db8f995f8ac25bcd99b7794de668b384"
 
 
 def test_scenario_journal_is_golden(tmp_path):

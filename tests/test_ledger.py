@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from iotid import ledger as ledger_module
 from iotid.codec import canonical_json, sha256
-from iotid.did import Address, generate_keypair, verify_signature
+from iotid.did import Address, KeyPair, generate_keypair, verify_signature
 from iotid.store import ContentStore
 from iotid.ledger import (
     BLOCKS_FILE,
@@ -141,7 +141,8 @@ def test_invoker_must_match_key(engine, alice, bob):
 
 
 def test_submit_verifies_the_proposal_signature_once(engine, alice, monkeypatch):
-    # three peers execute the proposal; only the first verifies its signature
+    # the two endorsers of a 2-of-3 policy execute the proposal; only the
+    # first verifies its signature
     proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
     checks, executions = [], []
     monkeypatch.setattr(ledger_module, "verify_signature",
@@ -151,7 +152,7 @@ def test_submit_verifies_the_proposal_signature_once(engine, alice, monkeypatch)
                         lambda p: executions.append(p) or execute(p))
     engine.submit(proposal)
     assert checks == [(proposal.invoker_key, proposal.signing_bytes(), proposal.signature)]
-    assert len(executions) == 3
+    assert len(executions) == 2
 
 
 class StoringContract:
@@ -328,7 +329,7 @@ def build_tx(engine, proposal):
 
 def test_roster_endorsements_satisfy_policy(engine, alice):
     tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
-    assert len(tx.endorsements) == 3
+    assert len(tx.endorsements) == engine.genesis.threshold
     block = engine.order_batch([tx])
     assert engine.validate_block(block) == [VALID]
 
@@ -365,16 +366,32 @@ def test_forged_endorsement_does_not_count(engine, alice):
 
 
 def test_policy_stops_checking_at_the_threshold(engine, alice, monkeypatch):
-    # 2 of 3: with every signature good the third is never checked; with
-    # peer1's forged, peers 2 and 3 make the threshold on the third check
+    # 2 of 3, with peer3's signature, made with its roster key, appended to
+    # the two the collector asked for: with every signature good the third
+    # is never checked; with peer1's forged, peers 2 and 3 make the
+    # threshold on the third check
     tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
-    forged = [Endorsement(tx.endorsements[0].peer_id, bytes(64)), *tx.endorsements[1:]]
-    block = engine.order_batch([tx, Transaction(tx.proposal, tx.rwset, forged)])
+    peer3 = engine.genesis.peers[2]
+    signed = [*tx.endorsements, Endorsement(peer3.name, peer3.keypair.sign(tx.tx_id))]
+    forged = [Endorsement(signed[0].peer_id, bytes(64)), *signed[1:]]
+    block = engine.order_batch([Transaction(tx.proposal, tx.rwset, signed),
+                                Transaction(tx.proposal, tx.rwset, forged)])
     checks = []
     monkeypatch.setattr(ledger_module, "verify_signature",
                         lambda *args: checks.append(args[2]) or verify_signature(*args))
     assert engine.validate_block(block) == [VALID, MVCC_CONFLICT]
-    assert checks == [e.signature for e in tx.endorsements[:2] + forged]
+    assert checks == [e.signature for e in signed[:2] + forged]
+
+
+def test_threshold_endorsements_with_one_forged_fail_policy(engine, alice):
+    # exactly the endorsements the policy needs, so one bad signature is one too few
+    tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
+    assert len(tx.endorsements) == engine.genesis.threshold
+    for index, endorsement in enumerate(tx.endorsements):
+        forged = list(tx.endorsements)
+        forged[index] = Endorsement(endorsement.peer_id, bytes(64))
+        doctored = Transaction(tx.proposal, tx.rwset, forged)
+        assert engine.validate_block(engine.order_batch([doctored])) == [POLICY_FAILURE]
 
 
 _PEER_KEYS = [generate_keypair(bytes([n]) * 32) for n in range(40, 45)]
@@ -435,18 +452,29 @@ def test_endorsement_rejects_divergent_rwset(engine, alice):
         engine.endorse("peer9", proposal)
 
 
-def test_build_transaction_executes_once_per_peer(engine, alice, monkeypatch):
-    calls = []
-    execute = engine.execute_proposal
-
-    def counting(proposal):
-        calls.append(proposal)
-        return execute(proposal)
-
-    monkeypatch.setattr(engine, "execute_proposal", counting)
-    tx = engine.build_transaction(alice.proposal(engine, "kv", "set", ["x", "1"]))
-    assert len(calls) == len(engine.genesis.peers) == 3
-    assert [e.peer_id for e in tx.endorsements] == ["peer1", "peer2", "peer3"]
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_build_transaction_executes_once_per_peer(tmp_path, alice, monkeypatch, threshold):
+    # of a 3-peer roster, exactly the first ``threshold`` peers execute and sign
+    default = GenesisConfig.default()
+    engine = make_engine(tmp_path, genesis=GenesisConfig(
+        peers=default.peers, registrars=default.registrars, threshold=threshold))
+    try:
+        proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
+        calls, signers = [], []
+        execute, sign = engine.execute_proposal, KeyPair.sign
+        monkeypatch.setattr(engine, "execute_proposal",
+                            lambda proposal: calls.append(proposal) or execute(proposal))
+        monkeypatch.setattr(KeyPair, "sign",
+                            lambda keypair, message: signers.append(keypair.public_key)
+                            or sign(keypair, message))
+        tx = engine.build_transaction(proposal)
+        endorsers = ["peer1", "peer2", "peer3"][:threshold]
+        assert len(calls) == threshold
+        assert [e.peer_id for e in tx.endorsements] == endorsers
+        assert signers == [engine.genesis.roster[pid] for pid in endorsers]
+        assert engine.validate_block(engine.order_batch([tx])) == [VALID]
+    finally:
+        engine.close()
 
 
 def test_policy_failure_wins_over_mvcc(engine, alice, bob):
@@ -832,13 +860,23 @@ def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
         reopened.close()
 
 
-def test_open_derives_each_genesis_key_once(tmp_path, engine, monkeypatch):
+def test_open_derives_no_key_and_commits_derive_each_peer_key_once(tmp_path, engine, alice,
+                                                                    monkeypatch):
+    # a read-only opener needs no peer key; the endorsers' keys are derived
+    # when they first sign, the rest of the roster when validation checks it
     engine.close()
     seeds = []
     real = ledger_module.generate_keypair
     monkeypatch.setattr(ledger_module, "generate_keypair",
                         lambda seed: seeds.append(seed) or real(seed))
-    reopen_engine(tmp_path).close()
+    reopened = reopen_engine(tmp_path)
+    try:
+        assert seeds == []
+        for value in ("1", "2"):
+            reopened.submit(alice.proposal(reopened, "kv", "set", ["x", value]))
+            reopened.flush()
+    finally:
+        reopened.close()
     peer_seeds = [p.seed for p in GenesisConfig.default().peers]
     assert sorted(seeds) == sorted(peer_seeds)
 
