@@ -20,8 +20,11 @@ from iotid.codec import canonical_json
 from iotid.gateway import Gateway, GatewayError, Keystore
 from iotid.idm import Session, get_did_record
 from iotid import did as did_module
-from iotid.ledger import BLOCKS_FILE, VALID, GenesisConfig, LedgerEngine, LedgerLocked
+from iotid import idm as idm_module
+from iotid import ledger as ledger_module
+from iotid.ledger import BLOCKS_FILE, VALID, Block, GenesisConfig, LedgerEngine, LedgerLocked
 from iotid.did import parse_did
+from iotid.store import ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
 from util import foreign_hold
@@ -311,6 +314,21 @@ def test_cold_commands_parse_only_the_keys_they_sign_or_check_with(capsys, env, 
     assert sorted(parsed) == sorted([SEED_01, *peer_seeds])
 
 
+def test_a_cold_upload_verifies_only_its_proposal(capsys, env, ready, tmp_path, monkeypatch):
+    # the upload's engine made both endorsements, so validation counts them
+    # without a verify: the one Ed25519 verify is the device's proposal
+    checks = []
+    verify = did_module.verify_signature
+    for module in (did_module, idm_module, ledger_module):
+        monkeypatch.setattr(module, "verify_signature",
+                            lambda *args, name=module.__name__:
+                            checks.append((name, args[0].hex())) or verify(*args))
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"one verified upload")
+    assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
+    assert checks == [("iotid.ledger", PUB_01)]
+
+
 def test_upload_names_device_directory_files(capsys, env, ready, tmp_path):
     nested = tmp_path / "device1" / "3.txt"
     nested.parent.mkdir()
@@ -478,11 +496,34 @@ SCENARIO_JOURNAL_SHA256 = \
     "22ef7c763d02d5802114a52b6b86abd3db8f995f8ac25bcd99b7794de668b384"
 
 
-def test_scenario_journal_is_golden(tmp_path):
-    gateway = Gateway(tmp_path / "ledger", tmp_path / "keys", clock=SimClock())
+def scenario_journal(base: Path) -> bytes:
+    """The default scenario's journal, run under ``base``, checked against the golden digest."""
+    gateway = Gateway(base / "ledger", base / "keys", clock=SimClock())
     assert gateway.cmd_scenario()["ok"] is True
-    journal = (tmp_path / "ledger" / "blocks.jsonl").read_bytes()
+    journal = (base / "ledger" / BLOCKS_FILE).read_bytes()
     assert hashlib.sha256(journal).hexdigest() == SCENARIO_JOURNAL_SHA256
+    return journal
+
+
+def test_scenario_journal_is_golden(tmp_path):
+    scenario_journal(tmp_path)
+
+
+def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path):
+    # an engine that endorsed none of the scenario's transactions verifies
+    # every endorsement it counts; block by block it must give the flags
+    # the journal holds and, committing them, write the journal again
+    records = scenario_journal(tmp_path).splitlines(keepends=True)
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    (copy / BLOCKS_FILE).write_bytes(records[0])
+    with LedgerEngine.open(copy, ContentStore(tmp_path / "objects"), {}) as engine:
+        for record in records[1:]:
+            block = Block.from_dict(json.loads(record))
+            flags = engine.validate_block(block)
+            assert flags == block.validation_flags, f"block {block.number}"
+            engine.commit_block(block)
+    assert (copy / BLOCKS_FILE).read_bytes() == b"".join(records)
 
 
 def test_scenario_keeps_the_first_of_colliding_readings(tmp_path):

@@ -155,6 +155,25 @@ def test_submit_verifies_the_proposal_signature_once(engine, alice, monkeypatch)
     assert len(executions) == 2
 
 
+def test_submissions_and_their_blocks_verify_only_the_proposals(engine, alice, bob,
+                                                                 monkeypatch):
+    # validation counts the endorsements this engine made without a second
+    # verify: 13 submissions, cut into a full block of 10 and a flushed
+    # block of 3, make 13 verifies, each a proposal check
+    proposals = [(alice, bob)[n % 2].proposal(engine, "kv", "set", [f"k{n}", "1"])
+                 for n in range(13)]
+    checks = []
+    monkeypatch.setattr(ledger_module, "verify_signature",
+                        lambda *args: checks.append(args) or verify_signature(*args))
+    tx_ids = [engine.submit(proposal) for proposal in proposals]
+    # the full block's commit forgot its 10 transactions' signatures
+    assert len(engine._signed) == 3 * engine.genesis.threshold
+    engine.flush()
+    assert engine.height == 3
+    assert [engine.tx_flag(tx_id) for tx_id in tx_ids] == [VALID] * 13
+    assert checks == [(p.invoker_key, p.signing_bytes(), p.signature) for p in proposals]
+
+
 class StoringContract:
     """Writes its argument to the content store and to state; counts its calls."""
 
@@ -366,13 +385,14 @@ def test_forged_endorsement_does_not_count(engine, alice):
 
 
 def test_policy_stops_checking_at_the_threshold(engine, alice, monkeypatch):
-    # 2 of 3, with peer3's signature, made with its roster key, appended to
-    # the two the collector asked for: with every signature good the third
-    # is never checked; with peer1's forged, peers 2 and 3 make the
-    # threshold on the third check
-    tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
-    peer3 = engine.genesis.peers[2]
-    signed = [*tx.endorsements, Endorsement(peer3.name, peer3.keypair.sign(tx.tx_id))]
+    # 2 of 3, with all three roster peers' signatures made with their keys
+    # outside ``endorse``, so that each one counted must be verified: with
+    # every signature good the third is never checked; with peer1's
+    # forged, peers 2 and 3 make the threshold on the third check
+    proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
+    tx = Transaction(proposal, engine.execute_proposal(proposal)[0], [])
+    signed = [Endorsement(peer.name, peer.keypair.sign(tx.tx_id))
+              for peer in engine.genesis.peers]
     forged = [Endorsement(signed[0].peer_id, bytes(64)), *signed[1:]]
     block = engine.order_batch([Transaction(tx.proposal, tx.rwset, signed),
                                 Transaction(tx.proposal, tx.rwset, forged)])
@@ -392,6 +412,52 @@ def test_threshold_endorsements_with_one_forged_fail_policy(engine, alice):
         forged[index] = Endorsement(endorsement.peer_id, bytes(64))
         doctored = Transaction(tx.proposal, tx.rwset, forged)
         assert engine.validate_block(engine.order_batch([doctored])) == [POLICY_FAILURE]
+
+
+def _tampered(kind: str, tx: Transaction, peer3: Member) -> Transaction:
+    """``tx``, which the engine endorsed, changed before validation as ``kind`` says."""
+    first, *rest = tx.endorsements
+    rwset = tx.rwset
+    if kind == "flipped-signature":
+        endorsements = [Endorsement(first.peer_id, bytes([first.signature[0] ^ 1]) +
+                                    first.signature[1:]), *rest]
+    elif kind == "relabelled":  # peer1's signature, labelled as peer3's
+        endorsements = [Endorsement(peer3.name, first.signature), *rest]
+    elif kind == "changed-rwset":  # a new txId under the old signatures
+        rwset = ReadWriteSet(rwset.reads, [*rwset.writes, ("kv/y", b"2")])
+        endorsements = tx.endorsements
+    elif kind == "duplicated":
+        endorsements = [first, first]
+    elif kind == "stripped":
+        endorsements = []
+    else:  # peer3's signature, made with its key outside ``endorse``, put first
+        endorsements = [Endorsement(peer3.name, peer3.keypair.sign(tx.tx_id)), first, *rest]
+    return Transaction(tx.proposal, rwset, endorsements)
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("flipped-signature", POLICY_FAILURE), ("relabelled", POLICY_FAILURE),
+    ("changed-rwset", POLICY_FAILURE), ("duplicated", POLICY_FAILURE),
+    ("stripped", POLICY_FAILURE), ("peer3-added", VALID)])
+def test_a_tampered_endorsement_gets_the_flags_of_an_engine_that_signed_nothing(
+        tmp_path, engine, alice, bob, kind, flag):
+    # the engine endorses two transactions and one is tampered with before
+    # validation; an engine opened on a copy of the journal, which endorsed
+    # nothing and so verifies every signature, must give the same flags
+    tx = build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))
+    honest = build_tx(engine, bob.proposal(engine, "kv", "set", ["z", "1"]))
+    block = engine.order_batch([_tampered(kind, tx, engine.genesis.peers[2]), honest])
+    (tmp_path / "copy" / "ledger").mkdir(parents=True)
+    (tmp_path / "copy" / "ledger" / BLOCKS_FILE).write_bytes(
+        (tmp_path / "ledger" / BLOCKS_FILE).read_bytes())
+    with reopen_engine(tmp_path / "copy") as fresh:
+        assert fresh._signed == set()
+        expected = fresh.validate_block(block)
+    assert expected == [flag, VALID]
+    block.validation_flags = engine.validate_block(block)
+    assert block.validation_flags == expected
+    engine.commit_block(block)
+    assert engine._signed == set()
 
 
 _PEER_KEYS = [generate_keypair(bytes([n]) * 32) for n in range(40, 45)]
@@ -414,16 +480,23 @@ def test_early_stop_policy_matches_a_full_count(data):
     threshold = data.draw(st.integers(1, n), label="threshold")
     roster = {f"peer{i}": _PEER_KEYS[i].public_key for i in range(n)}
     tx_id = _POLICY_TX.tx_id
-    endorsements = []
+    endorsements, made = [], []
     for peer, kind in data.draw(_endorsement_picks, label="endorsements"):
         signer = _PEER_KEYS[(peer + 1) % len(_PEER_KEYS)] if kind == "foreign" \
             else _PEER_KEYS[peer]
         message = tx_id if kind != "other-message" else sha256(tx_id)
         endorsements.append(Endorsement(f"peer{peer}", signer.sign(message)))
+        made.append((signer.public_key, message, endorsements[-1].signature))
     tx = Transaction(_POLICY_TX.proposal, _POLICY_TX.rwset, endorsements)
     full_count = len({e.peer_id for e in endorsements if e.peer_id in roster and
                       verify_signature(roster[e.peer_id], tx_id, e.signature)})
-    holder = SimpleNamespace(genesis=SimpleNamespace(roster=roster, threshold=threshold))
+    # the engine's record of what it signed holds genuine triples only; any
+    # subset of those made here, off-roster signers and signatures over
+    # other bytes included, must leave the verdict that of the full count
+    kept = data.draw(st.lists(st.booleans(), min_size=len(made), max_size=len(made)),
+                     label="signed by the engine")
+    holder = SimpleNamespace(genesis=SimpleNamespace(roster=roster, threshold=threshold),
+                             _signed={t for t, keep in zip(made, kept) if keep})
     assert LedgerEngine._endorsements_satisfy_policy(holder, tx) == \
         (full_count >= threshold)
 
@@ -450,6 +523,27 @@ def test_endorsement_rejects_divergent_rwset(engine, alice):
     assert engine.flush() is None  # nothing was queued
     with pytest.raises(UnknownPeer):
         engine.endorse("peer9", proposal)
+
+
+def test_each_commit_forgets_what_the_engine_signed(engine, alice):
+    assert engine._signed == set()  # after the genesis commit
+    engine.contracts["drift"] = DriftContract()
+    with pytest.raises(RwsetMismatch):
+        engine.submit(alice.proposal(engine, "drift", "set", []))
+    assert len(engine._signed) == 2  # both endorsers signed before the mismatch
+    engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    assert len(engine._signed) == 4
+    engine.flush()
+    assert engine._signed == set()
+    # a direct endorse is remembered too, and forgotten at the next commit
+    tx = engine.endorse("peer3", alice.proposal(engine, "kv", "set", ["y", "1"]))
+    assert engine._signed == {(engine.genesis.roster["peer3"], tx.tx_id,
+                               tx.endorsements[0].signature)}
+    block = engine.order_batch([tx])
+    block.validation_flags = engine.validate_block(block)
+    assert block.validation_flags == [POLICY_FAILURE]  # one endorsement of the two
+    engine.commit_block(block)
+    assert engine._signed == set()
 
 
 @pytest.mark.parametrize("threshold", [1, 2, 3])
