@@ -29,7 +29,6 @@ from .idm import (
     Session,
     device_key,
     did_key,
-    get_did_document,
     session_is_valid,
 )
 from .ledger import (
@@ -106,15 +105,13 @@ class AssetContract:
             raise ContractError("EmptyPayload", "payload must not be empty")
 
         # the proposal must be signed by the device's own key: the invoker
-        # address has to match the key in the device's DID document
+        # address has to match the key in the device's DID record
         raw_record = ctx.get(did_key(did))
         if raw_record is None or ctx.get(device_key(did)) is None:
             raise ContractError("NotAuthenticated",
                                 f"device not registered: {did}")
-        document = get_did_document(ctx.store,
-                                    DidRecord.from_bytes(raw_record).doc_hash)
-        device_address = derive_address(bytes.fromhex(document.public_key_hex))
-        if device_address != ctx.invoker:
+        public_key = DidRecord.from_bytes(raw_record, ctx.store).public_key
+        if derive_address(public_key) != ctx.invoker:
             raise ContractError("NotAuthenticated",
                                 f"proposal not signed by device key of {did}")
 

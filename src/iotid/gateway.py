@@ -244,6 +244,8 @@ class Gateway:
         with LedgerEngine.create(self.ledger_dir, genesis, self._store(),
                                  default_contracts(), clock=self.clock,
                                  force=force) as engine:
+            # made now: only an upload writes to it, and readers expect it
+            (self.ledger_dir / OBJECTS_DIR).mkdir(exist_ok=True)
             return {
                 "ledgerDir": str(self.ledger_dir),
                 "height": engine.height,

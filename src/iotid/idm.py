@@ -3,8 +3,9 @@
 On-chain (dispatched through the ledger's execute-order-validate
 pipeline): identity creation gated on an authorized registrar and a key
 possession proof, device registration gated on ownership, and ownership
-transfer that replaces the former owner. The DID document bytes live in
-the content store; only the record with the document hash goes on chain.
+transfer that replaces the former owner. The on-chain record carries the
+DID's public key, so the resolver builds the DID document from the chain
+alone and this contract writes nothing to the content store.
 
 Off-chain: challenge-response login. Challenges and sessions are
 ephemeral gateway state; putting them on chain would bloat blocks and
@@ -16,7 +17,6 @@ from __future__ import annotations
 import random
 import secrets
 from dataclasses import dataclass, replace
-from weakref import WeakKeyDictionary
 
 from .clock import Clock
 from .codec import canonical_json, from_canonical_json
@@ -84,7 +84,7 @@ class DidRecord:
     """On-chain identity entry under ``did/<did text>``."""
 
     did: Did
-    doc_hash: ContentHash
+    public_key: bytes
     owner: Address
     created_at: int
 
@@ -92,19 +92,27 @@ class DidRecord:
         return {
             "createdAt": self.created_at,
             "did": str(self.did),
-            "docHash": self.doc_hash.hex,
             "owner": str(self.owner),
+            "publicKey": self.public_key.hex(),
         }
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "DidRecord":
+    def from_bytes(cls, data: bytes, store: ContentStore) -> "DidRecord":
+        """Decode a record; one written before records carried the key names
+        its DID document by ``docHash``, and ``store`` supplies that document.
+        """
         d = from_canonical_json(data)
-        return cls(
-            did=parse_did(d["did"]),
-            doc_hash=ContentHash.from_hex(d["docHash"]),
-            owner=Address.from_text(d["owner"]),
-            created_at=int(d["createdAt"]),
-        )
+        did, owner = parse_did(d["did"]), Address.from_text(d["owner"])
+        if "publicKey" in d:
+            public_key_hex = d["publicKey"]
+        else:
+            document = DidDocument.from_bytes(store.get(ContentHash.from_hex(d["docHash"])))
+            if document.id != did or document.owner != owner:
+                raise IntegrityFailure(
+                    f"document for {did} does not match its on-chain record")
+            public_key_hex = document.public_key_hex
+        return cls(did=did, public_key=bytes.fromhex(public_key_hex), owner=owner,
+                   created_at=int(d["createdAt"]))
 
 
 @dataclass(frozen=True)
@@ -140,10 +148,9 @@ def device_key(did: Did) -> str:
 class IdmContract:
     """Chaincode ``idm``: createIdentity, registerDevice, transferOwnership.
 
-    Functions yield a deterministic rwset over the execution snapshot, but
-    createIdentity and transferOwnership write a DID document to
-    ``objects/`` on every execution; every error path raises before any
-    write is staged, so failed calls leave no rwset.
+    Functions yield a deterministic rwset over the execution snapshot and
+    write only world state, never the content store; every error path
+    raises before any write is staged, so failed calls leave no rwset.
     """
 
     name = "idm"
@@ -184,10 +191,7 @@ class IdmContract:
             raise ContractError("InvalidProof",
                                 f"possession proof does not verify for {did}")
 
-        document = DidDocument(id=did, public_key_hex=public_key.hex(),
-                               owner=owner, created=ctx.timestamp)
-        doc_hash = ctx.store.put(document.canonical_bytes())
-        record = DidRecord(did=did, doc_hash=doc_hash, owner=owner,
+        record = DidRecord(did=did, public_key=public_key, owner=owner,
                            created_at=ctx.timestamp)
         encoded = canonical_json(record.to_dict())
         ctx.put(did_key(did), encoded)
@@ -202,7 +206,7 @@ class IdmContract:
         raw = ctx.get(did_key(did))
         if raw is None:
             raise ContractError("UnknownDid", f"no identity for {did}")
-        record = DidRecord.from_bytes(raw)
+        record = DidRecord.from_bytes(raw, ctx.store)
         if record.owner != ctx.invoker:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
@@ -225,44 +229,17 @@ class IdmContract:
         raw = ctx.get(did_key(did))
         if raw is None:
             raise ContractError("UnknownDid", f"no identity for {did}")
-        record = DidRecord.from_bytes(raw)
+        record = DidRecord.from_bytes(raw, ctx.store)
         if record.owner != ctx.invoker:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
-        # the former owner is replaced in both the record and the document
-        document = get_did_document(ctx.store, record.doc_hash)
-        new_document = replace(document, owner=new_owner)
-        new_hash = ctx.store.put(new_document.canonical_bytes())
-        updated = DidRecord(did=did, doc_hash=new_hash, owner=new_owner,
-                            created_at=record.created_at)
-        encoded = canonical_json(updated.to_dict())
+        # the record is rewritten whole: an old-format one now carries the key
+        encoded = canonical_json(replace(record, owner=new_owner).to_dict())
         ctx.put(did_key(did), encoded)
         return encoded
 
 
 # -- read-side resolution ---------------------------------------------------
-
-
-# Decoded DID documents per store, keyed by docHash. A document is content
-# addressed, so an entry, made only from bytes ``store.get`` checked against
-# that hash, cannot go stale; the memo lives exactly as long as its store,
-# and a freshly built store reads from disk again.
-_documents: WeakKeyDictionary[ContentStore, dict[ContentHash, DidDocument]] = \
-    WeakKeyDictionary()
-
-
-def get_did_document(store: ContentStore, doc_hash: ContentHash) -> DidDocument:
-    """The DID document stored under ``doc_hash``, decoded once per store."""
-    memo = _documents.setdefault(store, {})
-    document = memo.get(doc_hash)
-    if document is None:
-        document = memo[doc_hash] = DidDocument.from_bytes(store.get(doc_hash))
-    return document
-
-
-def get_did_record(state: WorldState, did: Did) -> DidRecord | None:
-    entry = state.get(did_key(did))
-    return DidRecord.from_bytes(entry[0]) if entry is not None else None
 
 
 def get_device_record(state: WorldState, did: Did) -> DeviceRecord | None:
@@ -271,15 +248,14 @@ def get_device_record(state: WorldState, did: Did) -> DeviceRecord | None:
 
 
 def resolve_did(state: WorldState, store: ContentStore, did: Did) -> DidDocument:
-    """Fetch and verify the DID document referenced by the on-chain record."""
-    record = get_did_record(state, did)
-    if record is None:
+    """The DID document built from the on-chain record alone; ``store`` is
+    read only for a record written before records carried the key."""
+    entry = state.get(did_key(did))
+    if entry is None:
         raise UnknownDidError(str(did))
-    document = get_did_document(store, record.doc_hash)
-    if document.id != did or document.owner != record.owner:
-        raise IntegrityFailure(
-            f"document for {did} does not match its on-chain record")
-    return document
+    record = DidRecord.from_bytes(entry[0], store)
+    return DidDocument(id=record.did, public_key_hex=record.public_key.hex(),
+                       owner=record.owner, created=record.created_at)
 
 
 # -- challenge-response login -------------------------------------------------

@@ -746,8 +746,8 @@ class LedgerEngine:
     A proposal is endorsed by the first m peers of the roster, and validation
     accepts any m distinct roster signatures. Proposal execution yields a
     deterministic rwset over the committed state, though each endorser's
-    execution writes any content to ``objects/``; ordering, validation, and
-    commit run as one serialized pipeline. A peer's signing key is derived
+    execution of an upload writes its payload to ``objects/``; ordering,
+    validation, and commit run as one serialized pipeline. A peer's signing key is derived
     when it first endorses, so an engine that only reads derives none.
     The engine remembers ``(signer public key, txId, signature)`` of each
     endorsement it has made since its last commit, and validation counts
@@ -967,8 +967,8 @@ class LedgerEngine:
         """Authenticate the proposal, then run its contract function on the snapshot.
 
         Identical snapshot and proposal always yield an identical rwset, but
-        a contract that stores content writes it to ``objects/`` on every
-        endorser's execution. The execution harness brackets the call with
+        an upload writes its payload to ``objects/`` on every endorser's
+        execution. The execution harness brackets the call with
         nonce replay protection (a read+write of the invoker's nonce key), so
         replays fail here and same-block duplicates fall out of MVCC.
         """

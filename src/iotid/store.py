@@ -1,11 +1,11 @@
 """Content-addressed document store.
 
-The off-chain half of the system: DID documents and asset payloads live
-here, keyed by the SHA-256 of their bytes, while the chain holds only the
-hashes. One file per content under the store directory, named by hex
-digest; integrity is re-checked on every read from disk because this store
-is the trust boundary for document bytes. Callers that memoize a decode
-(``idm.get_did_document``) keep only decodes of bytes ``get`` has checked.
+The off-chain half of the system: asset payloads live here, keyed by the
+SHA-256 of their bytes, while the chain holds only the hashes (and, for
+identities recorded before DID records carried the key, the hash of their
+DID document, which lives here too). One file per content under the store
+directory, named by hex digest; integrity is re-checked on every read from
+disk because this store is the trust boundary for those bytes.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class ContentStore:
     """Directory-backed store whose only index is its file names.
 
     ``len()`` counts the files once, then adds this store's own new puts.
-    Identical concurrent puts are safe because put is idempotent. The
-    directory is made by the first put that needs it.
+    Identical concurrent puts are safe because put is idempotent. A
+    directory that is missing, as in a ledger copied without it, is made
+    by the first put that needs it.
     """
 
     def __init__(self, directory: str | Path):

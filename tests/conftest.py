@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from iotid.clock import SimClock
+from iotid.store import ContentStore
 
 from util import Principal, make_engine, registrar_principal
 
@@ -39,3 +40,15 @@ def device():
 @pytest.fixture
 def other_device():
     return Principal.from_seed(2)
+
+
+@pytest.fixture
+def store_calls(monkeypatch):
+    """Every ContentStore.put and .get, as (method name, store), in call order."""
+    calls = []
+    for name in ("put", "get"):
+        real = getattr(ContentStore, name)
+        monkeypatch.setattr(ContentStore, name,
+                            lambda store, arg, name=name, real=real:
+                            calls.append((name, store)) or real(store, arg))
+    return calls

@@ -7,6 +7,7 @@ it, with machine output parsed back as JSON.
 import hashlib
 import json
 import os
+import shutil
 import stat
 from collections import Counter, namedtuple
 from pathlib import Path
@@ -18,7 +19,7 @@ from iotid.cli import main
 from iotid.clock import SimClock
 from iotid.codec import canonical_json
 from iotid.gateway import Gateway, GatewayError, Keystore
-from iotid.idm import Session, get_did_record
+from iotid.idm import Session
 from iotid import did as did_module
 from iotid import idm as idm_module
 from iotid import ledger as ledger_module
@@ -27,7 +28,7 @@ from iotid.did import parse_did
 from iotid.store import ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
-from util import foreign_hold
+from util import LegacyRecordContract, foreign_hold, make_legacy
 
 Result = namedtuple("Result", "code data out err")
 
@@ -69,6 +70,7 @@ def test_network_init(capsys, env):
     assert result.data["peers"] == ["peer1", "peer2", "peer3"]
     assert result.data["endorsementThreshold"] == 2
     assert len(result.data["registrars"]) == 1
+    assert list((Path(env["ledger"]) / "objects").iterdir()) == []
 
     again = invoke(capsys, env, "network-init")
     assert again.code == 1
@@ -491,9 +493,9 @@ def test_scenario_single_device(capsys, env, tmp_path):
 
 # the default scenario's journal, fixed so that refactors prove they leave
 # every committed byte unchanged; update only with a deliberate format change
-# (the last: each transaction carries only the policy's 2 endorsements, not 3)
+# (the last: each createIdentity record carries publicKey in place of docHash)
 SCENARIO_JOURNAL_SHA256 = \
-    "22ef7c763d02d5802114a52b6b86abd3db8f995f8ac25bcd99b7794de668b384"
+    "845fb5148a38f038120e8801f7b4e87a8f38f0d910acdb50f8e47a49025e4f04"
 
 
 def scenario_journal(base: Path) -> bytes:
@@ -834,15 +836,42 @@ def test_indented_keystore_files_still_load(tmp_path):
     (lambda path: path.unlink(), "ContentNotFound"),
 ], ids=["damaged", "deleted"])
 def test_a_broken_did_document_is_a_machine_error(capsys, ready, fault, error):
-    with Gateway(ready["ledger"], ready["keystore"])._open_engine() as engine:
-        record = get_did_record(engine.state, parse_did(DID_01))
-    fault(Path(ready["ledger"]) / "objects" / record.doc_hash.hex)
+    # only a DID record in the earlier format names a document in objects/
+    ledger_dir = Path(ready["ledger"])
+    with LedgerEngine.open(ledger_dir, ContentStore(ledger_dir / "objects"),
+                           {"legacy": LegacyRecordContract()}) as engine:
+        doc_hash = make_legacy(engine, parse_did(DID_01))
+    fault(ledger_dir / "objects" / doc_hash.hex)
     result = invoke(capsys, ready, "device-login", "dev1")
     assert (result.code, result.data["error"]) == (1, error)
     assert result.out == canonical_json(result.data).decode() + "\n"
     if error == "ContentNotFound":  # says what is missing, not a quoted key
-        assert record.doc_hash.hex in result.data["message"]
+        assert doc_hash.hex in result.data["message"]
         assert "'" not in result.data["message"]
+
+
+def test_a_journal_alone_is_enough_to_log_in_and_upload(capsys, ready, tmp_path):
+    # DID documents are built from the chain's records, so a ledger copied
+    # without objects/ serves logins and uploads
+    copy = tmp_path / "copy"
+    shutil.copytree(ready["ledger"], copy, ignore=shutil.ignore_patterns("objects"))
+    alone = {**ready, "ledger": str(copy)}
+    assert invoke(capsys, alone, "device-login", "dev1").code == 0
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b'{"d":{"temperature":20.01}}')
+    upload = invoke(capsys, alone, "asset-upload", "dev1", str(source))
+    assert (upload.code, upload.data["flag"]) == (0, "VALID")
+    assert invoke(capsys, alone, "chain-verify").data["ok"] is True
+
+
+def test_a_cold_login_and_upload_read_nothing_from_the_store(capsys, ready, tmp_path,
+                                                              store_calls):
+    assert invoke(capsys, ready, "device-login", "dev1").code == 0
+    assert store_calls == []
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b'{"d":{"temperature":20.01}}')
+    assert invoke(capsys, ready, "asset-upload", "dev1", str(source)).code == 0
+    assert [name for name, _ in store_calls] == ["put", "put"]  # one per endorser
 
 
 @pytest.mark.parametrize("duration", ["10", "-30"])

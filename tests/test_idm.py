@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from iotid import idm as idm_module
-from iotid.codec import canonical_json, sha256
+from iotid.codec import canonical_json
 from iotid.did import DidDocument, make_possession_proof
 from iotid.idm import (
     BadSignatureError,
@@ -20,18 +19,18 @@ from iotid.idm import (
     UnknownDidError,
     did_key,
     get_device_record,
-    get_did_record,
     login_message,
     resolve_did,
     session_is_valid,
 )
-from iotid.ledger import VALID, ContractError, WorldState
-from iotid.store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
+from iotid.ledger import POLICY_FAILURE, VALID, ContractError, Transaction, WorldState
+from iotid.store import ContentNotFound, ContentStore, IntegrityFailure
 
 from util import (
     MANUFACTURER,
     Principal,
     create_identity,
+    make_legacy,
     register_device,
     reopen_engine,
     state_snapshot,
@@ -45,6 +44,11 @@ def rejected(engine, proposal) -> ContractError:
     return err.value
 
 
+def did_record(engine, did) -> dict:
+    """The DID record as committed, decoded as plain JSON."""
+    return json.loads(engine.state.get(did_key(did))[0])
+
+
 def creation_args(device, owner=None) -> list[str]:
     owner = owner if owner is not None else device.address
     proof = make_possession_proof(device.keypair, device.did, owner)
@@ -54,30 +58,28 @@ def creation_args(device, owner=None) -> list[str]:
 # -- createIdentity -----------------------------------------------------------
 
 
-def test_create_identity_writes_record_and_document(engine, registrar, device):
+def test_create_identity_writes_record_and_document(tmp_path, engine, registrar,
+                                                    device):
     proposal = registrar.proposal(engine, "idm", "createIdentity",
                                   creation_args(device))
     engine.submit(proposal)
     engine.flush()
 
-    record = get_did_record(engine.state, device.did)
-    assert record.did == device.did
-    assert record.owner == device.address
-    assert record.created_at == proposal.timestamp
-
+    assert did_record(engine, device.did) == {
+        "createdAt": proposal.timestamp, "did": str(device.did),
+        "owner": str(device.address), "publicKey": device.public_key.hex()}
+    # the document is built from that record; nothing went to objects/
     document = resolve_did(engine.state, engine.store, device.did)
-    assert document.id == device.did
-    assert document.owner == device.address
-    assert document.public_key_hex == device.public_key.hex()
-    assert document.created == record.created_at
-    assert engine.store.get(record.doc_hash) == document.canonical_bytes()
+    assert document == DidDocument(id=device.did, public_key_hex=device.public_key.hex(),
+                                   owner=device.address, created=proposal.timestamp)
+    assert not (tmp_path / "objects").exists()
 
 
 def test_create_identity_response_is_the_canonical_record(engine, registrar, device):
     rwset, response = engine.execute_proposal(
         registrar.proposal(engine, "idm", "createIdentity", creation_args(device)))
     assert canonical_json(json.loads(response)) == response
-    assert sorted(json.loads(response)) == ["createdAt", "did", "docHash", "owner"]
+    assert sorted(json.loads(response)) == ["createdAt", "did", "owner", "publicKey"]
     assert (did_key(device.did), response) in rwset.writes
 
 
@@ -217,19 +219,14 @@ def test_register_twice_rejected(engine, registrar, device):
 
 def test_transfer_replaces_owner_everywhere(engine, registrar, device, other_device):
     register_device(engine, registrar, device)
-    old = get_did_record(engine.state, device.did)
+    old = did_record(engine, device.did)
     engine.submit(device.proposal(engine, "idm", "transferOwnership",
                                   [str(device.did), str(other_device.address)]))
     engine.flush()
-    new = get_did_record(engine.state, device.did)
-    assert new.owner == other_device.address
-    assert new.created_at == old.created_at
-    assert new.doc_hash != old.doc_hash
+    assert did_record(engine, device.did) == {**old, "owner": str(other_device.address)}
     document = resolve_did(engine.state, engine.store, device.did)
     assert document.owner == other_device.address
-    # content addressing keeps the superseded document readable
-    old_doc = DidDocument.from_bytes(engine.store.get(old.doc_hash))
-    assert old_doc.owner == device.address
+    assert document.public_key_hex == device.public_key.hex()
 
 
 def test_transfer_gates(engine, registrar, device, other_device):
@@ -260,7 +257,7 @@ def test_former_owner_loses_all_rights(engine, registrar, device, other_device):
         engine, "idm", "transferOwnership",
         [str(device.did), str(device.address)]))
     engine.flush()
-    assert get_did_record(engine.state, device.did).owner == device.address
+    assert did_record(engine, device.did)["owner"] == str(device.address)
 
 
 # -- resolution ----------------------------------------------------------------
@@ -271,69 +268,127 @@ def test_resolve_unknown_did(engine, device):
         resolve_did(engine.state, engine.store, device.did)
 
 
-def test_resolve_detects_record_document_mismatch(tmp_path, device, other_device):
-    store = ContentStore(tmp_path / "objects")
+def legacy_state(store, device, owner) -> WorldState:
+    """A state holding ``device``'s record as earlier versions wrote it,
+    naming a document (owned by the device) in ``store`` by its hash."""
     document = DidDocument(id=device.did, public_key_hex=device.public_key.hex(),
                            owner=device.address, created=5)
-    doc_hash = store.put(document.canonical_bytes())
-    record = DidRecord(did=device.did, doc_hash=doc_hash,
-                       owner=other_device.address, created_at=5)
+    record = {"createdAt": 5, "did": str(device.did),
+              "docHash": store.put(document.canonical_bytes()).hex, "owner": str(owner)}
     state = WorldState()
-    state.apply([(did_key(device.did), canonical_json(record.to_dict()))], (1, 0))
+    state.apply([(did_key(device.did), canonical_json(record))], (1, 0))
+    return state
+
+
+def test_resolve_detects_record_document_mismatch(tmp_path, device, other_device):
+    store = ContentStore(tmp_path / "objects")
     with pytest.raises(IntegrityFailure):
-        resolve_did(state, store, device.did)
+        resolve_did(legacy_state(store, device, other_device.address), store, device.did)
 
 
-def test_records_round_trip(device):
-    record = DidRecord(did=device.did, doc_hash=ContentHash(sha256(b"doc")),
+def test_a_legacy_record_resolves_through_the_store(tmp_path, device):
+    store = ContentStore(tmp_path / "objects")
+    document = resolve_did(legacy_state(store, device, device.address), store, device.did)
+    assert document == DidDocument(id=device.did, public_key_hex=device.public_key.hex(),
+                                   owner=device.address, created=5)
+
+
+def test_records_round_trip(tmp_path, device):
+    record = DidRecord(did=device.did, public_key=device.public_key,
                        owner=device.address, created_at=7)
-    assert DidRecord.from_bytes(canonical_json(record.to_dict())) == record
+    store = ContentStore(tmp_path / "objects")
+    assert DidRecord.from_bytes(canonical_json(record.to_dict()), store) == record
+    assert not (tmp_path / "objects").exists()
     entry = DeviceRecord(did=device.did, manufacturer_id=MANUFACTURER,
                          registered_at=9)
     assert DeviceRecord.from_bytes(canonical_json(entry.to_dict())) == entry
 
 
-# -- the decoded-document memo ------------------------------------------------
+# -- the content store: untouched by idm, read only for legacy records ---------
 
 
-def document_path(tmp_path, engine, did):
-    return tmp_path / "objects" / get_did_record(engine.state, did).doc_hash.hex
+def test_identity_functions_use_no_store(engine, registrar, device, other_device,
+                                         store_calls):
+    register_device(engine, registrar, device)
+    engine.submit(device.proposal(engine, "idm", "transferOwnership",
+                                  [str(device.did), str(other_device.address)]))
+    engine.flush()
+    assert resolve_did(engine.state, engine.store, device.did).owner == other_device.address
+    assert store_calls == []
 
 
-@pytest.fixture
-def store_reads(monkeypatch):
-    """The store of every ContentStore.get, in call order."""
-    reads, real = [], ContentStore.get
-    monkeypatch.setattr(ContentStore, "get",
-                        lambda store, key: reads.append(store) or real(store, key))
-    return reads
+def test_an_upload_takes_the_key_from_the_record(engine, registrar, device,
+                                                 store_calls):
+    register_device(engine, registrar, device)
+    assert engine.tx_flag(upload_payload(engine, device, b"one")) == VALID
+    # one put of the payload per endorser's execution, and no read
+    assert [name for name, _ in store_calls] == ["put"] * engine.genesis.threshold
+
+
+def test_a_refused_or_uncommitted_identity_leaves_objects_unchanged(
+        tmp_path, engine, registrar, device, other_device):
+    register_device(engine, registrar, device)
+    upload_payload(engine, device, b"one")
+    objects = sorted((tmp_path / "objects").iterdir())
+    assert len(objects) == 1
+    # endorsed, then stripped of its endorsements: POLICY_FAILURE
+    tx = engine.build_transaction(registrar.proposal(
+        engine, "idm", "createIdentity", creation_args(other_device)))
+    block = engine.order_batch([Transaction(tx.proposal, tx.rwset, [])])
+    block.validation_flags = engine.validate_block(block)
+    assert block.validation_flags == [POLICY_FAILURE]
+    engine.commit_block(block)
+    # endorsed and never ordered
+    engine.build_transaction(registrar.proposal(
+        engine, "idm", "createIdentity", creation_args(Principal.from_seed(3))))
+    assert sorted((tmp_path / "objects").iterdir()) == objects
+
+
+def legacy_document(tmp_path, engine, registrar, device):
+    """Register ``device`` with its record rewritten as earlier versions
+    wrote it; the path of the DID document that record names."""
+    register_device(engine, registrar, device)
+    return tmp_path / "objects" / make_legacy(engine, device.did).hex
+
+
+def test_a_legacy_record_still_allows_logins_and_uploads(tmp_path, engine, clock,
+                                                         registrar, device, store_calls):
+    legacy_document(tmp_path, engine, registrar, device)
+    del store_calls[:]
+    service = LoginService(engine.state, engine.store, clock)
+    challenge = service.begin_login(device.did)
+    signature = device.keypair.sign(login_message(device.did, challenge.nonce))
+    assert service.complete_login(device.did, challenge.nonce, signature).did == device.did
+    assert store_calls == [("get", engine.store)]
+    assert engine.tx_flag(upload_payload(engine, device, b"one")) == VALID
+    assert ("get", engine.store) in store_calls[1:]
+
+
+def test_a_transfer_migrates_a_legacy_record(tmp_path, engine, registrar, device,
+                                             other_device):
+    path = legacy_document(tmp_path, engine, registrar, device)
+    created = did_record(engine, device.did)["createdAt"]
+    engine.submit(device.proposal(engine, "idm", "transferOwnership",
+                                  [str(device.did), str(other_device.address)]))
+    engine.flush()
+    assert did_record(engine, device.did) == {
+        "createdAt": created, "did": str(device.did),
+        "owner": str(other_device.address), "publicKey": device.public_key.hex()}
+    path.unlink()  # the record no longer needs its document
+    assert resolve_did(engine.state, engine.store, device.did).owner == other_device.address
 
 
 def test_a_document_tampered_before_its_first_read_is_refused(tmp_path, engine,
                                                               registrar, device):
-    register_device(engine, registrar, device)
-    path = document_path(tmp_path, engine, device.did)
+    path = legacy_document(tmp_path, engine, registrar, device)
     original = path.read_bytes()
     path.write_bytes(original.replace(b'"created":', b'"created": '))
     store = ContentStore(tmp_path / "objects")
-    for _ in range(2):  # the refusal is not memoized either
+    for _ in range(2):  # the refusal is not remembered
         with pytest.raises(IntegrityFailure):
             resolve_did(engine.state, store, device.did)
-    assert not idm_module._documents.get(store)
     path.write_bytes(original)
     assert resolve_did(engine.state, store, device.did).id == device.did
-
-
-def test_each_store_reads_a_document_from_disk_once(tmp_path, engine, registrar,
-                                                    device, store_reads):
-    register_device(engine, registrar, device)
-    upload_payload(engine, device, b"one")  # three peer executions
-    resolve_did(engine.state, engine.store, device.did)
-    assert store_reads == [engine.store]
-    fresh = ContentStore(tmp_path / "objects")
-    for _ in range(2):
-        resolve_did(engine.state, fresh, device.did)
-    assert store_reads == [engine.store, fresh]
 
 
 def test_a_transfer_resolves_to_the_new_document(engine, registrar, device,
@@ -350,9 +405,9 @@ def test_a_transfer_resolves_to_the_new_document(engine, registrar, device,
 
 def test_a_missing_document_fails_on_a_fresh_engine(tmp_path, engine, registrar,
                                                     device):
-    register_device(engine, registrar, device)
+    path = legacy_document(tmp_path, engine, registrar, device)
     upload_payload(engine, device, b"one")
-    document_path(tmp_path, engine, device.did).unlink()
+    path.unlink()
     engine.close()
     reopened = reopen_engine(tmp_path)
     try:

@@ -4,31 +4,37 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from iotid.clock import Clock, SimClock
+from iotid.codec import canonical_json
 from iotid.did import (
     Address,
     Did,
+    DidDocument,
     KeyPair,
     derive_address,
     generate_keypair,
     make_did,
     make_possession_proof,
+    parse_did,
 )
 from iotid.gateway import default_contracts
 from iotid.ledger import (
+    KEY_DID,
     LOCK_FILE,
+    VALID,
     Contract,
     GenesisConfig,
     LedgerEngine,
     TxContext,
     TxProposal,
 )
-from iotid.store import ContentStore
+from iotid.store import ContentHash, ContentStore
 
 MANUFACTURER = "ABCDEF00001"
 
@@ -94,12 +100,48 @@ class KvContract:
         raise AssertionError(f"unknown kv function {function}")
 
 
+class LegacyRecordContract:
+    """Rewrites a DID record as earlier versions wrote it.
+
+    Those put the DID document in the content store and had the record
+    name it by ``docHash`` where the record now carries ``publicKey``.
+    """
+
+    name = "legacy"
+
+    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> bytes:
+        key = KEY_DID + args[0]
+        record = json.loads(ctx.get(key))
+        document = DidDocument(id=parse_did(record["did"]),
+                               public_key_hex=record.pop("publicKey"),
+                               owner=Address.from_text(record["owner"]),
+                               created=record["createdAt"])
+        record["docHash"] = ctx.store.put(document.canonical_bytes()).hex
+        encoded = canonical_json(record)
+        ctx.put(key, encoded)
+        return encoded
+
+
+def make_legacy(engine: LedgerEngine, did: Did) -> ContentHash:
+    """Commit ``did``'s record in the earlier format; returns its docHash.
+
+    ``engine`` needs a ``LegacyRecordContract`` under ``legacy``; any
+    principal may invoke it, and the height makes each call's nonce new.
+    """
+    invoker = Principal(keypair=seeded_keypair(99), _nonce=engine.height)
+    tx_id = engine.submit(invoker.proposal(engine, "legacy", "rewrite", [str(did)]))
+    engine.flush()
+    assert engine.tx_flag(tx_id) == VALID
+    return ContentHash.from_hex(json.loads(engine.state.get(KEY_DID + str(did))[0])["docHash"])
+
+
 def make_engine(base: Path, clock: Clock | None = None,
                 genesis: GenesisConfig | None = None) -> LedgerEngine:
-    """Fresh ledger on a simulated clock with the standard contracts + kv."""
+    """Fresh ledger on a simulated clock with the standard contracts, kv and legacy."""
     clock = clock if clock is not None else SimClock()
     contracts: dict[str, Contract] = dict(default_contracts())
     contracts["kv"] = KvContract()
+    contracts["legacy"] = LegacyRecordContract()
     return LedgerEngine.create(
         base / "ledger", genesis or GenesisConfig.default(),
         ContentStore(base / "objects"), contracts, clock=clock)
@@ -109,6 +151,7 @@ def reopen_engine(base: Path, clock: Clock | None = None) -> LedgerEngine:
     clock = clock if clock is not None else SimClock()
     contracts: dict[str, Contract] = dict(default_contracts())
     contracts["kv"] = KvContract()
+    contracts["legacy"] = LegacyRecordContract()
     return LedgerEngine.open(
         base / "ledger", ContentStore(base / "objects"), contracts, clock=clock)
 
