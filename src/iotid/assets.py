@@ -6,13 +6,13 @@ uploader or filename. The payload itself goes to the content store;
 world state holds only the record keyed by ``asset/<dataId>``, though the
 journal keeps the payload hex-encoded in the upload proposal's arguments.
 
-The read-side queries serve from one view per world state, kept in query
-order. The first query for all assets seeds the view with one decode per
-record and one sort; the first query for one owner reads only that
-owner's rows, through the state's owner index, so a freshly opened
-ledger, as in each CLI command, pays for the rows it lists. Later queries
-fold in only what commits wrote since, through the state's write feed,
-so a warm query costs the rows it returns.
+The first query for all assets builds one view per world state, kept in
+query order: one decode per record and one sort. Later queries fold in
+only what commits wrote since, through the state's write feed, so a warm
+query costs the rows it returns. An owner query on a state with no view
+builds none: it decodes only that owner's rows, read through the state's
+owner index, so a freshly opened ledger, as in a CLI ``asset-list
+--mine``, pays for the rows it lists.
 """
 
 from __future__ import annotations
@@ -116,12 +116,10 @@ class AssetContract:
                                 f"proposal not signed by device key of {did}")
 
         data_id = ContentHash.of(payload)
-        existing = ctx.get(asset_key(data_id))
-        if existing is not None:
-            original = AssetRecord.from_bytes(existing)
+        if ctx.get(asset_key(data_id)) is not None:
             raise ContractError("DuplicateAsset",
                                 f"content already uploaded: {data_id.hex}",
-                                details={"dataId": original.data_id.hex})
+                                details={"dataId": data_id.hex})
 
         ctx.store.put(payload)
         asset = AssetRecord(data_id=data_id, owner=did, asset_name=asset_name,
@@ -139,70 +137,43 @@ def _order(record: AssetRecord) -> tuple[int, bytes]:
 
 
 class _AssetView:
-    """One state's asset records in query order, seeded as queries ask.
+    """One state's asset records in query order: all of them, and each owner's.
 
-    ``_by_time`` holds every record once the first query for all assets
-    seeds it from the state's ``asset/`` range: one decode per record and
-    one sort. An owner's list is seeded by the first query for that
-    owner: cut from ``_by_time`` if that is seeded, else decoded from the
-    owner's rows alone (``WorldState.owned``). From then on each read first
-    folds in the keys that the state's write feed collected since the
-    last read: it decodes each new or rewritten record once and bisects
-    it into the seeded lists it belongs in, and a rewritten key's old row
-    leaves them. The view holds no reference to its state.
+    The first query for all assets builds it from the state's ``asset/``
+    range: one decode per record, with one DID cache shared by the rows,
+    one sort, and one pass that splits the sorted list by owner. From then
+    on each query first folds in the keys that the state's write feed
+    collected since the last query: it decodes each new or rewritten
+    record once and bisects it into the full list and its owner's, and a
+    rewritten key's old record leaves both. The feed is cleared only once
+    every key is folded in, so a record that fails to decode fails every
+    later query, as it fails every cold listing. The view holds no
+    reference to its state.
     """
 
     def __init__(self, state: WorldState):
+        dids: dict[str, Did] = {}
+        # key -> its current record
+        self._by_key = {key: AssetRecord.from_bytes(value, dids)
+                        for key, value, _ in state.range(KEY_ASSET)}
+        self.by_time = sorted(self._by_key.values(), key=_order)
+        self.by_owner: dict[Did, list[AssetRecord]] = {}
+        for record in self.by_time:
+            self.by_owner.setdefault(record.owner, []).append(record)
+        # watched once the build has succeeded, so a failed one leaves no feed
         self._feed = state.watch(KEY_ASSET)
-        # key -> its current record, for every record a seeded list holds
-        self._by_key: dict[str, AssetRecord] = {}
-        self._by_time: list[AssetRecord] | None = None
-        self._by_owner: dict[Did, list[AssetRecord]] = {}  # seeded owners only
-
-    def _lists(self, owner: Did) -> list[list[AssetRecord]]:
-        """The seeded lists that hold, or would hold, a record of ``owner``."""
-        lists = [] if self._by_time is None else [self._by_time]
-        if owner in self._by_owner:
-            lists.append(self._by_owner[owner])
-        return lists
 
     def catch_up(self, state: WorldState) -> None:
-        keys = dict.fromkeys(self._feed)  # a key written twice is read once
-        self._feed.clear()
-        for key in keys:
+        for key in dict.fromkeys(self._feed):  # a key written twice is read once
             record = AssetRecord.from_bytes(state.get(key)[0])
-            old = self._by_key.pop(key, None)
+            old = self._by_key.get(key)
             if old is not None:
-                for rows in self._lists(old.owner):
+                for rows in (self.by_time, self.by_owner[old.owner]):
                     del rows[bisect_left(rows, _order(old), key=_order)]
-            if lists := self._lists(record.owner):
-                self._by_key[key] = record
-                for rows in lists:
-                    insort(rows, record, key=_order)
-
-    def all(self, state: WorldState) -> list[AssetRecord]:
-        if self._by_time is None:
-            by_key, dids = self._by_key, {}
-            for key, value, _ in state.range(KEY_ASSET):
-                if key not in by_key:
-                    by_key[key] = AssetRecord.from_bytes(value, dids)
-            self._by_time = sorted(by_key.values(), key=_order)
-        return self._by_time
-
-    def owned(self, state: WorldState, owner: Did) -> list[AssetRecord]:
-        rows = self._by_owner.get(owner)
-        if rows is None:
-            if self._by_time is not None:
-                rows = [record for record in self._by_time if record.owner == owner]
-            else:
-                # every row names ``owner``, whose text the index matched
-                rows, dids = [], {str(owner): owner}
-                for key, value, _ in state.owned(str(owner)):
-                    rows.append(AssetRecord.from_bytes(value, dids))
-                    self._by_key[key] = rows[-1]
-                rows.sort(key=_order)
-            self._by_owner[owner] = rows
-        return rows
+            self._by_key[key] = record
+            for rows in (self.by_time, self.by_owner.setdefault(record.owner, [])):
+                insort(rows, record, key=_order)
+        self._feed.clear()
 
 
 # One view per state, living exactly as long as its state; a freshly
@@ -210,18 +181,14 @@ class _AssetView:
 _views: WeakKeyDictionary[WorldState, _AssetView] = WeakKeyDictionary()
 
 
-def _view(state: WorldState) -> _AssetView:
+def query_all_assets(state: WorldState) -> list[AssetRecord]:
+    """Every committed asset record, ordered by (addedAt, dataId)."""
     view = _views.get(state)
     if view is None:
         view = _views[state] = _AssetView(state)
     else:
         view.catch_up(state)
-    return view
-
-
-def query_all_assets(state: WorldState) -> list[AssetRecord]:
-    """Every committed asset record, ordered by (addedAt, dataId)."""
-    return _view(state).all(state).copy()
+    return view.by_time.copy()
 
 
 def query_owned_assets(state: WorldState, session: Session | None,
@@ -229,9 +196,17 @@ def query_owned_assets(state: WorldState, session: Session | None,
     """Assets owned by the session's device; requires a live session.
 
     Same order as ``query_all_assets``. The read costs only the caller's
-    rows: the owner's rows from the state when cold, a copy of the owner's
-    list when warm.
+    rows: on a state with no view, the owner's rows through the state's
+    owner index, decoded and sorted; otherwise a copy of the owner's list.
     """
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")
-    return _view(state).owned(state, session.did).copy()
+    owner = session.did
+    view = _views.get(state)
+    if view is None:
+        # every row names ``owner``, whose text the index matched
+        dids = {str(owner): owner}
+        return sorted((AssetRecord.from_bytes(value, dids)
+                       for _, value, _ in state.owned(str(owner))), key=_order)
+    view.catch_up(state)
+    return view.by_owner.get(owner, []).copy()

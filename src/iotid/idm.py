@@ -206,8 +206,9 @@ class IdmContract:
         raw = ctx.get(did_key(did))
         if raw is None:
             raise ContractError("UnknownDid", f"no identity for {did}")
-        record = DidRecord.from_bytes(raw, ctx.store)
-        if record.owner != ctx.invoker:
+        # only the owner is needed, so a record that names its document by
+        # ``docHash`` is not resolved through the content store
+        if Address.from_text(from_canonical_json(raw)["owner"]) != ctx.invoker:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
         if ctx.get(device_key(did)) is not None:

@@ -302,6 +302,25 @@ def test_a_malformed_owner_still_fails_the_listing():
         query_all_assets(state)
 
 
+def test_a_malformed_owner_fails_every_warm_query():
+    # the view is built on one good record; the bad one arrives through the
+    # write feed beside a good one, and stays in the state as it would for
+    # a cold listing, which every later query must match by failing too
+    bad = canonical_json({"addedAt": 1, "assetName": "a.txt",
+                          "dataId": hashlib.sha256(b"bad").hexdigest(), "owner": "did:x"})
+    state = WorldState()
+    state.apply([asset_write(b"first", _OWNERS[0], 0)], (1, 0))
+    assert len(query_all_assets(state)) == 1
+    state.apply([("asset/ff", bad), asset_write(b"second", _OWNERS[1], 2)], (2, 0))
+    for _ in range(3):
+        with pytest.raises(MalformedDid):
+            query_all_assets(state)
+    with pytest.raises(MalformedDid):
+        query_owned_assets(state, Session(did=_OWNERS[0], expires_at=10), 0)
+    with pytest.raises(MalformedDid):
+        query_all_assets(state)
+
+
 # one write: an asset record (a pool of 6 payloads, so keys get rewritten
 # with another owner and addedAt) or a key outside the asset/ prefix
 _writes = st.one_of(
@@ -323,12 +342,19 @@ def test_queries_equal_a_full_decode_after_every_step(steps, data):
             version += 1
             state.apply(writes, (version, 0))
         everything, owned = reference_queries(state)
-        assert query_all_assets(state) == everything
-        # owners are queried first at different steps, so some owner lists
-        # are cut from an already updated view
+        # the full query, which builds the view, runs before the owner
+        # queries, after them or not at all, so owner queries also run on a
+        # state with no view, between applies, and must build none
+        full = data.draw(st.sampled_from(["before", "after", "skip"]))
+        if full == "before":
+            assert query_all_assets(state) == everything
+        viewed = state in assets_module._views
         for owner in data.draw(st.lists(st.sampled_from(_OWNERS), unique=True)):
             session = Session(did=owner, expires_at=10)
             assert query_owned_assets(state, session, 0) == owned[owner]
+        assert (state in assets_module._views) == viewed
+        if full == "after":
+            assert query_all_assets(state) == everything
     for owner in _OWNERS:
         assert query_owned_assets(state, Session(did=owner, expires_at=10), 0) == \
             owned[owner]

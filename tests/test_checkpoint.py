@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iotid import assets as assets_module
 from iotid import ledger as ledger_module
 from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import main as cli_main
@@ -594,6 +595,7 @@ def test_a_cold_owner_query_reads_only_the_owners_rows(tmp_path, monkeypatch):
         assert len(query_owned_assets(engine.state, session, 0)) == 2
         assert [key for key, _, _ in rows] == \
             [f"asset/{r.data_id.hex}" for r in query_owned_assets(engine.state, session, 0)]
+        assert engine.state not in assets_module._views  # and it built no view
     finally:
         engine.close()
 

@@ -419,6 +419,24 @@ def test_a_missing_document_fails_on_a_fresh_engine(tmp_path, engine, registrar,
         reopened.close()
 
 
+def test_a_legacy_record_registers_its_device_without_its_document(
+        tmp_path, engine, registrar, device, other_device, store_calls):
+    # registerDevice needs only the record's owner, so it reads no document,
+    # and one missing from objects/ neither blocks nor opens registration
+    create_identity(engine, registrar, device)
+    (tmp_path / "objects" / make_legacy(engine, device.did).hex).unlink()
+    del store_calls[:]
+    err = rejected(engine, other_device.proposal(
+        engine, "idm", "registerDevice", [str(device.did), MANUFACTURER]))
+    assert err.code == "NotOwner"
+    tx_id = engine.submit(device.proposal(
+        engine, "idm", "registerDevice", [str(device.did), MANUFACTURER]))
+    engine.flush()
+    assert engine.tx_flag(tx_id) == VALID
+    assert get_device_record(engine.state, device.did).manufacturer_id == MANUFACTURER
+    assert store_calls == []
+
+
 # -- login ---------------------------------------------------------------------
 
 
