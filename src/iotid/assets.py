@@ -2,9 +2,10 @@
 
 An asset's identity is the sha256 of its payload bytes, so the same
 content can never be stored twice anywhere on the chain, regardless of
-uploader or filename. The payload itself goes to the content store;
-world state holds only the record keyed by ``asset/<dataId>``, though the
-journal keeps the payload hex-encoded in the upload proposal's arguments.
+uploader or filename. The payload itself goes to the content store when
+its transaction commits VALID, in the file of its block; world state holds
+only the record keyed by ``asset/<dataId>``, though the journal keeps the
+payload hex-encoded in the upload proposal's arguments.
 
 The first query for all assets builds one view per world state, kept in
 query order: one decode per record and one sort. Later queries fold in
@@ -121,7 +122,7 @@ class AssetContract:
                                 f"content already uploaded: {data_id.hex}",
                                 details={"dataId": data_id.hex})
 
-        ctx.store.put(payload)
+        ctx.content.append(payload)
         asset = AssetRecord(data_id=data_id, owner=did, asset_name=asset_name,
                             added_at=ctx.timestamp)
         encoded = canonical_json(asset.to_dict())

@@ -19,7 +19,9 @@ in-process:
    valid transactions in the same block); exactly one flag each. An
    endorsement this engine's own peer signed since the last commit counts
    by equality with the signature it made; every other one is verified.
-5. commit: the block is appended to the hash-chained journal and valid
+5. commit: the content that the block's VALID transactions staged in
+   execution is written to the content store, as one file for the block;
+   then the block is appended to the hash-chained journal and valid
    writes land in the versioned world state.
 
 Blocks persist as one append-only file of canonically encoded JSON lines,
@@ -239,11 +241,15 @@ class Transaction:
 
     The proposal and rwset are never mutated once a Transaction holds
     them, so they are encoded, and the txId hashed, once per object.
+    ``content`` is what its execution staged for the content store, which
+    the commit writes if the transaction is VALID. It is never encoded nor
+    hashed, so a transaction decoded from a journal has none.
     """
 
     proposal: TxProposal
     rwset: ReadWriteSet
     endorsements: list[Endorsement]
+    content: list[bytes] = field(default_factory=list, compare=False, repr=False)
 
     @cached_property
     def _body(self) -> bytes:
@@ -576,6 +582,8 @@ class TxContext:
     Records every state read with the version it saw and stages writes in
     a deterministic order; reads of keys already written in this
     transaction return the staged value without touching the snapshot.
+    Content for the content store is staged too, in ``content``: execution
+    writes nothing to disk. ``store`` is there to read.
     """
 
     def __init__(self, snapshot: WorldState, store: ContentStore, proposal: TxProposal):
@@ -584,6 +592,7 @@ class TxContext:
         self.proposal = proposal
         self._reads: dict[str, Version | None] = {}
         self._writes: dict[str, bytes] = {}
+        self.content: list[bytes] = []
 
     @property
     def invoker(self) -> Address:
@@ -745,9 +754,12 @@ class LedgerEngine:
 
     A proposal is endorsed by the first m peers of the roster, and validation
     accepts any m distinct roster signatures. Proposal execution yields a
-    deterministic rwset over the committed state, though each endorser's
-    execution of an upload writes its payload to ``objects/``; ordering,
-    validation, and commit run as one serialized pipeline. A peer's signing key is derived
+    deterministic rwset over the committed state and writes nothing: an
+    upload's payload rides on its transaction, and the commit writes the
+    payloads of the block's VALID transactions to the content store, one
+    file per block, before it appends the block to the journal. A content
+    write that fails commits nothing. Ordering, validation, and commit run
+    as one serialized pipeline. A peer's signing key is derived
     when it first endorses, so an engine that only reads derives none.
     The engine remembers ``(signer public key, txId, signature)`` of each
     endorsement it has made since its last commit, and validation counts
@@ -963,14 +975,15 @@ class LedgerEngine:
 
     # -- execution -------------------------------------------------------
 
-    def execute_proposal(self, proposal: TxProposal) -> tuple[ReadWriteSet, bytes]:
+    def execute_proposal(self, proposal: TxProposal) -> tuple[ReadWriteSet, bytes, list[bytes]]:
         """Authenticate the proposal, then run its contract function on the snapshot.
 
-        Identical snapshot and proposal always yield an identical rwset, but
-        an upload writes its payload to ``objects/`` on every endorser's
-        execution. The execution harness brackets the call with
-        nonce replay protection (a read+write of the invoker's nonce key), so
-        replays fail here and same-block duplicates fall out of MVCC.
+        Returns the rwset, the response and the content the contract staged
+        for the content store. Identical snapshot and proposal always yield
+        an identical result, and nothing is written. The execution harness
+        brackets the call with nonce replay protection (a read+write of the
+        invoker's nonce key), so replays fail here and same-block duplicates
+        fall out of MVCC.
         """
         self._authenticate(proposal)
         contract = self.contracts.get(proposal.contract)
@@ -983,7 +996,7 @@ class LedgerEngine:
                                 f"nonce already used by {proposal.invoker}")
         response = contract.invoke(ctx, proposal.function, proposal.args)
         ctx.put(nonce_key, b"\x01")
-        return ctx.rwset(), response
+        return ctx.rwset(), response, ctx.content
 
     def _authenticate(self, proposal: TxProposal) -> None:
         """Refuse a proposal unless its key hashes to the invoker and signed it.
@@ -1012,8 +1025,8 @@ class LedgerEngine:
         peer = self._peers.get(peer_id)
         if peer is None:
             raise UnknownPeer(peer_id)
-        rwset, _ = self.execute_proposal(proposal)
-        tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[])
+        rwset, _, content = self.execute_proposal(proposal)
+        tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[], content=content)
         signature = peer.keypair.sign(tx.tx_id)
         self._signed.add((peer.keypair.public_key, tx.tx_id, signature))
         tx.endorsements.append(Endorsement(peer_id, signature))
@@ -1105,9 +1118,20 @@ class LedgerEngine:
     # -- commitment -----------------------------------------------------------
 
     def commit_block(self, block: Block) -> Block:
-        """Append the validated block, apply its VALID writes, forget what was signed."""
+        """Write its VALID content, append the validated block, apply its VALID
+        writes, forget what was signed.
+
+        The content goes first, so a block in the journal never lacks its
+        file, and a write that fails leaves the journal and state as they
+        were. A file left by a commit whose append then failed carries the
+        next block's number; that block's commit replaces it if the block
+        has content to write.
+        """
         if problem := _link_problem(block, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
+        if content := [data for tx, flag in zip(block.transactions, block.validation_flags)
+                       if flag == VALID for data in tx.content]:
+            self.store.put_block(block.number, content)
         self.clock.advance(self.commit_tick)
         record, header_hash = block.encode()
         with open(self._dir / BLOCKS_FILE, "ab") as fh:

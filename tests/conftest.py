@@ -44,11 +44,12 @@ def other_device():
 
 @pytest.fixture
 def store_calls(monkeypatch):
-    """Every ContentStore.put and .get, as (method name, store), in call order."""
+    """Every ContentStore.put, .put_block and .get, as (method name, store),
+    in call order."""
     calls = []
-    for name in ("put", "get"):
+    for name in ("put", "put_block", "get"):
         real = getattr(ContentStore, name)
         monkeypatch.setattr(ContentStore, name,
-                            lambda store, arg, name=name, real=real:
-                            calls.append((name, store)) or real(store, arg))
+                            lambda store, *args, name=name, real=real:
+                            calls.append((name, store)) or real(store, *args))
     return calls

@@ -44,7 +44,7 @@ def registered(engine, registrar, device):
     return device
 
 
-def test_upload_writes_record_and_payload(engine, registrar, registered):
+def test_upload_writes_record_and_payload(tmp_path, engine, registrar, registered):
     proposal = registered.proposal(
         engine, "asset", "uploadAsset",
         [str(registered.did), "device1/1.txt", PAYLOAD.hex()])
@@ -52,13 +52,17 @@ def test_upload_writes_record_and_payload(engine, registrar, registered):
     engine.flush()
 
     data_id = ContentHash(hashlib.sha256(PAYLOAD).digest())
-    value, _ = engine.state.get(asset_key(data_id))
+    value, (block, _) = engine.state.get(asset_key(data_id))
     record = AssetRecord.from_bytes(value)
     assert record.data_id == data_id
     assert record.owner == registered.did
     assert record.asset_name == "device1/1.txt"
     assert record.added_at == proposal.timestamp
-    assert engine.store.get(data_id) == PAYLOAD
+    # the payload is in its block's file, one length-prefixed record
+    assert engine.store.get(data_id, block) == PAYLOAD
+    assert [p.name for p in (tmp_path / "objects").iterdir()] == [f"{block}.block"]
+    assert (tmp_path / "objects" / f"{block}.block").read_bytes() == \
+        len(PAYLOAD).to_bytes(4, "big") + PAYLOAD
 
 
 def test_duplicate_content_rejected_with_original_id(engine, registrar,

@@ -1,0 +1,196 @@
+"""Upload content is written at commit, for VALID transactions only.
+
+Endorsers stage an upload's payload on its transaction and write nothing;
+the commit writes the payloads of a block's VALID transactions as one
+file for the block, before it appends the block to the journal. These
+tests check that rejected or uncommitted uploads leave ``objects/`` as it
+was, that a fault on either side of the append leaves a ledger that
+opens as it was, and that every committed payload reads back by its
+dataId and the block of its state version. Expected values come from
+hashlib and plain file reads, not from the code under test.
+"""
+
+import builtins
+import errno
+import hashlib
+
+import pytest
+
+from iotid import ledger as ledger_module
+from iotid.ledger import (
+    BLOCKS_FILE,
+    KEY_ASSET,
+    MVCC_CONFLICT,
+    POLICY_FAILURE,
+    VALID,
+    verify_chain_file,
+)
+from iotid.store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
+
+from util import (
+    register_device,
+    reopen_engine,
+    state_snapshot,
+    upload_payload,
+)
+
+
+def objects_bytes(tmp_path) -> dict[str, bytes]:
+    """Every file in ``objects/`` by name, with its bytes."""
+    objects = tmp_path / "objects"
+    return {p.name: p.read_bytes() for p in objects.iterdir()} if objects.exists() else {}
+
+
+def upload(device, engine, payload: bytes, name: str = "reading.txt"):
+    return device.proposal(engine, "asset", "uploadAsset",
+                           [str(device.did), name, payload.hex()])
+
+
+def data_id(payload: bytes) -> ContentHash:
+    return ContentHash(hashlib.sha256(payload).digest())
+
+
+def assert_contents_read_back(engine, store: ContentStore) -> int:
+    """Each ``asset/`` row's payload reads back by (dataId, block of its
+    version) and hashes to the dataId; returns the row count."""
+    rows = engine.state.range(KEY_ASSET)
+    for key, _, (block, _) in rows:
+        digest = key[len(KEY_ASSET):]
+        content = store.get(ContentHash.from_hex(digest), block)
+        assert hashlib.sha256(content).hexdigest() == digest
+    return len(rows)
+
+
+@pytest.fixture
+def registered(engine, registrar, device):
+    register_device(engine, registrar, device)
+    return device
+
+
+# -- rejected and uncommitted uploads leave objects/ unchanged ----------------
+
+
+def test_an_upload_that_ends_mvcc_conflict_writes_nothing(
+        tmp_path, engine, registered, other_device):
+    upload_payload(engine, registered, b"earlier")
+    before = objects_bytes(tmp_path)
+    payload = b'{"d":{"temperature":19.5}}'
+    tx = engine.build_transaction(upload(registered, engine, payload))
+    assert tx.content == [payload]  # staged, not written
+    assert objects_bytes(tmp_path) == before
+    # the device's record changes under the endorsed upload, which read it
+    engine.submit(registered.proposal(engine, "idm", "transferOwnership",
+                                      [str(registered.did), str(other_device.address)]))
+    engine.flush()
+    block = engine.order_batch([tx])
+    block.validation_flags = engine.validate_block(block)
+    assert block.validation_flags == [MVCC_CONFLICT]
+    engine.commit_block(block)
+    assert objects_bytes(tmp_path) == before
+    with pytest.raises(ContentNotFound):
+        engine.store.get(data_id(payload), block.number)
+
+
+def test_an_upload_that_ends_policy_failure_writes_nothing(tmp_path, engine, registered):
+    upload_payload(engine, registered, b"earlier")
+    before = objects_bytes(tmp_path)
+    payload = b'{"d":{"temperature":20.5}}'
+    tx = engine.build_transaction(upload(registered, engine, payload))
+    tx.endorsements.clear()  # stripped, with its staged content kept
+    block = engine.order_batch([tx])
+    block.validation_flags = engine.validate_block(block)
+    assert block.validation_flags == [POLICY_FAILURE]
+    engine.commit_block(block)
+    assert objects_bytes(tmp_path) == before
+    with pytest.raises(ContentNotFound):
+        engine.store.get(data_id(payload), block.number)
+
+
+def test_an_upload_endorsed_and_never_ordered_writes_nothing(tmp_path, engine, registered):
+    upload_payload(engine, registered, b"earlier")
+    before = objects_bytes(tmp_path)
+    height = engine.height
+    engine.submit(upload(registered, engine, b'{"d":{"temperature":21.5}}'))
+    engine.close()  # before any flush
+    assert objects_bytes(tmp_path) == before
+    with reopen_engine(tmp_path) as again:
+        assert again.height == height
+
+
+# -- a fault on either side of the journal append -----------------------------
+
+
+def test_a_failed_append_after_the_content_write_leaves_the_ledger_as_it_was(
+        tmp_path, engine, registered, monkeypatch):
+    upload_payload(engine, registered, b"earlier")
+    journal = tmp_path / "ledger" / BLOCKS_FILE
+    height, state, chain = engine.height, state_snapshot(engine), journal.read_bytes()
+
+    def no_space(path, mode="r", *args, **kwargs):
+        if mode == "ab":
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return builtins.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(ledger_module, "open", no_space, raising=False)
+    stale = b'{"d":{"temperature":22.5}}'
+    engine.submit(upload(registered, engine, stale))
+    with pytest.raises(OSError):
+        engine.flush()
+    block_file = tmp_path / "objects" / f"{height}.block"
+    assert block_file.read_bytes() == len(stale).to_bytes(4, "big") + stale
+    engine.close()
+    monkeypatch.undo()
+
+    assert journal.read_bytes() == chain
+    with reopen_engine(tmp_path) as again:
+        assert again.height == height
+        assert state_snapshot(again) == state
+        assert verify_chain_file(journal).ok
+        # the next commit of that block number replaces the stale file
+        fresh = b'{"d":{"temperature":23.5}}'
+        tx_id = upload_payload(again, registered, fresh)
+        assert (again.tx_flag(tx_id), again.block_number_of(tx_id)) == (VALID, height)
+        assert block_file.read_bytes() == len(fresh).to_bytes(4, "big") + fresh
+        assert again.store.get(data_id(fresh), height) == fresh
+        with pytest.raises(IntegrityFailure):  # the block's file holds no stale record
+            again.store.get(data_id(stale), height)
+        assert assert_contents_read_back(again, again.store) == 2
+        assert verify_chain_file(journal).ok
+
+
+def test_a_failed_content_write_commits_nothing(tmp_path, engine, registered):
+    journal = tmp_path / "ledger" / BLOCKS_FILE
+    height, state, chain = engine.height, state_snapshot(engine), journal.read_bytes()
+    (tmp_path / "objects").write_bytes(b"")  # a file where the directory goes
+    tx_id = engine.submit(upload(registered, engine, b'{"d":{"temperature":24.5}}'))
+    with pytest.raises(OSError):
+        engine.flush()
+    assert journal.read_bytes() == chain
+    assert (engine.height, engine.tx_flag(tx_id)) == (height, None)
+    assert state_snapshot(engine) == state
+    engine.close()
+    with reopen_engine(tmp_path) as again:
+        assert (again.height, state_snapshot(again)) == (height, state)
+
+
+# -- committed content reads back ---------------------------------------------
+
+
+def test_every_valid_upload_of_a_warm_engine_reads_back(tmp_path, engine, registrar,
+                                                        registered, other_device):
+    register_device(engine, registrar, other_device)
+    payloads = [f'{{"d":{{"n":{n}}}}}'.encode() for n in range(23)]
+    tx_ids = [upload_payload(engine, (registered, other_device)[n % 2], payload,
+                             name=f"{n}.txt", flush=False)
+              for n, payload in enumerate(payloads)]
+    # the same content twice in one block: the second ends MVCC_CONFLICT
+    tx_ids.append(upload_payload(engine, other_device, payloads[-1], flush=False))
+    engine.flush()
+    assert [engine.tx_flag(t) for t in tx_ids] == [VALID] * 23 + [MVCC_CONFLICT]
+    blocks = sorted({engine.block_number_of(t) for t in tx_ids})
+    assert sorted(p.name for p in (tmp_path / "objects").iterdir()) == \
+        sorted(f"{n}.block" for n in blocks)
+    assert assert_contents_read_back(engine, engine.store) == 23
+    engine.close()
+    with reopen_engine(tmp_path) as again:
+        assert assert_contents_read_back(again, ContentStore(tmp_path / "objects")) == 23

@@ -23,9 +23,17 @@ from iotid.idm import Session
 from iotid import did as did_module
 from iotid import idm as idm_module
 from iotid import ledger as ledger_module
-from iotid.ledger import BLOCKS_FILE, VALID, Block, GenesisConfig, LedgerEngine, LedgerLocked
+from iotid.ledger import (
+    BLOCKS_FILE,
+    KEY_ASSET,
+    VALID,
+    Block,
+    GenesisConfig,
+    LedgerEngine,
+    LedgerLocked,
+)
 from iotid.did import parse_did
-from iotid.store import ContentStore
+from iotid.store import ContentHash, ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
 from util import LegacyRecordContract, foreign_hold, make_legacy
@@ -871,7 +879,35 @@ def test_a_cold_login_and_upload_read_nothing_from_the_store(capsys, ready, tmp_
     source = tmp_path / "reading.txt"
     source.write_bytes(b'{"d":{"temperature":20.01}}')
     assert invoke(capsys, ready, "asset-upload", "dev1", str(source)).code == 0
-    assert [name for name, _ in store_calls] == ["put", "put"]  # one per endorser
+    # the commit writes the block's file; the endorsers' executions write nothing
+    assert [name for name, _ in store_calls] == ["put_block"]
+
+
+def test_cli_uploads_read_back_from_their_blocks(capsys, ready, tmp_path):
+    # each CLI upload commits a block of its own and writes that block's
+    # file; a refused duplicate writes none
+    payloads = [f'{{"d":{{"temperature":{n}.5}}}}'.encode() for n in range(3)]
+    blocks = []
+    for n, payload in enumerate([*payloads, payloads[0]]):
+        source = tmp_path / f"{n}.txt"
+        source.write_bytes(payload)
+        result = invoke(capsys, ready, "asset-upload", "dev1", str(source))
+        if n < len(payloads):
+            assert (result.code, result.data["flag"]) == (0, VALID)
+            blocks.append(result.data["block"])
+        else:
+            assert (result.code, result.data["error"]) == (1, "DuplicateAsset")
+    objects = Path(ready["ledger"]) / "objects"
+    assert sorted(p.name for p in objects.iterdir()) == sorted(f"{b}.block" for b in blocks)
+    with LedgerEngine.open(ready["ledger"], ContentStore(objects), {}) as engine:
+        rows = engine.state.range(KEY_ASSET)
+        assert sorted(version[0] for _, _, version in rows) == blocks
+        for key, _, (block, _) in rows:
+            digest = key[len(KEY_ASSET):]
+            content = engine.store.get(ContentHash.from_hex(digest), block)
+            assert hashlib.sha256(content).hexdigest() == digest
+        assert sorted(hashlib.sha256(p).hexdigest() for p in payloads) == \
+            [key[len(KEY_ASSET):] for key, _, _ in rows]
 
 
 @pytest.mark.parametrize("duration", ["10", "-30"])

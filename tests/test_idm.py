@@ -76,7 +76,7 @@ def test_create_identity_writes_record_and_document(tmp_path, engine, registrar,
 
 
 def test_create_identity_response_is_the_canonical_record(engine, registrar, device):
-    rwset, response = engine.execute_proposal(
+    rwset, response, _ = engine.execute_proposal(
         registrar.proposal(engine, "idm", "createIdentity", creation_args(device)))
     assert canonical_json(json.loads(response)) == response
     assert sorted(json.loads(response)) == ["createdAt", "did", "owner", "publicKey"]
@@ -321,8 +321,8 @@ def test_an_upload_takes_the_key_from_the_record(engine, registrar, device,
                                                  store_calls):
     register_device(engine, registrar, device)
     assert engine.tx_flag(upload_payload(engine, device, b"one")) == VALID
-    # one put of the payload per endorser's execution, and no read
-    assert [name for name, _ in store_calls] == ["put"] * engine.genesis.threshold
+    # one block write at commit, none in the endorsers' executions, and no read
+    assert [name for name, _ in store_calls] == ["put_block"]
 
 
 def test_a_refused_or_uncommitted_identity_leaves_objects_unchanged(
