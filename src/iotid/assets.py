@@ -87,16 +87,16 @@ class AssetContract:
 
     name = "asset"
 
-    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> bytes:
+    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> None:
         if function != "uploadAsset":
             raise UnknownFunction(f"asset.{function}")
         if len(args) != 3:
             raise ContractError("BadArguments",
                                 f"asset.uploadAsset takes 3 args, got {len(args)}")
-        return self.upload_asset(ctx, *args)
+        self.upload_asset(ctx, *args)
 
     def upload_asset(self, ctx: TxContext, did_text: str, asset_name: str,
-                     payload_hex: str) -> bytes:
+                     payload_hex: str) -> None:
         try:
             did = parse_did(did_text)
             payload = bytes.fromhex(payload_hex)
@@ -125,9 +125,7 @@ class AssetContract:
         ctx.content.append(payload)
         asset = AssetRecord(data_id=data_id, owner=did, asset_name=asset_name,
                             added_at=ctx.timestamp)
-        encoded = canonical_json(asset.to_dict())
-        ctx.put(asset_key(data_id), encoded)
-        return encoded
+        ctx.put(asset_key(data_id), canonical_json(asset.to_dict()))
 
 
 # -- read-side queries --------------------------------------------------------

@@ -22,7 +22,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .codec import canonical_json, from_canonical_json, sha256
+from .codec import from_canonical_json, sha256
+from .codec import canonical_json  # noqa: F401 -- perfbench/tracing.py wraps did.canonical_json
 
 DEFAULT_METHOD = "iotid"
 
@@ -151,44 +152,27 @@ def make_did(public_key: bytes, method_id: str | None = None,
 
 @dataclass(frozen=True)
 class DidDocument:
-    """The resolvable record binding a DID to its key and owner."""
+    """A DID bound to its key and owner, as ``idm.resolve_did`` builds it.
+
+    Documents are never stored now; ``from_bytes`` decodes the ones that
+    earlier versions kept in the content store.
+    """
 
     id: Did
     public_key_hex: str
     owner: Address
     created: int
-    service_endpoints: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.public_key_hex:
             raise ValueError("document public key must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "created": self.created,
-            "id": str(self.id),
-            "owner": str(self.owner),
-            "publicKey": self.public_key_hex,
-            "serviceEndpoints": [[name, uri] for name, uri in self.service_endpoints],
-        }
-
-    def canonical_bytes(self) -> bytes:
-        """Byte-stable serialization: sorted keys, no insignificant whitespace."""
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DidDocument":
-        return cls(
-            id=parse_did(data["id"]),
-            public_key_hex=data["publicKey"],
-            owner=Address.from_text(data["owner"]),
-            created=int(data["created"]),
-            service_endpoints=tuple((n, u) for n, u in data["serviceEndpoints"]),
-        )
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "DidDocument":
-        return cls.from_dict(from_canonical_json(data))
+        """Decode a stored document; its ``serviceEndpoints``, which nothing reads, is ignored."""
+        d = from_canonical_json(data)
+        return cls(id=parse_did(d["id"]), public_key_hex=d["publicKey"],
+                   owner=Address.from_text(d["owner"]), created=int(d["created"]))
 
 
 def _proof_message(did: Did, owner: Address, public_key: bytes) -> bytes:

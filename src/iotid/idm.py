@@ -155,7 +155,7 @@ class IdmContract:
 
     name = "idm"
 
-    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> bytes:
+    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> None:
         handlers = {
             "createIdentity": (self.create_identity, 4),
             "registerDevice": (self.register_device, 2),
@@ -167,10 +167,10 @@ class IdmContract:
         if len(args) != arity:
             raise ContractError("BadArguments",
                                 f"idm.{function} takes {arity} args, got {len(args)}")
-        return handler(ctx, *args)
+        handler(ctx, *args)
 
     def create_identity(self, ctx: TxContext, public_key_hex: str, method_id: str,
-                        owner_text: str, proof_hex: str) -> bytes:
+                        owner_text: str, proof_hex: str) -> None:
         # authorization gate: only genesis-listed registrars may create
         registrars_raw = ctx.get(KEY_CONFIG + "registrars")
         registrars = from_canonical_json(registrars_raw) if registrars_raw else []
@@ -193,12 +193,10 @@ class IdmContract:
 
         record = DidRecord(did=did, public_key=public_key, owner=owner,
                            created_at=ctx.timestamp)
-        encoded = canonical_json(record.to_dict())
-        ctx.put(did_key(did), encoded)
-        return encoded
+        ctx.put(did_key(did), canonical_json(record.to_dict()))
 
     def register_device(self, ctx: TxContext, did_text: str,
-                        manufacturer_id: str) -> bytes:
+                        manufacturer_id: str) -> None:
         try:
             did = parse_did(did_text)
         except MalformedDid as exc:
@@ -216,12 +214,10 @@ class IdmContract:
                                 f"device already registered: {did}")
         device = DeviceRecord(did=did, manufacturer_id=manufacturer_id,
                               registered_at=ctx.timestamp)
-        encoded = canonical_json(device.to_dict())
-        ctx.put(device_key(did), encoded)
-        return encoded
+        ctx.put(device_key(did), canonical_json(device.to_dict()))
 
     def transfer_ownership(self, ctx: TxContext, did_text: str,
-                           new_owner_text: str) -> bytes:
+                           new_owner_text: str) -> None:
         try:
             did = parse_did(did_text)
             new_owner = Address.from_text(new_owner_text)
@@ -235,9 +231,7 @@ class IdmContract:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
         # the record is rewritten whole: an old-format one now carries the key
-        encoded = canonical_json(replace(record, owner=new_owner).to_dict())
-        ctx.put(did_key(did), encoded)
-        return encoded
+        ctx.put(did_key(did), canonical_json(replace(record, owner=new_owner).to_dict()))
 
 
 # -- read-side resolution ---------------------------------------------------

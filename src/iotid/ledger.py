@@ -4,14 +4,15 @@ Transaction flow mirrors the Fabric model at desk scale, entirely
 in-process:
 
 1. execute: a signed proposal runs against the current committed state and
-   yields a read/write set; contract errors abort here with no rwset. Its
-   signature is verified once, and each endorser's execution shares that
-   verdict.
+   yields an unendorsed transaction: the proposal, its read/write set and
+   the content it staged. Contract functions return nothing, and contract
+   errors abort here with no rwset. Its signature is verified once, and
+   each endorser's execution shares that verdict.
 2. endorse: as Fabric's client does, the collector asks only as many peers
    as the policy needs, the first ``threshold`` of the roster in roster
    order. Each executes the proposal once and signs the txId of its own
-   rwset; the collector checks that they computed the same txId and merges
-   their endorsements into one transaction.
+   transaction; the collector checks that they computed the same txId and
+   merges their endorsements into one transaction.
 3. order: a solo orderer batches transactions in arrival order, cutting a
    block when it is full or on ``flush()``.
 4. validate: per transaction, endorsement policy first, then MVCC (every
@@ -19,6 +20,8 @@ in-process:
    valid transactions in the same block); exactly one flag each. An
    endorsement this engine's own peer signed since the last commit counts
    by equality with the signature it made; every other one is verified.
+   A peer's key is derived only when that peer signs or one of its
+   endorsements is checked.
 5. commit: the content that the block's VALID transactions staged in
    execution is written to the content store, as one file for the block;
    then the block is appended to the hash-chained journal and valid
@@ -90,10 +93,6 @@ class UnknownContract(LedgerError):
 
 
 class UnknownFunction(LedgerError):
-    pass
-
-
-class UnknownPeer(LedgerError):
     pass
 
 
@@ -625,7 +624,7 @@ class Contract(Protocol):
 
     name: str
 
-    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> bytes: ...
+    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> None: ...
 
 
 @dataclass
@@ -694,11 +693,6 @@ class GenesisConfig:
         if self.max_block_txs < 1:
             raise ValueError(f"maxBlockTxs must be at least 1, got {self.max_block_txs}")
 
-    @cached_property
-    def roster(self) -> dict[str, bytes]:
-        """Peer id -> public key."""
-        return {p.name: p.keypair.public_key for p in self.peers}
-
     def registrar_addresses(self) -> list[str]:
         return sorted(str(r.address) for r in self.registrars)
 
@@ -759,8 +753,10 @@ class LedgerEngine:
     payloads of the block's VALID transactions to the content store, one
     file per block, before it appends the block to the journal. A content
     write that fails commits nothing. Ordering, validation, and commit run
-    as one serialized pipeline. A peer's signing key is derived
-    when it first endorses, so an engine that only reads derives none.
+    as one serialized pipeline. A peer's signing key is derived when it
+    first endorses or when validation first verifies its endorsement, so an
+    engine that only reads derives none, and one that commits only its own
+    submissions derives only its endorsers' keys.
     The engine remembers ``(signer public key, txId, signature)`` of each
     endorsement it has made since its last commit, and validation counts
     an endorsement that matches one of them without verifying it again;
@@ -975,15 +971,15 @@ class LedgerEngine:
 
     # -- execution -------------------------------------------------------
 
-    def execute_proposal(self, proposal: TxProposal) -> tuple[ReadWriteSet, bytes, list[bytes]]:
+    def execute_proposal(self, proposal: TxProposal) -> Transaction:
         """Authenticate the proposal, then run its contract function on the snapshot.
 
-        Returns the rwset, the response and the content the contract staged
-        for the content store. Identical snapshot and proposal always yield
-        an identical result, and nothing is written. The execution harness
-        brackets the call with nonce replay protection (a read+write of the
-        invoker's nonce key), so replays fail here and same-block duplicates
-        fall out of MVCC.
+        Returns the unendorsed transaction: the proposal, its rwset and the
+        content the contract staged for the content store. Identical
+        snapshot and proposal always yield an identical result, and nothing
+        is written. The execution harness brackets the call with nonce
+        replay protection (a read+write of the invoker's nonce key), so
+        replays fail here and same-block duplicates fall out of MVCC.
         """
         self._authenticate(proposal)
         contract = self.contracts.get(proposal.contract)
@@ -994,9 +990,9 @@ class LedgerEngine:
         if ctx.get(nonce_key) is not None:
             raise ContractError("NonceReplayed",
                                 f"nonce already used by {proposal.invoker}")
-        response = contract.invoke(ctx, proposal.function, proposal.args)
+        contract.invoke(ctx, proposal.function, proposal.args)
         ctx.put(nonce_key, b"\x01")
-        return ctx.rwset(), response, ctx.content
+        return Transaction(proposal, ctx.rwset(), [], ctx.content)
 
     def _authenticate(self, proposal: TxProposal) -> None:
         """Refuse a proposal unless its key hashes to the invoker and signed it.
@@ -1017,19 +1013,15 @@ class LedgerEngine:
 
     @cached_property
     def _peers(self) -> dict[str, Member]:
-        """Roster peer id -> member; a member's key is derived when it first signs."""
+        """Roster peer id -> member; a member's key is derived when it is first used."""
         return {p.name: p for p in self.genesis.peers}
 
-    def endorse(self, peer_id: str, proposal: TxProposal) -> Transaction:
-        """One peer executes the proposal and signs the txId of its own rwset."""
-        peer = self._peers.get(peer_id)
-        if peer is None:
-            raise UnknownPeer(peer_id)
-        rwset, _, content = self.execute_proposal(proposal)
-        tx = Transaction(proposal=proposal, rwset=rwset, endorsements=[], content=content)
+    def endorse(self, peer: Member, proposal: TxProposal) -> Transaction:
+        """One roster peer executes the proposal and signs the txId of the result."""
+        tx = self.execute_proposal(proposal)
         signature = peer.keypair.sign(tx.tx_id)
         self._signed.add((peer.keypair.public_key, tx.tx_id, signature))
-        tx.endorsements.append(Endorsement(peer_id, signature))
+        tx.endorsements.append(Endorsement(peer.name, signature))
         return tx
 
     def build_transaction(self, proposal: TxProposal) -> Transaction:
@@ -1039,7 +1031,7 @@ class LedgerEngine:
         the same from run to run. Their txIds must agree.
         """
         endorsers = self.genesis.peers[:self.genesis.threshold]
-        tx, *others = [self.endorse(peer.name, proposal) for peer in endorsers]
+        tx, *others = [self.endorse(peer, proposal) for peer in endorsers]
         for other in others:
             if other.tx_id != tx.tx_id:
                 raise RwsetMismatch(
@@ -1062,18 +1054,20 @@ class LedgerEngine:
         """True once ``threshold`` distinct roster peers have signed the txId.
 
         Peers off the roster and peers already counted are skipped unchecked,
-        and checking stops at the threshold. An endorsement whose ``(roster
-        key, txId, signature)`` this engine made in ``endorse`` counts
-        without a verify; any other, forged, relabelled, read from a journal
-        or made elsewhere, is verified. The verdict is that of verifying
-        every endorsement, with fewer signature checks.
+        and checking stops at the threshold, so only the keys of the peers
+        checked are derived. An endorsement whose ``(roster key, txId,
+        signature)`` this engine made in ``endorse`` counts without a verify;
+        any other, forged, relabelled, read from a journal or made elsewhere,
+        is verified. The verdict is that of verifying every endorsement, with
+        fewer signature checks.
         """
         tx_hash, counted, signed = tx.tx_id, set(), self._signed
-        roster, threshold = self.genesis.roster, self.genesis.threshold
+        peers, threshold = self._peers, self.genesis.threshold
         for end in tx.endorsements:
-            key = roster.get(end.peer_id)
-            if key is None or end.peer_id in counted:
+            peer = peers.get(end.peer_id)
+            if peer is None or end.peer_id in counted:
                 continue
+            key = peer.keypair.public_key
             if (key, tx_hash, end.signature) in signed or \
                     verify_signature(key, tx_hash, end.signature):
                 counted.add(end.peer_id)
@@ -1123,9 +1117,8 @@ class LedgerEngine:
 
         The content goes first, so a block in the journal never lacks its
         file, and a write that fails leaves the journal and state as they
-        were. A file left by a commit whose append then failed carries the
-        next block's number; that block's commit replaces it if the block
-        has content to write.
+        were. An append that fails removes the block's file again, so no
+        file names a block that was not committed.
         """
         if problem := _link_problem(block, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
@@ -1134,8 +1127,13 @@ class LedgerEngine:
             self.store.put_block(block.number, content)
         self.clock.advance(self.commit_tick)
         record, header_hash = block.encode()
-        with open(self._dir / BLOCKS_FILE, "ab") as fh:
-            fh.write(record + b"\n")
+        try:
+            with open(self._dir / BLOCKS_FILE, "ab") as fh:
+                fh.write(record + b"\n")
+        except BaseException:
+            if content:
+                self.store.put_block(block.number, [])
+            raise
         self._apply_block(block, header_hash, len(record) + 1)
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt

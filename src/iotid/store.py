@@ -51,9 +51,6 @@ class ContentHash:
     def hex(self) -> str:
         return self.digest.hex()
 
-    def __str__(self) -> str:
-        return self.hex
-
     @classmethod
     def of(cls, data: bytes) -> "ContentHash":
         return cls(sha256(data))
@@ -118,11 +115,15 @@ class ContentStore:
         """Write block ``block``'s contents, in order, as that block's file.
 
         It replaces any file of that number, which only a commit of that
-        block that failed after this write can have left.
+        block that was cut short can have left. No contents means that the
+        block has no file: any file of that number is removed.
         """
-        self._replace(self._block_file(block),
-                      b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data
-                               for data in contents))
+        path = self._block_file(block)
+        if not contents:
+            path.unlink(missing_ok=True)
+            return
+        self._replace(path, b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data
+                                     for data in contents))
 
     def get(self, key: ContentHash, block: int | None = None) -> bytes:
         """Fetch bytes by hash, verifying them against the key before return.

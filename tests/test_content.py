@@ -120,11 +120,8 @@ def test_an_upload_endorsed_and_never_ordered_writes_nothing(tmp_path, engine, r
 # -- a fault on either side of the journal append -----------------------------
 
 
-def test_a_failed_append_after_the_content_write_leaves_the_ledger_as_it_was(
-        tmp_path, engine, registered, monkeypatch):
-    upload_payload(engine, registered, b"earlier")
-    journal = tmp_path / "ledger" / BLOCKS_FILE
-    height, state, chain = engine.height, state_snapshot(engine), journal.read_bytes()
+def fail_the_append(monkeypatch, engine, proposal) -> None:
+    """Submit ``proposal`` and flush it with a journal append that fails with ENOSPC."""
 
     def no_space(path, mode="r", *args, **kwargs):
         if mode == "ab":
@@ -132,21 +129,31 @@ def test_a_failed_append_after_the_content_write_leaves_the_ledger_as_it_was(
         return builtins.open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(ledger_module, "open", no_space, raising=False)
-    stale = b'{"d":{"temperature":22.5}}'
-    engine.submit(upload(registered, engine, stale))
-    with pytest.raises(OSError):
+    engine.submit(proposal)
+    with pytest.raises(OSError, match="no space"):
         engine.flush()
-    block_file = tmp_path / "objects" / f"{height}.block"
-    assert block_file.read_bytes() == len(stale).to_bytes(4, "big") + stale
-    engine.close()
     monkeypatch.undo()
+
+
+def test_a_failed_append_after_the_content_write_leaves_the_ledger_as_it_was(
+        tmp_path, engine, registered, monkeypatch):
+    upload_payload(engine, registered, b"earlier")
+    journal = tmp_path / "ledger" / BLOCKS_FILE
+    height, state, chain = engine.height, state_snapshot(engine), journal.read_bytes()
+    objects = objects_bytes(tmp_path)
+    stale = b'{"d":{"temperature":22.5}}'
+    fail_the_append(monkeypatch, engine, upload(registered, engine, stale))
+    # the block's file was written, then removed when the append failed
+    block_file = tmp_path / "objects" / f"{height}.block"
+    assert objects_bytes(tmp_path) == objects
+    engine.close()
 
     assert journal.read_bytes() == chain
     with reopen_engine(tmp_path) as again:
         assert again.height == height
         assert state_snapshot(again) == state
         assert verify_chain_file(journal).ok
-        # the next commit of that block number replaces the stale file
+        # the next commit of that block number writes the block's file anew
         fresh = b'{"d":{"temperature":23.5}}'
         tx_id = upload_payload(again, registered, fresh)
         assert (again.tx_flag(tx_id), again.block_number_of(tx_id)) == (VALID, height)
@@ -156,6 +163,23 @@ def test_a_failed_append_after_the_content_write_leaves_the_ledger_as_it_was(
             again.store.get(data_id(stale), height)
         assert assert_contents_read_back(again, again.store) == 2
         assert verify_chain_file(journal).ok
+
+
+def test_a_failed_append_leaves_no_file_for_a_block_without_content(
+        tmp_path, engine, registered, monkeypatch):
+    # the block number whose append failed next commits with no content:
+    # nothing would replace a file left for it
+    upload_payload(engine, registered, b"earlier")
+    height, objects = engine.height, objects_bytes(tmp_path)
+    fail_the_append(monkeypatch, engine,
+                    upload(registered, engine, b'{"d":{"temperature":25.5}}'))
+    engine.close()
+    with reopen_engine(tmp_path) as again:
+        tx_id = again.submit(registered.proposal(again, "kv", "set", ["x", "1"]))
+        again.flush()
+        assert (again.tx_flag(tx_id), again.block_number_of(tx_id)) == (VALID, height)
+    assert not (tmp_path / "objects" / f"{height}.block").exists()
+    assert objects_bytes(tmp_path) == objects
 
 
 def test_a_failed_content_write_commits_nothing(tmp_path, engine, registered):

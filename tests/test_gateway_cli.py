@@ -307,7 +307,7 @@ def test_cold_commands_parse_only_the_keys_they_sign_or_check_with(capsys, env, 
                                                                    tmp_path, monkeypatch):
     # each private key is parsed once, when its keypair is derived; a read
     # derives no peer key, and an upload derives the device's key and the
-    # three roster keys that the policy check reads
+    # keys of the two endorsers, whose own endorsements validation counts
     parsed = []
     parse = did_module.Ed25519PrivateKey.from_private_bytes
     monkeypatch.setattr(did_module, "Ed25519PrivateKey", SimpleNamespace(
@@ -320,7 +320,7 @@ def test_cold_commands_parse_only_the_keys_they_sign_or_check_with(capsys, env, 
     source = tmp_path / "reading.txt"
     source.write_bytes(b"one cold upload")
     assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
-    peer_seeds = [p.seed for p in GenesisConfig.default().peers]
+    peer_seeds = [p.seed for p in GenesisConfig.default().peers[:2]]
     assert sorted(parsed) == sorted([SEED_01, *peer_seeds])
 
 
@@ -558,9 +558,10 @@ def test_usage_errors_exit_2(capsys, env):
     with pytest.raises(SystemExit) as exc:
         invoke(capsys, env, "no-such-command")
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        invoke(capsys, env, "device-keygen", "dev1", "--seed", "zz")
-    assert exc.value.code == 2
+    for seed in ("zz", SEED_01.hex()[:-2], SEED_01.hex() + "00"):  # not hex; 31 and 33 bytes
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, env, "device-keygen", "dev1", "--seed", seed)
+        assert exc.value.code == 2
 
 
 def test_bench_command_is_retired(capsys, env):

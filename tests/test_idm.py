@@ -30,6 +30,7 @@ from util import (
     MANUFACTURER,
     Principal,
     create_identity,
+    legacy_document_bytes,
     make_legacy,
     register_device,
     reopen_engine,
@@ -75,12 +76,13 @@ def test_create_identity_writes_record_and_document(tmp_path, engine, registrar,
     assert not (tmp_path / "objects").exists()
 
 
-def test_create_identity_response_is_the_canonical_record(engine, registrar, device):
-    rwset, response, _ = engine.execute_proposal(
+def test_create_identity_writes_the_canonical_record(engine, registrar, device):
+    tx = engine.execute_proposal(
         registrar.proposal(engine, "idm", "createIdentity", creation_args(device)))
-    assert canonical_json(json.loads(response)) == response
-    assert sorted(json.loads(response)) == ["createdAt", "did", "owner", "publicKey"]
-    assert (did_key(device.did), response) in rwset.writes
+    record = dict(tx.rwset.writes)[did_key(device.did)]
+    assert canonical_json(json.loads(record)) == record
+    assert sorted(json.loads(record)) == ["createdAt", "did", "owner", "publicKey"]
+    assert tx.endorsements == [] and tx.content == []
 
 
 def test_create_identity_with_caller_chosen_method_id(engine, registrar):
@@ -193,6 +195,18 @@ def test_register_unknown_did(engine, device):
     assert err.code == "UnknownDid"
 
 
+@pytest.mark.parametrize("function, args", [
+    ("registerDevice", ["did:iotid", MANUFACTURER]),
+    ("transferOwnership", ["did:iotid:bad/id", "0x" + "00" * 20]),
+])
+def test_a_malformed_did_argument_is_refused(engine, registrar, device, function, args):
+    create_identity(engine, registrar, device)
+    before = state_snapshot(engine)
+    err = rejected(engine, device.proposal(engine, "idm", function, args))
+    assert err.code == "BadArguments"
+    assert state_snapshot(engine) == before
+
+
 def test_register_requires_ownership(engine, registrar, device, other_device):
     create_identity(engine, registrar, device, owner=other_device.address)
     err = rejected(engine, device.proposal(
@@ -271,10 +285,10 @@ def test_resolve_unknown_did(engine, device):
 def legacy_state(store, device, owner) -> WorldState:
     """A state holding ``device``'s record as earlier versions wrote it,
     naming a document (owned by the device) in ``store`` by its hash."""
-    document = DidDocument(id=device.did, public_key_hex=device.public_key.hex(),
-                           owner=device.address, created=5)
+    document = legacy_document_bytes(str(device.did), device.public_key.hex(),
+                                     str(device.address), 5)
     record = {"createdAt": 5, "did": str(device.did),
-              "docHash": store.put(document.canonical_bytes()).hex, "owner": str(owner)}
+              "docHash": store.put(document).hex, "owner": str(owner)}
     state = WorldState()
     state.apply([(did_key(device.did), canonical_json(record))], (1, 0))
     return state

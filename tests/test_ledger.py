@@ -20,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iotid import ledger as ledger_module
+from iotid.clock import SimClock
 from iotid.codec import canonical_json, sha256
 from iotid.did import Address, KeyPair, generate_keypair, verify_signature
 from iotid.store import ContentStore
@@ -47,10 +48,10 @@ from iotid.ledger import (
     ReadWriteSet,
     RwsetMismatch,
     Transaction,
+    TxContext,
     TxProposal,
     UnknownContract,
     UnknownFunction,
-    UnknownPeer,
     WorldState,
     encode_transactions,
     verify_chain_file,
@@ -185,7 +186,6 @@ class StoringContract:
     def invoke(self, ctx, function, args):
         self.calls += 1
         ctx.put(f"storing/{args[0]}", ctx.store.put(args[0].encode("utf-8")).digest)
-        return b"ok"
 
 
 _FIELD_CHANGES = st.sampled_from(
@@ -259,8 +259,9 @@ def test_each_proposal_gets_its_own_verdict(engine, alice, monkeypatch):
 def test_unknown_contract_and_function(engine, alice):
     with pytest.raises(UnknownContract):
         engine.submit(alice.proposal(engine, "nope", "f", []))
-    with pytest.raises(UnknownFunction):
-        engine.submit(alice.proposal(engine, "idm", "nope", []))
+    for contract in ("idm", "asset"):
+        with pytest.raises(UnknownFunction):
+            engine.submit(alice.proposal(engine, contract, "nope", []))
 
 
 def test_nonce_replay_rejected_across_blocks(engine, alice):
@@ -287,6 +288,24 @@ def test_nonce_reuse_in_one_block_conflicts(engine, alice):
     block = engine.flush()
     assert block.validation_flags == [VALID, MVCC_CONFLICT]
     assert engine.state.get("kv/y") is None
+
+
+def test_a_read_of_a_key_the_transaction_wrote_is_the_staged_value(engine, alice):
+    # the committed value is never read, so the rwset records no read of the key
+    engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    engine.flush()
+    ctx = TxContext(engine.state, engine.store, alice.proposal(engine, "kv", "bump", ["x"]))
+    ctx.put("kv/x", b"5")
+    assert ctx.get("kv/x") == b"5"
+    assert ctx.rwset() == ReadWriteSet(reads=[], writes=[("kv/x", b"5")])
+
+
+def test_the_sim_clock_moves_only_forward():
+    clock = SimClock(5)
+    clock.advance(0)
+    with pytest.raises(ValueError, match="forward"):
+        clock.advance(-1)
+    assert clock.now() == 5.0
 
 
 def test_proposal_submitted_twice_keeps_first_receipt(engine, alice):
@@ -389,8 +408,8 @@ def test_policy_stops_checking_at_the_threshold(engine, alice, monkeypatch):
     # outside ``endorse``, so that each one counted must be verified: with
     # every signature good the third is never checked; with peer1's
     # forged, peers 2 and 3 make the threshold on the third check
-    proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
-    tx = Transaction(proposal, engine.execute_proposal(proposal)[0], [])
+    tx = engine.execute_proposal(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    assert tx.endorsements == []
     signed = [Endorsement(peer.name, peer.keypair.sign(tx.tx_id))
               for peer in engine.genesis.peers]
     forged = [Endorsement(signed[0].peer_id, bytes(64)), *signed[1:]]
@@ -460,7 +479,8 @@ def test_a_tampered_endorsement_gets_the_flags_of_an_engine_that_signed_nothing(
     assert engine._signed == set()
 
 
-_PEER_KEYS = [generate_keypair(bytes([n]) * 32) for n in range(40, 45)]
+_PEER_SEEDS = [bytes([n]) * 32 for n in range(40, 45)]
+_PEER_KEYS = [generate_keypair(seed) for seed in _PEER_SEEDS]
 _POLICY_TX = Transaction(
     TxProposal(invoker=Address(bytes(20)), invoker_key=bytes(32), contract="kv",
                function="set", args=["x", "1"], nonce=bytes(32), timestamp=1),
@@ -479,6 +499,7 @@ def test_early_stop_policy_matches_a_full_count(data):
     n = data.draw(st.integers(1, len(_PEER_KEYS) - 1), label="roster size")
     threshold = data.draw(st.integers(1, n), label="threshold")
     roster = {f"peer{i}": _PEER_KEYS[i].public_key for i in range(n)}
+    peers = {f"peer{i}": Member(f"peer{i}", _PEER_SEEDS[i]) for i in range(n)}
     tx_id = _POLICY_TX.tx_id
     endorsements, made = [], []
     for peer, kind in data.draw(_endorsement_picks, label="endorsements"):
@@ -495,7 +516,7 @@ def test_early_stop_policy_matches_a_full_count(data):
     # other bytes included, must leave the verdict that of the full count
     kept = data.draw(st.lists(st.booleans(), min_size=len(made), max_size=len(made)),
                      label="signed by the engine")
-    holder = SimpleNamespace(genesis=SimpleNamespace(roster=roster, threshold=threshold),
+    holder = SimpleNamespace(_peers=peers, genesis=SimpleNamespace(threshold=threshold),
                              _signed={t for t, keep in zip(made, kept) if keep})
     assert LedgerEngine._endorsements_satisfy_policy(holder, tx) == \
         (full_count >= threshold)
@@ -512,7 +533,6 @@ class DriftContract:
     def invoke(self, ctx, function, args):
         self.runs += 1
         ctx.put("drift/x", str(self.runs).encode("utf-8"))
-        return b"ok"
 
 
 def test_endorsement_rejects_divergent_rwset(engine, alice):
@@ -521,8 +541,6 @@ def test_endorsement_rejects_divergent_rwset(engine, alice):
     with pytest.raises(RwsetMismatch):
         engine.submit(proposal)
     assert engine.flush() is None  # nothing was queued
-    with pytest.raises(UnknownPeer):
-        engine.endorse("peer9", proposal)
 
 
 def test_each_commit_forgets_what_the_engine_signed(engine, alice):
@@ -536,8 +554,10 @@ def test_each_commit_forgets_what_the_engine_signed(engine, alice):
     engine.flush()
     assert engine._signed == set()
     # a direct endorse is remembered too, and forgotten at the next commit
-    tx = engine.endorse("peer3", alice.proposal(engine, "kv", "set", ["y", "1"]))
-    assert engine._signed == {(engine.genesis.roster["peer3"], tx.tx_id,
+    peer3 = engine.genesis.peers[2]
+    tx = engine.endorse(peer3, alice.proposal(engine, "kv", "set", ["y", "1"]))
+    assert [e.peer_id for e in tx.endorsements] == ["peer3"]
+    assert engine._signed == {(peer3.keypair.public_key, tx.tx_id,
                                tx.endorsements[0].signature)}
     block = engine.order_batch([tx])
     block.validation_flags = engine.validate_block(block)
@@ -565,7 +585,7 @@ def test_build_transaction_executes_once_per_peer(tmp_path, alice, monkeypatch, 
         endorsers = ["peer1", "peer2", "peer3"][:threshold]
         assert len(calls) == threshold
         assert [e.peer_id for e in tx.endorsements] == endorsers
-        assert signers == [engine.genesis.roster[pid] for pid in endorsers]
+        assert signers == [p.keypair.public_key for p in engine.genesis.peers[:threshold]]
         assert engine.validate_block(engine.order_batch([tx])) == [VALID]
     finally:
         engine.close()
@@ -957,7 +977,8 @@ def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
 def test_open_derives_no_key_and_commits_derive_each_peer_key_once(tmp_path, engine, alice,
                                                                     monkeypatch):
     # a read-only opener needs no peer key; the endorsers' keys are derived
-    # when they first sign, the rest of the roster when validation checks it
+    # when they first sign, and validation of their own endorsements derives
+    # no other peer's key
     engine.close()
     seeds = []
     real = ledger_module.generate_keypair
@@ -971,8 +992,7 @@ def test_open_derives_no_key_and_commits_derive_each_peer_key_once(tmp_path, eng
             reopened.flush()
     finally:
         reopened.close()
-    peer_seeds = [p.seed for p in GenesisConfig.default().peers]
-    assert sorted(seeds) == sorted(peer_seeds)
+    assert seeds == [p.seed for p in GenesisConfig.default().peers[:2]]
 
 
 def test_directory_lock(tmp_path, engine):

@@ -15,13 +15,11 @@ from iotid.codec import canonical_json
 from iotid.did import (
     Address,
     Did,
-    DidDocument,
     KeyPair,
     derive_address,
     generate_keypair,
     make_did,
     make_possession_proof,
-    parse_did,
 )
 from iotid.gateway import default_contracts
 from iotid.ledger import (
@@ -86,18 +84,20 @@ class KvContract:
 
     name = "kv"
 
-    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> bytes:
+    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> None:
         if function == "set":
             ctx.put(f"kv/{args[0]}", args[1].encode("utf-8"))
-            return b"ok"
-        if function == "bump":
+        elif function == "bump":
             current = ctx.get(f"kv/{args[0]}")
-            value = int(current or b"0") + 1
-            ctx.put(f"kv/{args[0]}", str(value).encode("utf-8"))
-            return str(value).encode("utf-8")
-        if function == "read":
-            return ctx.get(f"kv/{args[0]}") or b""
-        raise AssertionError(f"unknown kv function {function}")
+            ctx.put(f"kv/{args[0]}", str(int(current or b"0") + 1).encode("utf-8"))
+        else:
+            raise AssertionError(f"unknown kv function {function}")
+
+
+def legacy_document_bytes(did: str, public_key_hex: str, owner: str, created: int) -> bytes:
+    """A DID document's bytes as earlier versions stored them."""
+    return canonical_json({"created": created, "id": did, "owner": owner,
+                           "publicKey": public_key_hex, "serviceEndpoints": []})
 
 
 class LegacyRecordContract:
@@ -109,17 +109,13 @@ class LegacyRecordContract:
 
     name = "legacy"
 
-    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> bytes:
+    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> None:
         key = KEY_DID + args[0]
         record = json.loads(ctx.get(key))
-        document = DidDocument(id=parse_did(record["did"]),
-                               public_key_hex=record.pop("publicKey"),
-                               owner=Address.from_text(record["owner"]),
-                               created=record["createdAt"])
-        record["docHash"] = ctx.store.put(document.canonical_bytes()).hex
-        encoded = canonical_json(record)
-        ctx.put(key, encoded)
-        return encoded
+        document = legacy_document_bytes(record["did"], record.pop("publicKey"),
+                                         record["owner"], record["createdAt"])
+        record["docHash"] = ctx.store.put(document).hex
+        ctx.put(key, canonical_json(record))
 
 
 def make_legacy(engine: LedgerEngine, did: Did) -> ContentHash:
