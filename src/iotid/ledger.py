@@ -29,8 +29,10 @@ in-process:
 
 Blocks persist as one append-only file of canonically encoded JSON lines,
 so replaying valid transactions from genesis reproduces the world state
-exactly, and any byte-level tampering is detectable from hashes alone.
-Block 0 carries the network config; open cuts off a torn last record.
+exactly. Every hash covers bytes that the record stores verbatim, so
+chain-verify hashes what it reads and re-encodes nothing: a changed byte
+fails a hash, or the strict decode, in its own record. Block 0 carries
+the network config; open cuts off a torn last record.
 Beside the journal, an SQLite store holds the world state as of its
 savepoint block, so open replays only the blocks after it and reads only
 the keys a command touches. It is a cache: open uses it only while its
@@ -42,6 +44,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 import signal
 import sqlite3
 import threading
@@ -239,7 +242,8 @@ class Transaction:
     """An executed proposal, its read/write set and the peers' endorsements.
 
     The proposal and rwset are never mutated once a Transaction holds
-    them, so they are encoded, and the txId hashed, once per object.
+    them, so they are encoded, and the txId hashed, once per object; one
+    that chain-verify decoded keeps its body as stored instead.
     ``content`` is what its execution staged for the content store, which
     the commit writes if the transaction is VALID. It is never encoded nor
     hashed, so a transaction decoded from a journal has none.
@@ -258,12 +262,13 @@ class Transaction:
 
     @cached_property
     def tx_id(self) -> bytes:
-        """Hash of the canonical (proposal, rwset) encoding.
+        """Hash of the ``{"proposal", "rwset"}`` body.
 
         Endorsements are excluded so that attaching or stripping them never
         changes a transaction's identity. It is always computed from the
-        decoded fields, never taken from a journal's stored ``txId``, so a
-        tampered id fails ``verify_chain_file``'s re-encoding check.
+        body, never taken from a journal's stored ``txId``: chain-verify
+        hashes the body as stored and refuses a record whose ``txId``
+        differs.
         """
         return sha256(self._body)
 
@@ -791,6 +796,10 @@ class LedgerEngine:
             journal = self._dir / BLOCKS_FILE
             if genesis is None:
                 self.genesis = self._replay()
+                # a commit cut short after its content write, or a torn last
+                # record that replay cut off, may have left the file of the
+                # block number that the next commit takes
+                self.store.remove_block(self.height)
             elif journal.exists() and not force:
                 raise LedgerError(f"ledger already exists at {self._dir}")
             else:  # provisioning replaces any old ledger
@@ -1117,23 +1126,24 @@ class LedgerEngine:
 
         The content goes first, so a block in the journal never lacks its
         file, and a write that fails leaves the journal and state as they
-        were. An append that fails removes the block's file again, so no
-        file names a block that was not committed.
+        were. An append that fails removes the block's file again and
+        leaves the clock as it was, so no file names a block that was not
+        committed and a retry stamps what an unfailed run stamps.
         """
         if problem := _link_problem(block, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
         if content := [data for tx, flag in zip(block.transactions, block.validation_flags)
                        if flag == VALID for data in tx.content]:
             self.store.put_block(block.number, content)
-        self.clock.advance(self.commit_tick)
         record, header_hash = block.encode()
         try:
             with open(self._dir / BLOCKS_FILE, "ab") as fh:
                 fh.write(record + b"\n")
         except BaseException:
             if content:
-                self.store.put_block(block.number, [])
+                self.store.remove_block(block.number)
             raise
+        self.clock.advance(self.commit_tick)
         self._apply_block(block, header_hash, len(record) + 1)
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt
@@ -1152,13 +1162,18 @@ class LedgerEngine:
         return tx.tx_id
 
     def flush(self) -> Block | None:
-        """Cut, validate and commit whatever is pending; None if nothing is."""
+        """Cut, validate and commit whatever is pending; None if nothing is.
+
+        What is pending stays so until the commit succeeds, so a flush that
+        raises can be retried.
+        """
         if not self._pending:
             return None
         block = self.order_batch(self._pending)
-        self._pending = []
         block.validation_flags = self.validate_block(block)
-        return self.commit_block(block)
+        self.commit_block(block)
+        self._pending = []
+        return block
 
     # -- queries ---------------------------------------------------------------
 
@@ -1190,11 +1205,13 @@ class LedgerEngine:
 _open_engines: dict[Path, list[int]] = {}
 
 
-def _decode_block(index: int, raw: bytes) -> Block:
+def _decode_block(index: int | None, raw: bytes) -> tuple[Block, bytes]:
+    """A record decoded through ``json.loads``, and its header hash from a re-encoded header."""
     try:
-        return Block.from_dict(json.loads(raw))
+        block = Block.from_dict(json.loads(raw))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptJournal(index, "undecodable block") from exc
+    return block, block.header_hash()
 
 
 def _walk(path: str | Path, start: int = 0, height: int | None = 0,
@@ -1205,10 +1222,12 @@ def _walk(path: str | Path, start: int = 0, height: int | None = 0,
     Block ``height`` begins at ``start`` and must extend ``tip_hash`` (None:
     unknown, so its number or prevHash goes unchecked), each later block the
     one before it; the walk stops at the record boundary ``end`` (None: the
-    end of the file). ``normal_form`` adds chain-verify's checks. Raises
+    end of the file). ``normal_form`` reads each record with chain-verify's
+    scanner, ``_scan_block``, in place of ``json.loads``. Raises
     CorruptJournal at the first bad record, on an empty journal, or with
     ``torn_at`` set at an unterminated (torn) last record.
     """
+    read = _scan_block if normal_form else _decode_block
     with open(path, "rb") as fh:
         fh.seek(start)
         for raw in fh:
@@ -1216,14 +1235,13 @@ def _walk(path: str | Path, start: int = 0, height: int | None = 0,
                 break
             if not raw.endswith(b"\n"):
                 raise CorruptJournal(height, "unterminated last record", torn_at=start)
-            block = _decode_block(height, raw)
+            block, header_hash = read(height, raw)
             if height is None:
                 height = block.number
             if problem := _link_problem(block, height, tip_hash or block.prev_hash):
                 raise BrokenChainLink(height, problem)
-            tip_hash = _check_normal_form(block, raw) if normal_form else block.header_hash()
-            yield block, tip_hash, len(raw)
-            start, height = start + len(raw), height + 1
+            yield block, header_hash, len(raw)
+            start, height, tip_hash = start + len(raw), height + 1, header_hash
     if height == 0:
         raise CorruptJournal(0, "empty chain")
 
@@ -1240,25 +1258,147 @@ def _link_problem(block: Block, height: int, tip_hash: bytes) -> str | None:
     return None
 
 
-def _check_normal_form(block: Block, raw: bytes) -> bytes:
-    """Header hash of a linked block whose ``raw`` line is as commit wrote it.
+class _NotCanonical(Exception):
+    """A record that decodes, but not from the bytes commit would have written."""
 
-    Re-encoding catches any byte change to derived fields (txId, flagsHash,
-    hex case) that parsing survived; block 0 must carry a config open accepts.
+
+_DECODE = json.JSONDecoder().raw_decode  # the C scanner: a value and where it ends
+# a record up to its transaction list: the header, then the list's glue
+_HEADER = re.compile(r'\{"dataHash":"([0-9a-f]{64})","flagsHash":"([0-9a-f]{64})",'
+                     r'"number":(0|[1-9][0-9]*),"prevHash":"([0-9a-f]{64})"'
+                     r',"transactions":\[')
+_PROPOSAL_KEYS = ["args", "contract", "function", "invoker", "invokerKey", "nonce",
+                  "signature", "timestamp"]
+
+
+def _scan_block(index: int | None, raw: bytes) -> tuple[Block, bytes]:
+    """A record decoded strictly, with its pieces hashed as stored; and its header hash.
+
+    Commit writes a record as fixed glue around the pieces that its hashes
+    cover: the header hash covers the bytes before ``,"transactions"`` and
+    a closing brace, the data hash the transaction list, the flags hash the
+    flag list, and each txId its transaction's ``"proposal":…,"rwset":…``
+    bytes in braces. The glue must match byte for byte; the C scanner
+    finds where each piece ends; and every field must decode to what
+    commit encodes: lower-case hex, JSON integers, strings, and each
+    object's keys in order. So a changed byte fails a hash or this decode
+    in its own record, and nothing is encoded again. Whitespace or escapes
+    inside a piece whose hashes were recomputed over them pass: blocks
+    carry no signature, so such a rewrite is for the planned deep audit.
     """
-    record, header_hash = block.encode()
-    if record + b"\n" != raw:
-        raise CorruptJournal(block.number, "non-canonical block encoding")
-    if any(f not in FLAG_VALUES for f in block.validation_flags):
-        raise CorruptJournal(block.number, "unknown validation flag")
-    if block.data_hash != sha256(block._encoded_transactions):
-        raise CorruptJournal(block.number, "data hash does not match transactions")
+    try:
+        text = raw.decode("ascii")  # as canonical JSON is; offsets are then byte offsets
+        header = _HEADER.match(text)
+        if header is None:
+            raise _NotCanonical
+        transactions, at = [], header.end()
+        while not text.startswith("]", at):
+            tx, at = _scan_transaction(text, raw, _glue(text, at, ",") if transactions else at)
+            transactions.append(tx)
+        data, flags_at = raw[header.end() - 1:at + 1], _glue(text, at + 1, ',"validationFlags":')
+        flags, at = _DECODE(text, flags_at)
+        if text[at:] != "}\n":
+            raise _NotCanonical
+        block = Block(int(header[3]), bytes.fromhex(header[4]), bytes.fromhex(header[1]),
+                      transactions, _of(list, flags))
+    except _NotCanonical:
+        raise CorruptJournal(index, "non-canonical block encoding") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptJournal(index, "undecodable block") from exc
+    if sha256(raw[flags_at:at]).hex() != header[2]:
+        raise CorruptJournal(index, "non-canonical block encoding")
+    if any(f not in FLAG_VALUES for f in flags):
+        raise CorruptJournal(index, "unknown validation flag")
+    if sha256(data).hex() != header[1]:
+        raise CorruptJournal(index, "data hash does not match transactions")
     if block.number == 0:
         try:
             GenesisConfig.from_block(block)
         except LedgerError as exc:
             raise CorruptJournal(0, str(exc)) from exc
-    return header_hash
+    return block, sha256(raw[:header.end(4) + 1] + b"}")
+
+
+def _scan_transaction(text: str, raw: bytes, at: int) -> tuple[Transaction, int]:
+    """The transaction record at ``at``, and where it ends; it keeps its body as stored."""
+    endorsements, at = _DECODE(text, _glue(text, at, '{"endorsements":'))
+    body = at + 1
+    proposal, at = _DECODE(text, _glue(text, at, ',"proposal":'))
+    rwset, at = _DECODE(text, _glue(text, at, ',"rwset":'))
+    tx = Transaction(_scan_proposal(proposal), _scan_rwset(rwset),
+                     [_scan_endorsement(e) for e in _of(list, endorsements)])
+    tx._body = b"{" + raw[body:at] + b"}"
+    tx.tx_id = sha256(tx._body)
+    at = _glue(text, at, ',"txId":"')
+    if text[at:at + 64] != tx.tx_id.hex():
+        raise _NotCanonical
+    return tx, _glue(text, at + 64, '"}')
+
+
+def _scan_proposal(d) -> TxProposal:
+    args, contract, function, invoker, key, nonce, signature, timestamp = \
+        _fields(d, _PROPOSAL_KEYS)
+    if type(contract) is not str or type(function) is not str or \
+            type(timestamp) is not int or type(args) is not list or \
+            not all(type(arg) is str for arg in args):
+        raise TypeError("a proposal field of the wrong type")
+    return TxProposal(Address.from_text(invoker), _hex(key), contract, function, args,
+                      _hex(nonce), timestamp, _hex(signature))
+
+
+def _scan_rwset(d) -> ReadWriteSet:
+    reads, writes = _fields(d, ["reads", "writes"])
+    rwset = ReadWriteSet()
+    for item in _of(list, reads):
+        key, version = item
+        if version is not None:
+            block, tx = version
+            if type(version) is not list or type(block) is not int or type(tx) is not int:
+                raise TypeError(f"bad read version {version!r}")
+            version = (block, tx)
+        if type(item) is not list or type(key) is not str:
+            raise TypeError(f"bad read {item!r}")
+        rwset.reads.append((key, version))
+    for item in _of(list, writes):
+        key, value = item
+        if type(item) is not list or type(key) is not str:
+            raise TypeError(f"bad write {item!r}")
+        rwset.writes.append((key, _hex(value)))
+    return rwset
+
+
+def _scan_endorsement(d) -> Endorsement:
+    peer, signature = _fields(d, ["peerId", "signature"])
+    return Endorsement(_of(str, peer), _hex(signature))
+
+
+def _glue(text: str, at: int, glue: str) -> int:
+    """Where ``glue``, which must stand at ``at``, ends."""
+    if not text.startswith(glue, at):
+        raise _NotCanonical
+    return at + len(glue)
+
+
+def _of(kind: type, value):
+    """``value`` if its type is exactly ``kind``."""
+    if type(value) is not kind:
+        raise TypeError(f"{kind.__name__} expected, got {value!r}")
+    return value
+
+
+def _fields(value, keys: list[str]) -> list:
+    """The values of a JSON object with exactly ``keys``, in that order."""
+    if list(_of(dict, value)) != keys:
+        raise _NotCanonical
+    return list(value.values())
+
+
+def _hex(text: str) -> bytes:
+    """The bytes that ``text`` spells, if it is their lower-case hex."""
+    value = bytes.fromhex(text)
+    if value.hex() != text:
+        raise _NotCanonical
+    return value
 
 
 # chain-verify splits a journal into record-aligned parts of at least

@@ -115,15 +115,20 @@ class ContentStore:
         """Write block ``block``'s contents, in order, as that block's file.
 
         It replaces any file of that number, which only a commit of that
-        block that was cut short can have left. No contents means that the
-        block has no file: any file of that number is removed.
+        block that was cut short can have left.
+        """
+        self._replace(self._block_file(block),
+                      b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data
+                               for data in contents))
+
+    def remove_block(self, block: int) -> None:
+        """Remove block ``block``'s file, which a commit cut short may have left.
+
+        A store without that file, the usual case, is only looked at.
         """
         path = self._block_file(block)
-        if not contents:
-            path.unlink(missing_ok=True)
-            return
-        self._replace(path, b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data
-                                     for data in contents))
+        if path.exists():
+            path.unlink()
 
     def get(self, key: ContentHash, block: int | None = None) -> bytes:
         """Fetch bytes by hash, verifying them against the key before return.

@@ -28,6 +28,8 @@ from iotid.ledger import (
 from iotid.store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
 
 from util import (
+    Principal,
+    make_engine,
     register_device,
     reopen_engine,
     state_snapshot,
@@ -180,6 +182,62 @@ def test_a_failed_append_leaves_no_file_for_a_block_without_content(
         assert (again.tx_flag(tx_id), again.block_number_of(tx_id)) == (VALID, height)
     assert not (tmp_path / "objects" / f"{height}.block").exists()
     assert objects_bytes(tmp_path) == objects
+
+
+def test_a_failed_append_leaves_the_warm_engine_as_it_was(tmp_path, monkeypatch):
+    # one kv set whose append fails moves neither the clock nor the height
+    # and keeps the block's transaction pending; the retry, and a block
+    # after it, write the journal of a run whose append never failed
+    journals = []
+    for fails in (False, True):
+        engine = make_engine(tmp_path / str(fails))
+        writer = Principal.from_seed(11)
+        proposal = writer.proposal(engine, "kv", "set", ["x", "1"])
+        if fails:
+            before = (engine.clock.now(), engine.height)
+            fail_the_append(monkeypatch, engine, proposal)
+            assert (engine.clock.now(), engine.height) == before
+            assert [tx.proposal for tx in engine._pending] == [proposal]
+        else:
+            engine.submit(proposal)
+        tx_id = engine.flush().transactions[0].tx_id
+        assert (engine.tx_flag(tx_id), engine.height, engine._pending) == (VALID, 2, [])
+        engine.submit(writer.proposal(engine, "kv", "set", ["y", "2"]))
+        engine.flush()
+        engine.close()
+        journals.append((tmp_path / str(fails) / "ledger" / BLOCKS_FILE).read_bytes())
+    assert journals[1] == journals[0]
+
+
+@pytest.mark.parametrize("left_by", ["a commit killed before its append",
+                                     "a torn last record"])
+def test_open_removes_the_file_of_a_block_that_never_committed(
+        tmp_path, engine, registered, left_by):
+    upload_payload(engine, registered, b"earlier")
+    journal = tmp_path / "ledger" / BLOCKS_FILE
+    if left_by == "a torn last record":
+        # the upload's file was written and its record lost its newline
+        upload_payload(engine, registered, b'{"d":{"temperature":26.5}}')
+        engine.close()
+        journal.write_bytes(journal.read_bytes()[:-1])
+        height = engine.height - 1
+    else:
+        engine.close()
+        height = engine.height
+        (tmp_path / "objects" / f"{height}.block").write_bytes(b"\0\0\0\x05stale")
+    objects = objects_bytes(tmp_path)
+    assert f"{height}.block" in objects
+    with reopen_engine(tmp_path) as again:
+        assert again.height == height
+        del objects[f"{height}.block"]
+        assert objects_bytes(tmp_path) == objects
+        # a later commit of that number without content leaves no file for it
+        tx_id = again.submit(registered.proposal(again, "kv", "set", ["x", "1"]))
+        again.flush()
+        assert (again.tx_flag(tx_id), again.block_number_of(tx_id)) == (VALID, height)
+        assert assert_contents_read_back(again, again.store) == 1
+    assert objects_bytes(tmp_path) == objects
+    assert verify_chain_file(journal).ok
 
 
 def test_a_failed_content_write_commits_nothing(tmp_path, engine, registered):

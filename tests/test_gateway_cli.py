@@ -536,6 +536,27 @@ def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path):
     assert (copy / BLOCKS_FILE).read_bytes() == b"".join(records)
 
 
+def endorsed_otherwise(journal: bytes) -> tuple[list[str], list[tuple[int, int]]]:
+    """The peers that must endorse each transaction after block 0, in order:
+    the first ``threshold`` of the roster; and ``(block, tx index)`` of each
+    transaction whose endorsers are not exactly those."""
+    blocks = [Block.from_dict(json.loads(line)) for line in journal.splitlines()]
+    config = GenesisConfig.from_block(blocks[0])
+    want = [peer.name for peer in config.peers][:config.threshold]
+    return want, [(block.number, index) for block in blocks[1:]
+                  for index, tx in enumerate(block.transactions)
+                  if [e.peer_id for e in tx.endorsements] != want]
+
+
+def test_every_transaction_is_endorsed_by_the_first_threshold_peers(tmp_path):
+    journal = scenario_journal(tmp_path)
+    assert len(journal.splitlines()) >= 2
+    assert endorsed_otherwise(journal) == (["peer1", "peer2"], [])
+    # a journal from when every roster peer endorsed fails on each of them
+    earlier = THREE_ENDORSEMENTS.read_bytes()
+    assert endorsed_otherwise(earlier)[1] == [(n, 0) for n in range(1, len(earlier.splitlines()))]
+
+
 def test_scenario_keeps_the_first_of_colliding_readings(tmp_path):
     # at seed 192 devices 1 and 3 emit byte-identical second readings
     gateway = Gateway(tmp_path / "ledger", tmp_path / "keys", clock=SimClock())
