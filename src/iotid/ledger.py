@@ -29,14 +29,16 @@ in-process:
 
 Blocks persist as one append-only file of canonically encoded JSON lines,
 so replaying valid transactions from genesis reproduces the world state
-exactly. Every hash covers bytes that the record stores verbatim, so
-chain-verify hashes what it reads and re-encodes nothing: a changed byte
-fails a hash, or the strict decode, in its own record. Block 0 carries
-the network config; open cuts off a torn last record.
-Beside the journal, an SQLite store holds the world state as of its
-savepoint block, so open replays only the blocks after it and reads only
-the keys a command touches. It is a cache: open uses it only while its
-savepoint matches the journal, and otherwise rebuilds it from block 0.
+exactly. Every hash covers bytes that the record stores verbatim, and
+open, replay and chain-verify read every record through one scanner that
+hashes it as read: a changed byte fails a hash, or the strict decode, in
+its own record, and replay refuses it. Block 0 carries the network
+config; open cuts off a torn last record. Beside the journal, an SQLite
+store holds the world state as of its savepoint block, so open reads
+block 0 and the savepoint's record, replays only the blocks after it and
+reads only the keys a command touches. It is a cache: open uses it only
+while its savepoint matches the journal, and otherwise rebuilds it from
+block 0. No reader checks signatures.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ class Transaction:
 
     The proposal and rwset are never mutated once a Transaction holds
     them, so they are encoded, and the txId hashed, once per object; one
-    that chain-verify decoded keeps its body as stored instead.
+    decoded from a journal keeps its body as stored instead.
     ``content`` is what its execution staged for the content store, which
     the commit writes if the transaction is VALID. It is never encoded nor
     hashed, so a transaction decoded from a journal has none.
@@ -806,6 +808,7 @@ class LedgerEngine:
                 self.genesis = genesis
                 block = self._genesis_block()  # a bad config raises before the unlink
                 journal.unlink(missing_ok=True)
+                self.store.remove_blocks()  # the old chain's, which the new one would inherit
                 self._new_store()
                 self.commit_block(block)
         except BaseException:
@@ -908,8 +911,9 @@ class LedgerEngine:
 
         Replay starts after the store's savepoint if it matches the journal;
         otherwise the store is made anew and replay starts at block 0. A
-        torn last record was never committed: it is cut off, and the ledger
-        opens at the height before it (never below block 0).
+        record that fails chain-verify's checks raises CorruptJournal before
+        it is applied. A torn last record was never committed: it is cut
+        off, and the ledger opens at the height before it (never below block 0).
         """
         path = self._dir / BLOCKS_FILE
         genesis = self._open_store(path)
@@ -1205,29 +1209,19 @@ class LedgerEngine:
 _open_engines: dict[Path, list[int]] = {}
 
 
-def _decode_block(index: int | None, raw: bytes) -> tuple[Block, bytes]:
-    """A record decoded through ``json.loads``, and its header hash from a re-encoded header."""
-    try:
-        block = Block.from_dict(json.loads(raw))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptJournal(index, "undecodable block") from exc
-    return block, block.header_hash()
-
-
 def _walk(path: str | Path, start: int = 0, height: int | None = 0,
-          tip_hash: bytes | None = ZERO_HASH, normal_form: bool = False,
+          tip_hash: bytes | None = ZERO_HASH,
           end: int | None = None) -> Iterator[tuple[Block, bytes, int]]:
     """Stream the journal from byte ``start``: ``(block, header hash, record size)``.
 
     Block ``height`` begins at ``start`` and must extend ``tip_hash`` (None:
     unknown, so its number or prevHash goes unchecked), each later block the
     one before it; the walk stops at the record boundary ``end`` (None: the
-    end of the file). ``normal_form`` reads each record with chain-verify's
-    scanner, ``_scan_block``, in place of ``json.loads``. Raises
-    CorruptJournal at the first bad record, on an empty journal, or with
-    ``torn_at`` set at an unterminated (torn) last record.
+    end of the file). It is the journal's one reader, and reads each record
+    with chain-verify's scanner, ``_scan_block``. Raises CorruptJournal at
+    the first bad record, on an empty journal, or with ``torn_at`` set at
+    an unterminated (torn) last record.
     """
-    read = _scan_block if normal_form else _decode_block
     with open(path, "rb") as fh:
         fh.seek(start)
         for raw in fh:
@@ -1235,7 +1229,7 @@ def _walk(path: str | Path, start: int = 0, height: int | None = 0,
                 break
             if not raw.endswith(b"\n"):
                 raise CorruptJournal(height, "unterminated last record", torn_at=start)
-            block, header_hash = read(height, raw)
+            block, header_hash = _scan_block(height, raw)
             if height is None:
                 height = block.number
             if problem := _link_problem(block, height, tip_hash or block.prev_hash):
@@ -1474,7 +1468,7 @@ def _verify_parts(path: str | Path, starts: list[int]) -> int:
             if answer is None:
                 break
             # the part's first block against the tip before it, as the serial walk checks it
-            next(_walk(path, start, height, tip, normal_form=True))
+            next(_walk(path, start, height, tip))
             if "reason" in answer:
                 raise CorruptJournal(height + answer["count"], answer["reason"])
             height, tip, rest = height + answer["count"], bytes.fromhex(answer["tip"]), end
@@ -1494,7 +1488,7 @@ def _verify_range(path: str | Path, start: int, end: int | None, height: int,
                   tip_hash: bytes) -> tuple[int, bytes]:
     """Verify the blocks from ``start`` to ``end``: their count and the last one's hash."""
     count = 0
-    for _, tip_hash, _ in _walk(path, start, height, tip_hash, normal_form=True, end=end):
+    for _, tip_hash, _ in _walk(path, start, height, tip_hash, end=end):
         count += 1
     return count, tip_hash
 
@@ -1529,7 +1523,7 @@ def _part_answer(path: str | Path, start: int, end: int | None) -> bytes:
     """
     count, tip_hash = 0, b""
     try:
-        for _, tip_hash, _ in _walk(path, start, None, None, normal_form=True, end=end):
+        for _, tip_hash, _ in _walk(path, start, None, None, end=end):
             count += 1
     except CorruptJournal as exc:
         return canonical_json({"count": count, "reason": exc.reason})

@@ -130,6 +130,11 @@ class ContentStore:
         if path.exists():
             path.unlink()
 
+    def remove_blocks(self) -> None:
+        """Remove every block's file: a new chain's blocks have none yet."""
+        for path in self._dir.glob("*.block"):
+            path.unlink()
+
     def get(self, key: ContentHash, block: int | None = None) -> bytes:
         """Fetch bytes by hash, verifying them against the key before return.
 

@@ -78,8 +78,8 @@ def test_benchmark_checks_pass_on_a_checkpointed_ledger(tmp_path, monkeypatch):
     # every engine opened from here on starts from the state store: it
     # decodes block 0 and the savepoint's block, and replays nothing
     decoded = []
-    real = ledger_module._decode_block
-    monkeypatch.setattr(ledger_module, "_decode_block",
+    real = ledger_module._scan_block
+    monkeypatch.setattr(ledger_module, "_scan_block",
                         lambda index, raw: decoded.append(index) or real(index, raw))
     reader = env.open_engine()
     try:

@@ -109,8 +109,8 @@ def store_files(base):
 def decoded(monkeypatch):
     """Indices of the journal records decoded, in order."""
     indices = []
-    real = ledger_module._decode_block
-    monkeypatch.setattr(ledger_module, "_decode_block",
+    real = ledger_module._scan_block
+    monkeypatch.setattr(ledger_module, "_scan_block",
                         lambda index, raw: indices.append(index) or real(index, raw))
     return indices
 

@@ -17,17 +17,21 @@ import hashlib
 import pytest
 
 from iotid import ledger as ledger_module
+from iotid.clock import SimClock
 from iotid.ledger import (
     BLOCKS_FILE,
     KEY_ASSET,
     MVCC_CONFLICT,
     POLICY_FAILURE,
     VALID,
+    GenesisConfig,
+    LedgerEngine,
     verify_chain_file,
 )
 from iotid.store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
 
 from util import (
+    KvContract,
     Principal,
     make_engine,
     register_device,
@@ -238,6 +242,25 @@ def test_open_removes_the_file_of_a_block_that_never_committed(
         assert assert_contents_read_back(again, again.store) == 1
     assert objects_bytes(tmp_path) == objects
     assert verify_chain_file(journal).ok
+
+
+def test_provisioning_anew_removes_the_old_chains_block_files(tmp_path, engine, registered):
+    # the old chain's block 3 holds an upload; the new chain's block 3 is a
+    # kv set, which has no content and so no file
+    upload_payload(engine, registered, b"old chain")
+    assert engine.height == 4
+    engine.close()
+    assert "3.block" in objects_bytes(tmp_path)
+    again = LedgerEngine.create(tmp_path / "ledger", GenesisConfig.default(),
+                                ContentStore(tmp_path / "objects"), {"kv": KvContract()},
+                                clock=SimClock(), force=True)
+    with again:
+        writer = Principal.from_seed(11)
+        while again.height < 5:
+            again.submit(writer.proposal(again, "kv", "set", ["x", str(again.height)]))
+            again.flush()
+    assert objects_bytes(tmp_path) == {}
+    assert verify_chain_file(tmp_path / "ledger" / BLOCKS_FILE).ok
 
 
 def test_a_failed_content_write_commits_nothing(tmp_path, engine, registered):

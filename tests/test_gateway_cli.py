@@ -519,11 +519,19 @@ def test_scenario_journal_is_golden(tmp_path):
     scenario_journal(tmp_path)
 
 
-def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path):
+def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
     # an engine that endorsed none of the scenario's transactions verifies
     # every endorsement it counts; block by block it must give the flags
-    # the journal holds and, committing them, write the journal again
+    # the journal holds and, committing them, write the journal again. It
+    # derives a peer's key only to check that peer's endorsements: exactly
+    # the keys of the first threshold peers of the roster, once each
     records = scenario_journal(tmp_path).splitlines(keepends=True)
+    config = GenesisConfig.from_block(Block.from_dict(json.loads(records[0])))
+    endorsers = [peer.seed for peer in config.peers][:config.threshold]
+    assert len(endorsers) < len(config.peers)
+    derived, derive = [], ledger_module.generate_keypair
+    monkeypatch.setattr(ledger_module, "generate_keypair",
+                        lambda seed: derived.append(seed) or derive(seed))
     copy = tmp_path / "copy"
     copy.mkdir()
     (copy / BLOCKS_FILE).write_bytes(records[0])
@@ -534,6 +542,7 @@ def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path):
             assert flags == block.validation_flags, f"block {block.number}"
             engine.commit_block(block)
     assert (copy / BLOCKS_FILE).read_bytes() == b"".join(records)
+    assert derived == endorsers
 
 
 def endorsed_otherwise(journal: bytes) -> tuple[list[str], list[tuple[int, int]]]:

@@ -1,11 +1,14 @@
-"""chain-verify's scanner against the re-encode check it replaced.
+"""The journal's scanner against the re-encode check it replaced.
 
 The scanner hashes each record's pieces as stored and decodes them
 strictly. The oracle here is the earlier check: decode each record with
 ``json.loads``, encode it again and compare, then check its hashes and
 its link. For any single-byte flip, cut, record deletion or duplicated
 record of an honest journal, both give the same ``(ok, badBlock)``, in
-the serial walk and in a verify split into parts alike.
+the serial walk and in a verify split into parts alike. Open reads
+records through the same scanner, so a store-less open refuses the
+block that chain-verify refuses, with its reason, and opens where
+chain-verify passes.
 """
 
 import io
@@ -21,13 +24,17 @@ from iotid.codec import sha256
 from iotid.ledger import (
     BLOCKS_FILE,
     FLAG_VALUES,
+    STATE_FILE,
     ZERO_HASH,
     Block,
+    CorruptJournal,
     GenesisConfig,
+    LedgerEngine,
     LedgerError,
     encode_transactions,
     verify_chain_file,
 )
+from iotid.store import ContentStore
 
 from test_ledger import _no_child_left, _serial_report, _split_report, _tamper
 from util import Principal, make_engine, register_device, registrar_principal, upload_payload
@@ -80,6 +87,24 @@ def _oracle(journal: bytes) -> tuple[bool, int | None]:
     return (True, None) if height else (False, 0)
 
 
+def _open_verdict(path: Path) -> tuple:
+    """``(ok, height or badBlock, reason)`` of a store-less open of the journal at ``path``."""
+    try:
+        with LedgerEngine.open(path.parent, ContentStore(path.parent / "objects"), {}) as engine:
+            return True, engine.height, None
+    except CorruptJournal as exc:
+        return False, exc.index, exc.reason
+
+
+def _opened_as(report: tuple) -> tuple:
+    """The ``_open_verdict`` that the serial walk's report implies: the
+    same, except that open cuts a torn last record off after block 0."""
+    ok, height, bad_block, reason = report
+    if ok or (reason == "unterminated last record" and height > 0):
+        return True, height, None
+    return False, bad_block, reason
+
+
 @given(kind=st.sampled_from(["flip", "cut", "delete", "duplicate"]), data=st.data())
 def test_the_scanner_gives_the_re_encode_verdict(honest, kind, data):
     records = honest.splitlines(keepends=True)
@@ -95,6 +120,7 @@ def test_the_scanner_gives_the_re_encode_verdict(honest, kind, data):
         assert (serial[0], serial[2]) == want
         split = _split_report(path)
         assert (split[0], split[2]) == want
+        assert _open_verdict(path) == _opened_as(serial)
     assert _no_child_left()
 
 
@@ -152,6 +178,8 @@ _PIECES = {
     "upper-case hex in the header": (_upper(b'"prevHash":"'), "non-canonical block encoding"),
     "upper-case hex under recomputed hashes": (lambda r: _restamp(_upper(b'"nonce":"')(r)),
                                                "non-canonical block encoding"),
+    "a dataId digit in an rwset write": (_at(b'"writes":[["asset/', _other_hex),
+                                         "non-canonical block encoding"),
 }
 
 
@@ -168,6 +196,7 @@ def test_a_changed_piece_fails_at_its_block(honest, tmp_path, piece):
     report = verify_chain_file(path)
     assert (report.ok, report.bad_block, report.reason) == (False, last, reason)
     assert _oracle(path.read_bytes()) == (False, last)
+    assert _open_verdict(path) == (False, last, reason)
 
 
 def test_a_rehashed_body_in_other_whitespace_passes_the_shallow_check(honest, tmp_path):
@@ -181,9 +210,40 @@ def test_a_rehashed_body_in_other_whitespace_passes_the_shallow_check(honest, tm
                      + _restamp(records[last].replace(b'"args":[', b'"args": [', 1)))
     assert verify_chain_file(path).ok
     assert _oracle(path.read_bytes()) == (False, last)
+    assert _open_verdict(path) == (True, last + 1, None)
     for glue in (b'"proposal":', b',"rwset":'):
         spaced = glue.replace(b":", b": ")
         path.write_bytes(b"".join(records[:last])
                          + _restamp(records[last].replace(glue, spaced, 1)))
         report = verify_chain_file(path)
         assert (report.ok, report.bad_block) == (False, last)
+        assert _open_verdict(path) == (False, last, report.reason)
+
+
+def test_a_forged_record_in_the_journal_is_never_applied(honest, tmp_path):
+    # one hex digit of an upload's dataId in block 5's rwset changes, and
+    # every hash stays as it was: the txId no longer matches its body
+    records = honest.splitlines(keepends=True)
+    forged = 5
+    change, reason = _PIECES["a dataId digit in an rwset write"]
+    ledger = tmp_path / "ledger"
+    ledger.mkdir()
+    journal = ledger / BLOCKS_FILE
+    journal.write_bytes(honest)
+    store = ContentStore(tmp_path / "objects")
+    LedgerEngine.open(ledger, store, {}).close()  # a savepoint at the tip
+    records[forged] = change(records[forged])
+    journal.write_bytes(b"".join(records))
+    report = verify_chain_file(journal)
+    assert (report.ok, report.bad_block, report.reason) == (False, forged, reason)
+    # an open from the savepoint reads block 0 and the tip's record alone;
+    # reading every block reaches the forged one
+    with LedgerEngine.open(ledger, store, {}) as engine:
+        assert engine.height == len(records)
+        with pytest.raises(CorruptJournal) as refused:
+            engine.read_blocks()
+        assert (refused.value.index, refused.value.reason) == (forged, reason)
+    (ledger / STATE_FILE).unlink()
+    with pytest.raises(CorruptJournal) as refused:
+        LedgerEngine.open(ledger, store, {})
+    assert (refused.value.index, refused.value.reason) == (forged, reason)
