@@ -974,6 +974,27 @@ def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
         reopened.close()
 
 
+@pytest.mark.parametrize("start", ["a savepoint", "a full replay"])
+def test_each_open_decodes_the_config_once(tmp_path, engine, alice, monkeypatch, start):
+    # block 0's check and the engine's config are one decode
+    engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    engine.flush()
+    engine.close()
+    if start == "a full replay":
+        (tmp_path / "ledger" / STATE_FILE).unlink()
+    decoded = []
+    real = GenesisConfig.from_block
+    monkeypatch.setattr(GenesisConfig, "from_block",
+                        lambda block: decoded.append(block.number) or real(block))
+    reopened = reopen_engine(tmp_path)
+    try:
+        assert decoded == [0]
+        assert reopened.genesis == GenesisConfig.default()
+        assert reopened.height == 2
+    finally:
+        reopened.close()
+
+
 def test_open_derives_no_key_and_commits_derive_each_peer_key_once(tmp_path, engine, alice,
                                                                     monkeypatch):
     # a read-only opener needs no peer key; the endorsers' keys are derived

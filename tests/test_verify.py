@@ -9,17 +9,27 @@ the serial walk and in a verify split into parts alike. Open reads
 records through the same scanner, so a store-less open refuses the
 block that chain-verify refuses, with its reason, and opens where
 chain-verify passes.
+
+chain-verify itself matches each record against a grammar and decodes
+nothing, leaving block 0 and every record the grammar refuses to the
+scanner. The grammar must never accept what the scanner refuses, must
+read what it accepts as the scanner does, and must refuse a hostile
+record in linear time.
 """
 
 import io
 import json
+import os
+import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iotid import ledger as ledger_module
 from iotid.codec import sha256
 from iotid.ledger import (
     BLOCKS_FILE,
@@ -36,7 +46,14 @@ from iotid.ledger import (
 )
 from iotid.store import ContentStore
 
-from test_ledger import _no_child_left, _serial_report, _split_report, _tamper
+from test_ledger import (  # noqa: F401 (grown_journal is a fixture)
+    _no_child_left,
+    _serial_report,
+    _split_report,
+    _tamper,
+    _three_parts,
+    grown_journal,
+)
 from util import Principal, make_engine, register_device, registrar_principal, upload_payload
 
 
@@ -247,3 +264,210 @@ def test_a_forged_record_in_the_journal_is_never_applied(honest, tmp_path):
     with pytest.raises(CorruptJournal) as refused:
         LedgerEngine.open(ledger, store, {})
     assert (refused.value.index, refused.value.reason) == (forged, reason)
+
+
+# -- the grammar that verify matches each record against --------------------
+
+_HEX_VALUE = re.compile(rb'"[0-9a-f]+"')
+_LETTERED_HEX = re.compile(rb'"[0-9a-f]*[a-f][0-9a-f]*"')
+_STRING_PAIR = re.compile(rb'("\w+":"[^"\\]*"),("\w+":"[^"\\]*")')
+_TIMESTAMP = re.compile(rb'"timestamp":(\d+)')
+_FLAG = re.compile(rb'"(?:VALID|MVCC_CONFLICT|POLICY_FAILURE)"')
+
+
+def _nth(pattern: re.Pattern, record: bytes, n: int) -> re.Match:
+    """Match ``n`` of ``pattern`` in ``record``, counting round."""
+    found = list(pattern.finditer(record))
+    return found[n % len(found)]
+
+
+def _replace(record: bytes, match: re.Match, new: bytes) -> bytes:
+    return record[:match.start()] + new + record[match.end():]
+
+
+def _flip(record: bytes, n: int) -> bytes:
+    at = n % len(record)
+    return record[:at] + bytes([record[at] ^ (1 << (n // len(record) % 7))]) + record[at + 1:]
+
+
+def _respace(record: bytes, n: int) -> bytes:
+    at = _nth(re.compile(rb"[:,\[{]"), record, n).end()
+    return record[:at] + b" " + record[at:]
+
+
+def _re_escape(record: bytes, n: int) -> bytes:
+    # one letter or digit as its \u escape, as \u0041 for A
+    char = _nth(re.compile(rb"[0-9A-Za-z]"), record, n)
+    return _replace(record, char, b"\\u%04x" % char[0][0])
+
+
+def _other_flag(record: bytes, n: int) -> bytes:
+    # an unknown flag under a flags hash taken anew
+    flag = _nth(_FLAG, record, n)
+    changed = _replace(record, flag, (b'"TRUSTED"', b'"valid"', b'"VALID\\u0020"')[n % 3])
+    flags = changed[changed.rindex(b',"validationFlags":') + 19:-2]
+    at = changed.index(b'"flagsHash":"') + 13
+    return changed[:at] + sha256(flags).hex().encode() + changed[at + 64:]
+
+
+def _timestamp(record: bytes, n: int) -> bytes:
+    stamp = _nth(_TIMESTAMP, record, n)
+    value = (stamp[1] + b".0", b"-0", b"1e3", b"-" + stamp[1], b"0" + stamp[1])[n % 5]
+    return _replace(record, stamp, b'"timestamp":' + value)
+
+
+# a change to a record that the grammar must refuse or read as the scanner does
+_MUTATIONS = {
+    "flip": _flip,
+    "respace": _respace,
+    "re-escape": _re_escape,
+    "odd-length hex": lambda r, n: _replace(r, m := _nth(_HEX_VALUE, r, n), m[0][:1] + m[0][2:]),
+    "upper-case hex": lambda r, n: _replace(r, m := _nth(_LETTERED_HEX, r, n), m[0].upper()),
+    "a byte 0x80 in hex": lambda r, n: _replace(r, m := _nth(_HEX_VALUE, r, n),
+                                                b'"\x80' + m[0][2:]),
+    "timestamp": _timestamp,
+    "unknown flag": _other_flag,
+    "swapped keys": lambda r, n: _replace(r, m := _nth(_STRING_PAIR, r, n),
+                                          m[2] + b"," + m[1]),
+}
+
+
+def _restamped(record: bytes) -> bytes:
+    """``_restamp(record)``, or the record as it is where a change took a txId's glue away."""
+    try:
+        return _restamp(record)
+    except ValueError:
+        return record
+
+
+def _scanned(index: int, record: bytes) -> tuple | None:
+    """``(link, header hash)`` of the scanner; None where it refuses the record."""
+    try:
+        return ledger_module._scan_block(index, record)[1:]
+    except CorruptJournal:
+        return None
+
+
+def _check_change(honest: bytes, kind: str, index: int, n: int) -> None:
+    """Record ``index`` changed by ``_MUTATIONS[kind]``, as it is and under
+    recomputed hashes: the grammar refuses it or reads it as the scanner
+    does, and verify gives the serial walk's report."""
+    records = honest.splitlines(keepends=True)
+    changed = _MUTATIONS[kind](records[index], n)
+    with tempfile.TemporaryDirectory() as base:
+        path = Path(base) / BLOCKS_FILE
+        for record in (changed, _restamped(changed)):
+            matched = ledger_module._match_record(record)
+            if matched is not None:
+                assert _scanned(index, record) == matched[1:]
+            path.write_bytes(b"".join([*records[:index], record, *records[index + 1:]]))
+            report = verify_chain_file(path)
+            assert (report.ok, report.height, report.bad_block, report.reason) == \
+                _serial_report(path)
+
+
+@given(kind=st.sampled_from(sorted(_MUTATIONS)), index=st.integers(0, 6),
+       n=st.integers(0, 2**20))
+def test_the_grammar_refuses_a_record_or_reads_it_as_the_scanner(honest, kind, index, n):
+    _check_change(honest, kind, index, n)
+
+
+@pytest.mark.parametrize("kind", sorted(_MUTATIONS))
+def test_the_first_changes_of_each_kind_to_a_block_of_uploads(honest, kind):
+    # the first eight places in the last record: every pair of adjacent
+    # string keys in its first transaction, and the first hex values
+    for n in range(8):
+        _check_change(honest, kind, 6, n)
+
+
+@pytest.fixture
+def scanned(tmp_path, monkeypatch) -> Path:
+    """A file to which every ``_scan_block`` call, in this process or a
+    forked worker, appends ``<pid> <block number>``."""
+    log = tmp_path / "scanned"
+    log.touch()
+    real = ledger_module._scan_block
+
+    def logged(index, raw):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {json.loads(raw)['number']}\n")
+        return real(index, raw)
+
+    monkeypatch.setattr(ledger_module, "_scan_block", logged)
+    return log
+
+
+def _scans(log: Path) -> list[tuple[int, int]]:
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_verify_decodes_only_block_0_of_an_honest_journal(honest, grown_journal, tmp_path,
+                                                          scanned):
+    path = tmp_path / BLOCKS_FILE
+    for journal in (honest, grown_journal):
+        path.write_bytes(journal)
+        scanned.write_text("")
+        assert verify_chain_file(path).ok
+        assert _scans(scanned) == [(os.getpid(), 0)]
+    scanned.write_text("")
+    with _three_parts():
+        assert len(ledger_module._part_starts(path)) == 3
+        assert verify_chain_file(path).ok
+    assert _scans(scanned) == [(os.getpid(), 0)]
+    assert _no_child_left()
+
+
+def test_a_worker_falls_back_to_the_scanner_on_a_rehashed_respaced_record(grown_journal,
+                                                                           tmp_path, scanned):
+    # the grammar refuses the space; the scanner, in the worker that
+    # verifies the last part, passes the record whose hashes cover it
+    records = grown_journal.splitlines(keepends=True)
+    last = len(records) - 1
+    respaced = _restamp(records[last].replace(b'"args":[', b'"args": [', 1))
+    assert ledger_module._match_record(respaced) is None
+    path = tmp_path / BLOCKS_FILE
+    path.write_bytes(b"".join(records[:last]) + respaced)
+    with _three_parts():
+        report = verify_chain_file(path)
+    assert (report.ok, report.height) == (True, len(records))
+    # the worker may scan its record before the parent scans block 0
+    (parent, first), (worker, number) = sorted(_scans(scanned), key=lambda scan: scan[1])
+    assert (parent, first) == (os.getpid(), 0)
+    assert worker != parent and number == last
+    assert _no_child_left()
+
+
+_LONG = 200_000
+
+
+def _adversarial(record: bytes) -> dict[str, bytes]:
+    """Records built to make a backtracking matcher try many ways to fail."""
+    nonce = record.index(b'"nonce":"') + 9
+    arg = record.index(b'"args":["') + 9
+    return {
+        "an odd-length hex value": record[:nonce] + b"a" * (_LONG + 1) + record[nonce + 64:],
+        "a run of backslashes, then a bad escape": record[:arg] + b"\\" * _LONG + b"\\x"
+                                                   + record[arg:],
+        "an odd run of backslashes": record[:arg] + b"\\" * (_LONG + 1) + record[arg:],
+        "a string left open": record[:arg] + b"a" * _LONG + b"\n",
+        "escapes, then a bad one": record[:arg] + b"\\u0041" * (_LONG // 6) + b"\\x"
+                                   + record[arg:],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_adversarial(b'"nonce":"' + b"0" * 64 + b'"args":["')))
+def test_an_adversarial_record_is_refused_in_linear_time(honest, tmp_path, case):
+    records = honest.splitlines(keepends=True)
+    last = len(records) - 1
+    path = tmp_path / BLOCKS_FILE
+    changed = _adversarial(records[last])[case]
+    for record in (changed, _restamped(changed)):
+        path.write_bytes(b"".join(records[:last]) + record)
+        started = time.perf_counter()
+        matched = ledger_module._match_record(record)
+        report = verify_chain_file(path)
+        assert time.perf_counter() - started < 1.0
+        assert matched is None
+        assert (report.ok, report.height, report.bad_block, report.reason) == \
+            _serial_report(path)
+        assert (report.ok, report.bad_block) == (False, last)
