@@ -29,14 +29,14 @@ in-process:
 
 Blocks persist as one append-only file of canonically encoded JSON lines,
 so replaying valid transactions from genesis reproduces the world state
-exactly. Every hash covers bytes that the record stores verbatim. Open
-and replay read every record through one scanner that decodes it
-strictly and hashes it as read: a changed byte fails a hash, or the
-decode, in its own record, and replay refuses it. chain-verify decodes
-nothing: it matches each record against a compiled grammar of what commit
-writes, hashes the same slices, and leaves block 0 and any record the
-grammar refuses to that scanner. Block 0 carries the network config;
-open cuts off a torn last record. Beside the journal, an SQLite
+exactly. Every hash covers bytes that the record stores verbatim. Every
+reader, open and replay, ``read_blocks`` and chain-verify, checks a
+record one way: it matches a compiled grammar of exactly the bytes that
+commit writes, and its hashes hold over the slices as stored. A changed
+byte fails in its own record, and nothing is encoded again. A record is
+decoded only where its objects are needed: block 0 for its network
+config, and the blocks that replay applies or ``read_blocks`` returns.
+Open cuts off a torn last record. Beside the journal, an SQLite
 store holds the world state as of its savepoint block, so open reads
 block 0 and the savepoint's record, replays only the blocks after it and
 reads only the keys a command touches. It is a cache: open uses it only
@@ -52,12 +52,13 @@ import os
 import re
 import signal
 import sqlite3
+import sys
 import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Iterator, Protocol
 
 from .clock import Clock, WallClock
 from .codec import canonical_json, sha256
@@ -196,16 +197,29 @@ class TxProposal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TxProposal":
+        args, contract, function, timestamp = (list(d["args"]), d["contract"], d["function"],
+                                               d["timestamp"])
+        if not (type(contract) is type(function) is str and type(timestamp) is int
+                and all(type(arg) is str for arg in args)):
+            raise TypeError("a proposal field of the wrong type")
         return cls(
             invoker=Address.from_text(d["invoker"]),
             invoker_key=bytes.fromhex(d["invokerKey"]),
-            contract=d["contract"],
-            function=d["function"],
-            args=list(d["args"]),
+            contract=contract,
+            function=function,
+            args=args,
             nonce=bytes.fromhex(d["nonce"]),
-            timestamp=int(d["timestamp"]),
+            timestamp=timestamp,
             signature=bytes.fromhex(d["signature"]),
         )
+
+
+def _version(value: list) -> Version:
+    """A read version as JSON holds it: two integers, and JSON's true is none."""
+    block, tx = value
+    if type(block) is not int or type(tx) is not int:
+        raise TypeError(f"bad read version {value!r}")
+    return block, tx
 
 
 @dataclass
@@ -223,10 +237,14 @@ class ReadWriteSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReadWriteSet":
-        return cls(
-            reads=[(k, tuple(v) if v is not None else None) for k, v in d["reads"]],
+        rwset = cls(
+            reads=[(k, _version(v) if v is not None else None) for k, v in d["reads"]],
             writes=[(k, bytes.fromhex(v)) for k, v in d["writes"]],
         )
+        if not all(type(k) is str for k, _ in rwset.reads) or \
+                not all(type(k) is str for k, _ in rwset.writes):
+            raise TypeError("a key that is no string")
+        return rwset
 
 
 @dataclass
@@ -239,7 +257,9 @@ class Endorsement:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Endorsement":
-        return cls(peer_id=d["peerId"], signature=bytes.fromhex(d["signature"]))
+        if type(peer_id := d["peerId"]) is not str:
+            raise TypeError("a peer id that is no string")
+        return cls(peer_id=peer_id, signature=bytes.fromhex(d["signature"]))
 
 
 @dataclass
@@ -386,12 +406,19 @@ class Block:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
+        """The block of a record's JSON. Like the decoders of its parts, it
+        raises TypeError on a field of another JSON type than commit writes
+        (JSON's true is no integer), so that a record which encodes back
+        from its decode is one that the journal's grammar accepts."""
+        number, flags = d["number"], list(d["validationFlags"])
+        if type(number) is not int or not all(type(flag) is str for flag in flags):
+            raise TypeError("a block number or flag of the wrong type")
         return cls(
-            number=int(d["number"]),
+            number=number,
             prev_hash=bytes.fromhex(d["prevHash"]),
             data_hash=bytes.fromhex(d["dataHash"]),
             transactions=[Transaction.from_dict(t) for t in d["transactions"]],
-            validation_flags=list(d["validationFlags"]),
+            validation_flags=flags,
         )
 
 
@@ -937,7 +964,8 @@ class LedgerEngine:
             self._new_store()
         height, tip_hash, _ = self.state.tip
         try:
-            for block, header_hash, size in _walk(path, self._offset, height, tip_hash):
+            for block, header_hash, size in _walk(path, self._offset, height, tip_hash,
+                                                  decode=True):
                 if block.number == 0:
                     genesis = block.config
                 self._apply_block(block, header_hash, size)
@@ -1217,7 +1245,7 @@ class LedgerEngine:
         return receipt[1] if receipt is not None else None
 
     def read_blocks(self) -> list[Block]:
-        return [block for block, _, _ in _walk(self._dir / BLOCKS_FILE)]
+        return [block for block, _, _ in _walk(self._dir / BLOCKS_FILE, decode=True)]
 
 
 # ledger directory -> [fd holding the flock on its .lock, engines open on it]
@@ -1227,22 +1255,19 @@ _open_engines: dict[Path, list[int]] = {}
 
 def _walk(path: str | Path, start: int = 0, height: int | None = 0,
           tip_hash: bytes | None = ZERO_HASH, end: int | None = None,
-          read: Callable[[int | None, bytes], tuple] | None = None,
-          ) -> Iterator[tuple[Block | None, bytes, int]]:
+          decode: bool = False) -> Iterator[tuple[Block | None, bytes, int]]:
     """Stream the journal from byte ``start``: ``(block, header hash, record size)``.
 
     Block ``height`` begins at ``start`` and must extend ``tip_hash`` (None:
     unknown, so its number or prevHash goes unchecked), each later block the
     one before it; the walk stops at the record boundary ``end`` (None: the
-    end of the file). It is the journal's one framing-and-link loop.
-    ``read(index, raw)`` checks each record and returns ``(block, link,
-    header hash)``: by default the scanner ``_scan_block``, which decodes
-    it, as open, replay and ``read_blocks`` need; chain-verify passes
-    ``_check_record``, whose block is None unless it fell back to the
-    scanner. Raises CorruptJournal at the first bad record, on an empty
-    journal, or with ``torn_at`` set at an unterminated (torn) last record.
+    end of the file). It is the journal's one framing-and-link loop, and
+    ``_read_record`` its one check of a record. The block is None unless
+    ``decode`` asks for it, as open's replay and ``read_blocks`` do, or it is
+    block 0, whose config every reader checks. Raises CorruptJournal at the
+    first bad record, on an empty journal, or with ``torn_at`` set at an
+    unterminated (torn) last record.
     """
-    read = read or _scan_block
     with open(path, "rb") as fh:
         fh.seek(start)
         for raw in fh:
@@ -1250,7 +1275,7 @@ def _walk(path: str | Path, start: int = 0, height: int | None = 0,
                 break
             if not raw.endswith(b"\n"):
                 raise CorruptJournal(height, "unterminated last record", torn_at=start)
-            block, link, header_hash = read(height, raw)
+            block, link, header_hash = _read_record(height, raw, decode)
             if height is None:
                 height = link[0]
             if problem := _link_problem(link, height, tip_hash or link[1]):
@@ -1275,183 +1300,45 @@ def _link_problem(link: tuple[int, bytes, int | None, int], height: int,
     return None
 
 
-class _NotCanonical(Exception):
-    """A record that decodes, but not from the bytes commit would have written."""
-
-
-_DECODE = json.JSONDecoder().raw_decode  # the C scanner: a value and where it ends
-# a record up to its transaction list: the header, then the list's glue
-_HEADER = re.compile(r'\{"dataHash":"([0-9a-f]{64})","flagsHash":"([0-9a-f]{64})",'
-                     r'"number":(0|[1-9][0-9]*),"prevHash":"([0-9a-f]{64})"'
-                     r',"transactions":\[')
-_PROPOSAL_KEYS = ["args", "contract", "function", "invoker", "invokerKey", "nonce",
-                  "signature", "timestamp"]
-
-
-def _scan_block(index: int | None, raw: bytes) -> tuple[Block, tuple, bytes]:
-    """A record decoded strictly, with its pieces hashed as stored: ``(block,
-    block.link, header hash)``.
-
-    Commit writes a record as fixed glue around the pieces that its hashes
-    cover: the header hash covers the bytes before ``,"transactions"`` and
-    a closing brace, the data hash the transaction list, the flags hash the
-    flag list, and each txId its transaction's ``"proposal":…,"rwset":…``
-    bytes in braces. The glue must match byte for byte; the C scanner
-    finds where each piece ends; and every field must decode to what
-    commit encodes: lower-case hex, JSON integers, strings, and each
-    object's keys in order. So a changed byte fails a hash or this decode
-    in its own record, and nothing is encoded again. Whitespace or escapes
-    inside a piece whose hashes were recomputed over them pass: blocks
-    carry no signature, so such a rewrite is for the planned deep audit.
-    It is the verdict for every reader: chain-verify's grammar accepts only
-    records that this accepts, and leaves every other one, and block 0, here.
-    """
-    try:
-        text = raw.decode("ascii")  # as canonical JSON is; offsets are then byte offsets
-        header = _HEADER.match(text)
-        if header is None:
-            raise _NotCanonical
-        transactions, at = [], header.end()
-        while not text.startswith("]", at):
-            tx, at = _scan_transaction(text, raw, _glue(text, at, ",") if transactions else at)
-            transactions.append(tx)
-        data, flags_at = raw[header.end() - 1:at + 1], _glue(text, at + 1, ',"validationFlags":')
-        flags, at = _DECODE(text, flags_at)
-        if text[at:] != "}\n":
-            raise _NotCanonical
-        block = Block(int(header[3]), bytes.fromhex(header[4]), bytes.fromhex(header[1]),
-                      transactions, _of(list, flags))
-    except _NotCanonical:
-        raise CorruptJournal(index, "non-canonical block encoding") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptJournal(index, "undecodable block") from exc
-    if sha256(raw[flags_at:at]).hex() != header[2]:
-        raise CorruptJournal(index, "non-canonical block encoding")
-    if any(f not in FLAG_VALUES for f in flags):
-        raise CorruptJournal(index, "unknown validation flag")
-    if sha256(data).hex() != header[1]:
-        raise CorruptJournal(index, "data hash does not match transactions")
-    if block.number == 0:
-        try:
-            block.config
-        except LedgerError as exc:
-            raise CorruptJournal(0, str(exc)) from exc
-    return block, block.link, sha256(raw[:header.end(4) + 1] + b"}")
-
-
-def _scan_transaction(text: str, raw: bytes, at: int) -> tuple[Transaction, int]:
-    """The transaction record at ``at``, and where it ends; it keeps its body as stored."""
-    endorsements, at = _DECODE(text, _glue(text, at, '{"endorsements":'))
-    body = at + 1
-    proposal, at = _DECODE(text, _glue(text, at, ',"proposal":'))
-    rwset, at = _DECODE(text, _glue(text, at, ',"rwset":'))
-    tx = Transaction(_scan_proposal(proposal), _scan_rwset(rwset),
-                     [_scan_endorsement(e) for e in _of(list, endorsements)])
-    tx._body = b"{" + raw[body:at] + b"}"
-    tx.tx_id = sha256(tx._body)
-    at = _glue(text, at, ',"txId":"')
-    if text[at:at + 64] != tx.tx_id.hex():
-        raise _NotCanonical
-    return tx, _glue(text, at + 64, '"}')
-
-
-def _scan_proposal(d) -> TxProposal:
-    args, contract, function, invoker, key, nonce, signature, timestamp = \
-        _fields(d, _PROPOSAL_KEYS)
-    if type(contract) is not str or type(function) is not str or \
-            type(timestamp) is not int or type(args) is not list or \
-            not all(type(arg) is str for arg in args):
-        raise TypeError("a proposal field of the wrong type")
-    return TxProposal(Address.from_text(invoker), _hex(key), contract, function, args,
-                      _hex(nonce), timestamp, _hex(signature))
-
-
-def _scan_rwset(d) -> ReadWriteSet:
-    reads, writes = _fields(d, ["reads", "writes"])
-    rwset = ReadWriteSet()
-    for item in _of(list, reads):
-        key, version = item
-        if version is not None:
-            block, tx = version
-            if type(version) is not list or type(block) is not int or type(tx) is not int:
-                raise TypeError(f"bad read version {version!r}")
-            version = (block, tx)
-        if type(item) is not list or type(key) is not str:
-            raise TypeError(f"bad read {item!r}")
-        rwset.reads.append((key, version))
-    for item in _of(list, writes):
-        key, value = item
-        if type(item) is not list or type(key) is not str:
-            raise TypeError(f"bad write {item!r}")
-        rwset.writes.append((key, _hex(value)))
-    return rwset
-
-
-def _scan_endorsement(d) -> Endorsement:
-    peer, signature = _fields(d, ["peerId", "signature"])
-    return Endorsement(_of(str, peer), _hex(signature))
-
-
-def _glue(text: str, at: int, glue: str) -> int:
-    """Where ``glue``, which must stand at ``at``, ends."""
-    if not text.startswith(glue, at):
-        raise _NotCanonical
-    return at + len(glue)
-
-
-def _of(kind: type, value):
-    """``value`` if its type is exactly ``kind``."""
-    if type(value) is not kind:
-        raise TypeError(f"{kind.__name__} expected, got {value!r}")
-    return value
-
-
-def _fields(value, keys: list[str]) -> list:
-    """The values of a JSON object with exactly ``keys``, in that order."""
-    if list(_of(dict, value)) != keys:
-        raise _NotCanonical
-    return list(value.values())
-
-
-def _hex(text: str) -> bytes:
-    """The bytes that ``text`` spells, if it is their lower-case hex."""
-    value = bytes.fromhex(text)
-    if value.hex() != text:
-        raise _NotCanonical
-    return value
-
-
 @cache
 def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """chain-verify's patterns: a record's header, one transaction, and its tail.
+    """The journal's patterns: a record's header, one transaction, and its tail.
 
-    On an ASCII record, which is all ``_match_record`` lets through, they
-    accept every record commit writes and none that the scanner refuses:
-    keys in order, no space, lower-case even-length hex, JSON integers of
-    up to 18 digits, and strings in JSON's syntax, escapes included. No
-    repeat can match one text in two ways, so a refusal takes time linear
-    in the record. Compiled on first use, as verify is the only reader
-    that needs them.
+    An ASCII record matches them, with its txIds and flags hash, iff
+    ``Block.from_dict(json.loads(raw)).encode()`` gives it back: keys in
+    order, no space, lower-case even-length hex, integers with neither a
+    leading zero nor ``-0`` nor more digits than ``json.loads`` reads, and
+    strings as ``canonical_json`` writes them. A string's plain bytes run
+    from space to ``~`` but for the quote and the backslash; its escapes are
+    ``\\"``, ``\\\\``, ``\\b\\f\\n\\r\\t``, and lower-case ``\\uXXXX`` only for
+    the other bytes below space, 0x7f and code points from 0x80. A flag is
+    any string, so that an unknown one is refused as such. No repeat can
+    match one text in two ways, so a refusal takes time linear in the
+    record. Compiled on first use, once per process.
     """
     # re tests a byte against a class of three or more ranges with one
     # bitmap lookup, and against two ranges, or a negated class, in two
     # steps; a walk over hex and strings took a tenth longer for each. So a
     # hex digit also names \x80, which no ASCII record holds, and a string's
-    # plain bytes are named, not negated: ASCII from space up but the quote
-    # and the backslash.
+    # plain bytes are named, not negated.
     digit = rb'[0-9a-f\x80]'
-    text = rb'[\x20\x21\x23-\x5b\x5d-\x7f]*'
-    string = rb'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*"' % (text, text)
-    hex_ = rb'"(?:%s{32})*(?:%s{2}){0,15}"' % (digit, digit)
+    plain = rb'[\x20\x21\x23-\x5b\x5d-\x7e]*'
+    # \u and four lower-case hex digits, but not those of a byte written as itself
+    # or as a short escape: 0x08-0x0d but 0x0b, and 0x20-0x7e
+    escape = rb'\\(?:["\\bfnrt]|u(?!00(?:0[89acd]|[2-6]|7[0-9a-e]))[0-9a-f]{4})'
+    string = rb'"%s(?:%s%s)*"' % (plain, escape, plain)
+    hex_digits = rb'(?:%s{32})*(?:%s{2}){0,15}' % (digit, digit)
+    hex_ = rb'"%s"' % hex_digits
     hash_ = rb'"(%s{64})"' % digit
-    integer = rb'-?(?:0|[1-9][0-9]{0,17})'
+    most = sys.get_int_max_str_digits()  # 0: no limit
+    integer = rb'(?:0|-?[1-9][0-9]%s)' % (b"{0,%d}" % (most - 1) if most else b"*")
 
-    def items(item: bytes) -> bytes:
-        return rb'\[(?:%s(?:,%s)*)?\]' % (item, item)
+    def items(item: bytes) -> bytes:  # each item once: the pattern compiles faster
+        return rb'\[(?:%s(?:,(?!\])|(?=\])))*\]' % item
 
     header = re.compile(
-        rb'(\{"dataHash":%s,"flagsHash":%s,"number":(0|[1-9][0-9]{0,17}),"prevHash":%s)'
-        rb',"transactions":\[' % (hash_, hash_, hash_))
+        rb'(\{"dataHash":"(%s)","flagsHash":%s,"number":(%s),"prevHash":"(%s)")'
+        rb',"transactions":\[' % (hex_digits, hash_, integer, hex_digits))
     transaction = re.compile(
         rb'\{"endorsements":%s,' % items(rb'\{"peerId":%s,"signature":%s\}' % (string, hex_))
         + rb'("proposal":\{"args":%s,"contract":%s,"function":%s,' % (items(string), string, string)
@@ -1460,44 +1347,88 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
         + rb'"rwset":\{"reads":%s,' % items(rb'\[%s,(?:null|\[%s,%s\])\]' % (string, integer, integer))
         + rb'"writes":%s\})' % items(rb'\[%s,%s\]' % (string, hex_))
         + rb',"txId":%s\}(,?)' % hash_)
-    flag = rb'"(?:%s)"' % b"|".join(f.encode() for f in FLAG_VALUES)
-    tail = re.compile(rb'\],"validationFlags":(%s)\}\n' % items(flag))
+    tail = re.compile(rb'\],"validationFlags":(%s)\}\n' % items(string))
     return header, transaction, tail
 
 
-def _match_record(raw: bytes) -> tuple[None, tuple[int, bytes, int, int], bytes] | None:
-    """``(None, link, header hash)`` of a record that matches ``_grammar`` and
-    whose hashes hold; else None, and ``_scan_block`` gives the verdict.
+def _read_record(index: int | None, raw: bytes,
+                 decode: bool) -> tuple[Block | None, tuple[int, bytes, int, int], bytes]:
+    """``(block, Block.link, header hash)`` of a record the journal accepts;
+    the block None unless ``decode`` is set or it is block 0.
 
-    The hashes cover the slices that ``_scan_block`` hashes, so where both
-    accept a record they give the same link and header hash. Block 0 is
-    left to the scanner, which checks its config.
+    Commit writes a record as fixed glue around the pieces that its hashes
+    cover, and they are hashed as stored: each txId its transaction's
+    ``"proposal":…,"rwset":…`` in braces, the flags hash the flag list, the
+    data hash the transaction list, and the header hash the bytes before
+    ``,"transactions"`` and a closing brace. CorruptJournal gives the first
+    of these reasons:
+
+    1. a record that ``_grammar`` refuses is an "undecodable block" if it is
+       not ASCII, or if it is JSON that ``Block.from_dict`` refuses, and
+       otherwise a "non-canonical block encoding", as is one whose txId or
+       flags hash does not hold;
+    2. an "unknown validation flag";
+    3. the data hash;
+    4. block 0's network config.
+
+    So a changed byte fails in its own record. Blocks carry no signature;
+    checking those is for the planned deep audit.
     """
     header, transaction, tail = _grammar()
     head = header.match(raw) if raw.isascii() else None
-    if head is None or head[4] == b"0":
-        return None
-    at, count, more = head.end(), 0, True
-    while more:
-        tx = transaction.match(raw, at)
-        if tx is None or sha256(b"{" + tx[1] + b"}").hex().encode() != tx[2]:
-            return None
-        at, count, more = tx.end(), count + 1, tx[3]
-    flags = tail.fullmatch(raw, at)
-    if flags is None or sha256(flags[1]).hex().encode() != head[3] or \
-            sha256(raw[head.end() - 1:at + 1]).hex().encode() != head[2]:
-        return None
-    return (None, (int(head[4]), bytes.fromhex(head[5].decode()), flags[1].count(b'"') // 2,
-                   count), sha256(head[1] + b"}"))
+    flags, bodies, stored = None, [], []
+    if head is not None:
+        at = head.end()
+        more = not raw.startswith(b"]", at)
+        while more and (tx := transaction.match(raw, at)) is not None:
+            bodies.append(b"{" + tx[1] + b"}")
+            stored.append(tx[2])
+            at, more = tx.end(), tx[3]
+        flags = None if more else tail.fullmatch(raw, at)
+    if flags is None:
+        raise CorruptJournal(index, _refusal(raw))
+    tx_ids = [sha256(body) for body in bodies]
+    if sha256(flags[1]).hex().encode() != head[3] or \
+            [tx_id.hex().encode() for tx_id in tx_ids] != stored:
+        raise CorruptJournal(index, "non-canonical block encoding")
+    flag_list = json.loads(flags[1])
+    if any(flag not in FLAG_VALUES for flag in flag_list):
+        raise CorruptJournal(index, "unknown validation flag")
+    if sha256(raw[head.end() - 1:at + 1]).hex().encode() != head[2]:
+        raise CorruptJournal(index, "data hash does not match transactions")
+    number = int(head[4])
+    block = _decode(raw, bodies, tx_ids) if decode or number == 0 else None
+    if number == 0:
+        try:
+            block.config
+        except LedgerError as exc:
+            raise CorruptJournal(index, str(exc)) from exc
+    return (block, (number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
+            sha256(head[1] + b"}"))
 
 
-def _check_record(index: int | None, raw: bytes) -> tuple[Block | None, tuple, bytes]:
-    """chain-verify's reader: ``_match_record``, and the scanner where it refuses.
+def _refusal(raw: bytes) -> str:
+    """Why the journal refuses a record that ``_grammar`` refuses."""
+    if not raw.isascii():
+        return "undecodable block"
+    try:
+        value = json.loads(raw)
+    except (RecursionError, ValueError):
+        return "non-canonical block encoding"
+    try:
+        Block.from_dict(value)
+    except (KeyError, TypeError, ValueError):
+        return "undecodable block"
+    return "non-canonical block encoding"
 
-    An honest record builds no object; one that the grammar refuses gets
-    the scanner's verdict and reason, as does block 0.
-    """
-    return _match_record(raw) or _scan_block(index, raw)
+
+def _decode(raw: bytes, bodies: list[bytes], tx_ids: list[bytes]) -> Block:
+    """The block of a record that ``_read_record`` accepted; each transaction
+    keeps its body and txId as stored, so neither is encoded again."""
+    block = Block.from_dict(json.loads(raw))
+    for tx, body, tx_id in zip(block.transactions, bodies, tx_ids):
+        tx._body, tx.tx_id = body, tx_id
+    return block
 
 
 # chain-verify splits a journal into record-aligned parts of at least
@@ -1575,7 +1506,7 @@ def _verify_parts(path: str | Path, starts: list[int]) -> int:
             if answer is None:
                 break
             # the part's first block against the tip before it, as the serial walk checks it
-            next(_walk(path, start, height, tip, read=_check_record))
+            next(_walk(path, start, height, tip))
             if "reason" in answer:
                 raise CorruptJournal(height + answer["count"], answer["reason"])
             height, tip, rest = height + answer["count"], bytes.fromhex(answer["tip"]), end
@@ -1595,7 +1526,7 @@ def _verify_range(path: str | Path, start: int, end: int | None, height: int,
                   tip_hash: bytes) -> tuple[int, bytes]:
     """Verify the blocks from ``start`` to ``end``: their count and the last one's hash."""
     count = 0
-    for _, tip_hash, _ in _walk(path, start, height, tip_hash, end, _check_record):
+    for _, tip_hash, _ in _walk(path, start, height, tip_hash, end):
         count += 1
     return count, tip_hash
 
@@ -1630,7 +1561,7 @@ def _part_answer(path: str | Path, start: int, end: int | None) -> bytes:
     """
     count, tip_hash = 0, b""
     try:
-        for _, tip_hash, _ in _walk(path, start, None, None, end, _check_record):
+        for _, tip_hash, _ in _walk(path, start, None, None, end):
             count += 1
     except CorruptJournal as exc:
         return canonical_json({"count": count, "reason": exc.reason})

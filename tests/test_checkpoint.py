@@ -8,6 +8,7 @@ fails a read must fail the command, never answer it, and the next open
 rebuilds the store from the journal.
 """
 
+import json
 import shutil
 import sqlite3
 import tempfile
@@ -105,14 +106,27 @@ def store_files(base):
     return sorted(p.name for p in (base / "ledger").iterdir() if p.name.startswith(STATE_FILE))
 
 
+class Reads:
+    """The indices of the journal records read, and of those decoded, in order."""
+
+    def __init__(self):
+        self.read, self.decoded = [], []
+
+    def clear(self):
+        self.read.clear()
+        self.decoded.clear()
+
+
 @pytest.fixture
-def decoded(monkeypatch):
-    """Indices of the journal records decoded, in order."""
-    indices = []
-    real = ledger_module._scan_block
-    monkeypatch.setattr(ledger_module, "_scan_block",
-                        lambda index, raw: indices.append(index) or real(index, raw))
-    return indices
+def reads(monkeypatch):
+    seen = Reads()
+    read, decode = ledger_module._read_record, ledger_module._decode
+    monkeypatch.setattr(ledger_module, "_read_record",
+                        lambda index, *args: seen.read.append(index) or read(index, *args))
+    monkeypatch.setattr(ledger_module, "_decode",
+                        lambda raw, *args: seen.decoded.append(json.loads(raw)["number"])
+                        or decode(raw, *args))
+    return seen
 
 
 @pytest.fixture
@@ -125,7 +139,7 @@ def stored(tmp_path):
     return tmp_path
 
 
-def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, decoded):
+def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, reads):
     writer = Principal.from_seed(11)
     engine = make_engine(tmp_path, genesis=SOLO)
     grow(engine, writer, 3)
@@ -134,23 +148,24 @@ def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, decod
     assert savepoint_height(tmp_path) == 4
     written = store_of(tmp_path).read_bytes()
 
-    decoded.clear()
+    reads.clear()
     engine = reopen_engine(tmp_path)
-    assert decoded == [0, 3]  # block 0 and the savepoint's block
+    assert reads.read == [0, 3]  # block 0 and the savepoint's block
+    assert reads.decoded == [0]  # the savepoint's block is matched, not decoded
     engine.close()
     assert store_of(tmp_path).read_bytes() == written  # nothing new, nothing written
 
-    decoded.clear()
+    reads.clear()
     engine = reopen_engine(tmp_path)
     grow(engine, writer, 2)
     engine.close()
     assert savepoint_height(tmp_path) == 6
-    decoded.clear()
+    reads.clear()
     assert observe(tmp_path) == full_replay(tmp_path)
-    assert decoded[:2] == [0, 5]
+    assert reads.read[:2] == [0, 5]
 
 
-def test_a_checkpoint_older_than_the_journal(stored, decoded):
+def test_a_checkpoint_older_than_the_journal(stored, reads):
     # the store lags when an engine dies before its close flushes
     engine = reopen_engine(stored)
     grow(engine, Principal.from_seed(12), 10, tag="w")
@@ -158,13 +173,14 @@ def test_a_checkpoint_older_than_the_journal(stored, decoded):
     assert savepoint_height(stored) == 1 + BLOCKS
     expected = full_replay(stored)
     assert expected[0] == 1 + BLOCKS + 10
-    decoded.clear()
+    reads.clear()
     assert observe(stored) == expected
-    assert decoded == [0, *range(BLOCKS, BLOCKS + 11)]
+    assert reads.read == [0, *range(BLOCKS, BLOCKS + 11)]
+    assert reads.decoded == [0, *range(BLOCKS + 1, BLOCKS + 11)]
     assert savepoint_height(stored) == 1 + BLOCKS + 10  # the query caught it up
 
 
-def test_a_query_moves_the_checkpoint_to_its_tip(tmp_path, decoded):
+def test_a_query_moves_the_checkpoint_to_its_tip(tmp_path, reads):
     # a warm engine's first query flushes, so a crash after it replays only
     # the blocks committed since
     writer = Principal.from_seed(11)
@@ -176,9 +192,10 @@ def test_a_query_moves_the_checkpoint_to_its_tip(tmp_path, decoded):
     crash(engine)
     assert savepoint_height(tmp_path) == queried
     expected = full_replay(tmp_path)
-    decoded.clear()
+    reads.clear()
     assert observe(tmp_path) == expected
-    assert decoded == [0, *range(queried - 1, queried + 3)]
+    assert reads.read == [0, *range(queried - 1, queried + 3)]
+    assert reads.decoded == [0, *range(queried, queried + 3)]
 
 
 def test_a_lagging_engine_in_the_same_process_keeps_the_checkpoint_whole(stored):
@@ -202,7 +219,7 @@ def test_a_lagging_engine_in_the_same_process_keeps_the_checkpoint_whole(stored)
     assert observe(stored) == full_replay(stored)
 
 
-def test_a_checkpoint_from_another_ledger(tmp_path, stored, decoded):
+def test_a_checkpoint_from_another_ledger(tmp_path, stored, reads):
     # records of the same lengths, so the foreign tipStart starts a record
     # here too: only that record's hash tells the two ledgers apart
     other = tmp_path / "other"
@@ -211,11 +228,13 @@ def test_a_checkpoint_from_another_ledger(tmp_path, stored, decoded):
     engine.close()
     shutil.copy(store_of(stored), store_of(other))
     expected = full_replay(other)
-    decoded.clear()
+    reads.clear()
     engine = reopen_engine(other)
     try:
         assert seen(engine) == expected
-        assert decoded[-engine.height:] == list(range(engine.height))  # a full replay
+        # a full replay
+        assert reads.read[-engine.height:] == list(range(engine.height))
+        assert reads.decoded[-engine.height:] == list(range(engine.height))
     finally:
         engine.close()
 
@@ -251,23 +270,25 @@ def run_sql(store, sql, params=()):
     lambda store: store.write_bytes(b""),
     lambda store: store.write_bytes(bytes(100) + store.read_bytes()[100:]),  # no SQLite header
 ])
-def test_a_damaged_checkpoint(stored, decoded, damage):
+def test_a_damaged_checkpoint(stored, reads, damage):
     damage(store_of(stored))
     expected = full_replay(stored)
-    decoded.clear()
+    reads.clear()
     engine = reopen_engine(stored)
     try:
         assert seen(engine) == expected
-        assert decoded[-engine.height:] == list(range(engine.height))
+        assert reads.read[-engine.height:] == list(range(engine.height))
+        assert reads.decoded[-engine.height:] == list(range(engine.height))
     finally:
         engine.close()
     # the close after a full replay wrote a good store again
-    decoded.clear()
+    reads.clear()
     assert observe(stored) == expected
-    assert decoded == [0, expected[0] - 1]
+    assert reads.read == [0, expected[0] - 1]
+    assert reads.decoded == [0]
 
 
-def test_a_last_record_longer_than_the_read_window(tmp_path, decoded):
+def test_a_last_record_longer_than_the_read_window(tmp_path, reads):
     # the savepoint's block is read whole from its tipStart, however long
     # the record: over 64 KiB here
     writer = Principal.from_seed(11)
@@ -279,12 +300,13 @@ def test_a_last_record_longer_than_the_read_window(tmp_path, decoded):
     journal = (tmp_path / "ledger" / BLOCKS_FILE).read_bytes()
     assert len(journal) - journal.rindex(b"\n", 0, len(journal) - 1) > 1 << 16
     expected = full_replay(tmp_path)
-    decoded.clear()
+    reads.clear()
     assert observe(tmp_path) == expected
-    assert decoded == [0, 4]
+    assert reads.read == [0, 4]
+    assert reads.decoded == [0]
 
 
-def test_an_old_format_checkpoint_is_replaced(stored, decoded):
+def test_an_old_format_checkpoint_is_replaced(stored, reads):
     # a ledger directory as earlier versions left it: the journal and a
     # whole-state checkpoint.json (its sha256, a newline, then the body),
     # and no store
@@ -300,20 +322,21 @@ def test_an_old_format_checkpoint_is_replaced(stored, decoded):
     old.write_bytes(sha256(body).hex().encode() + b"\n" + body)
     for name in STORE_FILES:
         (stored / "ledger" / name).unlink(missing_ok=True)
-    decoded.clear()
+    reads.clear()
     engine = reopen_engine(stored)
     try:
         assert not old.exists()  # deleted under the lock
         assert seen(engine) == expected
-        assert decoded == list(range(height))  # a full replay
+        assert reads.read == reads.decoded == list(range(height))  # a full replay
     finally:
         engine.close()
-    decoded.clear()
+    reads.clear()
     assert observe(stored) == expected
-    assert decoded == [0, height - 1]
+    assert reads.read == [0, height - 1]
+    assert reads.decoded == [0]
 
 
-def test_an_unreadable_checkpoint(stored, decoded, monkeypatch):
+def test_an_unreadable_checkpoint(stored, reads, monkeypatch):
     # e.g. written 0o600 by another user who shares the ledger directory:
     # no store file opens, and none can be made, so the store is made in
     # memory
@@ -326,9 +349,9 @@ def test_an_unreadable_checkpoint(stored, decoded, monkeypatch):
 
     expected = full_replay(stored)
     monkeypatch.setattr(ledger_module.sqlite3, "connect", refuse)
-    decoded.clear()
+    reads.clear()
     assert observe(stored) == expected
-    assert decoded == list(range(expected[0]))
+    assert reads.read == reads.decoded == list(range(expected[0]))
 
 
 def test_a_journal_torn_below_the_checkpoint(stored):
@@ -343,7 +366,7 @@ def test_a_journal_torn_below_the_checkpoint(stored):
     assert savepoint_height(stored) == 30  # rebuilt at the cut
 
 
-def test_a_journal_torn_above_the_checkpoint(stored, decoded):
+def test_a_journal_torn_above_the_checkpoint(stored, reads):
     engine = reopen_engine(stored)
     grow(engine, Principal.from_seed(12), 3, tag="w")
     crash(engine)  # the savepoint stays at 1 + BLOCKS
@@ -352,9 +375,9 @@ def test_a_journal_torn_above_the_checkpoint(stored, decoded):
     journal.write_bytes(data[:-7])
     expected = full_replay(stored)
     assert expected[0] == 1 + BLOCKS + 2
-    decoded.clear()
+    reads.clear()
     assert observe(stored) == expected
-    assert decoded[:2] == [0, BLOCKS]  # torn off from the savepoint on
+    assert reads.read[:2] == [0, BLOCKS]  # torn off from the savepoint on
     assert journal.read_bytes() == data[:data.rindex(b"\n", 0, len(data) - 1) + 1]
 
 
@@ -426,25 +449,27 @@ def test_a_flipped_byte_in_a_stored_value_fails_the_read(tmp_path):
     assert savepoint_height(tmp_path) == expected[0]
 
 
-def test_a_zeroed_store_header_rebuilds_the_store(stored, decoded):
+def test_a_zeroed_store_header_rebuilds_the_store(stored, reads):
     store = store_of(stored)
     store.write_bytes(bytes(4096) + store.read_bytes()[4096:])
     expected = full_replay(stored)
-    decoded.clear()
+    reads.clear()
     assert observe(stored) == expected
-    assert decoded[-expected[0]:] == list(range(expected[0]))
+    assert reads.read[-expected[0]:] == list(range(expected[0]))
+    assert reads.decoded[-expected[0]:] == list(range(expected[0]))
     assert savepoint_height(stored) == expected[0]
 
 
-def test_a_truncated_store_rebuilds_the_store(stored, decoded):
+def test_a_truncated_store_rebuilds_the_store(stored, reads):
     # SQLite finds the file shorter than its header says at the first read
     store = store_of(stored)
     data = store.read_bytes()
     store.write_bytes(data[:len(data) // 2])
     expected = full_replay(stored)
-    decoded.clear()
+    reads.clear()
     assert observe(stored) == expected
-    assert decoded[-expected[0]:] == list(range(expected[0]))
+    assert reads.read[-expected[0]:] == list(range(expected[0]))
+    assert reads.decoded[-expected[0]:] == list(range(expected[0]))
     assert savepoint_height(stored) == expected[0]
 
 
@@ -533,7 +558,7 @@ def asset_queries(engine, devices):
     return query_all_assets(engine.state), owned
 
 
-def test_assets_from_a_checkpoint_equal_assets_from_a_full_replay(tmp_path, decoded):
+def test_assets_from_a_checkpoint_equal_assets_from_a_full_replay(tmp_path, reads):
     genesis = GenesisConfig(peers=[Member("peer1", bytes(32))],
                             registrars=[Member("registrar", bytes([1]) * 32)])
     devices = [Principal.from_seed(21), Principal.from_seed(22)]
@@ -549,11 +574,12 @@ def test_assets_from_a_checkpoint_equal_assets_from_a_full_replay(tmp_path, deco
                     ignore=shutil.ignore_patterns(STATE_FILE + "*", LOCK_FILE))
     shutil.copytree(tmp_path / "objects", replayed / "objects")
 
-    decoded.clear()
+    reads.clear()
     # both clocks restart at 0, below every committed addedAt, so the
     # uploads below land at the front of the order, not the end
     from_store = reopen_engine(tmp_path)
-    assert len(decoded) == 2
+    assert len(reads.read) == 2
+    assert reads.decoded == [0]
     from_genesis = reopen_engine(replayed)
     try:
         assert asset_queries(from_store, devices) == asset_queries(from_genesis, devices)

@@ -1,20 +1,16 @@
-"""The journal's scanner against the re-encode check it replaced.
+"""The journal's one reader against a decode-and-re-encode oracle.
 
-The scanner hashes each record's pieces as stored and decodes them
-strictly. The oracle here is the earlier check: decode each record with
-``json.loads``, encode it again and compare, then check its hashes and
-its link. For any single-byte flip, cut, record deletion or duplicated
-record of an honest journal, both give the same ``(ok, badBlock)``, in
-the serial walk and in a verify split into parts alike. Open reads
-records through the same scanner, so a store-less open refuses the
-block that chain-verify refuses, with its reason, and opens where
-chain-verify passes.
-
-chain-verify itself matches each record against a grammar and decodes
-nothing, leaving block 0 and every record the grammar refuses to the
-scanner. The grammar must never accept what the scanner refuses, must
-read what it accepts as the scanner does, and must refuse a hostile
-record in linear time.
+Open, replay, ``read_blocks`` and chain-verify read each record alike:
+they match it against one compiled grammar and hash its pieces as
+stored, and decode it only where they need its objects. The oracle
+decodes each record with ``json.loads`` and ``Block.from_dict``, encodes
+it again and compares, then checks its hashes, block 0's config and its
+link; it names the reader's reasons by the rule of
+``ledger._read_record``. For any single-byte flip, cut, record deletion
+or duplicated record of an honest journal, and any change of
+``_MUTATIONS`` as it is and under recomputed hashes, the serial walk, a
+verify split into parts and a store-less open all give the oracle's
+``(ok, badBlock, reason)``. A hostile record is refused in linear time.
 """
 
 import io
@@ -47,6 +43,7 @@ from iotid.ledger import (
 from iotid.store import ContentStore
 
 from test_ledger import (  # noqa: F401 (grown_journal is a fixture)
+    _blocks,
     _no_child_left,
     _serial_report,
     _split_report,
@@ -77,31 +74,50 @@ def honest(tmp_path_factory) -> bytes:
     journal = (base / "ledger" / BLOCKS_FILE).read_bytes()
     sizes = [len(json.loads(line)["transactions"]) for line in journal.splitlines()]
     assert sizes == [1, 1, 1, 1, 10, 1, 10]
-    assert _oracle(journal) == (True, None)
+    assert _oracle(journal) == (True, None, None)
     return journal
 
 
-def _oracle(journal: bytes) -> tuple[bool, int | None]:
-    """``(ok, badBlock)`` by decoding each record and encoding it again."""
+_NON_CANONICAL, _UNDECODABLE = "non-canonical block encoding", "undecodable block"
+
+
+def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
+    """``(ok, badBlock, reason)`` by decoding each record and encoding it again.
+
+    A record that is not ASCII, or whose JSON ``Block.from_dict`` refuses,
+    is undecodable; one that is no JSON, or does not encode back, is
+    non-canonical.
+    """
     height, tip = 0, ZERO_HASH
     for raw in io.BytesIO(journal):
+        if not raw.endswith(b"\n"):
+            return False, height, "unterminated last record"
+        if not raw.isascii():
+            return False, height, _UNDECODABLE
         try:
-            block = Block.from_dict(json.loads(raw))
-            record, header_hash = block.encode()
+            value = json.loads(raw)
+        except (RecursionError, ValueError):
+            return False, height, _NON_CANONICAL
+        try:
+            block = Block.from_dict(value)
         except (KeyError, TypeError, ValueError):
-            return False, height
-        if not (raw == record + b"\n" and block.number == height and block.prev_hash == tip
-                and len(block.validation_flags) == len(block.transactions)
-                and all(flag in FLAG_VALUES for flag in block.validation_flags)
-                and block.data_hash == sha256(encode_transactions(block.transactions))):
-            return False, height
-        if height == 0:
+            return False, height, _UNDECODABLE
+        record, header_hash = block.encode()
+        if raw != record + b"\n":
+            return False, height, _NON_CANONICAL
+        if not all(flag in FLAG_VALUES for flag in block.validation_flags):
+            return False, height, "unknown validation flag"
+        if block.data_hash != sha256(encode_transactions(block.transactions)):
+            return False, height, "data hash does not match transactions"
+        if block.number == 0:
             try:
                 GenesisConfig.from_block(block)
-            except LedgerError:
-                return False, 0
+            except LedgerError as exc:
+                return False, height, str(exc)
+        if problem := ledger_module._link_problem(block.link, height, tip):
+            return False, height, problem
         height, tip = height + 1, header_hash
-    return (True, None) if height else (False, 0)
+    return (True, None, None) if height else (False, 0, "empty chain")
 
 
 def _open_verdict(path: Path) -> tuple:
@@ -122,6 +138,17 @@ def _opened_as(report: tuple) -> tuple:
     return False, bad_block, reason
 
 
+def _check_verdicts(path: Path) -> None:
+    """The serial walk, a verify in three parts and a store-less open of the
+    journal at ``path`` give the oracle's verdict."""
+    want = _oracle(path.read_bytes())
+    serial = _serial_report(path)
+    assert (serial[0], serial[2], serial[3]) == want
+    split = _split_report(path)
+    assert (split[0], split[2], split[3]) == want
+    assert _open_verdict(path) == _opened_as(serial)
+
+
 @given(kind=st.sampled_from(["flip", "cut", "delete", "duplicate"]), data=st.data())
 def test_the_scanner_gives_the_re_encode_verdict(honest, kind, data):
     records = honest.splitlines(keepends=True)
@@ -132,12 +159,7 @@ def test_the_scanner_gives_the_re_encode_verdict(honest, kind, data):
     with tempfile.TemporaryDirectory() as base:
         path = Path(base) / BLOCKS_FILE
         _tamper(path, honest, kind, where, data.draw(st.integers(1, 255)))
-        want = _oracle(path.read_bytes())
-        serial = _serial_report(path)
-        assert (serial[0], serial[2]) == want
-        split = _split_report(path)
-        assert (split[0], split[2]) == want
-        assert _open_verdict(path) == _opened_as(serial)
+        _check_verdicts(path)
     assert _no_child_left()
 
 
@@ -197,6 +219,16 @@ _PIECES = {
                                                "non-canonical block encoding"),
     "a dataId digit in an rwset write": (_at(b'"writes":[["asset/', _other_hex),
                                          "non-canonical block encoding"),
+    # bytes that decode to the values commit wrote, or to a value it could write
+    "a space in a body under recomputed hashes": (
+        lambda r: _restamp(r.replace(b'"args":[', b'"args": [', 1)),
+        "non-canonical block encoding"),
+    "a \\u escape in a body under recomputed hashes": (
+        lambda r: _restamp(r.replace(b'"contract":"a', b'"contract":"\\u0061', 1)),
+        "non-canonical block encoding"),
+    "-0 in a body under recomputed hashes": (
+        lambda r: _restamp(_TIMESTAMP.sub(b'"timestamp":-0', r, 1)),
+        "non-canonical block encoding"),
 }
 
 
@@ -212,29 +244,43 @@ def test_a_changed_piece_fails_at_its_block(honest, tmp_path, piece):
     path.write_bytes(b"".join(records[:last]) + changed)
     report = verify_chain_file(path)
     assert (report.ok, report.bad_block, report.reason) == (False, last, reason)
-    assert _oracle(path.read_bytes()) == (False, last)
+    assert _oracle(path.read_bytes()) == (False, last, reason)
     assert _open_verdict(path) == (False, last, reason)
 
 
-def test_a_rehashed_body_in_other_whitespace_passes_the_shallow_check(honest, tmp_path):
-    # blocks carry no signature, and verify hashes what is stored: a proposal
-    # re-spaced and hashed anew passes, where the re-encode check failed it;
-    # space in the glue around the proposal still fails
-    records = honest.splitlines(keepends=True)
-    last = len(records) - 1
-    path = tmp_path / BLOCKS_FILE
-    path.write_bytes(b"".join(records[:last])
-                     + _restamp(records[last].replace(b'"args":[', b'"args": [', 1)))
-    assert verify_chain_file(path).ok
-    assert _oracle(path.read_bytes()) == (False, last)
-    assert _open_verdict(path) == (True, last + 1, None)
-    for glue in (b'"proposal":', b',"rwset":'):
-        spaced = glue.replace(b":", b": ")
-        path.write_bytes(b"".join(records[:last])
-                         + _restamp(records[last].replace(glue, spaced, 1)))
-        report = verify_chain_file(path)
-        assert (report.ok, report.bad_block) == (False, last)
-        assert _open_verdict(path) == (False, last, report.reason)
+def test_a_rehashed_body_in_other_whitespace_is_refused(honest, grown_journal, tmp_path):
+    # blocks carry no signature, so hashes taken anew over a re-spaced
+    # proposal hold; its bytes are not what commit writes, and every reader
+    # refuses them, the worker that verifies the last of three parts too
+    for n, journal in enumerate((honest, grown_journal)):
+        records = journal.splitlines(keepends=True)
+        last = len(records) - 1
+        for k, glue in enumerate((b'"args":[', b'"proposal":', b',"rwset":')):
+            path = tmp_path / f"{n}.{k}" / BLOCKS_FILE
+            path.parent.mkdir()
+            spaced = glue.replace(b":", b": ")
+            path.write_bytes(b"".join(records[:last])
+                             + _restamp(records[last].replace(glue, spaced, 1)))
+            assert _oracle(path.read_bytes()) == (False, last, "non-canonical block encoding")
+            _check_verdicts(path)
+    assert _no_child_left()
+
+
+@given(_blocks)
+def test_every_record_that_commit_can_write_is_read_back(block):
+    # any strings, hex and integers, in a block other than block 0, whose
+    # config is checked too: the reader accepts the record, but for an
+    # unknown flag, and decodes it to the block that commit encoded
+    cut = Block.cut(block.number + 1, block.prev_hash, block.transactions,
+                    block.validation_flags)
+    record, header_hash = cut.encode()
+    try:
+        read = ledger_module._read_record(cut.number, record + b"\n", True)
+    except CorruptJournal as exc:
+        assert exc.reason == "unknown validation flag"
+        assert not set(cut.validation_flags) <= set(FLAG_VALUES)
+    else:
+        assert read == (cut, cut.link, header_hash)
 
 
 def test_a_forged_record_in_the_journal_is_never_applied(honest, tmp_path):
@@ -273,6 +319,10 @@ _LETTERED_HEX = re.compile(rb'"[0-9a-f]*[a-f][0-9a-f]*"')
 _STRING_PAIR = re.compile(rb'("\w+":"[^"\\]*"),("\w+":"[^"\\]*")')
 _TIMESTAMP = re.compile(rb'"timestamp":(\d+)')
 _FLAG = re.compile(rb'"(?:VALID|MVCC_CONFLICT|POLICY_FAILURE)"')
+_VALUE = re.compile(rb'(?<=[:\[,])(?:"(?:[^"\\]|\\.)*"(?!:)|-?[0-9]+|null)')
+# values of another type, or another form, than the ones a record holds
+_OTHER_VALUES = (b"1", b"1.5", b"true", b"null", b'"x"', b"[]", b"{}", b"[1,2,3]",
+                 b"12345678901234567890", b'"\x7f"', b"-0", b"1e3")
 
 
 def _nth(pattern: re.Pattern, record: bytes, n: int) -> re.Match:
@@ -302,9 +352,10 @@ def _re_escape(record: bytes, n: int) -> bytes:
 
 
 def _other_flag(record: bytes, n: int) -> bytes:
-    # an unknown flag under a flags hash taken anew
+    # an unknown flag, or a value that is no string, under a flags hash taken anew
     flag = _nth(_FLAG, record, n)
-    changed = _replace(record, flag, (b'"TRUSTED"', b'"valid"', b'"VALID\\u0020"')[n % 3])
+    changed = _replace(record, flag,
+                       (b'"TRUSTED"', b'"valid"', b'"VALID\\u0020"', b"1", b"null")[n % 5])
     flags = changed[changed.rindex(b',"validationFlags":') + 19:-2]
     at = changed.index(b'"flagsHash":"') + 13
     return changed[:at] + sha256(flags).hex().encode() + changed[at + 64:]
@@ -316,7 +367,12 @@ def _timestamp(record: bytes, n: int) -> bytes:
     return _replace(record, stamp, b'"timestamp":' + value)
 
 
-# a change to a record that the grammar must refuse or read as the scanner does
+def _other_value(record: bytes, n: int) -> bytes:
+    value = _nth(_VALUE, record, n // len(_OTHER_VALUES))
+    return _replace(record, value, _OTHER_VALUES[n % len(_OTHER_VALUES)])
+
+
+# a change to a record, which every reader must judge as the oracle does
 _MUTATIONS = {
     "flip": _flip,
     "respace": _respace,
@@ -329,6 +385,7 @@ _MUTATIONS = {
     "unknown flag": _other_flag,
     "swapped keys": lambda r, n: _replace(r, m := _nth(_STRING_PAIR, r, n),
                                           m[2] + b"," + m[1]),
+    "another value": _other_value,
 }
 
 
@@ -340,35 +397,21 @@ def _restamped(record: bytes) -> bytes:
         return record
 
 
-def _scanned(index: int, record: bytes) -> tuple | None:
-    """``(link, header hash)`` of the scanner; None where it refuses the record."""
-    try:
-        return ledger_module._scan_block(index, record)[1:]
-    except CorruptJournal:
-        return None
-
-
 def _check_change(honest: bytes, kind: str, index: int, n: int) -> None:
     """Record ``index`` changed by ``_MUTATIONS[kind]``, as it is and under
-    recomputed hashes: the grammar refuses it or reads it as the scanner
-    does, and verify gives the serial walk's report."""
+    recomputed hashes: every reader gives the oracle's verdict."""
     records = honest.splitlines(keepends=True)
     changed = _MUTATIONS[kind](records[index], n)
-    with tempfile.TemporaryDirectory() as base:
-        path = Path(base) / BLOCKS_FILE
-        for record in (changed, _restamped(changed)):
-            matched = ledger_module._match_record(record)
-            if matched is not None:
-                assert _scanned(index, record) == matched[1:]
+    for record in (changed, _restamped(changed)):
+        with tempfile.TemporaryDirectory() as base:
+            path = Path(base) / BLOCKS_FILE
             path.write_bytes(b"".join([*records[:index], record, *records[index + 1:]]))
-            report = verify_chain_file(path)
-            assert (report.ok, report.height, report.bad_block, report.reason) == \
-                _serial_report(path)
+            _check_verdicts(path)
 
 
 @given(kind=st.sampled_from(sorted(_MUTATIONS)), index=st.integers(0, 6),
        n=st.integers(0, 2**20))
-def test_the_grammar_refuses_a_record_or_reads_it_as_the_scanner(honest, kind, index, n):
+def test_a_changed_record_gets_the_oracles_verdict(honest, kind, index, n):
     _check_change(honest, kind, index, n)
 
 
@@ -380,60 +423,57 @@ def test_the_first_changes_of_each_kind_to_a_block_of_uploads(honest, kind):
         _check_change(honest, kind, 6, n)
 
 
-@pytest.fixture
-def scanned(tmp_path, monkeypatch) -> Path:
-    """A file to which every ``_scan_block`` call, in this process or a
-    forked worker, appends ``<pid> <block number>``."""
-    log = tmp_path / "scanned"
-    log.touch()
-    real = ledger_module._scan_block
+def test_each_value_of_a_transaction_in_another_type_or_form(honest, tmp_path):
+    # every value up to the end of the last record's first transaction, as
+    # each of _OTHER_VALUES, as it is and under recomputed hashes: the
+    # reader decodes what the grammar refuses no more leniently than the
+    # oracle, and the grammar accepts what encodes back
+    records = honest.splitlines(keepends=True)
+    first_tx_end = records[6].index(b',"txId":"') + 75
+    values = sum(1 for m in _VALUE.finditer(records[6]) if m.end() <= first_tx_end)
+    path = tmp_path / BLOCKS_FILE
+    for n in range(values * len(_OTHER_VALUES)):
+        changed = _other_value(records[6], n)
+        for record in (changed, _restamped(changed)):
+            path.write_bytes(b"".join([*records[:6], record]))
+            serial = _serial_report(path)
+            assert (serial[0], serial[2], serial[3]) == _oracle(path.read_bytes())
 
-    def logged(index, raw):
+
+@pytest.fixture
+def decoded(tmp_path, monkeypatch) -> Path:
+    """A file to which every ``_decode`` call, in this process or a forked
+    worker, appends ``<pid> <block number>``."""
+    log = tmp_path / "decoded"
+    log.touch()
+    real = ledger_module._decode
+
+    def logged(raw, *args):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {json.loads(raw)['number']}\n")
-        return real(index, raw)
+        return real(raw, *args)
 
-    monkeypatch.setattr(ledger_module, "_scan_block", logged)
+    monkeypatch.setattr(ledger_module, "_decode", logged)
     return log
 
 
-def _scans(log: Path) -> list[tuple[int, int]]:
+def _decodes(log: Path) -> list[tuple[int, int]]:
     return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
 def test_verify_decodes_only_block_0_of_an_honest_journal(honest, grown_journal, tmp_path,
-                                                          scanned):
+                                                          decoded):
     path = tmp_path / BLOCKS_FILE
     for journal in (honest, grown_journal):
         path.write_bytes(journal)
-        scanned.write_text("")
+        decoded.write_text("")
         assert verify_chain_file(path).ok
-        assert _scans(scanned) == [(os.getpid(), 0)]
-    scanned.write_text("")
+        assert _decodes(decoded) == [(os.getpid(), 0)]
+    decoded.write_text("")
     with _three_parts():
         assert len(ledger_module._part_starts(path)) == 3
         assert verify_chain_file(path).ok
-    assert _scans(scanned) == [(os.getpid(), 0)]
-    assert _no_child_left()
-
-
-def test_a_worker_falls_back_to_the_scanner_on_a_rehashed_respaced_record(grown_journal,
-                                                                           tmp_path, scanned):
-    # the grammar refuses the space; the scanner, in the worker that
-    # verifies the last part, passes the record whose hashes cover it
-    records = grown_journal.splitlines(keepends=True)
-    last = len(records) - 1
-    respaced = _restamp(records[last].replace(b'"args":[', b'"args": [', 1))
-    assert ledger_module._match_record(respaced) is None
-    path = tmp_path / BLOCKS_FILE
-    path.write_bytes(b"".join(records[:last]) + respaced)
-    with _three_parts():
-        report = verify_chain_file(path)
-    assert (report.ok, report.height) == (True, len(records))
-    # the worker may scan its record before the parent scans block 0
-    (parent, first), (worker, number) = sorted(_scans(scanned), key=lambda scan: scan[1])
-    assert (parent, first) == (os.getpid(), 0)
-    assert worker != parent and number == last
+    assert _decodes(decoded) == [(os.getpid(), 0)]
     assert _no_child_left()
 
 
@@ -452,6 +492,9 @@ def _adversarial(record: bytes) -> dict[str, bytes]:
         "a string left open": record[:arg] + b"a" * _LONG + b"\n",
         "escapes, then a bad one": record[:arg] + b"\\u0041" * (_LONG // 6) + b"\\x"
                                    + record[arg:],
+        "canonical escapes, then a non-canonical one": record[:arg]
+                                                       + b"\\u00e9" * (_LONG // 6)
+                                                       + b"\\u0041" + record[arg:],
     }
 
 
@@ -464,10 +507,8 @@ def test_an_adversarial_record_is_refused_in_linear_time(honest, tmp_path, case)
     for record in (changed, _restamped(changed)):
         path.write_bytes(b"".join(records[:last]) + record)
         started = time.perf_counter()
-        matched = ledger_module._match_record(record)
         report = verify_chain_file(path)
         assert time.perf_counter() - started < 1.0
-        assert matched is None
         assert (report.ok, report.height, report.bad_block, report.reason) == \
             _serial_report(path)
         assert (report.ok, report.bad_block) == (False, last)
