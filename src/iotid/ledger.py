@@ -990,10 +990,13 @@ class LedgerEngine:
         if point is not None:
             height, tip_hash, tip_start = point
             # a record past the end raises StopIteration; the full replay
-            # reports what is wrong
+            # reports what is wrong. A savepoint at height 1 names block 0,
+            # which the first walk has read already
             try:
-                genesis = next(_walk(journal))[0].config
-                _, last_hash, size = next(_walk(journal, tip_start, height - 1, None))
+                block, last_hash, size = next(_walk(journal))
+                genesis = block.config
+                if (height, tip_start) != (1, 0):
+                    _, last_hash, size = next(_walk(journal, tip_start, height - 1, None))
             except (LedgerError, OSError, StopIteration, TypeError):
                 last_hash = None
             if last_hash == tip_hash:

@@ -141,7 +141,11 @@ def stored(tmp_path):
 
 def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, reads):
     writer = Principal.from_seed(11)
-    engine = make_engine(tmp_path, genesis=SOLO)
+    make_engine(tmp_path, genesis=SOLO).close()
+    assert savepoint_height(tmp_path) == 1
+    reads.clear()
+    engine = reopen_engine(tmp_path)
+    assert reads.read == reads.decoded == [0]  # the savepoint's block is block 0: one read
     grow(engine, writer, 3)
     engine.close()
     assert store_files(tmp_path) == [STATE_FILE]  # SQLite's -wal and -shm went at close

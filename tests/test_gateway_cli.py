@@ -463,9 +463,22 @@ def test_chain_verify_exit_codes(capsys, env):
     assert intact.data == {"ok": True, "height": 1, "badBlock": None,
                            "reason": None}
 
+    # a torn last record: chain-verify names it, and open cuts it off
+    assert invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex()).code == 0
+    assert invoke(capsys, env, "device-register", "dev1").code == 0
     journal = Path(env["ledger"]) / "blocks.jsonl"
+    whole = journal.read_bytes()
+    last = len(whole.splitlines()) - 1
+    journal.write_bytes(whole[:-1])
+    torn = invoke(capsys, env, "chain-verify")
+    assert torn.code == 1
+    assert torn.data == {"ok": False, "height": last, "badBlock": last,
+                         "reason": "unterminated last record"}
+    assert invoke(capsys, env, "asset-list").code == 0
+    assert journal.read_bytes() == whole[:whole.rindex(b"\n", 0, -1) + 1]
+
     raw = bytearray(journal.read_bytes())
-    raw[len(raw) // 2] ^= 0x01
+    raw[raw.index(b"\n") // 2] ^= 0x01
     journal.write_bytes(bytes(raw))
     broken = invoke(capsys, env, "chain-verify")
     assert broken.code == 1
@@ -519,14 +532,20 @@ def test_scenario_journal_is_golden(tmp_path):
     scenario_journal(tmp_path)
 
 
+def read_blocks(ledger: Path) -> list[Block]:
+    with LedgerEngine.open(ledger, ContentStore(ledger / "objects"), {}) as engine:
+        return engine.read_blocks()
+
+
 def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
     # an engine that endorsed none of the scenario's transactions verifies
     # every endorsement it counts; block by block it must give the flags
     # the journal holds and, committing them, write the journal again. It
     # derives a peer's key only to check that peer's endorsements: exactly
     # the keys of the first threshold peers of the roster, once each
-    records = scenario_journal(tmp_path).splitlines(keepends=True)
-    config = GenesisConfig.from_block(Block.from_dict(json.loads(records[0])))
+    journal = scenario_journal(tmp_path)
+    blocks = read_blocks(tmp_path / "ledger")
+    config = GenesisConfig.from_block(blocks[0])
     endorsers = [peer.seed for peer in config.peers][:config.threshold]
     assert len(endorsers) < len(config.peers)
     derived, derive = [], ledger_module.generate_keypair
@@ -534,22 +553,21 @@ def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
                         lambda seed: derived.append(seed) or derive(seed))
     copy = tmp_path / "copy"
     copy.mkdir()
-    (copy / BLOCKS_FILE).write_bytes(records[0])
+    (copy / BLOCKS_FILE).write_bytes(journal[:journal.index(b"\n") + 1])
     with LedgerEngine.open(copy, ContentStore(tmp_path / "objects"), {}) as engine:
-        for record in records[1:]:
-            block = Block.from_dict(json.loads(record))
+        for block in blocks[1:]:
             flags = engine.validate_block(block)
             assert flags == block.validation_flags, f"block {block.number}"
             engine.commit_block(block)
-    assert (copy / BLOCKS_FILE).read_bytes() == b"".join(records)
+    assert (copy / BLOCKS_FILE).read_bytes() == journal
     assert derived == endorsers
 
 
-def endorsed_otherwise(journal: bytes) -> tuple[list[str], list[tuple[int, int]]]:
+def endorsed_otherwise(ledger: Path) -> tuple[list[str], list[tuple[int, int]]]:
     """The peers that must endorse each transaction after block 0, in order:
     the first ``threshold`` of the roster; and ``(block, tx index)`` of each
     transaction whose endorsers are not exactly those."""
-    blocks = [Block.from_dict(json.loads(line)) for line in journal.splitlines()]
+    blocks = read_blocks(ledger)
     config = GenesisConfig.from_block(blocks[0])
     want = [peer.name for peer in config.peers][:config.threshold]
     return want, [(block.number, index) for block in blocks[1:]
@@ -560,10 +578,13 @@ def endorsed_otherwise(journal: bytes) -> tuple[list[str], list[tuple[int, int]]
 def test_every_transaction_is_endorsed_by_the_first_threshold_peers(tmp_path):
     journal = scenario_journal(tmp_path)
     assert len(journal.splitlines()) >= 2
-    assert endorsed_otherwise(journal) == (["peer1", "peer2"], [])
+    assert endorsed_otherwise(tmp_path / "ledger") == (["peer1", "peer2"], [])
     # a journal from when every roster peer endorsed fails on each of them
-    earlier = THREE_ENDORSEMENTS.read_bytes()
-    assert endorsed_otherwise(earlier)[1] == [(n, 0) for n in range(1, len(earlier.splitlines()))]
+    earlier = tmp_path / "earlier"
+    earlier.mkdir()
+    shutil.copy(THREE_ENDORSEMENTS, earlier / BLOCKS_FILE)
+    height = len(THREE_ENDORSEMENTS.read_bytes().splitlines())
+    assert endorsed_otherwise(earlier)[1] == [(n, 0) for n in range(1, height)]
 
 
 def test_scenario_keeps_the_first_of_colliding_readings(tmp_path):
