@@ -111,7 +111,7 @@ class AssetContract:
         if raw_record is None or ctx.get(device_key(did)) is None:
             raise ContractError("NotAuthenticated",
                                 f"device not registered: {did}")
-        public_key = DidRecord.from_bytes(raw_record, ctx.store).public_key
+        public_key = DidRecord.from_bytes(raw_record).public_key
         if derive_address(public_key) != ctx.invoker:
             raise ContractError("NotAuthenticated",
                                 f"proposal not signed by device key of {did}")

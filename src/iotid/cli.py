@@ -20,7 +20,6 @@ from .gateway import Gateway, GatewayError
 from .idm import AuthError
 from .ledger import ContractError, LedgerError
 from .sim import FlowConfig
-from .store import ContentNotFound, IntegrityFailure
 
 LEDGER_DIR_ENV = "IOTID_LEDGER_DIR"
 KEYSTORE_DIR_ENV = "IOTID_KEYSTORE_DIR"
@@ -179,8 +178,7 @@ def main(argv: list[str] | None = None) -> int:
                       _directory(args.keystore_dir, KEYSTORE_DIR_ENV, "./keystore"))
     try:
         result = _dispatch(args, gateway)
-    except (ContractError, AuthError, GatewayError, LedgerError, ValueError,
-            IntegrityFailure, ContentNotFound) as exc:
+    except (ContractError, AuthError, GatewayError, LedgerError, ValueError) as exc:
         code = getattr(exc, "code", exc.__class__.__name__)
         details = getattr(exc, "details", None)
         if args.machine:

@@ -20,9 +20,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .codec import from_canonical_json, sha256
+from .codec import sha256
 from .codec import canonical_json  # noqa: F401 -- perfbench/tracing.py wraps did.canonical_json
 
 DEFAULT_METHOD = "iotid"
@@ -97,7 +96,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
     if len(seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
-    public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    public = private.public_key().public_bytes_raw()
     return KeyPair(public_key=public, private_key=private)
 
 
@@ -152,11 +151,7 @@ def make_did(public_key: bytes, method_id: str | None = None,
 
 @dataclass(frozen=True)
 class DidDocument:
-    """A DID bound to its key and owner, as ``idm.resolve_did`` builds it.
-
-    Documents are never stored now; ``from_bytes`` decodes the ones that
-    earlier versions kept in the content store.
-    """
+    """A DID bound to its key and owner, as ``idm.resolve_did`` builds it."""
 
     id: Did
     public_key_hex: str
@@ -166,13 +161,6 @@ class DidDocument:
     def __post_init__(self):
         if not self.public_key_hex:
             raise ValueError("document public key must be non-empty")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DidDocument":
-        """Decode a stored document; its ``serviceEndpoints``, which nothing reads, is ignored."""
-        d = from_canonical_json(data)
-        return cls(id=parse_did(d["id"]), public_key_hex=d["publicKey"],
-                   owner=Address.from_text(d["owner"]), created=int(d["created"]))
 
 
 def _proof_message(did: Did, owner: Address, public_key: bytes) -> bytes:

@@ -4,8 +4,10 @@ On-chain (dispatched through the ledger's execute-order-validate
 pipeline): identity creation gated on an authorized registrar and a key
 possession proof, device registration gated on ownership, and ownership
 transfer that replaces the former owner. The on-chain record carries the
-DID's public key, so the resolver builds the DID document from the chain
-alone and this contract writes nothing to the content store.
+DID's public key, so the resolver builds the DID document from world state
+alone, and this contract neither reads nor writes the content store. A
+record without the key, which only earlier versions wrote, is refused by
+name with ``UnsupportedFormat``.
 
 Off-chain: challenge-response login. Challenges and sessions are
 ephemeral gateway state; putting them on chain would bloat blocks and
@@ -37,10 +39,11 @@ from .ledger import (
     KEY_DID,
     ContractError,
     TxContext,
-    WorldState,
     UnknownFunction,
+    UnsupportedFormat,
+    WorldState,
 )
-from .store import ContentHash, ContentStore, IntegrityFailure
+from .store import ContentStore
 
 CHALLENGE_TTL = 300
 SESSION_TTL = 3600
@@ -97,22 +100,14 @@ class DidRecord:
         }
 
     @classmethod
-    def from_bytes(cls, data: bytes, store: ContentStore) -> "DidRecord":
-        """Decode a record; one written before records carried the key names
-        its DID document by ``docHash``, and ``store`` supplies that document.
-        """
+    def from_bytes(cls, data: bytes) -> "DidRecord":
+        """Decode a record; UnsupportedFormat if it does not carry the key."""
         d = from_canonical_json(data)
-        did, owner = parse_did(d["did"]), Address.from_text(d["owner"])
-        if "publicKey" in d:
-            public_key_hex = d["publicKey"]
-        else:
-            document = DidDocument.from_bytes(store.get(ContentHash.from_hex(d["docHash"])))
-            if document.id != did or document.owner != owner:
-                raise IntegrityFailure(
-                    f"document for {did} does not match its on-chain record")
-            public_key_hex = document.public_key_hex
-        return cls(did=did, public_key=bytes.fromhex(public_key_hex), owner=owner,
-                   created_at=int(d["createdAt"]))
+        if "publicKey" not in d:
+            raise UnsupportedFormat(f"the DID record of {d.get('did')} names its document "
+                                    "by docHash, a form this version no longer reads")
+        return cls(did=parse_did(d["did"]), public_key=bytes.fromhex(d["publicKey"]),
+                   owner=Address.from_text(d["owner"]), created_at=int(d["createdAt"]))
 
 
 @dataclass(frozen=True)
@@ -204,9 +199,7 @@ class IdmContract:
         raw = ctx.get(did_key(did))
         if raw is None:
             raise ContractError("UnknownDid", f"no identity for {did}")
-        # only the owner is needed, so a record that names its document by
-        # ``docHash`` is not resolved through the content store
-        if Address.from_text(from_canonical_json(raw)["owner"]) != ctx.invoker:
+        if DidRecord.from_bytes(raw).owner != ctx.invoker:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
         if ctx.get(device_key(did)) is not None:
@@ -226,11 +219,10 @@ class IdmContract:
         raw = ctx.get(did_key(did))
         if raw is None:
             raise ContractError("UnknownDid", f"no identity for {did}")
-        record = DidRecord.from_bytes(raw, ctx.store)
+        record = DidRecord.from_bytes(raw)
         if record.owner != ctx.invoker:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
-        # the record is rewritten whole: an old-format one now carries the key
         ctx.put(did_key(did), canonical_json(replace(record, owner=new_owner).to_dict()))
 
 
@@ -242,13 +234,16 @@ def get_device_record(state: WorldState, did: Did) -> DeviceRecord | None:
     return DeviceRecord.from_bytes(entry[0]) if entry is not None else None
 
 
-def resolve_did(state: WorldState, store: ContentStore, did: Did) -> DidDocument:
-    """The DID document built from the on-chain record alone; ``store`` is
-    read only for a record written before records carried the key."""
+def resolve_did(state: WorldState, store: ContentStore | None, did: Did) -> DidDocument:
+    """The DID document built from the on-chain record alone.
+
+    ``store`` is unused; it stays a positional parameter for the callers
+    that pass it.
+    """
     entry = state.get(did_key(did))
     if entry is None:
         raise UnknownDidError(str(did))
-    record = DidRecord.from_bytes(entry[0], store)
+    record = DidRecord.from_bytes(entry[0])
     return DidDocument(id=record.did, public_key_hex=record.public_key.hex(),
                        owner=record.owner, created=record.created_at)
 
@@ -301,12 +296,13 @@ class LoginService:
     session belongs to the caller. Single-use challenges expire after
     ``CHALLENGE_TTL`` seconds and sessions after ``SESSION_TTL``. Pass a
     seeded ``rng`` for reproducible nonces; the default is OS entropy.
+    ``store`` is unused; it stays a positional parameter for the callers
+    that pass it.
     """
 
     def __init__(self, state: WorldState, store: ContentStore, clock: Clock,
                  rng: random.Random | None = None):
         self._state = state
-        self._store = store
         self._clock = clock
         self._rng = rng
         self._challenges: dict[tuple[str, bytes], Challenge] = {}
@@ -334,7 +330,7 @@ class LoginService:
         if now >= challenge.expires_at:
             del self._challenges[(str(did), nonce)]
             raise ExpiredChallengeError(f"challenge expired for {did}")
-        document = resolve_did(self._state, self._store, did)
+        document = resolve_did(self._state, None, did)
         public_key = bytes.fromhex(document.public_key_hex)
         if not verify_signature(public_key, login_message(did, nonce), signature):
             raise BadSignatureError(f"login signature does not verify for {did}")

@@ -76,8 +76,6 @@ ZERO_ADDRESS = Address(bytes(20))
 BLOCKS_FILE = "blocks.jsonl"
 STATE_FILE = "state.sqlite"
 LOCK_FILE = ".lock"
-# the whole-state file that earlier versions wrote; the rebuild deletes it
-_OLD_CHECKPOINT_FILE = "checkpoint.json"
 
 # world-state key namespaces; prefix scans implement the "view all" queries
 KEY_DID = "did/"
@@ -133,6 +131,10 @@ class BrokenChainLink(CorruptJournal):
 
 class LedgerLocked(LedgerError):
     """Another live process holds the ledger directory."""
+
+
+class UnsupportedFormat(LedgerError):
+    """A value in a form that this program no longer writes, and so no longer reads."""
 
 
 class CorruptStore(LedgerError):
@@ -632,12 +634,11 @@ class TxContext:
     a deterministic order; reads of keys already written in this
     transaction return the staged value without touching the snapshot.
     Content for the content store is staged too, in ``content``: execution
-    writes nothing to disk. ``store`` is there to read.
+    writes nothing to disk, and reads nothing but the snapshot.
     """
 
-    def __init__(self, snapshot: WorldState, store: ContentStore, proposal: TxProposal):
+    def __init__(self, snapshot: WorldState, proposal: TxProposal):
         self._snapshot = snapshot
-        self.store = store
         self.proposal = proposal
         self._reads: dict[str, Version | None] = {}
         self._writes: dict[str, bytes] = {}
@@ -1009,11 +1010,10 @@ class LedgerEngine:
     def _new_store(self) -> None:
         """Replace the state store with an empty one, which the next flush fills.
 
-        Runs under the lock, before any block is applied. It also deletes
-        the whole-state ``checkpoint.json`` of earlier versions. A store that
+        Runs under the lock, before any block is applied. A store that
         cannot be made is made in memory instead.
         """
-        for path in (*_store_files(self._dir / STATE_FILE), self._dir / _OLD_CHECKPOINT_FILE):
+        for path in _store_files(self._dir / STATE_FILE):
             path.unlink(missing_ok=True)
         try:
             self.state = WorldState(self._dir / STATE_FILE)
@@ -1045,7 +1045,7 @@ class LedgerEngine:
         contract = self.contracts.get(proposal.contract)
         if contract is None:
             raise UnknownContract(proposal.contract)
-        ctx = TxContext(self.state, self.store, proposal)
+        ctx = TxContext(self.state, proposal)
         nonce_key = f"{KEY_NONCE}{proposal.invoker}/{proposal.nonce.hex()}"
         if ctx.get(nonce_key) is not None:
             raise ContractError("NonceReplayed",

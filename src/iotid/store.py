@@ -1,15 +1,14 @@
-"""Content-addressed document store.
+"""Content-addressed payload store.
 
 The off-chain half of the system: asset payloads live here, keyed by the
-SHA-256 of their bytes, while the chain holds only the hashes (and, for
-identities recorded before DID records carried the key, the hash of their
-DID document, which lives here too). The ledger writes a block's content
-when it commits the block: one file per block, named by its number, that
-holds the content of the block's VALID transactions in transaction order,
-each record a 4-byte big-endian length and then the bytes. Earlier
-versions wrote one file per content, named by its hex digest, as ``put``
-still does; a read by key and block looks in the block's file first and
-then in the digest's file. Integrity is re-checked on every read from
+SHA-256 of their bytes, while the chain holds only the hashes. Contracts
+never read it. The ledger writes a block's content when it commits the
+block: one file per block, named by its number, that holds the content of
+the block's VALID transactions in transaction order, each record a 4-byte
+big-endian length and then the bytes. ``put``, ``len()`` and the
+digest-file branch of ``get`` serve one file per content, named by its
+hex digest, which the ledger no longer writes; ``perfbench`` still traces
+``put`` and counts its files. Integrity is re-checked on every read from
 disk because this store is the trust boundary for those bytes.
 """
 

@@ -23,7 +23,6 @@ from iotid import ledger as ledger_module
 from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import main as cli_main
 from iotid.clock import SimClock
-from iotid.codec import canonical_json, sha256
 from iotid.gateway import Gateway
 from iotid.idm import Session
 from iotid.ledger import (
@@ -307,36 +306,6 @@ def test_a_last_record_longer_than_the_read_window(tmp_path, reads):
     reads.clear()
     assert observe(tmp_path) == expected
     assert reads.read == [0, 4]
-    assert reads.decoded == [0]
-
-
-def test_an_old_format_checkpoint_is_replaced(stored, reads):
-    # a ledger directory as earlier versions left it: the journal and a
-    # whole-state checkpoint.json (its sha256, a newline, then the body),
-    # and no store
-    expected = full_replay(stored)
-    height, tip_hash, items = expected
-    body = canonical_json({
-        "height": height,
-        "state": [[key, value.hex(), list(version)] for key, (value, version) in items],
-        "tipHash": tip_hash.hex(),
-        "tipStart": 0,
-    })
-    old = stored / "ledger" / "checkpoint.json"
-    old.write_bytes(sha256(body).hex().encode() + b"\n" + body)
-    for name in STORE_FILES:
-        (stored / "ledger" / name).unlink(missing_ok=True)
-    reads.clear()
-    engine = reopen_engine(stored)
-    try:
-        assert not old.exists()  # deleted under the lock
-        assert seen(engine) == expected
-        assert reads.read == reads.decoded == list(range(height))  # a full replay
-    finally:
-        engine.close()
-    reads.clear()
-    assert observe(stored) == expected
-    assert reads.read == [0, height - 1]
     assert reads.decoded == [0]
 
 

@@ -6,7 +6,6 @@ slicing sha256 digests by hand.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,8 +30,6 @@ SEED_01 = bytes([1]) * 32
 PUB_01 = "8a88e3dd7409f195fd52db2d3cba5d72ca6709bf1d94121bf3748801b40f6f5c"
 ADDR_01 = "0x34750f98bd59fcfc946da45aaabe933be154a4b5"
 DID_01 = "did:iotid:34750f98bd59fcfc946da45aaabe933b"
-
-GOLDEN = Path(__file__).parent / "golden" / "did_document.json"
 
 
 def test_keypair_is_seed_deterministic():
@@ -129,20 +126,6 @@ def test_did_constructor_validates():
         Did(method="UPPER", method_id="x")
     with pytest.raises(MalformedDid):
         Did(method="iotid", method_id="bad/chars")
-
-
-def test_document_golden_bytes():
-    # a document as earlier versions stored it decodes; its service
-    # endpoints, which nothing reads, are dropped
-    golden = GOLDEN.read_bytes()
-    assert hashlib.sha256(golden).hexdigest() == \
-        "0baab9fa6de6b79c9e38d6c0d20bbd80c37c7c4934f7bcd0197b3fc7ed11437b"
-    assert DidDocument.from_bytes(golden) == DidDocument(
-        id=parse_did(DID_01),
-        public_key_hex=PUB_01,
-        owner=Address.from_text(ADDR_01),
-        created=1700000000,
-    )
 
 
 def test_document_requires_public_key():

@@ -9,6 +9,8 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 from collections import Counter, namedtuple
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,25 +20,27 @@ import pytest
 from iotid.cli import main
 from iotid.clock import SimClock
 from iotid.codec import canonical_json
-from iotid.gateway import Gateway, GatewayError, Keystore
-from iotid.idm import Session
+from iotid.gateway import Gateway, GatewayError, Keystore, default_contracts
+from iotid.idm import Session, resolve_did
 from iotid import did as did_module
 from iotid import idm as idm_module
 from iotid import ledger as ledger_module
 from iotid.ledger import (
     BLOCKS_FILE,
     KEY_ASSET,
+    KEY_DID,
     VALID,
     Block,
     GenesisConfig,
     LedgerEngine,
     LedgerLocked,
+    UnsupportedFormat,
 )
 from iotid.did import parse_did
 from iotid.store import ContentHash, ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
-from util import LegacyRecordContract, foreign_hold, make_legacy
+from util import MANUFACTURER, Principal, foreign_hold, seeded_keypair
 
 Result = namedtuple("Result", "code data out err")
 
@@ -887,27 +891,48 @@ def test_indented_keystore_files_still_load(tmp_path):
     assert keystore.next_nonce("dev2") == (1).to_bytes(32, "big")
 
 
-# -- store faults ---------------------------------------------------------------
+# -- a DID record in an earlier form ---------------------------------------------
 
 
-@pytest.mark.parametrize("fault, error", [
-    (lambda path: path.write_bytes(path.read_bytes().replace(b"did:", b"dix:", 1)),
-     "IntegrityFailure"),
-    (lambda path: path.unlink(), "ContentNotFound"),
-], ids=["damaged", "deleted"])
-def test_a_broken_did_document_is_a_machine_error(capsys, ready, fault, error):
-    # only a DID record in the earlier format names a document in objects/
+class DocHashRecordContract:
+    """Rewrites a DID record as versions before records carried the key wrote
+    it: ``docHash`` names a DID document where the record now has
+    ``publicKey``. Only the record is written, no document."""
+
+    name = "dochash"
+
+    def invoke(self, ctx, function, args):
+        key = KEY_DID + args[0]
+        record = json.loads(ctx.get(key))
+        record["docHash"] = hashlib.sha256(bytes.fromhex(record.pop("publicKey"))).hexdigest()
+        ctx.put(key, canonical_json(record))
+
+
+def test_a_doc_hash_record_is_refused_by_name(capsys, ready, tmp_path):
     ledger_dir = Path(ready["ledger"])
+    device = Principal(keypair=seeded_keypair(1), _nonce=1000)  # above the keystore's
+    did = parse_did(DID_01)
     with LedgerEngine.open(ledger_dir, ContentStore(ledger_dir / "objects"),
-                           {"legacy": LegacyRecordContract()}) as engine:
-        doc_hash = make_legacy(engine, parse_did(DID_01))
-    fault(ledger_dir / "objects" / doc_hash.hex)
-    result = invoke(capsys, ready, "device-login", "dev1")
-    assert (result.code, result.data["error"]) == (1, error)
-    assert result.out == canonical_json(result.data).decode() + "\n"
-    if error == "ContentNotFound":  # says what is missing, not a quoted key
-        assert doc_hash.hex in result.data["message"]
-        assert "'" not in result.data["message"]
+                           {**default_contracts(), "dochash": DocHashRecordContract()}) as engine:
+        engine.submit(device.proposal(engine, "dochash", "rewrite", [DID_01]))
+        engine.flush()
+        with pytest.raises(UnsupportedFormat, match="docHash"):
+            resolve_did(engine.state, engine.store, did)
+        for function, arg in [("registerDevice", MANUFACTURER),
+                              ("transferOwnership", ADDR_01)]:
+            with pytest.raises(UnsupportedFormat):
+                engine.submit(device.proposal(engine, "idm", function, [DID_01, arg]))
+    journal = (ledger_dir / BLOCKS_FILE).read_bytes()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b'{"d":{"temperature":20.01}}')
+    for argv in [("device-login", "dev1"), ("asset-upload", "dev1", str(source))]:
+        result = invoke(capsys, ready, *argv)
+        assert (result.code, result.data["error"]) == (1, "UnsupportedFormat")
+        assert result.out == canonical_json(result.data).decode() + "\n"
+    assert (ledger_dir / BLOCKS_FILE).read_bytes() == journal
+    # what reads no DID record still works
+    assert invoke(capsys, ready, "asset-list").code == 0
+    assert invoke(capsys, ready, "chain-verify").data["ok"] is True
 
 
 def test_a_journal_alone_is_enough_to_log_in_and_upload(capsys, ready, tmp_path):
@@ -968,3 +993,16 @@ def test_a_scenario_shorter_than_one_interval_is_refused(capsys, env, duration):
                     f"--duration={duration}")
     assert (result.code, result.data["error"]) == (1, "GatewayError")
     assert not (Path(env["ledger"]) / BLOCKS_FILE).exists()
+
+
+def test_the_cli_loads_no_key_serialization():
+    # keys are raw bytes throughout, so a one-shot command imports none of
+    # cryptography's PEM, DER and SSH encoders
+    src = str(Path(did_module.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys, iotid.cli; "
+              "print('cryptography.hazmat.primitives.serialization' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"

@@ -23,17 +23,13 @@ from iotid.idm import (
     resolve_did,
     session_is_valid,
 )
-from iotid.ledger import POLICY_FAILURE, VALID, ContractError, Transaction, WorldState
-from iotid.store import ContentNotFound, ContentStore, IntegrityFailure
+from iotid.ledger import POLICY_FAILURE, VALID, ContractError, Transaction
 
 from util import (
     MANUFACTURER,
     Principal,
     create_identity,
-    legacy_document_bytes,
-    make_legacy,
     register_device,
-    reopen_engine,
     state_snapshot,
     upload_payload,
 )
@@ -282,43 +278,16 @@ def test_resolve_unknown_did(engine, device):
         resolve_did(engine.state, engine.store, device.did)
 
 
-def legacy_state(store, device, owner) -> WorldState:
-    """A state holding ``device``'s record as earlier versions wrote it,
-    naming a document (owned by the device) in ``store`` by its hash."""
-    document = legacy_document_bytes(str(device.did), device.public_key.hex(),
-                                     str(device.address), 5)
-    record = {"createdAt": 5, "did": str(device.did),
-              "docHash": store.put(document).hex, "owner": str(owner)}
-    state = WorldState()
-    state.apply([(did_key(device.did), canonical_json(record))], (1, 0))
-    return state
-
-
-def test_resolve_detects_record_document_mismatch(tmp_path, device, other_device):
-    store = ContentStore(tmp_path / "objects")
-    with pytest.raises(IntegrityFailure):
-        resolve_did(legacy_state(store, device, other_device.address), store, device.did)
-
-
-def test_a_legacy_record_resolves_through_the_store(tmp_path, device):
-    store = ContentStore(tmp_path / "objects")
-    document = resolve_did(legacy_state(store, device, device.address), store, device.did)
-    assert document == DidDocument(id=device.did, public_key_hex=device.public_key.hex(),
-                                   owner=device.address, created=5)
-
-
-def test_records_round_trip(tmp_path, device):
+def test_records_round_trip(device):
     record = DidRecord(did=device.did, public_key=device.public_key,
                        owner=device.address, created_at=7)
-    store = ContentStore(tmp_path / "objects")
-    assert DidRecord.from_bytes(canonical_json(record.to_dict()), store) == record
-    assert not (tmp_path / "objects").exists()
+    assert DidRecord.from_bytes(canonical_json(record.to_dict())) == record
     entry = DeviceRecord(did=device.did, manufacturer_id=MANUFACTURER,
                          registered_at=9)
     assert DeviceRecord.from_bytes(canonical_json(entry.to_dict())) == entry
 
 
-# -- the content store: untouched by idm, read only for legacy records ---------
+# -- the content store: untouched by idm --------------------------------------
 
 
 def test_identity_functions_use_no_store(engine, registrar, device, other_device,
@@ -358,53 +327,6 @@ def test_a_refused_or_uncommitted_identity_leaves_objects_unchanged(
     assert sorted((tmp_path / "objects").iterdir()) == objects
 
 
-def legacy_document(tmp_path, engine, registrar, device):
-    """Register ``device`` with its record rewritten as earlier versions
-    wrote it; the path of the DID document that record names."""
-    register_device(engine, registrar, device)
-    return tmp_path / "objects" / make_legacy(engine, device.did).hex
-
-
-def test_a_legacy_record_still_allows_logins_and_uploads(tmp_path, engine, clock,
-                                                         registrar, device, store_calls):
-    legacy_document(tmp_path, engine, registrar, device)
-    del store_calls[:]
-    service = LoginService(engine.state, engine.store, clock)
-    challenge = service.begin_login(device.did)
-    signature = device.keypair.sign(login_message(device.did, challenge.nonce))
-    assert service.complete_login(device.did, challenge.nonce, signature).did == device.did
-    assert store_calls == [("get", engine.store)]
-    assert engine.tx_flag(upload_payload(engine, device, b"one")) == VALID
-    assert ("get", engine.store) in store_calls[1:]
-
-
-def test_a_transfer_migrates_a_legacy_record(tmp_path, engine, registrar, device,
-                                             other_device):
-    path = legacy_document(tmp_path, engine, registrar, device)
-    created = did_record(engine, device.did)["createdAt"]
-    engine.submit(device.proposal(engine, "idm", "transferOwnership",
-                                  [str(device.did), str(other_device.address)]))
-    engine.flush()
-    assert did_record(engine, device.did) == {
-        "createdAt": created, "did": str(device.did),
-        "owner": str(other_device.address), "publicKey": device.public_key.hex()}
-    path.unlink()  # the record no longer needs its document
-    assert resolve_did(engine.state, engine.store, device.did).owner == other_device.address
-
-
-def test_a_document_tampered_before_its_first_read_is_refused(tmp_path, engine,
-                                                              registrar, device):
-    path = legacy_document(tmp_path, engine, registrar, device)
-    original = path.read_bytes()
-    path.write_bytes(original.replace(b'"created":', b'"created": '))
-    store = ContentStore(tmp_path / "objects")
-    for _ in range(2):  # the refusal is not remembered
-        with pytest.raises(IntegrityFailure):
-            resolve_did(engine.state, store, device.did)
-    path.write_bytes(original)
-    assert resolve_did(engine.state, store, device.did).id == device.did
-
-
 def test_a_transfer_resolves_to_the_new_document(engine, registrar, device,
                                                  other_device):
     register_device(engine, registrar, device)
@@ -415,40 +337,6 @@ def test_a_transfer_resolves_to_the_new_document(engine, registrar, device,
     document = resolve_did(engine.state, engine.store, device.did)
     assert document.owner == other_device.address
     assert engine.tx_flag(upload_payload(engine, device, b"after transfer")) == VALID
-
-
-def test_a_missing_document_fails_on_a_fresh_engine(tmp_path, engine, registrar,
-                                                    device):
-    path = legacy_document(tmp_path, engine, registrar, device)
-    upload_payload(engine, device, b"one")
-    path.unlink()
-    engine.close()
-    reopened = reopen_engine(tmp_path)
-    try:
-        with pytest.raises(ContentNotFound):
-            upload_payload(reopened, device, b"two")
-        with pytest.raises(ContentNotFound):
-            resolve_did(reopened.state, reopened.store, device.did)
-    finally:
-        reopened.close()
-
-
-def test_a_legacy_record_registers_its_device_without_its_document(
-        tmp_path, engine, registrar, device, other_device, store_calls):
-    # registerDevice needs only the record's owner, so it reads no document,
-    # and one missing from objects/ neither blocks nor opens registration
-    create_identity(engine, registrar, device)
-    (tmp_path / "objects" / make_legacy(engine, device.did).hex).unlink()
-    del store_calls[:]
-    err = rejected(engine, other_device.proposal(
-        engine, "idm", "registerDevice", [str(device.did), MANUFACTURER]))
-    assert err.code == "NotOwner"
-    tx_id = engine.submit(device.proposal(
-        engine, "idm", "registerDevice", [str(device.did), MANUFACTURER]))
-    engine.flush()
-    assert engine.tx_flag(tx_id) == VALID
-    assert get_device_record(engine.state, device.did).manufacturer_id == MANUFACTURER
-    assert store_calls == []
 
 
 # -- login ---------------------------------------------------------------------

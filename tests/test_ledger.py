@@ -176,7 +176,7 @@ def test_submissions_and_their_blocks_verify_only_the_proposals(engine, alice, b
 
 
 class StoringContract:
-    """Writes its argument to the content store and to state; counts its calls."""
+    """Stages its argument as content and writes its hash to state; counts its calls."""
 
     name = "storing"
 
@@ -185,7 +185,9 @@ class StoringContract:
 
     def invoke(self, ctx, function, args):
         self.calls += 1
-        ctx.put(f"storing/{args[0]}", ctx.store.put(args[0].encode("utf-8")).digest)
+        data = args[0].encode("utf-8")
+        ctx.content.append(data)
+        ctx.put(f"storing/{args[0]}", sha256(data))
 
 
 _FIELD_CHANGES = st.sampled_from(
@@ -294,7 +296,7 @@ def test_a_read_of_a_key_the_transaction_wrote_is_the_staged_value(engine, alice
     # the committed value is never read, so the rwset records no read of the key
     engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
     engine.flush()
-    ctx = TxContext(engine.state, engine.store, alice.proposal(engine, "kv", "bump", ["x"]))
+    ctx = TxContext(engine.state, alice.proposal(engine, "kv", "bump", ["x"]))
     ctx.put("kv/x", b"5")
     assert ctx.get("kv/x") == b"5"
     assert ctx.rwset() == ReadWriteSet(reads=[], writes=[("kv/x", b"5")])

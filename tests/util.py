@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from iotid.clock import Clock, SimClock
-from iotid.codec import canonical_json
 from iotid.did import (
     Address,
     Did,
@@ -23,16 +21,14 @@ from iotid.did import (
 )
 from iotid.gateway import default_contracts
 from iotid.ledger import (
-    KEY_DID,
     LOCK_FILE,
-    VALID,
     Contract,
     GenesisConfig,
     LedgerEngine,
     TxContext,
     TxProposal,
 )
-from iotid.store import ContentHash, ContentStore
+from iotid.store import ContentStore
 
 MANUFACTURER = "ABCDEF00001"
 
@@ -94,62 +90,24 @@ class KvContract:
             raise AssertionError(f"unknown kv function {function}")
 
 
-def legacy_document_bytes(did: str, public_key_hex: str, owner: str, created: int) -> bytes:
-    """A DID document's bytes as earlier versions stored them."""
-    return canonical_json({"created": created, "id": did, "owner": owner,
-                           "publicKey": public_key_hex, "serviceEndpoints": []})
-
-
-class LegacyRecordContract:
-    """Rewrites a DID record as earlier versions wrote it.
-
-    Those put the DID document in the content store and had the record
-    name it by ``docHash`` where the record now carries ``publicKey``.
-    """
-
-    name = "legacy"
-
-    def invoke(self, ctx: TxContext, function: str, args: list[str]) -> None:
-        key = KEY_DID + args[0]
-        record = json.loads(ctx.get(key))
-        document = legacy_document_bytes(record["did"], record.pop("publicKey"),
-                                         record["owner"], record["createdAt"])
-        record["docHash"] = ctx.store.put(document).hex
-        ctx.put(key, canonical_json(record))
-
-
-def make_legacy(engine: LedgerEngine, did: Did) -> ContentHash:
-    """Commit ``did``'s record in the earlier format; returns its docHash.
-
-    ``engine`` needs a ``LegacyRecordContract`` under ``legacy``; any
-    principal may invoke it, and the height makes each call's nonce new.
-    """
-    invoker = Principal(keypair=seeded_keypair(99), _nonce=engine.height)
-    tx_id = engine.submit(invoker.proposal(engine, "legacy", "rewrite", [str(did)]))
-    engine.flush()
-    assert engine.tx_flag(tx_id) == VALID
-    return ContentHash.from_hex(json.loads(engine.state.get(KEY_DID + str(did))[0])["docHash"])
+def engine_contracts() -> dict[str, Contract]:
+    """The standard contracts and kv."""
+    return {**default_contracts(), "kv": KvContract()}
 
 
 def make_engine(base: Path, clock: Clock | None = None,
                 genesis: GenesisConfig | None = None) -> LedgerEngine:
-    """Fresh ledger on a simulated clock with the standard contracts, kv and legacy."""
-    clock = clock if clock is not None else SimClock()
-    contracts: dict[str, Contract] = dict(default_contracts())
-    contracts["kv"] = KvContract()
-    contracts["legacy"] = LegacyRecordContract()
+    """Fresh ledger on a simulated clock with the test contracts."""
     return LedgerEngine.create(
         base / "ledger", genesis or GenesisConfig.default(),
-        ContentStore(base / "objects"), contracts, clock=clock)
+        ContentStore(base / "objects"), engine_contracts(),
+        clock=clock if clock is not None else SimClock())
 
 
 def reopen_engine(base: Path, clock: Clock | None = None) -> LedgerEngine:
-    clock = clock if clock is not None else SimClock()
-    contracts: dict[str, Contract] = dict(default_contracts())
-    contracts["kv"] = KvContract()
-    contracts["legacy"] = LegacyRecordContract()
     return LedgerEngine.open(
-        base / "ledger", ContentStore(base / "objects"), contracts, clock=clock)
+        base / "ledger", ContentStore(base / "objects"), engine_contracts(),
+        clock=clock if clock is not None else SimClock())
 
 
 def registrar_principal(engine: LedgerEngine) -> Principal:
