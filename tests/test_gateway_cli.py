@@ -897,25 +897,54 @@ def test_indented_keystore_files_still_load(tmp_path):
 class DocHashRecordContract:
     """Rewrites a DID record as versions before records carried the key wrote
     it: ``docHash`` names a DID document where the record now has
-    ``publicKey``. Only the record is written, no document."""
+    ``publicKey``. Only the record is written; ``args[1]`` is its docHash."""
 
     name = "dochash"
 
     def invoke(self, ctx, function, args):
         key = KEY_DID + args[0]
         record = json.loads(ctx.get(key))
-        record["docHash"] = hashlib.sha256(bytes.fromhex(record.pop("publicKey"))).hexdigest()
+        del record["publicKey"]
+        record["docHash"] = args[1]
         ctx.put(key, canonical_json(record))
+
+
+def open_with_doc_hash_record(ledger_dir, doc_hash):
+    """Open the ledger with dev1's record rewritten to name ``doc_hash``."""
+    engine = LedgerEngine.open(ledger_dir, ContentStore(ledger_dir / "objects"),
+                               {**default_contracts(), "dochash": DocHashRecordContract()})
+    device = Principal(keypair=seeded_keypair(1), _nonce=1000)  # above the keystore's
+    engine.submit(device.proposal(engine, "dochash", "rewrite", [DID_01, doc_hash]))
+    engine.flush()
+    return engine
+
+
+@pytest.mark.parametrize("fault", [
+    lambda path: path.write_bytes(path.read_bytes().replace(b"did:", b"dix:", 1)),
+    lambda path: path.unlink(),
+], ids=["damaged", "deleted"])
+def test_a_broken_did_document_is_a_machine_error(capsys, ready, fault):
+    # the record names a document in objects/; whatever became of it, the
+    # record is refused by name, and no store error or traceback leaks out
+    ledger_dir = Path(ready["ledger"])
+    document = canonical_json({"created": 0, "id": DID_01, "owner": ADDR_01,
+                               "publicKey": PUB_01, "serviceEndpoints": []})
+    doc_hash = ContentStore(ledger_dir / "objects").put(document)
+    open_with_doc_hash_record(ledger_dir, doc_hash.hex).close()
+    fault(ledger_dir / "objects" / doc_hash.hex)
+    result = invoke(capsys, ready, "device-login", "dev1")
+    assert (result.code, result.data["error"]) == (1, "UnsupportedFormat")
+    assert result.out == canonical_json(result.data).decode() + "\n"
+    assert DID_01 in result.data["message"] and "docHash" in result.data["message"]
+    assert "'" not in result.data["message"]
 
 
 def test_a_doc_hash_record_is_refused_by_name(capsys, ready, tmp_path):
     ledger_dir = Path(ready["ledger"])
-    device = Principal(keypair=seeded_keypair(1), _nonce=1000)  # above the keystore's
     did = parse_did(DID_01)
-    with LedgerEngine.open(ledger_dir, ContentStore(ledger_dir / "objects"),
-                           {**default_contracts(), "dochash": DocHashRecordContract()}) as engine:
-        engine.submit(device.proposal(engine, "dochash", "rewrite", [DID_01]))
-        engine.flush()
+    doc_hash = hashlib.sha256(bytes.fromhex(PUB_01)).hexdigest()
+    device = Principal(keypair=seeded_keypair(1), _nonce=2000)  # above the rewrite's
+    with open_with_doc_hash_record(ledger_dir, doc_hash) as engine:
         with pytest.raises(UnsupportedFormat, match="docHash"):
             resolve_did(engine.state, engine.store, did)
         for function, arg in [("registerDevice", MANUFACTURER),
