@@ -7,23 +7,25 @@ its transaction commits VALID, in the file of its block; world state holds
 only the record keyed by ``asset/<dataId>``, though the journal keeps the
 payload hex-encoded in the upload proposal's arguments.
 
-The first query for all assets builds one view per world state, kept in
-query order: one decode per record and one sort. Later queries fold in
-only what commits wrote since, through the state's write feed, so a warm
-query costs the rows it returns. An owner query on a state with no view
-builds none: it decodes only that owner's rows, read through the state's
-owner index, so a freshly opened ledger, as in a CLI ``asset-list
---mine``, pays for the rows it lists.
+A query returns listing rows, the dicts that ``asset-list`` prints, in
+(addedAt, dataId) order. The state's store keeps each record's listed
+fields in columns, indexed in that order, so a query reads rows already
+ordered and decodes no record. The first query for all assets keeps them
+as one view per world state; later queries fold in only what commits
+wrote since, through the state's write feed, so a warm query costs the
+rows it returns. An owner query on a state with no view builds none: it
+reads only that owner's rows, through the store's owner index, so a
+freshly opened ledger, as in a CLI ``asset-list --mine``, pays for the
+rows it lists.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
-from .codec import canonical_json, from_canonical_json
-from .did import Did, derive_address, parse_did
+from .codec import canonical_json
+from .did import derive_address, parse_did
 from .idm import (
     DidRecord,
     NotAuthenticatedError,
@@ -33,49 +35,17 @@ from .idm import (
     session_is_valid,
 )
 from .ledger import (
+    INT64,
     KEY_ASSET,
     ContractError,
     TxContext,
     UnknownFunction,
     WorldState,
+    asset_fields,
+    asset_row,
+    unlisted,
 )
 from .store import ContentHash
-
-
-@dataclass(frozen=True)
-class AssetRecord:
-    """On-chain upload entry under ``asset/<dataId hex>``."""
-
-    data_id: ContentHash
-    owner: Did
-    asset_name: str
-    added_at: int
-
-    def to_dict(self) -> dict:
-        return {
-            "addedAt": self.added_at,
-            "assetName": self.asset_name,
-            "dataId": self.data_id.hex,
-            "owner": str(self.owner),
-        }
-
-    @classmethod
-    def from_bytes(cls, data: bytes, dids: dict[str, Did] | None = None) -> "AssetRecord":
-        """Decode a record; ``dids`` caches parsed owners by their text.
-
-        A caller that decodes many rows passes one ``dids``, so that each
-        distinct owner is parsed once; ``Did`` is frozen, so records share it.
-        """
-        d = from_canonical_json(data)
-        owner = d["owner"]
-        if dids is None:
-            did = parse_did(owner)
-        elif (did := dids.get(owner)) is None:
-            did = dids[owner] = parse_did(owner)
-        return cls(data_id=ContentHash.from_hex(d["dataId"]),
-                   owner=did,
-                   asset_name=d["assetName"],
-                   added_at=int(d["addedAt"]))
 
 
 def asset_key(data_id: ContentHash) -> str:
@@ -102,6 +72,9 @@ class AssetContract:
             payload = bytes.fromhex(payload_hex)
         except ValueError as exc:
             raise ContractError("BadArguments", str(exc)) from exc
+        if ctx.timestamp not in INT64:  # the record's addedAt, which the store holds
+            raise ContractError("BadArguments",
+                                f"timestamp {ctx.timestamp} is outside the signed 64-bit range")
         if not payload:
             raise ContractError("EmptyPayload", "payload must not be empty")
 
@@ -117,61 +90,66 @@ class AssetContract:
                                 f"proposal not signed by device key of {did}")
 
         data_id = ContentHash.of(payload)
-        if ctx.get(asset_key(data_id)) is not None:
+        key = asset_key(data_id)
+        if ctx.get(key) is not None:
             raise ContractError("DuplicateAsset",
                                 f"content already uploaded: {data_id.hex}",
                                 details={"dataId": data_id.hex})
 
         ctx.content.append(payload)
-        asset = AssetRecord(data_id=data_id, owner=did, asset_name=asset_name,
-                            added_at=ctx.timestamp)
-        ctx.put(asset_key(data_id), canonical_json(asset.to_dict()))
+        ctx.put(key, canonical_json(asset_row(key, str(did), ctx.timestamp, asset_name)))
 
 
 # -- read-side queries --------------------------------------------------------
 
 
-def _order(record: AssetRecord) -> tuple[int, bytes]:
-    return record.added_at, record.data_id.digest
+def _order(row: dict) -> tuple[int, str]:
+    # lower-case hex sorts as the digest it spells
+    return row["addedAt"], row["dataId"]
 
 
 class _AssetView:
-    """One state's asset records in query order: all of them, and each owner's.
+    """One state's listing rows in query order: all of them, and each owner's.
 
-    The first query for all assets builds it from the state's ``asset/``
-    range: one decode per record, with one DID cache shared by the rows,
-    one sort, and one pass that splits the sorted list by owner. From then
-    on each query first folds in the keys that the state's write feed
-    collected since the last query: it decodes each new or rewritten
-    record once and bisects it into the full list and its owner's, and a
-    rewritten key's old record leaves both. The feed is cleared only once
-    every key is folded in, so a record that fails to decode fails every
-    later query, as it fails every cold listing. The view holds no
-    reference to its state.
+    The first query for all assets builds it from the state's ordered
+    read, with no sort: one pass splits the rows by owner, and each
+    distinct owner text is parsed once, so that a malformed owner fails
+    the query. From then on each query first folds in the keys that the
+    state's write feed collected since the last query: it decodes each new
+    or rewritten record once, through ``asset_fields``, and bisects its
+    row into the full list and its owner's, and a rewritten key's old row
+    leaves both. The feed is cleared only once every key is folded in, so
+    a value that fails to decode fails every later query, as it fails
+    every cold listing. The view holds no reference to its state.
     """
 
     def __init__(self, state: WorldState):
-        dids: dict[str, Did] = {}
-        # key -> its current record
-        self._by_key = {key: AssetRecord.from_bytes(value, dids)
-                        for key, value, _ in state.range(KEY_ASSET)}
-        self.by_time = sorted(self._by_key.values(), key=_order)
-        self.by_owner: dict[Did, list[AssetRecord]] = {}
-        for record in self.by_time:
-            self.by_owner.setdefault(record.owner, []).append(record)
+        self.by_time = state.assets()
+        self.by_owner: dict[str, list[dict]] = {}
+        for row in self.by_time:
+            self.by_owner.setdefault(row["owner"], []).append(row)
+        for owner in self.by_owner:
+            parse_did(owner)
+        # key -> its current row
+        self._by_key = {KEY_ASSET + row["dataId"]: row for row in self.by_time}
         # watched once the build has succeeded, so a failed one leaves no feed
         self._feed = state.watch(KEY_ASSET)
 
     def catch_up(self, state: WorldState) -> None:
         for key in dict.fromkeys(self._feed):  # a key written twice is read once
-            record = AssetRecord.from_bytes(state.get(key)[0])
+            fields = asset_fields(key, state.get(key)[0])
+            if fields is None:
+                raise unlisted(key)
+            if fields[0] not in self.by_owner:
+                parse_did(fields[0])
+            row = asset_row(key, *fields)
             old = self._by_key.get(key)
             if old is not None:
-                for rows in (self.by_time, self.by_owner[old.owner]):
+                for rows in (self.by_time, self.by_owner[old["owner"]]):
                     del rows[bisect_left(rows, _order(old), key=_order)]
-            self._by_key[key] = record
-            for rows in (self.by_time, self.by_owner.setdefault(record.owner, [])):
-                insort(rows, record, key=_order)
+            self._by_key[key] = row
+            for rows in (self.by_time, self.by_owner.setdefault(row["owner"], [])):
+                insort(rows, row, key=_order)
         self._feed.clear()
 
 
@@ -180,8 +158,12 @@ class _AssetView:
 _views: WeakKeyDictionary[WorldState, _AssetView] = WeakKeyDictionary()
 
 
-def query_all_assets(state: WorldState) -> list[AssetRecord]:
-    """Every committed asset record, ordered by (addedAt, dataId)."""
+def query_all_assets(state: WorldState) -> list[dict]:
+    """Every committed asset's listing row, ordered by (addedAt, dataId).
+
+    The list is the caller's; its rows are shared with later results, so
+    a caller changes none.
+    """
     view = _views.get(state)
     if view is None:
         view = _views[state] = _AssetView(state)
@@ -191,21 +173,19 @@ def query_all_assets(state: WorldState) -> list[AssetRecord]:
 
 
 def query_owned_assets(state: WorldState, session: Session | None,
-                       now: float) -> list[AssetRecord]:
-    """Assets owned by the session's device; requires a live session.
+                       now: float) -> list[dict]:
+    """The listing rows of the session's device; requires a live session.
 
-    Same order as ``query_all_assets``. The read costs only the caller's
-    rows: on a state with no view, the owner's rows through the state's
-    owner index, decoded and sorted; otherwise a copy of the owner's list.
+    Same order and sharing as ``query_all_assets``. The read costs only
+    the caller's rows: on a state with no view, the owner's rows through
+    the store's owner index, looked up by the session DID's text, so
+    nothing is parsed; otherwise a copy of the owner's list.
     """
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")
-    owner = session.did
+    owner = str(session.did)
     view = _views.get(state)
     if view is None:
-        # every row names ``owner``, whose text the index matched
-        dids = {str(owner): owner}
-        return sorted((AssetRecord.from_bytes(value, dids)
-                       for _, value, _ in state.owned(str(owner))), key=_order)
+        return state.assets(owner)
     view.catch_up(state)
     return view.by_owner.get(owner, []).copy()

@@ -17,9 +17,8 @@ from pathlib import Path
 
 from .codec import canonical_json
 from .gateway import Gateway, GatewayError
-from .idm import AuthError
+from .idm import DEFAULT_MANUFACTURER_ID, AuthError
 from .ledger import ContractError, LedgerError
-from .sim import FlowConfig
 
 LEDGER_DIR_ENV = "IOTID_LEDGER_DIR"
 KEYSTORE_DIR_ENV = "IOTID_KEYSTORE_DIR"
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("device-register",
                        help="create the identity on chain and register the device")
     p.add_argument("name")
-    p.add_argument("--manufacturer-id", default=FlowConfig().manufacturer_id)
+    p.add_argument("--manufacturer-id", default=DEFAULT_MANUFACTURER_ID)
 
     p = sub.add_parser("device-login", help="challenge-response login")
     p.add_argument("name")
@@ -87,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulated seconds to run")
     p.add_argument("--value-min", type=float, default=0.0)
     p.add_argument("--value-max", type=float, default=100.0)
-    p.add_argument("--manufacturer-id", default=FlowConfig().manufacturer_id)
+    p.add_argument("--manufacturer-id", default=DEFAULT_MANUFACTURER_ID)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="./sensor-data")
 
@@ -147,6 +146,8 @@ def _dispatch(args: argparse.Namespace, gateway: Gateway) -> dict:
     if args.command == "asset-list":
         return gateway.cmd_asset_list(mine=args.mine)
     if args.command == "sim-run":
+        from .sim import FlowConfig  # only the simulator's commands load it
+
         config = FlowConfig(device_count=args.devices,
                             interval_seconds=args.interval,
                             value_min=args.value_min, value_max=args.value_max,

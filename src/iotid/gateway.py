@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .assets import AssetContract, query_all_assets, query_owned_assets
 from .clock import Clock, SimClock, WallClock
@@ -53,16 +54,10 @@ from .ledger import (
     TxProposal,
     verify_chain_file,
 )
-from .sim import (
-    FlowConfig,
-    SensorReading,
-    build_network,
-    device_key_seed,
-    reading_file_path,
-    run,
-    write_asset_files,
-)
 from .store import ContentStore
+
+if TYPE_CHECKING:
+    from .sim import FlowConfig, SensorReading
 
 OBJECTS_DIR = "objects"
 NONCES_FILE = "nonces.json"
@@ -344,12 +339,10 @@ class Gateway:
         session = self._require_session(mine)[0] if mine is not None else None
         with self._open_engine() as engine:
             if session is None:
-                records = query_all_assets(engine.state)
+                rows = query_all_assets(engine.state)
             else:
-                records = query_owned_assets(engine.state, session,
-                                             self.clock.now())
-            return {"count": len(records),
-                    "assets": [r.to_dict() for r in records]}
+                rows = query_owned_assets(engine.state, session, self.clock.now())
+            return {"count": len(rows), "assets": rows}
 
     def cmd_sim_run(self, config: FlowConfig, duration_seconds: int,
                     output_dir: str | Path) -> dict:
@@ -359,6 +352,8 @@ class Gateway:
     def _simulate(config: FlowConfig, duration_seconds: int,
                   output_dir: str | Path) -> tuple[dict, list[SensorReading]]:
         """Run the simulator once: the file-tree summary and the readings."""
+        from .sim import build_network, run, write_asset_files  # only its commands load it
+
         readings = run(build_network(config), duration_seconds)
         written = write_asset_files(readings, Path(output_dir))
         per_device = Counter(f"device{r.device_index}" for r in readings)
@@ -386,6 +381,8 @@ class Gateway:
         ledger itself. Runs entirely on the simulated clock so two runs
         with one seed produce identical reports.
         """
+        from .sim import FlowConfig, device_key_seed, reading_file_path
+
         if not isinstance(self.clock, SimClock):
             self.clock = SimClock()
         config = FlowConfig(device_count=device_count,

@@ -47,6 +47,7 @@ from .store import ContentStore
 
 CHALLENGE_TTL = 300
 SESSION_TTL = 3600
+DEFAULT_MANUFACTURER_ID = "ABCDEF00001"  # the CLI's and the simulator's devices
 
 
 class AuthError(Exception):

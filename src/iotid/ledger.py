@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Iterator, Protocol
 
 from .clock import Clock, WallClock
-from .codec import canonical_json, sha256
+from .codec import canonical_json, from_canonical_json, sha256
 from .did import SEED_BYTES, Address, KeyPair, derive_address, generate_keypair, verify_signature
 from .store import ContentStore
 
@@ -434,36 +434,75 @@ def encode_transactions(transactions: list[Transaction]) -> bytes:
 # it back. A killed process leaves the file whole; a power cut may not.
 # synchronous=NORMAL would sync that copy at every close: two fsyncs per
 # command that commits.
-_SCHEMA = """
+_PRAGMAS = """
 PRAGMA journal_mode = WAL;
 PRAGMA synchronous = OFF;
-CREATE TABLE IF NOT EXISTS state (
+"""
+# The store's format, which PRAGMA user_version names: a store of any
+# other format is refused at open, and rebuilt from the journal.
+_STORE_FORMAT = 2
+# An asset/ row also holds its record's listed fields, NULL when the value
+# is no record that the asset contract writes. The listing index covers
+# every asset/ row, so one ordered read meets a row without them first.
+_ASSET_ROWS = "key >= 'asset/' AND key < 'asset0'"  # every key under KEY_ASSET
+_SCHEMA = f"""
+CREATE TABLE state (
     key TEXT PRIMARY KEY, value BLOB NOT NULL, block INTEGER NOT NULL,
-    tx INTEGER NOT NULL, owner TEXT, checksum INTEGER NOT NULL) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS state_owner ON state (owner) WHERE owner IS NOT NULL;
-CREATE TABLE IF NOT EXISTS savepoint (
+    tx INTEGER NOT NULL, owner TEXT, added_at INTEGER, asset_name TEXT,
+    checksum INTEGER NOT NULL) WITHOUT ROWID;
+CREATE INDEX state_listing ON state (added_at, key) WHERE {_ASSET_ROWS};
+CREATE INDEX state_owner ON state (owner, added_at, key) WHERE owner IS NOT NULL;
+CREATE TABLE savepoint (
     height INTEGER NOT NULL, tip_hash BLOB NOT NULL, tip_start INTEGER NOT NULL,
     checksum INTEGER NOT NULL);
+PRAGMA user_version = {_STORE_FORMAT};
 """
-_SELECT_ROWS = "SELECT key, value, block, tx, owner, checksum FROM state"
+_SELECT_ROWS = "SELECT key, value, block, tx, owner, added_at, asset_name, checksum FROM state"
 _MEMORY = ":memory:"  # SQLite's name for a store that lives in memory only
+
+INT64 = range(-2**63, 2**63)  # the integers that SQLite stores
+_DATA_ID = re.compile(r"[0-9a-f]{64}")
 
 
 def _check(key: object, value: bytes, block: object = None, tx: object = None,
-           owner: object = None) -> int:
+           owner: object = None, added_at: object = None, asset_name: object = None) -> int:
     """The check value stored in a row: crc32 over its other columns."""
-    return zlib.crc32(value, zlib.crc32(f"{key}\0{block}\0{tx}\0{owner}".encode()))
+    return zlib.crc32(value, zlib.crc32(
+        f"{key}\0{block}\0{tx}\0{owner}\0{added_at}\0{asset_name}".encode()))
 
 
-def _owner(key: str, value: bytes) -> str | None:
-    """The ``owner`` an ``asset/`` record names: the store's indexed column."""
-    if not key.startswith(KEY_ASSET):
+def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
+    """``(owner, addedAt, assetName)`` of the asset record ``value`` under ``key``.
+
+    None unless it is a record as the asset contract writes it: exactly
+    the four keys, ``dataId`` the key's 64 lower-case hex digits,
+    ``addedAt`` an integer in SQLite's range and the two names strings
+    that UTF-8 encodes. The store's listed columns hold these fields.
+    """
+    data_id = key[len(KEY_ASSET):]
+    if not (key.startswith(KEY_ASSET) and _DATA_ID.fullmatch(data_id)):
         return None
     try:
-        owner = json.loads(value)["owner"]
+        record = from_canonical_json(value)
+        owner, added_at, name = record["owner"], record["addedAt"], record["assetName"]
+        if (len(record) == 4 and record["dataId"] == data_id and type(added_at) is int
+                and added_at in INT64 and type(owner) is type(name) is str):
+            owner.encode(), name.encode()  # a lone surrogate raises
+            return owner, added_at, name
     except (KeyError, TypeError, ValueError):
-        return None
-    return owner if isinstance(owner, str) else None
+        pass
+    return None
+
+
+def asset_row(key: str, owner: str, added_at: int, asset_name: str) -> dict:
+    """What a listing shows of the asset record under ``key``."""
+    return {"addedAt": added_at, "assetName": asset_name, "dataId": key[len(KEY_ASSET):],
+            "owner": owner}
+
+
+def unlisted(key: str) -> UnsupportedFormat:
+    """The refusal of a value under ``asset/`` that is no asset record."""
+    return UnsupportedFormat(f"{key} holds no asset record in the form this program writes")
 
 
 def _store_files(path: Path) -> list[Path]:
@@ -478,11 +517,16 @@ class WorldState:
     the state as of its savepoint, and ``tip`` names the block the state
     has reached: ``(height, tip hash, tipStart)``. ``apply`` writes to
     memory only. ``get`` serves a key from memory, a remembered miss
-    included, and otherwise runs one point query. ``range`` and ``owned``
-    first ``flush``, then answer with one SQL query. Every row read from
-    the store must match its check value: a mismatch or an SQLite error
-    deletes the store and raises ``CorruptStore``, as does every later
-    read that needs it, so no answer comes from a damaged file.
+    included, and otherwise runs one point query. ``range`` and
+    ``assets`` first ``flush``, then answer with one SQL query. Every row
+    read from the store must match its check value: a mismatch or an
+    SQLite error deletes the store and raises ``CorruptStore``, as does
+    every later read that needs it, so no answer comes from a damaged file.
+
+    The flush decodes each ``asset/`` value it writes once, through
+    ``asset_fields``, and stores the record's listed fields beside it,
+    indexed in listing order, so that ``assets`` answers a listing from
+    those columns and decodes no value.
 
     A reader that keeps its own index over a prefix follows later writes
     through a feed: ``watch(prefix)`` returns a list to which every later
@@ -492,7 +536,10 @@ class WorldState:
     """
 
     def __init__(self, path: str | Path = _MEMORY):
-        """Open the store at ``path``, empty if new; sqlite3.Error if unusable."""
+        """Open the store at ``path``, empty if new.
+
+        sqlite3.Error if it is unusable, or a store of another format.
+        """
         self._data: dict[str, tuple[bytes, Version] | None] = {}
         self.tip: tuple[int, bytes, int] = (0, ZERO_HASH, 0)
         self._watchers: list[tuple[str, list[str]]] = []
@@ -501,7 +548,12 @@ class WorldState:
         self._gone: LedgerError | None = None  # why store reads now fail
         db = sqlite3.connect(path, isolation_level=None)
         try:
-            db.executescript(_SCHEMA)
+            db.executescript(_PRAGMAS)
+            (version,), = db.execute("PRAGMA user_version")
+            if version != _STORE_FORMAT:
+                if version or db.execute("SELECT 1 FROM sqlite_master").fetchall():
+                    raise sqlite3.DatabaseError(f"a store of format {version}")
+                db.executescript(_SCHEMA)
         except sqlite3.Error:
             db.close()
             raise
@@ -516,37 +568,46 @@ class WorldState:
             return self._data[key]
         except KeyError:
             rows = self._rows(" WHERE key = ?", (key,))
-            entry = self._data[key] = rows[0][1:] if rows else None
+            entry = self._data[key] = (rows[0][1], rows[0][2:4]) if rows else None
             return entry
 
     def range(self, prefix: str) -> list[tuple[str, bytes, Version]]:
         """All entries whose key starts with prefix, sorted by key."""
         self.flush()
-        return self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix)
+        return [(key, value, (block, tx)) for key, value, block, tx, *_ in
+                self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix)]
 
-    def owned(self, owner: str) -> list[tuple[str, bytes, Version]]:
-        """The ``asset/`` entries whose record names ``owner``, sorted by key.
+    def assets(self, owner: str | None = None) -> list[dict]:
+        """The listing rows of every asset record, or of ``owner``'s, by (addedAt, dataId).
 
-        The store answers through its owner index, so this reads that
-        owner's rows only.
+        One ordered read of the listed columns, through the listing index,
+        or the owner index for one owner, which reads that owner's rows
+        only. A listing of all refuses an ``asset/`` value that is no
+        record with UnsupportedFormat, rather than leave it out.
         """
         self.flush()
-        return self._rows(" WHERE owner = ? ORDER BY key", (owner,))
+        if owner is None:
+            rows = self._rows(f" INDEXED BY state_listing WHERE {_ASSET_ROWS}"
+                              " ORDER BY added_at, key")
+            if rows and rows[0][5] is None:  # the rows without fields sort first
+                raise unlisted(rows[0][0])
+        else:
+            rows = self._rows(" WHERE owner = ? ORDER BY added_at, key", (owner,))
+        return [asset_row(row[0], *row[4:7]) for row in rows]
 
-    def _rows(self, where: str, params: tuple = (),
-              prefix: str = "") -> list[tuple[str, bytes, Version]]:
-        """Checked ``(key, value, version)`` rows, up to the first key outside ``prefix``."""
+    def _rows(self, where: str, params: tuple = (), prefix: str = "") -> list[tuple]:
+        """Checked rows of every column, up to the first key outside ``prefix``."""
         if self._db is None:
             raise self._gone
         rows = []
         try:
-            for key, value, block, tx, owner, check in self._db.execute(_SELECT_ROWS + where,
-                                                                        params):
+            for row in self._db.execute(_SELECT_ROWS + where, params):
+                key, value, block, tx, owner, added_at, name, check = row
                 if not key.startswith(prefix):
                     break
-                if check != _check(key, value, block, tx, owner):
+                if check != _check(key, value, block, tx, owner, added_at, name):
                     raise ValueError(f"row {key!r} fails its check")
-                rows.append((key, value, (block, tx)))
+                rows.append(row)
         except (sqlite3.Error, AttributeError, TypeError, ValueError) as exc:
             raise self._drop(f"state store unreadable, deleted: {exc}") from exc
         return rows
@@ -595,14 +656,14 @@ class WorldState:
         data, rows = self._data, []
         for key in dict.fromkeys(self._unflushed):
             value, (block, tx) = data[key]
-            owner = _owner(key, value)
-            rows.append((key, value, block, tx, owner, _check(key, value, block, tx, owner)))
+            row = (key, value, block, tx, *(asset_fields(key, value) or (None, None, None)))
+            rows.append((*row, _check(*row)))
         self._unflushed.clear()
         height, tip_hash, tip_start = self.tip
         try:
             db.execute("BEGIN")
             if not db.execute("SELECT 1 FROM savepoint WHERE height > ?", (height,)).fetchall():
-                db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?)", rows)
+                db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?, ?, ?)", rows)
                 db.execute("DELETE FROM savepoint")
                 db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)",
                            (height, tip_hash, tip_start, _check(height, tip_hash, tip_start)))
@@ -985,7 +1046,7 @@ class LedgerEngine:
         """
         try:
             state = WorldState(self._dir / STATE_FILE)
-        except sqlite3.Error:  # unreadable, or not an SQLite file
+        except sqlite3.Error:  # unreadable, not an SQLite file, or of another format
             return None
         point = state.savepoint()
         if point is not None:

@@ -16,12 +16,12 @@ from pathlib import Path
 
 from .codec import canonical_json, canonical_number, sha256
 from .did import Did, KeyPair, generate_keypair, make_did
+from .idm import DEFAULT_MANUFACTURER_ID
 
 DEFAULT_DEVICE_COUNT = 5
 DEFAULT_INTERVAL_SECONDS = 30
 DEFAULT_VALUE_MIN = 0.0
 DEFAULT_VALUE_MAX = 100.0
-DEFAULT_MANUFACTURER_ID = "ABCDEF00001"
 
 
 def device_key_seed(seed: int, device_index: int) -> bytes:

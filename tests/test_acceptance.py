@@ -16,7 +16,6 @@ from collections import Counter
 
 import pytest
 
-from iotid.assets import AssetRecord
 from iotid.clock import SimClock
 from iotid.codec import canonical_json, sha256
 from iotid.did import generate_keypair, make_possession_proof
@@ -40,6 +39,7 @@ from iotid.ledger import (
 )
 
 from util import (
+    AssetRecord,
     Principal,
     make_engine,
     register_device,

@@ -9,19 +9,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iotid import assets as assets_module
+from iotid import ledger as ledger_module
 from iotid.assets import (
-    AssetRecord,
+    AssetContract,
     asset_key,
     query_all_assets,
     query_owned_assets,
 )
+from iotid.clock import SimClock
 from iotid.codec import canonical_json
 from iotid.did import MalformedDid, parse_did
-from iotid.idm import NotAuthenticatedError, Session
-from iotid.ledger import ContractError, WorldState
+from iotid.gateway import Gateway
+from iotid.idm import DidRecord, NotAuthenticatedError, Session, device_key, did_key
+from iotid.ledger import KEY_ASSET, ContractError, TxContext, TxProposal, WorldState
 from iotid.store import ContentHash
 
 from util import (
+    AssetRecord,
+    Principal,
     create_identity,
     register_device,
     reopen_engine,
@@ -84,10 +89,10 @@ def test_duplicate_content_rejected_with_original_id(engine, registrar,
         [str(registered.did), "first.txt", PAYLOAD.hex()]))
     assert err.code == "DuplicateAsset"
 
-    records = query_all_assets(engine.state)
-    assert len(records) == 1
-    assert records[0].owner == registered.did
-    assert records[0].asset_name == "first.txt"
+    rows = query_all_assets(engine.state)
+    assert len(rows) == 1
+    assert rows[0]["owner"] == str(registered.did)
+    assert rows[0]["assetName"] == "first.txt"
 
 
 def test_dedup_applies_only_to_committed_uploads(engine, registered):
@@ -119,6 +124,21 @@ def test_malformed_upload_arguments(engine, registered, args):
     args = [a.format(method=registered.did.method_id) for a in args]
     err = rejected(engine, registered.proposal(engine, "asset", "uploadAsset", args))
     assert err.code == "BadArguments"
+
+
+@pytest.mark.parametrize("timestamp", [2**63, -2**63 - 1])
+def test_an_upload_outside_the_int64_range_is_refused(tmp_path, engine, registered, timestamp):
+    # addedAt is the proposal's timestamp, and the store holds a signed
+    # 64-bit integer: the contract never writes what a listing refuses
+    before = state_snapshot(engine)
+    proposal = registered.proposal(engine, "asset", "uploadAsset",
+                                   [str(registered.did), "far.txt", PAYLOAD.hex()])
+    proposal.timestamp = timestamp
+    err = rejected(engine, proposal.sign(registered.keypair))
+    assert err.code == "BadArguments"
+    assert state_snapshot(engine) == before
+    assert engine.flush() is None  # nothing pending
+    assert not (tmp_path / "objects").exists()  # no content file either
 
 
 def test_upload_requires_registered_device(engine, registrar, device):
@@ -155,13 +175,13 @@ def test_query_all_orders_by_time_then_id(engine, registrar, registered,
         [str(other_device.did), "three.txt", b"payload-three".hex()]))
     engine.flush()
 
-    records = query_all_assets(engine.state)
-    assert len(records) == 3
-    assert records[0].asset_name == "one.txt"
-    assert records[0].added_at < records[1].added_at == records[2].added_at
+    rows = query_all_assets(engine.state)
+    assert len(rows) == 3
+    assert rows[0]["assetName"] == "one.txt"
+    assert rows[0]["addedAt"] < rows[1]["addedAt"] == rows[2]["addedAt"]
     tied = sorted(hashlib.sha256(p).hexdigest()
                   for p in (b"payload-two", b"payload-three"))
-    assert [r.data_id.hex for r in records[1:]] == tied
+    assert [r["dataId"] for r in rows[1:]] == tied
 
 
 def test_owned_query_requires_live_session(engine, clock, registrar, registered,
@@ -172,7 +192,7 @@ def test_owned_query_requires_live_session(engine, clock, registrar, registered,
 
     session = Session(did=registered.did, expires_at=int(clock.now()) + 60)
     owned = query_owned_assets(engine.state, session, clock.now())
-    assert [r.asset_name for r in owned] == ["mine.txt"]
+    assert [r["assetName"] for r in owned] == ["mine.txt"]
 
     with pytest.raises(NotAuthenticatedError):
         query_owned_assets(engine.state, None, clock.now())
@@ -180,17 +200,22 @@ def test_owned_query_requires_live_session(engine, clock, registrar, registered,
         query_owned_assets(engine.state, session, session.expires_at)
 
 
-def count_decodes(monkeypatch) -> list[AssetRecord]:
-    """Record every AssetRecord.from_bytes result from here on."""
+def count_decodes(monkeypatch) -> list[dict]:
+    """Record every asset value decoded from here on: the flush's and the
+    warm view's, which both go through ``ledger.asset_fields``."""
     decoded = []
-    original = AssetRecord.from_bytes
+    original = ledger_module.from_canonical_json
 
-    def counting(cls, data, *dids):
-        decoded.append(original(data, *dids))
+    def counting(data):
+        decoded.append(original(data))
         return decoded[-1]
 
-    monkeypatch.setattr(AssetRecord, "from_bytes", classmethod(counting))
+    monkeypatch.setattr(ledger_module, "from_canonical_json", counting)
     return decoded
+
+
+def names(decoded):
+    return [d["assetName"] for d in decoded]
 
 
 def test_warm_queries_decode_each_record_once(tmp_path, engine, clock, registrar,
@@ -200,29 +225,32 @@ def test_warm_queries_decode_each_record_once(tmp_path, engine, clock, registrar
     upload_payload(engine, other_device, b"two", name="two.txt")
     decoded = count_decodes(monkeypatch)
 
+    # the query's flush decodes each record once; the view reads the columns
     first = query_all_assets(engine.state)
-    assert len(decoded) == 2
+    assert sorted(names(decoded)) == ["one.txt", "two.txt"]
     decoded.clear()
     assert query_all_assets(engine.state) == first
     assert decoded == []
 
     upload_payload(engine, registered, b"three", name="three.txt")
-    records = query_all_assets(engine.state)
-    assert [r.asset_name for r in decoded] == ["three.txt"]
-    assert records == first + decoded
+    rows = query_all_assets(engine.state)
+    assert names(decoded) == ["three.txt"]
+    assert names(rows) == ["one.txt", "two.txt", "three.txt"]
+    assert rows[:2] == first
 
     session = Session(did=registered.did, expires_at=int(clock.now()) + 60)
     owned = query_owned_assets(engine.state, session, clock.now())
-    assert [r.asset_name for r in owned] == ["one.txt", "three.txt"]
-    assert [r.asset_name for r in decoded] == ["three.txt"]
+    assert names(owned) == ["one.txt", "three.txt"]
+    assert names(decoded) == ["three.txt"]
 
-    # a second engine on the same directory replays its own state and
-    # starts with nothing decoded
+    # a second engine on the same directory replays its own state from the
+    # store's savepoint, the first query's: its flush decodes only the
+    # record that replay applied, and its view reads the rest as stored
     decoded.clear()
     second = reopen_engine(tmp_path)
     try:
-        assert query_all_assets(second.state) == records
-        assert len(decoded) == 3
+        assert query_all_assets(second.state) == rows
+        assert names(decoded) == ["three.txt"]
     finally:
         second.close()
 
@@ -232,7 +260,7 @@ def test_decoded_records_do_not_outlive_their_state(registered):
                          owner=registered.did, asset_name="x.txt", added_at=1)
     state = WorldState()
     state.apply([(asset_key(record.data_id), canonical_json(record.to_dict()))], (1, 0))
-    assert query_all_assets(state) == [record]
+    assert query_all_assets(state) == [record.to_dict()]
     alive = weakref.ref(state)
     del state
     gc.collect()
@@ -255,20 +283,20 @@ def test_owned_assets_are_the_owners_rows_of_all_assets(rows):
         state.apply([(asset_key(record.data_id), canonical_json(record.to_dict()))],
                     (1, 0))
     everything = query_all_assets(state)
-    assert [(r.added_at, r.data_id) for r in everything] == \
-        sorted((r.added_at, r.data_id) for r in everything)
+    assert [(r["addedAt"], r["dataId"]) for r in everything] == \
+        sorted((r["addedAt"], r["dataId"]) for r in everything)
     for owner in _OWNERS:
         session = Session(did=owner, expires_at=10)
         assert query_owned_assets(state, session, 0) == \
-            [r for r in everything if r.owner == owner]
+            [r for r in everything if r["owner"] == str(owner)]
 
 
 def reference_queries(state):
     """Both queries the slow way: decode every record, stable-sort by addedAt."""
     records = [AssetRecord.from_bytes(value) for _, value, _ in state.range("asset/")]
     records.sort(key=lambda r: r.added_at)
-    return records, {owner: [r for r in records if r.owner == owner]
-                     for owner in _OWNERS}
+    return [r.to_dict() for r in records], \
+        {owner: [r.to_dict() for r in records if r.owner == owner] for owner in _OWNERS}
 
 
 def asset_write(payload, owner, added_at):
@@ -278,17 +306,16 @@ def asset_write(payload, owner, added_at):
 
 
 def test_a_cold_listing_parses_each_owner_once(monkeypatch):
-    # six rows of two owners: the listing of all parses each owner once and
-    # its records share the parsed DID; a cold owner query parses none
+    # six rows of two owners: the listing of all parses each owner once; a
+    # cold owner query parses none
     writes = [asset_write(bytes([n]), _OWNERS[n % 2], n) for n in range(6)]
     parsed = []
     monkeypatch.setattr(assets_module, "parse_did",
                         lambda text: parsed.append(text) or parse_did(text))
     state = WorldState()
     state.apply(writes, (1, 0))
-    records = query_all_assets(state)
+    assert len(query_all_assets(state)) == 6
     assert sorted(parsed) == [str(_OWNERS[0]), str(_OWNERS[1])]
-    assert len({id(r.owner) for r in records}) == 2
     parsed.clear()
     state = WorldState()
     state.apply(writes, (1, 0))
@@ -297,11 +324,15 @@ def test_a_cold_listing_parses_each_owner_once(monkeypatch):
     assert parsed == []
 
 
+# a record in the form the contract writes, but whose owner is no DID
+BAD_OWNER = ("asset/" + hashlib.sha256(b"bad").hexdigest(),
+             canonical_json({"addedAt": 1, "assetName": "a.txt",
+                             "dataId": hashlib.sha256(b"bad").hexdigest(), "owner": "did:x"}))
+
+
 def test_a_malformed_owner_still_fails_the_listing():
-    bad = canonical_json({"addedAt": 1, "assetName": "a.txt",
-                          "dataId": hashlib.sha256(b"bad").hexdigest(), "owner": "did:x"})
     state = WorldState()
-    state.apply([asset_write(b"good", _OWNERS[0], 0), ("asset/ff", bad)], (1, 0))
+    state.apply([asset_write(b"good", _OWNERS[0], 0), BAD_OWNER], (1, 0))
     with pytest.raises(MalformedDid):
         query_all_assets(state)
 
@@ -310,12 +341,10 @@ def test_a_malformed_owner_fails_every_warm_query():
     # the view is built on one good record; the bad one arrives through the
     # write feed beside a good one, and stays in the state as it would for
     # a cold listing, which every later query must match by failing too
-    bad = canonical_json({"addedAt": 1, "assetName": "a.txt",
-                          "dataId": hashlib.sha256(b"bad").hexdigest(), "owner": "did:x"})
     state = WorldState()
     state.apply([asset_write(b"first", _OWNERS[0], 0)], (1, 0))
     assert len(query_all_assets(state)) == 1
-    state.apply([("asset/ff", bad), asset_write(b"second", _OWNERS[1], 2)], (2, 0))
+    state.apply([BAD_OWNER, asset_write(b"second", _OWNERS[1], 2)], (2, 0))
     for _ in range(3):
         with pytest.raises(MalformedDid):
             query_all_assets(state)
@@ -373,7 +402,7 @@ def test_changing_a_returned_list_changes_no_later_result():
     for query in (lambda: query_all_assets(state),
                   lambda: query_owned_assets(state, session, 0)):
         query().append(everything[0])
-        query().sort(key=lambda r: r.data_id.digest, reverse=True)
+        query().sort(key=lambda r: r["dataId"], reverse=True)
         query().clear()
     assert query_all_assets(state) == everything
     assert query_owned_assets(state, session, 0) == owned[_OWNERS[0]]
@@ -389,3 +418,80 @@ def test_asset_record_round_trip(device):
                          owner=device.did, asset_name="device1/1.txt",
                          added_at=42)
     assert AssetRecord.from_bytes(canonical_json(record.to_dict())) == record
+
+
+_DEVICE = Principal.from_seed(1)
+# names that JSON escapes, or writes as multi-byte UTF-8
+_NAMES = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+                   st.sampled_from(['"q"', "back\\slash", "\x00", "\n\t\x1f", " ",
+                                    "ünïcødé", "名前.txt", "\U0001f600/1.txt", "\x7f"]))
+_TIMES = st.one_of(st.integers(-2**63, 2**63 - 1),
+                   st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]))
+
+
+def contract_writes(uploads) -> list[tuple[str, bytes]]:
+    """What the asset contract writes for each (payload, name, timestamp) of ``_DEVICE``."""
+    snapshot = WorldState()  # the device's identity and registration
+    record = DidRecord(did=_DEVICE.did, public_key=_DEVICE.public_key,
+                       owner=_DEVICE.address, created_at=0)
+    snapshot.apply([(did_key(_DEVICE.did), canonical_json(record.to_dict())),
+                    (device_key(_DEVICE.did), b"{}")], (1, 0))
+    writes = []
+    for payload, name, timestamp in uploads:
+        proposal = TxProposal(invoker=_DEVICE.address, invoker_key=_DEVICE.public_key,
+                              contract="asset", function="uploadAsset", args=[],
+                              nonce=bytes(32), timestamp=timestamp)
+        ctx = TxContext(snapshot, proposal)
+        AssetContract().upload_asset(ctx, str(_DEVICE.did), name, payload.hex())
+        writes += ctx.rwset().writes
+    return writes
+
+
+@given(st.lists(st.tuples(st.binary(min_size=1, max_size=4), _NAMES, _TIMES),
+                max_size=5, unique_by=lambda upload: upload[0]))
+def test_every_record_the_contract_writes_lists_as_its_full_decode(uploads):
+    writes = contract_writes(uploads)
+    assert [key for key, _ in writes] == \
+        [KEY_ASSET + hashlib.sha256(payload).hexdigest() for payload, _, _ in uploads]
+    oracle = sorted((AssetRecord.from_bytes(value).to_dict() for _, value in writes),
+                    key=lambda row: (row["addedAt"], row["dataId"]))
+    session = Session(did=_DEVICE.did, expires_at=10)
+    cold = WorldState()  # read from the store's columns
+    cold.apply(writes, (1, 0))
+    assert query_owned_assets(cold, session, 0) == oracle
+    assert query_all_assets(cold) == oracle
+    warm = WorldState()  # decoded by the view's catch-up
+    assert query_all_assets(warm) == []
+    warm.apply(writes, (1, 0))
+    assert query_all_assets(warm) == oracle
+    assert query_owned_assets(warm, session, 0) == oracle
+
+
+def test_a_flush_decodes_each_written_asset_value_once(engine, registered, monkeypatch):
+    upload_payload(engine, registered, b"one", name="1.txt")
+    upload_payload(engine, registered, b"two", name="2.txt")
+    values = [engine.state.get(asset_key(ContentHash.of(payload)))[0]
+              for payload in (b"one", b"two")]
+    decoded = count_decodes(monkeypatch)
+    engine.state.flush()
+    # the DID, device and nonce keys it wrote too are no asset records
+    assert sorted(canonical_json(d) for d in decoded) == sorted(values)
+    decoded.clear()
+    engine.state.flush()
+    assert decoded == []
+
+
+def test_cold_listings_decode_no_stored_value(tmp_path, monkeypatch):
+    gateway = Gateway(tmp_path / "ledger", tmp_path / "keys", clock=SimClock())
+    gateway.cmd_network_init()
+    gateway.cmd_device_keygen("dev1", seed=bytes([5]) * 32)
+    gateway.cmd_device_register("dev1", "ABCDEF00001")
+    gateway.cmd_device_login("dev1")
+    for n in range(3):
+        path = tmp_path / f"reading-{n}.txt"
+        path.write_bytes(f"reading {n}".encode())
+        gateway.cmd_asset_upload("dev1", str(path))
+    decoded = count_decodes(monkeypatch)
+    assert gateway.cmd_asset_list()["count"] == 3
+    assert gateway.cmd_asset_list(mine="dev1")["count"] == 3
+    assert decoded == []

@@ -8,10 +8,12 @@ fails a read must fail the command, never answer it, and the next open
 rebuilds the store from the journal.
 """
 
+import hashlib
 import json
 import shutil
 import sqlite3
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from iotid import ledger as ledger_module
 from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import main as cli_main
 from iotid.clock import SimClock
+from iotid.codec import canonical_json
 from iotid.gateway import Gateway
 from iotid.idm import Session
 from iotid.ledger import (
@@ -34,12 +37,14 @@ from iotid.ledger import (
     LedgerEngine,
     LedgerError,
     Member,
+    UnsupportedFormat,
     WorldState,
     verify_chain_file,
 )
 from iotid.store import ContentStore
 
 from util import (
+    AssetRecord,
     Principal,
     make_engine,
     register_device,
@@ -391,10 +396,13 @@ def test_a_block_cut_below_the_checkpoint_breaks_the_chain(stored):
         reopen_engine(stored)
 
 
-def flip_byte_in(path, needle):
+def flip_byte_in(path, needle, occurrence=0, count=1):
     data = path.read_bytes()
-    at = data.index(needle) + len(needle) // 2
-    assert data.count(needle) == 1
+    assert data.count(needle) == count
+    at = -1
+    for _ in range(occurrence + 1):
+        at = data.index(needle, at + 1)
+    at += len(needle) // 2
     path.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
 
 
@@ -420,6 +428,24 @@ def test_a_flipped_byte_in_a_stored_value_fails_the_read(tmp_path):
     assert store_files(tmp_path) == []
     assert observe(tmp_path) == expected  # rebuilt from the journal
     assert savepoint_height(tmp_path) == expected[0]
+
+    # an asset record's name is in its row twice, in the value and in the
+    # listed column, which a listing reads in its place
+    path = tmp_path / "assets" / STATE_FILE
+    path.parent.mkdir()
+    state = WorldState(path)
+    key, value = record_write(0, _OWNERS[0], 7)
+    state.apply([(key, value)], (1, 0))
+    state.flush()
+    state.close()
+    flip_byte_in(path, b"0.txt", occurrence=1, count=2)
+    state = WorldState(path)
+    try:
+        with pytest.raises(CorruptStore, match=key):
+            state.assets(_OWNERS[0])
+        assert not path.exists()
+    finally:
+        state.close()
 
 
 def test_a_zeroed_store_header_rebuilds_the_store(stored, reads):
@@ -459,11 +485,14 @@ def test_cli_listings_fail_on_a_damaged_row_and_then_rebuild(tmp_path):
     argv = ["--ledger-dir", str(tmp_path / "ledger"),
             "--keystore-dir", str(tmp_path / "keystore"), "--machine"]
     assert cli_main([*argv, "device-login", "dev1"]) == 0
-    flip_byte_in(store_of(tmp_path), b"reading-1.txt")
-    assert cli_main([*argv, "asset-list", "--mine", "dev1"]) == 1
-    assert store_files(tmp_path) == []
-    assert gw.cmd_asset_list(mine="dev1")["count"] == 3
-    assert gw.cmd_asset_list()["count"] == 3
+    # the asset name is in the row twice: in the stored value, then in the
+    # listed column that the listings read instead of the value
+    for occurrence, listing in [(0, ["--mine", "dev1"]), (1, ["--mine", "dev1"]), (1, [])]:
+        flip_byte_in(store_of(tmp_path), b"reading-1.txt", occurrence, count=2)
+        assert cli_main([*argv, "asset-list", *listing]) == 1
+        assert store_files(tmp_path) == []
+        assert gw.cmd_asset_list(mine="dev1")["count"] == 3
+        assert gw.cmd_asset_list()["count"] == 3
 
 
 _histories = st.lists(st.one_of(
@@ -592,9 +621,76 @@ def test_a_cold_owner_query_reads_only_the_owners_rows(tmp_path, monkeypatch):
     try:
         session = Session(did=devices[1].did, expires_at=2**40)
         assert len(query_owned_assets(engine.state, session, 0)) == 2
-        assert [key for key, _, _ in rows] == \
-            [f"asset/{r.data_id.hex}" for r in query_owned_assets(engine.state, session, 0)]
+        assert [row[0] for row in rows] == \
+            ["asset/" + r["dataId"] for r in query_owned_assets(engine.state, session, 0)]
         assert engine.state not in assets_module._views  # and it built no view
+    finally:
+        engine.close()
+
+
+# the store as the format before the listed columns wrote it: no columns
+# for an asset record's fields, no format number, and each check over the
+# columns it had
+PARENT_SCHEMA = """
+CREATE TABLE state (
+    key TEXT PRIMARY KEY, value BLOB NOT NULL, block INTEGER NOT NULL,
+    tx INTEGER NOT NULL, owner TEXT, checksum INTEGER NOT NULL) WITHOUT ROWID;
+CREATE INDEX state_owner ON state (owner) WHERE owner IS NOT NULL;
+CREATE TABLE savepoint (
+    height INTEGER NOT NULL, tip_hash BLOB NOT NULL, tip_start INTEGER NOT NULL,
+    checksum INTEGER NOT NULL);
+"""
+
+
+def parent_check(key, value, block=None, tx=None, owner=None):
+    return zlib.crc32(value, zlib.crc32(f"{key}\0{block}\0{tx}\0{owner}".encode()))
+
+
+def to_parent_format(store):
+    rows = run_sql(store, "SELECT key, value, block, tx, owner FROM state")
+    point = run_sql(store, "SELECT height, tip_hash, tip_start FROM savepoint")[0]
+    for name in STORE_FILES:
+        store.with_name(name).unlink(missing_ok=True)
+    db = sqlite3.connect(store)
+    db.executescript(PARENT_SCHEMA)
+    db.executemany("INSERT INTO state VALUES (?, ?, ?, ?, ?, ?)",
+                   [(*row, parent_check(*row)) for row in rows])
+    db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)", (*point, parent_check(*point)))
+    db.commit()
+    db.close()
+
+
+@pytest.mark.parametrize("change", [
+    to_parent_format,
+    lambda store: run_sql(store, "PRAGMA user_version = 99"),  # a later format
+], ids=["parent", "later"])
+def test_a_store_of_another_format_is_rebuilt_at_open(tmp_path, reads, change):
+    genesis = GenesisConfig(peers=[Member("peer1", bytes(32))],
+                            registrars=[Member("registrar", bytes([1]) * 32)])
+    devices = [Principal.from_seed(21), Principal.from_seed(22)]
+    engine = make_engine(tmp_path, genesis=genesis)
+    registrar = registrar_principal(engine)
+    for device in devices:
+        register_device(engine, registrar, device)
+    for n in range(3):
+        upload_round(engine, devices, n)
+    height = engine.height
+    engine.close()
+    change(store_of(tmp_path))
+    reads.clear()
+    engine = reopen_engine(tmp_path)
+    try:
+        assert reads.decoded == list(range(height))  # a full replay
+        assert len(asset_queries(engine, devices)[0]) == 6
+    finally:
+        engine.close()
+    assert run_sql(store_of(tmp_path), "PRAGMA user_version") == [(ledger_module._STORE_FORMAT,)]
+    assert savepoint_height(tmp_path) == height
+    reads.clear()
+    engine = reopen_engine(tmp_path)
+    try:
+        assert reads.decoded == [0]  # the rebuilt store is taken
+        assert len(asset_queries(engine, devices)[0]) == 6
     finally:
         engine.close()
 
@@ -603,14 +699,44 @@ _keys = st.builds(lambda p, s: p + s, st.sampled_from(["a/", "ab/", "asset/", "b
                   st.text("ab/x", max_size=3))
 _values = st.one_of(st.binary(min_size=1, max_size=2),
                     st.sampled_from([b'{"owner":"o1"}', b'{"owner":"o2"}']))
+
+
+_OWNERS = ["did:iotid:o1", "did:iotid:o2"]
+
+
+def record_write(n, owner, added_at):
+    """An asset record under the key of data id ``n``: one of few keys, so
+    that records get rewritten with another owner and addedAt."""
+    data_id = hashlib.sha256(bytes([n])).hexdigest()
+    return "asset/" + data_id, canonical_json({"addedAt": added_at, "assetName": f"{n}.txt",
+                                               "dataId": data_id, "owner": owner})
+
+
+_writes = st.one_of(st.tuples(_keys, _values),
+                    st.builds(record_write, st.integers(0, 3), st.sampled_from(_OWNERS),
+                              st.integers(0, 2)))
 _steps = st.lists(st.one_of(
-    st.tuples(st.just("apply"), st.lists(st.tuples(_keys, _values), min_size=1, max_size=4)),
+    st.tuples(st.just("apply"), st.lists(_writes, min_size=1, max_size=4)),
     st.tuples(st.just("flush"), st.none()),
     st.tuples(st.just("reopen"), st.none()),
     st.tuples(st.just("get"), _keys),
     st.tuples(st.just("range"), st.sampled_from(["", "a", "a/", "asset/", "b/", "z"])),
-    st.tuples(st.just("owned"), st.sampled_from(["o1", "o2"])),
+    st.tuples(st.just("assets"), st.sampled_from([None, *_OWNERS])),
 ), max_size=30)
+
+
+def listed(model, owner):
+    """The model's listing rows, the slow way; None if a listing of all is refused."""
+    rows = []
+    for key, (value, _) in model.items():
+        if key.startswith("asset/"):
+            if len(key) != 70:  # a value of _values, under a key of _keys
+                if owner is None:
+                    return None
+                continue
+            rows.append(AssetRecord.from_bytes(value).to_dict())
+    return sorted((row for row in rows if owner in (None, row["owner"])),
+                  key=lambda row: (row["addedAt"], row["dataId"]))
 
 
 @given(_steps)
@@ -640,9 +766,12 @@ def test_a_stored_state_reads_like_a_plain_dict(steps):
                                                 if k.startswith(arg)]
                     flushed = dict(model)
                 else:
-                    owner = b'{"owner":"%s"}' % arg.encode()
-                    assert state.owned(arg) == [(k, *v) for k, v in sorted(model.items())
-                                                if k.startswith("asset/") and v[0] == owner]
+                    expected = listed(model, arg)
+                    if expected is None:
+                        with pytest.raises(UnsupportedFormat):
+                            state.assets(arg)
+                    else:
+                        assert state.assets(arg) == expected
                     flushed = dict(model)
             assert state.items() == sorted(model.items())
             assert len(state) == len(model)

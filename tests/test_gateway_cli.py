@@ -17,7 +17,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from iotid.cli import main
+from iotid.assets import query_all_assets
+from iotid.cli import build_parser, main
 from iotid.clock import SimClock
 from iotid.codec import canonical_json
 from iotid.gateway import Gateway, GatewayError, Keystore, default_contracts
@@ -37,6 +38,7 @@ from iotid.ledger import (
     UnsupportedFormat,
 )
 from iotid.did import parse_did
+from iotid.sim import FlowConfig
 from iotid.store import ContentHash, ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
@@ -536,6 +538,30 @@ def test_scenario_journal_is_golden(tmp_path):
     scenario_journal(tmp_path)
 
 
+# the listings of the default scenario's ledger, fixed so that a change to
+# how queries read the store proves it leaves every printed byte unchanged
+LISTING_SHA256 = {
+    "machine": "2913375a8bc78c22a718059ab79cd75cafa161b81d71dffb1e083b9d9a492fb5",
+    "mine": "4fd8fe2406f193cfd4ba8beccec49e6dc1ca1b49746d2e754e915c3cfeb7f255",
+    "table": "94acb526a75faa240f5a6b74cc3bc86ebd93c6d7385f6563e0993279d39e6cb5",
+}
+
+
+def test_the_scenario_listings_are_golden(capsys, tmp_path):
+    scenario_journal(tmp_path)
+    base = ["--ledger-dir", str(tmp_path / "ledger"), "--keystore-dir", str(tmp_path / "keys")]
+    # the scenario's sessions lived on its simulated clock: log in on the wall clock
+    assert main([*base, "device-login", "device3"]) == 0
+    capsys.readouterr()
+    digests = {}
+    for name, argv in (("machine", ["--machine", "asset-list"]),
+                       ("mine", ["--machine", "asset-list", "--mine", "device3"]),
+                       ("table", ["asset-list"])):
+        assert main([*base, *argv]) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == LISTING_SHA256
+
+
 def read_blocks(ledger: Path) -> list[Block]:
     with LedgerEngine.open(ledger, ContentStore(ledger / "objects"), {}) as engine:
         return engine.read_blocks()
@@ -964,6 +990,53 @@ def test_a_doc_hash_record_is_refused_by_name(capsys, ready, tmp_path):
     assert invoke(capsys, ready, "chain-verify").data["ok"] is True
 
 
+class RawWriteContract:
+    """Commits one value under one key: a write no gateway contract makes."""
+
+    name = "raw"
+
+    def invoke(self, ctx, function, args):
+        ctx.put(args[0], bytes.fromhex(args[1]))
+
+
+RAW_ID = hashlib.sha256(b"raw").hexdigest()
+
+
+@pytest.mark.parametrize("record", [
+    {"addedAt": 1, "assetName": "x"},
+    {"addedAt": 2**63, "assetName": "x", "dataId": RAW_ID, "owner": DID_01},
+    {"addedAt": -2**63 - 1, "assetName": "x", "dataId": RAW_ID, "owner": DID_01},
+    {"addedAt": 1.5, "assetName": "x", "dataId": RAW_ID, "owner": DID_01},
+    {"addedAt": 1, "assetName": "x", "dataId": RAW_ID, "owner": DID_01, "extra": 0},
+], ids=["no-owner", "above-int64", "below-int64", "float-time", "fifth-key"])
+def test_an_asset_value_the_contract_cannot_write_is_refused_by_name(capsys, ready, record):
+    # a committed asset/ value outside the contract's form fails a listing
+    # of all with one machine line, on a warm engine and a cold one alike,
+    # and never with a traceback or an overflow in the store's flush
+    ledger_dir = Path(ready["ledger"])
+    key = KEY_ASSET + RAW_ID
+    engine = LedgerEngine.open(ledger_dir, ContentStore(ledger_dir / "objects"),
+                               {**default_contracts(), "raw": RawWriteContract()})
+    try:
+        assert query_all_assets(engine.state) == []  # the view, built before the value
+        writer = Principal(keypair=seeded_keypair(9))
+        engine.submit(writer.proposal(engine, "raw", "put",
+                                      [key, canonical_json(record).hex()]))
+        engine.flush()
+        with pytest.raises(UnsupportedFormat) as warm:
+            query_all_assets(engine.state)
+    finally:
+        engine.close()
+    assert invoke(capsys, ready, "chain-verify").data["ok"] is True
+    result = invoke(capsys, ready, "asset-list")
+    assert (result.code, result.data["error"]) == (1, "UnsupportedFormat")
+    assert result.out == canonical_json(result.data).decode() + "\n"
+    assert result.data["message"] == str(warm.value)
+    assert key in result.data["message"]
+    # the owner's listing reads the owner's rows only
+    assert invoke(capsys, ready, "asset-list", "--mine", "dev1").data["count"] == 0
+
+
 def test_a_journal_alone_is_enough_to_log_in_and_upload(capsys, ready, tmp_path):
     # DID documents are built from the chain's records, so a ledger copied
     # without objects/ serves logins and uploads
@@ -1026,12 +1099,21 @@ def test_a_scenario_shorter_than_one_interval_is_refused(capsys, env, duration):
 
 def test_the_cli_loads_no_key_serialization():
     # keys are raw bytes throughout, so a one-shot command imports none of
-    # cryptography's PEM, DER and SSH encoders
+    # cryptography's PEM, DER and SSH encoders; and only the simulator's
+    # commands, sim-run and scenario, import the simulator
     src = str(Path(did_module.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys, iotid.cli; "
-              "print('cryptography.hazmat.primitives.serialization' in sys.modules)")
+              "print('cryptography.hazmat.primitives.serialization' in sys.modules, "
+              "'iotid.sim' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout == "False\n"
+    assert run.stdout == "False False\n"
+
+
+def test_the_manufacturer_id_defaults_stay_the_simulators():
+    parser = build_parser()
+    for argv in (["device-register", "dev1"], ["sim-run"]):
+        assert parser.parse_args(argv).manufacturer_id == FlowConfig().manufacturer_id \
+            == "ABCDEF00001"

@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Iterator
 
 from iotid.clock import Clock, SimClock
+from iotid.codec import from_canonical_json
 from iotid.did import (
     Address,
     Did,
@@ -18,6 +19,7 @@ from iotid.did import (
     generate_keypair,
     make_did,
     make_possession_proof,
+    parse_did,
 )
 from iotid.gateway import default_contracts
 from iotid.ledger import (
@@ -28,9 +30,34 @@ from iotid.ledger import (
     TxContext,
     TxProposal,
 )
-from iotid.store import ContentStore
+from iotid.store import ContentHash, ContentStore
 
 MANUFACTURER = "ABCDEF00001"
+
+
+@dataclass(frozen=True)
+class AssetRecord:
+    """An ``asset/<dataId hex>`` record decoded the slow way: the oracle
+    that the store's listing rows are checked against."""
+
+    data_id: ContentHash
+    owner: Did
+    asset_name: str
+    added_at: int
+
+    def to_dict(self) -> dict:
+        return {
+            "addedAt": self.added_at,
+            "assetName": self.asset_name,
+            "dataId": self.data_id.hex,
+            "owner": str(self.owner),
+        }
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "AssetRecord":
+        d = from_canonical_json(data)
+        return cls(data_id=ContentHash.from_hex(d["dataId"]), owner=parse_did(d["owner"]),
+                   asset_name=d["assetName"], added_at=int(d["addedAt"]))
 
 
 def seeded_keypair(n: int) -> KeyPair:
