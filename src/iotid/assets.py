@@ -35,7 +35,6 @@ from .idm import (
     session_is_valid,
 )
 from .ledger import (
-    INT64,
     KEY_ASSET,
     ContractError,
     TxContext,
@@ -72,9 +71,16 @@ class AssetContract:
             payload = bytes.fromhex(payload_hex)
         except ValueError as exc:
             raise ContractError("BadArguments", str(exc)) from exc
-        if ctx.timestamp not in INT64:  # the record's addedAt, which the store holds
+        data_id = ContentHash.of(payload)
+        key = asset_key(data_id)
+        # the record holds the timestamp as addedAt; the contract writes
+        # only a value whose every field a listing can read back
+        value = canonical_json(asset_row(key, str(did), ctx.timestamp, asset_name))
+        if asset_fields(key, value) is None:
             raise ContractError("BadArguments",
-                                f"timestamp {ctx.timestamp} is outside the signed 64-bit range")
+                                f"no listing holds asset name {asset_name!r} at timestamp "
+                                f"{ctx.timestamp}: a name must be UTF-8 text, a timestamp "
+                                "a signed 64-bit integer")
         if not payload:
             raise ContractError("EmptyPayload", "payload must not be empty")
 
@@ -89,15 +95,13 @@ class AssetContract:
             raise ContractError("NotAuthenticated",
                                 f"proposal not signed by device key of {did}")
 
-        data_id = ContentHash.of(payload)
-        key = asset_key(data_id)
         if ctx.get(key) is not None:
             raise ContractError("DuplicateAsset",
                                 f"content already uploaded: {data_id.hex}",
                                 details={"dataId": data_id.hex})
 
         ctx.content.append(payload)
-        ctx.put(key, canonical_json(asset_row(key, str(did), ctx.timestamp, asset_name)))
+        ctx.put(key, value)
 
 
 # -- read-side queries --------------------------------------------------------
@@ -118,9 +122,11 @@ class _AssetView:
     state's write feed collected since the last query: it decodes each new
     or rewritten record once, through ``asset_fields``, and bisects its
     row into the full list and its owner's, and a rewritten key's old row
-    leaves both. The feed is cleared only once every key is folded in, so
-    a value that fails to decode fails every later query, as it fails
-    every cold listing. The view holds no reference to its state.
+    leaves both. A value that is no record, as ``asset_fields`` reads it,
+    has no row: its key waits in ``unlisted`` and fails every later query
+    for all assets, while an owner query leaves it out, as the store's
+    cold reads do. An owner that fails to parse keeps the feed, so it
+    fails every later query. The view holds no reference to its state.
     """
 
     def __init__(self, state: WorldState):
@@ -132,22 +138,24 @@ class _AssetView:
             parse_did(owner)
         # key -> its current row
         self._by_key = {KEY_ASSET + row["dataId"]: row for row in self.by_time}
+        self.unlisted: set[str] = set()  # keys whose value is no record
         # watched once the build has succeeded, so a failed one leaves no feed
         self._feed = state.watch(KEY_ASSET)
 
     def catch_up(self, state: WorldState) -> None:
         for key in dict.fromkeys(self._feed):  # a key written twice is read once
             fields = asset_fields(key, state.get(key)[0])
-            if fields is None:
-                raise unlisted(key)
-            if fields[0] not in self.by_owner:
+            if fields is not None and fields[0] not in self.by_owner:
                 parse_did(fields[0])
-            row = asset_row(key, *fields)
-            old = self._by_key.get(key)
+            old = self._by_key.pop(key, None)
             if old is not None:
                 for rows in (self.by_time, self.by_owner[old["owner"]]):
                     del rows[bisect_left(rows, _order(old), key=_order)]
-            self._by_key[key] = row
+            self.unlisted.discard(key)
+            if fields is None:
+                self.unlisted.add(key)
+                continue
+            row = self._by_key[key] = asset_row(key, *fields)
             for rows in (self.by_time, self.by_owner.setdefault(row["owner"], [])):
                 insort(rows, row, key=_order)
         self._feed.clear()
@@ -162,13 +170,16 @@ def query_all_assets(state: WorldState) -> list[dict]:
     """Every committed asset's listing row, ordered by (addedAt, dataId).
 
     The list is the caller's; its rows are shared with later results, so
-    a caller changes none.
+    a caller changes none. UnsupportedFormat names a value under
+    ``asset/`` that is no record, rather than leave it out.
     """
     view = _views.get(state)
     if view is None:
         view = _views[state] = _AssetView(state)
     else:
         view.catch_up(state)
+        if view.unlisted:  # named as the store's ordered read names it
+            raise unlisted(min(view.unlisted))
     return view.by_time.copy()
 
 
@@ -179,7 +190,9 @@ def query_owned_assets(state: WorldState, session: Session | None,
     Same order and sharing as ``query_all_assets``. The read costs only
     the caller's rows: on a state with no view, the owner's rows through
     the store's owner index, looked up by the session DID's text, so
-    nothing is parsed; otherwise a copy of the owner's list.
+    nothing is parsed; otherwise a copy of the owner's list. A value
+    under ``asset/`` that is no record names no owner, so it is in no
+    owner's listing.
     """
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")

@@ -460,7 +460,7 @@ PRAGMA user_version = {_STORE_FORMAT};
 _SELECT_ROWS = "SELECT key, value, block, tx, owner, added_at, asset_name, checksum FROM state"
 _MEMORY = ":memory:"  # SQLite's name for a store that lives in memory only
 
-INT64 = range(-2**63, 2**63)  # the integers that SQLite stores
+_INT64 = range(-2**63, 2**63)  # the integers that SQLite stores
 _DATA_ID = re.compile(r"[0-9a-f]{64}")
 
 
@@ -486,7 +486,7 @@ def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
         record = from_canonical_json(value)
         owner, added_at, name = record["owner"], record["addedAt"], record["assetName"]
         if (len(record) == 4 and record["dataId"] == data_id and type(added_at) is int
-                and added_at in INT64 and type(owner) is type(name) is str):
+                and added_at in _INT64 and type(owner) is type(name) is str):
             owner.encode(), name.encode()  # a lone surrogate raises
             return owner, added_at, name
     except (KeyError, TypeError, ValueError):
@@ -583,7 +583,8 @@ class WorldState:
         One ordered read of the listed columns, through the listing index,
         or the owner index for one owner, which reads that owner's rows
         only. A listing of all refuses an ``asset/`` value that is no
-        record with UnsupportedFormat, rather than leave it out.
+        record with UnsupportedFormat, rather than leave it out; such a
+        row has no owner, so no owner's listing holds it.
         """
         self.flush()
         if owner is None:

@@ -21,7 +21,14 @@ from iotid.codec import canonical_json
 from iotid.did import MalformedDid, parse_did
 from iotid.gateway import Gateway
 from iotid.idm import DidRecord, NotAuthenticatedError, Session, device_key, did_key
-from iotid.ledger import KEY_ASSET, ContractError, TxContext, TxProposal, WorldState
+from iotid.ledger import (
+    KEY_ASSET,
+    ContractError,
+    TxContext,
+    TxProposal,
+    UnsupportedFormat,
+    WorldState,
+)
 from iotid.store import ContentHash
 
 from util import (
@@ -126,14 +133,19 @@ def test_malformed_upload_arguments(engine, registered, args):
     assert err.code == "BadArguments"
 
 
-@pytest.mark.parametrize("timestamp", [2**63, -2**63 - 1])
-def test_an_upload_outside_the_int64_range_is_refused(tmp_path, engine, registered, timestamp):
+@pytest.mark.parametrize(("timestamp", "name"), [
+    (2**63, "far.txt"), (-2**63 - 1, "far.txt"), (None, "\udcff.txt"), (None, "a\ud800")])
+def test_an_upload_the_listing_cannot_read_is_refused(tmp_path, engine, registered,
+                                                      timestamp, name):
     # addedAt is the proposal's timestamp, and the store holds a signed
-    # 64-bit integer: the contract never writes what a listing refuses
+    # 64-bit integer and UTF-8 text: the contract never writes what a
+    # listing refuses. A lone surrogate is how a file name's non-UTF-8
+    # byte reaches Python
     before = state_snapshot(engine)
     proposal = registered.proposal(engine, "asset", "uploadAsset",
-                                   [str(registered.did), "far.txt", PAYLOAD.hex()])
-    proposal.timestamp = timestamp
+                                   [str(registered.did), name, PAYLOAD.hex()])
+    if timestamp is not None:
+        proposal.timestamp = timestamp
     err = rejected(engine, proposal.sign(registered.keypair))
     assert err.code == "BadArguments"
     assert state_snapshot(engine) == before
@@ -233,6 +245,9 @@ def test_warm_queries_decode_each_record_once(tmp_path, engine, clock, registrar
     assert decoded == []
 
     upload_payload(engine, registered, b"three", name="three.txt")
+    # each endorsement's execution checks the value the contract writes
+    assert set(names(decoded)) == {"three.txt"}
+    decoded.clear()
     rows = query_all_assets(engine.state)
     assert names(decoded) == ["three.txt"]
     assert names(rows) == ["one.txt", "two.txt", "three.txt"]
@@ -291,12 +306,30 @@ def test_owned_assets_are_the_owners_rows_of_all_assets(rows):
             [r for r in everything if r["owner"] == str(owner)]
 
 
+# a value under an asset key that is no record: it names no owner
+NOT_A_RECORD = b'{"addedAt":1}'
+
+
 def reference_queries(state):
-    """Both queries the slow way: decode every record, stable-sort by addedAt."""
-    records = [AssetRecord.from_bytes(value) for _, value, _ in state.range("asset/")]
+    """Both queries the slow way: decode every record, stable-sort by addedAt.
+
+    The listing of all is the first key that holds no record, if one does.
+    """
+    entries = state.range("asset/")
+    records = [AssetRecord.from_bytes(value) for _, value, _ in entries
+               if value != NOT_A_RECORD]
     records.sort(key=lambda r: r.added_at)
-    return [r.to_dict() for r in records], \
+    unlisted = [key for key, value, _ in entries if value == NOT_A_RECORD]
+    return unlisted[0] if unlisted else [r.to_dict() for r in records], \
         {owner: [r.to_dict() for r in records if r.owner == owner] for owner in _OWNERS}
+
+
+def assert_lists_all(state, everything):
+    if isinstance(everything, str):  # the key named in the refusal
+        with pytest.raises(UnsupportedFormat, match=everything):
+            query_all_assets(state)
+    else:
+        assert query_all_assets(state) == everything
 
 
 def asset_write(payload, owner, added_at):
@@ -355,10 +388,13 @@ def test_a_malformed_owner_fails_every_warm_query():
 
 
 # one write: an asset record (a pool of 6 payloads, so keys get rewritten
-# with another owner and addedAt) or a key outside the asset/ prefix
+# with another owner and addedAt), a value that is no record under one of
+# those keys, or a key outside the asset/ prefix
+_payloads = st.integers(0, 5).map(lambda n: bytes([n]))
 _writes = st.one_of(
-    st.builds(asset_write, st.integers(0, 5).map(lambda n: bytes([n])),
-              st.sampled_from(_OWNERS), st.integers(0, 3)),
+    st.builds(asset_write, _payloads, st.sampled_from(_OWNERS), st.integers(0, 3)),
+    st.builds(lambda payload: (asset_write(payload, _OWNERS[0], 0)[0], NOT_A_RECORD),
+              _payloads),
     st.tuples(st.sampled_from(["assets", "asset", "did/x", "nonce/a/1", "zzz"]),
               st.binary(max_size=3)),
 )
@@ -380,14 +416,14 @@ def test_queries_equal_a_full_decode_after_every_step(steps, data):
         # state with no view, between applies, and must build none
         full = data.draw(st.sampled_from(["before", "after", "skip"]))
         if full == "before":
-            assert query_all_assets(state) == everything
+            assert_lists_all(state, everything)
         viewed = state in assets_module._views
         for owner in data.draw(st.lists(st.sampled_from(_OWNERS), unique=True)):
             session = Session(did=owner, expires_at=10)
             assert query_owned_assets(state, session, 0) == owned[owner]
         assert (state in assets_module._views) == viewed
         if full == "after":
-            assert query_all_assets(state) == everything
+            assert_lists_all(state, everything)
     for owner in _OWNERS:
         assert query_owned_assets(state, Session(did=owner, expires_at=10), 0) == \
             owned[owner]
@@ -421,16 +457,30 @@ def test_asset_record_round_trip(device):
 
 
 _DEVICE = Principal.from_seed(1)
-# names that JSON escapes, or writes as multi-byte UTF-8
-_NAMES = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+# names that JSON escapes, or writes as multi-byte UTF-8, and lone
+# surrogates, which no UTF-8 encodes: how a file name's non-UTF-8 byte
+# reaches Python from argv
+_NAMES = st.one_of(st.text(st.characters(exclude_categories=()), max_size=12),
                    st.sampled_from(['"q"', "back\\slash", "\x00", "\n\t\x1f", " ",
-                                    "ünïcødé", "名前.txt", "\U0001f600/1.txt", "\x7f"]))
-_TIMES = st.one_of(st.integers(-2**63, 2**63 - 1),
-                   st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]))
+                                    "ünïcødé", "名前.txt", "\U0001f600/1.txt", "\x7f",
+                                    "\udcff.txt", "\ud83d"]))
+_TIMES = st.one_of(st.integers(-2**63 - 2, 2**63 + 1),
+                   st.sampled_from([-2**63 - 1, -2**63, -2**63 + 1,
+                                    2**63 - 2, 2**63 - 1, 2**63]))
+
+
+def listable(name: str, timestamp: int) -> bool:
+    """Whether a listing can read back an upload's record, judged by hand."""
+    try:
+        name.encode()
+    except UnicodeEncodeError:
+        return False
+    return -2**63 <= timestamp < 2**63
 
 
 def contract_writes(uploads) -> list[tuple[str, bytes]]:
-    """What the asset contract writes for each (payload, name, timestamp) of ``_DEVICE``."""
+    """What the asset contract writes for each (payload, name, timestamp) of
+    ``_DEVICE``; it refuses with BadArguments just the uploads it could not list."""
     snapshot = WorldState()  # the device's identity and registration
     record = DidRecord(did=_DEVICE.did, public_key=_DEVICE.public_key,
                        owner=_DEVICE.address, created_at=0)
@@ -442,6 +492,11 @@ def contract_writes(uploads) -> list[tuple[str, bytes]]:
                               contract="asset", function="uploadAsset", args=[],
                               nonce=bytes(32), timestamp=timestamp)
         ctx = TxContext(snapshot, proposal)
+        if not listable(name, timestamp):
+            with pytest.raises(ContractError) as err:
+                AssetContract().upload_asset(ctx, str(_DEVICE.did), name, payload.hex())
+            assert err.value.code == "BadArguments"
+            continue
         AssetContract().upload_asset(ctx, str(_DEVICE.did), name, payload.hex())
         writes += ctx.rwset().writes
     return writes
@@ -452,7 +507,8 @@ def contract_writes(uploads) -> list[tuple[str, bytes]]:
 def test_every_record_the_contract_writes_lists_as_its_full_decode(uploads):
     writes = contract_writes(uploads)
     assert [key for key, _ in writes] == \
-        [KEY_ASSET + hashlib.sha256(payload).hexdigest() for payload, _, _ in uploads]
+        [KEY_ASSET + hashlib.sha256(payload).hexdigest()
+         for payload, name, timestamp in uploads if listable(name, timestamp)]
     oracle = sorted((AssetRecord.from_bytes(value).to_dict() for _, value in writes),
                     key=lambda row: (row["addedAt"], row["dataId"]))
     session = Session(did=_DEVICE.did, expires_at=10)

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from iotid.assets import query_all_assets
+from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import build_parser, main
 from iotid.clock import SimClock
 from iotid.codec import canonical_json
@@ -289,6 +289,30 @@ def test_upload_and_dedup(capsys, env, ready, tmp_path):
     assert duplicate.data["error"] == "DuplicateAsset"
     assert duplicate.data["details"]["dataId"] == \
         hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize("by", ["file-name", "asset-name"])
+def test_an_upload_named_in_bytes_that_are_not_utf8_is_refused(capsys, ready, tmp_path, by):
+    # POSIX hands Python an argv byte that is not UTF-8 as a lone surrogate:
+    # the contract refuses the record rather than write one no listing reads
+    first = tmp_path / "first.txt"
+    first.write_bytes(b"first")
+    assert invoke(capsys, ready, "asset-upload", "dev1", str(first)).code == 0
+    ledger_dir = Path(ready["ledger"])
+    journal = (ledger_dir / BLOCKS_FILE).read_bytes()
+    objects = sorted(p.name for p in (ledger_dir / "objects").iterdir())
+    source = tmp_path / (os.fsdecode(b"\xff.txt") if by == "file-name" else "second.txt")
+    source.write_bytes(b"second")
+    rename = ["--asset-name", os.fsdecode(b"r\xe9ading")] if by == "asset-name" else []
+    result = invoke(capsys, ready, "asset-upload", "dev1", str(source), *rename)
+    assert (result.code, result.data["error"]) == (1, "BadArguments")
+    assert result.out == canonical_json(result.data).decode() + "\n"
+    assert (ledger_dir / BLOCKS_FILE).read_bytes() == journal
+    assert sorted(p.name for p in (ledger_dir / "objects").iterdir()) == objects
+    listing = invoke(capsys, ready, "asset-list")
+    assert (listing.code, [row["assetName"] for row in listing.data["assets"]]) == \
+        (0, ["first.txt"])
+    assert invoke(capsys, ready, "asset-list", "--mine", "dev1").data["count"] == 1
 
 
 def test_upload_receipt_never_rereads_the_journal(capsys, env, ready,
@@ -1008,7 +1032,8 @@ RAW_ID = hashlib.sha256(b"raw").hexdigest()
     {"addedAt": -2**63 - 1, "assetName": "x", "dataId": RAW_ID, "owner": DID_01},
     {"addedAt": 1.5, "assetName": "x", "dataId": RAW_ID, "owner": DID_01},
     {"addedAt": 1, "assetName": "x", "dataId": RAW_ID, "owner": DID_01, "extra": 0},
-], ids=["no-owner", "above-int64", "below-int64", "float-time", "fifth-key"])
+    {"addedAt": 1, "assetName": "\udcff", "dataId": RAW_ID, "owner": DID_01},
+], ids=["no-owner", "above-int64", "below-int64", "float-time", "fifth-key", "not-utf8"])
 def test_an_asset_value_the_contract_cannot_write_is_refused_by_name(capsys, ready, record):
     # a committed asset/ value outside the contract's form fails a listing
     # of all with one machine line, on a warm engine and a cold one alike,
@@ -1024,6 +1049,12 @@ def test_an_asset_value_the_contract_cannot_write_is_refused_by_name(capsys, rea
                                       [key, canonical_json(record).hex()]))
         engine.flush()
         with pytest.raises(UnsupportedFormat) as warm:
+            query_all_assets(engine.state)
+        # the value names no owner, so the owner's warm listing leaves it
+        # out, as a cold one does below
+        session = Session(did=parse_did(DID_01), expires_at=10)
+        assert query_owned_assets(engine.state, session, 0) == []
+        with pytest.raises(UnsupportedFormat):  # and the next listing of all fails too
             query_all_assets(engine.state)
     finally:
         engine.close()
