@@ -42,6 +42,7 @@ from .ledger import (
     WorldState,
     asset_fields,
     asset_row,
+    listable,
     unlisted,
 )
 from .store import ContentHash
@@ -74,9 +75,9 @@ class AssetContract:
         data_id = ContentHash.of(payload)
         key = asset_key(data_id)
         # the record holds the timestamp as addedAt; the contract writes
-        # only a value whose every field a listing can read back
-        value = canonical_json(asset_row(key, str(did), ctx.timestamp, asset_name))
-        if asset_fields(key, value) is None:
+        # only a record whose every field a listing can read back
+        fields = str(did), ctx.timestamp, asset_name
+        if not listable(*fields):
             raise ContractError("BadArguments",
                                 f"no listing holds asset name {asset_name!r} at timestamp "
                                 f"{ctx.timestamp}: a name must be UTF-8 text, a timestamp "
@@ -101,7 +102,7 @@ class AssetContract:
                                 details={"dataId": data_id.hex})
 
         ctx.content.append(payload)
-        ctx.put(key, value)
+        ctx.put(key, canonical_json(asset_row(key, *fields)))
 
 
 # -- read-side queries --------------------------------------------------------

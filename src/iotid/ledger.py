@@ -12,7 +12,10 @@ in-process:
    as the policy needs, the first ``threshold`` of the roster in roster
    order. Each executes the proposal once and signs the txId of its own
    transaction; the collector checks that they computed the same txId and
-   merges their endorsements into one transaction.
+   merges their endorsements into one transaction. The body is encoded
+   and the txId hashed once: a peer whose rwset equals the first peer's
+   takes the first's, and one whose rwset differs computes its own, which
+   the check then rejects.
 3. order: a solo orderer batches transactions in arrival order, cutting a
    block when it is full or on ``flush()``.
 4. validate: per transaction, endorsement policy first, then MVCC (every
@@ -57,6 +60,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -304,10 +308,9 @@ class Transaction:
 
         Canonical key order is endorsements < proposal < rwset < txId, so
         the body's two members sit in the record verbatim; only the
-        endorsements are encoded here.
+        endorsement list is encoded here, by ``encode_endorsements``.
         """
-        return b"".join((b'{"endorsements":',
-                         canonical_json([e.to_dict() for e in self.endorsements]),
+        return b"".join((b'{"endorsements":', encode_endorsements(self.endorsements),
                          b",", self._body[1:-1], b',"txId":"',
                          self.tx_id.hex().encode("ascii"), b'"}'))
 
@@ -424,6 +427,18 @@ class Block:
         )
 
 
+def encode_endorsements(endorsements: list[Endorsement]) -> bytes:
+    """``canonical_json([e.to_dict() for e in endorsements])``, joined by hand.
+
+    Canonical key order is peerId < signature, the signature is hex, and
+    the peer id is escaped by the function that the canonical encoder
+    itself escapes a string with, so no encoder is set up per list.
+    """
+    return ("[" + ",".join([f'{{"peerId":{_json_string(e.peer_id)},'
+                            f'"signature":"{e.signature.hex()}"}}' for e in endorsements])
+            + "]").encode("ascii")
+
+
 def encode_transactions(transactions: list[Transaction]) -> bytes:
     """``canonical_json([t.to_dict() for t in transactions])``: what the data hash covers."""
     return b"[" + b",".join(t.encode() for t in transactions) + b"]"
@@ -460,7 +475,7 @@ PRAGMA user_version = {_STORE_FORMAT};
 _SELECT_ROWS = "SELECT key, value, block, tx, owner, added_at, asset_name, checksum FROM state"
 _MEMORY = ":memory:"  # SQLite's name for a store that lives in memory only
 
-_INT64 = range(-2**63, 2**63)  # the integers that SQLite stores
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # the integers that SQLite stores
 _DATA_ID = re.compile(r"[0-9a-f]{64}")
 
 
@@ -471,24 +486,41 @@ def _check(key: object, value: bytes, block: object = None, tx: object = None,
         f"{key}\0{block}\0{tx}\0{owner}\0{added_at}\0{asset_name}".encode()))
 
 
+def listable(owner: object, added_at: object, asset_name: object) -> bool:
+    """Whether a listing reads back an asset record of these fields.
+
+    ``addedAt`` must be an integer in SQLite's range, which JSON's true is
+    not, and the two names strings that UTF-8 encodes. The asset contract
+    writes only a record whose fields pass, and ``asset_fields`` applies
+    it after its decode. A field is judged as canonical JSON encodes it,
+    so a subclass of str or int passes as its value does.
+    """
+    try:
+        str.encode(owner), str.encode(asset_name)  # a non-str or a lone surrogate raises
+    except (TypeError, UnicodeEncodeError):
+        return False
+    return (isinstance(added_at, int) and type(added_at) is not bool
+            and _INT64_MIN <= added_at <= _INT64_MAX)
+
+
 def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
     """``(owner, addedAt, assetName)`` of the asset record ``value`` under ``key``.
 
     None unless it is a record as the asset contract writes it: exactly
-    the four keys, ``dataId`` the key's 64 lower-case hex digits,
-    ``addedAt`` an integer in SQLite's range and the two names strings
-    that UTF-8 encodes. The store's listed columns hold these fields.
+    the four keys, ``dataId`` the key's 64 lower-case hex digits and the
+    other three ``listable``. The store's listed columns hold these fields.
+    Only readers decode a record here, the flush and the warm listing view,
+    each once per write: the contract applies ``listable`` to the fields
+    before it encodes them, so no execution decodes its own write.
     """
     data_id = key[len(KEY_ASSET):]
     if not (key.startswith(KEY_ASSET) and _DATA_ID.fullmatch(data_id)):
         return None
     try:
         record = from_canonical_json(value)
-        owner, added_at, name = record["owner"], record["addedAt"], record["assetName"]
-        if (len(record) == 4 and record["dataId"] == data_id and type(added_at) is int
-                and added_at in _INT64 and type(owner) is type(name) is str):
-            owner.encode(), name.encode()  # a lone surrogate raises
-            return owner, added_at, name
+        fields = record["owner"], record["addedAt"], record["assetName"]
+        if len(record) == 4 and record["dataId"] == data_id and listable(*fields):
+            return fields
     except (KeyError, TypeError, ValueError):
         pass
     return None
@@ -860,8 +892,11 @@ class LedgerEngine:
     """Single-channel ledger: solo ordering, m-of-n endorsement, MVCC commit.
 
     A proposal is endorsed by the first m peers of the roster, and validation
-    accepts any m distinct roster signatures. Proposal execution yields a
-    deterministic rwset over the committed state and writes nothing: an
+    accepts any m distinct roster signatures. Each endorser executes and
+    signs, while the body is encoded and the txId hashed once per proposal
+    (``build_transaction``); a divergent rwset still rejects the proposal.
+    Proposal execution yields a deterministic rwset over the committed
+    state and writes nothing: an
     upload's payload rides on its transaction, and the commit writes the
     payloads of the block's VALID transactions to the content store, one
     file per block, before it appends the block to the journal. A content
@@ -1138,9 +1173,19 @@ class LedgerEngine:
         """Roster peer id -> member; a member's key is derived when it is first used."""
         return {p.name: p for p in self.genesis.peers}
 
-    def endorse(self, peer: Member, proposal: TxProposal) -> Transaction:
-        """One roster peer executes the proposal and signs the txId of the result."""
+    def endorse(self, peer: Member, proposal: TxProposal,
+                first: Transaction | None = None) -> Transaction:
+        """One roster peer executes the proposal and signs the txId of the result.
+
+        ``first`` is another peer's transaction of this same proposal
+        object. A result whose rwset equals first's has first's body, so it
+        takes first's body and txId, as a record read from the journal
+        keeps the ones it stores, instead of encoding and hashing them
+        again; any other result computes its own.
+        """
         tx = self.execute_proposal(proposal)
+        if first is not None and tx.rwset == first.rwset:
+            tx._body, tx.tx_id = first._body, first.tx_id
         signature = peer.keypair.sign(tx.tx_id)
         self._signed.add((peer.keypair.public_key, tx.tx_id, signature))
         tx.endorsements.append(Endorsement(peer.name, signature))
@@ -1150,10 +1195,15 @@ class LedgerEngine:
         """Collect the endorsements of the first ``threshold`` roster peers.
 
         Those are all the policy needs, and roster order keeps the journal
-        the same from run to run. Their txIds must agree.
+        the same from run to run. Each executes the proposal and signs; the
+        body is encoded and the txId hashed once, by the first, and every
+        later peer whose rwset equals the first's shares them. A peer whose
+        rwset differs computes its own txId and signs it, and once every
+        peer has signed, the first disagreeing txId raises RwsetMismatch.
         """
-        endorsers = self.genesis.peers[:self.genesis.threshold]
-        tx, *others = [self.endorse(peer, proposal) for peer in endorsers]
+        first, *rest = self.genesis.peers[:self.genesis.threshold]
+        tx = self.endorse(first, proposal)
+        others = [self.endorse(peer, proposal, tx) for peer in rest]
         for other in others:
             if other.tx_id != tx.tx_id:
                 raise RwsetMismatch(

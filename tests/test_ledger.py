@@ -11,6 +11,7 @@ import os
 import tempfile
 import threading
 import time
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -53,6 +54,7 @@ from iotid.ledger import (
     UnknownContract,
     UnknownFunction,
     WorldState,
+    encode_endorsements,
     encode_transactions,
     verify_chain_file,
 )
@@ -570,27 +572,82 @@ def test_each_commit_forgets_what_the_engine_signed(engine, alice):
 
 @pytest.mark.parametrize("threshold", [1, 2, 3])
 def test_build_transaction_executes_once_per_peer(tmp_path, alice, monkeypatch, threshold):
-    # of a 3-peer roster, exactly the first ``threshold`` peers execute and sign
+    # of a 3-peer roster, exactly the first ``threshold`` peers execute and
+    # sign the one txId, which is encoded and hashed once for them all
     default = GenesisConfig.default()
     engine = make_engine(tmp_path, genesis=GenesisConfig(
         peers=default.peers, registrars=default.registrars, threshold=threshold))
     try:
         proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
-        calls, signers = [], []
+        calls, signed, encoded, hashed = [], [], [], []
         execute, sign = engine.execute_proposal, KeyPair.sign
+        encode, digest = ledger_module.canonical_json, ledger_module.sha256
         monkeypatch.setattr(engine, "execute_proposal",
                             lambda proposal: calls.append(proposal) or execute(proposal))
         monkeypatch.setattr(KeyPair, "sign",
-                            lambda keypair, message: signers.append(keypair.public_key)
-                            or sign(keypair, message))
+                            lambda keypair, message: signed.append(
+                                (keypair.public_key, message)) or sign(keypair, message))
+        monkeypatch.setattr(ledger_module, "canonical_json",
+                            lambda value: encoded.append(value) or encode(value))
+        monkeypatch.setattr(ledger_module, "sha256",
+                            lambda data: hashed.append(data) or digest(data))
         tx = engine.build_transaction(proposal)
         endorsers = ["peer1", "peer2", "peer3"][:threshold]
-        assert len(calls) == threshold
+        assert calls == [proposal] * threshold
         assert [e.peer_id for e in tx.endorsements] == endorsers
-        assert signers == [p.keypair.public_key for p in engine.genesis.peers[:threshold]]
+        assert signed == [(p.keypair.public_key, tx.tx_id)
+                          for p in engine.genesis.peers[:threshold]]
+        # besides the signing bytes that each execution's proposal check
+        # encodes, the one body
+        assert [value for value in encoded if "rwset" in value] == \
+            [{"proposal": proposal.to_dict(), "rwset": tx.rwset.to_dict()}]
+        assert hashed == [tx._body]
         assert engine.validate_block(engine.order_batch([tx])) == [VALID]
     finally:
         engine.close()
+
+
+# rwsets of the shapes TxContext.rwset() builds, over few keys, versions
+# and values, so that two drawn apart are often equal
+_RWSET_KEYS = st.sampled_from(["kv/x", "nonce/a", 'q"', "\\", "é", "\udcff"])
+_rwset_shapes = st.builds(
+    ReadWriteSet,
+    reads=st.lists(st.tuples(_RWSET_KEYS, st.none() | st.tuples(st.integers(0, 1),
+                                                                st.integers(0, 1))),
+                   max_size=3, unique_by=lambda read: read[0]),
+    writes=st.lists(st.tuples(_RWSET_KEYS, st.sampled_from([b"", b"\x01", b"1"])),
+                    max_size=3, unique_by=lambda write: write[0]))
+_ENDORSER = Member("peer1", _PEER_SEEDS[0])
+
+
+@given(_rwset_shapes, _rwset_shapes)
+def test_an_endorser_shares_the_first_txid_just_when_their_rwsets_are_equal(first, other):
+    proposal = _POLICY_TX.proposal
+    shared = Transaction(proposal, first, [])
+    fresh = Transaction(proposal, other, []).tx_id
+    assert (other == first) == (fresh == shared.tx_id)
+    # the endorse path: an equal rwset takes the first's txId, which is the
+    # one it would compute; any other computes and signs its own
+    engine = SimpleNamespace(_signed=set(),
+                             execute_proposal=lambda p: Transaction(p, deepcopy(other), []))
+    tx = LedgerEngine.endorse(engine, _ENDORSER, proposal, shared)
+    assert tx.tx_id == fresh
+    assert (tx.tx_id is shared.tx_id) == (other == first)
+    assert verify_signature(_ENDORSER.keypair.public_key, fresh, tx.endorsements[0].signature)
+
+
+# peer ids that JSON escapes or writes as \u escapes, lone surrogates included
+_PEER_IDS = st.one_of(st.text(st.characters(exclude_categories=()), max_size=8),
+                      st.sampled_from(['"', '"q"', "back\\slash", "\x00", "\n\t\x1f",
+                                       "\x7f", "ünïcødé", "名前", "\U0001f600",
+                                       "\udcff", "\ud83d"]))
+
+
+@given(st.lists(st.builds(Endorsement, peer_id=_PEER_IDS, signature=st.binary()),
+                max_size=3))
+def test_the_joined_endorsement_list_is_the_canonical_encoding(endorsements):
+    assert encode_endorsements(endorsements) == \
+        canonical_json([e.to_dict() for e in endorsements])
 
 
 def test_policy_failure_wins_over_mvcc(engine, alice, bob):
