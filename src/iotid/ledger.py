@@ -36,11 +36,11 @@ exactly. Every hash covers bytes that the record stores verbatim. Every
 reader, open and replay, ``read_blocks`` and chain-verify, checks a
 record one way: it matches a compiled grammar of exactly the bytes that
 commit writes, and its hashes hold over the slices as stored. A changed
-byte fails in its own record, and nothing is encoded again. A record is
-decoded only where its objects are needed: block 0 for its network
-config, and the blocks that replay applies or ``read_blocks`` returns.
-Open cuts off a torn last record. Beside the journal, an SQLite
-store holds the world state as of its savepoint block, so open reads
+byte fails in its own record, and nothing is encoded again. Replay
+decodes only the write sets it applies, from the bodies the match sliced;
+a whole block is decoded only for block 0's network config and for
+``read_blocks``. Open cuts off a torn last record. Beside the journal, an
+SQLite store holds the world state as of its savepoint block, so open reads
 block 0 and the savepoint's record, replays only the blocks after it and
 reads only the keys a command touches. It is a cache: open uses it only
 while its savepoint matches the journal, and otherwise rebuilds it from
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 from .clock import Clock, WallClock
 from .codec import canonical_json, from_canonical_json, sha256
@@ -203,7 +203,7 @@ class TxProposal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TxProposal":
-        args, contract, function, timestamp = (list(d["args"]), d["contract"], d["function"],
+        args, contract, function, timestamp = (_array(d["args"]), d["contract"], d["function"],
                                                d["timestamp"])
         if not (type(contract) is type(function) is str and type(timestamp) is int
                 and all(type(arg) is str for arg in args)):
@@ -220,12 +220,11 @@ class TxProposal:
         )
 
 
-def _version(value: list) -> Version:
-    """A read version as JSON holds it: two integers, and JSON's true is none."""
-    block, tx = value
-    if type(block) is not int or type(tx) is not int:
-        raise TypeError(f"bad read version {value!r}")
-    return block, tx
+def _array(value: object) -> list:
+    """A JSON array; TypeError for a string or object, which iteration takes apart."""
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is no array")
+    return value
 
 
 @dataclass
@@ -243,14 +242,14 @@ class ReadWriteSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReadWriteSet":
-        rwset = cls(
-            reads=[(k, _version(v) if v is not None else None) for k, v in d["reads"]],
-            writes=[(k, bytes.fromhex(v)) for k, v in d["writes"]],
-        )
-        if not all(type(k) is str for k, _ in rwset.reads) or \
-                not all(type(k) is str for k, _ in rwset.writes):
-            raise TypeError("a key that is no string")
-        return rwset
+        """TypeError unless each read and write is a ``[key string, value]`` array
+        and each read version null or two integers (JSON's true is none)."""
+        reads, writes = _array(d["reads"]), _array(d["writes"])
+        if not all(type(p) is list and len(p) == 2 and type(p[0]) is str for p in reads + writes) \
+                or not all(v is None or list(map(type, _array(v))) == [int, int] for _, v in reads):
+            raise TypeError("a read or write of the wrong shape")
+        return cls(reads=[(k, None if v is None else tuple(v)) for k, v in reads],
+                   writes=[(k, bytes.fromhex(v)) for k, v in writes])
 
 
 @dataclass
@@ -327,7 +326,7 @@ class Transaction:
         return cls(
             proposal=TxProposal.from_dict(d["proposal"]),
             rwset=ReadWriteSet.from_dict(d["rwset"]),
-            endorsements=[Endorsement.from_dict(e) for e in d["endorsements"]],
+            endorsements=[Endorsement.from_dict(e) for e in _array(d["endorsements"])],
         )
 
 
@@ -386,11 +385,6 @@ class Block:
         return (self.number, self.prev_hash, None if flags is None else len(flags),
                 len(self.transactions))
 
-    @cached_property
-    def config(self) -> "GenesisConfig":
-        """The network config that block 0 carries, decoded once per block."""
-        return GenesisConfig.from_block(self)
-
     def to_dict(self) -> dict:
         d = self._header_dict(self.flags_hash())
         d["transactions"] = [t.to_dict() for t in self.transactions]
@@ -413,16 +407,16 @@ class Block:
     def from_dict(cls, d: dict) -> "Block":
         """The block of a record's JSON. Like the decoders of its parts, it
         raises TypeError on a field of another JSON type than commit writes
-        (JSON's true is no integer), so that a record which encodes back
-        from its decode is one that the journal's grammar accepts."""
-        number, flags = d["number"], list(d["validationFlags"])
+        (JSON's true is no integer, nor a string an array), so that a record
+        which encodes back from its decode is one the journal's grammar accepts."""
+        number, flags = d["number"], _array(d["validationFlags"])
         if type(number) is not int or not all(type(flag) is str for flag in flags):
             raise TypeError("a block number or flag of the wrong type")
         return cls(
             number=number,
             prev_hash=bytes.fromhex(d["prevHash"]),
             data_hash=bytes.fromhex(d["dataHash"]),
-            transactions=[Transaction.from_dict(t) for t in d["transactions"]],
+            transactions=[Transaction.from_dict(t) for t in _array(d["transactions"])],
             validation_flags=flags,
         )
 
@@ -1062,11 +1056,11 @@ class LedgerEngine:
             self._new_store()
         height, tip_hash, _ = self.state.tip
         try:
-            for block, header_hash, size in _walk(path, self._offset, height, tip_hash,
-                                                  decode=True):
-                if block.number == 0:
-                    genesis = block.config
-                self._apply_block(block, header_hash, size)
+            for raw, record in _walk(path, self._offset, height, tip_hash):
+                genesis = record.config or genesis
+                writes = [(idx, _writes(body)) for idx, (body, flag)
+                          in enumerate(zip(record.bodies, record.flags)) if flag == VALID]
+                self._apply_block(record.link[0], writes, record.header_hash, len(raw))
         except CorruptJournal as exc:
             if exc.torn_at is None or genesis is None:
                 raise
@@ -1091,15 +1085,15 @@ class LedgerEngine:
             # reports what is wrong. A savepoint at height 1 names block 0,
             # which the first walk has read already
             try:
-                block, last_hash, size = next(_walk(journal))
-                genesis = block.config
+                raw, record = next(_walk(journal))
+                genesis = record.config
                 if (height, tip_start) != (1, 0):
-                    _, last_hash, size = next(_walk(journal, tip_start, height - 1, None))
+                    raw, record = next(_walk(journal, tip_start, height - 1, None))
             except (LedgerError, OSError, StopIteration, TypeError):
-                last_hash = None
-            if last_hash == tip_hash:
+                record = None
+            if record is not None and record.header_hash == tip_hash:
                 self.state, state.tip = state, point
-                self._offset = tip_start + size
+                self._offset = tip_start + len(raw)
                 return genesis
         state.close()
         return None
@@ -1117,13 +1111,12 @@ class LedgerEngine:
         except sqlite3.Error:
             self.state = WorldState()
 
-    def _apply_block(self, block: Block, header_hash: bytes, size: int) -> None:
-        """Apply VALID writes; ``size`` is the block's record length, newline included."""
-        for idx, (tx, flag) in enumerate(zip(block.transactions,
-                                             block.validation_flags)):
-            if flag == VALID:
-                self.state.apply(tx.rwset.writes, (block.number, idx))
-        self.state.tip = (block.number + 1, header_hash, self._offset)
+    def _apply_block(self, number: int, writes: list, header_hash: bytes, size: int) -> None:
+        """Apply block ``number``'s writes, the ``(tx index, write set)`` of each VALID
+        transaction, and make it the tip; ``size`` is its record's length."""
+        for idx, tx_writes in writes:
+            self.state.apply(tx_writes, (number, idx))
+        self.state.tip = (number + 1, header_hash, self._offset)
         self._offset += size
 
     # -- execution -------------------------------------------------------
@@ -1295,8 +1288,9 @@ class LedgerEngine:
         """
         if problem := _link_problem(block.link, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
-        if content := [data for tx, flag in zip(block.transactions, block.validation_flags)
-                       if flag == VALID for data in tx.content]:
+        valid = [(idx, tx) for idx, (tx, flag) in
+                 enumerate(zip(block.transactions, block.validation_flags)) if flag == VALID]
+        if content := [data for _, tx in valid for data in tx.content]:
             self.store.put_block(block.number, content)
         record, header_hash = block.encode()
         try:
@@ -1307,7 +1301,8 @@ class LedgerEngine:
                 self.store.remove_block(block.number)
             raise
         self.clock.advance(self.commit_tick)
-        self._apply_block(block, header_hash, len(record) + 1)
+        self._apply_block(block.number, [(idx, tx.rwset.writes) for idx, tx in valid],
+                          header_hash, len(record) + 1)
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt
             self._receipts.setdefault(tx.tx_id, (flag, block.number))
@@ -1360,7 +1355,13 @@ class LedgerEngine:
         return receipt[1] if receipt is not None else None
 
     def read_blocks(self) -> list[Block]:
-        return [block for block, _, _ in _walk(self._dir / BLOCKS_FILE, decode=True)]
+        """Every block of the journal, each transaction keeping its body as stored."""
+        blocks = []
+        for raw, record in _walk(self._dir / BLOCKS_FILE):
+            blocks.append(block := Block.from_dict(json.loads(raw)))
+            for tx, body in zip(block.transactions, record.bodies):
+                tx._body = body
+        return blocks
 
 
 # ledger directory -> [fd holding the flock on its .lock, engines open on it]
@@ -1369,17 +1370,15 @@ _open_engines: dict[Path, list[int]] = {}
 
 
 def _walk(path: str | Path, start: int = 0, height: int | None = 0,
-          tip_hash: bytes | None = ZERO_HASH, end: int | None = None,
-          decode: bool = False) -> Iterator[tuple[Block | None, bytes, int]]:
-    """Stream the journal from byte ``start``: ``(block, header hash, record size)``.
+          tip_hash: bytes | None = ZERO_HASH,
+          end: int | None = None) -> Iterator[tuple[bytes, _Record]]:
+    """Stream the journal from byte ``start``: ``(record bytes, _read_record's reading)``.
 
     Block ``height`` begins at ``start`` and must extend ``tip_hash`` (None:
     unknown, so its number or prevHash goes unchecked), each later block the
     one before it; the walk stops at the record boundary ``end`` (None: the
     end of the file). It is the journal's one framing-and-link loop, and
-    ``_read_record`` its one check of a record. The block is None unless
-    ``decode`` asks for it, as open's replay and ``read_blocks`` do, or it is
-    block 0, whose config every reader checks. Raises CorruptJournal at the
+    ``_read_record`` its one check of a record. Raises CorruptJournal at the
     first bad record, on an empty journal, or with ``torn_at`` set at an
     unterminated (torn) last record.
     """
@@ -1390,13 +1389,14 @@ def _walk(path: str | Path, start: int = 0, height: int | None = 0,
                 break
             if not raw.endswith(b"\n"):
                 raise CorruptJournal(height, "unterminated last record", torn_at=start)
-            block, link, header_hash = _read_record(height, raw, decode)
+            record = _read_record(height, raw)
+            link = record.link
             if height is None:
                 height = link[0]
             if problem := _link_problem(link, height, tip_hash or link[1]):
                 raise BrokenChainLink(height, problem)
-            yield block, header_hash, len(raw)
-            start, height, tip_hash = start + len(raw), height + 1, header_hash
+            yield raw, record
+            start, height, tip_hash = start + len(raw), height + 1, record.header_hash
     if height == 0:
         raise CorruptJournal(0, "empty chain")
 
@@ -1466,10 +1466,19 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     return header, transaction, tail
 
 
-def _read_record(index: int | None, raw: bytes,
-                 decode: bool) -> tuple[Block | None, tuple[int, bytes, int, int], bytes]:
-    """``(block, Block.link, header hash)`` of a record the journal accepts;
-    the block None unless ``decode`` is set or it is block 0.
+class _Record(NamedTuple):
+    """What every reader takes from a record the journal accepts: ``Block.link``, header
+    hash, flags, each transaction's body as stored, block 0's network config or None."""
+
+    link: tuple[int, bytes, int, int]
+    header_hash: bytes
+    flags: list[str]
+    bodies: list[bytes]
+    config: GenesisConfig | None
+
+
+def _read_record(index: int | None, raw: bytes) -> _Record:
+    """What the journal reads from ``raw``, a record it accepts.
 
     Commit writes a record as fixed glue around the pieces that its hashes
     cover, and they are hashed as stored: each txId its transaction's
@@ -1502,24 +1511,22 @@ def _read_record(index: int | None, raw: bytes,
         flags = None if more else tail.fullmatch(raw, at)
     if flags is None:
         raise CorruptJournal(index, _refusal(raw))
-    tx_ids = [sha256(body) for body in bodies]
     if sha256(flags[1]).hex().encode() != head[3] or \
-            [tx_id.hex().encode() for tx_id in tx_ids] != stored:
+            [sha256(body).hex().encode() for body in bodies] != stored:
         raise CorruptJournal(index, "non-canonical block encoding")
     flag_list = json.loads(flags[1])
     if any(flag not in FLAG_VALUES for flag in flag_list):
         raise CorruptJournal(index, "unknown validation flag")
     if sha256(raw[head.end() - 1:at + 1]).hex().encode() != head[2]:
         raise CorruptJournal(index, "data hash does not match transactions")
-    number = int(head[4])
-    block = _decode(raw, bodies, tx_ids) if decode or number == 0 else None
+    number, config = int(head[4]), None
     if number == 0:
         try:
-            block.config
+            config = GenesisConfig.from_block(Block.from_dict(json.loads(raw)))
         except LedgerError as exc:
             raise CorruptJournal(index, str(exc)) from exc
-    return (block, (number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
-            sha256(head[1] + b"}"))
+    return _Record((number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
+                   sha256(head[1] + b"}"), flag_list, bodies, config)
 
 
 def _refusal(raw: bytes) -> str:
@@ -1537,13 +1544,12 @@ def _refusal(raw: bytes) -> str:
     return "non-canonical block encoding"
 
 
-def _decode(raw: bytes, bodies: list[bytes], tx_ids: list[bytes]) -> Block:
-    """The block of a record that ``_read_record`` accepted; each transaction
-    keeps its body and txId as stored, so neither is encoded again."""
-    block = Block.from_dict(json.loads(raw))
-    for tx, body, tx_id in zip(block.transactions, bodies, tx_ids):
-        tx._body, tx.tx_id = body, tx_id
-    return block
+def _writes(body: bytes) -> list[tuple[str, bytes]]:
+    """The write set of a body that ``_read_record`` matched, decoded with no
+    check from its ``"writes":[…]}}`` tail: a quote in a string is escaped,
+    so ``,"writes":`` occurs nowhere else."""
+    return [(key, bytes.fromhex(value))
+            for key, value in json.loads(body.rpartition(b',"writes":')[2][:-2])]
 
 
 # chain-verify splits a journal into record-aligned parts of at least
@@ -1622,8 +1628,8 @@ def _verify_parts(path: str | Path, starts: list[int]) -> int:
                 break
             # the part's first block against the tip before it, as the serial walk checks it
             next(_walk(path, start, height, tip))
-            if "reason" in answer:
-                raise CorruptJournal(height + answer["count"], answer["reason"])
+            if "reason" in answer:  # at a later block of the part, so its index is known
+                raise CorruptJournal(answer["index"], answer["reason"])
             height, tip, rest = height + answer["count"], bytes.fromhex(answer["tip"]), end
         if rest is not None:
             count, tip = _verify_range(path, rest, None, height, tip)
@@ -1637,12 +1643,12 @@ def _verify_parts(path: str | Path, starts: list[int]) -> int:
             os.waitpid(pid, 0)
 
 
-def _verify_range(path: str | Path, start: int, end: int | None, height: int,
-                  tip_hash: bytes) -> tuple[int, bytes]:
+def _verify_range(path: str | Path, start: int, end: int | None, height: int | None,
+                  tip_hash: bytes | None) -> tuple[int, bytes]:
     """Verify the blocks from ``start`` to ``end``: their count and the last one's hash."""
     count = 0
-    for _, tip_hash, _ in _walk(path, start, height, tip_hash, end):
-        count += 1
+    for _, record in _walk(path, start, height, tip_hash, end):
+        count, tip_hash = count + 1, record.header_hash
     return count, tip_hash
 
 
@@ -1674,12 +1680,10 @@ def _part_answer(path: str | Path, start: int, end: int | None) -> bytes:
 
     The part's first block sets its height and tip, which the parent checks.
     """
-    count, tip_hash = 0, b""
     try:
-        for _, tip_hash, _ in _walk(path, start, None, None, end):
-            count += 1
+        count, tip_hash = _verify_range(path, start, end, None, None)
     except CorruptJournal as exc:
-        return canonical_json({"count": count, "reason": exc.reason})
+        return canonical_json({"index": exc.index, "reason": exc.reason})
     return canonical_json({"count": count, "tip": tip_hash.hex()})
 
 

@@ -14,12 +14,11 @@ disk because this store is the trust boundary for those bytes.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .codec import HASH_BYTES, sha256
+from .codec import HASH_BYTES, replace_file, sha256
 
 _LENGTH_BYTES = 4  # the length before each record of a block file
 
@@ -84,19 +83,12 @@ class ContentStore:
         return self._dir / f"{block}.block"  # never a 64-hex digest
 
     def _replace(self, path: Path, data: bytes) -> None:
-        """Put ``data`` at ``path`` whole, through a temp file and a rename."""
-        tmp = path.with_name(path.name + ".tmp")
+        """``replace_file``, making the store's directory if it is missing."""
         try:
-            try:
-                tmp.write_bytes(data)
-            except FileNotFoundError:
-                self._dir.mkdir(parents=True, exist_ok=True)
-                tmp.write_bytes(data)
-            tmp.replace(path)
-        except BaseException:
-            with suppress(OSError):
-                tmp.unlink()
-            raise
+            replace_file(path, data)
+        except FileNotFoundError:
+            self._dir.mkdir(parents=True, exist_ok=True)
+            replace_file(path, data)
 
     def put(self, data: bytes) -> ContentHash:
         """Store bytes in the file named by their hash, returning it. Re-putting is a no-op."""

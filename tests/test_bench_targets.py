@@ -8,7 +8,6 @@ Both files are loaded as they are, never changed.
 """
 
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
@@ -80,12 +79,11 @@ def test_benchmark_checks_pass_on_a_checkpointed_ledger(tmp_path, monkeypatch):
     # reads block 0 and the savepoint's block, decodes block 0 alone, and
     # replays nothing
     read, decoded = [], []
-    real_read, real_decode = ledger_module._read_record, ledger_module._decode
+    real_read, real_decode = ledger_module._read_record, ledger_module.Block.from_dict
     monkeypatch.setattr(ledger_module, "_read_record",
                         lambda index, *args: read.append(index) or real_read(index, *args))
-    monkeypatch.setattr(ledger_module, "_decode",
-                        lambda raw, *args: decoded.append(json.loads(raw)["number"])
-                        or real_decode(raw, *args))
+    monkeypatch.setattr(ledger_module.Block, "from_dict",
+                        staticmethod(lambda d: decoded.append(d["number"]) or real_decode(d)))
     reader = env.open_engine()
     try:
         assert read == [0, height - 1]

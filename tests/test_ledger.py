@@ -882,6 +882,44 @@ def test_valid_writes_replayed_from_raw_journal(tmp_path, engine, alice, bob):
     assert state_snapshot(engine) == expected
 
 
+def test_a_store_less_open_replays_only_valid_writes_at_their_versions(tmp_path, engine,
+                                                                      alice, bob):
+    # rejected transactions of both kinds at several indices, writing keys
+    # that later valid ones read or that nothing else writes: a replay from
+    # block 0 must give the live engine's state, versions included
+    def starved(principal, *call):  # one endorsement, below the 2-of-3 policy
+        tx = engine.build_transaction(principal.proposal(engine, "kv", *call))
+        return Transaction(tx.proposal, tx.rwset, tx.endorsements[:1])
+
+    def commit(transactions):
+        block = engine.order_batch(transactions)
+        block.validation_flags = engine.validate_block(block)
+        engine.commit_block(block)
+        return block.validation_flags
+
+    def built(principal, *call):
+        return engine.build_transaction(principal.proposal(engine, "kv", *call))
+
+    assert commit([starved(alice, "set", ["cold", "9"]), built(alice, "bump", ["hot"]),
+                   built(bob, "bump", ["hot"]), built(bob, "set", ["x", "1"]),
+                   starved(bob, "set", ["ghost", "1"])]) == \
+        [POLICY_FAILURE, VALID, MVCC_CONFLICT, VALID, POLICY_FAILURE]
+    late = built(alice, "bump", ["x"])  # reads x at block 1's version
+    assert commit([built(bob, "bump", ["cold"]), starved(alice, "bump", ["hot"]),
+                   built(bob, "bump", ["x"])]) == [VALID, POLICY_FAILURE, VALID]
+    assert commit([late, built(bob, "bump", ["hot"])]) == [MVCC_CONFLICT, VALID]
+    live = engine.state.items()
+    assert {key: entry for key, entry in live if key.startswith("kv/")} == {
+        "kv/cold": (b"1", (2, 0)), "kv/hot": (b"2", (3, 1)), "kv/x": (b"2", (2, 2))}
+    engine.close()
+    (tmp_path / "ledger" / STATE_FILE).unlink()
+    reopened = reopen_engine(tmp_path)
+    try:
+        assert reopened.state.items() == live
+    finally:
+        reopened.close()
+
+
 def test_corrupt_journal_refuses_to_open(tmp_path, engine, alice):
     engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
     engine.flush()
@@ -926,8 +964,8 @@ def test_a_partly_read_walk_closes_its_journal(three_blocks, monkeypatch):
     opened = []
     monkeypatch.setattr(ledger_module, "open",
                         lambda *args: opened.append(open(*args)) or opened[-1], raising=False)
-    block, _, _ = next(ledger_module._walk(three_blocks))
-    assert block.number == 0
+    _, record = next(ledger_module._walk(three_blocks))
+    assert record.link[0] == 0
     assert len(opened) == 1 and opened[0].closed
 
 

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,6 +104,7 @@ def test_a_block_file_holds_length_prefixed_records_in_order(store, tmp_path):
     path = tmp_path / "objects" / "7.block"
     assert path.read_bytes() == b"\0\0\0\x0bhello world\0\0\0\x06second"
     assert [p.name for p in (tmp_path / "objects").iterdir()] == ["7.block"]
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600  # replace_file's temp file mode
     assert store.get(ContentHash.from_hex(HELLO), 7) == b"hello world"
     assert store.get(ContentHash.of(b"second"), 7) == b"second"
     # a block file is not a digest-named file
@@ -147,11 +151,13 @@ def test_a_missing_block_file_is_content_not_found(store, tmp_path):
 
 
 def test_a_failed_block_write_leaves_no_file(store, tmp_path, monkeypatch):
-    def full(path, data):
-        path.open("wb").close()  # the temp file is made, then the disk fills
+    real = os.fdopen
+
+    def full(fd, *args):
+        real(fd).close()  # the temp file is made, then the disk fills
         raise OSError(28, "no space left on device")
 
-    monkeypatch.setattr(type(tmp_path), "write_bytes", full)
+    monkeypatch.setattr("iotid.codec.os.fdopen", full)
     with pytest.raises(OSError):
         store.put_block(1, [b"hello world"])
     monkeypatch.undo()
