@@ -8,21 +8,14 @@ only the record keyed by ``asset/<dataId>``, though the journal keeps the
 payload hex-encoded in the upload proposal's arguments.
 
 A query returns listing rows, the dicts that ``asset-list`` prints, in
-(addedAt, dataId) order. The state's store keeps each record's listed
-fields in columns, indexed in that order, so a query reads rows already
-ordered and decodes no record. The first query for all assets keeps them
-as one view per world state; later queries fold in only what commits
-wrote since, through the state's write feed, so a warm query costs the
-rows it returns. An owner query on a state with no view builds none: it
-reads only that owner's rows, through the store's owner index, so a
-freshly opened ledger, as in a CLI ``asset-list --mine``, pays for the
-rows it lists.
+(addedAt, dataId) order. The world state answers both queries through
+``WorldState.listing``: the ledger module owns the rows' shape, their
+order, the refusal of a value that is no record, and the rows kept in
+memory between queries. This module adds only the session gate of an
+owner query.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, insort
-from weakref import WeakKeyDictionary
 
 from .codec import canonical_json
 from .did import derive_address, parse_did
@@ -40,10 +33,8 @@ from .ledger import (
     TxContext,
     UnknownFunction,
     WorldState,
-    asset_fields,
     asset_row,
     listable,
-    unlisted,
 )
 from .store import ContentHash
 
@@ -108,98 +99,23 @@ class AssetContract:
 # -- read-side queries --------------------------------------------------------
 
 
-def _order(row: dict) -> tuple[int, str]:
-    # lower-case hex sorts as the digest it spells
-    return row["addedAt"], row["dataId"]
-
-
-class _AssetView:
-    """One state's listing rows in query order: all of them, and each owner's.
-
-    The first query for all assets builds it from the state's ordered
-    read, with no sort: one pass splits the rows by owner, and each
-    distinct owner text is parsed once, so that a malformed owner fails
-    the query. From then on each query first folds in the keys that the
-    state's write feed collected since the last query: it decodes each new
-    or rewritten record once, through ``asset_fields``, and bisects its
-    row into the full list and its owner's, and a rewritten key's old row
-    leaves both. A value that is no record, as ``asset_fields`` reads it,
-    has no row: its key waits in ``unlisted`` and fails every later query
-    for all assets, while an owner query leaves it out, as the store's
-    cold reads do. An owner that fails to parse keeps the feed, so it
-    fails every later query. The view holds no reference to its state.
-    """
-
-    def __init__(self, state: WorldState):
-        self.by_time = state.assets()
-        self.by_owner: dict[str, list[dict]] = {}
-        for row in self.by_time:
-            self.by_owner.setdefault(row["owner"], []).append(row)
-        for owner in self.by_owner:
-            parse_did(owner)
-        # key -> its current row
-        self._by_key = {KEY_ASSET + row["dataId"]: row for row in self.by_time}
-        self.unlisted: set[str] = set()  # keys whose value is no record
-        # watched once the build has succeeded, so a failed one leaves no feed
-        self._feed = state.watch(KEY_ASSET)
-
-    def catch_up(self, state: WorldState) -> None:
-        for key in dict.fromkeys(self._feed):  # a key written twice is read once
-            fields = asset_fields(key, state.get(key)[0])
-            if fields is not None and fields[0] not in self.by_owner:
-                parse_did(fields[0])
-            old = self._by_key.pop(key, None)
-            if old is not None:
-                for rows in (self.by_time, self.by_owner[old["owner"]]):
-                    del rows[bisect_left(rows, _order(old), key=_order)]
-            self.unlisted.discard(key)
-            if fields is None:
-                self.unlisted.add(key)
-                continue
-            row = self._by_key[key] = asset_row(key, *fields)
-            for rows in (self.by_time, self.by_owner.setdefault(row["owner"], [])):
-                insort(rows, row, key=_order)
-        self._feed.clear()
-
-
-# One view per state, living exactly as long as its state; a freshly
-# opened ledger starts with none.
-_views: WeakKeyDictionary[WorldState, _AssetView] = WeakKeyDictionary()
-
-
 def query_all_assets(state: WorldState) -> list[dict]:
     """Every committed asset's listing row, ordered by (addedAt, dataId).
 
-    The list is the caller's; its rows are shared with later results, so
-    a caller changes none. UnsupportedFormat names a value under
-    ``asset/`` that is no record, rather than leave it out.
+    ``WorldState.listing`` answers it: the list is the caller's, and a
+    value under ``asset/`` that is no record fails with UnsupportedFormat.
     """
-    view = _views.get(state)
-    if view is None:
-        view = _views[state] = _AssetView(state)
-    else:
-        view.catch_up(state)
-        if view.unlisted:  # named as the store's ordered read names it
-            raise unlisted(min(view.unlisted))
-    return view.by_time.copy()
+    return state.listing()
 
 
 def query_owned_assets(state: WorldState, session: Session | None,
                        now: float) -> list[dict]:
     """The listing rows of the session's device; requires a live session.
 
-    Same order and sharing as ``query_all_assets``. The read costs only
-    the caller's rows: on a state with no view, the owner's rows through
-    the store's owner index, looked up by the session DID's text, so
-    nothing is parsed; otherwise a copy of the owner's list. A value
-    under ``asset/`` that is no record names no owner, so it is in no
-    owner's listing.
+    ``WorldState.listing`` answers it for the session DID's text, so
+    nothing is parsed; a value under ``asset/`` that is no record names
+    no owner, so it is in no owner's listing.
     """
     if not session_is_valid(session, now):
         raise NotAuthenticatedError("query requires a logged-in device")
-    owner = str(session.did)
-    view = _views.get(state)
-    if view is None:
-        return state.assets(owner)
-    view.catch_up(state)
-    return view.by_owner.get(owner, []).copy()
+    return state.listing(str(session.did))

@@ -58,6 +58,7 @@ import sqlite3
 import sys
 import threading
 import zlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _json_string
@@ -66,7 +67,15 @@ from typing import Iterator, NamedTuple, Protocol
 
 from .clock import Clock, WallClock
 from .codec import canonical_json, from_canonical_json, sha256
-from .did import SEED_BYTES, Address, KeyPair, derive_address, generate_keypair, verify_signature
+from .did import (
+    SEED_BYTES,
+    Address,
+    KeyPair,
+    derive_address,
+    generate_keypair,
+    parse_did,
+    verify_signature,
+)
 from .store import ContentStore
 
 VALID = "VALID"
@@ -97,6 +106,10 @@ class LedgerError(Exception):
 
 class InvalidProposalSignature(LedgerError):
     """Proposal rejected before execution: bad signature or key/address mismatch."""
+
+
+class MalformedProposal(LedgerError):
+    """A proposal field of a type that no journal record reads back."""
 
 
 class UnknownContract(LedgerError):
@@ -203,21 +216,24 @@ class TxProposal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TxProposal":
-        args, contract, function, timestamp = (_array(d["args"]), d["contract"], d["function"],
-                                               d["timestamp"])
-        if not (type(contract) is type(function) is str and type(timestamp) is int
-                and all(type(arg) is str for arg in args)):
+        if not _well_typed(d["contract"], d["function"], d["args"], d["timestamp"]):
             raise TypeError("a proposal field of the wrong type")
         return cls(
             invoker=Address.from_text(d["invoker"]),
             invoker_key=bytes.fromhex(d["invokerKey"]),
-            contract=contract,
-            function=function,
-            args=args,
+            contract=d["contract"],
+            function=d["function"],
+            args=d["args"],
             nonce=bytes.fromhex(d["nonce"]),
-            timestamp=timestamp,
+            timestamp=d["timestamp"],
             signature=bytes.fromhex(d["signature"]),
         )
+
+
+def _well_typed(contract: object, function: object, args: object, timestamp: object) -> bool:
+    """Whether a proposal's fields are exactly of the types that a journal record holds."""
+    return (type(contract) is type(function) is str and type(timestamp) is int
+            and type(args) is list and all(type(arg) is str for arg in args))
 
 
 def _array(value: object) -> list:
@@ -531,6 +547,50 @@ def unlisted(key: str) -> UnsupportedFormat:
     return UnsupportedFormat(f"{key} holds no asset record in the form this program writes")
 
 
+def _order(row: dict) -> tuple[int, str]:
+    """A row's place in a listing: the store's ``ORDER BY added_at, key``."""
+    return row["addedAt"], row["dataId"]
+
+
+class _Listing:
+    """A state's listing rows in query order: all of them, and each owner's.
+
+    Built from the store's ordered read, with no sort, parsing each
+    distinct owner once. ``catch_up`` decodes each key in ``fresh`` once
+    and bisects its row into place; a key whose value is no record waits
+    in ``unlisted``, and an owner that fails to parse keeps ``fresh``.
+    """
+
+    def __init__(self, rows: list[dict]):
+        self.by_time = rows
+        self.by_owner: dict[str, list[dict]] = {}
+        for row in rows:
+            self.by_owner.setdefault(row["owner"], []).append(row)
+        for owner in self.by_owner:
+            parse_did(owner)
+        self.by_key = {KEY_ASSET + row["dataId"]: row for row in rows}  # key -> its row
+        self.unlisted: set[str] = set()  # keys whose value is no record
+        self.fresh: list[str] = []
+
+    def catch_up(self, data: dict[str, tuple[bytes, Version] | None]) -> None:
+        for key in dict.fromkeys(self.fresh):  # a key written twice is read once
+            fields = asset_fields(key, data[key][0])
+            if fields is not None and fields[0] not in self.by_owner:
+                parse_did(fields[0])
+            old = self.by_key.pop(key, None)
+            if old is not None:
+                for rows in (self.by_time, self.by_owner[old["owner"]]):
+                    del rows[bisect_left(rows, _order(old), key=_order)]
+            self.unlisted.discard(key)
+            if fields is None:
+                self.unlisted.add(key)
+                continue
+            row = self.by_key[key] = asset_row(key, *fields)
+            for rows in (self.by_time, self.by_owner.setdefault(row["owner"], [])):
+                insort(rows, row, key=_order)
+        self.fresh.clear()
+
+
 def _store_files(path: Path) -> list[Path]:
     """The store and the -wal and -shm files SQLite keeps beside it."""
     return [path.with_name(path.name + suffix) for suffix in ("", "-wal", "-shm")]
@@ -551,14 +611,10 @@ class WorldState:
 
     The flush decodes each ``asset/`` value it writes once, through
     ``asset_fields``, and stores the record's listed fields beside it,
-    indexed in listing order, so that ``assets`` answers a listing from
-    those columns and decodes no value.
-
-    A reader that keeps its own index over a prefix follows later writes
-    through a feed: ``watch(prefix)`` returns a list to which every later
-    ``apply`` appends the key of each write under that prefix, in write
-    order. The reader drains the list when it reads; the flush drains a
-    feed of its own, over every key.
+    indexed in listing order, so that ``assets`` answers from those
+    columns and decodes no value. ``listing`` keeps the rows of the first
+    listing of all in memory, and ``apply`` hands them the ``asset/`` keys
+    it writes, so a warm listing costs the rows written since.
     """
 
     def __init__(self, path: str | Path = _MEMORY):
@@ -568,8 +624,8 @@ class WorldState:
         """
         self._data: dict[str, tuple[bytes, Version] | None] = {}
         self.tip: tuple[int, bytes, int] = (0, ZERO_HASH, 0)
-        self._watchers: list[tuple[str, list[str]]] = []
-        self._unflushed = self.watch("")
+        self._unflushed: list[str] = []  # keys applied since the last flush
+        self._listing: _Listing | None = None  # built by the first listing of all
         self._path = path
         self._gone: LedgerError | None = None  # why store reads now fail
         db = sqlite3.connect(path, isolation_level=None)
@@ -604,13 +660,13 @@ class WorldState:
                 self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix)]
 
     def assets(self, owner: str | None = None) -> list[dict]:
-        """The listing rows of every asset record, or of ``owner``'s, by (addedAt, dataId).
+        """The listing rows of every asset record, or of ``owner``'s, as stored.
 
-        One ordered read of the listed columns, through the listing index,
-        or the owner index for one owner, which reads that owner's rows
-        only. A listing of all refuses an ``asset/`` value that is no
-        record with UnsupportedFormat, rather than leave it out; such a
-        row has no owner, so no owner's listing holds it.
+        One ordered read of the listed columns after a flush, through the
+        listing index, or the owner index for one owner, which reads that
+        owner's rows only. A listing of all refuses an ``asset/`` value
+        that is no record with UnsupportedFormat, rather than leave it
+        out; such a row has no owner, so no owner's listing holds it.
         """
         self.flush()
         if owner is None:
@@ -621,6 +677,27 @@ class WorldState:
         else:
             rows = self._rows(" WHERE owner = ? ORDER BY added_at, key", (owner,))
         return [asset_row(row[0], *row[4:7]) for row in rows]
+
+    def listing(self, owner: str | None = None) -> list[dict]:
+        """What ``assets`` returns, from rows that the first listing of all keeps.
+
+        The list is the caller's; its rows are shared with later results,
+        so a caller changes none. Once kept, the rows take in the keys
+        applied since, with no flush; an owner's listing keeps none.
+        """
+        listing = self._listing
+        if listing is None:
+            if owner is not None:
+                return self.assets(owner)
+            # kept once built, so an owner that fails to parse leaves none
+            listing = self._listing = _Listing(self.assets())
+        else:
+            listing.catch_up(self._data)
+            if owner is not None:
+                return listing.by_owner.get(owner, []).copy()
+            if listing.unlisted:
+                raise unlisted(min(listing.unlisted))
+        return listing.by_time.copy()
 
     def _rows(self, where: str, params: tuple = (), prefix: str = "") -> list[tuple]:
         """Checked rows of every column, up to the first key outside ``prefix``."""
@@ -643,14 +720,10 @@ class WorldState:
         data = self._data
         for key, value in writes:
             data[key] = (value, version)
-        for prefix, feed in self._watchers:
-            feed.extend([key for key, _ in writes if key.startswith(prefix)])
-
-    def watch(self, prefix: str) -> list[str]:
-        """A feed of the keys under ``prefix`` that later applies write."""
-        feed: list[str] = []
-        self._watchers.append((prefix, feed))
-        return feed
+        keys = [key for key, _ in writes]
+        self._unflushed += keys
+        if self._listing is not None:
+            self._listing.fresh += [key for key in keys if key.startswith(KEY_ASSET)]
 
     def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
         return [(key, (value, version)) for key, value, version in self.range("")]
@@ -1145,13 +1218,20 @@ class LedgerEngine:
         return Transaction(proposal, ctx.rwset(), [], ctx.content)
 
     def _authenticate(self, proposal: TxProposal) -> None:
-        """Refuse a proposal unless its key hashes to the invoker and signed it.
+        """Refuse a proposal unless it is well typed, and signed by its invoker's key.
 
-        The last proposal that passed is remembered by its signing bytes,
-        which name the invoker and its key, and its signature: the endorsers'
-        executions of one proposal share one Ed25519 verify. A changed field
-        is checked afresh, and a proposal that fails is never remembered.
+        A field of another type than a journal record holds is refused first,
+        with MalformedProposal: no reader accepts such a record, so its commit
+        would close the ledger. Then the key must hash to the invoker and have
+        signed the proposal. The last proposal that passed is remembered by
+        its signing bytes, which name the invoker and its key, and its
+        signature: the endorsers' executions of one proposal share one Ed25519
+        verify. A changed field is checked afresh, and a proposal that fails
+        is never remembered.
         """
+        if not _well_typed(proposal.contract, proposal.function, proposal.args,
+                           proposal.timestamp):
+            raise MalformedProposal("a proposal field of the wrong type")
         checked = (proposal.signing_bytes(), proposal.signature)
         if checked == self._authenticated:
             return

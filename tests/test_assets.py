@@ -2,13 +2,14 @@
 
 import gc
 import hashlib
+import tempfile
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iotid import assets as assets_module
 from iotid import ledger as ledger_module
 from iotid.assets import (
     AssetContract,
@@ -343,7 +344,7 @@ def test_a_cold_listing_parses_each_owner_once(monkeypatch):
     # cold owner query parses none
     writes = [asset_write(bytes([n]), _OWNERS[n % 2], n) for n in range(6)]
     parsed = []
-    monkeypatch.setattr(assets_module, "parse_did",
+    monkeypatch.setattr(ledger_module, "parse_did",
                         lambda text: parsed.append(text) or parse_did(text))
     state = WorldState()
     state.apply(writes, (1, 0))
@@ -405,28 +406,46 @@ _steps = st.lists(st.lists(st.lists(_writes, min_size=1, max_size=3),
 
 @given(_steps, st.data())
 def test_queries_equal_a_full_decode_after_every_step(steps, data):
-    state, version = WorldState(), 0
-    for step in steps:
-        for writes in step:
-            version += 1
-            state.apply(writes, (version, 0))
-        everything, owned = reference_queries(state)
-        # the full query, which builds the view, runs before the owner
-        # queries, after them or not at all, so owner queries also run on a
-        # state with no view, between applies, and must build none
-        full = data.draw(st.sampled_from(["before", "after", "skip"]))
-        if full == "before":
-            assert_lists_all(state, everything)
-        viewed = state in assets_module._views
-        for owner in data.draw(st.lists(st.sampled_from(_OWNERS), unique=True)):
-            session = Session(did=owner, expires_at=10)
-            assert query_owned_assets(state, session, 0) == owned[owner]
-        assert (state in assets_module._views) == viewed
-        if full == "after":
-            assert_lists_all(state, everything)
-    for owner in _OWNERS:
-        assert query_owned_assets(state, Session(did=owner, expires_at=10), 0) == \
-            owned[owner]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.sqlite"
+        state, version = WorldState(path), 0
+        try:
+            for step in steps:
+                for writes in step:
+                    version += 1
+                    state.apply(writes, (version, 0))
+                everything, owned = reference_queries(state)
+                # the full query, which builds the listing, runs before the
+                # owner queries, after them or not at all, so owner queries
+                # also run on a state with no listing, between applies, and
+                # must build none
+                full = data.draw(st.sampled_from(["before", "after", "skip"]))
+                if full == "before":
+                    assert_lists_all(state, everything)
+                viewed = state._listing is not None
+                for owner in data.draw(st.lists(st.sampled_from(_OWNERS), unique=True)):
+                    session = Session(did=owner, expires_at=10)
+                    assert query_owned_assets(state, session, 0) == owned[owner]
+                assert (state._listing is not None) == viewed
+                if full == "after":
+                    assert_lists_all(state, everything)
+                # a fresh state on the flushed file answers from the store
+                # alone: each owner's listing, which keeps none, then all
+                state.flush()
+                cold = WorldState(path)
+                try:
+                    for owner in _OWNERS:
+                        assert query_owned_assets(cold, Session(did=owner, expires_at=10),
+                                                  0) == owned[owner]
+                    assert cold._listing is None
+                    assert_lists_all(cold, everything)
+                finally:
+                    cold.close()
+            for owner in _OWNERS:
+                assert query_owned_assets(state, Session(did=owner, expires_at=10), 0) == \
+                    owned[owner]
+        finally:
+            state.close()
 
 
 def test_changing_a_returned_list_changes_no_later_result():

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotid import assets as assets_module
 from iotid import ledger as ledger_module
 from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import main as cli_main
@@ -642,7 +641,7 @@ def test_a_cold_owner_query_reads_only_the_owners_rows(tmp_path, monkeypatch):
         assert len(query_owned_assets(engine.state, session, 0)) == 2
         assert [row[0] for row in rows] == \
             ["asset/" + r["dataId"] for r in query_owned_assets(engine.state, session, 0)]
-        assert engine.state not in assets_module._views  # and it built no view
+        assert engine.state._listing is None  # and it built no listing
     finally:
         engine.close()
 

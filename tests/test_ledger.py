@@ -44,6 +44,7 @@ from iotid.ledger import (
     LedgerEngine,
     LedgerError,
     LedgerLocked,
+    MalformedProposal,
     Member,
     NonSequentialBlock,
     ReadWriteSet,
@@ -237,6 +238,78 @@ def test_a_changed_proposal_is_verified_afresh(change, data):
             assert sorted((Path(base) / "objects").rglob("*")) == objects
         finally:
             engine.close()
+
+
+class ProbeContract:
+    """Stages and writes whatever it is handed, of any type; counts its calls."""
+
+    name = "probe"
+
+    def __init__(self):
+        self.calls = 0
+
+    def invoke(self, ctx, function, args):
+        self.calls += 1
+        data = canonical_json([function, args, ctx.timestamp])
+        ctx.content.append(data)
+        ctx.put(f"probe/{sha256(data).hex()}", data)
+
+
+# values that canonical JSON encodes, so that a proposal holding one signs
+_json_values = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+                         st.lists(st.text(max_size=3), max_size=2))
+# (field, value): a field of a type that no journal record holds. Args that
+# are no list still sign, as the signing bytes list them
+_ILL_TYPED = st.one_of(
+    st.tuples(st.sampled_from(["contract", "function"]),
+              _json_values.filter(lambda v: type(v) is not str)),
+    st.tuples(st.just("timestamp"), _json_values.filter(lambda v: type(v) is not int)),
+    st.tuples(st.just("args"), st.one_of(
+        st.text(max_size=3), st.tuples(st.text(max_size=3)),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))),
+    st.tuples(st.just("args"), st.lists(_json_values, min_size=1, max_size=3).filter(
+        lambda args: any(type(arg) is not str for arg in args))),
+)
+
+
+@given(_ILL_TYPED)
+def test_an_ill_typed_proposal_is_refused_before_any_contract_runs(change):
+    # a proposal that its signer signed, but with a field of a type that no
+    # journal record holds: committed, it would close the ledger for good,
+    # so every entry point refuses it and leaves nothing behind
+    field, value = change
+    with tempfile.TemporaryDirectory() as base:
+        base = Path(base)
+        journal = base / "ledger" / BLOCKS_FILE
+        engine = make_engine(base)
+        try:
+            contract = engine.contracts["probe"] = ProbeContract()
+            alice = Principal.from_seed(11)
+            good = alice.proposal(engine, "probe", "put", ["first"])
+            bad = replace(good, **{field: value}).sign(alice.keypair)
+            written, before = journal.read_bytes(), state_snapshot(engine)
+            objects = sorted((base / "objects").rglob("*"))
+            for entry in (engine.submit, engine.build_transaction, engine.execute_proposal):
+                with pytest.raises(MalformedProposal):
+                    entry(bad)
+            assert contract.calls == 0
+            assert engine.flush() is None
+            assert journal.read_bytes() == written
+            assert state_snapshot(engine) == before
+            assert sorted((base / "objects").rglob("*")) == objects
+            # the well-typed proposal that it was made from still commits
+            tx_id = engine.submit(good)
+            engine.flush()
+            assert engine.tx_flag(tx_id) == VALID
+        finally:
+            engine.close()
+        reopened = reopen_engine(base)
+        try:
+            assert reopened.height == 2
+        finally:
+            reopened.close()
+        assert verify_chain_file(journal).ok
 
 
 def test_each_proposal_gets_its_own_verdict(engine, alice, monkeypatch):
@@ -826,19 +899,6 @@ def test_len_does_not_go_through_range(monkeypatch):
     state.apply([("a/1", b"x"), ("b/1", b"y")], (1, 0))
     assert state.range("a/") == [("a/1", b"x", (1, 0))]
     assert len(state) == 2
-
-
-def test_a_watch_feed_lists_the_later_writes_under_its_prefix():
-    state = WorldState()
-    state.apply([("a/1", b"x")], (1, 0))
-    feed, other = state.watch("a/"), state.watch("b/")
-    state.apply([("a/2", b"x"), ("b/1", b"x"), ("ab/1", b"x"), ("a/1", b"y")], (2, 0))
-    state.apply([("a/2", b"z")], (3, 0))
-    assert feed == ["a/2", "a/1", "a/2"]
-    assert other == ["b/1"]
-    feed.clear()
-    state.apply([("c/1", b"x")], (4, 0))
-    assert feed == []
 
 
 # -- persistence and replay ------------------------------------------------------
