@@ -9,7 +9,7 @@ payload hex-encoded in the upload proposal's arguments.
 
 A query returns listing rows, the dicts that ``asset-list`` prints, in
 (addedAt, dataId) order. The world state answers both queries through
-``WorldState.listing``: the ledger module owns the rows' shape, their
+``WorldState.listing``: the state module owns the rows' shape, their
 order, the refusal of a value that is no record, and the rows kept in
 memory between queries. This module adds only the session gate of an
 owner query.
@@ -27,15 +27,8 @@ from .idm import (
     did_key,
     session_is_valid,
 )
-from .ledger import (
-    KEY_ASSET,
-    ContractError,
-    TxContext,
-    UnknownFunction,
-    WorldState,
-    asset_row,
-    listable,
-)
+from .ledger import ContractError, TxContext, UnknownFunction
+from .state import KEY_ASSET, WorldState, asset_row, listable
 from .store import ContentHash
 
 

@@ -14,11 +14,14 @@ import os
 import sys
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .codec import canonical_json
-from .gateway import Gateway, GatewayError
-from .idm import DEFAULT_MANUFACTURER_ID, AuthError
-from .ledger import ContractError, LedgerError
+from .did import DEFAULT_MANUFACTURER_ID
+from .journal import BLOCKS_FILE, LedgerError, verify_chain_file
+
+if TYPE_CHECKING:
+    from .gateway import Gateway
 
 LEDGER_DIR_ENV = "IOTID_LEDGER_DIR"
 KEYSTORE_DIR_ENV = "IOTID_KEYSTORE_DIR"
@@ -145,24 +148,44 @@ def _dispatch(args: argparse.Namespace, gateway: Gateway) -> dict:
                                         asset_name=args.asset_name)
     if args.command == "asset-list":
         return gateway.cmd_asset_list(mine=args.mine)
-    if args.command == "sim-run":
-        from .sim import FlowConfig  # only the simulator's commands load it
-
-        config = FlowConfig(device_count=args.devices,
-                            interval_seconds=args.interval,
-                            value_min=args.value_min, value_max=args.value_max,
-                            manufacturer_id=args.manufacturer_id,
-                            seed=args.seed)
-        return gateway.cmd_sim_run(config, args.duration, Path(args.output))
     if args.command == "scenario":
         return gateway.cmd_scenario(seed=args.seed, device_count=args.devices,
                                     interval_seconds=args.interval,
                                     duration_seconds=args.duration,
                                     sim_output_dir=args.output,
                                     force=args.force)
-    if args.command == "chain-verify":
-        return gateway.cmd_chain_verify()
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _run(args: argparse.Namespace) -> dict:
+    """The command's result. chain-verify reads the journal alone and sim-run
+    runs the simulator alone, so neither builds a Gateway nor loads the engine."""
+    ledger_dir = _directory(args.ledger_dir, LEDGER_DIR_ENV, "./ledger")
+    if args.command == "chain-verify":
+        # it must keep working on a ledger too damaged to open and replay
+        return verify_chain_file(Path(ledger_dir) / BLOCKS_FILE).to_dict()
+    if args.command == "sim-run":
+        from .sim import FlowConfig, simulate
+
+        config = FlowConfig(device_count=args.devices,
+                            interval_seconds=args.interval,
+                            value_min=args.value_min, value_max=args.value_max,
+                            manufacturer_id=args.manufacturer_id,
+                            seed=args.seed)
+        return simulate(config, args.duration, Path(args.output))[0]
+    from .gateway import Gateway
+
+    keystore_dir = _directory(args.keystore_dir, KEYSTORE_DIR_ENV, "./keystore")
+    return _dispatch(args, Gateway(ledger_dir, keystore_dir))
+
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The errors a command reports with exit code 1. Only a command that
+    raised looks them up, so one that succeeds loads no module for them."""
+    from .gateway import GatewayError
+    from .idm import AuthError
+
+    return AuthError, GatewayError, LedgerError, ValueError
 
 
 def _failed(command: str, result: dict) -> bool:
@@ -175,11 +198,12 @@ def _directory(given: str | None, env: str, default: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    gateway = Gateway(_directory(args.ledger_dir, LEDGER_DIR_ENV, "./ledger"),
-                      _directory(args.keystore_dir, KEYSTORE_DIR_ENV, "./keystore"))
     try:
-        result = _dispatch(args, gateway)
-    except (ContractError, AuthError, GatewayError, LedgerError, ValueError) as exc:
+        result = _run(args)
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except _domain_errors() as exc:
         code = getattr(exc, "code", exc.__class__.__name__)
         details = getattr(exc, "details", None)
         if args.machine:
@@ -190,9 +214,6 @@ def main(argv: list[str] | None = None) -> int:
             if details:
                 print(json.dumps(details, sort_keys=True), file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
     if args.machine:
         print(canonical_json(result).decode())
     else:

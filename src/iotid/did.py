@@ -25,6 +25,7 @@ from .codec import sha256
 from .codec import canonical_json  # noqa: F401 -- perfbench/tracing.py wraps did.canonical_json
 
 DEFAULT_METHOD = "iotid"
+DEFAULT_MANUFACTURER_ID = "ABCDEF00001"  # the CLI's and the simulator's devices
 
 SEED_BYTES = 32
 PUBLIC_KEY_BYTES = 32

@@ -1,4 +1,4 @@
-"""In-process gateway: keystore, one method per CLI command, the scenario.
+"""In-process gateway: keystore, one method per ledger command of the CLI, the scenario.
 
 The gateway owns the plumbing between the CLI and the engine: key files
 on disk, session caching so separate invocations share a login, nonce
@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .assets import AssetContract, query_all_assets, query_owned_assets
 from .clock import Clock, SimClock, WallClock
@@ -45,19 +44,9 @@ from .idm import (
     login_message,
     session_is_valid,
 )
-from .ledger import (
-    BLOCKS_FILE,
-    VALID,
-    ContractError,
-    GenesisConfig,
-    LedgerEngine,
-    TxProposal,
-    verify_chain_file,
-)
+from .journal import BLOCKS_FILE, VALID, GenesisConfig, TxProposal, verify_chain_file
+from .ledger import ContractError, LedgerEngine
 from .store import ContentStore
-
-if TYPE_CHECKING:
-    from .sim import FlowConfig, SensorReading
 
 OBJECTS_DIR = "objects"
 NONCES_FILE = "nonces.json"
@@ -344,26 +333,6 @@ class Gateway:
                 rows = query_owned_assets(engine.state, session, self.clock.now())
             return {"count": len(rows), "assets": rows}
 
-    def cmd_sim_run(self, config: FlowConfig, duration_seconds: int,
-                    output_dir: str | Path) -> dict:
-        return self._simulate(config, duration_seconds, output_dir)[0]
-
-    @staticmethod
-    def _simulate(config: FlowConfig, duration_seconds: int,
-                  output_dir: str | Path) -> tuple[dict, list[SensorReading]]:
-        """Run the simulator once: the file-tree summary and the readings."""
-        from .sim import build_network, run, write_asset_files  # only its commands load it
-
-        readings = run(build_network(config), duration_seconds)
-        written = write_asset_files(readings, Path(output_dir))
-        per_device = Counter(f"device{r.device_index}" for r in readings)
-        summary = {
-            "outputDir": str(output_dir),
-            "files": len(written),
-            "perDevice": dict(sorted(per_device.items())),
-        }
-        return summary, readings
-
     def cmd_chain_verify(self) -> dict:
         # verification reads the journal directly: it must keep working on
         # a ledger too damaged to open and replay
@@ -381,7 +350,7 @@ class Gateway:
         ledger itself. Runs entirely on the simulated clock so two runs
         with one seed produce identical reports.
         """
-        from .sim import FlowConfig, device_key_seed, reading_file_path
+        from .sim import FlowConfig, device_key_seed, reading_file_path, simulate
 
         if not isinstance(self.clock, SimClock):
             self.clock = SimClock()
@@ -408,8 +377,7 @@ class Gateway:
         for name in names:
             self.cmd_device_login(name, rng=login_rng)
 
-        sim_summary, readings = self._simulate(config, duration_seconds,
-                                               output_dir)
+        sim_summary, readings = simulate(config, duration_seconds, output_dir)
         # render_payload carries no device id, so two devices can emit
         # byte-identical readings in one tick; only the first one lands
         seen: set[bytes] = set()

@@ -33,21 +33,12 @@ from .did import (
     verify_possession_proof,
     verify_signature,
 )
-from .ledger import (
-    KEY_CONFIG,
-    KEY_DEVICE,
-    KEY_DID,
-    ContractError,
-    TxContext,
-    UnknownFunction,
-    UnsupportedFormat,
-    WorldState,
-)
+from .ledger import ContractError, TxContext, UnknownFunction
+from .state import KEY_CONFIG, KEY_DEVICE, KEY_DID, UnsupportedFormat, WorldState
 from .store import ContentStore
 
 CHALLENGE_TTL = 300
 SESSION_TTL = 3600
-DEFAULT_MANUFACTURER_ID = "ABCDEF00001"  # the CLI's and the simulator's devices
 
 
 class AuthError(Exception):

@@ -10,13 +10,13 @@ same seed produce byte-identical payloads and file trees.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .codec import canonical_json, canonical_number, sha256
-from .did import Did, KeyPair, generate_keypair, make_did
-from .idm import DEFAULT_MANUFACTURER_ID
+from .did import DEFAULT_MANUFACTURER_ID, Did, KeyPair, generate_keypair, make_did
 
 DEFAULT_DEVICE_COUNT = 5
 DEFAULT_INTERVAL_SECONDS = 30
@@ -159,3 +159,17 @@ def write_asset_files(readings: list[SensorReading],
         path.write_bytes(payload)
         written.append((path, payload))
     return written
+
+
+def simulate(config: FlowConfig, duration_seconds: int,
+             output_dir: str | Path) -> tuple[dict, list[SensorReading]]:
+    """Run the simulator once: the file-tree summary and the readings."""
+    readings = run(build_network(config), duration_seconds)
+    written = write_asset_files(readings, Path(output_dir))
+    per_device = Counter(f"device{r.device_index}" for r in readings)
+    summary = {
+        "outputDir": str(output_dir),
+        "files": len(written),
+        "perDevice": dict(sorted(per_device.items())),
+    }
+    return summary, readings

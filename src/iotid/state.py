@@ -1,0 +1,373 @@
+"""The ledger's world state, and the SQLite store that keeps it between runs.
+
+Beside the journal, an SQLite store holds the world state as of its
+savepoint block, so open reads block 0 and the savepoint's record, replays
+only the blocks after it and reads only the keys a command touches. It is
+a cache: open uses it only while its savepoint matches the journal, and
+otherwise rebuilds it from block 0.
+"""
+
+from __future__ import annotations
+
+import re
+import sqlite3
+import zlib
+from bisect import bisect_left, insort
+from pathlib import Path
+
+from .codec import from_canonical_json
+from .did import parse_did
+from .journal import ZERO_HASH, LedgerError, Version
+
+# world-state key namespaces; prefix scans implement the "view all" queries
+KEY_DID = "did/"
+KEY_DEVICE = "device/"
+KEY_ASSET = "asset/"
+KEY_NONCE = "nonce/"
+KEY_CONFIG = "config/"
+
+
+class UnsupportedFormat(LedgerError):
+    """A value in a form that this program no longer writes, and so no longer reads."""
+
+
+class CorruptStore(LedgerError):
+    """A read from the world-state store failed its row check or SQLite's own.
+
+    The store is deleted before this is raised, so the next open rebuilds
+    it from the journal.
+    """
+
+
+# WAL, never synced, as no other ledger write is yet (ROADMAP item 8): a
+# flush appends to the -wal file, and the last connection's close copies
+# it back. A killed process leaves the file whole; a power cut may not.
+# synchronous=NORMAL would sync that copy at every close: two fsyncs per
+# command that commits.
+_PRAGMAS = """
+PRAGMA journal_mode = WAL;
+PRAGMA synchronous = OFF;
+"""
+# The store's format, which PRAGMA user_version names: a store of any
+# other format is refused at open, and rebuilt from the journal.
+_STORE_FORMAT = 2
+# An asset/ row also holds its record's listed fields, NULL when the value
+# is no record that the asset contract writes. The listing index covers
+# every asset/ row, so one ordered read meets a row without them first.
+_ASSET_ROWS = "key >= 'asset/' AND key < 'asset0'"  # every key under KEY_ASSET
+_SCHEMA = f"""
+CREATE TABLE state (
+    key TEXT PRIMARY KEY, value BLOB NOT NULL, block INTEGER NOT NULL,
+    tx INTEGER NOT NULL, owner TEXT, added_at INTEGER, asset_name TEXT,
+    checksum INTEGER NOT NULL) WITHOUT ROWID;
+CREATE INDEX state_listing ON state (added_at, key) WHERE {_ASSET_ROWS};
+CREATE INDEX state_owner ON state (owner, added_at, key) WHERE owner IS NOT NULL;
+CREATE TABLE savepoint (
+    height INTEGER NOT NULL, tip_hash BLOB NOT NULL, tip_start INTEGER NOT NULL,
+    checksum INTEGER NOT NULL);
+PRAGMA user_version = {_STORE_FORMAT};
+"""
+_SELECT_ROWS = "SELECT key, value, block, tx, owner, added_at, asset_name, checksum FROM state"
+_MEMORY = ":memory:"  # SQLite's name for a store that lives in memory only
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # the integers that SQLite stores
+_DATA_ID = re.compile(r"[0-9a-f]{64}")
+
+
+def _check(key: object, value: bytes, block: object = None, tx: object = None,
+           owner: object = None, added_at: object = None, asset_name: object = None) -> int:
+    """The check value stored in a row: crc32 over its other columns."""
+    return zlib.crc32(value, zlib.crc32(
+        f"{key}\0{block}\0{tx}\0{owner}\0{added_at}\0{asset_name}".encode()))
+
+
+def listable(owner: object, added_at: object, asset_name: object) -> bool:
+    """Whether a listing reads back an asset record of these fields.
+
+    ``addedAt`` must be an integer in SQLite's range, which JSON's true is
+    not, and the two names strings that UTF-8 encodes. The asset contract
+    writes only a record whose fields pass, and ``asset_fields`` applies
+    it after its decode. A field is judged as canonical JSON encodes it,
+    so a subclass of str or int passes as its value does.
+    """
+    try:
+        str.encode(owner), str.encode(asset_name)  # a non-str or a lone surrogate raises
+    except (TypeError, UnicodeEncodeError):
+        return False
+    return (isinstance(added_at, int) and type(added_at) is not bool
+            and _INT64_MIN <= added_at <= _INT64_MAX)
+
+
+def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
+    """``(owner, addedAt, assetName)`` of the asset record ``value`` under ``key``.
+
+    None unless it is a record as the asset contract writes it: exactly
+    the four keys, ``dataId`` the key's 64 lower-case hex digits and the
+    other three ``listable``. The store's listed columns hold these fields.
+    Only readers decode a record here, the flush and the warm listing view,
+    each once per write: the contract applies ``listable`` to the fields
+    before it encodes them, so no execution decodes its own write.
+    """
+    data_id = key[len(KEY_ASSET):]
+    if not (key.startswith(KEY_ASSET) and _DATA_ID.fullmatch(data_id)):
+        return None
+    try:
+        record = from_canonical_json(value)
+        fields = record["owner"], record["addedAt"], record["assetName"]
+        if len(record) == 4 and record["dataId"] == data_id and listable(*fields):
+            return fields
+    except (KeyError, TypeError, ValueError):
+        pass
+    return None
+
+
+def asset_row(key: str, owner: str, added_at: int, asset_name: str) -> dict:
+    """What a listing shows of the asset record under ``key``."""
+    return {"addedAt": added_at, "assetName": asset_name, "dataId": key[len(KEY_ASSET):],
+            "owner": owner}
+
+
+def unlisted(key: str) -> UnsupportedFormat:
+    """The refusal of a value under ``asset/`` that is no asset record."""
+    return UnsupportedFormat(f"{key} holds no asset record in the form this program writes")
+
+
+def _order(row: dict) -> tuple[int, str]:
+    """A row's place in a listing: the store's ``ORDER BY added_at, key``."""
+    return row["addedAt"], row["dataId"]
+
+
+class _Listing:
+    """A state's listing rows in query order: all of them, and each owner's.
+
+    Built from the store's ordered read, with no sort, parsing each
+    distinct owner once. ``catch_up`` decodes each key in ``fresh`` once
+    and bisects its row into place; a key whose value is no record waits
+    in ``unlisted``, and an owner that fails to parse keeps ``fresh``.
+    """
+
+    def __init__(self, rows: list[dict]):
+        self.by_time = rows
+        self.by_owner: dict[str, list[dict]] = {}
+        for row in rows:
+            self.by_owner.setdefault(row["owner"], []).append(row)
+        for owner in self.by_owner:
+            parse_did(owner)
+        self.by_key = {KEY_ASSET + row["dataId"]: row for row in rows}  # key -> its row
+        self.unlisted: set[str] = set()  # keys whose value is no record
+        self.fresh: list[str] = []
+
+    def catch_up(self, data: dict[str, tuple[bytes, Version] | None]) -> None:
+        for key in dict.fromkeys(self.fresh):  # a key written twice is read once
+            fields = asset_fields(key, data[key][0])
+            if fields is not None and fields[0] not in self.by_owner:
+                parse_did(fields[0])
+            old = self.by_key.pop(key, None)
+            if old is not None:
+                for rows in (self.by_time, self.by_owner[old["owner"]]):
+                    del rows[bisect_left(rows, _order(old), key=_order)]
+            self.unlisted.discard(key)
+            if fields is None:
+                self.unlisted.add(key)
+                continue
+            row = self.by_key[key] = asset_row(key, *fields)
+            for rows in (self.by_time, self.by_owner.setdefault(row["owner"], [])):
+                insort(rows, row, key=_order)
+        self.fresh.clear()
+
+
+def _store_files(path: Path) -> list[Path]:
+    """The store and the -wal and -shm files SQLite keeps beside it."""
+    return [path.with_name(path.name + suffix) for suffix in ("", "-wal", "-shm")]
+
+
+class WorldState:
+    """Current key -> (value, version) view of all valid transactions.
+
+    One SQLite store, a file or ``:memory:`` for ``WorldState()``, holds
+    the state as of its savepoint, and ``tip`` names the block the state
+    has reached: ``(height, tip hash, tipStart)``. ``apply`` writes to
+    memory only. ``get`` serves a key from memory, a remembered miss
+    included, and otherwise runs one point query. ``range`` and
+    ``assets`` first ``flush``, then answer with one SQL query. Every row
+    read from the store must match its check value: a mismatch or an
+    SQLite error deletes the store and raises ``CorruptStore``, as does
+    every later read that needs it, so no answer comes from a damaged file.
+
+    The flush decodes each ``asset/`` value it writes once, through
+    ``asset_fields``, and stores the record's listed fields beside it,
+    indexed in listing order, so that ``assets`` answers from those
+    columns and decodes no value. ``listing`` keeps the rows of the first
+    listing of all in memory, and ``apply`` hands them the ``asset/`` keys
+    it writes, so a warm listing costs the rows written since.
+    """
+
+    def __init__(self, path: str | Path = _MEMORY):
+        """Open the store at ``path``, empty if new.
+
+        sqlite3.Error if it is unusable, or a store of another format.
+        """
+        self._data: dict[str, tuple[bytes, Version] | None] = {}
+        self.tip: tuple[int, bytes, int] = (0, ZERO_HASH, 0)
+        self._unflushed: list[str] = []  # keys applied since the last flush
+        self._listing: _Listing | None = None  # built by the first listing of all
+        self._path = path
+        self._gone: LedgerError | None = None  # why store reads now fail
+        db = sqlite3.connect(path, isolation_level=None)
+        try:
+            db.executescript(_PRAGMAS)
+            (version,), = db.execute("PRAGMA user_version")
+            if version != _STORE_FORMAT:
+                if version or db.execute("SELECT 1 FROM sqlite_master").fetchall():
+                    raise sqlite3.DatabaseError(f"a store of format {version}")
+                db.executescript(_SCHEMA)
+        except sqlite3.Error:
+            db.close()
+            raise
+        self._db: sqlite3.Connection | None = db
+
+    def __len__(self) -> int:
+        self.flush()
+        return len(self._rows(""))
+
+    def get(self, key: str) -> tuple[bytes, Version] | None:
+        try:
+            return self._data[key]
+        except KeyError:
+            rows = self._rows(" WHERE key = ?", (key,))
+            entry = self._data[key] = (rows[0][1], rows[0][2:4]) if rows else None
+            return entry
+
+    def range(self, prefix: str) -> list[tuple[str, bytes, Version]]:
+        """All entries whose key starts with prefix, sorted by key."""
+        self.flush()
+        return [(key, value, (block, tx)) for key, value, block, tx, *_ in
+                self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix)]
+
+    def assets(self, owner: str | None = None) -> list[dict]:
+        """The listing rows of every asset record, or of ``owner``'s, as stored.
+
+        One ordered read of the listed columns after a flush, through the
+        listing index, or the owner index for one owner, which reads that
+        owner's rows only. A listing of all refuses an ``asset/`` value
+        that is no record with UnsupportedFormat, rather than leave it
+        out; such a row has no owner, so no owner's listing holds it.
+        """
+        self.flush()
+        if owner is None:
+            rows = self._rows(f" INDEXED BY state_listing WHERE {_ASSET_ROWS}"
+                              " ORDER BY added_at, key")
+            if rows and rows[0][5] is None:  # the rows without fields sort first
+                raise unlisted(rows[0][0])
+        else:
+            rows = self._rows(" WHERE owner = ? ORDER BY added_at, key", (owner,))
+        return [asset_row(row[0], *row[4:7]) for row in rows]
+
+    def listing(self, owner: str | None = None) -> list[dict]:
+        """What ``assets`` returns, from rows that the first listing of all keeps.
+
+        The list is the caller's; its rows are shared with later results,
+        so a caller changes none. Once kept, the rows take in the keys
+        applied since, with no flush; an owner's listing keeps none.
+        """
+        listing = self._listing
+        if listing is None:
+            if owner is not None:
+                return self.assets(owner)
+            # kept once built, so an owner that fails to parse leaves none
+            listing = self._listing = _Listing(self.assets())
+        else:
+            listing.catch_up(self._data)
+            if owner is not None:
+                return listing.by_owner.get(owner, []).copy()
+            if listing.unlisted:
+                raise unlisted(min(listing.unlisted))
+        return listing.by_time.copy()
+
+    def _rows(self, where: str, params: tuple = (), prefix: str = "") -> list[tuple]:
+        """Checked rows of every column, up to the first key outside ``prefix``."""
+        if self._db is None:
+            raise self._gone
+        rows = []
+        try:
+            for row in self._db.execute(_SELECT_ROWS + where, params):
+                key, value, block, tx, owner, added_at, name, check = row
+                if not key.startswith(prefix):
+                    break
+                if check != _check(key, value, block, tx, owner, added_at, name):
+                    raise ValueError(f"row {key!r} fails its check")
+                rows.append(row)
+        except (sqlite3.Error, AttributeError, TypeError, ValueError) as exc:
+            raise self._drop(f"state store unreadable, deleted: {exc}") from exc
+        return rows
+
+    def apply(self, writes: list[tuple[str, bytes]], version: Version) -> None:
+        data = self._data
+        for key, value in writes:
+            data[key] = (value, version)
+        keys = [key for key, _ in writes]
+        self._unflushed += keys
+        if self._listing is not None:
+            self._listing.fresh += [key for key in keys if key.startswith(KEY_ASSET)]
+
+    def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
+        return [(key, (value, version)) for key, value, version in self.range("")]
+
+    # -- the store ---------------------------------------------------------
+
+    def savepoint(self) -> tuple[int, bytes, int] | None:
+        """``(height, tip hash, tipStart)`` of the last flush, None unless it checks."""
+        try:
+            (height, tip_hash, tip_start, check), = self._db.execute(
+                "SELECT height, tip_hash, tip_start, checksum FROM savepoint").fetchall()
+            if check != _check(height, tip_hash, tip_start):
+                return None
+        except (sqlite3.Error, TypeError, ValueError):
+            return None
+        return height, tip_hash, tip_start
+
+    def flush(self) -> None:
+        """Write the keys applied since the last flush, and ``tip`` as the savepoint.
+
+        One transaction, with nothing written when no key was applied. A
+        savepoint above ``tip`` is left as it is: another engine on the
+        same journal wrote it, and the store already holds what this
+        state would write. An SQLite error deletes the store instead,
+        which holds nothing the journal does not.
+        """
+        db = self._db
+        if db is None or not self._unflushed:
+            return
+        data, rows = self._data, []
+        for key in dict.fromkeys(self._unflushed):
+            value, (block, tx) = data[key]
+            row = (key, value, block, tx, *(asset_fields(key, value) or (None, None, None)))
+            rows.append((*row, _check(*row)))
+        self._unflushed.clear()
+        height, tip_hash, tip_start = self.tip
+        try:
+            db.execute("BEGIN")
+            if not db.execute("SELECT 1 FROM savepoint WHERE height > ?", (height,)).fetchall():
+                db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?, ?, ?)", rows)
+                db.execute("DELETE FROM savepoint")
+                db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)",
+                           (height, tip_hash, tip_start, _check(height, tip_hash, tip_start)))
+            db.execute("COMMIT")
+        except sqlite3.Error as exc:
+            self._drop(f"state store flush failed, deleted: {exc}")
+
+    def _drop(self, reason: str) -> CorruptStore:
+        """Close and delete the store: the error that its reads raise from now on."""
+        self.close()
+        if self._path != _MEMORY:
+            for path in _store_files(Path(self._path)):
+                path.unlink(missing_ok=True)
+        self._gone = CorruptStore(reason)
+        return self._gone
+
+    def close(self) -> None:
+        """Close the store; a read that needs it raises LedgerError from now on."""
+        if self._db is not None:
+            self._db.close()
+            self._db = None
+            self._gone = LedgerError("world state read after its ledger closed")

@@ -28,15 +28,15 @@ from iotid.idm import (
     login_message,
     resolve_did,
 )
-from iotid.ledger import (
+from iotid.journal import (
     BLOCKS_FILE,
     MVCC_CONFLICT,
     POLICY_FAILURE,
     VALID,
-    ContractError,
     Transaction,
     verify_chain_file,
 )
+from iotid.ledger import ContractError
 
 from util import (
     AssetRecord,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iotid import ledger as ledger_module
+from iotid import state as state_module
 from iotid.assets import (
     AssetContract,
     asset_key,
@@ -22,14 +22,9 @@ from iotid.codec import canonical_json
 from iotid.did import MalformedDid, parse_did
 from iotid.gateway import Gateway
 from iotid.idm import DidRecord, NotAuthenticatedError, Session, device_key, did_key
-from iotid.ledger import (
-    KEY_ASSET,
-    ContractError,
-    TxContext,
-    TxProposal,
-    UnsupportedFormat,
-    WorldState,
-)
+from iotid.journal import TxProposal
+from iotid.ledger import ContractError, TxContext
+from iotid.state import KEY_ASSET, UnsupportedFormat, WorldState
 from iotid.store import ContentHash
 
 from util import (
@@ -215,15 +210,15 @@ def test_owned_query_requires_live_session(engine, clock, registrar, registered,
 
 def count_decodes(monkeypatch) -> list[dict]:
     """Record every asset value decoded from here on: the flush's and the
-    warm view's, which both go through ``ledger.asset_fields``."""
+    warm view's, which both go through ``state.asset_fields``."""
     decoded = []
-    original = ledger_module.from_canonical_json
+    original = state_module.from_canonical_json
 
     def counting(data):
         decoded.append(original(data))
         return decoded[-1]
 
-    monkeypatch.setattr(ledger_module, "from_canonical_json", counting)
+    monkeypatch.setattr(state_module, "from_canonical_json", counting)
     return decoded
 
 
@@ -344,7 +339,7 @@ def test_a_cold_listing_parses_each_owner_once(monkeypatch):
     # cold owner query parses none
     writes = [asset_write(bytes([n]), _OWNERS[n % 2], n) for n in range(6)]
     parsed = []
-    monkeypatch.setattr(ledger_module, "parse_did",
+    monkeypatch.setattr(state_module, "parse_did",
                         lambda text: parsed.append(text) or parse_did(text))
     state = WorldState()
     state.apply(writes, (1, 0))

@@ -11,8 +11,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from iotid import ledger as ledger_module
-from iotid.ledger import STATE_FILE, VALID
+from iotid import journal as journal_module
+from iotid.journal import VALID
+from iotid.ledger import STATE_FILE
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,10 +80,10 @@ def test_benchmark_checks_pass_on_a_checkpointed_ledger(tmp_path, monkeypatch):
     # reads block 0 and the savepoint's block, decodes block 0 alone, and
     # replays nothing
     read, decoded = [], []
-    real_read, real_decode = ledger_module._read_record, ledger_module.Block.from_dict
-    monkeypatch.setattr(ledger_module, "_read_record",
+    real_read, real_decode = journal_module._read_record, journal_module.Block.from_dict
+    monkeypatch.setattr(journal_module, "_read_record",
                         lambda index, *args: read.append(index) or real_read(index, *args))
-    monkeypatch.setattr(ledger_module.Block, "from_dict",
+    monkeypatch.setattr(journal_module.Block, "from_dict",
                         staticmethod(lambda d: decoded.append(d["number"]) or real_decode(d)))
     reader = env.open_engine()
     try:

@@ -19,27 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotid import ledger as ledger_module
+from iotid import journal as journal_module
+from iotid import state as state_module
 from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import main as cli_main
 from iotid.clock import SimClock
 from iotid.codec import canonical_json
 from iotid.gateway import Gateway
 from iotid.idm import Session
-from iotid.ledger import (
-    BLOCKS_FILE,
-    LOCK_FILE,
-    STATE_FILE,
-    Block,
-    CorruptStore,
-    GenesisConfig,
-    LedgerEngine,
-    LedgerError,
-    Member,
-    UnsupportedFormat,
-    WorldState,
-    verify_chain_file,
-)
+from iotid.journal import BLOCKS_FILE, Block, GenesisConfig, LedgerError, Member, verify_chain_file
+from iotid.ledger import LOCK_FILE, STATE_FILE, LedgerEngine
+from iotid.state import CorruptStore, UnsupportedFormat, WorldState
 from iotid.store import ContentStore
 
 from util import (
@@ -124,8 +114,8 @@ class Reads:
 @pytest.fixture
 def reads(monkeypatch):
     seen = Reads()
-    read, decode = ledger_module._read_record, Block.from_dict
-    monkeypatch.setattr(ledger_module, "_read_record",
+    read, decode = journal_module._read_record, Block.from_dict
+    monkeypatch.setattr(journal_module, "_read_record",
                         lambda index, *args: seen.read.append(index) or read(index, *args))
     monkeypatch.setattr(Block, "from_dict",
                         staticmethod(lambda d: seen.decoded.append(d["number"]) or decode(d)))
@@ -272,7 +262,7 @@ def reseal(store, **changes):
     for name, change in changes.items():
         point[name] = change(point[name])
     run_sql(store, "UPDATE savepoint SET height = ?, tip_hash = ?, tip_start = ?, checksum = ?",
-            (*point.values(), ledger_module._check(*point.values())))
+            (*point.values(), state_module._check(*point.values())))
 
 
 def run_sql(store, sql, params=()):
@@ -343,7 +333,7 @@ def test_an_unreadable_checkpoint(stored, reads, monkeypatch):
         raise sqlite3.OperationalError("unable to open database file")
 
     expected = full_replay(stored)
-    monkeypatch.setattr(ledger_module.sqlite3, "connect", refuse)
+    monkeypatch.setattr(state_module.sqlite3, "connect", refuse)
     reads.clear()
     assert observe(stored) == expected
     assert reads.read == list(range(expected[0]))
@@ -703,7 +693,7 @@ def test_a_store_of_another_format_is_rebuilt_at_open(tmp_path, reads, change):
         assert len(asset_queries(engine, devices)[0]) == 6
     finally:
         engine.close()
-    assert run_sql(store_of(tmp_path), "PRAGMA user_version") == [(ledger_module._STORE_FORMAT,)]
+    assert run_sql(store_of(tmp_path), "PRAGMA user_version") == [(state_module._STORE_FORMAT,)]
     assert savepoint_height(tmp_path) == height
     reads.clear()
     engine = reopen_engine(tmp_path)

@@ -18,16 +18,16 @@ import pytest
 
 from iotid import ledger as ledger_module
 from iotid.clock import SimClock
-from iotid.ledger import (
+from iotid.journal import (
     BLOCKS_FILE,
-    KEY_ASSET,
     MVCC_CONFLICT,
     POLICY_FAILURE,
     VALID,
     GenesisConfig,
-    LedgerEngine,
     verify_chain_file,
 )
+from iotid.ledger import LedgerEngine
+from iotid.state import KEY_ASSET
 from iotid.store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
 
 from util import (

@@ -25,18 +25,11 @@ from iotid.gateway import Gateway, GatewayError, Keystore, default_contracts
 from iotid.idm import Session, resolve_did
 from iotid import did as did_module
 from iotid import idm as idm_module
+from iotid import journal as journal_module
 from iotid import ledger as ledger_module
-from iotid.ledger import (
-    BLOCKS_FILE,
-    KEY_ASSET,
-    KEY_DID,
-    VALID,
-    Block,
-    GenesisConfig,
-    LedgerEngine,
-    LedgerLocked,
-    UnsupportedFormat,
-)
+from iotid.journal import BLOCKS_FILE, VALID, Block, GenesisConfig
+from iotid.ledger import LedgerEngine, LedgerLocked
+from iotid.state import KEY_ASSET, KEY_DID, UnsupportedFormat
 from iotid.did import parse_did
 from iotid.sim import FlowConfig
 from iotid.store import ContentHash, ContentStore
@@ -602,8 +595,8 @@ def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
     config = GenesisConfig.from_block(blocks[0])
     endorsers = [peer.seed for peer in config.peers][:config.threshold]
     assert len(endorsers) < len(config.peers)
-    derived, derive = [], ledger_module.generate_keypair
-    monkeypatch.setattr(ledger_module, "generate_keypair",
+    derived, derive = [], journal_module.generate_keypair
+    monkeypatch.setattr(journal_module, "generate_keypair",
                         lambda seed: derived.append(seed) or derive(seed))
     copy = tmp_path / "copy"
     copy.mkdir()
@@ -1128,19 +1121,53 @@ def test_a_scenario_shorter_than_one_interval_is_refused(capsys, env, duration):
     assert not (Path(env["ledger"]) / BLOCKS_FILE).exists()
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process, which imports iotid from this source tree."""
+    src = str(Path(did_module.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_the_cli_loads_no_key_serialization():
     # keys are raw bytes throughout, so a one-shot command imports none of
     # cryptography's PEM, DER and SSH encoders; and only the simulator's
     # commands, sim-run and scenario, import the simulator
-    src = str(Path(did_module.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys, iotid.cli; "
               "print('cryptography.hazmat.primitives.serialization' in sys.modules, "
               "'iotid.sim' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout == "False False\n"
+    run = fresh_python("-c", script)
+    assert (run.returncode, run.stdout) == (0, "False False\n")
+
+
+# runs ``main`` on its arguments, then names on stderr each of these
+# modules that the command loaded: the engine, its contracts and store
+_ENGINE_MODULES = ["iotid.assets", "iotid.gateway", "iotid.idm", "iotid.ledger", "iotid.sim",
+                   "iotid.state", "iotid.store", "sqlite3"]
+_MAIN_THEN_LOADED = ("import sys; from iotid.cli import main; rc = main(sys.argv[1:]); "
+                     f"print(*[m for m in {_ENGINE_MODULES!r} if m in sys.modules], "
+                     "file=sys.stderr); sys.exit(rc)")
+
+
+def test_a_fresh_chain_verify_loads_no_engine(tmp_path):
+    # chain-verify reads the journal alone: its report comes from a process
+    # that loads neither the engine nor its world state, contracts or store
+    ledger_dir = tmp_path / "ledger"
+    ledger_dir.mkdir()
+    shutil.copy(THREE_ENDORSEMENTS, ledger_dir / BLOCKS_FILE)
+    argv = ["--machine", "--ledger-dir", str(ledger_dir), "chain-verify"]
+    report = '{"badBlock":null,"height":9,"ok":true,"reason":null}\n'
+    run = fresh_python("-m", "iotid.cli", *argv)
+    assert (run.returncode, run.stdout) == (0, report)
+    run = fresh_python("-c", _MAIN_THEN_LOADED, *argv)
+    assert (run.returncode, run.stdout, run.stderr) == (0, report, "\n")
+
+
+def test_sim_run_loads_no_ledger(tmp_path):
+    run = fresh_python("-c", _MAIN_THEN_LOADED, "--machine", "sim-run", "--devices", "1",
+                       "--duration", "30", "--output", str(tmp_path / "out"))
+    assert (run.returncode, json.loads(run.stdout)["files"]) == (0, 1)
+    assert run.stderr == "iotid.sim\n"
 
 
 def test_the_manufacturer_id_defaults_stay_the_simulators():

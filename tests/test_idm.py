@@ -23,7 +23,8 @@ from iotid.idm import (
     resolve_did,
     session_is_valid,
 )
-from iotid.ledger import POLICY_FAILURE, VALID, ContractError, Transaction
+from iotid.journal import POLICY_FAILURE, VALID, Transaction
+from iotid.ledger import ContractError
 
 from util import (
     MANUFACTURER,

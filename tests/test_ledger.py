@@ -20,45 +20,48 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iotid import journal as journal_module
 from iotid import ledger as ledger_module
 from iotid.clock import SimClock
 from iotid.codec import canonical_json, sha256
 from iotid.did import Address, KeyPair, generate_keypair, verify_signature
 from iotid.store import ContentStore
-from iotid.ledger import (
+from iotid.journal import (
     BLOCKS_FILE,
     FLAG_VALUES,
-    LOCK_FILE,
     MVCC_CONFLICT,
     POLICY_FAILURE,
-    STATE_FILE,
     VALID,
     ZERO_HASH,
     Block,
-    ContractError,
     CorruptJournal,
-    EmptyBatch,
     Endorsement,
     GenesisConfig,
-    InvalidProposalSignature,
-    LedgerEngine,
     LedgerError,
-    LedgerLocked,
-    MalformedProposal,
     Member,
-    NonSequentialBlock,
     ReadWriteSet,
-    RwsetMismatch,
     Transaction,
-    TxContext,
     TxProposal,
-    UnknownContract,
-    UnknownFunction,
-    WorldState,
     encode_endorsements,
     encode_transactions,
     verify_chain_file,
 )
+from iotid.ledger import (
+    LOCK_FILE,
+    STATE_FILE,
+    ContractError,
+    EmptyBatch,
+    InvalidProposalSignature,
+    LedgerEngine,
+    LedgerLocked,
+    MalformedProposal,
+    NonSequentialBlock,
+    RwsetMismatch,
+    TxContext,
+    UnknownContract,
+    UnknownFunction,
+)
+from iotid.state import WorldState
 
 from util import (
     Principal,
@@ -654,15 +657,15 @@ def test_build_transaction_executes_once_per_peer(tmp_path, alice, monkeypatch, 
         proposal = alice.proposal(engine, "kv", "set", ["x", "1"])
         calls, signed, encoded, hashed = [], [], [], []
         execute, sign = engine.execute_proposal, KeyPair.sign
-        encode, digest = ledger_module.canonical_json, ledger_module.sha256
+        encode, digest = journal_module.canonical_json, journal_module.sha256
         monkeypatch.setattr(engine, "execute_proposal",
                             lambda proposal: calls.append(proposal) or execute(proposal))
         monkeypatch.setattr(KeyPair, "sign",
                             lambda keypair, message: signed.append(
                                 (keypair.public_key, message)) or sign(keypair, message))
-        monkeypatch.setattr(ledger_module, "canonical_json",
+        monkeypatch.setattr(journal_module, "canonical_json",
                             lambda value: encoded.append(value) or encode(value))
-        monkeypatch.setattr(ledger_module, "sha256",
+        monkeypatch.setattr(journal_module, "sha256",
                             lambda data: hashed.append(data) or digest(data))
         tx = engine.build_transaction(proposal)
         endorsers = ["peer1", "peer2", "peer3"][:threshold]
@@ -765,7 +768,7 @@ def test_genesis_config_majority_and_validation():
         "registrar-name-a-number"])
 def test_a_bad_genesis_config_is_refused_before_any_key_is_derived(monkeypatch, change):
     fields = {"peers": GenesisConfig.default().peers, "registrars": [], **change}
-    monkeypatch.setattr(ledger_module, "generate_keypair",
+    monkeypatch.setattr(journal_module, "generate_keypair",
                         lambda seed: pytest.fail("derived a key"))
     with pytest.raises(ValueError):
         GenesisConfig(**fields)
@@ -1022,9 +1025,9 @@ def test_read_blocks_refuses_a_missing_block(tmp_path, engine, alice):
 
 def test_a_partly_read_walk_closes_its_journal(three_blocks, monkeypatch):
     opened = []
-    monkeypatch.setattr(ledger_module, "open",
+    monkeypatch.setattr(journal_module, "open",
                         lambda *args: opened.append(open(*args)) or opened[-1], raising=False)
-    _, record = next(ledger_module._walk(three_blocks))
+    _, record = next(journal_module._walk(three_blocks))
     assert record.link[0] == 0
     assert len(opened) == 1 and opened[0].closed
 
@@ -1159,8 +1162,8 @@ def test_open_derives_no_key_and_commits_derive_each_peer_key_once(tmp_path, eng
     # no other peer's key
     engine.close()
     seeds = []
-    real = ledger_module.generate_keypair
-    monkeypatch.setattr(ledger_module, "generate_keypair",
+    real = journal_module.generate_keypair
+    monkeypatch.setattr(journal_module, "generate_keypair",
                         lambda seed: seeds.append(seed) or real(seed))
     reopened = reopen_engine(tmp_path)
     try:
@@ -1354,7 +1357,7 @@ def grown_journal(tmp_path_factory) -> bytes:
 def _three_parts():
     """Verify a journal of a few KiB in three parts, on a host of any size."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ledger_module, "_VERIFY_PART_BYTES", 1)
+        mp.setattr(journal_module, "_VERIFY_PART_BYTES", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         yield
 
@@ -1362,7 +1365,7 @@ def _three_parts():
 def _serial_report(path) -> tuple:
     """The serial walk's report: the oracle for the split verify."""
     try:
-        return True, sum(1 for _ in ledger_module._walk(path)), None, None
+        return True, sum(1 for _ in journal_module._walk(path)), None, None
     except CorruptJournal as exc:
         return False, exc.index, exc.index, exc.reason
 
@@ -1414,7 +1417,7 @@ def _junctions(journal: bytes) -> list[tuple[int, int]]:
         path = Path(base) / BLOCKS_FILE
         path.write_bytes(journal)
         with _three_parts():
-            starts = ledger_module._part_starts(path)
+            starts = journal_module._part_starts(path)
     assert len(starts) == 3
     ends = list(itertools.accumulate(len(r) for r in journal.splitlines(keepends=True)))
     return [(start, ends.index(start) + 1) for start in starts[1:]]
@@ -1459,15 +1462,15 @@ def test_a_split_verify_leaves_no_child(tmp_path, monkeypatch, grown_journal, ca
     before = path.read_bytes()
     if case == "parent's part raises":
         # the workers would run for a minute: only killing them ends the verify
-        parent, walk = os.getpid(), ledger_module._walk
-        monkeypatch.setattr(ledger_module, "_part_answer", lambda *args: time.sleep(60))
+        parent, walk = os.getpid(), journal_module._walk
+        monkeypatch.setattr(journal_module, "_part_answer", lambda *args: time.sleep(60))
 
         def interrupted(*args, **kwargs):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(ledger_module, "_walk", interrupted)
+        monkeypatch.setattr(journal_module, "_walk", interrupted)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             _split_report(path)
@@ -1494,7 +1497,7 @@ def test_a_verify_without_workers_gives_the_serial_report(tmp_path, monkeypatch,
     else:
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     if fallback == "a worker dies":
-        monkeypatch.setattr(ledger_module, "_part_answer", lambda *args: _raise(MemoryError))
+        monkeypatch.setattr(journal_module, "_part_answer", lambda *args: _raise(MemoryError))
     done = threading.Event()
     if fallback == "a thread runs":
         waiter = threading.Thread(target=done.wait)

@@ -25,21 +25,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iotid import ledger as ledger_module
+from iotid import journal as journal_module
 from iotid.codec import sha256
-from iotid.ledger import (
+from iotid.journal import (
     BLOCKS_FILE,
     FLAG_VALUES,
-    STATE_FILE,
     ZERO_HASH,
     Block,
     CorruptJournal,
     GenesisConfig,
-    LedgerEngine,
     LedgerError,
     encode_transactions,
     verify_chain_file,
 )
+from iotid.ledger import STATE_FILE, LedgerEngine
 from iotid.store import ContentStore
 
 from test_ledger import (  # noqa: F401 (grown_journal is a fixture)
@@ -114,7 +113,7 @@ def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
                 GenesisConfig.from_block(block)
             except LedgerError as exc:
                 return False, height, str(exc)
-        if problem := ledger_module._link_problem(block.link, height, tip):
+        if problem := journal_module._link_problem(block.link, height, tip):
             return False, height, problem
         height, tip = height + 1, header_hash
     return (True, None, None) if height else (False, 0, "empty chain")
@@ -283,7 +282,7 @@ def test_every_record_that_commit_can_write_is_read_back(block):
                     block.validation_flags)
     record, header_hash = cut.encode()
     try:
-        read = ledger_module._read_record(cut.number, record + b"\n")
+        read = journal_module._read_record(cut.number, record + b"\n")
     except CorruptJournal as exc:
         assert exc.reason == "unknown validation flag"
         assert not set(cut.validation_flags) <= set(FLAG_VALUES)
@@ -291,7 +290,7 @@ def test_every_record_that_commit_can_write_is_read_back(block):
         assert (read.link, read.header_hash, read.flags, read.config) == \
             (cut.link, header_hash, cut.validation_flags, None)
         assert read.bodies == [tx._body for tx in cut.transactions]
-        assert [ledger_module._writes(body) for body in read.bodies] == \
+        assert [journal_module._writes(body) for body in read.bodies] == \
             [tx.rwset.writes for tx in cut.transactions]
         assert Block.from_dict(json.loads(record)) == cut
 
@@ -484,7 +483,7 @@ def test_verify_decodes_only_block_0_of_an_honest_journal(honest, grown_journal,
         assert _decodes(decoded) == [(os.getpid(), 0)]
     decoded.write_text("")
     with _three_parts():
-        assert len(ledger_module._part_starts(path)) == 3
+        assert len(journal_module._part_starts(path)) == 3
         assert verify_chain_file(path).ok
     assert _decodes(decoded) == [(os.getpid(), 0)]
     assert _no_child_left()

@@ -22,14 +22,8 @@ from iotid.did import (
     parse_did,
 )
 from iotid.gateway import default_contracts
-from iotid.ledger import (
-    LOCK_FILE,
-    Contract,
-    GenesisConfig,
-    LedgerEngine,
-    TxContext,
-    TxProposal,
-)
+from iotid.journal import GenesisConfig, TxProposal
+from iotid.ledger import LOCK_FILE, Contract, LedgerEngine, TxContext
 from iotid.store import ContentHash, ContentStore
 
 MANUFACTURER = "ABCDEF00001"
