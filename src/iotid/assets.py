@@ -10,9 +10,9 @@ payload hex-encoded in the upload proposal's arguments.
 A query returns listing rows, the dicts that ``asset-list`` prints, in
 (addedAt, dataId) order. The world state answers both queries through
 ``WorldState.listing``: the state module owns the rows' shape, their
-order, the refusal of a value that is no record, and the rows kept in
-memory between queries. This module adds only the session gate of an
-owner query.
+order, the one rule of what is a record (``asset_fields``), the refusal
+of a value that is not, and the rows kept in memory between queries.
+This module adds only the session gate of an owner query.
 """
 
 from __future__ import annotations

@@ -221,11 +221,6 @@ class IdmContract:
 # -- read-side resolution ---------------------------------------------------
 
 
-def get_device_record(state: WorldState, did: Did) -> DeviceRecord | None:
-    entry = state.get(device_key(did))
-    return DeviceRecord.from_bytes(entry[0]) if entry is not None else None
-
-
 def resolve_did(state: WorldState, store: ContentStore | None, did: Did) -> DidDocument:
     """The DID document built from the on-chain record alone.
 
@@ -306,7 +301,7 @@ class LoginService:
 
     def begin_login(self, did: Did) -> Challenge:
         """Issue a fresh single-use challenge for a registered device."""
-        if get_device_record(self._state, did) is None:
+        if self._state.get(device_key(did)) is None:  # presence, as the upload contract tests it
             raise NotRegisteredError(f"device not registered: {did}")
         challenge = Challenge(did=did, nonce=self._nonce(),
                               issued_at=int(self._clock.now()))

@@ -38,6 +38,7 @@ import json
 import os
 import sqlite3
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Protocol
 
@@ -63,6 +64,7 @@ from .journal import (
     TxProposal,
     Version,
     _link_problem,
+    _Record,
     _walk,
     _well_typed,
     _writes,
@@ -333,49 +335,52 @@ class LedgerEngine:
     def _replay(self) -> GenesisConfig:
         """Rebuild the world state up to the journal's last block; return block 0's config.
 
+        Block 0 is read once, for its config and the savepoint's check.
         Replay starts after the store's savepoint if it matches the journal;
-        otherwise the store is made anew and replay starts at block 0. A
+        otherwise the store is made anew and replay goes on from block 0. A
         record that fails chain-verify's checks raises CorruptJournal before
         it is applied. A torn last record was never committed: it is cut
         off, and the ledger opens at the height before it (never below block 0).
         """
         path = self._dir / BLOCKS_FILE
-        genesis = self._open_store(path)
-        if genesis is None:
+        walk = _walk(path)
+        first = next(walk)
+        if self._open_store(path, first):
+            walk.close()  # and with it the journal file
+            walk = _walk(path, self._offset, *self.state.tip[:2])
+        else:
             self._new_store()
-        height, tip_hash, _ = self.state.tip
+            walk = chain([first], walk)
         try:
-            for raw, record in _walk(path, self._offset, height, tip_hash):
-                genesis = record.config or genesis
+            for raw, record in walk:
                 writes = [(idx, _writes(body)) for idx, (body, flag)
                           in enumerate(zip(record.bodies, record.flags)) if flag == VALID]
                 self._apply_block(record.link[0], writes, record.header_hash, len(raw))
         except CorruptJournal as exc:
-            if exc.torn_at is None or genesis is None:
+            if exc.torn_at is None:
                 raise
             os.truncate(path, exc.torn_at)
-        return genesis
+        return first[1].config
 
-    def _open_store(self, journal: Path) -> GenesisConfig | None:
+    def _open_store(self, journal: Path, first: tuple[bytes, _Record]) -> bool:
         """Take the state store, at its savepoint's tip, if that savepoint matches.
 
         It matches when the journal holds a whole record at its ``tipStart``
-        that is its last block: the number and header hash agree. Returns
-        block 0's config then; otherwise None, with the store closed.
+        that is its last block: the number and header hash agree. ``first``
+        is block 0's record, which a savepoint at height 1 names. False, with
+        the store closed, if it does not match.
         """
         try:
             state = WorldState(self._dir / STATE_FILE)
         except sqlite3.Error:  # unreadable, not an SQLite file, or of another format
-            return None
+            return False
         point = state.savepoint()
         if point is not None:
             height, tip_hash, tip_start = point
+            raw, record = first
             # a record past the end raises StopIteration; the full replay
-            # reports what is wrong. A savepoint at height 1 names block 0,
-            # which the first walk has read already
+            # reports what is wrong
             try:
-                raw, record = next(_walk(journal))
-                genesis = record.config
                 if (height, tip_start) != (1, 0):
                     raw, record = next(_walk(journal, tip_start, height - 1, None))
             except (LedgerError, OSError, StopIteration, TypeError):
@@ -383,9 +388,9 @@ class LedgerEngine:
             if record is not None and record.header_hash == tip_hash:
                 self.state, state.tip = state, point
                 self._offset = tip_start + len(raw)
-                return genesis
+                return True
         state.close()
-        return None
+        return False
 
     def _new_store(self) -> None:
         """Replace the state store with an empty one, which the next flush fills.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sqlite3
 import zlib
-from bisect import bisect_left, insort
+from bisect import insort
 from pathlib import Path
 
 from .codec import from_canonical_json
@@ -49,8 +49,9 @@ PRAGMA journal_mode = WAL;
 PRAGMA synchronous = OFF;
 """
 # The store's format, which PRAGMA user_version names: a store of any
-# other format is refused at open, and rebuilt from the journal.
-_STORE_FORMAT = 2
+# other format is refused at open, and rebuilt from the journal. Format 3
+# lists no record whose owner is no DID.
+_STORE_FORMAT = 3
 # An asset/ row also holds its record's listed fields, NULL when the value
 # is no record that the asset contract writes. The listing index covers
 # every asset/ row, so one ordered read meets a row without them first.
@@ -102,11 +103,12 @@ def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
     """``(owner, addedAt, assetName)`` of the asset record ``value`` under ``key``.
 
     None unless it is a record as the asset contract writes it: exactly
-    the four keys, ``dataId`` the key's 64 lower-case hex digits and the
-    other three ``listable``. The store's listed columns hold these fields.
-    Only readers decode a record here, the flush and the warm listing view,
-    each once per write: the contract applies ``listable`` to the fields
-    before it encodes them, so no execution decodes its own write.
+    the four keys, ``dataId`` the key's 64 lower-case hex digits, the other
+    three ``listable`` and the owner a DID. This is the one judge of a
+    record: the store's listed columns hold these fields, and the kept
+    listing takes in no other. Only readers decode a record here, the flush
+    and the kept listing, each once per write: the contract checks the
+    fields before it encodes them, so no execution decodes its own write.
     """
     data_id = key[len(KEY_ASSET):]
     if not (key.startswith(KEY_ASSET) and _DATA_ID.fullmatch(data_id)):
@@ -115,6 +117,7 @@ def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
         record = from_canonical_json(value)
         fields = record["owner"], record["addedAt"], record["assetName"]
         if len(record) == 4 and record["dataId"] == data_id and listable(*fields):
+            parse_did(fields[0])  # MalformedDid is a ValueError
             return fields
     except (KeyError, TypeError, ValueError):
         pass
@@ -127,11 +130,6 @@ def asset_row(key: str, owner: str, added_at: int, asset_name: str) -> dict:
             "owner": owner}
 
 
-def unlisted(key: str) -> UnsupportedFormat:
-    """The refusal of a value under ``asset/`` that is no asset record."""
-    return UnsupportedFormat(f"{key} holds no asset record in the form this program writes")
-
-
 def _order(row: dict) -> tuple[int, str]:
     """A row's place in a listing: the store's ``ORDER BY added_at, key``."""
     return row["addedAt"], row["dataId"]
@@ -140,10 +138,10 @@ def _order(row: dict) -> tuple[int, str]:
 class _Listing:
     """A state's listing rows in query order: all of them, and each owner's.
 
-    Built from the store's ordered read, with no sort, parsing each
-    distinct owner once. ``catch_up`` decodes each key in ``fresh`` once
-    and bisects its row into place; a key whose value is no record waits
-    in ``unlisted``, and an owner that fails to parse keeps ``fresh``.
+    Built from the store's ordered read, with no sort. It takes in new
+    records only: ``catch_up`` decodes each key in ``fresh`` once and
+    bisects its row into place, and returns False at a key it listed
+    before or a value that is no record, which only the store answers.
     """
 
     def __init__(self, rows: list[dict]):
@@ -151,29 +149,20 @@ class _Listing:
         self.by_owner: dict[str, list[dict]] = {}
         for row in rows:
             self.by_owner.setdefault(row["owner"], []).append(row)
-        for owner in self.by_owner:
-            parse_did(owner)
-        self.by_key = {KEY_ASSET + row["dataId"]: row for row in rows}  # key -> its row
-        self.unlisted: set[str] = set()  # keys whose value is no record
+        self.keys = {KEY_ASSET + row["dataId"] for row in rows}
         self.fresh: list[str] = []
 
-    def catch_up(self, data: dict[str, tuple[bytes, Version] | None]) -> None:
+    def catch_up(self, data: dict[str, tuple[bytes, Version] | None]) -> bool:
         for key in dict.fromkeys(self.fresh):  # a key written twice is read once
             fields = asset_fields(key, data[key][0])
-            if fields is not None and fields[0] not in self.by_owner:
-                parse_did(fields[0])
-            old = self.by_key.pop(key, None)
-            if old is not None:
-                for rows in (self.by_time, self.by_owner[old["owner"]]):
-                    del rows[bisect_left(rows, _order(old), key=_order)]
-            self.unlisted.discard(key)
-            if fields is None:
-                self.unlisted.add(key)
-                continue
-            row = self.by_key[key] = asset_row(key, *fields)
+            if fields is None or key in self.keys:
+                return False
+            self.keys.add(key)
+            row = asset_row(key, *fields)
             for rows in (self.by_time, self.by_owner.setdefault(row["owner"], [])):
                 insort(rows, row, key=_order)
         self.fresh.clear()
+        return True
 
 
 def _store_files(path: Path) -> list[Path]:
@@ -199,7 +188,9 @@ class WorldState:
     indexed in listing order, so that ``assets`` answers from those
     columns and decodes no value. ``listing`` keeps the rows of the first
     listing of all in memory, and ``apply`` hands them the ``asset/`` keys
-    it writes, so a warm listing costs the rows written since.
+    it writes: new records go into the kept rows, so a warm listing costs
+    the rows written since, and any other write drops them for the store
+    to answer.
     """
 
     def __init__(self, path: str | Path = _MEMORY):
@@ -258,7 +249,8 @@ class WorldState:
             rows = self._rows(f" INDEXED BY state_listing WHERE {_ASSET_ROWS}"
                               " ORDER BY added_at, key")
             if rows and rows[0][5] is None:  # the rows without fields sort first
-                raise unlisted(rows[0][0])
+                raise UnsupportedFormat(
+                    f"{rows[0][0]} holds no asset record in the form this program writes")
         else:
             rows = self._rows(" WHERE owner = ? ORDER BY added_at, key", (owner,))
         return [asset_row(row[0], *row[4:7]) for row in rows]
@@ -267,21 +259,20 @@ class WorldState:
         """What ``assets`` returns, from rows that the first listing of all keeps.
 
         The list is the caller's; its rows are shared with later results,
-        so a caller changes none. Once kept, the rows take in the keys
-        applied since, with no flush; an owner's listing keeps none.
+        so a caller changes none. Once kept, the rows take in the new
+        records applied since, with no flush; any other write under
+        ``asset/`` drops them, and ``assets`` answers. An owner's listing
+        keeps none.
         """
         listing = self._listing
+        if listing is not None and not listing.catch_up(self._data):
+            listing = self._listing = None
         if listing is None:
             if owner is not None:
                 return self.assets(owner)
-            # kept once built, so an owner that fails to parse leaves none
             listing = self._listing = _Listing(self.assets())
-        else:
-            listing.catch_up(self._data)
-            if owner is not None:
-                return listing.by_owner.get(owner, []).copy()
-            if listing.unlisted:
-                raise unlisted(min(listing.unlisted))
+        elif owner is not None:
+            return listing.by_owner.get(owner, []).copy()
         return listing.by_time.copy()
 
     def _rows(self, where: str, params: tuple = (), prefix: str = "") -> list[tuple]:

@@ -246,9 +246,11 @@ def test_a_checkpoint_from_another_ledger(tmp_path, stored, reads):
     engine = reopen_engine(other)
     try:
         assert seen(engine) == expected
-        # a full replay, after the savepoint's check read block 0 too
-        assert reads.read[-engine.height:] == list(range(engine.height))
-        assert reads.decoded == [0, 0]
+        # block 0 once, for the config, the check and the replay; the
+        # savepoint's record, which the check refuses; then a full replay
+        # from block 1
+        assert reads.read == [0, BLOCKS, *range(1, engine.height)]
+        assert reads.decoded == [0]
     finally:
         engine.close()
 
@@ -291,9 +293,12 @@ def test_a_damaged_checkpoint(stored, reads, damage):
     engine = reopen_engine(stored)
     try:
         assert seen(engine) == expected
-        assert reads.read[-engine.height:] == list(range(engine.height))
-        # block 0 alone, by the replay and by a savepoint check that got to it
-        assert reads.decoded == [0] * reads.read.count(0)
+        # block 0 once, the savepoint's record if the check got to it, then
+        # a full replay from block 1
+        assert reads.read[0] == 0 and reads.read.count(0) == 1
+        assert reads.read[1 - engine.height:] == list(range(1, engine.height))
+        assert len(reads.read) <= engine.height + 1
+        assert reads.decoded == [0]
     finally:
         engine.close()
     # the close after a full replay wrote a good store again
@@ -670,8 +675,10 @@ def to_parent_format(store):
 
 @pytest.mark.parametrize("change", [
     to_parent_format,
+    # format 2 listed a record whose owner is no DID
+    lambda store: run_sql(store, "PRAGMA user_version = 2"),
     lambda store: run_sql(store, "PRAGMA user_version = 99"),  # a later format
-], ids=["parent", "later"])
+], ids=["parent", "format2", "later"])
 def test_a_store_of_another_format_is_rebuilt_at_open(tmp_path, reads, change):
     genesis = GenesisConfig(peers=[Member("peer1", bytes(32))],
                             registrars=[Member("registrar", bytes([1]) * 32)])

@@ -17,8 +17,8 @@ from iotid.idm import (
     NotRegisteredError,
     Session,
     UnknownDidError,
+    device_key,
     did_key,
-    get_device_record,
     login_message,
     resolve_did,
     session_is_valid,
@@ -168,7 +168,7 @@ def test_register_device_records_manufacturer(engine, registrar, device):
                                [str(device.did), MANUFACTURER])
     engine.submit(proposal)
     engine.flush()
-    record = get_device_record(engine.state, device.did)
+    record = DeviceRecord.from_bytes(engine.state.get(device_key(device.did))[0])
     assert record.did == device.did
     assert record.manufacturer_id == MANUFACTURER
     assert record.registered_at == proposal.timestamp
@@ -183,7 +183,7 @@ def test_register_sees_only_committed_identities(engine, registrar, device):
     engine.submit(device.proposal(engine, "idm", "registerDevice",
                                   [str(device.did), MANUFACTURER]))
     engine.flush()
-    assert get_device_record(engine.state, device.did) is not None
+    assert engine.state.get(device_key(device.did)) is not None
 
 
 def test_register_unknown_did(engine, device):
@@ -213,7 +213,7 @@ def test_register_requires_ownership(engine, registrar, device, other_device):
     engine.submit(other_device.proposal(
         engine, "idm", "registerDevice", [str(device.did), MANUFACTURER]))
     engine.flush()
-    assert get_device_record(engine.state, device.did) is not None
+    assert engine.state.get(device_key(device.did)) is not None
 
 
 def test_register_twice_rejected(engine, registrar, device):
