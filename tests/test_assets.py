@@ -369,28 +369,46 @@ def bad_owner_write(payload):
                                                 "dataId": data_id, "owner": "did:x"})
 
 
-def test_a_malformed_owner_is_no_record_warm_and_cold(tmp_path):
-    # the listing of all refuses it by name and an owner's listing leaves it
-    # out, whether the kept rows meet it in the write feed beside a good
-    # record or a fresh state reads the flushed store
-    bad = bad_owner_write(b"bad")
-    first, second = asset_write(b"first", _OWNERS[0], 0), asset_write(b"second", _OWNERS[1], 2)
+def assert_malformed_owner_is_no_record(state, bad, mine):
+    # the listing of all refuses it by name, every time it is asked, and an
+    # owner's listing leaves it out
     session = Session(did=_OWNERS[0], expires_at=10)
-    mine = [asset_row(first[0], str(_OWNERS[0]), 0, "a.txt")]
-    warm = WorldState(tmp_path / "state.sqlite")
-    warm.apply([first], (1, 0))
-    assert query_all_assets(warm) == mine
-    warm.apply([bad, second], (2, 0))
-    warm.flush()
+    for _ in range(2):
+        assert query_owned_assets(state, session, 0) == mine
+        with pytest.raises(UnsupportedFormat, match=bad[0]):
+            query_all_assets(state)
+
+
+def test_a_malformed_owner_still_fails_the_listing(tmp_path):
+    # a fresh state reads the flushed store that holds it beside a good record
+    bad, good = bad_owner_write(b"bad"), asset_write(b"good", _OWNERS[0], 0)
+    written = WorldState(tmp_path / "state.sqlite")
+    written.apply([good, bad], (1, 0))
+    written.flush()
+    written.close()
     cold = WorldState(tmp_path / "state.sqlite")
     try:
-        for state in (warm, cold):
-            for _ in range(2):
-                assert query_owned_assets(state, session, 0) == mine
-                with pytest.raises(UnsupportedFormat, match=bad[0]):
-                    query_all_assets(state)
+        assert_malformed_owner_is_no_record(
+            cold, bad, [asset_row(good[0], str(_OWNERS[0]), 0, "a.txt")])
     finally:
         cold.close()
+
+
+def test_a_malformed_owner_fails_every_warm_query(tmp_path):
+    # the kept rows are built on one good record; the bad one arrives through
+    # the write feed beside a good one, flushed or not
+    bad = bad_owner_write(b"bad")
+    first, second = asset_write(b"first", _OWNERS[0], 0), asset_write(b"second", _OWNERS[1], 2)
+    mine = [asset_row(first[0], str(_OWNERS[0]), 0, "a.txt")]
+    warm = WorldState(tmp_path / "state.sqlite")
+    try:
+        warm.apply([first], (1, 0))
+        assert query_all_assets(warm) == mine
+        warm.apply([bad, second], (2, 0))
+        assert_malformed_owner_is_no_record(warm, bad, mine)
+        warm.flush()
+        assert_malformed_owner_is_no_record(warm, bad, mine)
+    finally:
         warm.close()
 
 
