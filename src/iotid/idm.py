@@ -117,12 +117,6 @@ class DeviceRecord:
             "registeredAt": self.registered_at,
         }
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DeviceRecord":
-        d = from_canonical_json(data)
-        return cls(did=parse_did(d["did"]), manufacturer_id=d["manufacturerId"],
-                   registered_at=int(d["registeredAt"]))
-
 
 def did_key(did: Did) -> str:
     return KEY_DID + str(did)

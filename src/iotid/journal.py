@@ -15,6 +15,7 @@ signatures.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -458,6 +459,14 @@ class ChainReport:
                 "badBlock": self.bad_block, "reason": self.reason}
 
 
+# _walk's read buffer: one read takes in a typical record (an upload block of
+# ten transactions is about 20 KB), where the default 8 KiB took three reads
+# and a join. On the benchmark's cold_commands journal a 128 KiB buffer walks
+# no faster, and every open reads the buffer twice: for block 0 and for the
+# savepoint's record.
+_READ_BUFFER = 64 * 1024
+
+
 def _walk(path: str | Path, start: int = 0, height: int | None = 0,
           tip_hash: bytes | None = ZERO_HASH,
           end: int | None = None) -> Iterator[tuple[bytes, _Record]]:
@@ -471,7 +480,7 @@ def _walk(path: str | Path, start: int = 0, height: int | None = 0,
     first bad record, on an empty journal, or with ``torn_at`` set at an
     unterminated (torn) last record.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
         fh.seek(start)
         for raw in fh:
             if start == end:
@@ -600,13 +609,13 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
         flags = None if more else tail.fullmatch(raw, at)
     if flags is None:
         raise CorruptJournal(index, _refusal(raw))
-    if sha256(flags[1]).hex().encode() != head[3] or \
-            [sha256(body).hex().encode() for body in bodies] != stored:
+    if hashlib.sha256(flags[1]).hexdigest().encode() != head[3] or \
+            [hashlib.sha256(body).hexdigest().encode() for body in bodies] != stored:
         raise CorruptJournal(index, "non-canonical block encoding")
     flag_list = json.loads(flags[1])
     if any(flag not in FLAG_VALUES for flag in flag_list):
         raise CorruptJournal(index, "unknown validation flag")
-    if sha256(raw[head.end() - 1:at + 1]).hex().encode() != head[2]:
+    if hashlib.sha256(memoryview(raw)[head.end() - 1:at + 1]).hexdigest().encode() != head[2]:
         raise CorruptJournal(index, "data hash does not match transactions")
     number, config = int(head[4]), None
     if number == 0:
@@ -643,9 +652,11 @@ def _writes(body: bytes) -> list[tuple[str, bytes]]:
 
 # chain-verify splits a journal into record-aligned parts of at least
 # _VERIFY_PART_BYTES, one per usable CPU and at most _VERIFY_MAX_PARTS, and
-# verifies every part but the first in a forked worker. On a 2-vCPU VM a
-# fork round trip costs about 2.5 ms, and verifying 512 KiB of journal 4-5
-# ms: a 1.1 MiB journal takes 8.8 ms serially and 7.9 ms in two parts.
+# verifies every part but the first in a forked worker. On a 2-vCPU VM, in a
+# process that has imported only this module, a fork round trip costs about
+# 1.3 ms, and verifying 512 KiB of journal about 2.5 ms: the first 1.1 MiB of
+# the benchmark's cold_commands journal takes 5.4 ms serially and 4.1 ms in
+# two parts.
 _VERIFY_PART_BYTES = 512 * 1024
 _VERIFY_MAX_PARTS = 4
 

@@ -5,15 +5,18 @@ SHA-256 of their bytes, while the chain holds only the hashes. Contracts
 never read it. The ledger writes a block's content when it commits the
 block: one file per block, named by its number, that holds the content of
 the block's VALID transactions in transaction order, each record a 4-byte
-big-endian length and then the bytes. ``put``, ``len()`` and the
-digest-file branch of ``get`` serve one file per content, named by its
-hex digest, which the ledger no longer writes; ``perfbench`` still traces
-``put`` and counts its files. Integrity is re-checked on every read from
-disk because this store is the trust boundary for those bytes.
+big-endian length and then the bytes. A block's file is written in place
+before its journal record, so a commit changes the directory once.
+``put``, ``len()`` and the digest-file branch of ``get`` serve one file
+per content, named by its hex digest, which the ledger no longer writes;
+``perfbench`` still traces ``put`` and counts its files. Integrity is
+re-checked on every read from disk because this store is the trust
+boundary for those bytes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -105,12 +108,26 @@ class ContentStore:
     def put_block(self, block: int, contents: list[bytes]) -> None:
         """Write block ``block``'s contents, in order, as that block's file.
 
-        It replaces any file of that number, which only a commit of that
-        block that was cut short can have left.
+        The file is written in place at mode 0o600, with no temp file and
+        rename: until the block's record is in the journal no reader looks
+        for it, and open removes the file of a block that was not committed.
+        It truncates any file of that number, which only a commit of that
+        block that was cut short can have left, and a failed write removes it.
         """
-        self._replace(self._block_file(block),
-                      b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data
-                               for data in contents))
+        path = self._block_file(block)
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        try:
+            fd = os.open(path, flags, 0o600)
+        except FileNotFoundError:
+            self._dir.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, flags, 0o600)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data
+                                  for data in contents))
+        except BaseException:
+            path.unlink()
+            raise
 
     def remove_block(self, block: int) -> None:
         """Remove block ``block``'s file, which a commit cut short may have left.

@@ -30,6 +30,7 @@ from util import (
     MANUFACTURER,
     Principal,
     create_identity,
+    device_record,
     register_device,
     state_snapshot,
     upload_payload,
@@ -168,7 +169,7 @@ def test_register_device_records_manufacturer(engine, registrar, device):
                                [str(device.did), MANUFACTURER])
     engine.submit(proposal)
     engine.flush()
-    record = DeviceRecord.from_bytes(engine.state.get(device_key(device.did))[0])
+    record = device_record(engine.state.get(device_key(device.did))[0])
     assert record.did == device.did
     assert record.manufacturer_id == MANUFACTURER
     assert record.registered_at == proposal.timestamp
@@ -285,7 +286,7 @@ def test_records_round_trip(device):
     assert DidRecord.from_bytes(canonical_json(record.to_dict())) == record
     entry = DeviceRecord(did=device.did, manufacturer_id=MANUFACTURER,
                          registered_at=9)
-    assert DeviceRecord.from_bytes(canonical_json(entry.to_dict())) == entry
+    assert device_record(canonical_json(entry.to_dict())) == entry
 
 
 # -- the content store: untouched by idm --------------------------------------

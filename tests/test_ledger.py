@@ -1026,10 +1026,88 @@ def test_read_blocks_refuses_a_missing_block(tmp_path, engine, alice):
 def test_a_partly_read_walk_closes_its_journal(three_blocks, monkeypatch):
     opened = []
     monkeypatch.setattr(journal_module, "open",
-                        lambda *args: opened.append(open(*args)) or opened[-1], raising=False)
+                        lambda *args, **kwargs: opened.append(open(*args, **kwargs)) or opened[-1],
+                        raising=False)
     _, record = next(journal_module._walk(three_blocks))
     assert record.link[0] == 0
     assert len(opened) == 1 and opened[0].closed
+
+
+def _padded_record(number: int, prev_hash: bytes, size: int) -> tuple[bytes, bytes]:
+    """A record of ``size`` bytes, newline included, that extends ``prev_hash``,
+    and its header hash: one transaction whose argument is padded to fit."""
+    def encode(pad: int) -> tuple[bytes, bytes]:
+        proposal = TxProposal(Address(bytes(20)), b"", "kv", "set", ["k", "x" * pad], b"", 0)
+        return Block.cut(number, prev_hash, [Transaction(proposal, ReadWriteSet(), [])],
+                         [VALID]).encode()
+    record, header_hash = encode(size - len(encode(0)[0]) - 1)
+    assert len(record) + 1 == size
+    return record + b"\n", header_hash
+
+
+def _walked(path, start: int, height: int, tip_hash: bytes):
+    """What ``_walk`` yields from ``start``, and ``(index, reason, torn_at)`` of its refusal."""
+    read = []
+    try:
+        read.extend(journal_module._walk(path, start, height, tip_hash))
+    except CorruptJournal as exc:
+        return read, (exc.index, exc.reason, exc.torn_at)
+    return read, None
+
+
+def _read_by_lines(journal: bytes):
+    """``_walked``'s answer from the journal's lines, each through ``_read_record``."""
+    read, at = [], 0
+    for index, raw in enumerate(journal.splitlines(keepends=True)):
+        if not raw.endswith(b"\n"):
+            return read, (index, "unterminated last record", at)
+        try:
+            read.append((raw, journal_module._read_record(index, raw)))
+        except CorruptJournal as exc:
+            return read, (exc.index, exc.reason, exc.torn_at)
+        at += len(raw)
+    return read, None
+
+
+_BUFFER = journal_module._READ_BUFFER
+# record sizes about the walk's read buffer; half a buffer and a bit, three
+# times over, puts a record across each buffer boundary
+_LAYOUTS = {
+    "shorter": [600, 700, _BUFFER - 2000],
+    "equal": [_BUFFER, _BUFFER],
+    "longer": [_BUFFER + 1, 2 * _BUFFER + 5],
+    "straddling": [_BUFFER // 2 + 7] * 3,
+}
+
+
+@pytest.mark.parametrize("tail", ["none", "torn", "refused"])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_the_walk_reads_records_of_any_size_as_their_lines(grown_journal, tmp_path,
+                                                           layout, tail):
+    # a torn or refused last record is longer than the buffer; the walk from
+    # each record boundary gives the lines' reading from there on
+    genesis = grown_journal.splitlines(keepends=True)[0]
+    records, tip = [genesis], journal_module._read_record(0, genesis).header_hash
+    for size in _LAYOUTS[layout] + ([] if tail == "none" else [_BUFFER * 3 // 2]):
+        record, tip = _padded_record(len(records), tip, size)
+        records.append(record)
+    if tail == "torn":
+        records[-1] = records[-1][:-1]
+    elif tail == "refused":  # a padding byte, under the txId that covered it
+        records[-1] = records[-1].replace(b"xxx", b"xyx", 1)
+    path = tmp_path / BLOCKS_FILE
+    path.write_bytes(b"".join(records))
+    want, refusal = _read_by_lines(path.read_bytes())
+    assert len(want) == len(records) - (tail != "none")
+    assert refusal == {"none": None,
+                       "torn": (len(want), "unterminated last record",
+                                sum(map(len, records[:-1]))),
+                       "refused": (len(want), "non-canonical block encoding", None)}[tail]
+    start, tip = 0, ZERO_HASH
+    for height in range(len(want) + 1):
+        assert _walked(path, start, height, tip) == (want[height:], refusal)
+        if height < len(want):
+            start, tip = start + len(records[height]), want[height][1].header_hash
 
 
 def test_failed_open_releases_the_lock(tmp_path, engine, alice):

@@ -22,6 +22,7 @@ from iotid.did import (
     parse_did,
 )
 from iotid.gateway import default_contracts
+from iotid.idm import DeviceRecord
 from iotid.journal import GenesisConfig, TxProposal
 from iotid.ledger import LOCK_FILE, Contract, LedgerEngine, TxContext
 from iotid.store import ContentHash, ContentStore
@@ -52,6 +53,13 @@ class AssetRecord:
         d = from_canonical_json(data)
         return cls(data_id=ContentHash.from_hex(d["dataId"]), owner=parse_did(d["owner"]),
                    asset_name=d["assetName"], added_at=int(d["addedAt"]))
+
+
+def device_record(data: bytes) -> DeviceRecord:
+    """A ``device/<did text>`` record decoded the slow way; the contract only writes them."""
+    d = from_canonical_json(data)
+    return DeviceRecord(did=parse_did(d["did"]), manufacturer_id=d["manufacturerId"],
+                        registered_at=int(d["registeredAt"]))
 
 
 def seeded_keypair(n: int) -> KeyPair:
