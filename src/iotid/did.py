@@ -31,9 +31,9 @@ SEED_BYTES = 32
 PUBLIC_KEY_BYTES = 32
 ADDRESS_BYTES = 20
 
-_METHOD_RE = re.compile(r"^[a-z0-9]{1,32}$")
-_METHOD_ID_RE = re.compile(r"^[a-zA-Z0-9]{1,128}$")
-_ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
+_METHOD_RE = re.compile(r"[a-z0-9]{1,32}")
+_METHOD_ID_RE = re.compile(r"[a-zA-Z0-9]{1,128}")
+_ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}")
 
 
 class MalformedDid(ValueError):
@@ -48,9 +48,9 @@ class Did:
     method_id: str
 
     def __post_init__(self):
-        if not _METHOD_RE.match(self.method):
+        if not _METHOD_RE.fullmatch(self.method):
             raise MalformedDid(f"invalid DID method: {self.method!r}")
-        if not _METHOD_ID_RE.match(self.method_id):
+        if not _METHOD_ID_RE.fullmatch(self.method_id):
             raise MalformedDid(f"invalid DID method-specific id: {self.method_id!r}")
 
     def __str__(self) -> str:
@@ -125,7 +125,7 @@ class Address:
 
     @classmethod
     def from_text(cls, text: str) -> "Address":
-        if not _ADDRESS_RE.match(text):
+        if not _ADDRESS_RE.fullmatch(text):
             raise ValueError(f"invalid address text: {text!r}")
         return cls(bytes.fromhex(text[2:]))
 

@@ -50,8 +50,8 @@ from .store import ContentStore
 
 OBJECTS_DIR = "objects"
 NONCES_FILE = "nonces.json"
-_NAME_RE = re.compile(r"^[a-zA-Z0-9_-]{1,64}$")
-_DEVICE_DIR_RE = re.compile(r"^device\d+$")
+_NAME_RE = re.compile(r"[a-zA-Z0-9_-]{1,64}")
+_DEVICE_DIR_RE = re.compile(r"device\d+")
 
 
 class GatewayError(Exception):
@@ -88,7 +88,7 @@ class Keystore:
         self.directory = Path(directory)
 
     def _entry_path(self, name: str) -> Path:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise GatewayError(f"invalid device name: {name!r}")
         path = self.directory / f"{name}.json"
         if path.name == NONCES_FILE:
@@ -301,7 +301,7 @@ class Gateway:
     @staticmethod
     def default_asset_name(path: Path) -> str:
         """`device<i>/<c>.txt` when the file sits in a per-device directory."""
-        if _DEVICE_DIR_RE.match(path.parent.name):
+        if _DEVICE_DIR_RE.fullmatch(path.parent.name):
             return f"{path.parent.name}/{path.name}"
         return path.name
 

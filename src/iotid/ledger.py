@@ -10,12 +10,11 @@ in-process:
    each endorser's execution shares that verdict.
 2. endorse: as Fabric's client does, the collector asks only as many peers
    as the policy needs, the first ``threshold`` of the roster in roster
-   order. Each executes the proposal once and signs the txId of its own
-   transaction; the collector checks that they computed the same txId and
-   merges their endorsements into one transaction. The body is encoded
-   and the txId hashed once: a peer whose rwset equals the first peer's
-   takes the first's, and one whose rwset differs computes its own, which
-   the check then rejects.
+   order. Each executes the proposal once. The first peer's result is the
+   transaction, and its body is encoded and its txId hashed once; each
+   later peer compares its rwset with that transaction's and signs the
+   same txId, and one whose rwset differs rejects the proposal, signing
+   nothing.
 3. order: a solo orderer batches transactions in arrival order, cutting a
    block when it is full or on ``flush()``.
 4. validate: per transaction, endorsement policy first, then MVCC (every
@@ -37,6 +36,7 @@ import fcntl
 import json
 import os
 import sqlite3
+from contextlib import suppress
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -178,8 +178,9 @@ class LedgerEngine:
 
     A proposal is endorsed by the first m peers of the roster, and validation
     accepts any m distinct roster signatures. Each endorser executes and
-    signs, while the body is encoded and the txId hashed once per proposal
-    (``build_transaction``); a divergent rwset still rejects the proposal.
+    signs the first endorser's transaction, whose body is encoded and txId
+    hashed once per proposal (``build_transaction``); an endorser whose
+    rwset differs rejects the proposal before it signs.
     Proposal execution yields a deterministic rwset over the committed
     state and writes nothing: an
     upload's payload rides on its transaction, and the commit writes the
@@ -468,18 +469,19 @@ class LedgerEngine:
         return {p.name: p for p in self.genesis.peers}
 
     def endorse(self, peer: Member, proposal: TxProposal,
-                first: Transaction | None = None) -> Transaction:
-        """One roster peer executes the proposal and signs the txId of the result.
+                tx: Transaction | None = None) -> Transaction:
+        """One roster peer executes the proposal and signs the transaction's txId.
 
-        ``first`` is another peer's transaction of this same proposal
-        object. A result whose rwset equals first's has first's body, so it
-        takes first's body and txId, as a record read from the journal
-        keeps the ones it stores, instead of encoding and hashing them
-        again; any other result computes its own.
+        Without ``tx`` the peer's result is the transaction. ``tx`` is an
+        earlier peer's transaction of this same proposal: a result whose
+        rwset differs from ``tx.rwset`` raises RwsetMismatch, naming the
+        peer, before it signs; otherwise the peer's endorsement joins ``tx``.
         """
-        tx = self.execute_proposal(proposal)
-        if first is not None and tx.rwset == first.rwset:
-            tx._body, tx.tx_id = first._body, first.tx_id
+        result = self.execute_proposal(proposal)
+        if tx is None:
+            tx = result
+        elif result.rwset != tx.rwset:
+            raise RwsetMismatch(f"peer {peer.name} computed a different rwset")
         signature = peer.keypair.sign(tx.tx_id)
         self._signed.add((peer.keypair.public_key, tx.tx_id, signature))
         tx.endorsements.append(Endorsement(peer.name, signature))
@@ -489,20 +491,13 @@ class LedgerEngine:
         """Collect the endorsements of the first ``threshold`` roster peers.
 
         Those are all the policy needs, and roster order keeps the journal
-        the same from run to run. Each executes the proposal and signs; the
-        body is encoded and the txId hashed once, by the first, and every
-        later peer whose rwset equals the first's shares them. A peer whose
-        rwset differs computes its own txId and signs it, and once every
-        peer has signed, the first disagreeing txId raises RwsetMismatch.
+        the same from run to run. The first peer's result is the
+        transaction, whose body is encoded and txId hashed once; each later
+        peer executes, then endorses it or, on another rwset, raises.
         """
-        first, *rest = self.genesis.peers[:self.genesis.threshold]
-        tx = self.endorse(first, proposal)
-        others = [self.endorse(peer, proposal, tx) for peer in rest]
-        for other in others:
-            if other.tx_id != tx.tx_id:
-                raise RwsetMismatch(
-                    f"peer {other.endorsements[0].peer_id} computed a different rwset")
-            tx.endorsements += other.endorsements
+        tx = None
+        for peer in self.genesis.peers[:self.genesis.threshold]:
+            tx = self.endorse(peer, proposal, tx)
         return tx
 
     # -- ordering ----------------------------------------------------------
@@ -583,9 +578,10 @@ class LedgerEngine:
 
         The content goes first, so a block in the journal never lacks its
         file, and a write that fails leaves the journal and state as they
-        were. An append that fails removes the block's file again and
-        leaves the clock as it was, so no file names a block that was not
-        committed and a retry stamps what an unfailed run stamps.
+        were. An append that fails cuts the journal back to its old length,
+        removes the block's file again and leaves the clock as it was, so
+        nothing names a block that was not committed and a retry writes
+        what an unfailed run writes.
         """
         if problem := _link_problem(block.link, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
@@ -594,10 +590,13 @@ class LedgerEngine:
         if content := [data for _, tx in valid for data in tx.content]:
             self.store.put_block(block.number, content)
         record, header_hash = block.encode()
+        journal = self._dir / BLOCKS_FILE
         try:
-            with open(self._dir / BLOCKS_FILE, "ab") as fh:
+            with open(journal, "ab") as fh:
                 fh.write(record + b"\n")
         except BaseException:
+            with suppress(OSError):  # the append's error is the one raised
+                os.truncate(journal, self._offset)
             if content:
                 self.store.remove_block(block.number)
             raise

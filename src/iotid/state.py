@@ -49,9 +49,9 @@ PRAGMA journal_mode = WAL;
 PRAGMA synchronous = OFF;
 """
 # The store's format, which PRAGMA user_version names: a store of any
-# other format is refused at open, and rebuilt from the journal. Format 3
-# lists no record whose owner is no DID.
-_STORE_FORMAT = 3
+# other format is refused at open, and rebuilt from the journal. Format 4
+# lists no record whose owner is no DID, as format 3 took "did:a:b\n" for one.
+_STORE_FORMAT = 4
 # An asset/ row also holds its record's listed fields, NULL when the value
 # is no record that the asset contract writes. The listing index covers
 # every asset/ row, so one ordered read meets a row without them first.
@@ -119,7 +119,7 @@ def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
         if len(record) == 4 and record["dataId"] == data_id and listable(*fields):
             parse_did(fields[0])  # MalformedDid is a ValueError
             return fields
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, RecursionError, TypeError, ValueError):  # RecursionError: nested too deep
         pass
     return None
 

@@ -412,6 +412,40 @@ def test_a_malformed_owner_fails_every_warm_query(tmp_path):
         warm.close()
 
 
+# a value nested deeper than the JSON decoder recurses, which replay may apply
+# from a forged journal: it runs no contract
+_DEEP = (KEY_ASSET + "a" * 64, b"[" * 100000 + b"]" * 100000)
+
+
+def test_a_deeply_nested_value_still_fails_the_listing(tmp_path):
+    good = asset_write(b"good", _OWNERS[0], 0)
+    written = WorldState(tmp_path / "state.sqlite")
+    written.apply([good, _DEEP], (1, 0))
+    written.flush()
+    written.close()
+    cold = WorldState(tmp_path / "state.sqlite")
+    try:
+        assert_malformed_owner_is_no_record(
+            cold, _DEEP, [asset_row(good[0], str(_OWNERS[0]), 0, "a.txt")])
+    finally:
+        cold.close()
+
+
+def test_a_deeply_nested_value_fails_every_warm_query(tmp_path):
+    first, second = asset_write(b"first", _OWNERS[0], 0), asset_write(b"second", _OWNERS[1], 2)
+    mine = [asset_row(first[0], str(_OWNERS[0]), 0, "a.txt")]
+    warm = WorldState(tmp_path / "state.sqlite")
+    try:
+        warm.apply([first], (1, 0))
+        assert query_all_assets(warm) == mine
+        warm.apply([_DEEP, second], (2, 0))
+        assert_malformed_owner_is_no_record(warm, _DEEP, mine)
+        warm.flush()
+        assert_malformed_owner_is_no_record(warm, _DEEP, mine)
+    finally:
+        warm.close()
+
+
 # one write: an asset record (a pool of 6 payloads, so keys get rewritten
 # with another owner and addedAt), a value that is no record or a record
 # whose owner is no DID under one of those keys, or a key outside the

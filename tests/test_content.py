@@ -13,6 +13,7 @@ hashlib and plain file reads, not from the code under test.
 import builtins
 import errno
 import hashlib
+import io
 
 import pytest
 
@@ -211,6 +212,45 @@ def test_a_failed_append_leaves_the_warm_engine_as_it_was(tmp_path, monkeypatch)
         engine.close()
         journals.append((tmp_path / str(fails) / "ledger" / BLOCKS_FILE).read_bytes())
     assert journals[1] == journals[0]
+
+
+class HalfWritten(io.FileIO):
+    """A journal opened for append whose write puts down half the bytes, then runs out of space."""
+
+    def write(self, data):
+        super().write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+def test_a_half_written_append_is_cut_back(tmp_path, monkeypatch):
+    # the failed append leaves half its record in the journal, which it cuts
+    # back off; the retry, and a block after it, write the journal of a run
+    # whose append never failed, and the ledger opens
+    journals = []
+    for fails in (False, True):
+        engine = make_engine(tmp_path / str(fails))
+        journal = tmp_path / str(fails) / "ledger" / BLOCKS_FILE
+        writer = Principal.from_seed(11)
+        engine.submit(writer.proposal(engine, "kv", "set", ["x", "1"]))
+        if fails:
+            before = journal.read_bytes()
+            monkeypatch.setattr(ledger_module, "open",
+                                lambda path, mode="r", *args, **kwargs: HalfWritten(path, mode)
+                                if mode == "ab" else builtins.open(path, mode, *args, **kwargs),
+                                raising=False)
+            with pytest.raises(OSError, match="no space"):
+                engine.flush()
+            monkeypatch.undo()
+            assert journal.read_bytes() == before
+        engine.flush()
+        engine.submit(writer.proposal(engine, "kv", "set", ["y", "2"]))
+        engine.flush()
+        engine.close()
+        journals.append(journal.read_bytes())
+        with reopen_engine(tmp_path / str(fails)) as again:
+            assert again.height == 3
+    assert journals[1] == journals[0]
+    assert verify_chain_file(journal).ok
 
 
 @pytest.mark.parametrize("left_by", ["a commit killed before its append",

@@ -121,6 +121,17 @@ def test_malformed_dids_rejected(bad):
         parse_did(bad)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_did, "did:iotid\n:abc"),
+    (parse_did, "did:iotid:abc\n"),
+    (Address.from_text, ADDR_01 + "\n"),
+], ids=["method", "method-id", "address"])
+def test_a_trailing_newline_is_refused(parse, text):
+    # "$" would match before a final newline; the whole text must match
+    with pytest.raises(ValueError):  # MalformedDid is a ValueError
+        parse(text)
+
+
 def test_did_constructor_validates():
     with pytest.raises(MalformedDid):
         Did(method="UPPER", method_id="x")

@@ -371,6 +371,11 @@ def test_upload_names_device_directory_files(capsys, env, ready, tmp_path):
     assert Gateway.default_asset_name(Path("plain/7.txt")) == "7.txt"
 
 
+def test_a_device_directory_name_with_a_trailing_newline_names_no_asset():
+    # "$" would match before the newline
+    assert Gateway.default_asset_name(Path("device1\n/3.txt")) == "3.txt"
+
+
 def test_upload_without_login_rejected(capsys, env):
     invoke(capsys, env, "network-init")
     invoke(capsys, env, "device-keygen", "dev2")
@@ -769,6 +774,16 @@ def test_a_device_cannot_be_named_after_the_nonce_counters(capsys, env):
     login = invoke(capsys, env, "device-login", "nonces")
     assert login.code == 1
     assert login.data["error"] == "GatewayError"
+
+
+@pytest.mark.parametrize("name", ["dev2\n", "nonces\n"])
+def test_a_device_name_with_a_trailing_newline_is_refused(capsys, ready, name):
+    # "$" would match before the newline, and name the key file "dev2\n.json"
+    keys = sorted(os.listdir(ready["keystore"]))
+    for command in ("device-keygen", "device-register", "device-login"):
+        result = invoke(capsys, ready, command, name)
+        assert (result.code, result.data["error"]) == (1, "GatewayError"), command
+    assert sorted(os.listdir(ready["keystore"])) == keys
 
 
 @pytest.mark.parametrize("counters", ["[]", '{"dev1": "x"}', '{"dev1": 1.5}',

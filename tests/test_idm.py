@@ -160,6 +160,18 @@ def test_malformed_creation_arguments(engine, registrar, device, mangle):
     assert state_snapshot(engine) == before
 
 
+def test_a_method_id_with_a_trailing_newline_is_refused(engine, registrar, device):
+    # a proof that verifies for "did:iotid:abc\n", so only the method id's
+    # check can refuse it; the proof message is built by hand
+    owner, key = str(device.address), device.public_key.hex()
+    proof = device.keypair.sign(f"PROOF|did:iotid:abc\n|{owner}|{key}".encode())
+    before = state_snapshot(engine)
+    err = rejected(engine, registrar.proposal(
+        engine, "idm", "createIdentity", [key, "abc\n", owner, proof.hex()]))
+    assert err.code == "BadArguments"
+    assert state_snapshot(engine) == before
+
+
 # -- registerDevice ------------------------------------------------------------
 
 

@@ -628,9 +628,9 @@ def test_each_commit_forgets_what_the_engine_signed(engine, alice):
     engine.contracts["drift"] = DriftContract()
     with pytest.raises(RwsetMismatch):
         engine.submit(alice.proposal(engine, "drift", "set", []))
-    assert len(engine._signed) == 2  # both endorsers signed before the mismatch
+    assert len(engine._signed) == 1  # the first endorser signed before the mismatch
     engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
-    assert len(engine._signed) == 4
+    assert len(engine._signed) == 3
     engine.flush()
     assert engine._signed == set()
     # a direct endorse is remembered too, and forgotten at the next commit
@@ -700,16 +700,21 @@ _ENDORSER = Member("peer1", _PEER_SEEDS[0])
 def test_an_endorser_shares_the_first_txid_just_when_their_rwsets_are_equal(first, other):
     proposal = _POLICY_TX.proposal
     shared = Transaction(proposal, first, [])
-    fresh = Transaction(proposal, other, []).tx_id
-    assert (other == first) == (fresh == shared.tx_id)
-    # the endorse path: an equal rwset takes the first's txId, which is the
-    # one it would compute; any other computes and signs its own
-    engine = SimpleNamespace(_signed=set(),
-                             execute_proposal=lambda p: Transaction(p, deepcopy(other), []))
-    tx = LedgerEngine.endorse(engine, _ENDORSER, proposal, shared)
-    assert tx.tx_id == fresh
-    assert (tx.tx_id is shared.tx_id) == (other == first)
-    assert verify_signature(_ENDORSER.keypair.public_key, fresh, tx.endorsements[0].signature)
+    assert (other == first) == (Transaction(proposal, other, []).tx_id == shared.tx_id)
+    # the endorse path: an equal rwset signs the first's txId; any other
+    # raises before the endorser signs, and its result is never hashed
+    executed = Transaction(proposal, deepcopy(other), [])
+    engine = SimpleNamespace(_signed=set(), execute_proposal=lambda p: executed)
+    if other == first:
+        assert LedgerEngine.endorse(engine, _ENDORSER, proposal, shared) is shared
+        signature = shared.endorsements[0].signature
+        assert verify_signature(_ENDORSER.keypair.public_key, shared.tx_id, signature)
+        assert engine._signed == {(_ENDORSER.keypair.public_key, shared.tx_id, signature)}
+    else:
+        with pytest.raises(RwsetMismatch, match="peer peer1 "):
+            LedgerEngine.endorse(engine, _ENDORSER, proposal, shared)
+        assert (engine._signed, shared.endorsements) == (set(), [])
+    assert "tx_id" not in vars(executed)
 
 
 # peer ids that JSON escapes or writes as \u escapes, lone surrogates included
