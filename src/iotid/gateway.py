@@ -1,9 +1,9 @@
 """In-process gateway: keystore, one method per ledger command of the CLI, the scenario.
 
 The gateway owns the plumbing between the CLI and the engine: key files
-on disk, session caching so separate invocations share a login, nonce
-counters for replay protection, and the composition of multi-step
-commands (create identity then register, challenge then response).
+on disk, session caching so separate invocations share a login, proposal
+nonces counted from the chain's nonce keys, and the composition of
+multi-step commands (create identity then register, challenge then response).
 Every command opens the ledger, does its work and closes it, and
 returns a JSON-ready dict; rendering belongs to the CLI layer. The
 end-to-end scenario is a script over those same commands, run as
@@ -49,7 +49,6 @@ from .ledger import ContractError, LedgerEngine
 from .store import ContentStore
 
 OBJECTS_DIR = "objects"
-NONCES_FILE = "nonces.json"
 _NAME_RE = re.compile(r"[a-zA-Z0-9_-]{1,64}")
 _DEVICE_DIR_RE = re.compile(r"device\d+")
 
@@ -78,10 +77,9 @@ class KeyEntry:
 class Keystore:
     """Directory of per-device key files, owner-readable only.
 
-    Also persists two pieces of cross-invocation state: cached login
-    sessions and monotonic proposal-nonce counters. The directory is made,
-    or set back to 0o700, by each write, so a command that writes none of
-    these files makes no directory.
+    Also caches login sessions across invocations. The directory is made,
+    or set back to 0o700, by each write, so a command that writes no key
+    or session file makes no directory.
     """
 
     def __init__(self, directory: str | Path):
@@ -90,10 +88,7 @@ class Keystore:
     def _entry_path(self, name: str) -> Path:
         if not _NAME_RE.fullmatch(name):
             raise GatewayError(f"invalid device name: {name!r}")
-        path = self.directory / f"{name}.json"
-        if path.name == NONCES_FILE:
-            raise GatewayError(f"reserved name: {name!r} names the nonce counters")
-        return path
+        return self.directory / f"{name}.json"
 
     def _session_path(self, name: str) -> Path:
         return self._entry_path(name).with_suffix(".session.json")
@@ -134,21 +129,11 @@ class Keystore:
         except (KeyError, TypeError, ValueError):
             raise GatewayError(f"keystore entry {name} is not a key file") from None
 
-    # -- nonce counters ---------------------------------------------------
+    # -- proposal nonces --------------------------------------------------
 
-    def next_nonce(self, label: str) -> bytes:
-        """Monotonic per-principal proposal nonce; deterministic by design."""
-        path = self.directory / NONCES_FILE
-        try:
-            counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-        except ValueError:
-            counters = None
-        if not isinstance(counters, dict) or not all(  # each next count fits 32 bytes
-                type(count) is int and 0 <= count < 2**256 - 1 for count in counters.values()):
-            raise GatewayError(f"{NONCES_FILE} is not an object of counters in [0, 2**256 - 1)")
-        counters[label] = counters.get(label, 0) + 1
-        self._write_private(path, counters)
-        return counters[label].to_bytes(32, "big")
+    def next_nonce(self, engine: LedgerEngine, invoker: Address) -> bytes:
+        """``invoker``'s proposals that the chain committed, plus one: a refusal spends none."""
+        return (engine.nonces_used(invoker) + 1).to_bytes(32, "big")
 
     # -- session cache -----------------------------------------------------
 
@@ -187,15 +172,16 @@ class Gateway:
         return LedgerEngine.open(self.ledger_dir, self._store(),
                                  default_contracts(), clock=self.clock)
 
-    def _proposal(self, invoker: KeyPair, nonce_label: str, contract: str,
+    def _proposal(self, engine: LedgerEngine, invoker: KeyPair, contract: str,
                   function: str, args: list[str]) -> TxProposal:
+        address = derive_address(invoker.public_key)
         proposal = TxProposal(
-            invoker=derive_address(invoker.public_key),
+            invoker=address,
             invoker_key=invoker.public_key,
             contract=contract,
             function=function,
             args=args,
-            nonce=self.keystore.next_nonce(nonce_label),
+            nonce=self.keystore.next_nonce(engine, address),
             timestamp=int(self.clock.now()),
         )
         return proposal.sign(invoker)
@@ -257,12 +243,12 @@ class Gateway:
             registrar = engine.genesis.registrars[0].keypair
             proof = make_possession_proof(entry.keypair, entry.did, entry.address)
             create = self._proposal(
-                registrar, "registrar", "idm", "createIdentity",
+                engine, registrar, "idm", "createIdentity",
                 [entry.keypair.public_key.hex(), entry.did.method_id,
                  str(entry.address), proof.hex()])
             create_receipt = self._submit(engine, create)
             register = self._proposal(
-                entry.keypair, entry.name, "idm", "registerDevice",
+                engine, entry.keypair, "idm", "registerDevice",
                 [str(entry.did), manufacturer_id])
             return {
                 "name": entry.name,
@@ -314,7 +300,7 @@ class Gateway:
             asset_name = self.default_asset_name(path)
         with self._open_engine() as engine:
             proposal = self._proposal(
-                entry.keypair, entry.name, "asset", "uploadAsset",
+                engine, entry.keypair, "asset", "uploadAsset",
                 [str(entry.did), asset_name, payload.hex()])
             receipt = self._submit(engine, proposal)
         return {

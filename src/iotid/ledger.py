@@ -431,7 +431,7 @@ class LedgerEngine:
         if contract is None:
             raise UnknownContract(proposal.contract)
         ctx = TxContext(self.state, proposal)
-        nonce_key = f"{KEY_NONCE}{proposal.invoker}/{proposal.nonce.hex()}"
+        nonce_key = _nonce_prefix(proposal.invoker) + proposal.nonce.hex()
         if ctx.get(nonce_key) is not None:
             raise ContractError("NonceReplayed",
                                 f"nonce already used by {proposal.invoker}")
@@ -576,6 +576,8 @@ class LedgerEngine:
         """Write its VALID content, append the validated block, apply its VALID
         writes, forget what was signed.
 
+        A block off this engine's tip, or a journal that another engine has
+        extended past it, raises NonSequentialBlock before any write.
         The content goes first, so a block in the journal never lacks its
         file, and a write that fails leaves the journal and state as they
         were. An append that fails cuts the journal back to its old length,
@@ -585,12 +587,14 @@ class LedgerEngine:
         """
         if problem := _link_problem(block.link, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
+        journal = self._dir / BLOCKS_FILE
+        if (length := journal.stat().st_size if journal.exists() else 0) != self._offset:
+            raise NonSequentialBlock(f"journal has {length} bytes, not the tip's {self._offset}")
         valid = [(idx, tx) for idx, (tx, flag) in
                  enumerate(zip(block.transactions, block.validation_flags)) if flag == VALID]
         if content := [data for _, tx in valid for data in tx.content]:
             self.store.put_block(block.number, content)
         record, header_hash = block.encode()
-        journal = self._dir / BLOCKS_FILE
         try:
             with open(journal, "ab") as fh:
                 fh.write(record + b"\n")
@@ -654,6 +658,10 @@ class LedgerEngine:
         receipt = self._receipts.get(tx_id)
         return receipt[1] if receipt is not None else None
 
+    def nonces_used(self, invoker: Address) -> int:
+        """How many of ``invoker``'s proposals committed VALID: one nonce key each."""
+        return len(self.state.range(_nonce_prefix(invoker)))
+
     def read_blocks(self) -> list[Block]:
         """Every block of the journal, each transaction keeping its body as stored."""
         blocks = []
@@ -662,6 +670,11 @@ class LedgerEngine:
             for tx, body in zip(block.transactions, record.bodies):
                 tx._body = body
         return blocks
+
+
+def _nonce_prefix(invoker: Address) -> str:
+    """The key prefix under which world state keeps ``invoker``'s used nonces."""
+    return f"{KEY_NONCE}{invoker}/"
 
 
 # ledger directory -> [fd holding the flock on its .lock, engines open on it]

@@ -27,7 +27,7 @@ from iotid.journal import (
     GenesisConfig,
     verify_chain_file,
 )
-from iotid.ledger import LedgerEngine
+from iotid.ledger import LedgerEngine, NonSequentialBlock
 from iotid.state import KEY_ASSET
 from iotid.store import ContentHash, ContentNotFound, ContentStore, IntegrityFailure
 
@@ -251,6 +251,26 @@ def test_a_half_written_append_is_cut_back(tmp_path, monkeypatch):
             assert again.height == 3
     assert journals[1] == journals[0]
     assert verify_chain_file(journal).ok
+
+
+def test_a_stale_second_engine_commits_nothing(tmp_path, engine, registrar, device):
+    # two engines of one process share the lock; the second's tip is block 2
+    # when the first commits block 3, so its own block 3 must not overwrite
+    # that block's file or follow it in the journal
+    register_device(engine, registrar, device)
+    with reopen_engine(tmp_path) as second:
+        upload_payload(engine, device, b"first's reading")
+        engine.close()
+        journal = tmp_path / "ledger" / BLOCKS_FILE
+        chain, objects = journal.read_bytes(), objects_bytes(tmp_path)
+        assert "3.block" in objects
+        with pytest.raises(NonSequentialBlock):
+            upload_payload(second, device, b"second's reading")
+        assert (journal.read_bytes(), objects_bytes(tmp_path)) == (chain, objects)
+    assert verify_chain_file(journal).ok
+    with reopen_engine(tmp_path) as again:
+        assert again.height == 4
+        assert assert_contents_read_back(again, again.store) == 1
 
 
 @pytest.mark.parametrize("left_by", ["a commit killed before its append",

@@ -28,9 +28,9 @@ from iotid import idm as idm_module
 from iotid import journal as journal_module
 from iotid import ledger as ledger_module
 from iotid.journal import BLOCKS_FILE, VALID, Block, GenesisConfig
-from iotid.ledger import LedgerEngine, LedgerLocked
+from iotid.ledger import ContractError, LedgerEngine, LedgerLocked
 from iotid.state import KEY_ASSET, KEY_DID, UnsupportedFormat
-from iotid.did import parse_did
+from iotid.did import Address, parse_did
 from iotid.sim import FlowConfig
 from iotid.store import ContentHash, ContentStore
 
@@ -138,10 +138,8 @@ def test_a_journal_with_three_endorsements_per_transaction_still_opens(capsys, e
     owners = Counter(asset["owner"] for asset in listing["assets"])
     assert sorted(owners.values()) == [2, 2]
 
-    # blocks with two endorsements follow the blocks with three; the
-    # registrar's counter goes past the two nonces the scenario's keystore used
+    # blocks with two endorsements follow the blocks with three
     assert invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex()).code == 0
-    (Path(env["keystore"]) / "nonces.json").write_text('{"registrar": 2}')
     assert invoke(capsys, env, "device-register", "dev1").code == 0
     assert invoke(capsys, env, "device-login", "dev1").code == 0
     source = tmp_path / "reading.txt"
@@ -569,6 +567,20 @@ LISTING_SHA256 = {
 }
 
 
+def test_a_new_keystore_signs_against_the_scenario_ledger(capsys, tmp_path):
+    # the registrar's nonces in a new keystore follow the five the
+    # scenario's registrations used
+    scenario_journal(tmp_path)
+    env = {"ledger": str(tmp_path / "ledger"), "keystore": str(tmp_path / "new-keys")}
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    for command in (["device-keygen", "dev1"], ["device-register", "dev1"],
+                    ["device-login", "dev1"], ["asset-upload", "dev1", str(source)]):
+        assert invoke(capsys, env, *command).code == 0, command
+    create = read_blocks(tmp_path / "ledger")[-3].transactions[0].proposal
+    assert (create.function, create.nonce) == ("createIdentity", (6).to_bytes(32, "big"))
+
+
 def test_the_scenario_listings_are_golden(capsys, tmp_path):
     scenario_journal(tmp_path)
     base = ["--ledger-dir", str(tmp_path / "ledger"), "--keystore-dir", str(tmp_path / "keys")]
@@ -718,18 +730,35 @@ def test_commands_on_a_missing_ledger_create_no_directory(capsys, ready, tmp_pat
     assert not missing.exists()
 
 
-def test_nonce_counters_are_monotonic(tmp_path):
-    keystore = Keystore(tmp_path / "keys")
-    values = [keystore.next_nonce("devA") for _ in range(3)]
-    assert values == [n.to_bytes(32, "big") for n in (1, 2, 3)]
-    assert keystore.next_nonce("devB") == (1).to_bytes(32, "big")
+def test_nonce_counters_are_monotonic(capsys, ready, tmp_path):
+    # each principal's nonces count its committed proposals from 1; the
+    # refused duplicate upload spends none
+    source, codes = tmp_path / "reading.txt", []
+    for payload in (b"one", b"two", b"two", b"three"):
+        source.write_bytes(payload)
+        codes.append(invoke(capsys, ready, "asset-upload", "dev1", str(source)).code)
+    assert codes == [0, 0, 1, 0]
+    ledger = Path(ready["ledger"])
+    nonces = Counter()
+    for block in read_blocks(ledger)[1:]:
+        for tx in block.transactions:
+            nonces[str(tx.proposal.invoker)] += 1
+            assert int.from_bytes(tx.proposal.nonce, "big") == nonces[str(tx.proposal.invoker)]
+    assert sorted(nonces.values()) == [1, 4]  # the registrar's, and dev1's register and uploads
+    keystore = Keystore(ready["keystore"])
+    with Gateway(ledger, ready["keystore"])._open_engine() as engine:
+        assert keystore.next_nonce(engine, Address.from_text(ADDR_01)) == (5).to_bytes(32, "big")
+        assert keystore.next_nonce(engine, Principal.from_seed(2).address) == \
+            (1).to_bytes(32, "big")
 
 
 def test_torn_keystore_write_keeps_the_old_counters(tmp_path, monkeypatch):
+    # a keystore file is replaced whole: a session write cut short leaves
+    # the old session, and no temp file
     keystore = Keystore(tmp_path / "keys")
-    keystore.next_nonce("devA")
-    keystore.next_nonce("devA")
-    nonces = keystore.directory / "nonces.json"
+    old, new = (Session(did=parse_did(DID_01), expires_at=t) for t in (4000, 5000))
+    keystore.save_session("devA", old)
+    session_file = keystore.directory / "devA.session.json"
     before = sorted(os.listdir(keystore.directory))
     real_fdopen = os.fdopen
 
@@ -752,28 +781,14 @@ def test_torn_keystore_write_keeps_the_old_counters(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fdopen", lambda fd, *a, **kw: TornFile(real_fdopen(fd, *a, **kw)))
     with pytest.raises(OSError):
-        keystore.next_nonce("devA")
+        keystore.save_session("devA", new)
     monkeypatch.undo()
 
-    assert json.loads(nonces.read_text()) == {"devA": 2}
+    assert keystore.load_session("devA") == old
     assert sorted(os.listdir(keystore.directory)) == before  # no temp file left
-    assert keystore.next_nonce("devA") == (3).to_bytes(32, "big")
-    assert stat.S_IMODE(nonces.stat().st_mode) == 0o600
-
-
-def test_a_device_cannot_be_named_after_the_nonce_counters(capsys, env):
-    keystore = Keystore(env["keystore"])
-    keystore.next_nonce("dev1")
-    nonces = keystore.directory / "nonces.json"
-    before = nonces.read_bytes()
-    result = invoke(capsys, env, "device-keygen", "nonces")
-    assert result.code == 1
-    assert result.data["error"] == "GatewayError"
-    assert nonces.read_bytes() == before
-
-    login = invoke(capsys, env, "device-login", "nonces")
-    assert login.code == 1
-    assert login.data["error"] == "GatewayError"
+    keystore.save_session("devA", new)
+    assert keystore.load_session("devA") == new
+    assert stat.S_IMODE(session_file.stat().st_mode) == 0o600
 
 
 @pytest.mark.parametrize("name", ["dev2\n", "nonces\n"])
@@ -792,17 +807,52 @@ def test_a_device_name_with_a_trailing_newline_is_refused(capsys, ready, name):
                          ids=["not-an-object", "string-count", "float-count",
                               "bool-count", "not-json", "negative-count",
                               "count-with-no-next-nonce"])
-def test_a_malformed_nonce_file_is_a_gateway_error(capsys, ready, tmp_path, counters):
+def test_an_old_nonce_file_is_ignored(capsys, ready, tmp_path, counters):
+    # the counter files that earlier versions kept, well formed or not:
+    # nonces come from the chain, and the file is left as it is
     nonces = Path(ready["keystore"]) / "nonces.json"
     nonces.write_text(counters)
-    journal = Path(ready["ledger"]) / BLOCKS_FILE
-    before = nonces.read_bytes(), journal.read_bytes()
+    before = nonces.read_bytes()
     source = tmp_path / "reading.txt"
     source.write_bytes(b"a reading")
-    for command in (["device-register", "dev1"], ["asset-upload", "dev1", str(source)]):
+    for command in (["device-keygen", "dev2"], ["device-register", "dev2"],
+                    ["asset-upload", "dev1", str(source)]):
         result = invoke(capsys, ready, *command)
-        assert (result.code, result.data["error"]) == (1, "GatewayError"), command
-        assert (nonces.read_bytes(), journal.read_bytes()) == before
+        assert result.code == 0, command
+        assert nonces.read_bytes() == before
+    assert result.data["flag"] == VALID
+
+
+def test_an_upload_writes_no_keystore_file(capsys, ready, tmp_path):
+    keystore = Path(ready["keystore"])
+
+    def files():
+        return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in keystore.iterdir()}
+
+    before = files()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    assert invoke(capsys, ready, "asset-upload", "dev1", str(source)).data["flag"] == VALID
+    assert files() == before
+
+
+def test_a_gateway_proposal_resubmitted_after_a_reopen_is_refused(ready):
+    gateway = Gateway(ready["ledger"], ready["keystore"])
+    entry = gateway.keystore.load("dev1")
+    with gateway._open_engine() as engine:
+        proposal = gateway._proposal(engine, entry.keypair, "asset", "uploadAsset",
+                                     [str(entry.did), "reading.txt", b"a reading".hex()])
+        assert proposal.nonce == (2).to_bytes(32, "big")
+        assert gateway._submit(engine, proposal)["flag"] == VALID
+    journal = Path(ready["ledger"]) / BLOCKS_FILE
+    before = journal.read_bytes()
+    with gateway._open_engine() as engine:
+        with pytest.raises(ContractError) as refused:
+            engine.submit(proposal)
+        assert refused.value.code == "NonceReplayed"
+        assert engine.flush() is None
+    assert journal.read_bytes() == before
 
 
 def test_a_key_file_without_its_fields_is_a_gateway_error(capsys, env):
@@ -873,14 +923,13 @@ def test_a_session_naming_another_device_is_refused(capsys, ready, tmp_path):
                                           expires_at=2 ** 40))
     source.write_bytes(b"dev1's reading")
     journal = Path(ready["ledger"]) / BLOCKS_FILE
-    nonces = keystore.directory / "nonces.json"
-    before = journal.read_bytes(), nonces.read_bytes()
+    before = journal.read_bytes()
     for command in (["asset-list", "--mine", "dev1"],
                     ["asset-upload", "dev1", str(source)]):
         result = invoke(capsys, ready, *command)
         assert (result.code, result.data["error"]) == (1, "NotAuthenticated"), command
         assert "assets" not in result.data
-    assert (journal.read_bytes(), nonces.read_bytes()) == before
+    assert journal.read_bytes() == before
 
 
 def test_a_key_file_naming_another_entry_is_refused(capsys, ready, tmp_path):
@@ -926,27 +975,24 @@ def test_machine_output_is_one_canonical_document(capsys, env, ready, tmp_path):
 
 def test_keystore_files_are_canonical(ready):
     keystore = Path(ready["keystore"])
-    for name in ("dev1.json", "dev1.session.json", "nonces.json"):
+    for name in ("dev1.json", "dev1.session.json"):
         raw = (keystore / name).read_bytes()
         assert raw == canonical_json(json.loads(raw)) + b"\n", name
 
 
 def test_indented_keystore_files_still_load(tmp_path):
-    # key, session and nonce files as earlier versions wrote them
+    # key and session files as earlier versions wrote them
     keystore = Keystore(tmp_path / "keys")
     keystore.directory.mkdir()  # a keystore makes it on its first write
     session = Session(did=parse_did(DID_01), expires_at=4000)
     for name, payload in [
             ("dev1.json", {"name": "dev1", "seed": SEED_01.hex(), "did": DID_01}),
-            ("dev1.session.json", session.to_dict()),
-            ("nonces.json", {"dev1": 7})]:
+            ("dev1.session.json", session.to_dict())]:
         (keystore.directory / name).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
     entry = keystore.load("dev1")
     assert (entry.seed, str(entry.did)) == (SEED_01, DID_01)
     assert keystore.load_session("dev1") == session
-    assert keystore.next_nonce("dev1") == (8).to_bytes(32, "big")
-    assert keystore.next_nonce("dev2") == (1).to_bytes(32, "big")
 
 
 # -- a DID record in an earlier form ---------------------------------------------
