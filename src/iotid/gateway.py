@@ -2,7 +2,7 @@
 
 The gateway owns the plumbing between the CLI and the engine: key files
 on disk, session caching so separate invocations share a login, proposal
-nonces counted from the chain's nonce keys, and the composition of
+nonces one above the highest the chain holds, and the composition of
 multi-step commands (create identity then register, challenge then response).
 Every command opens the ledger, does its work and closes it, and
 returns a JSON-ready dict; rendering belongs to the CLI layer. The
@@ -132,8 +132,11 @@ class Keystore:
     # -- proposal nonces --------------------------------------------------
 
     def next_nonce(self, engine: LedgerEngine, invoker: Address) -> bytes:
-        """``invoker``'s proposals that the chain committed, plus one: a refusal spends none."""
-        return (engine.nonces_used(invoker) + 1).to_bytes(32, "big")
+        """One above ``invoker``'s highest nonce on chain: a refusal spends none."""
+        nonce = engine.last_nonce(invoker) + 1
+        if nonce == 2**256:
+            raise GatewayError(f"{invoker} has committed the last 32-byte nonce")
+        return nonce.to_bytes(32, "big")
 
     # -- session cache -----------------------------------------------------
 
@@ -175,7 +178,7 @@ class Gateway:
     def _proposal(self, engine: LedgerEngine, invoker: KeyPair, contract: str,
                   function: str, args: list[str]) -> TxProposal:
         address = derive_address(invoker.public_key)
-        proposal = TxProposal(
+        return TxProposal(
             invoker=address,
             invoker_key=invoker.public_key,
             contract=contract,
@@ -183,8 +186,7 @@ class Gateway:
             args=args,
             nonce=self.keystore.next_nonce(engine, address),
             timestamp=int(self.clock.now()),
-        )
-        return proposal.sign(invoker)
+        ).sign(invoker)
 
     @staticmethod
     def _submit(engine: LedgerEngine, proposal: TxProposal) -> dict:
@@ -242,20 +244,19 @@ class Gateway:
                 raise GatewayError("genesis config lists no registrars")
             registrar = engine.genesis.registrars[0].keypair
             proof = make_possession_proof(entry.keypair, entry.did, entry.address)
-            create = self._proposal(
+            create = self._submit(engine, self._proposal(
                 engine, registrar, "idm", "createIdentity",
                 [entry.keypair.public_key.hex(), entry.did.method_id,
-                 str(entry.address), proof.hex()])
-            create_receipt = self._submit(engine, create)
-            register = self._proposal(
+                 str(entry.address), proof.hex()]))
+            register = self._submit(engine, self._proposal(
                 engine, entry.keypair, "idm", "registerDevice",
-                [str(entry.did), manufacturer_id])
+                [str(entry.did), manufacturer_id]))
             return {
                 "name": entry.name,
                 "did": str(entry.did),
                 "manufacturerId": manufacturer_id,
-                "createIdentity": create_receipt,
-                "registerDevice": self._submit(engine, register),
+                "createIdentity": create,
+                "registerDevice": register,
             }
 
     def cmd_device_login(self, name: str,
@@ -299,10 +300,9 @@ class Gateway:
         if asset_name is None:
             asset_name = self.default_asset_name(path)
         with self._open_engine() as engine:
-            proposal = self._proposal(
+            receipt = self._submit(engine, self._proposal(
                 engine, entry.keypair, "asset", "uploadAsset",
-                [str(entry.did), asset_name, payload.hex()])
-            receipt = self._submit(engine, proposal)
+                [str(entry.did), asset_name, payload.hex()]))
         return {
             "name": entry.name,
             "assetName": asset_name,

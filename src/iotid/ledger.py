@@ -658,9 +658,11 @@ class LedgerEngine:
         receipt = self._receipts.get(tx_id)
         return receipt[1] if receipt is not None else None
 
-    def nonces_used(self, invoker: Address) -> int:
-        """How many of ``invoker``'s proposals committed VALID: one nonce key each."""
-        return len(self.state.range(_nonce_prefix(invoker)))
+    def last_nonce(self, invoker: Address) -> int:
+        """The highest 32-byte nonce of ``invoker``'s VALID proposals, 0 if none."""
+        prefix = _nonce_prefix(invoker)
+        key = self.state.last(prefix, 64)  # hex of 32 bytes sorts as the number
+        return int(key[len(prefix):], 16) if key is not None else 0
 
     def read_blocks(self) -> list[Block]:
         """Every block of the journal, each transaction keeping its body as stored."""

@@ -177,7 +177,7 @@ class WorldState:
     the state as of its savepoint, and ``tip`` names the block the state
     has reached: ``(height, tip hash, tipStart)``. ``apply`` writes to
     memory only. ``get`` serves a key from memory, a remembered miss
-    included, and otherwise runs one point query. ``range`` and
+    included, and otherwise runs one point query. ``range``, ``last`` and
     ``assets`` first ``flush``, then answer with one SQL query. Every row
     read from the store must match its check value: a mismatch or an
     SQLite error deletes the store and raises ``CorruptStore``, as does
@@ -234,6 +234,14 @@ class WorldState:
         self.flush()
         return [(key, value, (block, tx)) for key, value, block, tx, *_ in
                 self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix)]
+
+    def last(self, prefix: str, width: int) -> str | None:
+        """The greatest key that is ``prefix`` (not empty) and ``width`` more characters."""
+        self.flush()
+        end = prefix[:-1] + chr(ord(prefix[-1]) + 1)  # above every key with the prefix
+        rows = self._rows(" WHERE key >= ? AND key < ? AND length(key) = ?"
+                          " ORDER BY key DESC LIMIT 1", (prefix, end, len(prefix) + width))
+        return rows[0][0] if rows else None
 
     def assets(self, owner: str | None = None) -> list[dict]:
         """The listing rows of every asset record, or of ``owner``'s, as stored.

@@ -35,7 +35,8 @@ from iotid.sim import FlowConfig
 from iotid.store import ContentHash, ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
-from util import MANUFACTURER, Principal, foreign_hold, seeded_keypair
+from util import (MANUFACTURER, Principal, create_identity, foreign_hold, seeded_keypair,
+                  upload_payload)
 
 Result = namedtuple("Result", "code data out err")
 
@@ -750,6 +751,42 @@ def test_nonce_counters_are_monotonic(capsys, ready, tmp_path):
         assert keystore.next_nonce(engine, Address.from_text(ADDR_01)) == (5).to_bytes(32, "big")
         assert keystore.next_nonce(engine, Principal.from_seed(2).address) == \
             (1).to_bytes(32, "big")
+
+
+def test_the_next_nonce_follows_the_highest_on_chain(capsys, ready, tmp_path):
+    # earlier versions spent a nonce on each refused command, so a chain can
+    # hold the registrar's nonces 1 and 3 and dev1's 1, 2 and 4
+    with Gateway(ready["ledger"], ready["keystore"])._open_engine() as engine:
+        registrar = Principal(keypair=engine.genesis.registrars[0].keypair, _nonce=2)
+        create_identity(engine, registrar, Principal.from_seed(2))
+        dev1 = Principal(keypair=seeded_keypair(1), _nonce=1)
+        upload_payload(engine, dev1, b"one", "one.txt")
+        dev1._nonce = 3
+        upload_payload(engine, dev1, b"two", "two.txt")
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    assert invoke(capsys, ready, "device-keygen", "dev3").code == 0
+    register = invoke(capsys, ready, "device-register", "dev3")
+    assert register.code == 0
+    assert register.data["createIdentity"]["flag"] == VALID
+    upload = invoke(capsys, ready, "asset-upload", "dev1", str(source))
+    assert (upload.code, upload.data["flag"]) == (0, VALID)
+    proposals = [tx.proposal for block in read_blocks(Path(ready["ledger"]))[-3:]
+                 for tx in block.transactions]
+    assert [(p.function, int.from_bytes(p.nonce, "big")) for p in proposals] == [
+        ("createIdentity", 4), ("registerDevice", 1), ("uploadAsset", 5)]
+
+
+def test_a_principal_past_its_last_nonce_is_a_gateway_error(capsys, ready, tmp_path):
+    with Gateway(ready["ledger"], ready["keystore"])._open_engine() as engine:
+        upload_payload(engine, Principal(keypair=seeded_keypair(1), _nonce=2**256 - 2), b"one")
+    journal = Path(ready["ledger"]) / BLOCKS_FILE
+    before = journal.read_bytes()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    result = invoke(capsys, ready, "asset-upload", "dev1", str(source))
+    assert (result.code, result.data["error"]) == (1, "GatewayError")
+    assert journal.read_bytes() == before
 
 
 def test_torn_keystore_write_keeps_the_old_counters(tmp_path, monkeypatch):

@@ -897,6 +897,17 @@ def test_range_and_items_match_a_sorted_filter(steps):
     assert len(state) == len(model)
 
 
+@given(st.lists(_writes, max_size=4), st.sampled_from(_PREFIXES[1:]), st.integers(0, 3))
+def test_last_is_the_greatest_key_of_its_width(batches, prefix, width):
+    state, model = WorldState(), set()
+    for n, writes in enumerate(batches):
+        state.apply(writes, (n, 0))
+        model.update(key for key, _ in writes)
+    assert state.last(prefix, width) == max(
+        (k for k in model if k.startswith(prefix) and len(k) == len(prefix) + width),
+        default=None)
+
+
 def test_len_does_not_go_through_range(monkeypatch):
     # perfbench's traced runs wrap WorldState.range and size each call with
     # len() of the state, so a len() that called range would recurse
