@@ -178,7 +178,7 @@ class Gateway:
     def _proposal(self, engine: LedgerEngine, invoker: KeyPair, contract: str,
                   function: str, args: list[str]) -> TxProposal:
         address = derive_address(invoker.public_key)
-        return TxProposal(
+        proposal = TxProposal(
             invoker=address,
             invoker_key=invoker.public_key,
             contract=contract,
@@ -186,7 +186,8 @@ class Gateway:
             args=args,
             nonce=self.keystore.next_nonce(engine, address),
             timestamp=int(self.clock.now()),
-        ).sign(invoker)
+        )
+        return proposal.sign(invoker)
 
     @staticmethod
     def _submit(engine: LedgerEngine, proposal: TxProposal) -> dict:
@@ -244,19 +245,20 @@ class Gateway:
                 raise GatewayError("genesis config lists no registrars")
             registrar = engine.genesis.registrars[0].keypair
             proof = make_possession_proof(entry.keypair, entry.did, entry.address)
-            create = self._submit(engine, self._proposal(
+            create = self._proposal(
                 engine, registrar, "idm", "createIdentity",
                 [entry.keypair.public_key.hex(), entry.did.method_id,
-                 str(entry.address), proof.hex()]))
-            register = self._submit(engine, self._proposal(
+                 str(entry.address), proof.hex()])
+            create_receipt = self._submit(engine, create)
+            register = self._proposal(
                 engine, entry.keypair, "idm", "registerDevice",
-                [str(entry.did), manufacturer_id]))
+                [str(entry.did), manufacturer_id])
             return {
                 "name": entry.name,
                 "did": str(entry.did),
                 "manufacturerId": manufacturer_id,
-                "createIdentity": create,
-                "registerDevice": register,
+                "createIdentity": create_receipt,
+                "registerDevice": self._submit(engine, register),
             }
 
     def cmd_device_login(self, name: str,
@@ -300,9 +302,10 @@ class Gateway:
         if asset_name is None:
             asset_name = self.default_asset_name(path)
         with self._open_engine() as engine:
-            receipt = self._submit(engine, self._proposal(
+            proposal = self._proposal(
                 engine, entry.keypair, "asset", "uploadAsset",
-                [str(entry.did), asset_name, payload.hex()]))
+                [str(entry.did), asset_name, payload.hex()])
+            receipt = self._submit(engine, proposal)
         return {
             "name": entry.name,
             "assetName": asset_name,
