@@ -27,7 +27,11 @@ def canonical_json(value: Any) -> bytes:
 
 
 def from_canonical_json(data: bytes) -> Any:
-    return json.loads(data.decode("utf-8"))
+    """UTF-8 JSON from outside the program; ValueError for any refusal, deep nesting too."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deep") from None
 
 
 def sha256(data: bytes) -> bytes:

@@ -12,7 +12,6 @@ separate client steps the way a CLI user would run them.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import re
@@ -24,7 +23,7 @@ from pathlib import Path
 
 from .assets import AssetContract, query_all_assets, query_owned_assets
 from .clock import Clock, SimClock, WallClock
-from .codec import canonical_json, replace_file, sha256
+from .codec import canonical_json, from_canonical_json, replace_file, sha256
 from .did import (
     SEED_BYTES,
     Address,
@@ -116,7 +115,7 @@ class Keystore:
         if not path.exists():
             raise GatewayError(f"no keystore entry named {name}")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = from_canonical_json(path.read_bytes())
             fields = data["name"], data["seed"], data["did"]
             if not all(isinstance(f, str) for f in fields):
                 raise TypeError("key file fields must be strings")
@@ -148,7 +147,7 @@ class Keystore:
         if not path.exists():
             return None
         try:
-            return Session.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            return Session.from_dict(from_canonical_json(path.read_bytes()))
         except (KeyError, TypeError, ValueError):
             raise GatewayError(f"{path.name} is not a session file") from None
 
@@ -207,7 +206,7 @@ class Gateway:
         genesis = GenesisConfig.default()
         if genesis_path:
             try:
-                genesis = GenesisConfig.from_dict(json.loads(Path(genesis_path).read_bytes()))
+                genesis = GenesisConfig.from_dict(from_canonical_json(Path(genesis_path).read_bytes()))
             except (KeyError, TypeError, ValueError) as exc:
                 raise GatewayError(
                     f"{genesis_path} is not a genesis config: {exc!r}") from None

@@ -7,10 +7,10 @@ reader, open and replay, ``read_blocks`` and chain-verify, checks a
 record one way: it matches a compiled grammar of exactly the bytes that
 commit writes, and its hashes hold over the slices as stored. A changed
 byte fails in its own record, and nothing is encoded again. Replay
-decodes only the write sets it applies, from the bodies the match sliced;
-a whole block is decoded only for block 0's network config and for
-``read_blocks``. Open cuts off a torn last record. No reader checks
-signatures.
+decodes only the write sets it applies, and every reader block 0's config,
+from the bodies the match sliced; a whole record is decoded only by
+``read_blocks`` and ``_refusal``. Open cuts off a torn last record. No
+reader checks signatures.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .codec import canonical_json, sha256
+from .codec import canonical_json, from_canonical_json, sha256
 from .did import SEED_BYTES, Address, KeyPair, derive_address, generate_keypair
 
 VALID = "VALID"
@@ -439,13 +439,6 @@ class GenesisConfig:
             registrars=[Member("registrar", _DEFAULT_REGISTRAR_SEED)],
         )
 
-    @classmethod
-    def from_block(cls, block: Block) -> "GenesisConfig":
-        try:  # block 0's one transaction carries the config as its argument
-            return cls.from_dict(json.loads(block.transactions[0].proposal.args[0]))
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise LedgerError(f"block 0 carries no network config: {exc}") from exc
-
 
 @dataclass
 class ChainReport:
@@ -619,10 +612,11 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
         raise CorruptJournal(index, "data hash does not match transactions")
     number, config = int(head[4]), None
     if number == 0:
-        try:
-            config = GenesisConfig.from_block(Block.from_dict(json.loads(raw)))
-        except LedgerError as exc:
-            raise CorruptJournal(index, str(exc)) from exc
+        try:  # block 0's one transaction carries the config as its argument
+            arg = json.loads(bodies[0])["proposal"]["args"][0]
+            config = GenesisConfig.from_dict(from_canonical_json(arg.encode()))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptJournal(index, f"block 0 carries no network config: {exc}") from exc
     return _Record((number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
                    sha256(head[1] + b"}"), flag_list, bodies, config)
 
@@ -632,8 +626,8 @@ def _refusal(raw: bytes) -> str:
     if not raw.isascii():
         return "undecodable block"
     try:
-        value = json.loads(raw)
-    except (RecursionError, ValueError):
+        value = from_canonical_json(raw)
+    except ValueError:
         return "non-canonical block encoding"
     try:
         Block.from_dict(value)

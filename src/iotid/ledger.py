@@ -305,9 +305,11 @@ class LedgerEngine:
             fd = os.open(key / LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except BlockingIOError:
+            except OSError as exc:
                 os.close(fd)
-                raise LedgerLocked(f"ledger in use: {key / LOCK_FILE}") from None
+                if isinstance(exc, BlockingIOError):
+                    raise LedgerLocked(f"ledger in use: {key / LOCK_FILE}") from None
+                raise
             _open_engines[key] = [fd, 0]
         _open_engines[key][1] += 1
         self._held = key

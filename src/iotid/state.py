@@ -119,7 +119,7 @@ def asset_fields(key: str, value: bytes) -> tuple[str, int, str] | None:
         if len(record) == 4 and record["dataId"] == data_id and listable(*fields):
             parse_did(fields[0])  # MalformedDid is a ValueError
             return fields
-    except (KeyError, RecursionError, TypeError, ValueError):  # RecursionError: nested too deep
+    except (KeyError, TypeError, ValueError):
         pass
     return None
 

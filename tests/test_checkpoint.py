@@ -101,7 +101,7 @@ def store_files(base):
 
 class Reads:
     """The indices of the journal records read, and the numbers of the
-    blocks that ``Block.from_dict`` decoded, in order."""
+    blocks that ``Block.from_dict`` decoded whole, in order."""
 
     def __init__(self):
         self.read, self.decoded = [], []
@@ -138,7 +138,8 @@ def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, reads
     assert savepoint_height(tmp_path) == 1
     reads.clear()
     engine = reopen_engine(tmp_path)
-    assert reads.read == reads.decoded == [0]  # the savepoint's block is block 0: one read
+    assert reads.read == [0]  # the savepoint's block is block 0: one read
+    assert reads.decoded == []
     grow(engine, writer, 3)
     engine.close()
     assert store_files(tmp_path) == [STATE_FILE]  # SQLite's -wal and -shm went at close
@@ -148,7 +149,7 @@ def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, reads
     reads.clear()
     engine = reopen_engine(tmp_path)
     assert reads.read == [0, 3]  # block 0 and the savepoint's block
-    assert reads.decoded == [0]  # the savepoint's block is matched, not decoded
+    assert reads.decoded == []  # the savepoint's block is matched, not decoded
     engine.close()
     assert store_of(tmp_path).read_bytes() == written  # nothing new, nothing written
 
@@ -164,7 +165,8 @@ def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, reads
 
 @pytest.mark.parametrize("blocks", [0, 1, BLOCKS])
 def test_a_store_less_open_decodes_block_0_alone(tmp_path, reads, blocks):
-    # replay reads every record and decodes only the write sets it applies
+    # replay reads every record and decodes only the write sets it applies,
+    # and block 0's config
     engine = make_engine(tmp_path, genesis=SOLO)
     grow(engine, Principal.from_seed(11), blocks)
     engine.close()
@@ -174,7 +176,7 @@ def test_a_store_less_open_decodes_block_0_alone(tmp_path, reads, blocks):
     try:
         assert engine.height == 1 + blocks
         assert reads.read == list(range(1 + blocks))
-        assert reads.decoded == [0]
+        assert reads.decoded == []
     finally:
         engine.close()
 
@@ -190,7 +192,7 @@ def test_a_checkpoint_older_than_the_journal(stored, reads):
     reads.clear()
     assert observe(stored) == expected
     assert reads.read == [0, *range(BLOCKS, BLOCKS + 11)]
-    assert reads.decoded == [0]  # the replayed blocks' write sets alone
+    assert reads.decoded == []  # the replayed blocks' write sets alone
     assert savepoint_height(stored) == 1 + BLOCKS + 10  # the query caught it up
 
 
@@ -209,7 +211,7 @@ def test_a_query_moves_the_checkpoint_to_its_tip(tmp_path, reads):
     reads.clear()
     assert observe(tmp_path) == expected
     assert reads.read == [0, *range(queried - 1, queried + 3)]
-    assert reads.decoded == [0]
+    assert reads.decoded == []
 
 
 def test_a_lagging_engine_in_the_same_process_keeps_the_checkpoint_whole(stored):
@@ -250,7 +252,7 @@ def test_a_checkpoint_from_another_ledger(tmp_path, stored, reads):
         # savepoint's record, which the check refuses; then a full replay
         # from block 1
         assert reads.read == [0, BLOCKS, *range(1, engine.height)]
-        assert reads.decoded == [0]
+        assert reads.decoded == []
     finally:
         engine.close()
 
@@ -298,14 +300,14 @@ def test_a_damaged_checkpoint(stored, reads, damage):
         assert reads.read[0] == 0 and reads.read.count(0) == 1
         assert reads.read[1 - engine.height:] == list(range(1, engine.height))
         assert len(reads.read) <= engine.height + 1
-        assert reads.decoded == [0]
+        assert reads.decoded == []
     finally:
         engine.close()
     # the close after a full replay wrote a good store again
     reads.clear()
     assert observe(stored) == expected
     assert reads.read == [0, expected[0] - 1]
-    assert reads.decoded == [0]
+    assert reads.decoded == []
 
 
 def test_a_last_record_longer_than_the_read_window(tmp_path, reads):
@@ -323,7 +325,7 @@ def test_a_last_record_longer_than_the_read_window(tmp_path, reads):
     reads.clear()
     assert observe(tmp_path) == expected
     assert reads.read == [0, 4]
-    assert reads.decoded == [0]
+    assert reads.decoded == []
 
 
 def test_an_unreadable_checkpoint(stored, reads, monkeypatch):
@@ -342,7 +344,7 @@ def test_an_unreadable_checkpoint(stored, reads, monkeypatch):
     reads.clear()
     assert observe(stored) == expected
     assert reads.read == list(range(expected[0]))
-    assert reads.decoded == [0]
+    assert reads.decoded == []
 
 
 def test_a_journal_torn_below_the_checkpoint(stored):
@@ -453,12 +455,22 @@ def test_a_flipped_byte_in_a_stored_value_fails_the_read(tmp_path):
     state.close()
     flip_byte_in(path, b"0.txt", occurrence=1, count=2)
     state = WorldState(path)
+    db = state._db
     try:
         with pytest.raises(CorruptStore, match=key):
             state.assets(_OWNERS[0])
         assert not path.exists()
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            db.execute("SELECT 1")  # the dropped store's connection is closed
     finally:
         state.close()
+
+
+def test_a_read_after_close_is_a_ledger_error(tmp_path):
+    state = WorldState(tmp_path / STATE_FILE)
+    state.close()
+    with pytest.raises(LedgerError, match="read after its ledger closed"):
+        state.get("kv/k")
 
 
 def test_a_zeroed_store_header_rebuilds_the_store(stored, reads):
@@ -468,7 +480,7 @@ def test_a_zeroed_store_header_rebuilds_the_store(stored, reads):
     reads.clear()
     assert observe(stored) == expected
     assert reads.read == list(range(expected[0]))
-    assert reads.decoded == [0]
+    assert reads.decoded == []
     assert savepoint_height(stored) == expected[0]
 
 
@@ -481,7 +493,7 @@ def test_a_truncated_store_rebuilds_the_store(stored, reads):
     reads.clear()
     assert observe(stored) == expected
     assert reads.read == list(range(expected[0]))
-    assert reads.decoded == [0]
+    assert reads.decoded == []
     assert savepoint_height(stored) == expected[0]
 
 
@@ -594,7 +606,7 @@ def test_assets_from_a_checkpoint_equal_assets_from_a_full_replay(tmp_path, read
     # uploads below land at the front of the order, not the end
     from_store = reopen_engine(tmp_path)
     assert len(reads.read) == 2
-    assert reads.decoded == [0]
+    assert reads.decoded == []
     from_genesis = reopen_engine(replayed)
     try:
         assert asset_queries(from_store, devices) == asset_queries(from_genesis, devices)
@@ -696,7 +708,7 @@ def test_a_store_of_another_format_is_rebuilt_at_open(tmp_path, reads, change):
     engine = reopen_engine(tmp_path)
     try:
         assert reads.read == list(range(height))  # a full replay
-        assert reads.decoded == [0]
+        assert reads.decoded == []
         assert len(asset_queries(engine, devices)[0]) == 6
     finally:
         engine.close()
@@ -705,7 +717,7 @@ def test_a_store_of_another_format_is_rebuilt_at_open(tmp_path, reads, change):
     reads.clear()
     engine = reopen_engine(tmp_path)
     try:
-        assert reads.decoded == [0]  # the rebuilt store is taken
+        assert reads.decoded == []  # the rebuilt store is taken
         assert len(asset_queries(engine, devices)[0]) == 6
     finally:
         engine.close()

@@ -11,6 +11,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 from collections import Counter, namedtuple
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ import pytest
 
 from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import build_parser, main
-from iotid.clock import SimClock
+from iotid.clock import SimClock, WallClock
 from iotid.codec import canonical_json
 from iotid.gateway import Gateway, GatewayError, Keystore, default_contracts
 from iotid.idm import Session, resolve_did
@@ -35,8 +36,9 @@ from iotid.sim import FlowConfig
 from iotid.store import ContentHash, ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
-from util import (MANUFACTURER, Principal, create_identity, foreign_hold, seeded_keypair,
-                  upload_payload)
+from test_ledger import _rewrite_block
+from util import (DEEP_JSON, MANUFACTURER, Principal, create_identity, deep_config,
+                  foreign_hold, seeded_keypair, upload_payload)
 
 Result = namedtuple("Result", "code data out err")
 
@@ -602,6 +604,11 @@ def read_blocks(ledger: Path) -> list[Block]:
         return engine.read_blocks()
 
 
+def genesis_of(block: Block) -> GenesisConfig:
+    """The network config that block 0's one transaction carries as its argument."""
+    return GenesisConfig.from_dict(json.loads(block.transactions[0].proposal.args[0]))
+
+
 def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
     # an engine that endorsed none of the scenario's transactions verifies
     # every endorsement it counts; block by block it must give the flags
@@ -610,7 +617,7 @@ def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
     # the keys of the first threshold peers of the roster, once each
     journal = scenario_journal(tmp_path)
     blocks = read_blocks(tmp_path / "ledger")
-    config = GenesisConfig.from_block(blocks[0])
+    config = genesis_of(blocks[0])
     endorsers = [peer.seed for peer in config.peers][:config.threshold]
     assert len(endorsers) < len(config.peers)
     derived, derive = [], journal_module.generate_keypair
@@ -633,7 +640,7 @@ def endorsed_otherwise(ledger: Path) -> tuple[list[str], list[tuple[int, int]]]:
     the first ``threshold`` of the roster; and ``(block, tx index)`` of each
     transaction whose endorsers are not exactly those."""
     blocks = read_blocks(ledger)
-    config = GenesisConfig.from_block(blocks[0])
+    config = genesis_of(blocks[0])
     want = [peer.name for peer in config.peers][:config.threshold]
     return want, [(block.number, index) for block in blocks[1:]
                   for index, tx in enumerate(block.transactions)
@@ -665,6 +672,55 @@ def test_scenario_keeps_the_first_of_colliding_readings(tmp_path):
     assert report["queryOwnedCounts"] == {"device1": 10, "device2": 10,
                                           "device3": 9, "device4": 10,
                                           "device5": 10}
+
+
+def test_a_cli_scenario_runs_on_the_simulated_clock(capsys, tmp_path, monkeypatch):
+    # main builds a wall-clock gateway; two runs whose wall clocks are a
+    # million seconds apart give the same bytes only on the scenario's SimClock
+    runs = []
+    for offset in (0, 10**6):
+        monkeypatch.setattr(WallClock, "now", lambda self, offset=offset: time.time() + offset)
+        run = tmp_path / str(offset)
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["--ledger-dir", "ledger", "--keystore-dir", "keys", "--machine",
+                     "scenario", "--seed", "3"]) == 0
+        runs.append((capsys.readouterr().out, Path("ledger", BLOCKS_FILE).read_bytes()))
+    assert json.loads(runs[0][0])["ok"] is True
+    assert runs[0] == runs[1]
+
+
+def test_a_duplicate_attempt_refused_otherwise_ends_the_scenario(tmp_path, monkeypatch):
+    # the scenario's second upload of a reading must be refused as a
+    # DuplicateAsset; any other contract error ends the scenario
+    gateway = Gateway(tmp_path / "ledger", tmp_path / "keys", clock=SimClock())
+    upload, uploaded = Gateway.cmd_asset_upload, set()
+
+    def refuse_a_repeat(self, name, path, **kwargs):
+        if path in uploaded:
+            raise ContractError("Unauthorized", "a refusal other than DuplicateAsset")
+        uploaded.add(path)
+        return upload(self, name, path, **kwargs)
+
+    monkeypatch.setattr(Gateway, "cmd_asset_upload", refuse_a_repeat)
+    with pytest.raises(ContractError) as raised:
+        gateway.cmd_scenario(device_count=1, duration_seconds=60)
+    assert raised.value.code == "Unauthorized"
+
+
+def test_a_wrong_owned_count_fails_the_scenario(tmp_path, monkeypatch):
+    # one device's listing one short: the chain verifies, the report does not
+    gateway = Gateway(tmp_path / "ledger", tmp_path / "keys", clock=SimClock())
+    listing = Gateway.cmd_asset_list
+
+    def one_short(self, mine=None):
+        result = listing(self, mine=mine)
+        return {**result, "count": result["count"] - 1} if mine == "device2" else result
+
+    monkeypatch.setattr(Gateway, "cmd_asset_list", one_short)
+    report = gateway.cmd_scenario(device_count=2, duration_seconds=60)
+    assert report["verifyChain"]["ok"] is True
+    assert report["ok"] is False
 
 
 # -- plumbing --------------------------------------------------------------------
@@ -912,6 +968,33 @@ def test_a_key_file_without_its_fields_is_a_gateway_error(capsys, env):
             result = invoke(capsys, env, command, "dev9")
             assert (result.code, result.data["error"]) == (1, "GatewayError"), field
             assert key_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("planted, argv, refusal", [
+    ("journal", ["chain-verify"], "block 0 carries no network config: JSON nested too deep"),
+    ("genesis", ["network-init", "--force", "--genesis"], "is not a genesis config"),
+    ("key", ["device-login", "dev1"], "keystore entry dev1 is not a key file"),
+    ("session", ["asset-list", "--mine", "dev1"], "dev1.session.json is not a session file"),
+], ids=["journal", "genesis", "key", "session"])
+def test_json_nested_too_deep_is_refused_by_name(capsys, ready, tmp_path, planted, argv,
+                                                 refusal):
+    # past the JSON parser's recursion limit: the command refuses the file and exits 1
+    keys = Path(ready["keystore"])
+    if planted == "journal":
+        _rewrite_block(Path(ready["ledger"]) / BLOCKS_FILE, 0, deep_config)
+    else:
+        path = {"genesis": tmp_path / "genesis.json", "key": keys / "dev1.json",
+                "session": keys / "dev1.session.json"}[planted]
+        path.write_text(DEEP_JSON)
+        argv = [*argv, str(path)] if planted == "genesis" else argv
+    result = invoke(capsys, ready, *argv)
+    assert result.code == 1
+    assert "Traceback" not in result.out + result.err
+    if planted == "journal":
+        assert result.data == {"ok": False, "height": 0, "badBlock": 0, "reason": refusal}
+    else:
+        assert result.data["error"] == "GatewayError"
+        assert refusal in result.data["message"]
 
 
 @pytest.mark.parametrize("session", [{"did": DID_01}, {"did": 7, "expiresAt": 4000},

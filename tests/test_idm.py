@@ -27,6 +27,7 @@ from iotid.journal import POLICY_FAILURE, VALID, Transaction
 from iotid.ledger import ContractError
 
 from util import (
+    DEEP_JSON,
     MANUFACTURER,
     Principal,
     create_identity,
@@ -299,6 +300,11 @@ def test_records_round_trip(device):
     entry = DeviceRecord(did=device.did, manufacturer_id=MANUFACTURER,
                          registered_at=9)
     assert device_record(canonical_json(entry.to_dict())) == entry
+
+
+def test_a_did_record_nested_too_deep_is_a_value_error():
+    with pytest.raises(ValueError, match="nested too deep"):
+        DidRecord.from_bytes(DEEP_JSON.encode())
 
 
 # -- the content store: untouched by idm --------------------------------------

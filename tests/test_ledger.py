@@ -1237,12 +1237,12 @@ def test_each_open_decodes_the_config_once(tmp_path, engine, alice, monkeypatch,
     if start == "a full replay":
         (tmp_path / "ledger" / STATE_FILE).unlink()
     decoded = []
-    real = GenesisConfig.from_block
-    monkeypatch.setattr(GenesisConfig, "from_block",
-                        lambda block: decoded.append(block.number) or real(block))
+    real = GenesisConfig.from_dict
+    monkeypatch.setattr(GenesisConfig, "from_dict",
+                        staticmethod(lambda d: decoded.append(d) or real(d)))
     reopened = reopen_engine(tmp_path)
     try:
-        assert decoded == [0]
+        assert decoded == [GenesisConfig.default().to_dict()]
         assert reopened.genesis == GenesisConfig.default()
         assert reopened.height == 2
     finally:
@@ -1515,6 +1515,20 @@ def _junctions(journal: bytes) -> list[tuple[int, int]]:
     assert len(starts) == 3
     ends = list(itertools.accumulate(len(r) for r in journal.splitlines(keepends=True)))
     return [(start, ends.index(start) + 1) for start in starts[1:]]
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_each_part_starts_after_the_record_its_cut_falls_in(tmp_path, monkeypatch,
+                                                            grown_journal, parts):
+    # part k begins at the end of the record that holds byte k * size // parts
+    path = tmp_path / BLOCKS_FILE
+    path.write_bytes(grown_journal)
+    monkeypatch.setattr(journal_module, "_VERIFY_PART_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+    size = len(grown_journal)
+    ends = list(itertools.accumulate(map(len, grown_journal.splitlines(keepends=True))))
+    assert journal_module._part_starts(path) == \
+        [0, *(next(end for end in ends if end > k * size // parts) for k in range(1, parts))]
 
 
 @given(kind=st.sampled_from(["flip", "cut", "delete", "duplicate", *_REWRITES]),

@@ -5,6 +5,8 @@ through ``LedgerEngine.open``, so what is checked is the ``flock`` the
 kernel holds for them, not any bookkeeping of this process.
 """
 
+import errno
+import fcntl
 import os
 import subprocess
 import sys
@@ -14,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import iotid
+from iotid import ledger as ledger_module
 from iotid.ledger import LOCK_FILE, LedgerLocked
 
-from util import lock_is_free, make_engine, reopen_engine
+from util import foreign_hold, lock_is_free, make_engine, reopen_engine
 
 SRC = str(Path(iotid.__file__).resolve().parent.parent)
 
@@ -136,3 +139,44 @@ def test_a_child_spawned_while_open_does_not_keep_the_lock(tmp_path):
         reopen_engine(tmp_path).close()
     finally:
         child.communicate(timeout=60)
+
+
+class TrackedOs:
+    """``os`` as the ledger module sees it, with the fds it opens and closes."""
+
+    def __init__(self):
+        self.opened, self.closed = [], []
+
+    def open(self, *args, **kwargs):
+        self.opened.append(os.open(*args, **kwargs))
+        return self.opened[-1]
+
+    def close(self, fd):
+        self.closed.append(fd)
+        os.close(fd)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+def _enolck(fd, operation):
+    raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+
+@pytest.mark.parametrize("failure", ["held elsewhere", "ENOLCK"])
+def test_a_failed_lock_closes_the_fd_it_opened(tmp_path, monkeypatch, failure):
+    make_engine(tmp_path).close()
+    tracked = TrackedOs()
+    monkeypatch.setattr(ledger_module, "os", tracked)
+    if failure == "held elsewhere":
+        with foreign_hold(tmp_path / "ledger"), pytest.raises(LedgerLocked):
+            reopen_engine(tmp_path)
+    else:
+        monkeypatch.setattr(fcntl, "flock", _enolck)
+        with pytest.raises(OSError) as raised:
+            reopen_engine(tmp_path)
+        assert raised.value.errno == errno.ENOLCK
+        monkeypatch.undo()
+    assert len(tracked.opened) == 1
+    assert tracked.closed == tracked.opened
+    assert lock_is_free(tmp_path / "ledger")

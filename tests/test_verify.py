@@ -26,7 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iotid import journal as journal_module
-from iotid.codec import sha256
+from iotid.codec import from_canonical_json, sha256
 from iotid.journal import (
     BLOCKS_FILE,
     FLAG_VALUES,
@@ -34,7 +34,6 @@ from iotid.journal import (
     Block,
     CorruptJournal,
     GenesisConfig,
-    LedgerError,
     encode_transactions,
     verify_chain_file,
 )
@@ -44,13 +43,15 @@ from iotid.store import ContentStore
 from test_ledger import (  # noqa: F401 (grown_journal is a fixture)
     _blocks,
     _no_child_left,
+    _rewrite_block,
     _serial_report,
     _split_report,
     _tamper,
     _three_parts,
     grown_journal,
 )
-from util import Principal, make_engine, register_device, registrar_principal, upload_payload
+from util import (Principal, deep_config, make_engine, register_device, registrar_principal,
+                  upload_payload)
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +111,10 @@ def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
             return False, height, "data hash does not match transactions"
         if block.number == 0:
             try:
-                GenesisConfig.from_block(block)
-            except LedgerError as exc:
-                return False, height, str(exc)
+                arg = block.transactions[0].proposal.args[0]
+                GenesisConfig.from_dict(from_canonical_json(arg.encode()))
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                return False, height, f"block 0 carries no network config: {exc}"
         if problem := journal_module._link_problem(block.link, height, tip):
             return False, height, problem
         height, tip = height + 1, header_hash
@@ -251,6 +253,19 @@ def test_a_changed_piece_fails_at_its_block(honest, tmp_path, piece):
     assert _serial_report(path) == _split_report(path) == (False, last, last, reason)
     assert _oracle(path.read_bytes()) == (False, last, reason)
     assert _open_verdict(path) == (False, last, reason)
+
+
+def test_a_block_0_config_nested_too_deep_is_refused_by_name(tmp_path):
+    # the links and hashes hold; only block 0's config argument is too deep to decode
+    make_engine(tmp_path).close()
+    ledger = tmp_path / "ledger"
+    (ledger / STATE_FILE).unlink()
+    _rewrite_block(ledger / BLOCKS_FILE, 0, deep_config)
+    reason = "block 0 carries no network config: JSON nested too deep"
+    report = verify_chain_file(ledger / BLOCKS_FILE)
+    assert (report.ok, report.bad_block, report.reason) == (False, 0, reason)
+    assert _oracle((ledger / BLOCKS_FILE).read_bytes()) == (False, 0, reason)
+    assert _open_verdict(ledger / BLOCKS_FILE) == (False, 0, reason)
 
 
 def test_a_rehashed_body_in_other_whitespace_is_refused(honest, grown_journal, tmp_path):
@@ -475,17 +490,18 @@ def _decodes(log: Path) -> list[tuple[int, int]]:
 
 def test_verify_decodes_only_block_0_of_an_honest_journal(honest, grown_journal, tmp_path,
                                                           decoded):
+    # block 0's config comes from its first transaction's body: no record is decoded whole
     path = tmp_path / BLOCKS_FILE
     for journal in (honest, grown_journal):
         path.write_bytes(journal)
         decoded.write_text("")
         assert verify_chain_file(path).ok
-        assert _decodes(decoded) == [(os.getpid(), 0)]
+        assert _decodes(decoded) == []
     decoded.write_text("")
     with _three_parts():
         assert len(journal_module._part_starts(path)) == 3
         assert verify_chain_file(path).ok
-    assert _decodes(decoded) == [(os.getpid(), 0)]
+    assert _decodes(decoded) == []
     assert _no_child_left()
 
 
