@@ -137,9 +137,8 @@ def derive_address(public_key: bytes) -> Address:
     return Address(sha256(public_key)[:ADDRESS_BYTES])
 
 
-def make_did(public_key: bytes, method_id: str | None = None,
-             method: str = DEFAULT_METHOD) -> Did:
-    """Build a device DID.
+def make_did(public_key: bytes, method_id: str | None = None) -> Did:
+    """Build a device DID of method ``DEFAULT_METHOD``.
 
     With no explicit ``method_id`` the id is the hex of the first 16 bytes
     of the key's SHA-256 digest; devices with a technology identifier
@@ -147,7 +146,7 @@ def make_did(public_key: bytes, method_id: str | None = None,
     """
     if method_id is None:
         method_id = sha256(public_key)[:16].hex()
-    return Did(method=method, method_id=method_id)
+    return Did(method=DEFAULT_METHOD, method_id=method_id)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ exactly. Every hash covers bytes that the record stores verbatim. Every
 reader, open and replay, ``read_blocks`` and chain-verify, checks a
 record one way: it matches a compiled grammar of exactly the bytes that
 commit writes, and its hashes hold over the slices as stored. A changed
-byte fails in its own record, and nothing is encoded again. Replay
-decodes only the write sets it applies, and every reader block 0's config,
-from the bodies the match sliced; a whole record is decoded only by
-``read_blocks`` and ``_refusal``. Open cuts off a torn last record. No
+byte fails in its own record, and nothing is encoded again. A record
+that the grammar refuses is never decoded: it is an "undecodable block"
+if it holds a byte from 0x80, and a "non-canonical block encoding"
+otherwise. Replay decodes only the write sets it applies, and every
+reader block 0's config, from the bodies the match sliced; a whole record
+is decoded only by ``read_blocks``. Open cuts off a torn last record. No
 reader checks signatures.
 """
 
@@ -177,8 +179,7 @@ class Transaction:
     """An executed proposal, its read/write set and the peers' endorsements.
 
     The proposal and rwset are never mutated once a Transaction holds
-    them, so they are encoded, and the txId hashed, once per object; one
-    decoded from a journal keeps its body as stored instead.
+    them, so they are encoded, and the txId hashed, once per object.
     ``content`` is what its execution staged for the content store, which
     the commit writes if the transaction is VALID. It is never encoded nor
     hashed, so a transaction decoded from a journal has none.
@@ -578,10 +579,10 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
     ``,"transactions"`` and a closing brace. CorruptJournal gives the first
     of these reasons:
 
-    1. a record that ``_grammar`` refuses is an "undecodable block" if it is
-       not ASCII, or if it is JSON that ``Block.from_dict`` refuses, and
-       otherwise a "non-canonical block encoding", as is one whose txId or
-       flags hash does not hold;
+    1. a record that ``_grammar`` refuses, never decoded, is an
+       "undecodable block" if it holds a byte from 0x80 and otherwise a
+       "non-canonical block encoding", as is one whose txId or flags hash
+       does not hold;
     2. an "unknown validation flag";
     3. the data hash;
     4. block 0's network config.
@@ -590,7 +591,7 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
     checking those is for the planned deep audit.
     """
     header, transaction, tail = _grammar()
-    head = header.match(raw) if raw.isascii() else None
+    head = header.match(raw) if (is_ascii := raw.isascii()) else None
     flags, bodies, stored = None, [], []
     if head is not None:
         at = head.end()
@@ -600,11 +601,10 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
             stored.append(tx[2])
             at, more = tx.end(), tx[3]
         flags = None if more else tail.fullmatch(raw, at)
-    if flags is None:
-        raise CorruptJournal(index, _refusal(raw))
-    if hashlib.sha256(flags[1]).hexdigest().encode() != head[3] or \
+    if flags is None or hashlib.sha256(flags[1]).hexdigest().encode() != head[3] or \
             [hashlib.sha256(body).hexdigest().encode() for body in bodies] != stored:
-        raise CorruptJournal(index, "non-canonical block encoding")
+        raise CorruptJournal(index, "non-canonical block encoding" if is_ascii
+                             else "undecodable block")
     flag_list = json.loads(flags[1])
     if any(flag not in FLAG_VALUES for flag in flag_list):
         raise CorruptJournal(index, "unknown validation flag")
@@ -619,21 +619,6 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
             raise CorruptJournal(index, f"block 0 carries no network config: {exc}") from exc
     return _Record((number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
                    sha256(head[1] + b"}"), flag_list, bodies, config)
-
-
-def _refusal(raw: bytes) -> str:
-    """Why the journal refuses a record that ``_grammar`` refuses."""
-    if not raw.isascii():
-        return "undecodable block"
-    try:
-        value = from_canonical_json(raw)
-    except ValueError:
-        return "non-canonical block encoding"
-    try:
-        Block.from_dict(value)
-    except (KeyError, TypeError, ValueError):
-        return "undecodable block"
-    return "non-canonical block encoding"
 
 
 def _writes(body: bytes) -> list[tuple[str, bytes]]:

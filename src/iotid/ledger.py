@@ -667,13 +667,9 @@ class LedgerEngine:
         return int(key[len(prefix):], 16) if key is not None else 0
 
     def read_blocks(self) -> list[Block]:
-        """Every block of the journal, each transaction keeping its body as stored."""
-        blocks = []
-        for raw, record in _walk(self._dir / BLOCKS_FILE):
-            blocks.append(block := Block.from_dict(json.loads(raw)))
-            for tx, body in zip(block.transactions, record.bodies):
-                tx._body = body
-        return blocks
+        """Every block of the journal, each decoded whole from a record that the walk
+        accepts, so that it encodes back to that record and keeps every stored txId."""
+        return [Block.from_dict(json.loads(raw)) for raw, _ in _walk(self._dir / BLOCKS_FILE)]
 
 
 def _nonce_prefix(invoker: Address) -> str:

@@ -9,6 +9,7 @@ same seed produce byte-identical payloads and file trees.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,6 +56,9 @@ class FlowConfig:
             raise ValueError("device_count must be >= 1")
         if self.interval_seconds <= 0:
             raise ValueError("interval_seconds must be > 0")
+        # a reading is drawn as value_min + span * random(), and JSON has no inf or NaN
+        if not math.isfinite(self.value_max - self.value_min):
+            raise ValueError("value_min, value_max and their difference must be finite")
         if self.value_min > self.value_max:
             raise ValueError("value_min must be <= value_max")
 

@@ -617,6 +617,11 @@ def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
     # the keys of the first threshold peers of the roster, once each
     journal = scenario_journal(tmp_path)
     blocks = read_blocks(tmp_path / "ledger")
+    # each block read back encodes to its record, and each txId is the one stored
+    records = journal.splitlines(keepends=True)
+    assert [block.encode()[0] + b"\n" for block in blocks] == records
+    assert [[tx.tx_id.hex() for tx in block.transactions] for block in blocks] == \
+        [[tx["txId"] for tx in json.loads(record)["transactions"]] for record in records]
     config = genesis_of(blocks[0])
     endorsers = [peer.seed for peer in config.peers][:config.threshold]
     assert len(endorsers) < len(config.peers)

@@ -1393,9 +1393,9 @@ def test_verify_refuses_an_unknown_flag_under_recomputed_hashes(three_blocks):
         (False, 2, "unknown validation flag")
 
 
-def test_a_null_write_value_is_an_undecodable_block(tmp_path, three_blocks):
-    # a write with no value is no longer a delete: the block it sits in
-    # does not decode, under a recomputed txId and recomputed hashes
+def test_a_null_write_value_is_a_non_canonical_block(tmp_path, three_blocks):
+    # a write with no value is no longer a delete: the journal's grammar
+    # refuses the block it sits in, under a recomputed txId and recomputed hashes
     def erase(record):
         tx = record["transactions"][0]
         tx["rwset"]["writes"][0][1] = None
@@ -1405,8 +1405,8 @@ def test_a_null_write_value_is_an_undecodable_block(tmp_path, three_blocks):
     _rewrite_block(three_blocks, 2, erase)
     report = verify_chain_file(three_blocks)
     assert (report.ok, report.bad_block, report.reason) == \
-        (False, 2, "undecodable block")
-    with pytest.raises(CorruptJournal, match="block 2: undecodable block"):
+        (False, 2, "non-canonical block encoding")
+    with pytest.raises(CorruptJournal, match="block 2: non-canonical block encoding"):
         reopen_engine(tmp_path)
 
 

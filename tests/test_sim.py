@@ -160,6 +160,11 @@ def test_reading_file_path_shape(tmp_path):
     {"device_count": 0},
     {"interval_seconds": 0},
     {"value_min": 5.0, "value_max": 4.9},
+    {"value_min": float("nan")},
+    {"value_max": float("nan")},
+    {"value_min": float("-inf")},
+    {"value_max": float("inf")},
+    {"value_min": -1e308, "value_max": 1e308},
 ])
 def test_config_rejects_nonsense(kwargs):
     with pytest.raises(ValueError):

@@ -5,12 +5,14 @@ they match it against one compiled grammar and hash its pieces as
 stored, and decode it only where they need its objects. The oracle
 decodes each record with ``json.loads`` and ``Block.from_dict``, encodes
 it again and compares, then checks its hashes, block 0's config and its
-link; it names the reader's reasons by the rule of
-``ledger._read_record``. For any single-byte flip, cut, record deletion
-or duplicated record of an honest journal, and any change of
-``_MUTATIONS`` as it is and under recomputed hashes, the serial walk, a
-verify split into parts and a store-less open all give the oracle's
-``(ok, badBlock, reason)``. A hostile record is refused in linear time.
+link. Its one rule for a record it cannot take back is the reader's: a
+byte from 0x80 makes an undecodable block, and anything else that does
+not decode or encode back a non-canonical block encoding. For any
+single-byte flip, cut, record deletion or duplicated record of an honest
+journal, and any change of ``_MUTATIONS`` as it is and under recomputed
+hashes, the serial walk, a verify split into parts and a store-less open
+all give the oracle's ``(ok, badBlock, reason)``. The reader decodes no
+record that it refuses, and refuses a hostile one in linear time.
 """
 
 import io
@@ -84,8 +86,8 @@ _NON_CANONICAL, _UNDECODABLE = "non-canonical block encoding", "undecodable bloc
 def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
     """``(ok, badBlock, reason)`` by decoding each record and encoding it again.
 
-    A record that is not ASCII, or whose JSON ``Block.from_dict`` refuses,
-    is undecodable; one that is no JSON, or does not encode back, is
+    A record that is not ASCII is undecodable; one that is no JSON, whose
+    JSON ``Block.from_dict`` refuses, or that does not encode back, is
     non-canonical.
     """
     height, tip = 0, ZERO_HASH
@@ -95,13 +97,9 @@ def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
         if not raw.isascii():
             return False, height, _UNDECODABLE
         try:
-            value = json.loads(raw)
-        except (RecursionError, ValueError):
+            block = Block.from_dict(json.loads(raw))
+        except (KeyError, RecursionError, TypeError, ValueError):
             return False, height, _NON_CANONICAL
-        try:
-            block = Block.from_dict(value)
-        except (KeyError, TypeError, ValueError):
-            return False, height, _UNDECODABLE
         record, header_hash = block.encode()
         if raw != record + b"\n":
             return False, height, _NON_CANONICAL
@@ -196,6 +194,13 @@ def _upper(marker: bytes):
     return apply
 
 
+def _with_flags(record: bytes, flags: bytes) -> bytes:
+    """``record`` with ``flags`` as its flag list, under a flags hash taken anew."""
+    changed = record[:record.rindex(b',"validationFlags":') + 19] + flags + b"}\n"
+    at = changed.index(b'"flagsHash":"') + 13
+    return changed[:at] + sha256(flags).hex().encode() + changed[at + 64:]
+
+
 def _reorder(record: bytes) -> bytes:
     return record.replace(b'"contract":"asset","function":"uploadAsset"',
                           b'"function":"uploadAsset","contract":"asset"', 1)
@@ -233,10 +238,14 @@ _PIECES = {
     # a string where commit writes an array, which iterating would take apart
     "the flags as one string": (
         lambda r: re.sub(rb'"validationFlags":\[[^\]]*\]', b'"validationFlags":"VALID"', r),
-        "undecodable block"),
+        "non-canonical block encoding"),
     "the args as one string": (
         lambda r: re.sub(rb'"args":\[("[^"]*")[^\]]*\]', rb'"args":\1', r, count=1),
-        "undecodable block"),
+        "non-canonical block encoding"),
+    # deeper than json.loads recurses
+    "a flag list nested 100,000 deep under a recomputed flags hash": (
+        lambda r: _with_flags(r, b"[" * 100_000 + b'"VALID"' + b"]" * 100_000),
+        "non-canonical block encoding"),
 }
 
 
@@ -253,6 +262,38 @@ def test_a_changed_piece_fails_at_its_block(honest, tmp_path, piece):
     assert _serial_report(path) == _split_report(path) == (False, last, last, reason)
     assert _oracle(path.read_bytes()) == (False, last, reason)
     assert _open_verdict(path) == (False, last, reason)
+
+
+@pytest.mark.parametrize("piece", [piece for piece, (_, reason) in _PIECES.items()
+                                   if reason in (_NON_CANONICAL, _UNDECODABLE)])
+def test_a_refused_record_is_never_decoded(honest, tmp_path, monkeypatch, piece):
+    # each decode is logged with the index of the record being read when it
+    # ran: verify and a store-less open report the last record, and decode
+    # the earlier ones' flags, but nothing while they read the last
+    change, reason = _PIECES[piece]
+    records = honest.splitlines(keepends=True)
+    last = len(records) - 1
+    path = tmp_path / BLOCKS_FILE
+    path.write_bytes(b"".join(records[:last]) + change(records[last]))
+    reading, decoded = [None], []
+    read_record = journal_module._read_record
+
+    def read_logged(index, raw):
+        reading[0] = index
+        return read_record(index, raw)
+
+    def logged(decode):
+        return lambda value: decoded.append(reading[0]) or decode(value)
+
+    monkeypatch.setattr(journal_module, "_read_record", read_logged)
+    monkeypatch.setattr(json, "loads", logged(json.loads))
+    monkeypatch.setattr(journal_module, "from_canonical_json", logged(from_canonical_json))
+    monkeypatch.setattr(Block, "from_dict", staticmethod(logged(Block.from_dict)))
+    report = verify_chain_file(path)
+    assert (report.ok, report.bad_block, report.reason) == (False, last, reason)
+    assert _open_verdict(path) == (False, last, reason)
+    assert last not in decoded
+    assert set(decoded) == set(range(last))
 
 
 def test_a_block_0_config_nested_too_deep_is_refused_by_name(tmp_path):
@@ -383,9 +424,7 @@ def _other_flag(record: bytes, n: int) -> bytes:
     flag = _nth(_FLAG, record, n)
     changed = _replace(record, flag,
                        (b'"TRUSTED"', b'"valid"', b'"VALID\\u0020"', b"1", b"null")[n % 5])
-    flags = changed[changed.rindex(b',"validationFlags":') + 19:-2]
-    at = changed.index(b'"flagsHash":"') + 13
-    return changed[:at] + sha256(flags).hex().encode() + changed[at + 64:]
+    return _with_flags(changed, changed[changed.rindex(b',"validationFlags":') + 19:-2])
 
 
 def _timestamp(record: bytes, n: int) -> bytes:
