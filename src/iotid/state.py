@@ -39,13 +39,16 @@ class CorruptStore(LedgerError):
     """
 
 
-# WAL, never synced, as no other ledger write is yet (ROADMAP item 8): a
-# flush appends to the -wal file, and the last connection's close copies
-# it back. A killed process leaves the file whole; a power cut may not.
-# synchronous=NORMAL would sync that copy at every close: two fsyncs per
-# command that commits.
+# A rollback journal, never synced, as no other ledger write is yet
+# (ROADMAP item 8). A flush copies each page it changes to the -journal
+# file before it writes the page in place, and its commit truncates that
+# file to zero length, so a command creates and deletes no file: WAL mode
+# makes a -wal and a -shm file at each open and removes them at each close.
+# A killed flush leaves a hot journal, which the next open rolls back; a
+# power cut may leave worse. Readers and a writer exclude each other here,
+# as the directory's flock already makes commands do.
 _PRAGMAS = """
-PRAGMA journal_mode = WAL;
+PRAGMA journal_mode = TRUNCATE;
 PRAGMA synchronous = OFF;
 """
 # The store's format, which PRAGMA user_version names: a store of any
@@ -166,8 +169,14 @@ class _Listing:
 
 
 def _store_files(path: Path) -> list[Path]:
-    """The store and the -wal and -shm files SQLite keeps beside it."""
-    return [path.with_name(path.name + suffix) for suffix in ("", "-wal", "-shm")]
+    """The store and every file SQLite keeps beside it.
+
+    The -journal of TRUNCATE mode, and the -wal and -shm of a store that
+    an older version left in WAL mode. A journal belongs to its store
+    alone: a hot one beside another store would be applied to it.
+    """
+    return [path.with_name(path.name + suffix)
+            for suffix in ("", "-journal", "-wal", "-shm")]
 
 
 class WorldState:

@@ -9,10 +9,12 @@ rebuilds the store from the journal.
 """
 
 import hashlib
+import os
 import shutil
 import sqlite3
 import tempfile
 import zlib
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -46,7 +48,10 @@ from util import (
 SOLO = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[])
 # blocks after block 0 in the ``stored`` fixture's ledger
 BLOCKS = 40
-STORE_FILES = [STATE_FILE, STATE_FILE + "-wal", STATE_FILE + "-shm"]
+# the files of the store, as every close leaves them: the -journal is
+# SQLite's rollback journal, truncated to zero length at each commit
+JOURNAL = STATE_FILE + "-journal"
+STORE_FILES = [STATE_FILE, JOURNAL]
 
 
 def grow(engine, writer, blocks, tag="v"):
@@ -88,6 +93,55 @@ def crash(engine):
 
 def store_of(base):
     return base / "ledger" / STATE_FILE
+
+
+def journal_of(base):
+    return base / "ledger" / JOURNAL
+
+
+def journal_mode(engine):
+    (mode,), = engine.state._db.execute("PRAGMA journal_mode").fetchall()
+    return mode
+
+
+class KilledAtCommit:
+    """A store connection whose COMMIT ends the process, as a kill would."""
+
+    def __init__(self, db):
+        self._db = db
+
+    def execute(self, sql, *args):
+        if sql == "COMMIT":
+            os._exit(0)
+        return self._db.execute(sql, *args)
+
+    def executemany(self, sql, rows):
+        return self._db.executemany(sql, rows)
+
+
+def killed_flush(base, work):
+    """Reopen the ledger in a forked child, run ``work(engine)``, and kill
+    the child in its close's flush, before the flush commits.
+
+    The child's store keeps one page in memory, so the flush writes pages
+    of its transaction into the store, and its -journal is hot: the store
+    is half written, and the journal holds the pages it replaced.
+    """
+    before = store_of(base).read_bytes()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            engine = reopen_engine(base)
+            engine.state._db.execute("PRAGMA cache_size = 1")
+            work(engine)
+            engine.state._db = KilledAtCommit(engine.state._db)
+            engine.close()
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0  # ended at COMMIT, not before
+    assert journal_of(base).stat().st_size > 0
+    assert store_of(base).read_bytes() != before
 
 
 def savepoint_height(base):
@@ -140,9 +194,12 @@ def test_close_flushes_what_the_chain_gained_since_the_savepoint(tmp_path, reads
     engine = reopen_engine(tmp_path)
     assert reads.read == [0]  # the savepoint's block is block 0: one read
     assert reads.decoded == []
+    assert journal_mode(engine) == "truncate"
     grow(engine, writer, 3)
     engine.close()
-    assert store_files(tmp_path) == [STATE_FILE]  # SQLite's -wal and -shm went at close
+    # the close left no -wal or -shm file, and the journal truncated
+    assert store_files(tmp_path) == STORE_FILES
+    assert journal_of(tmp_path).stat().st_size == 0
     assert savepoint_height(tmp_path) == 4
     written = store_of(tmp_path).read_bytes()
 
@@ -375,22 +432,11 @@ def test_a_journal_torn_above_the_checkpoint(stored, reads):
 
 
 def test_forced_create_discards_the_checkpoint(stored):
-    # a store whose last flush is still in its -wal file, as a crash
-    # leaves it: a reader holds the store open through the close, so
-    # SQLite does not fold the -wal file back, and the copy keeps all three
-    engine = reopen_engine(stored)
-    grow(engine, Principal.from_seed(12), 3, tag="w")
-    with sqlite3.connect(store_of(stored)) as reader:
-        reader.execute("SELECT count(*) FROM state").fetchall()
-        engine.close()
-        crashed = stored / "crashed"
-        shutil.copytree(stored / "ledger", crashed / "ledger",
-                        ignore=shutil.ignore_patterns(LOCK_FILE))
-    reader.close()
-    assert store_files(crashed) == sorted(STORE_FILES)
-    assert (crashed / "ledger" / (STATE_FILE + "-wal")).stat().st_size > 0
-    engine = LedgerEngine.create(crashed / "ledger", SOLO,
-                                 ContentStore(crashed / "objects"), {},
+    # a store as a crash leaves it: a flush killed before its commit left
+    # it half written, beside a hot journal
+    killed_flush(stored, lambda engine: grow(engine, Principal.from_seed(12), 3, tag="w"))
+    assert store_files(stored) == STORE_FILES
+    engine = LedgerEngine.create(stored / "ledger", SOLO, ContentStore(stored / "objects"), {},
                                  clock=SimClock(), force=True)
     try:
         fresh = seen(engine)
@@ -398,9 +444,146 @@ def test_forced_create_discards_the_checkpoint(stored):
     finally:
         engine.close()
     assert fresh[0] == 1
-    assert store_files(crashed) == [STATE_FILE]
-    assert savepoint_height(crashed) == 1
-    assert observe(crashed) == fresh == full_replay(crashed)
+    assert store_files(stored) == STORE_FILES
+    assert journal_of(stored).stat().st_size == 0
+    assert savepoint_height(stored) == 1
+    assert observe(stored) == fresh == full_replay(stored)
+
+
+REGISTRAR_GENESIS = GenesisConfig(peers=[Member("peer1", bytes(32))],
+                                  registrars=[Member("registrar", bytes([1]) * 32)])
+DEVICES = [Principal.from_seed(21), Principal.from_seed(22)]
+
+
+def test_a_flush_killed_before_its_commit_is_rolled_back_at_the_next_open(tmp_path, reads):
+    engine = make_engine(tmp_path, genesis=REGISTRAR_GENESIS)
+    registrar = registrar_principal(engine)
+    for device in DEVICES:
+        register_device(engine, registrar, device)
+    for n in range(5):
+        upload_round(engine, DEVICES, n)
+    engine.close()
+    saved = savepoint_height(tmp_path)
+    killed_flush(tmp_path, lambda engine: [upload_round(engine, DEVICES, f"more{n}")
+                                           for n in range(20)])
+    replayed = tmp_path / "replayed"
+    shutil.copytree(tmp_path / "ledger", replayed / "ledger",
+                    ignore=shutil.ignore_patterns(STATE_FILE + "*", LOCK_FILE))
+    reads.clear()
+    # the open rolls the journal back, takes the store at its old
+    # savepoint, and replays the 20 blocks that the child committed
+    from_store = reopen_engine(tmp_path)
+    from_genesis = reopen_engine(replayed)
+    try:
+        assert reads.read[:22] == [0, *range(saved - 1, saved + 20)]
+        assert seen(from_store) == seen(from_genesis)
+        listings = asset_queries(from_genesis, DEVICES)
+        assert asset_queries(from_store, DEVICES) == listings
+        assert len(listings[0]) == 2 * 25
+    finally:
+        from_store.close()
+        from_genesis.close()
+    assert store_files(tmp_path) == STORE_FILES
+    assert journal_of(tmp_path).stat().st_size == 0
+    assert savepoint_height(tmp_path) == saved + 20
+
+
+def drop_the_store(base, hot):
+    engine = reopen_engine(base)
+    try:
+        hot()
+        engine.state._drop("replaced")
+        assert not journal_of(base).exists()
+        with pytest.raises(CorruptStore, match="replaced"):
+            engine.state.items()
+    finally:
+        engine.close()
+
+
+def force_create(base, hot):
+    hot()
+    LedgerEngine.create(base / "ledger", SOLO, ContentStore(base / "objects"), {},
+                        clock=SimClock(), force=True).close()
+
+
+def network_init_force(base, hot):
+    hot()
+    assert cli_main(["--ledger-dir", str(base / "ledger"), "--keystore-dir", str(base / "keys"),
+                     "--machine", "network-init", "--force"]) == 0
+
+
+@pytest.mark.parametrize("replace", [drop_the_store, force_create, network_init_force],
+                         ids=["_drop", "_new_store", "network-init --force"])
+def test_a_journal_from_another_store_is_removed_with_the_store(tmp_path, stored, replace):
+    # a hot journal that another store's killed flush left; beside this
+    # store, it would write that store's pages into this one
+    other = tmp_path / "other"
+    make_engine(other, genesis=SOLO).close()
+    killed_flush(other, lambda engine: grow(engine, Principal.from_seed(13), 10, tag="w"))
+    foreign = journal_of(other).read_bytes()
+    replace(stored, lambda: journal_of(stored).write_bytes(foreign))
+    expected = full_replay(stored)
+    assert observe(stored) == expected
+    assert store_files(stored) == STORE_FILES
+    assert journal_of(stored).stat().st_size == 0
+    assert savepoint_height(stored) == expected[0]
+
+
+def test_an_outside_reader_holds_up_a_flush_until_the_store_is_deleted(stored):
+    # a rollback journal's readers and writer exclude each other: a flush
+    # waits out the busy timeout for a read that another program holds
+    # open, then fails and deletes the store, which the next open rebuilds
+    engine = reopen_engine(stored)
+    try:
+        engine.state._db.execute("PRAGMA busy_timeout = 50")  # sqlite3's default is 5 s
+        grow(engine, Principal.from_seed(12), 3, tag="w")
+        with closing(sqlite3.connect(store_of(stored), isolation_level=None)) as reader:
+            reader.execute("BEGIN")
+            reader.execute("SELECT count(*) FROM state").fetchall()
+            engine.state.flush()
+            assert store_files(stored) == []
+        with pytest.raises(CorruptStore, match="database is locked"):
+            engine.state.items()
+    finally:
+        engine.close()
+    assert observe(stored) == full_replay(stored)
+    assert savepoint_height(stored) == 1 + BLOCKS + 3
+
+
+# the store's pragmas in the format's WAL versions, which left a -wal and a
+# -shm file beside a store that a reader held open
+WAL_PRAGMAS = """
+PRAGMA journal_mode = WAL;
+PRAGMA synchronous = OFF;
+"""
+
+
+def test_a_store_left_in_wal_mode_opens_with_every_row(tmp_path, reads, monkeypatch):
+    # its last flush is still in its -wal file: a reader held the store
+    # open through the close, so SQLite did not fold the -wal file back
+    with monkeypatch.context() as patch:
+        patch.setattr(state_module, "_PRAGMAS", WAL_PRAGMAS)
+        engine = make_engine(tmp_path, genesis=SOLO)
+        grow(engine, Principal.from_seed(11), 3)
+        with closing(sqlite3.connect(store_of(tmp_path))) as reader:
+            reader.execute("SELECT count(*) FROM state").fetchall()
+            engine.close()
+            shutil.copytree(tmp_path / "ledger", tmp_path / "wal" / "ledger",
+                            ignore=shutil.ignore_patterns(LOCK_FILE))
+    wal = tmp_path / "wal"
+    assert store_files(wal) == [STATE_FILE, STATE_FILE + "-shm", STATE_FILE + "-wal"]
+    assert (wal / "ledger" / (STATE_FILE + "-wal")).stat().st_size > 0
+    expected = full_replay(wal)
+    reads.clear()
+    engine = reopen_engine(wal)
+    try:
+        assert reads.read == [0, 3]  # block 0 and the savepoint that the -wal file held
+        assert journal_mode(engine) == "truncate"
+        assert seen(engine) == expected
+    finally:
+        engine.close()
+    assert store_files(wal) == STORE_FILES
+    assert journal_of(wal).stat().st_size == 0
 
 
 def test_a_block_cut_below_the_checkpoint_breaks_the_chain(stored):

@@ -28,6 +28,7 @@ from iotid import did as did_module
 from iotid import idm as idm_module
 from iotid import journal as journal_module
 from iotid import ledger as ledger_module
+from iotid import state as state_module
 from iotid.journal import BLOCKS_FILE, VALID, Block, GenesisConfig
 from iotid.ledger import ContractError, LedgerEngine, LedgerLocked
 from iotid.state import KEY_ASSET, KEY_DID, UnsupportedFormat
@@ -584,8 +585,10 @@ def test_a_new_keystore_signs_against_the_scenario_ledger(capsys, tmp_path):
     assert (create.function, create.nonce) == ("createIdentity", (6).to_bytes(32, "big"))
 
 
-def test_the_scenario_listings_are_golden(capsys, tmp_path):
+def test_the_scenario_listings_are_golden(capsys, tmp_path, monkeypatch):
     scenario_journal(tmp_path)
+    kept, listing = [], state_module._Listing
+    monkeypatch.setattr(state_module, "_Listing", lambda rows: kept.append(rows) or listing(rows))
     base = ["--ledger-dir", str(tmp_path / "ledger"), "--keystore-dir", str(tmp_path / "keys")]
     # the scenario's sessions lived on its simulated clock: log in on the wall clock
     assert main([*base, "device-login", "device3"]) == 0
@@ -597,6 +600,7 @@ def test_the_scenario_listings_are_golden(capsys, tmp_path):
         assert main([*base, *argv]) == 0
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == LISTING_SHA256
+    assert kept == []  # a one-shot listing reads the store once and keeps no rows
 
 
 def read_blocks(ledger: Path) -> list[Block]:

@@ -196,8 +196,8 @@ class StoringContract:
         ctx.put(f"storing/{args[0]}", sha256(data))
 
 
-_FIELD_CHANGES = st.sampled_from(
-    ["signature", "args", "nonce", "timestamp", "invoker", "invoker_key", "signer"])
+_FIELD_CHANGES = st.sampled_from(["signature", "args", "args in place", "nonce", "timestamp",
+                                   "invoker", "invoker_key", "signer"])
 
 
 @given(change=_FIELD_CHANGES, data=st.data())
@@ -218,6 +218,10 @@ def test_a_changed_proposal_is_verified_afresh(change, data):
             elif change == "args":
                 forged = replace(signed, args=[data.draw(
                     st.text(min_size=1, max_size=8).filter(lambda a: a != "first"))])
+            elif change == "args in place":  # the authenticated proposal's own list
+                forged = signed
+                signed.args[0] = data.draw(st.text(min_size=1, max_size=8).filter(
+                    lambda a: a != "first"))
             elif change == "nonce":
                 forged = replace(signed, nonce=data.draw(
                     st.binary(min_size=32, max_size=32).filter(lambda n: n != signed.nonce)))
@@ -673,8 +677,10 @@ def test_build_transaction_executes_once_per_peer(tmp_path, alice, monkeypatch, 
         assert [e.peer_id for e in tx.endorsements] == endorsers
         assert signed == [(p.keypair.public_key, tx.tx_id)
                           for p in engine.genesis.peers[:threshold]]
-        # besides the signing bytes that each execution's proposal check
-        # encodes, the one body
+        # the first execution's proposal check encodes the signing bytes,
+        # which the later ones share, and the one body
+        assert [value for value in encoded if "invokerKey" in value] == \
+            [proposal._unsigned_dict()]
         assert [value for value in encoded if "rwset" in value] == \
             [{"proposal": proposal.to_dict(), "rwset": tx.rwset.to_dict()}]
         assert hashed == [tx._body]
@@ -1212,8 +1218,10 @@ def test_torn_genesis_block_refuses_to_open(tmp_path, engine):
 def test_open_takes_the_network_config_from_block_0(tmp_path, engine):
     engine.close()
     ledger_dir = tmp_path / "ledger"
-    # the store's -wal and -shm files go when its last connection closes
-    assert sorted(p.name for p in ledger_dir.iterdir()) == [LOCK_FILE, BLOCKS_FILE, STATE_FILE]
+    # the close leaves the store and its journal, truncated, and no -wal or -shm file
+    assert sorted(p.name for p in ledger_dir.iterdir()) == \
+        [LOCK_FILE, BLOCKS_FILE, STATE_FILE, STATE_FILE + "-journal"]
+    assert (ledger_dir / (STATE_FILE + "-journal")).stat().st_size == 0
     # a config file planted beside the journal, with a foreign peer1 key
     # and a 1-of-3 policy, must not change who may endorse
     planted = GenesisConfig.default().to_dict()
