@@ -41,6 +41,8 @@ from .idm import (
     LoginService,
     NotAuthenticatedError,
     Session,
+    device_key,
+    did_key,
     login_message,
     session_is_valid,
 )
@@ -107,6 +109,7 @@ class Keystore:
             seed = secrets.token_bytes(32)
         keypair = generate_keypair(seed)
         entry = KeyEntry(name=name, seed=seed, did=make_did(keypair.public_key))
+        vars(entry)["keypair"] = keypair  # the cached property's slot: parsed once
         self._write_private(path, {"name": name, "seed": seed.hex(),
                                    "did": str(entry.did)})
         return entry
@@ -238,18 +241,21 @@ class Gateway:
         }
 
     def cmd_device_register(self, name: str, manufacturer_id: str) -> dict:
-        """Registrar creates the identity, then the owner registers the device."""
+        """Registrar creates the identity, then the owner registers the device;
+        one cut short between the two blocks resumes at the second."""
         entry = self.keystore.load(name)
         with self._open_engine() as engine:
-            if not engine.genesis.registrars:
-                raise GatewayError("genesis config lists no registrars")
-            registrar = engine.genesis.registrars[0].keypair
-            proof = make_possession_proof(entry.keypair, entry.did, entry.address)
-            create = self._proposal(
-                engine, registrar, "idm", "createIdentity",
-                [entry.keypair.public_key.hex(), entry.did.method_id,
-                 str(entry.address), proof.hex()])
-            create_receipt = self._submit(engine, create)
+            create_receipt = None
+            if not self._identity_awaits_device(engine, entry):
+                if not engine.genesis.registrars:
+                    raise GatewayError("genesis config lists no registrars")
+                registrar = engine.genesis.registrars[0].keypair
+                proof = make_possession_proof(entry.keypair, entry.did, entry.address)
+                create = self._proposal(
+                    engine, registrar, "idm", "createIdentity",
+                    [entry.keypair.public_key.hex(), entry.did.method_id,
+                     str(entry.address), proof.hex()])
+                create_receipt = self._submit(engine, create)
             register = self._proposal(
                 engine, entry.keypair, "idm", "registerDevice",
                 [str(entry.did), manufacturer_id])
@@ -260,6 +266,16 @@ class Gateway:
                 "createIdentity": create_receipt,
                 "registerDevice": self._submit(engine, register),
             }
+
+    @staticmethod
+    def _identity_awaits_device(engine: LedgerEngine, entry: KeyEntry) -> bool:
+        """The chain binds ``entry``'s key and address, and no device, to its DID."""
+        record = engine.state.get(did_key(entry.did))
+        if record is None or engine.state.get(device_key(entry.did)) is not None:
+            return False
+        fields = from_canonical_json(record[0])  # a docHash record just fails to match
+        return (fields.get("publicKey"), fields.get("owner")) == \
+            (entry.keypair.public_key.hex(), str(entry.address))
 
     def cmd_device_login(self, name: str,
                          rng: random.Random | None = None) -> dict:

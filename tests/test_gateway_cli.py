@@ -4,7 +4,10 @@ Every invocation goes through main(argv) exactly as a shell would call
 it, with machine output parsed back as JSON.
 """
 
+import argparse
+import errno
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -39,7 +42,7 @@ from iotid.store import ContentHash, ContentStore
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
 from test_ledger import _rewrite_block
 from util import (DEEP_JSON, MANUFACTURER, Principal, create_identity, deep_config,
-                  foreign_hold, seeded_keypair, upload_payload)
+                  foreign_hold, registrar_principal, seeded_keypair, upload_payload)
 
 Result = namedtuple("Result", "code data out err")
 
@@ -248,6 +251,52 @@ def test_register_puts_two_transactions_on_chain(capsys, env):
     assert again.data["error"] == "IdentityExists"
 
 
+def test_a_registration_cut_short_resumes_at_the_device(capsys, env, monkeypatch):
+    # the disk fills on the second block: the identity is on chain, and
+    # no device is registered for it
+    invoke(capsys, env, "network-init")
+    invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex())
+    submit, submitted = Gateway._submit, []
+
+    def full_disk_after_one(engine, proposal):
+        if submitted:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        submitted.append(proposal.function)
+        return submit(engine, proposal)
+
+    monkeypatch.setattr(Gateway, "_submit", staticmethod(full_disk_after_one))
+    assert invoke(capsys, env, "device-register", "dev1").code == 2
+    monkeypatch.undo()
+    assert submitted == ["createIdentity"]
+    login = invoke(capsys, env, "device-login", "dev1")
+    assert (login.code, login.data["error"]) == (1, "NotRegistered")
+
+    resumed = invoke(capsys, env, "device-register", "dev1")
+    assert resumed.code == 0
+    assert resumed.data["createIdentity"] is None
+    assert (resumed.data["registerDevice"]["flag"], resumed.data["registerDevice"]["block"]) \
+        == ("VALID", 2)
+    assert invoke(capsys, env, "device-login", "dev1").code == 0
+    assert invoke(capsys, env, "chain-verify").data["height"] == 3
+    again = invoke(capsys, env, "device-register", "dev1")
+    assert (again.code, again.data["error"]) == (1, "IdentityExists")
+
+
+def test_an_identity_bound_to_another_owner_is_not_resumed(capsys, env):
+    invoke(capsys, env, "network-init")
+    invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex())
+    with Gateway(env["ledger"], env["keystore"])._open_engine() as engine:
+        create_identity(engine, registrar_principal(engine),
+                        Principal(keypair=seeded_keypair(1)),
+                        owner=Principal.from_seed(2).address)
+    journal = (Path(env["ledger"]) / BLOCKS_FILE).read_bytes()
+    result = invoke(capsys, env, "device-register", "dev1")
+    assert (result.code, result.data["error"]) == (1, "IdentityExists")
+    assert (Path(env["ledger"]) / BLOCKS_FILE).read_bytes() == journal
+    login = invoke(capsys, env, "device-login", "dev1")
+    assert (login.code, login.data["error"]) == (1, "NotRegistered")
+
+
 def test_login_requires_registration(capsys, env):
     invoke(capsys, env, "network-init")
     invoke(capsys, env, "device-keygen", "ghost")
@@ -347,6 +396,11 @@ def test_cold_commands_parse_only_the_keys_they_sign_or_check_with(capsys, env, 
     assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
     peer_seeds = [p.seed for p in GenesisConfig.default().peers[:2]]
     assert sorted(parsed) == sorted([SEED_01, *peer_seeds])
+    # a new key is parsed once, for its DID, and its entry keeps that keypair
+    parsed.clear()
+    seed = bytes(range(32))
+    assert invoke(capsys, env, "device-keygen", "dev2", "--seed", seed.hex()).code == 0
+    assert parsed == [seed]
 
 
 def test_a_cold_upload_verifies_only_its_proposal(capsys, env, ready, tmp_path, monkeypatch):
@@ -1365,3 +1419,29 @@ def test_the_manufacturer_id_defaults_stay_the_simulators():
     for argv in (["device-register", "dev1"], ["sim-run"]):
         assert parser.parse_args(argv).manufacturer_id == FlowConfig().manufacturer_id \
             == "ABCDEF00001"
+    # the CLI writes the simulator's defaults again, so that importing it
+    # loads no simulator: they must stay the library's
+    sim, config = parser.parse_args(["sim-run"]), FlowConfig()
+    assert (sim.devices, sim.interval, sim.value_min, sim.value_max, sim.seed) == \
+        (config.device_count, config.interval_seconds, config.value_min, config.value_max,
+         config.seed)
+    scenario = parser.parse_args(["scenario"])
+    defaults = {name: parameter.default for name, parameter
+                in inspect.signature(Gateway.cmd_scenario).parameters.items()}
+    assert (scenario.devices, scenario.interval, scenario.duration, scenario.seed) == \
+        (defaults["device_count"], defaults["interval_seconds"],
+         defaults["duration_seconds"], defaults["seed"])
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    action, = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_subcommand_names_its_handler_and_renderer(command):
+    positionals = ["x" for action in _subcommands()[command]._actions
+                   if not action.option_strings]
+    args = build_parser().parse_args([command, *positionals])
+    assert callable(args.run) and callable(args.render)
