@@ -40,12 +40,10 @@ def _seed_bytes(text: str) -> bytes:
 
 
 def _render_fields(result: dict) -> str:
-    lines = []
-    for key, value in result.items():
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines)
+    """One ``key: value`` line per field: a string as it is, any other value as JSON."""
+    return "\n".join(f"{key}: {value}" if isinstance(value, str)
+                     else f"{key}: {json.dumps(value, sort_keys=True)}"
+                     for key, value in result.items())
 
 
 def _render_assets(result: dict) -> str:

@@ -33,8 +33,9 @@ from .did import (
     verify_possession_proof,
     verify_signature,
 )
+from .journal import UnsupportedFormat
 from .ledger import ContractError, TxContext, UnknownFunction
-from .state import KEY_CONFIG, KEY_DEVICE, KEY_DID, UnsupportedFormat, WorldState
+from .state import KEY_CONFIG, KEY_DEVICE, KEY_DID, WorldState
 from .store import ContentStore
 
 CHALLENGE_TTL = 300

@@ -5,13 +5,16 @@ so replaying valid transactions from genesis reproduces the world state
 exactly. Every hash covers bytes that the record stores verbatim. Every
 reader, open and replay, ``read_blocks`` and chain-verify, checks a
 record one way: it matches a compiled grammar of exactly the bytes that
-commit writes, and its hashes hold over the slices as stored. A changed
+commit writes, and its hashes hold over the slices as stored. Block 0's
+config names the journal's format; a journal of another format is refused
+at block 0 by name, as no reader can tell what an old body means. A changed
 byte fails in its own record, and nothing is encoded again. A record
 that the grammar refuses is never decoded: it is an "undecodable block"
 if it holds a byte from 0x80, and a "non-canonical block encoding"
-otherwise. Replay decodes only the write sets it applies, and every
-reader block 0's config, from the bodies the match sliced; a whole record
-is decoded only by ``read_blocks``. Open cuts off a torn last record. No
+otherwise. Replay decodes only the write sets it applies, and takes each
+VALID proposal's invoker and nonce from the match; every reader decodes
+block 0's config from the body the match sliced. A whole record is decoded
+only by ``read_blocks``. Open cuts off a torn last record. No
 reader checks signatures.
 """
 
@@ -41,6 +44,9 @@ FLAG_VALUES = (VALID, MVCC_CONFLICT, POLICY_FAILURE)
 ZERO_HASH = bytes(32)
 
 BLOCKS_FILE = "blocks.jsonl"
+# What block 0's config names as ``format``; a config that names none is of
+# format 1, which wrote write values as hex and kept used nonces in world state.
+JOURNAL_FORMAT = 2
 
 Version = tuple[int, int]  # (block number, tx index within block)
 
@@ -61,6 +67,22 @@ class CorruptJournal(LedgerError):
 
 class BrokenChainLink(CorruptJournal):
     what = "broken chain link"  # a record that decodes but does not extend the chain
+
+
+class UnsupportedFormat(LedgerError):
+    """A value in a form that this program no longer writes, and so no longer reads."""
+
+
+class UnsupportedJournal(CorruptJournal, UnsupportedFormat):
+    """A journal whose block 0 names format ``found``, where this program
+    writes and reads format ``expected``, ``JOURNAL_FORMAT``, only."""
+
+    what = "unsupported journal"
+
+    def __init__(self, found: object):
+        super().__init__(0, f"journal format {found!r}, where this program reads "
+                            f"format {JOURNAL_FORMAT}")
+        self.found, self.expected = found, JOURNAL_FORMAT
 
 
 @dataclass
@@ -136,7 +158,11 @@ def _array(value: object) -> list:
 
 @dataclass
 class ReadWriteSet:
-    """Keys read (with the version seen, None if absent) and keys written."""
+    """Keys read (with the version seen, None if absent) and keys written.
+
+    A value written is UTF-8 text, which the record holds as a JSON string:
+    execution refuses any other value.
+    """
 
     reads: list[tuple[str, Version | None]] = field(default_factory=list)
     writes: list[tuple[str, bytes]] = field(default_factory=list)
@@ -144,19 +170,21 @@ class ReadWriteSet:
     def to_dict(self) -> dict:
         return {
             "reads": [[k, list(v) if v is not None else None] for k, v in self.reads],
-            "writes": [[k, v.hex()] for k, v in self.writes],
+            "writes": [[k, v.decode("utf-8")] for k, v in self.writes],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReadWriteSet":
-        """TypeError unless each read and write is a ``[key string, value]`` array
-        and each read version null or two integers (JSON's true is none)."""
+        """TypeError unless each read and write is a ``[key string, value]`` array,
+        each read version null or two integers (JSON's true is none) and each
+        value written a string; UnicodeEncodeError for a value with a lone surrogate."""
         reads, writes = _array(d["reads"]), _array(d["writes"])
         if not all(type(p) is list and len(p) == 2 and type(p[0]) is str for p in reads + writes) \
+                or not all(type(v) is str for _, v in writes) \
                 or not all(v is None or list(map(type, _array(v))) == [int, int] for _, v in reads):
             raise TypeError("a read or write of the wrong shape")
         return cls(reads=[(k, None if v is None else tuple(v)) for k, v in reads],
-                   writes=[(k, bytes.fromhex(v)) for k, v in writes])
+                   writes=[(k, v.encode("utf-8")) for k, v in writes])
 
 
 @dataclass
@@ -414,7 +442,9 @@ class GenesisConfig:
         return sorted(str(r.address) for r in self.registrars)
 
     def to_dict(self) -> dict:
+        """The config as block 0 carries it, with the journal's format number."""
         return {
+            "format": JOURNAL_FORMAT,
             "maxBlockTxs": self.max_block_txs,
             "endorsementThreshold": self.threshold,
             "peers": [{"id": p.name, "seed": p.seed.hex(),
@@ -425,6 +455,7 @@ class GenesisConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenesisConfig":
+        """The config of ``d``; its ``format``, which names the journal's, is not read here."""
         return cls(
             peers=[Member(p["id"], bytes.fromhex(p["seed"])) for p in d["peers"]],
             registrars=[Member(r["name"], bytes.fromhex(r["seed"]))
@@ -518,8 +549,10 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     strings as ``canonical_json`` writes them. A string's plain bytes run
     from space to ``~`` but for the quote and the backslash; its escapes are
     ``\\"``, ``\\\\``, ``\\b\\f\\n\\r\\t``, and lower-case ``\\uXXXX`` only for
-    the other bytes below space, 0x7f and code points from 0x80. A flag is
-    any string, so that an unknown one is refused as such. No repeat can
+    the other bytes below space, 0x7f and code points from 0x80. A value
+    written is such a string of text: it holds a surrogate only as the high
+    half of a pair before its low half, so that it encodes to UTF-8. A flag
+    is any string, so that an unknown one is refused as such. No repeat can
     match one text in two ways, so a refusal takes time linear in the
     record. Compiled on first use, once per process.
     """
@@ -532,8 +565,13 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     plain = rb'[\x20\x21\x23-\x5b\x5d-\x7e]*'
     # \u and four lower-case hex digits, but not those of a byte written as itself
     # or as a short escape: 0x08-0x0d but 0x0b, and 0x20-0x7e
-    escape = rb'\\(?:["\\bfnrt]|u(?!00(?:0[89acd]|[2-6]|7[0-9a-e]))[0-9a-f]{4})'
+    unicode = rb'u(?!00(?:0[89acd]|[2-6]|7[0-9a-e])%s)[0-9a-f]{4}'
+    escape = rb'\\(?:["\\bfnrt]|%s)' % (unicode % b"")
     string = rb'"%s(?:%s%s)*"' % (plain, escape, plain)
+    # text: no surrogate but a high one, 0xd800-0xdbff, just before a low one
+    text_escape = rb'\\(?:["\\bfnrt]|%s|ud[89ab][0-9a-f]{2}\\ud[c-f][0-9a-f]{2})' % (
+        unicode % rb'|d[89a-f]')
+    text = rb'"%s(?:%s%s)*"' % (plain, text_escape, plain)
     hex_digits = rb'(?:%s{32})*(?:%s{2}){0,15}' % (digit, digit)
     hex_ = rb'"%s"' % hex_digits
     hash_ = rb'"(%s{64})"' % digit
@@ -549,10 +587,10 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     transaction = re.compile(
         rb'\{"endorsements":%s,' % items(rb'\{"peerId":%s,"signature":%s\}' % (string, hex_))
         + rb'("proposal":\{"args":%s,"contract":%s,"function":%s,' % (items(string), string, string)
-        + rb'"invoker":"0x%s{40}","invokerKey":%s,"nonce":%s,"signature":%s,'
-          rb'"timestamp":%s\},' % (digit, hex_, hex_, hex_, integer)
+        + rb'"invoker":"(0x%s{40})","invokerKey":%s,"nonce":"(%s)","signature":%s,'
+          rb'"timestamp":%s\},' % (digit, hex_, hex_digits, hex_, integer)
         + rb'"rwset":\{"reads":%s,' % items(rb'\[%s,(?:null|\[%s,%s\])\]' % (string, integer, integer))
-        + rb'"writes":%s\})' % items(rb'\[%s,%s\]' % (string, hex_))
+        + rb'"writes":%s\})' % items(rb'\[%s,%s\]' % (string, text))
         + rb',"txId":%s\}(,?)' % hash_)
     tail = re.compile(rb'\],"validationFlags":(%s)\}\n' % items(string))
     return header, transaction, tail
@@ -560,12 +598,14 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
 
 class _Record(NamedTuple):
     """What every reader takes from a record the journal accepts: ``Block.link``, header
-    hash, flags, each transaction's body as stored, block 0's network config or None."""
+    hash, flags, each transaction's body as stored and its proposal's ``(invoker,
+    nonce hex)`` as stored, block 0's network config or None."""
 
     link: tuple[int, bytes, int, int]
     header_hash: bytes
     flags: list[str]
     bodies: list[bytes]
+    proposals: list[tuple[bytes, bytes]]
     config: GenesisConfig | None
 
 
@@ -585,21 +625,23 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
        does not hold;
     2. an "unknown validation flag";
     3. the data hash;
-    4. block 0's network config.
+    4. block 0's network config, and then its format: UnsupportedJournal
+       unless the config names ``JOURNAL_FORMAT``.
 
     So a changed byte fails in its own record. Blocks carry no signature;
     checking those is for the planned deep audit.
     """
     header, transaction, tail = _grammar()
     head = header.match(raw) if (is_ascii := raw.isascii()) else None
-    flags, bodies, stored = None, [], []
+    flags, bodies, proposals, stored = None, [], [], []
     if head is not None:
         at = head.end()
         more = not raw.startswith(b"]", at)
         while more and (tx := transaction.match(raw, at)) is not None:
             bodies.append(b"{" + tx[1] + b"}")
-            stored.append(tx[2])
-            at, more = tx.end(), tx[3]
+            proposals.append(tx.group(2, 3))
+            stored.append(tx[4])
+            at, more = tx.end(), tx[5]
         flags = None if more else tail.fullmatch(raw, at)
     if flags is None or hashlib.sha256(flags[1]).hexdigest().encode() != head[3] or \
             [hashlib.sha256(body).hexdigest().encode() for body in bodies] != stored:
@@ -614,18 +656,21 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
     if number == 0:
         try:  # block 0's one transaction carries the config as its argument
             arg = json.loads(bodies[0])["proposal"]["args"][0]
-            config = GenesisConfig.from_dict(from_canonical_json(arg.encode()))
+            fields = from_canonical_json(arg.encode())
+            config = GenesisConfig.from_dict(fields)
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise CorruptJournal(index, f"block 0 carries no network config: {exc}") from exc
+        if (found := fields.get("format", 1)) != JOURNAL_FORMAT or type(found) is not int:
+            raise UnsupportedJournal(found)
     return _Record((number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
-                   sha256(head[1] + b"}"), flag_list, bodies, config)
+                   sha256(head[1] + b"}"), flag_list, bodies, proposals, config)
 
 
 def _writes(body: bytes) -> list[tuple[str, bytes]]:
     """The write set of a body that ``_read_record`` matched, decoded with no
     check from its ``"writes":[…]}}`` tail: a quote in a string is escaped,
-    so ``,"writes":`` occurs nowhere else."""
-    return [(key, bytes.fromhex(value))
+    so ``,"writes":`` occurs nowhere else, and the grammar's text encodes to UTF-8."""
+    return [(key, value.encode("utf-8"))
             for key, value in json.loads(body.rpartition(b',"writes":')[2][:-2])]
 
 

@@ -19,15 +19,17 @@ in-process:
    block when it is full or on ``flush()``.
 4. validate: per transaction, endorsement policy first, then MVCC (every
    read must still be at the version it saw, counting writes by earlier
-   valid transactions in the same block); exactly one flag each. An
-   endorsement this engine's own peer signed since the last commit counts
-   by equality with the signature it made; every other one is verified.
-   A peer's key is derived only when that peer signs or one of its
-   endorsements is checked.
+   valid transactions in the same block, and no VALID proposal, committed
+   or earlier in the block, may have the same invoker and nonce); exactly
+   one flag each. An endorsement this engine's own peer signed since the
+   last commit counts by equality with the signature it made; every other
+   one is verified. A peer's key is derived only when that peer signs or
+   one of its endorsements is checked.
 5. commit: the content that the block's VALID transactions staged in
    execution is written to the content store, as one file for the block;
-   then the block is appended to the hash-chained journal and valid
-   writes land in the versioned world state.
+   then the block is appended to the hash-chained journal, valid writes
+   land in the versioned world state, and the proposals of valid
+   transactions in its replay index.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .journal import (
 )
 from .journal import FLAG_VALUES  # noqa: F401 -- perfbench/workloads.py reads ledger.FLAG_VALUES
 from .journal import verify_chain_file  # noqa: F401 -- perfbench/ reads and wraps ledger.verify_chain_file
-from .state import KEY_CONFIG, KEY_NONCE, WorldState, _store_files
+from .state import KEY_CONFIG, WorldState, _store_files
 from .store import ContentStore
 
 ZERO_ADDRESS = Address(bytes(20))
@@ -86,6 +88,10 @@ class InvalidProposalSignature(LedgerError):
 
 class MalformedProposal(LedgerError):
     """A proposal field of a type that no journal record reads back."""
+
+
+class NonTextValue(LedgerError):
+    """A contract wrote a value that is not UTF-8 text, which no journal record holds."""
 
 
 class UnknownContract(LedgerError):
@@ -156,6 +162,10 @@ class TxContext:
         return entry[0] if entry is not None else None
 
     def put(self, key: str, value: bytes) -> None:
+        try:
+            value.decode("utf-8")
+        except UnicodeDecodeError:
+            raise NonTextValue(f"the value written to {key!r} is not UTF-8 text") from None
         self._writes[key] = value
 
     def rwset(self) -> ReadWriteSet:
@@ -356,9 +366,13 @@ class LedgerEngine:
             walk = chain([first], walk)
         try:
             for raw, record in walk:
-                writes = [(idx, _writes(body)) for idx, (body, flag)
-                          in enumerate(zip(record.bodies, record.flags)) if flag == VALID]
-                self._apply_block(record.link[0], writes, record.header_hash, len(raw))
+                valid = [idx for idx, flag in enumerate(record.flags) if flag == VALID]
+                proposals = [record.proposals[idx] for idx in valid]
+                self._apply_block(record.link[0],
+                                  [(idx, _writes(record.bodies[idx])) for idx in valid],
+                                  [(invoker.decode(), bytes.fromhex(nonce.decode()))
+                                   for invoker, nonce in proposals],
+                                  record.header_hash, len(raw))
         except CorruptJournal as exc:
             if exc.torn_at is None:
                 raise
@@ -408,11 +422,14 @@ class LedgerEngine:
         except sqlite3.Error:
             self.state = WorldState()
 
-    def _apply_block(self, number: int, writes: list, header_hash: bytes, size: int) -> None:
+    def _apply_block(self, number: int, writes: list, proposals: list[tuple[str, bytes]],
+                     header_hash: bytes, size: int) -> None:
         """Apply block ``number``'s writes, the ``(tx index, write set)`` of each VALID
-        transaction, and make it the tip; ``size`` is its record's length."""
+        transaction, index the ``(invoker, nonce)`` of each one's proposal, and make
+        the block the tip; ``size`` is its record's length."""
         for idx, tx_writes in writes:
             self.state.apply(tx_writes, (number, idx))
+        self.state.add_proposals(proposals)
         self.state.tip = (number + 1, header_hash, self._offset)
         self._offset += size
 
@@ -424,21 +441,20 @@ class LedgerEngine:
         Returns the unendorsed transaction: the proposal, its rwset and the
         content the contract staged for the content store. Identical
         snapshot and proposal always yield an identical result, and nothing
-        is written. The execution harness brackets the call with nonce
-        replay protection (a read+write of the invoker's nonce key), so
-        replays fail here and same-block duplicates fall out of MVCC.
+        is written. A proposal whose invoker and nonce the replay index
+        holds is refused here, and validation flags a same-block duplicate.
+        A contract's write of a value that is not UTF-8 text raises
+        NonTextValue.
         """
         self._authenticate(proposal)
         contract = self.contracts.get(proposal.contract)
         if contract is None:
             raise UnknownContract(proposal.contract)
-        ctx = TxContext(self.state, proposal)
-        nonce_key = _nonce_prefix(proposal.invoker) + proposal.nonce.hex()
-        if ctx.get(nonce_key) is not None:
+        if self.state.has_proposal(str(proposal.invoker), proposal.nonce):
             raise ContractError("NonceReplayed",
                                 f"nonce already used by {proposal.invoker}")
+        ctx = TxContext(self.state, proposal)
         contract.invoke(ctx, proposal.function, proposal.args)
-        ctx.put(nonce_key, b"\x01")
         return Transaction(proposal, ctx.rwset(), [], ctx.content)
 
     def _authenticate(self, proposal: TxProposal) -> None:
@@ -546,7 +562,9 @@ class LedgerEngine:
         """Flag each transaction: policy first, then MVCC, else VALID.
 
         Pure with respect to the committed state; earlier VALID writes in
-        the same block are visible to later MVCC checks via an overlay.
+        the same block are visible to later MVCC checks via an overlay. A
+        proposal whose invoker and nonce are those of a committed VALID
+        proposal, or of one VALID earlier in the block, is an MVCC conflict.
         The policy check skips the verify of an endorsement this engine
         signed since its last commit, so a block of its own submissions
         costs no Ed25519 verify. The flags are those an engine that signed
@@ -554,27 +572,35 @@ class LedgerEngine:
         """
         flags: list[str] = []
         overlay: dict[str, Version] = {}
+        proposals: set[tuple[str, bytes]] = set()  # of the VALID transactions so far
         for idx, tx in enumerate(block.transactions):
             if not self._endorsements_satisfy_policy(tx):
                 flags.append(POLICY_FAILURE)
                 continue
-            conflict = False
-            for key, seen_version in tx.rwset.reads:
-                if key in overlay:
-                    current = overlay[key]
-                else:
-                    entry = self.state.get(key)
-                    current = entry[1] if entry is not None else None
-                if current != seen_version:
-                    conflict = True
-                    break
-            if conflict:
+            proposal = (str(tx.proposal.invoker), tx.proposal.nonce)
+            if proposal in proposals or self.state.has_proposal(*proposal) or \
+                    self._read_changed(tx.rwset.reads, overlay):
                 flags.append(MVCC_CONFLICT)
                 continue
             flags.append(VALID)
+            proposals.add(proposal)
             for key, _ in tx.rwset.writes:
                 overlay[key] = (block.number, idx)
         return flags
+
+    def _read_changed(self, reads: list[tuple[str, Version | None]],
+                      overlay: dict[str, Version]) -> bool:
+        """Whether a key read is no longer at the version seen, in ``overlay`` or else
+        in the committed state."""
+        for key, seen_version in reads:
+            if key in overlay:
+                current = overlay[key]
+            else:
+                entry = self.state.get(key)
+                current = entry[1] if entry is not None else None
+            if current != seen_version:
+                return True
+        return False
 
     # -- commitment -----------------------------------------------------------
 
@@ -612,6 +638,7 @@ class LedgerEngine:
             raise
         self.clock.advance(self.commit_tick)
         self._apply_block(block.number, [(idx, tx.rwset.writes) for idx, tx in valid],
+                          [(str(tx.proposal.invoker), tx.proposal.nonce) for _, tx in valid],
                           header_hash, len(record) + 1)
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt
@@ -666,19 +693,12 @@ class LedgerEngine:
 
     def last_nonce(self, invoker: Address) -> int:
         """The highest 32-byte nonce of ``invoker``'s VALID proposals, 0 if none."""
-        prefix = _nonce_prefix(invoker)
-        key = self.state.last(prefix, 64)  # hex of 32 bytes sorts as the number
-        return int(key[len(prefix):], 16) if key is not None else 0
+        return self.state.last_nonce(str(invoker))
 
     def read_blocks(self) -> list[Block]:
         """Every block of the journal, each decoded whole from a record that the walk
         accepts, so that it encodes back to that record and keeps every stored txId."""
         return [Block.from_dict(json.loads(raw)) for raw, _ in _walk(self._dir / BLOCKS_FILE)]
-
-
-def _nonce_prefix(invoker: Address) -> str:
-    """The key prefix under which world state keeps ``invoker``'s used nonces."""
-    return f"{KEY_NONCE}{invoker}/"
 
 
 # ledger directory -> [fd holding the flock on its .lock, engines open on it]

@@ -1,10 +1,11 @@
 """The ledger's world state, and the SQLite store that keeps it between runs.
 
 Beside the journal, an SQLite store holds the world state as of its
-savepoint block, so open reads block 0 and the savepoint's record, replays
-only the blocks after it and reads only the keys a command touches. It is
-a cache: open uses it only while its savepoint matches the journal, and
-otherwise rebuilds it from block 0.
+savepoint block, and the replay index: the ``(invoker, nonce)`` of every
+VALID proposal up to it. So open reads block 0 and the savepoint's record,
+replays only the blocks after it and reads only the keys and proposals a
+command touches. It is a cache: open uses it only while its savepoint
+matches the journal, and otherwise rebuilds it from block 0.
 """
 
 from __future__ import annotations
@@ -17,18 +18,13 @@ from pathlib import Path
 
 from .codec import from_canonical_json
 from .did import parse_did
-from .journal import ZERO_HASH, LedgerError, Version
+from .journal import ZERO_HASH, LedgerError, UnsupportedFormat, Version
 
 # world-state key namespaces; prefix scans implement the "view all" queries
 KEY_DID = "did/"
 KEY_DEVICE = "device/"
 KEY_ASSET = "asset/"
-KEY_NONCE = "nonce/"
 KEY_CONFIG = "config/"
-
-
-class UnsupportedFormat(LedgerError):
-    """A value in a form that this program no longer writes, and so no longer reads."""
 
 
 class CorruptStore(LedgerError):
@@ -53,8 +49,9 @@ PRAGMA synchronous = OFF;
 """
 # The store's format, which PRAGMA user_version names: a store of any
 # other format is refused at open, and rebuilt from the journal. Format 4
-# lists no record whose owner is no DID, as format 3 took "did:a:b\n" for one.
-_STORE_FORMAT = 4
+# lists no record whose owner is no DID, as format 3 took "did:a:b\n" for one;
+# format 5 keeps the replay index, where format 4 held nonce/ keys.
+_STORE_FORMAT = 5
 # An asset/ row also holds its record's listed fields, NULL when the value
 # is no record that the asset contract writes. The listing index covers
 # every asset/ row, so one ordered read meets a row without them first.
@@ -66,12 +63,16 @@ CREATE TABLE state (
     checksum INTEGER NOT NULL) WITHOUT ROWID;
 CREATE INDEX state_listing ON state (added_at, key) WHERE {_ASSET_ROWS};
 CREATE INDEX state_owner ON state (owner, added_at, key) WHERE owner IS NOT NULL;
+CREATE TABLE proposal (
+    invoker TEXT NOT NULL, nonce BLOB NOT NULL, checksum INTEGER NOT NULL,
+    PRIMARY KEY (invoker, nonce)) WITHOUT ROWID;
 CREATE TABLE savepoint (
     height INTEGER NOT NULL, tip_hash BLOB NOT NULL, tip_start INTEGER NOT NULL,
     checksum INTEGER NOT NULL);
 PRAGMA user_version = {_STORE_FORMAT};
 """
 _SELECT_ROWS = "SELECT key, value, block, tx, owner, added_at, asset_name, checksum FROM state"
+_SELECT_PROPOSALS = "SELECT invoker, nonce, checksum FROM proposal"
 _MEMORY = ":memory:"  # SQLite's name for a store that lives in memory only
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # the integers that SQLite stores
@@ -180,13 +181,15 @@ def _store_files(path: Path) -> list[Path]:
 
 
 class WorldState:
-    """Current key -> (value, version) view of all valid transactions.
+    """Current key -> (value, version) view of all valid transactions, and
+    the replay index of their proposals.
 
     One SQLite store, a file or ``:memory:`` for ``WorldState()``, holds
     the state as of its savepoint, and ``tip`` names the block the state
-    has reached: ``(height, tip hash, tipStart)``. ``apply`` writes to
-    memory only. ``get`` serves a key from memory, a remembered miss
-    included, and otherwise runs one point query. ``range``, ``last`` and
+    has reached: ``(height, tip hash, tipStart)``. ``apply`` and
+    ``add_proposals`` write to memory only. ``get`` and ``has_proposal``
+    serve a key or a proposal from memory, a remembered miss included, and
+    otherwise run one point query. ``range``, ``last_nonce`` and
     ``assets`` first ``flush``, then answer with one SQL query. Every row
     read from the store must match its check value: a mismatch or an
     SQLite error deletes the store and raises ``CorruptStore``, as does
@@ -208,8 +211,11 @@ class WorldState:
         sqlite3.Error if it is unusable, or a store of another format.
         """
         self._data: dict[str, tuple[bytes, Version] | None] = {}
+        # (invoker, nonce) -> whether a VALID proposal of the pair is committed
+        self._proposals: dict[tuple[str, bytes], bool] = {}
         self.tip: tuple[int, bytes, int] = (0, ZERO_HASH, 0)
         self._unflushed: list[str] = []  # keys applied since the last flush
+        self._unflushed_proposals: list[tuple[str, bytes]] = []
         self._listing: _Listing | None = None  # built by the first listing of all
         self._path = path
         self._gone: LedgerError | None = None  # why store reads now fail
@@ -244,13 +250,21 @@ class WorldState:
         return [(key, value, (block, tx)) for key, value, block, tx, *_ in
                 self._rows(" WHERE key >= ? ORDER BY key", (prefix,), prefix)]
 
-    def last(self, prefix: str, width: int) -> str | None:
-        """The greatest key that is ``prefix`` (not empty) and ``width`` more characters."""
+    def has_proposal(self, invoker: str, nonce: bytes) -> bool:
+        """Whether a VALID proposal of ``invoker`` with ``nonce`` is committed."""
+        try:
+            return self._proposals[invoker, nonce]
+        except KeyError:
+            found = self._proposals[invoker, nonce] = bool(self._rows(
+                " WHERE invoker = ? AND nonce = ?", (invoker, nonce), select=_SELECT_PROPOSALS))
+            return found
+
+    def last_nonce(self, invoker: str) -> int:
+        """The highest 32-byte nonce of ``invoker``'s committed proposals, 0 if none."""
         self.flush()
-        end = prefix[:-1] + chr(ord(prefix[-1]) + 1)  # above every key with the prefix
-        rows = self._rows(" WHERE key >= ? AND key < ? AND length(key) = ?"
-                          " ORDER BY key DESC LIMIT 1", (prefix, end, len(prefix) + width))
-        return rows[0][0] if rows else None
+        rows = self._rows(" WHERE invoker = ? AND length(nonce) = 32 ORDER BY nonce DESC LIMIT 1",
+                          (invoker,), select=_SELECT_PROPOSALS)
+        return int.from_bytes(rows[0][1], "big") if rows else 0
 
     def assets(self, owner: str | None = None) -> list[dict]:
         """The listing rows of every asset record, or of ``owner``'s, as stored.
@@ -292,18 +306,19 @@ class WorldState:
             return listing.by_owner.get(owner, []).copy()
         return listing.by_time.copy()
 
-    def _rows(self, where: str, params: tuple = (), prefix: str = "") -> list[tuple]:
-        """Checked rows of every column, up to the first key outside ``prefix``."""
+    def _rows(self, where: str, params: tuple = (), prefix: str = "",
+              select: str = _SELECT_ROWS) -> list[tuple]:
+        """Checked rows of every column of the ``select``ed table, up to the first
+        key outside ``prefix``; a row's check is the last column, over the others."""
         if self._db is None:
             raise self._gone
         rows = []
         try:
-            for row in self._db.execute(_SELECT_ROWS + where, params):
-                key, value, block, tx, owner, added_at, name, check = row
-                if not key.startswith(prefix):
+            for row in self._db.execute(select + where, params):
+                if not row[0].startswith(prefix):
                     break
-                if check != _check(key, value, block, tx, owner, added_at, name):
-                    raise ValueError(f"row {key!r} fails its check")
+                if row[-1] != _check(*row[:-1]):
+                    raise ValueError(f"row {row[0]!r} fails its check")
                 rows.append(row)
         except (sqlite3.Error, AttributeError, TypeError, ValueError) as exc:
             raise self._drop(f"state store unreadable, deleted: {exc}") from exc
@@ -317,6 +332,12 @@ class WorldState:
         self._unflushed += keys
         if self._listing is not None:
             self._listing.fresh += [key for key in keys if key.startswith(KEY_ASSET)]
+
+    def add_proposals(self, proposals: list[tuple[str, bytes]]) -> None:
+        """Index the ``(invoker, nonce)`` of committed VALID proposals."""
+        for proposal in proposals:
+            self._proposals[proposal] = True
+        self._unflushed_proposals += proposals
 
     def items(self) -> list[tuple[str, tuple[bytes, Version]]]:
         return [(key, (value, version)) for key, value, version in self.range("")]
@@ -335,28 +356,33 @@ class WorldState:
         return height, tip_hash, tip_start
 
     def flush(self) -> None:
-        """Write the keys applied since the last flush, and ``tip`` as the savepoint.
+        """Write the keys applied and proposals indexed since the last flush, and
+        ``tip`` as the savepoint.
 
-        One transaction, with nothing written when no key was applied. A
+        One transaction, with nothing written when nothing was. A
         savepoint above ``tip`` is left as it is: another engine on the
         same journal wrote it, and the store already holds what this
         state would write. An SQLite error deletes the store instead,
         which holds nothing the journal does not.
         """
         db = self._db
-        if db is None or not self._unflushed:
+        if db is None or not (self._unflushed or self._unflushed_proposals):
             return
         data, rows = self._data, []
         for key in dict.fromkeys(self._unflushed):
             value, (block, tx) = data[key]
             row = (key, value, block, tx, *(asset_fields(key, value) or (None, None, None)))
             rows.append((*row, _check(*row)))
+        proposals = [(invoker, nonce, _check(invoker, nonce))
+                     for invoker, nonce in self._unflushed_proposals]
         self._unflushed.clear()
+        self._unflushed_proposals.clear()
         height, tip_hash, tip_start = self.tip
         try:
             db.execute("BEGIN")
             if not db.execute("SELECT 1 FROM savepoint WHERE height > ?", (height,)).fetchall():
                 db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?, ?, ?)", rows)
+                db.executemany("INSERT OR REPLACE INTO proposal VALUES (?, ?, ?)", proposals)
                 db.execute("DELETE FROM savepoint")
                 db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)",
                            (height, tip_hash, tip_start, _check(height, tip_hash, tip_start)))

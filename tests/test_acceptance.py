@@ -258,7 +258,7 @@ def test_4_validation_flags_and_replay(tmp_path, capsys):
                     if value is None:
                         expected.pop(key, None)
                     else:
-                        expected[key] = (bytes.fromhex(value),
+                        expected[key] = (value.encode("utf-8"),
                                          (raw["number"], idx))
         snapshot = state_snapshot(engine)
         assert snapshot == expected

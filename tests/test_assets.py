@@ -22,9 +22,9 @@ from iotid.codec import canonical_json
 from iotid.did import parse_did
 from iotid.gateway import Gateway
 from iotid.idm import DidRecord, NotAuthenticatedError, Session, device_key, did_key
-from iotid.journal import TxProposal
+from iotid.journal import TxProposal, UnsupportedFormat
 from iotid.ledger import ContractError, TxContext
-from iotid.state import KEY_ASSET, UnsupportedFormat, WorldState, asset_row
+from iotid.state import KEY_ASSET, WorldState, asset_row
 from iotid.store import ContentHash
 
 from util import (

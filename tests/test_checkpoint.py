@@ -14,6 +14,7 @@ import shutil
 import sqlite3
 import tempfile
 import zlib
+from collections import Counter
 from contextlib import closing
 from pathlib import Path
 
@@ -29,9 +30,19 @@ from iotid.clock import SimClock
 from iotid.codec import canonical_json
 from iotid.gateway import Gateway
 from iotid.idm import Session
-from iotid.journal import BLOCKS_FILE, Block, GenesisConfig, LedgerError, Member, verify_chain_file
-from iotid.ledger import LOCK_FILE, STATE_FILE, LedgerEngine
-from iotid.state import CorruptStore, UnsupportedFormat, WorldState
+from iotid.journal import (
+    BLOCKS_FILE,
+    MVCC_CONFLICT,
+    VALID,
+    Block,
+    GenesisConfig,
+    LedgerError,
+    Member,
+    UnsupportedFormat,
+    verify_chain_file,
+)
+from iotid.ledger import LOCK_FILE, STATE_FILE, ZERO_ADDRESS, ContractError, LedgerEngine
+from iotid.state import CorruptStore, WorldState
 from iotid.store import ContentStore
 
 from util import (
@@ -365,6 +376,31 @@ def test_a_damaged_checkpoint(stored, reads, damage):
     assert observe(stored) == expected
     assert reads.read == [0, expected[0] - 1]
     assert reads.decoded == []
+
+
+@pytest.mark.parametrize("nonce", [1, BLOCKS])
+def test_a_damaged_replay_index_row_fails_its_read_and_is_rebuilt(stored, nonce):
+    # the row of the writer's first or last proposal fails its check: the
+    # replay's refusal reads it, fails the command and deletes the store, and
+    # the next open rebuilds the index from the journal and refuses the replay
+    run_sql(store_of(stored), "UPDATE proposal SET checksum = checksum + 1 WHERE nonce = ?",
+            (nonce.to_bytes(32, "big"),))
+    writer = Principal(keypair=Principal.from_seed(11).keypair, _nonce=nonce - 1)
+    engine = reopen_engine(stored)
+    try:
+        replay = writer.proposal(engine, "kv", "set", ["k", "again"])
+        with pytest.raises(CorruptStore, match="fails its check"):
+            engine.submit(replay)
+        assert store_files(stored) == []
+    finally:
+        engine.close()
+    engine = reopen_engine(stored)
+    try:
+        assert engine.last_nonce(writer.address) == BLOCKS
+        with pytest.raises(ContractError, match="NonceReplayed"):
+            engine.submit(replay)
+    finally:
+        engine.close()
 
 
 def test_a_last_record_longer_than_the_read_window(tmp_path, reads):
@@ -752,6 +788,92 @@ def test_any_history_opens_to_the_full_replay_state(history):
             engine.close()
 
 
+# blocks of three, so that submits cut blocks of their own between flushes
+SOLO_THREES = GenesisConfig(peers=[Member("peer1", bytes(32))], registrars=[], max_block_txs=3)
+
+_replays = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.integers(0, 1)),  # by one of two writers
+    st.tuples(st.just("repeat"), st.integers(0, 2**16)),  # an earlier proposal, as signed
+    st.tuples(st.just("flush"), st.none()),
+    st.tuples(st.sampled_from(["reopen", "crash", "delete"]), st.none()),
+), min_size=1, max_size=30)
+
+
+def replay_index(base):
+    """The ``(invoker, nonce)`` rows of a closed ledger's store."""
+    return set(run_sql(store_of(base), "SELECT invoker, nonce FROM proposal"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_replays)
+def test_a_proposal_commits_valid_at_most_once(history):
+    # proposals submitted, repeated as signed, cut into blocks by a full
+    # batch or a flush, across reopens from the store, crashes before the
+    # store's flush and store-less rebuilds: a proposal whose invoker and
+    # nonce a VALID one committed is refused at execution, two copies in
+    # one block leave the first VALID and the second an MVCC conflict, and
+    # the store's replay index is the one a full replay builds
+    writers = [Principal.from_seed(14), Principal.from_seed(15)]
+    made, pending = [], []  # every proposal submitted; the (invoker, nonce) of each pending
+    committed = {(str(ZERO_ADDRESS), bytes(32))}  # block 0's proposal is indexed too
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        engine = make_engine(base, genesis=SOLO_THREES)
+
+        def cut():
+            # the flags the last block must hold: the first copy of each pair VALID
+            flags, seen = [], set()
+            for pair in pending:
+                flags.append(MVCC_CONFLICT if pair in seen else VALID)
+                seen.add(pair)
+            assert engine.read_blocks()[-1].validation_flags == flags
+            committed.update(seen)
+            pending.clear()
+
+        try:
+            for kind, arg in history + [("flush", None), ("reopen", None)]:
+                if kind == "submit":
+                    made.append(writers[arg].proposal(engine, "kv", "set", [f"k{len(made)}", "v"]))
+                if kind in ("submit", "repeat") and made:
+                    proposal = made[-1 if kind == "submit" else arg % len(made)]
+                    pair = (str(proposal.invoker), proposal.nonce)
+                    if pair in committed:
+                        with pytest.raises(ContractError) as refused:
+                            engine.submit(proposal)
+                        assert refused.value.code == "NonceReplayed"
+                        continue
+                    engine.submit(proposal)
+                    pending.append(pair)
+                    if len(pending) == SOLO_THREES.max_block_txs:
+                        cut()
+                elif kind == "flush":
+                    if engine.flush() is not None:
+                        cut()
+                elif kind in ("reopen", "crash", "delete"):
+                    pending.clear()  # an engine closes with its pending batch uncommitted
+                    if kind == "crash":
+                        crash(engine)
+                    else:
+                        engine.close()
+                    if kind == "delete":
+                        for name in STORE_FILES:
+                            (base / "ledger" / name).unlink(missing_ok=True)
+                    engine = reopen_engine(base)
+                    for proposal in made:  # each committed proposal is refused again
+                        if (str(proposal.invoker), proposal.nonce) in committed:
+                            with pytest.raises(ContractError, match="NonceReplayed"):
+                                engine.execute_proposal(proposal)
+            valid = Counter((str(tx.proposal.invoker), tx.proposal.nonce)
+                            for block in engine.read_blocks() for tx, flag
+                            in zip(block.transactions, block.validation_flags) if flag == VALID)
+        finally:
+            engine.close()
+        assert set(valid) == committed and set(valid.values()) == {1}
+        assert replay_index(base) == committed
+        full_replay(base)
+        assert replay_index(base / "full-replay") == committed
+
+
 def upload_round(engine, devices, tag):
     # both uploads sign at the same clock reading and share one block, so
     # their addedAt ties and only the dataId orders them
@@ -872,8 +994,11 @@ def to_parent_format(store):
     to_parent_format,
     # format 2 listed a record whose owner is no DID
     lambda store: run_sql(store, "PRAGMA user_version = 2"),
+    # format 4 kept used nonces as nonce/ keys, and has no replay index
+    lambda store: [run_sql(store, sql) for sql in ("DROP TABLE proposal",
+                                                   "PRAGMA user_version = 4")],
     lambda store: run_sql(store, "PRAGMA user_version = 99"),  # a later format
-], ids=["parent", "format2", "later"])
+], ids=["parent", "format2", "format4", "later"])
 def test_a_store_of_another_format_is_rebuilt_at_open(tmp_path, reads, change):
     genesis = GenesisConfig(peers=[Member("peer1", bytes(32))],
                             registrars=[Member("registrar", bytes([1]) * 32)])

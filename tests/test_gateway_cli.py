@@ -32,9 +32,9 @@ from iotid import idm as idm_module
 from iotid import journal as journal_module
 from iotid import ledger as ledger_module
 from iotid import state as state_module
-from iotid.journal import BLOCKS_FILE, VALID, Block, GenesisConfig
-from iotid.ledger import ContractError, LedgerEngine, LedgerLocked
-from iotid.state import KEY_ASSET, KEY_DID, UnsupportedFormat
+from iotid.journal import BLOCKS_FILE, VALID, Block, GenesisConfig, UnsupportedFormat
+from iotid.ledger import STATE_FILE, ContractError, LedgerEngine, LedgerLocked
+from iotid.state import KEY_ASSET, KEY_DID
 from iotid.did import Address, parse_did
 from iotid.sim import FlowConfig
 from iotid.store import ContentHash, ContentStore
@@ -42,7 +42,8 @@ from iotid.store import ContentHash, ContentStore
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
 from test_ledger import _rewrite_block
 from util import (DEEP_JSON, MANUFACTURER, Principal, create_identity, deep_config,
-                  foreign_hold, registrar_principal, seeded_keypair, upload_payload)
+                  foreign_hold, lock_is_free, registrar_principal, seeded_keypair,
+                  upload_payload)
 
 Result = namedtuple("Result", "code data out err")
 
@@ -105,29 +106,43 @@ def test_forced_init_leaves_a_locked_ledger_intact(ready):
 
 
 # block 0 of the default network as earlier versions wrote it: its config
-# carries batchTimeoutSeconds, and its rwset config/peers and config/policy
+# carries batchTimeoutSeconds and no format number, and its rwset
+# config/peers and config/policy
 OLD_BLOCK0 = Path(__file__).parent / "golden" / "parent_block0.jsonl"
+# `iotid scenario --devices 2 --duration 60` with every roster peer
+# endorsing, where the 2-of-3 policy asks two peers: three endorsements on
+# each transaction after block 0. The _v1 journal is of format 1, as
+# earlier versions wrote it, with docHash DID records and nonce/ keys
+THREE_ENDORSEMENTS = Path(__file__).parent / "golden" / "three_endorsements.jsonl"
+THREE_ENDORSEMENTS_V1 = Path(__file__).parent / "golden" / "three_endorsements_v1.jsonl"
 
 
-def test_a_ledger_from_an_earlier_version_still_opens(capsys, env, tmp_path):
+@pytest.mark.parametrize("journal", [OLD_BLOCK0, THREE_ENDORSEMENTS_V1], ids=["block0", "scenario"])
+def test_a_ledger_from_an_earlier_version_is_refused_by_name(capsys, env, journal):
+    # a format 1 journal holds hex write values that read as text, so it is
+    # refused at block 0, by open and by chain-verify, and left as it was
     ledger_dir = Path(env["ledger"])
     ledger_dir.mkdir()
-    (ledger_dir / BLOCKS_FILE).write_bytes(OLD_BLOCK0.read_bytes())
-    with Gateway(ledger_dir, env["keystore"])._open_engine() as engine:
-        assert (engine.genesis.threshold, engine.genesis.max_block_txs) == (2, 10)
+    (ledger_dir / BLOCKS_FILE).write_bytes(journal.read_bytes())
+    with pytest.raises(UnsupportedFormat) as refused:
+        Gateway(ledger_dir, env["keystore"])._open_engine()
+    assert (refused.value.found, refused.value.expected) == (1, 2)
+    reason = "journal format 1, where this program reads format 2"
+    assert (refused.value.index, refused.value.reason) == (0, reason)
+    assert lock_is_free(ledger_dir)
     assert invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex()).code == 0
-    assert invoke(capsys, env, "device-register", "dev1").code == 0
-    assert invoke(capsys, env, "device-login", "dev1").code == 0
-    source = tmp_path / "reading.txt"
-    source.write_bytes(b'{"d":{"temperature":20.01}}')
-    assert invoke(capsys, env, "asset-upload", "dev1", str(source)).data["flag"] == "VALID"
-    assert invoke(capsys, env, "chain-verify").data["ok"] is True
-
-
-# `iotid scenario --devices 2 --duration 60` as earlier versions wrote it,
-# when every roster peer endorsed: three endorsements on each transaction
-# after block 0, where the 2-of-3 policy now asks two peers
-THREE_ENDORSEMENTS = Path(__file__).parent / "golden" / "three_endorsements.jsonl"
+    for argv in (["device-register", "dev1"], ["asset-list"]):
+        result = invoke(capsys, env, *argv)
+        assert (result.code, result.data["error"]) == (1, "UnsupportedJournal"), argv
+        assert result.data["message"] == f"unsupported journal at block 0: {reason}"
+    result = invoke(capsys, env, "chain-verify")
+    assert (result.code, result.data) == (1, {"ok": False, "height": 0, "badBlock": 0,
+                                              "reason": reason})
+    human = invoke(capsys, env, "chain-verify", machine=False)
+    assert (human.code, human.out) == (
+        1, f"ok: false\nheight: 0\nbadBlock: 0\nreason: {reason}\n")
+    assert (ledger_dir / BLOCKS_FILE).read_bytes() == journal.read_bytes()
+    assert not (ledger_dir / STATE_FILE).exists()
 
 
 def test_a_journal_with_three_endorsements_per_transaction_still_opens(capsys, env, tmp_path):
@@ -519,6 +534,10 @@ def test_human_output_and_human_errors(capsys, env, ready, tmp_path):
     assert (result.code, result.out) == (1, "")
     assert result.err.startswith("error[GatewayError]: ")
     assert len(result.err.splitlines()) == 1
+    # a value that is no string prints as JSON at the top level too, as it
+    # does nested
+    result = invoke(capsys, env, "chain-verify", machine=False)
+    assert (result.code, result.out) == (0, "ok: true\nheight: 6\nbadBlock: null\nreason: null\n")
 
 
 # -- simulator ------------------------------------------------------------------
@@ -598,9 +617,10 @@ def test_scenario_single_device(capsys, env, tmp_path):
 
 # the default scenario's journal, fixed so that refactors prove they leave
 # every committed byte unchanged; update only with a deliberate format change
-# (the last: each createIdentity record carries publicKey in place of docHash)
+# (the last: journal format 2, whose block 0 names its format, whose rwsets
+# hold no nonce/ key and whose write values are text, not hex)
 SCENARIO_JOURNAL_SHA256 = \
-    "845fb5148a38f038120e8801f7b4e87a8f38f0d910acdb50f8e47a49025e4f04"
+    "d7b4e19a8b6c7d692f98c18bc2533fc690c5785b8736ad7a316c4822f8ec46de"
 
 
 def scenario_journal(base: Path) -> bytes:

@@ -56,6 +56,7 @@ from iotid.ledger import (
     LedgerLocked,
     MalformedProposal,
     NonSequentialBlock,
+    NonTextValue,
     RwsetMismatch,
     TxContext,
     UnknownContract,
@@ -193,7 +194,7 @@ class StoringContract:
         self.calls += 1
         data = args[0].encode("utf-8")
         ctx.content.append(data)
-        ctx.put(f"storing/{args[0]}", sha256(data))
+        ctx.put(f"storing/{args[0]}", sha256(data).hex().encode())
 
 
 _FIELD_CHANGES = st.sampled_from(["signature", "args", "args in place", "nonce", "timestamp",
@@ -372,6 +373,41 @@ def test_nonce_reuse_in_one_block_conflicts(engine, alice):
     block = engine.flush()
     assert block.validation_flags == [VALID, MVCC_CONFLICT]
     assert engine.state.get("kv/y") is None
+
+
+class BinaryContract:
+    """Writes the bytes its argument names in hex: text or not."""
+
+    name = "binary"
+
+    def invoke(self, ctx, function, args):
+        ctx.put("binary/x", bytes.fromhex(args[0]))
+
+
+@pytest.mark.parametrize("value", ["ff", "c0af", "eda080"], ids=["byte", "overlong", "surrogate"])
+def test_a_write_that_is_not_utf8_text_is_refused_before_any_endorsement(engine, alice, value):
+    # a journal record holds a value written as JSON text: execution refuses
+    # one that no UTF-8 decode gives, before any peer signs or anything is queued
+    engine.contracts["binary"] = BinaryContract()
+    journal = (engine._dir / BLOCKS_FILE).read_bytes()
+    with pytest.raises(NonTextValue, match="'binary/x' is not UTF-8 text"):
+        engine.submit(alice.proposal(engine, "binary", "put", [value]))
+    assert (engine._signed, engine._pending, engine.flush()) == (set(), [], None)
+    engine.submit(alice.proposal(engine, "binary", "put", ["e282ac"]))  # the euro sign
+    engine.flush()
+    assert engine.state.get("binary/x")[0] == "\u20ac".encode()
+    assert (engine._dir / BLOCKS_FILE).read_bytes().startswith(journal)
+    assert b'["binary/x","\\u20ac"]' in (engine._dir / BLOCKS_FILE).read_bytes()
+
+
+def test_no_nonce_key_is_in_world_state_or_any_rwset(engine, alice):
+    # replay protection reads the replay index, not world state
+    engine.submit(alice.proposal(engine, "kv", "set", ["x", "1"]))
+    engine.flush()
+    keys = {key for block in engine.read_blocks() for tx in block.transactions
+            for key, _ in tx.rwset.reads + tx.rwset.writes}
+    assert keys == {"config/registrars", "kv/x"}
+    assert [key for key, _ in engine.state.items()] == ["config/registrars", "kv/x"]
 
 
 def test_a_read_of_a_key_the_transaction_wrote_is_the_staged_value(engine, alice):
@@ -903,15 +939,21 @@ def test_range_and_items_match_a_sorted_filter(steps):
     assert len(state) == len(model)
 
 
-@given(st.lists(_writes, max_size=4), st.sampled_from(_PREFIXES[1:]), st.integers(0, 3))
-def test_last_is_the_greatest_key_of_its_width(batches, prefix, width):
+_INVOKERS = st.sampled_from(["0x" + "a" * 40, "0x" + "b" * 40])
+
+
+@given(st.lists(st.lists(st.tuples(_INVOKERS, st.binary(min_size=31, max_size=33)), max_size=4),
+                max_size=4), _INVOKERS)
+def test_last_nonce_is_the_highest_32_byte_nonce_of_its_invoker(batches, invoker):
+    # each batch is indexed, then read back through the store's index
     state, model = WorldState(), set()
-    for n, writes in enumerate(batches):
-        state.apply(writes, (n, 0))
-        model.update(key for key, _ in writes)
-    assert state.last(prefix, width) == max(
-        (k for k in model if k.startswith(prefix) and len(k) == len(prefix) + width),
-        default=None)
+    for proposals in batches:
+        state.add_proposals(proposals)
+        model.update(proposals)
+        assert state.last_nonce(invoker) == max(
+            (int.from_bytes(nonce, "big") for who, nonce in model
+             if who == invoker and len(nonce) == 32), default=0)
+    assert all(state.has_proposal(*proposal) for proposal in model)
 
 
 def test_len_does_not_go_through_range(monkeypatch):
@@ -963,7 +1005,7 @@ def test_valid_writes_replayed_from_raw_journal(tmp_path, engine, alice, bob):
             if flag != "VALID":
                 continue
             for key, value in tx["rwset"]["writes"]:
-                expected[key] = (bytes.fromhex(value), (raw["number"], idx))
+                expected[key] = (value.encode("utf-8"), (raw["number"], idx))
     assert state_snapshot(engine) == expected
 
 
@@ -1658,7 +1700,7 @@ _proposals = st.builds(
 _versions = st.none() | st.tuples(st.integers(0, 2**31), st.integers(0, 2**31))
 _rwsets = st.builds(
     ReadWriteSet, reads=st.lists(st.tuples(_texts, _versions), max_size=3),
-    writes=st.lists(st.tuples(_texts, st.binary(max_size=16)), max_size=3))
+    writes=st.lists(st.tuples(_texts, _texts.map(str.encode)), max_size=3))
 _transactions = st.builds(
     Transaction, proposal=_proposals, rwset=_rwsets,
     endorsements=st.lists(st.builds(Endorsement, peer_id=_texts,

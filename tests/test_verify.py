@@ -28,14 +28,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iotid import journal as journal_module
-from iotid.codec import from_canonical_json, sha256
+from iotid.codec import canonical_json, from_canonical_json, sha256
 from iotid.journal import (
     BLOCKS_FILE,
     FLAG_VALUES,
+    JOURNAL_FORMAT,
     ZERO_HASH,
     Block,
     CorruptJournal,
     GenesisConfig,
+    UnsupportedFormat,
+    UnsupportedJournal,
     encode_transactions,
     verify_chain_file,
 )
@@ -88,7 +91,7 @@ def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
 
     A record that is not ASCII is undecodable; one that is no JSON, whose
     JSON ``Block.from_dict`` refuses, or that does not encode back, is
-    non-canonical.
+    non-canonical. Block 0's config must name ``JOURNAL_FORMAT``, an integer.
     """
     height, tip = 0, ZERO_HASH
     for raw in io.BytesIO(journal):
@@ -110,9 +113,13 @@ def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
         if block.number == 0:
             try:
                 arg = block.transactions[0].proposal.args[0]
-                GenesisConfig.from_dict(from_canonical_json(arg.encode()))
+                config = from_canonical_json(arg.encode())
+                GenesisConfig.from_dict(config)
             except (IndexError, KeyError, TypeError, ValueError) as exc:
                 return False, height, f"block 0 carries no network config: {exc}"
+            found = config.get("format", 1)
+            if not (type(found) is int and found == JOURNAL_FORMAT):
+                return False, height, UnsupportedJournal(found).reason
         if problem := journal_module._link_problem(block.link, height, tip):
             return False, height, problem
         height, tip = height + 1, header_hash
@@ -225,6 +232,11 @@ _PIECES = {
                                                "non-canonical block encoding"),
     "a dataId digit in an rwset write": (_at(b'"writes":[["asset/', _other_hex),
                                          "non-canonical block encoding"),
+    # a write value is text: a surrogate escape that is not half of a pair
+    # decodes to no UTF-8 bytes
+    "a lone surrogate in a write value under recomputed hashes": (
+        lambda r: _restamp(r.replace(b'\\"addedAt\\"', b'\\"\\udc00\\"', 1)),
+        "non-canonical block encoding"),
     # bytes that decode to the values commit wrote, or to a value it could write
     "a space in a body under recomputed hashes": (
         lambda r: _restamp(r.replace(b'"args":[', b'"args": [', 1)),
@@ -309,6 +321,36 @@ def test_a_block_0_config_nested_too_deep_is_refused_by_name(tmp_path):
     assert _open_verdict(ledger / BLOCKS_FILE) == (False, 0, reason)
 
 
+@pytest.mark.parametrize("found", [None, 1, 3, "2", 2.0, True])
+def test_a_block_0_of_another_format_is_refused_by_name(tmp_path, found):
+    # block 0's config names no format, or another than this program's, and
+    # every hash holds: the journal is refused at block 0, by name
+    make_engine(tmp_path).close()
+    ledger = tmp_path / "ledger"
+    (ledger / STATE_FILE).unlink()
+
+    def refit(record):
+        tx = record["transactions"][0]
+        config = json.loads(tx["proposal"]["args"][0])
+        assert config.pop("format") == JOURNAL_FORMAT
+        if found is not None:
+            config["format"] = found
+        tx["proposal"]["args"][0] = canonical_json(config).decode()
+        tx["txId"] = sha256(canonical_json({"proposal": tx["proposal"],
+                                            "rwset": tx["rwset"]})).hex()
+
+    _rewrite_block(ledger / BLOCKS_FILE, 0, refit)
+    reason = f"journal format {1 if found is None else found!r}, where this program reads format 2"
+    report = verify_chain_file(ledger / BLOCKS_FILE)
+    assert (report.ok, report.bad_block, report.reason) == (False, 0, reason)
+    assert _oracle((ledger / BLOCKS_FILE).read_bytes()) == (False, 0, reason)
+    assert _open_verdict(ledger / BLOCKS_FILE) == (False, 0, reason)
+    with pytest.raises(UnsupportedFormat) as refused:
+        LedgerEngine.open(ledger, ContentStore(tmp_path / "objects"), {})
+    assert (refused.value.found, refused.value.expected) == (
+        1 if found is None else found, JOURNAL_FORMAT)
+
+
 def test_a_rehashed_body_in_other_whitespace_is_refused(honest, grown_journal, tmp_path):
     # blocks carry no signature, so hashes taken anew over a re-spaced
     # proposal hold; its bytes are not what commit writes, and every reader
@@ -332,8 +374,8 @@ def test_every_record_that_commit_can_write_is_read_back(block):
     # any strings, hex and integers, in a block other than block 0, whose
     # config is checked too: the reader accepts the record, but for an
     # unknown flag, and reads back what commit encoded: the link, hashes,
-    # flags and bodies, each write set as replay decodes it, and the block
-    # as read_blocks decodes it
+    # flags, bodies and proposal ids, each write set as replay decodes it,
+    # and the block as read_blocks decodes it
     cut = Block.cut(block.number + 1, block.prev_hash, block.transactions,
                     block.validation_flags)
     record, header_hash = cut.encode()
@@ -346,6 +388,8 @@ def test_every_record_that_commit_can_write_is_read_back(block):
         assert (read.link, read.header_hash, read.flags, read.config) == \
             (cut.link, header_hash, cut.validation_flags, None)
         assert read.bodies == [tx._body for tx in cut.transactions]
+        assert read.proposals == [(str(tx.proposal.invoker).encode(),
+                                   tx.proposal.nonce.hex().encode()) for tx in cut.transactions]
         assert [journal_module._writes(body) for body in read.bodies] == \
             [tx.rwset.writes for tx in cut.transactions]
         assert Block.from_dict(json.loads(record)) == cut
