@@ -37,6 +37,7 @@ from .did import (
     parse_did,
 )
 from .idm import (
+    DidRecord,
     IdmContract,
     LoginService,
     NotAuthenticatedError,
@@ -270,12 +271,11 @@ class Gateway:
     @staticmethod
     def _identity_awaits_device(engine: LedgerEngine, entry: KeyEntry) -> bool:
         """The chain binds ``entry``'s key and address, and no device, to its DID."""
-        record = engine.state.get(did_key(entry.did))
-        if record is None or engine.state.get(device_key(entry.did)) is not None:
+        found = engine.state.get(did_key(entry.did))
+        if found is None or engine.state.get(device_key(entry.did)) is not None:
             return False
-        fields = from_canonical_json(record[0])  # a docHash record just fails to match
-        return (fields.get("publicKey"), fields.get("owner")) == \
-            (entry.keypair.public_key.hex(), str(entry.address))
+        record = DidRecord.from_bytes(entry.did, found[0])
+        return (record.public_key, record.owner) == (entry.keypair.public_key, entry.address)
 
     def cmd_device_login(self, name: str,
                          rng: random.Random | None = None) -> dict:

@@ -5,9 +5,9 @@ pipeline): identity creation gated on an authorized registrar and a key
 possession proof, device registration gated on ownership, and ownership
 transfer that replaces the former owner. The on-chain record carries the
 DID's public key, so the resolver builds the DID document from world state
-alone, and this contract neither reads nor writes the content store. A
-record without the key, which only earlier versions wrote, is refused by
-name with ``UnsupportedFormat``.
+alone, and this contract neither reads nor writes the content store. Any
+other value under ``did/``, such as a record of earlier versions without
+the key, is refused by name with ``UnsupportedFormat``.
 
 Off-chain: challenge-response login. Challenges and sessions are
 ephemeral gateway state; putting them on chain would bloat blocks and
@@ -24,6 +24,7 @@ from .clock import Clock
 from .codec import canonical_json, from_canonical_json
 from .codec import sha256  # noqa: F401 -- perfbench/tracing.py wraps idm.sha256
 from .did import (
+    PUBLIC_KEY_BYTES,
     Address,
     Did,
     DidDocument,
@@ -93,14 +94,19 @@ class DidRecord:
         }
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "DidRecord":
-        """Decode a record; UnsupportedFormat if it does not carry the key."""
-        d = from_canonical_json(data)
-        if "publicKey" not in d:
-            raise UnsupportedFormat(f"the DID record of {d.get('did')} names its document "
-                                    "by docHash, a form this version no longer reads")
-        return cls(did=parse_did(d["did"]), public_key=bytes.fromhex(d["publicKey"]),
-                   owner=Address.from_text(d["owner"]), created_at=int(d["createdAt"]))
+    def from_bytes(cls, did: Did, data: bytes) -> "DidRecord":
+        """``did``'s record as the contract writes it; UnsupportedFormat for any other value."""
+        try:
+            d = from_canonical_json(data)
+            record = cls(parse_did(d["did"]), bytes.fromhex(d["publicKey"]),
+                         Address.from_text(d["owner"]), int(d["createdAt"]))
+            if (record.did, len(record.public_key)) == (did, PUBLIC_KEY_BYTES) and \
+                    canonical_json(record.to_dict()) == data:
+                return record
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise UnsupportedFormat(
+            f"{did_key(did)} holds no DID record in the form this program writes")
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ class IdmContract:
         raw = ctx.get(did_key(did))
         if raw is None:
             raise ContractError("UnknownDid", f"no identity for {did}")
-        if DidRecord.from_bytes(raw).owner != ctx.invoker:
+        if DidRecord.from_bytes(did, raw).owner != ctx.invoker:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
         if ctx.get(device_key(did)) is not None:
@@ -206,7 +212,7 @@ class IdmContract:
         raw = ctx.get(did_key(did))
         if raw is None:
             raise ContractError("UnknownDid", f"no identity for {did}")
-        record = DidRecord.from_bytes(raw)
+        record = DidRecord.from_bytes(did, raw)
         if record.owner != ctx.invoker:
             raise ContractError("NotOwner",
                                 f"{ctx.invoker} does not own {did}")
@@ -225,7 +231,7 @@ def resolve_did(state: WorldState, store: ContentStore | None, did: Did) -> DidD
     entry = state.get(did_key(did))
     if entry is None:
         raise UnknownDidError(str(did))
-    record = DidRecord.from_bytes(entry[0])
+    record = DidRecord.from_bytes(did, entry[0])
     return DidDocument(id=record.did, public_key_hex=record.public_key.hex(),
                        owner=record.owner, created=record.created_at)
 

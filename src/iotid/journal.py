@@ -2,20 +2,20 @@
 
 Blocks persist as one append-only file of canonically encoded JSON lines,
 so replaying valid transactions from genesis reproduces the world state
-exactly. Every hash covers bytes that the record stores verbatim. Every
-reader, open and replay, ``read_blocks`` and chain-verify, checks a
-record one way: it matches a compiled grammar of exactly the bytes that
-commit writes, and its hashes hold over the slices as stored. Block 0's
-config names the journal's format; a journal of another format is refused
-at block 0 by name, as no reader can tell what an old body means. A changed
-byte fails in its own record, and nothing is encoded again. A record
-that the grammar refuses is never decoded: it is an "undecodable block"
-if it holds a byte from 0x80, and a "non-canonical block encoding"
-otherwise. Replay decodes only the write sets it applies, and takes each
-VALID proposal's invoker and nonce from the match; every reader decodes
-block 0's config from the body the match sliced. A whole record is decoded
-only by ``read_blocks``. Open cuts off a torn last record. No
-reader checks signatures.
+exactly. Every hash covers bytes that the record stores verbatim, and no
+field is stored that a reader derives: a txId is its body's hash, an
+invoker its key's address. Block 0's config names the journal's format,
+read first, as every format stores it, so a journal of another format is
+refused at block 0 by name. Every reader, open and replay, ``read_blocks``
+and chain-verify, then checks a record one way: it matches a compiled
+grammar of exactly the bytes that commit writes, and its hashes hold over
+the slices as stored. A changed byte fails in its own record, and nothing
+is encoded again. A record that the grammar refuses is never decoded: it
+is an "undecodable block" if it holds a byte from 0x80, and a
+"non-canonical block encoding" otherwise. Replay decodes only the write
+sets it applies, and takes each VALID proposal's key and nonce from the
+match. Only ``read_blocks`` decodes a whole record. Open cuts off a torn
+last record. No reader checks signatures.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ FLAG_VALUES = (VALID, MVCC_CONFLICT, POLICY_FAILURE)
 ZERO_HASH = bytes(32)
 
 BLOCKS_FILE = "blocks.jsonl"
-# What block 0's config names as ``format``; a config that names none is of
-# format 1, which wrote write values as hex and kept used nonces in world state.
-JOURNAL_FORMAT = 2
+# What block 0's config names as ``format``. Format 2 also stored the txIds and
+# invoker addresses that format 3 derives; a config that names none is of format
+# 1, which wrote write values as hex and kept used nonces in world state.
+JOURNAL_FORMAT = 3
 
 Version = tuple[int, int]  # (block number, tx index within block)
 
@@ -89,10 +90,10 @@ class UnsupportedJournal(CorruptJournal, UnsupportedFormat):
 class TxProposal:
     """A signed request to run one contract function.
 
-    ``invoker_key`` must hash to ``invoker`` (that is how the signature is
-    checked against the invoker's registered key) and ``timestamp`` is the
-    submission-time clock reading, so contract execution is reproducible
-    on every endorsing peer.
+    ``invoker_key`` must hash to ``invoker``, which a record does not store
+    (so the signature is checked against the invoker's registered key), and
+    ``timestamp`` is the submission-time clock reading, so contract
+    execution is reproducible on every endorsing peer.
     """
 
     invoker: Address
@@ -109,7 +110,6 @@ class TxProposal:
             "args": list(self.args),
             "contract": self.contract,
             "function": self.function,
-            "invoker": str(self.invoker),
             "invokerKey": self.invoker_key.hex(),
             "nonce": self.nonce.hex(),
             "timestamp": self.timestamp,
@@ -131,9 +131,10 @@ class TxProposal:
     def from_dict(cls, d: dict) -> "TxProposal":
         if not _well_typed(d["contract"], d["function"], d["args"], d["timestamp"]):
             raise TypeError("a proposal field of the wrong type")
+        invoker_key = bytes.fromhex(d["invokerKey"])
         return cls(
-            invoker=Address.from_text(d["invoker"]),
-            invoker_key=bytes.fromhex(d["invokerKey"]),
+            invoker=derive_address(invoker_key),
+            invoker_key=invoker_key,
             contract=d["contract"],
             function=d["function"],
             args=d["args"],
@@ -226,33 +227,23 @@ class Transaction:
 
     @cached_property
     def tx_id(self) -> bytes:
-        """Hash of the ``{"proposal", "rwset"}`` body.
-
-        Endorsements are excluded so that attaching or stripping them never
-        changes a transaction's identity. It is always computed from the
-        body, never taken from a journal's stored ``txId``: chain-verify
-        hashes the body as stored and refuses a record whose ``txId``
-        differs.
-        """
+        """Hash of the ``{"proposal", "rwset"}`` body, which the data hash covers; no record
+        stores it. Endorsements are excluded so that attaching or stripping them
+        never changes a transaction's identity."""
         return sha256(self._body)
 
     def encode(self) -> bytes:
-        """``canonical_json(self.to_dict())``, assembled around the cached body.
-
-        Canonical key order is endorsements < proposal < rwset < txId, so
-        the body's two members sit in the record verbatim; only the
-        endorsement list is encoded here, by ``encode_endorsements``.
-        """
+        """``canonical_json(self.to_dict())``, assembled around the cached body: keys
+        sort endorsements < proposal < rwset, so the body after its opening brace
+        ends the record verbatim, and only the endorsement list is encoded here."""
         return b"".join((b'{"endorsements":', encode_endorsements(self.endorsements),
-                         b",", self._body[1:-1], b',"txId":"',
-                         self.tx_id.hex().encode("ascii"), b'"}'))
+                         b",", self._body[1:]))
 
     def to_dict(self) -> dict:
         return {
             "endorsements": [e.to_dict() for e in self.endorsements],
             "proposal": self.proposal.to_dict(),
             "rwset": self.rwset.to_dict(),
-            "txId": self.tx_id.hex(),
         }
 
     @classmethod
@@ -542,19 +533,20 @@ def _link_problem(link: tuple[int, bytes, int | None, int], height: int,
 def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     """The journal's patterns: a record's header, one transaction, and its tail.
 
-    An ASCII record matches them, with its txIds and flags hash, iff
+    An ASCII record matches them, with its flags hash, iff
     ``Block.from_dict(json.loads(raw)).encode()`` gives it back: keys in
     order, no space, lower-case even-length hex, integers with neither a
     leading zero nor ``-0`` nor more digits than ``json.loads`` reads, and
     strings as ``canonical_json`` writes them. A string's plain bytes run
     from space to ``~`` but for the quote and the backslash; its escapes are
     ``\\"``, ``\\\\``, ``\\b\\f\\n\\r\\t``, and lower-case ``\\uXXXX`` only for
-    the other bytes below space, 0x7f and code points from 0x80. A value
-    written is such a string of text: it holds a surrogate only as the high
-    half of a pair before its low half, so that it encodes to UTF-8. A flag
-    is any string, so that an unknown one is refused as such. No repeat can
-    match one text in two ways, so a refusal takes time linear in the
-    record. Compiled on first use, once per process.
+    the other bytes below space, 0x7f and code points from 0x80. A key has
+    the 64 digits an address derives from. A value written is such a string
+    of text: it holds a surrogate only as the high half of a pair before its
+    low half, so that it encodes to UTF-8. A flag is any string, so that an
+    unknown one is refused as such. No repeat can match one text in two
+    ways, so a refusal takes time linear in the record. Compiled on first
+    use, once per process.
     """
     # re tests a byte against a class of three or more ranges with one
     # bitmap lookup, and against two ranges, or a negated class, in two
@@ -587,19 +579,19 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     transaction = re.compile(
         rb'\{"endorsements":%s,' % items(rb'\{"peerId":%s,"signature":%s\}' % (string, hex_))
         + rb'("proposal":\{"args":%s,"contract":%s,"function":%s,' % (items(string), string, string)
-        + rb'"invoker":"(0x%s{40})","invokerKey":%s,"nonce":"(%s)","signature":%s,'
-          rb'"timestamp":%s\},' % (digit, hex_, hex_digits, hex_, integer)
+        + rb'"invokerKey":%s,"nonce":"(%s)","signature":%s,'
+          rb'"timestamp":%s\},' % (hash_, hex_digits, hex_, integer)
         + rb'"rwset":\{"reads":%s,' % items(rb'\[%s,(?:null|\[%s,%s\])\]' % (string, integer, integer))
         + rb'"writes":%s\})' % items(rb'\[%s,%s\]' % (string, text))
-        + rb',"txId":%s\}(,?)' % hash_)
+        + rb'\}(,?)')
     tail = re.compile(rb'\],"validationFlags":(%s)\}\n' % items(string))
     return header, transaction, tail
 
 
 class _Record(NamedTuple):
     """What every reader takes from a record the journal accepts: ``Block.link``, header
-    hash, flags, each transaction's body as stored and its proposal's ``(invoker,
-    nonce hex)`` as stored, block 0's network config or None."""
+    hash, flags, each transaction's body as stored and its proposal's ``(invoker key
+    hex, nonce hex)`` as stored, block 0's network config or None."""
 
     link: tuple[int, bytes, int, int]
     header_hash: bytes
@@ -613,38 +605,43 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
     """What the journal reads from ``raw``, a record it accepts.
 
     Commit writes a record as fixed glue around the pieces that its hashes
-    cover, and they are hashed as stored: each txId its transaction's
-    ``"proposal":…,"rwset":…`` in braces, the flags hash the flag list, the
+    cover, and they are hashed as stored: the flags hash the flag list, the
     data hash the transaction list, and the header hash the bytes before
-    ``,"transactions"`` and a closing brace. CorruptJournal gives the first
-    of these reasons:
+    ``,"transactions"`` and a closing brace; a txId hashes its body,
+    ``"proposal":…,"rwset":…`` in braces. CorruptJournal gives the first of:
 
-    1. a record that ``_grammar`` refuses, never decoded, is an
+    1. at index 0, UnsupportedJournal unless the config names ``JOURNAL_FORMAT``;
+    2. a record that ``_grammar`` refuses, never decoded, is an
        "undecodable block" if it holds a byte from 0x80 and otherwise a
-       "non-canonical block encoding", as is one whose txId or flags hash
-       does not hold;
-    2. an "unknown validation flag";
-    3. the data hash;
-    4. block 0's network config, and then its format: UnsupportedJournal
-       unless the config names ``JOURNAL_FORMAT``.
+       "non-canonical block encoding", as is one whose flags hash does not
+       hold;
+    3. an "unknown validation flag";
+    4. the data hash, which a changed body fails;
+    5. block 0's network config.
 
     So a changed byte fails in its own record. Blocks carry no signature;
     checking those is for the planned deep audit.
     """
     header, transaction, tail = _grammar()
-    head = header.match(raw) if (is_ascii := raw.isascii()) else None
-    flags, bodies, proposals, stored = None, [], [], []
+    if (is_ascii := raw.isascii()) and index == 0:
+        try:  # every format's block 0 carries the config as its first argument
+            arg = from_canonical_json(raw)["transactions"][0]["proposal"]["args"][0]
+            found = from_canonical_json(arg.encode()).get("format", 1)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            found = JOURNAL_FORMAT  # for the checks below to refuse
+        if found != JOURNAL_FORMAT or type(found) is not int:
+            raise UnsupportedJournal(found)
+    head = header.match(raw) if is_ascii else None
+    flags, bodies, proposals = None, [], []
     if head is not None:
         at = head.end()
         more = not raw.startswith(b"]", at)
         while more and (tx := transaction.match(raw, at)) is not None:
             bodies.append(b"{" + tx[1] + b"}")
             proposals.append(tx.group(2, 3))
-            stored.append(tx[4])
-            at, more = tx.end(), tx[5]
+            at, more = tx.end(), tx[4]
         flags = None if more else tail.fullmatch(raw, at)
-    if flags is None or hashlib.sha256(flags[1]).hexdigest().encode() != head[3] or \
-            [hashlib.sha256(body).hexdigest().encode() for body in bodies] != stored:
+    if flags is None or hashlib.sha256(flags[1]).hexdigest().encode() != head[3]:
         raise CorruptJournal(index, "non-canonical block encoding" if is_ascii
                              else "undecodable block")
     flag_list = json.loads(flags[1])
@@ -656,12 +653,9 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
     if number == 0:
         try:  # block 0's one transaction carries the config as its argument
             arg = json.loads(bodies[0])["proposal"]["args"][0]
-            fields = from_canonical_json(arg.encode())
-            config = GenesisConfig.from_dict(fields)
+            config = GenesisConfig.from_dict(from_canonical_json(arg.encode()))
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise CorruptJournal(index, f"block 0 carries no network config: {exc}") from exc
-        if (found := fields.get("format", 1)) != JOURNAL_FORMAT or type(found) is not int:
-            raise UnsupportedJournal(found)
     return _Record((number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
                    sha256(head[1] + b"}"), flag_list, bodies, proposals, config)
 

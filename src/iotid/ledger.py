@@ -76,8 +76,6 @@ from .journal import verify_chain_file  # noqa: F401 -- perfbench/ reads and wra
 from .state import KEY_CONFIG, WorldState, _store_files
 from .store import ContentStore
 
-ZERO_ADDRESS = Address(bytes(20))
-
 STATE_FILE = "state.sqlite"
 LOCK_FILE = ".lock"
 
@@ -327,10 +325,10 @@ class LedgerEngine:
     # -- genesis and replay ---------------------------------------------
 
     def _genesis_block(self) -> Block:
-        """Block 0: an engine-built config transaction, exempt from policy."""
+        """Block 0: an engine-built config transaction of the all-zero key, exempt from policy."""
         config = self.genesis
         proposal = TxProposal(
-            invoker=ZERO_ADDRESS,
+            invoker=derive_address(bytes(32)),
             invoker_key=bytes(32),
             contract="config",
             function="genesis",
@@ -370,8 +368,8 @@ class LedgerEngine:
                 proposals = [record.proposals[idx] for idx in valid]
                 self._apply_block(record.link[0],
                                   [(idx, _writes(record.bodies[idx])) for idx in valid],
-                                  [(invoker.decode(), bytes.fromhex(nonce.decode()))
-                                   for invoker, nonce in proposals],
+                                  [(str(derive_address(bytes.fromhex(key.decode()))),
+                                    bytes.fromhex(nonce.decode())) for key, nonce in proposals],
                                   record.header_hash, len(raw))
         except CorruptJournal as exc:
             if exc.torn_at is None:
@@ -697,7 +695,7 @@ class LedgerEngine:
 
     def read_blocks(self) -> list[Block]:
         """Every block of the journal, each decoded whole from a record that the walk
-        accepts, so that it encodes back to that record and keeps every stored txId."""
+        accepts, so that it encodes back to that record."""
         return [Block.from_dict(json.loads(raw)) for raw, _ in _walk(self._dir / BLOCKS_FILE)]
 
 

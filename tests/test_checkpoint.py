@@ -28,6 +28,7 @@ from iotid.assets import query_all_assets, query_owned_assets
 from iotid.cli import main as cli_main
 from iotid.clock import SimClock
 from iotid.codec import canonical_json
+from iotid.did import derive_address
 from iotid.gateway import Gateway
 from iotid.idm import Session
 from iotid.journal import (
@@ -41,7 +42,7 @@ from iotid.journal import (
     UnsupportedFormat,
     verify_chain_file,
 )
-from iotid.ledger import LOCK_FILE, STATE_FILE, ZERO_ADDRESS, ContractError, LedgerEngine
+from iotid.ledger import LOCK_FILE, STATE_FILE, ContractError, LedgerEngine
 from iotid.state import CorruptStore, WorldState
 from iotid.store import ContentStore
 
@@ -815,7 +816,8 @@ def test_a_proposal_commits_valid_at_most_once(history):
     # the store's replay index is the one a full replay builds
     writers = [Principal.from_seed(14), Principal.from_seed(15)]
     made, pending = [], []  # every proposal submitted; the (invoker, nonce) of each pending
-    committed = {(str(ZERO_ADDRESS), bytes(32))}  # block 0's proposal is indexed too
+    # block 0's proposal is indexed too, under the address of its all-zero key
+    committed = {(str(derive_address(bytes(32))), bytes(32))}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         engine = make_engine(base, genesis=SOLO_THREES)

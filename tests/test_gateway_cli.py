@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -35,7 +36,7 @@ from iotid import state as state_module
 from iotid.journal import BLOCKS_FILE, VALID, Block, GenesisConfig, UnsupportedFormat
 from iotid.ledger import STATE_FILE, ContractError, LedgerEngine, LedgerLocked
 from iotid.state import KEY_ASSET, KEY_DID
-from iotid.did import Address, parse_did
+from iotid.did import Address, derive_address, parse_did
 from iotid.sim import FlowConfig
 from iotid.store import ContentHash, ContentStore
 
@@ -112,22 +113,27 @@ OLD_BLOCK0 = Path(__file__).parent / "golden" / "parent_block0.jsonl"
 # `iotid scenario --devices 2 --duration 60` with every roster peer
 # endorsing, where the 2-of-3 policy asks two peers: three endorsements on
 # each transaction after block 0. The _v1 journal is of format 1, as
-# earlier versions wrote it, with docHash DID records and nonce/ keys
+# earlier versions wrote it, with docHash DID records and nonce/ keys; the
+# _v2 journal is of format 2, which stored each txId and invoker address
 THREE_ENDORSEMENTS = Path(__file__).parent / "golden" / "three_endorsements.jsonl"
 THREE_ENDORSEMENTS_V1 = Path(__file__).parent / "golden" / "three_endorsements_v1.jsonl"
+THREE_ENDORSEMENTS_V2 = Path(__file__).parent / "golden" / "three_endorsements_v2.jsonl"
 
 
-@pytest.mark.parametrize("journal", [OLD_BLOCK0, THREE_ENDORSEMENTS_V1], ids=["block0", "scenario"])
-def test_a_ledger_from_an_earlier_version_is_refused_by_name(capsys, env, journal):
-    # a format 1 journal holds hex write values that read as text, so it is
+@pytest.mark.parametrize("journal, found", [(OLD_BLOCK0, 1), (THREE_ENDORSEMENTS_V1, 1),
+                                            (THREE_ENDORSEMENTS_V2, 2)],
+                         ids=["block0", "scenario", "scenario_v2"])
+def test_a_ledger_from_an_earlier_version_is_refused_by_name(capsys, env, journal, found):
+    # a format 1 journal holds hex write values that read as text, and a
+    # format 2 one bodies whose txIds and invokers it stores, so each is
     # refused at block 0, by open and by chain-verify, and left as it was
     ledger_dir = Path(env["ledger"])
     ledger_dir.mkdir()
     (ledger_dir / BLOCKS_FILE).write_bytes(journal.read_bytes())
     with pytest.raises(UnsupportedFormat) as refused:
         Gateway(ledger_dir, env["keystore"])._open_engine()
-    assert (refused.value.found, refused.value.expected) == (1, 2)
-    reason = "journal format 1, where this program reads format 2"
+    assert (refused.value.found, refused.value.expected) == (found, 3)
+    reason = f"journal format {found}, where this program reads format 3"
     assert (refused.value.index, refused.value.reason) == (0, reason)
     assert lock_is_free(ledger_dir)
     assert invoke(capsys, env, "device-keygen", "dev1", "--seed", SEED_01.hex()).code == 0
@@ -385,11 +391,12 @@ def test_upload_receipt_never_rereads_the_journal(capsys, env, ready,
     result = invoke(capsys, env, "asset-upload", "dev1", str(source))
     assert result.code == 0
     assert result.data["flag"] == "VALID"
-    # the upload's block is the journal's last line
+    # the upload's block is the journal's last line, and its txId the hash of
+    # the transaction's body as stored
     journal = Path(env["ledger"]) / "blocks.jsonl"
-    last = json.loads(journal.read_bytes().splitlines()[-1])
-    assert result.data["block"] == last["number"]
-    assert result.data["txId"] == last["transactions"][0]["txId"]
+    last = journal.read_bytes().splitlines()[-1]
+    assert result.data["block"] == json.loads(last)["number"]
+    assert result.data["txId"] == hashlib.sha256(stored_bodies(last)[0]).hexdigest()
 
 
 def test_cold_commands_parse_only_the_keys_they_sign_or_check_with(capsys, env, ready,
@@ -617,10 +624,9 @@ def test_scenario_single_device(capsys, env, tmp_path):
 
 # the default scenario's journal, fixed so that refactors prove they leave
 # every committed byte unchanged; update only with a deliberate format change
-# (the last: journal format 2, whose block 0 names its format, whose rwsets
-# hold no nonce/ key and whose write values are text, not hex)
+# (the last: journal format 3, which stores no txId and no invoker address)
 SCENARIO_JOURNAL_SHA256 = \
-    "d7b4e19a8b6c7d692f98c18bc2533fc690c5785b8736ad7a316c4822f8ec46de"
+    "b83be409acbbe8fd96dcd62812dbf3be24a13cc8b48111e78fc4990dc816aeb5"
 
 
 def scenario_journal(base: Path) -> bytes:
@@ -677,6 +683,15 @@ def test_the_scenario_listings_are_golden(capsys, tmp_path, monkeypatch):
     assert kept == []  # a one-shot listing reads the store once and keeps no rows
 
 
+def stored_bodies(record: bytes) -> list[bytes]:
+    """Each transaction's ``{"proposal":…,"rwset":…}`` as ``record`` stores it: from
+    its ``"proposal"`` key, which no escaped string holds, to the brace that
+    closes the transaction."""
+    end = re.compile(rb'\},\{"endorsements":|\}\],"validationFlags":')
+    return [b"{" + record[key.start():end.search(record, key.end()).start() + 1]
+            for key in re.finditer(rb'"proposal":', record)]
+
+
 def read_blocks(ledger: Path) -> list[Block]:
     with LedgerEngine.open(ledger, ContentStore(ledger / "objects"), {}) as engine:
         return engine.read_blocks()
@@ -695,11 +710,14 @@ def test_a_fresh_engine_revalidates_the_golden_journal(tmp_path, monkeypatch):
     # the keys of the first threshold peers of the roster, once each
     journal = scenario_journal(tmp_path)
     blocks = read_blocks(tmp_path / "ledger")
-    # each block read back encodes to its record, and each txId is the one stored
+    # each block read back encodes to its record, each txId is the hash of its
+    # body as stored, and each invoker the address of its key, block 0's too
     records = journal.splitlines(keepends=True)
     assert [block.encode()[0] + b"\n" for block in blocks] == records
-    assert [[tx.tx_id.hex() for tx in block.transactions] for block in blocks] == \
-        [[tx["txId"] for tx in json.loads(record)["transactions"]] for record in records]
+    assert [[tx.tx_id for tx in block.transactions] for block in blocks] == \
+        [[hashlib.sha256(body).digest() for body in stored_bodies(record)] for record in records]
+    assert all(tx.proposal.invoker == derive_address(tx.proposal.invoker_key)
+               for block in blocks for tx in block.transactions)
     config = genesis_of(blocks[0])
     endorsers = [peer.seed for peer in config.peers][:config.threshold]
     assert len(endorsers) < len(config.peers)
@@ -1201,6 +1219,9 @@ def test_indented_keystore_files_still_load(tmp_path):
 # -- a DID record in an earlier form ---------------------------------------------
 
 
+NO_DID_RECORD = "holds no DID record in the form this program writes"
+
+
 class DocHashRecordContract:
     """Rewrites a DID record as versions before records carried the key wrote
     it: ``docHash`` names a DID document where the record now has
@@ -1242,7 +1263,7 @@ def test_a_broken_did_document_is_a_machine_error(capsys, ready, fault):
     result = invoke(capsys, ready, "device-login", "dev1")
     assert (result.code, result.data["error"]) == (1, "UnsupportedFormat")
     assert result.out == canonical_json(result.data).decode() + "\n"
-    assert DID_01 in result.data["message"] and "docHash" in result.data["message"]
+    assert result.data["message"] == f"{KEY_DID}{DID_01} {NO_DID_RECORD}"
     assert "'" not in result.data["message"]
 
 
@@ -1252,7 +1273,7 @@ def test_a_doc_hash_record_is_refused_by_name(capsys, ready, tmp_path):
     doc_hash = hashlib.sha256(bytes.fromhex(PUB_01)).hexdigest()
     device = Principal(keypair=seeded_keypair(1), _nonce=2000)  # above the rewrite's
     with open_with_doc_hash_record(ledger_dir, doc_hash) as engine:
-        with pytest.raises(UnsupportedFormat, match="docHash"):
+        with pytest.raises(UnsupportedFormat, match=NO_DID_RECORD):
             resolve_did(engine.state, engine.store, did)
         for function, arg in [("registerDevice", MANUFACTURER),
                               ("transferOwnership", ADDR_01)]:
@@ -1323,6 +1344,49 @@ def test_an_asset_value_the_contract_cannot_write_is_refused_by_name(capsys, rea
     assert key in result.data["message"]
     # the owner's listing reads the owner's rows only
     assert invoke(capsys, ready, "asset-list", "--mine", "dev1").data["count"] == 0
+
+
+# did/ values that are not the record the contract writes, each made from
+# the record it does write
+DID_VALUES = {
+    "list": lambda record: [],
+    "object": lambda record: {},
+    "docHash": lambda record: {**{k: v for k, v in record.items() if k != "publicKey"},
+                               "docHash": "00" * 32},
+    "non-hex-key": lambda record: {**record, "publicKey": "zz" * 32},
+    "short-key": lambda record: {**record, "publicKey": "00" * 16},
+    "another-did": lambda record: {**record, "did": "did:iotid:" + "00" * 16},
+    "extra-field": lambda record: {**record, "docHash": "00" * 32},
+}
+
+
+@pytest.mark.parametrize("value", DID_VALUES)
+def test_a_did_value_the_contract_cannot_write_is_refused_by_name(capsys, ready, tmp_path,
+                                                                  value):
+    # a forged journal can commit any value under did/: each command that
+    # reads one ends with one machine line naming it, and never a traceback
+    ledger_dir = Path(ready["ledger"])
+    dev2 = invoke(capsys, ready, "device-keygen", "dev2").data["did"]
+    engine = LedgerEngine.open(ledger_dir, ContentStore(ledger_dir / "objects"),
+                               {**default_contracts(), "raw": RawWriteContract()})
+    try:
+        record = json.loads(engine.state.get(KEY_DID + DID_01)[0])
+        writer = Principal(keypair=seeded_keypair(9))
+        for did in (DID_01, dev2):
+            forged = canonical_json(DID_VALUES[value]({**record, "did": did}))
+            engine.submit(writer.proposal(engine, "raw", "put", [KEY_DID + did, forged.hex()]))
+        engine.flush()
+    finally:
+        engine.close()
+    source = tmp_path / "reading.txt"
+    source.write_bytes(b"a reading")
+    for argv, did in ((["device-register", "dev2"], dev2), (["device-login", "dev1"], DID_01),
+                      (["asset-upload", "dev1", str(source)], DID_01)):
+        result = invoke(capsys, ready, *argv)
+        assert (result.code, result.data["error"]) == (1, "UnsupportedFormat"), argv
+        assert result.out == canonical_json(result.data).decode() + "\n"
+        assert result.data["message"] == f"{KEY_DID}{did} {NO_DID_RECORD}"
+    assert invoke(capsys, ready, "chain-verify").data["ok"] is True
 
 
 def test_a_journal_alone_is_enough_to_log_in_and_upload(capsys, ready, tmp_path):

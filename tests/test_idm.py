@@ -23,7 +23,7 @@ from iotid.idm import (
     resolve_did,
     session_is_valid,
 )
-from iotid.journal import POLICY_FAILURE, VALID, Transaction
+from iotid.journal import POLICY_FAILURE, VALID, Transaction, UnsupportedFormat
 from iotid.ledger import ContractError
 
 from util import (
@@ -296,15 +296,15 @@ def test_resolve_unknown_did(engine, device):
 def test_records_round_trip(device):
     record = DidRecord(did=device.did, public_key=device.public_key,
                        owner=device.address, created_at=7)
-    assert DidRecord.from_bytes(canonical_json(record.to_dict())) == record
+    assert DidRecord.from_bytes(device.did, canonical_json(record.to_dict())) == record
     entry = DeviceRecord(did=device.did, manufacturer_id=MANUFACTURER,
                          registered_at=9)
     assert device_record(canonical_json(entry.to_dict())) == entry
 
 
-def test_a_did_record_nested_too_deep_is_a_value_error():
-    with pytest.raises(ValueError, match="nested too deep"):
-        DidRecord.from_bytes(DEEP_JSON.encode())
+def test_a_did_record_nested_too_deep_is_refused_by_name(device):
+    with pytest.raises(UnsupportedFormat, match="no DID record"):
+        DidRecord.from_bytes(device.did, DEEP_JSON.encode())
 
 
 # -- the content store: untouched by idm --------------------------------------

@@ -24,7 +24,7 @@ from iotid import journal as journal_module
 from iotid import ledger as ledger_module
 from iotid.clock import SimClock
 from iotid.codec import canonical_json, sha256
-from iotid.did import Address, KeyPair, generate_keypair, verify_signature
+from iotid.did import Address, KeyPair, derive_address, generate_keypair, verify_signature
 from iotid.store import ContentStore
 from iotid.journal import (
     BLOCKS_FILE,
@@ -1101,7 +1101,8 @@ def _padded_record(number: int, prev_hash: bytes, size: int) -> tuple[bytes, byt
     """A record of ``size`` bytes, newline included, that extends ``prev_hash``,
     and its header hash: one transaction whose argument is padded to fit."""
     def encode(pad: int) -> tuple[bytes, bytes]:
-        proposal = TxProposal(Address(bytes(20)), b"", "kv", "set", ["k", "x" * pad], b"", 0)
+        proposal = TxProposal(derive_address(bytes(32)), bytes(32), "kv", "set",
+                              ["k", "x" * pad], b"", 0)
         return Block.cut(number, prev_hash, [Transaction(proposal, ReadWriteSet(), [])],
                          [VALID]).encode()
     record, header_hash = encode(size - len(encode(0)[0]) - 1)
@@ -1157,7 +1158,7 @@ def test_the_walk_reads_records_of_any_size_as_their_lines(grown_journal, tmp_pa
         records.append(record)
     if tail == "torn":
         records[-1] = records[-1][:-1]
-    elif tail == "refused":  # a padding byte, under the txId that covered it
+    elif tail == "refused":  # a padding byte, under the data hash that covered it
         records[-1] = records[-1].replace(b"xxx", b"xyx", 1)
     path = tmp_path / BLOCKS_FILE
     path.write_bytes(b"".join(records))
@@ -1166,7 +1167,8 @@ def test_the_walk_reads_records_of_any_size_as_their_lines(grown_journal, tmp_pa
     assert refusal == {"none": None,
                        "torn": (len(want), "unterminated last record",
                                 sum(map(len, records[:-1]))),
-                       "refused": (len(want), "non-canonical block encoding", None)}[tail]
+                       "refused": (len(want), "data hash does not match transactions",
+                                   None)}[tail]
     start, tip = 0, ZERO_HASH
     for height in range(len(want) + 1):
         assert _walked(path, start, height, tip) == (want[height:], refusal)
@@ -1423,6 +1425,8 @@ def test_verify_refuses_uppercase_hex_under_recomputed_hashes(three_blocks):
 
 
 def test_verify_refuses_a_changed_tx_id_under_recomputed_hashes(three_blocks):
+    # a record stores no txId: one that holds a txId, as format 2 wrote it, is
+    # not what commit writes
     def rename(record):
         record["transactions"][0]["txId"] = "ab" * 32
 
@@ -1445,12 +1449,9 @@ def test_verify_refuses_an_unknown_flag_under_recomputed_hashes(three_blocks):
 
 def test_a_null_write_value_is_a_non_canonical_block(tmp_path, three_blocks):
     # a write with no value is no longer a delete: the journal's grammar
-    # refuses the block it sits in, under a recomputed txId and recomputed hashes
+    # refuses the block it sits in, under recomputed hashes
     def erase(record):
-        tx = record["transactions"][0]
-        tx["rwset"]["writes"][0][1] = None
-        tx["txId"] = sha256(canonical_json({"proposal": tx["proposal"],
-                                            "rwset": tx["rwset"]})).hex()
+        record["transactions"][0]["rwset"]["writes"][0][1] = None
 
     _rewrite_block(three_blocks, 2, erase)
     report = verify_chain_file(three_blocks)
@@ -1461,15 +1462,13 @@ def test_a_null_write_value_is_a_non_canonical_block(tmp_path, three_blocks):
 
 
 def test_verify_refuses_a_block_0_config_that_open_refuses(tmp_path, three_blocks):
-    # a threshold above the roster, under a recomputed txId and hashes: the
+    # a threshold above the roster, under recomputed hashes: the
     # links and encodings all hold, and only block 0's config is wrong
     def overreach(record):
         tx = record["transactions"][0]
         config = json.loads(tx["proposal"]["args"][0])
         config["endorsementThreshold"] = 7
         tx["proposal"]["args"][0] = canonical_json(config).decode()
-        tx["txId"] = sha256(canonical_json({"proposal": tx["proposal"],
-                                            "rwset": tx["rwset"]})).hex()
 
     _rewrite_block(three_blocks, 0, overreach)
     reason = "block 0 carries no network config: threshold 7 out of range for roster of 3"
@@ -1529,7 +1528,8 @@ def _no_child_left() -> bool:
 
 
 # rewrites under recomputed hashes (_rewrite_block), each found by the
-# block's own normal-form check
+# block's own normal-form check: a stored txId, which no record holds, and an
+# unknown flag
 _REWRITES = {
     "txId": lambda record: record["transactions"][0].update(txId="ab" * 32),
     "flag": lambda record: record.update(
@@ -1692,9 +1692,10 @@ def test_tx_id_ignores_endorsements(engine, alice):
 
 # any text, with characters JSON must escape or writes as \u escapes
 _texts = st.text(max_size=8) | st.sampled_from(['"', "\\", "\n", "\x00", "é", "\u2028", "😀"])
+# the invoker is the address of its key, which is what a record stores
 _proposals = st.builds(
-    TxProposal, invoker=st.binary(min_size=20, max_size=20).map(Address),
-    invoker_key=st.binary(max_size=32), contract=_texts, function=_texts,
+    lambda key, **fields: TxProposal(derive_address(key), key, **fields),
+    st.binary(min_size=32, max_size=32), contract=_texts, function=_texts,
     args=st.lists(_texts, max_size=3), nonce=st.binary(max_size=32),
     timestamp=st.integers(-2**63, 2**63), signature=st.binary(max_size=64))
 _versions = st.none() | st.tuples(st.integers(0, 2**31), st.integers(0, 2**31))

@@ -12,7 +12,8 @@ single-byte flip, cut, record deletion or duplicated record of an honest
 journal, and any change of ``_MUTATIONS`` as it is and under recomputed
 hashes, the serial walk, a verify split into parts and a store-less open
 all give the oracle's ``(ok, badBlock, reason)``. The reader decodes no
-record that it refuses, and refuses a hostile one in linear time.
+record that it refuses, but block 0 for the format its config names, and
+refuses a hostile one in linear time.
 """
 
 import io
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 from iotid import journal as journal_module
 from iotid.codec import canonical_json, from_canonical_json, sha256
+from iotid.did import derive_address
 from iotid.journal import (
     BLOCKS_FILE,
     FLAG_VALUES,
@@ -86,12 +88,26 @@ def honest(tmp_path_factory) -> bytes:
 _NON_CANONICAL, _UNDECODABLE = "non-canonical block encoding", "undecodable block"
 
 
+def _format_refusal(raw: bytes) -> str | None:
+    """Why block 0's record ``raw`` is refused if it is JSON whose config names
+    another format than ``JOURNAL_FORMAT``, an integer; else None."""
+    try:
+        arg = json.loads(raw)["transactions"][0]["proposal"]["args"][0]
+        found = from_canonical_json(arg.encode()).get("format", 1)
+    except (AttributeError, IndexError, KeyError, RecursionError, TypeError, ValueError):
+        return None
+    return None if type(found) is int and found == JOURNAL_FORMAT else \
+        UnsupportedJournal(found).reason
+
+
 def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
     """``(ok, badBlock, reason)`` by decoding each record and encoding it again.
 
-    A record that is not ASCII is undecodable; one that is no JSON, whose
-    JSON ``Block.from_dict`` refuses, or that does not encode back, is
-    non-canonical. Block 0's config must name ``JOURNAL_FORMAT``, an integer.
+    A record that is not ASCII is undecodable. Block 0's config must name
+    ``JOURNAL_FORMAT``, an integer, which is checked first, as a journal of
+    another format fails the rest. A record that is no JSON, whose JSON
+    ``Block.from_dict`` refuses, or that does not encode back, is
+    non-canonical.
     """
     height, tip = 0, ZERO_HASH
     for raw in io.BytesIO(journal):
@@ -99,6 +115,8 @@ def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
             return False, height, "unterminated last record"
         if not raw.isascii():
             return False, height, _UNDECODABLE
+        if height == 0 and (refusal := _format_refusal(raw)):
+            return False, height, refusal
         try:
             block = Block.from_dict(json.loads(raw))
         except (KeyError, RecursionError, TypeError, ValueError):
@@ -117,9 +135,6 @@ def _oracle(journal: bytes) -> tuple[bool, int | None, str | None]:
                 GenesisConfig.from_dict(config)
             except (IndexError, KeyError, TypeError, ValueError) as exc:
                 return False, height, f"block 0 carries no network config: {exc}"
-            found = config.get("format", 1)
-            if not (type(found) is int and found == JOURNAL_FORMAT):
-                return False, height, UnsupportedJournal(found).reason
         if problem := journal_module._link_problem(block.link, height, tip):
             return False, height, problem
         height, tip = height + 1, header_hash
@@ -170,13 +185,7 @@ def test_the_scanner_gives_the_re_encode_verdict(honest, kind, data):
 
 
 def _restamp(record: bytes) -> bytes:
-    """The last ``record`` with each txId and its data hash taken anew over its bytes."""
-    at = 0
-    while (body := record.find(b'"proposal":', at)) != -1:
-        end = record.index(b',"txId":"', body)
-        tx_id = sha256(b"{" + record[body:end] + b"}").hex().encode()
-        at = end + len(b',"txId":"')
-        record = record[:at] + tx_id + record[at + 64:]
+    """The last ``record`` with its data hash taken anew over its bytes."""
     data = record[record.index(b'"transactions":') + 15:record.index(b',"validationFlags":')]
     return record[:13] + sha256(data).hex().encode() + record[13 + 64:]
 
@@ -208,19 +217,41 @@ def _with_flags(record: bytes, flags: bytes) -> bytes:
     return changed[:at] + sha256(flags).hex().encode() + changed[at + 64:]
 
 
+def _stored_tx_id(record: bytes) -> bytes:
+    """``record`` with its first transaction's txId after the body, as format 2
+    stored it, under a data hash taken anew."""
+    end = record.index(b',{"endorsements":') - 1
+    body = b"{" + record[record.index(b'"proposal":'):end] + b"}"
+    return _restamp(record[:end] + b',"txId":"%s"' % sha256(body).hex().encode() + record[end:])
+
+
+def _stored_invoker(record: bytes) -> bytes:
+    """``record`` with its first proposal's invoker address, as format 2 stored
+    it, under a data hash taken anew."""
+    at = record.index(b'"invokerKey":"') + 14
+    invoker = derive_address(bytes.fromhex(record[at:at + 64].decode()))
+    return _restamp(record[:at - 14] + b'"invoker":"%s",' % str(invoker).encode()
+                    + record[at - 14:])
+
+
 def _reorder(record: bytes) -> bytes:
     return record.replace(b'"contract":"asset","function":"uploadAsset"',
                           b'"function":"uploadAsset","contract":"asset"', 1)
 
 
+_DATA_HASH = "data hash does not match transactions"
 # a change to one stored piece, or to the glue, of the last record, and the
-# reason verify gives
+# reason verify gives; a changed body, which no stored txId covers, fails the
+# data hash
 _PIECES = {
-    "a header field": (_at(b'"dataHash":"', _other_hex), "data hash does not match transactions"),
-    "a body": (_at(b'"args":["', lambda b: b ^ 1), "non-canonical block encoding"),
-    "an endorsement list": (_at(b'"peerId":"', lambda b: b ^ 1),
-                            "data hash does not match transactions"),
-    "a txId": (_at(b'"txId":"', _other_hex), "non-canonical block encoding"),
+    "a header field": (_at(b'"dataHash":"', _other_hex), _DATA_HASH),
+    "a body": (_at(b'"args":["', lambda b: b ^ 1), _DATA_HASH),
+    "a nonce digit in a body": (_at(b'"nonce":"', _other_hex), _DATA_HASH),
+    "an invoker key digit in a body": (_at(b'"invokerKey":"', _other_hex), _DATA_HASH),
+    "an endorsement list": (_at(b'"peerId":"', lambda b: b ^ 1), _DATA_HASH),
+    # a field that format 2 stored and format 3 derives
+    "a txId": (_stored_tx_id, "non-canonical block encoding"),
+    "an invoker address": (_stored_invoker, "non-canonical block encoding"),
     "the flags": (_at(b'"validationFlags":["', lambda b: b ^ 1), "non-canonical block encoding"),
     "a byte >= 0x80": (_at(b'"contract":"', lambda b: b | 0x80), "undecodable block"),
     "the closing brace": (lambda r: r[:-2] + b"]\n", "non-canonical block encoding"),
@@ -230,8 +261,7 @@ _PIECES = {
     "upper-case hex in the header": (_upper(b'"prevHash":"'), "non-canonical block encoding"),
     "upper-case hex under recomputed hashes": (lambda r: _restamp(_upper(b'"nonce":"')(r)),
                                                "non-canonical block encoding"),
-    "a dataId digit in an rwset write": (_at(b'"writes":[["asset/', _other_hex),
-                                         "non-canonical block encoding"),
+    "a dataId digit in an rwset write": (_at(b'"writes":[["asset/', _other_hex), _DATA_HASH),
     # a write value is text: a surrogate escape that is not half of a pair
     # decodes to no UTF-8 bytes
     "a lone surrogate in a write value under recomputed hashes": (
@@ -321,7 +351,7 @@ def test_a_block_0_config_nested_too_deep_is_refused_by_name(tmp_path):
     assert _open_verdict(ledger / BLOCKS_FILE) == (False, 0, reason)
 
 
-@pytest.mark.parametrize("found", [None, 1, 3, "2", 2.0, True])
+@pytest.mark.parametrize("found", [None, 1, 2, 4, "3", 2.0, 3.0, True])
 def test_a_block_0_of_another_format_is_refused_by_name(tmp_path, found):
     # block 0's config names no format, or another than this program's, and
     # every hash holds: the journal is refused at block 0, by name
@@ -336,11 +366,10 @@ def test_a_block_0_of_another_format_is_refused_by_name(tmp_path, found):
         if found is not None:
             config["format"] = found
         tx["proposal"]["args"][0] = canonical_json(config).decode()
-        tx["txId"] = sha256(canonical_json({"proposal": tx["proposal"],
-                                            "rwset": tx["rwset"]})).hex()
 
     _rewrite_block(ledger / BLOCKS_FILE, 0, refit)
-    reason = f"journal format {1 if found is None else found!r}, where this program reads format 2"
+    reason = (f"journal format {1 if found is None else found!r}, "
+              f"where this program reads format {JOURNAL_FORMAT}")
     report = verify_chain_file(ledger / BLOCKS_FILE)
     assert (report.ok, report.bad_block, report.reason) == (False, 0, reason)
     assert _oracle((ledger / BLOCKS_FILE).read_bytes()) == (False, 0, reason)
@@ -349,6 +378,28 @@ def test_a_block_0_of_another_format_is_refused_by_name(tmp_path, found):
         LedgerEngine.open(ledger, ContentStore(tmp_path / "objects"), {})
     assert (refused.value.found, refused.value.expected) == (
         1 if found is None else found, JOURNAL_FORMAT)
+
+
+_V2_BLOCK0 = (Path(__file__).parent / "golden" / "three_endorsements_v2.jsonl").read_bytes() \
+    .splitlines(keepends=True)[0]
+
+
+@pytest.mark.parametrize("record, reason", [
+    (_V2_BLOCK0, "journal format 2, where this program reads format 3"),
+    (_V2_BLOCK0.replace(b'\\"format\\":2', b'\\"format\\":3'), _NON_CANONICAL),
+    (b"[" * 100_000 + b"]" * 100_000 + b"\n", _NON_CANONICAL),
+    (b'{"transactions":[]}\n', _NON_CANONICAL),
+], ids=["format 2", "format 2 naming 3", "nested too deep", "no transaction"])
+def test_a_block_0_that_the_grammar_refuses_is_read_for_its_format(tmp_path, record, reason):
+    # a block 0 of format 2 stores fields that format 3 derives, so no pattern
+    # matches it: its config is read all the same, for the format it names
+    path = tmp_path / BLOCKS_FILE
+    path.write_bytes(record)
+    assert _oracle(record) == (False, 0, reason)
+    report = verify_chain_file(path)
+    assert (report.ok, report.bad_block, report.reason) == (False, 0, reason)
+    assert _open_verdict(path) == (False, 0, reason)
+    assert path.read_bytes() == record
 
 
 def test_a_rehashed_body_in_other_whitespace_is_refused(honest, grown_journal, tmp_path):
@@ -388,7 +439,7 @@ def test_every_record_that_commit_can_write_is_read_back(block):
         assert (read.link, read.header_hash, read.flags, read.config) == \
             (cut.link, header_hash, cut.validation_flags, None)
         assert read.bodies == [tx._body for tx in cut.transactions]
-        assert read.proposals == [(str(tx.proposal.invoker).encode(),
+        assert read.proposals == [(tx.proposal.invoker_key.hex().encode(),
                                    tx.proposal.nonce.hex().encode()) for tx in cut.transactions]
         assert [journal_module._writes(body) for body in read.bodies] == \
             [tx.rwset.writes for tx in cut.transactions]
@@ -397,7 +448,7 @@ def test_every_record_that_commit_can_write_is_read_back(block):
 
 def test_a_forged_record_in_the_journal_is_never_applied(honest, tmp_path):
     # one hex digit of an upload's dataId in block 5's rwset changes, and
-    # every hash stays as it was: the txId no longer matches its body
+    # every hash stays as it was: the data hash no longer covers its body
     records = honest.splitlines(keepends=True)
     forged = 5
     change, reason = _PIECES["a dataId digit in an rwset write"]
@@ -500,7 +551,8 @@ _MUTATIONS = {
 
 
 def _restamped(record: bytes) -> bytes:
-    """``_restamp(record)``, or the record as it is where a change took a txId's glue away."""
+    """``_restamp(record)``, or the record as it is where a change took the glue
+    around its transaction list away."""
     try:
         return _restamp(record)
     except ValueError:
@@ -539,7 +591,7 @@ def test_each_value_of_a_transaction_in_another_type_or_form(honest, tmp_path):
     # reader decodes what the grammar refuses no more leniently than the
     # oracle, and the grammar accepts what encodes back
     records = honest.splitlines(keepends=True)
-    first_tx_end = records[6].index(b',"txId":"') + 75
+    first_tx_end = records[6].index(b',{"endorsements":')
     values = sum(1 for m in _VALUE.finditer(records[6]) if m.end() <= first_tx_end)
     path = tmp_path / BLOCKS_FILE
     for n in range(values * len(_OTHER_VALUES)):
