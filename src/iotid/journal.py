@@ -12,10 +12,11 @@ grammar of exactly the bytes that commit writes, and its hashes hold over
 the slices as stored. A changed byte fails in its own record, and nothing
 is encoded again. A record that the grammar refuses is never decoded: it
 is an "undecodable block" if it holds a byte from 0x80, and a
-"non-canonical block encoding" otherwise. Replay decodes only the write
-sets it applies, and takes each VALID proposal's key and nonce from the
-match. Only ``read_blocks`` decodes a whole record. Open cuts off a torn
-last record. No reader checks signatures.
+"non-canonical block encoding" otherwise. The reader copies no
+transaction out of its record: it keeps where each one's groups lie, and
+replay decodes only the write sets it applies and each VALID proposal's
+key and nonce, from those spans. Only ``read_blocks`` decodes a whole
+record. Open cuts off a torn last record. No reader checks signatures.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .codec import canonical_json, from_canonical_json, sha256
-from .did import SEED_BYTES, Address, KeyPair, derive_address, generate_keypair
+from .did import (PUBLIC_KEY_BYTES, SEED_BYTES, Address, KeyPair, derive_address,
+                  generate_keypair)
 
 VALID = "VALID"
 MVCC_CONFLICT = "MVCC_CONFLICT"
@@ -129,9 +131,9 @@ class TxProposal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TxProposal":
-        if not _well_typed(d["contract"], d["function"], d["args"], d["timestamp"]):
-            raise TypeError("a proposal field of the wrong type")
         invoker_key = bytes.fromhex(d["invokerKey"])
+        if not _well_typed(d["contract"], d["function"], d["args"], d["timestamp"], invoker_key):
+            raise TypeError("a proposal field of the wrong type")
         return cls(
             invoker=derive_address(invoker_key),
             invoker_key=invoker_key,
@@ -144,10 +146,13 @@ class TxProposal:
         )
 
 
-def _well_typed(contract: object, function: object, args: object, timestamp: object) -> bool:
-    """Whether a proposal's fields are exactly of the types that a journal record holds."""
+def _well_typed(contract: object, function: object, args: object, timestamp: object,
+                invoker_key: object) -> bool:
+    """Whether a proposal's fields are exactly of the types that a journal record holds,
+    its invoker key of the one length too."""
     return (type(contract) is type(function) is str and type(timestamp) is int
-            and type(args) is list and all(type(arg) is str for arg in args))
+            and type(args) is list and all(type(arg) is str for arg in args)
+            and type(invoker_key) is bytes and len(invoker_key) == PUBLIC_KEY_BYTES)
 
 
 def _array(value: object) -> list:
@@ -544,9 +549,18 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     the 64 digits an address derives from. A value written is such a string
     of text: it holds a surrogate only as the high half of a pair before its
     low half, so that it encodes to UTF-8. A flag is any string, so that an
-    unknown one is refused as such. No repeat can match one text in two
-    ways, so a refusal takes time linear in the record. Compiled on first
-    use, once per process.
+    unknown one is refused as such. Compiled on first use, once per process.
+
+    No repeat can match one text in two ways. A string's plain run stops
+    only at a quote or a backslash, where an escape or the closing quote
+    begins; a run of n hex digits splits only as n // 32 blocks and then
+    pairs; an integer's digits end at a non-digit; and an item list goes on
+    only past a comma that no ``]`` follows. Backtracking into a repeat thus
+    never leads to a match, so every repeat whose count can vary is
+    possessive (``*+``, ``?+``, ``{m,n}+``): it keeps what it matched and no
+    state to backtrack to, and accepts exactly the text, with the same
+    groups, that the greedy repeat accepts. A refusal takes time linear in
+    the record.
     """
     # re tests a byte against a class of three or more ranges with one
     # bitmap lookup, and against two ranges, or a negated class, in two
@@ -554,50 +568,51 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     # hex digit also names \x80, which no ASCII record holds, and a string's
     # plain bytes are named, not negated.
     digit = rb'[0-9a-f\x80]'
-    plain = rb'[\x20\x21\x23-\x5b\x5d-\x7e]*'
+    plain = rb'[\x20\x21\x23-\x5b\x5d-\x7e]*+'
     # \u and four lower-case hex digits, but not those of a byte written as itself
     # or as a short escape: 0x08-0x0d but 0x0b, and 0x20-0x7e
     unicode = rb'u(?!00(?:0[89acd]|[2-6]|7[0-9a-e])%s)[0-9a-f]{4}'
     escape = rb'\\(?:["\\bfnrt]|%s)' % (unicode % b"")
-    string = rb'"%s(?:%s%s)*"' % (plain, escape, plain)
+    string = rb'"%s(?:%s%s)*+"' % (plain, escape, plain)
     # text: no surrogate but a high one, 0xd800-0xdbff, just before a low one
     text_escape = rb'\\(?:["\\bfnrt]|%s|ud[89ab][0-9a-f]{2}\\ud[c-f][0-9a-f]{2})' % (
         unicode % rb'|d[89a-f]')
-    text = rb'"%s(?:%s%s)*"' % (plain, text_escape, plain)
-    hex_digits = rb'(?:%s{32})*(?:%s{2}){0,15}' % (digit, digit)
+    text = rb'"%s(?:%s%s)*+"' % (plain, text_escape, plain)
+    hex_digits = rb'(?:%s{32})*+(?:%s{2}){0,15}+' % (digit, digit)
     hex_ = rb'"%s"' % hex_digits
     hash_ = rb'"(%s{64})"' % digit
     most = sys.get_int_max_str_digits()  # 0: no limit
-    integer = rb'(?:0|-?[1-9][0-9]%s)' % (b"{0,%d}" % (most - 1) if most else b"*")
+    integer = rb'(?:0|-?+[1-9][0-9]%s)' % (b"{0,%d}+" % (most - 1) if most else b"*+")
 
     def items(item: bytes) -> bytes:  # each item once: the pattern compiles faster
-        return rb'\[(?:%s(?:,(?!\])|(?=\])))*\]' % item
+        return rb'\[(?:%s(?:,(?!\])|(?=\])))*+\]' % item
 
     header = re.compile(
         rb'(\{"dataHash":"(%s)","flagsHash":%s,"number":(%s),"prevHash":"(%s)")'
         rb',"transactions":\[' % (hex_digits, hash_, integer, hex_digits))
+    # groups: the invoker key, the nonce, the write set, and the comma before
+    # the next transaction
     transaction = re.compile(
         rb'\{"endorsements":%s,' % items(rb'\{"peerId":%s,"signature":%s\}' % (string, hex_))
-        + rb'("proposal":\{"args":%s,"contract":%s,"function":%s,' % (items(string), string, string)
+        + rb'"proposal":\{"args":%s,"contract":%s,"function":%s,' % (items(string), string, string)
         + rb'"invokerKey":%s,"nonce":"(%s)","signature":%s,'
           rb'"timestamp":%s\},' % (hash_, hex_digits, hex_, integer)
         + rb'"rwset":\{"reads":%s,' % items(rb'\[%s,(?:null|\[%s,%s\])\]' % (string, integer, integer))
-        + rb'"writes":%s\})' % items(rb'\[%s,%s\]' % (string, text))
-        + rb'\}(,?)')
+        + rb'"writes":(%s)\}' % items(rb'\[%s,%s\]' % (string, text))
+        + rb'\}(,?+)')
     tail = re.compile(rb'\],"validationFlags":(%s)\}\n' % items(string))
     return header, transaction, tail
 
 
 class _Record(NamedTuple):
     """What every reader takes from a record the journal accepts: ``Block.link``, header
-    hash, flags, each transaction's body as stored and its proposal's ``(invoker key
-    hex, nonce hex)`` as stored, block 0's network config or None."""
+    hash, flags, each transaction's group spans in the record (``re.Match.regs`` of
+    ``_grammar``'s transaction pattern), and block 0's network config or None."""
 
     link: tuple[int, bytes, int, int]
     header_hash: bytes
     flags: list[str]
-    bodies: list[bytes]
-    proposals: list[tuple[bytes, bytes]]
+    spans: list[tuple[tuple[int, int], ...]]
     config: GenesisConfig | None
 
 
@@ -632,13 +647,12 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
         if found != JOURNAL_FORMAT or type(found) is not int:
             raise UnsupportedJournal(found)
     head = header.match(raw) if is_ascii else None
-    flags, bodies, proposals = None, [], []
+    flags, spans = None, []
     if head is not None:
         at = head.end()
         more = not raw.startswith(b"]", at)
         while more and (tx := transaction.match(raw, at)) is not None:
-            bodies.append(b"{" + tx[1] + b"}")
-            proposals.append(tx.group(2, 3))
+            spans.append(tx.regs)
             at, more = tx.end(), tx[4]
         flags = None if more else tail.fullmatch(raw, at)
     if flags is None or hashlib.sha256(flags[1]).hexdigest().encode() != head[3]:
@@ -651,30 +665,42 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
         raise CorruptJournal(index, "data hash does not match transactions")
     number, config = int(head[4]), None
     if number == 0:
-        try:  # block 0's one transaction carries the config as its argument
-            arg = json.loads(bodies[0])["proposal"]["args"][0]
+        try:  # block 0's first transaction, up to its comma, carries the config as its argument
+            (start, _), *_, (end, _) = spans[0]
+            arg = json.loads(raw[start:end])["proposal"]["args"][0]
             config = GenesisConfig.from_dict(from_canonical_json(arg.encode()))
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise CorruptJournal(index, f"block 0 carries no network config: {exc}") from exc
-    return _Record((number, bytes.fromhex(head[5].decode()), len(flag_list), len(bodies)),
-                   sha256(head[1] + b"}"), flag_list, bodies, proposals, config)
+    return _Record((number, bytes.fromhex(head[5].decode()), len(flag_list), len(spans)),
+                   sha256(head[1] + b"}"), flag_list, spans, config)
 
 
-def _writes(body: bytes) -> list[tuple[str, bytes]]:
-    """The write set of a body that ``_read_record`` matched, decoded with no
-    check from its ``"writes":[…]}}`` tail: a quote in a string is escaped,
-    so ``,"writes":`` occurs nowhere else, and the grammar's text encodes to UTF-8."""
-    return [(key, value.encode("utf-8"))
-            for key, value in json.loads(body.rpartition(b',"writes":')[2][:-2])]
+def _invoker_nonce(raw: bytes, spans: tuple[tuple[int, int], ...]) -> tuple[str, bytes]:
+    """The ``(invoker address, nonce)`` of the proposal at ``spans`` in ``raw``
+    (one of ``_read_record``'s spans), which the replay index holds."""
+    (key_start, key_end), (nonce_start, nonce_end) = spans[1:3]
+    return (str(derive_address(bytes.fromhex(raw[key_start:key_end].decode()))),
+            bytes.fromhex(raw[nonce_start:nonce_end].decode()))
+
+
+def _writes(raw: bytes, spans: tuple[tuple[int, int], ...]) -> list[tuple[str, bytes]]:
+    """The write set of the transaction at ``spans`` in ``raw`` (one of
+    ``_read_record``'s spans), decoded with no check: the grammar matched it,
+    and its text encodes to UTF-8."""
+    start, end = spans[3]
+    return [(key, value.encode("utf-8")) for key, value in json.loads(raw[start:end])]
 
 
 # chain-verify splits a journal into record-aligned parts of at least
 # _VERIFY_PART_BYTES, one per usable CPU and at most _VERIFY_MAX_PARTS, and
-# verifies every part but the first in a forked worker. On a 2-vCPU VM, in a
-# process that has imported only this module, a fork round trip costs about
-# 1.3 ms, and verifying 512 KiB of journal about 2.5 ms: the first 1.1 MiB of
-# the benchmark's cold_commands journal takes 5.4 ms serially and 4.1 ms in
-# two parts.
+# verifies every part but the first in a forked worker. On one 2-vCPU VM, in
+# a process that had imported only this module, a fork round trip cost about
+# 1.3 ms and verifying 512 KiB of journal about 2.5 ms, so the first 1.1 MiB
+# of the benchmark's cold_commands journal took 5.4 ms serially and 4.1 ms in
+# two parts. On a later 2-vCPU host whose CPUs did not each run a process at
+# full speed, with possessive grammar repeats, a round trip took 2.2-2.4 ms
+# and 512 KiB 3.3-3.6 ms, and the same 1.1 MiB 6.6-7.0 ms serially against
+# 10.3-10.6 ms in two parts (medians of 20, in three processes).
 _VERIFY_PART_BYTES = 512 * 1024
 _VERIFY_MAX_PARTS = 4
 

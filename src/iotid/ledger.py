@@ -65,6 +65,7 @@ from .journal import (
     Transaction,
     TxProposal,
     Version,
+    _invoker_nonce,
     _link_problem,
     _Record,
     _walk,
@@ -85,7 +86,8 @@ class InvalidProposalSignature(LedgerError):
 
 
 class MalformedProposal(LedgerError):
-    """A proposal field of a type that no journal record reads back."""
+    """A proposal field of a type, or an invoker key of a length, that no journal
+    record reads back."""
 
 
 class NonTextValue(LedgerError):
@@ -364,12 +366,11 @@ class LedgerEngine:
             walk = chain([first], walk)
         try:
             for raw, record in walk:
-                valid = [idx for idx, flag in enumerate(record.flags) if flag == VALID]
-                proposals = [record.proposals[idx] for idx in valid]
+                valid = [(idx, spans) for idx, (flag, spans)
+                         in enumerate(zip(record.flags, record.spans)) if flag == VALID]
                 self._apply_block(record.link[0],
-                                  [(idx, _writes(record.bodies[idx])) for idx in valid],
-                                  [(str(derive_address(bytes.fromhex(key.decode()))),
-                                    bytes.fromhex(nonce.decode())) for key, nonce in proposals],
+                                  [(idx, _writes(raw, spans)) for idx, spans in valid],
+                                  [_invoker_nonce(raw, spans) for _, spans in valid],
                                   record.header_hash, len(raw))
         except CorruptJournal as exc:
             if exc.torn_at is None:
@@ -458,9 +459,10 @@ class LedgerEngine:
     def _authenticate(self, proposal: TxProposal) -> None:
         """Refuse a proposal unless it is well typed, and signed by its invoker's key.
 
-        A field of another type than a journal record holds is refused first,
-        with MalformedProposal: no reader accepts such a record, so its commit
-        would close the ledger. Then the key must hash to the invoker and have
+        A field of another type than a journal record holds, or an invoker key
+        of another length than 32 bytes, is refused first, with
+        MalformedProposal: no reader accepts such a record, so its commit would
+        close the ledger. Then the key must hash to the invoker and have
         signed the proposal. The last proposal that passed is remembered by
         its fields, ``args`` copied to a tuple, and its signature: the
         endorsers' executions of one proposal share one encode of its
@@ -469,7 +471,7 @@ class LedgerEngine:
         that fails is never remembered.
         """
         if not _well_typed(proposal.contract, proposal.function, proposal.args,
-                           proposal.timestamp):
+                           proposal.timestamp, proposal.invoker_key):
             raise MalformedProposal("a proposal field of the wrong type")
         checked = (proposal.invoker, proposal.invoker_key, proposal.contract,
                    proposal.function, tuple(proposal.args), proposal.nonce,

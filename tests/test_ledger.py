@@ -17,7 +17,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iotid import journal as journal_module
@@ -267,8 +267,9 @@ class ProbeContract:
 _json_values = st.one_of(st.none(), st.booleans(), st.integers(),
                          st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
                          st.lists(st.text(max_size=3), max_size=2))
-# (field, value): a field of a type that no journal record holds. Args that
-# are no list still sign, as the signing bytes list them
+# (field, value): a field of a type, or an invoker key of a length, that no
+# journal record holds (it holds a key as 64 hex digits). Args that are no
+# list still sign, as the signing bytes list them
 _ILL_TYPED = st.one_of(
     st.tuples(st.sampled_from(["contract", "function"]),
               _json_values.filter(lambda v: type(v) is not str)),
@@ -278,14 +279,18 @@ _ILL_TYPED = st.one_of(
         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))),
     st.tuples(st.just("args"), st.lists(_json_values, min_size=1, max_size=3).filter(
         lambda args: any(type(arg) is not str for arg in args))),
+    st.tuples(st.just("invoker_key"), st.binary(max_size=40).filter(lambda key: len(key) != 32)),
 )
 
 
 @given(_ILL_TYPED)
+@example(("invoker_key", bytes(31)))
+@example(("invoker_key", bytes(33)))
 def test_an_ill_typed_proposal_is_refused_before_any_contract_runs(change):
-    # a proposal that its signer signed, but with a field of a type that no
-    # journal record holds: committed, it would close the ledger for good,
-    # so every entry point refuses it and leaves nothing behind
+    # a proposal that its signer signed, but with a field of a type, or a
+    # key of a length, that no journal record holds: committed, it would
+    # close the ledger for good, so every entry point refuses it as a
+    # ledger error and leaves nothing behind
     field, value = change
     with tempfile.TemporaryDirectory() as base:
         base = Path(base)

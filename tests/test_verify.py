@@ -425,25 +425,55 @@ def test_every_record_that_commit_can_write_is_read_back(block):
     # any strings, hex and integers, in a block other than block 0, whose
     # config is checked too: the reader accepts the record, but for an
     # unknown flag, and reads back what commit encoded: the link, hashes,
-    # flags, bodies and proposal ids, each write set as replay decodes it,
-    # and the block as read_blocks decodes it
+    # flags, each transaction's encoding (its body ends it) and proposal ids
+    # where its spans lie, each proposal's replay index pair and write set as
+    # replay decodes them, and the block as read_blocks decodes it
     cut = Block.cut(block.number + 1, block.prev_hash, block.transactions,
                     block.validation_flags)
     record, header_hash = cut.encode()
+    raw = record + b"\n"
     try:
-        read = journal_module._read_record(cut.number, record + b"\n")
+        read = journal_module._read_record(cut.number, raw)
     except CorruptJournal as exc:
         assert exc.reason == "unknown validation flag"
         assert not set(cut.validation_flags) <= set(FLAG_VALUES)
     else:
         assert (read.link, read.header_hash, read.flags, read.config) == \
             (cut.link, header_hash, cut.validation_flags, None)
-        assert read.bodies == [tx._body for tx in cut.transactions]
-        assert read.proposals == [(tx.proposal.invoker_key.hex().encode(),
-                                   tx.proposal.nonce.hex().encode()) for tx in cut.transactions]
-        assert [journal_module._writes(body) for body in read.bodies] == \
+        assert [raw[whole[0]:comma[0]] for whole, *_, comma in read.spans] == \
+            [tx.encode() for tx in cut.transactions]
+        assert [(raw[slice(*key)], raw[slice(*nonce)]) for _, key, nonce, *_ in read.spans] == \
+            [(tx.proposal.invoker_key.hex().encode(), tx.proposal.nonce.hex().encode())
+             for tx in cut.transactions]
+        assert [journal_module._invoker_nonce(raw, spans) for spans in read.spans] == \
+            [(str(tx.proposal.invoker), tx.proposal.nonce) for tx in cut.transactions]
+        assert [journal_module._writes(raw, spans) for spans in read.spans] == \
             [tx.rwset.writes for tx in cut.transactions]
         assert Block.from_dict(json.loads(record)) == cut
+
+
+@pytest.mark.parametrize("value", ['x,"writes":[["kv/k","v"]]}}', ',"writes":[',
+                                   '"writes":[],"writes":[["a","b"]]'])
+def test_a_write_value_that_holds_the_write_set_glue_replays_as_itself(tmp_path, value):
+    # the value's quotes are escaped in its record, so the write set's own
+    # glue occurs once in it; a store-less open replays the key and value as
+    # they were written, at their version
+    engine = make_engine(tmp_path)
+    device = Principal.from_seed(1)
+    try:
+        register_device(engine, registrar_principal(engine), device)
+        engine.submit(device.proposal(engine, "kv", "set", [value, value]))
+        engine.flush()
+        written = engine.state.get(f"kv/{value}")
+    finally:
+        engine.close()
+    assert written is not None and written[0] == value.encode("utf-8")
+    record = (tmp_path / "ledger" / BLOCKS_FILE).read_bytes().splitlines()[-1]
+    assert record.count(b',"writes":[') == 1
+    (tmp_path / "ledger" / STATE_FILE).unlink()
+    with LedgerEngine.open(tmp_path / "ledger", ContentStore(tmp_path / "objects"),
+                           {}) as reopened:
+        assert reopened.state.get(f"kv/{value}") == written
 
 
 def test_a_forged_record_in_the_journal_is_never_applied(honest, tmp_path):
@@ -550,6 +580,43 @@ _MUTATIONS = {
 }
 
 
+def _greedy(pattern: re.Pattern) -> re.Pattern:
+    """``pattern`` compiled again with its possessive marks stripped: each
+    ``*+``, ``?+`` and ``{m,n}+`` repeat greedy."""
+    greedy = re.sub(rb'(?<!\\)([*?}])\+', rb'\1', pattern.pattern)
+    assert greedy != pattern.pattern and not re.search(rb'(?<!\\)[*?}]\+', greedy)
+    return re.compile(greedy)
+
+
+_GREEDY_TWINS = [_greedy(pattern) for pattern in journal_module._grammar()]
+
+
+def _check_twins(raw: bytes) -> None:
+    """Each of the grammar's patterns and its greedy twin read ``raw`` alike
+    wherever a match can begin: at 0 for the header, at each
+    ``{"endorsements":`` for a transaction and each ``],"validationFlags":``
+    for the tail, which must end the record. Both match, with the same span
+    and groups, or both refuse."""
+    header, transaction, tail = journal_module._grammar()
+    at = {header: [0],
+          transaction: [m.start() for m in re.finditer(rb'\{"endorsements":', raw)],
+          tail: [m.start() for m in re.finditer(rb'\],"validationFlags":', raw)]}
+    for pattern, twin in zip((header, transaction, tail), _GREEDY_TWINS):
+        read = pattern.fullmatch if pattern is tail else pattern.match
+        twin_read = twin.fullmatch if pattern is tail else twin.match
+        for start in at[pattern]:
+            possessive, greedy = read(raw, start), twin_read(raw, start)
+            assert (possessive and possessive.regs) == (greedy and greedy.regs)
+
+
+def test_each_pattern_reads_an_honest_journal_as_its_greedy_twin(honest, grown_journal):
+    # the grammar's premise: no repeat matches one text in two ways, so
+    # making every repeat possessive leaves the language and groups alone
+    for journal in (honest, grown_journal):
+        for raw in journal.splitlines(keepends=True):
+            _check_twins(raw)
+
+
 def _restamped(record: bytes) -> bytes:
     """``_restamp(record)``, or the record as it is where a change took the glue
     around its transaction list away."""
@@ -561,10 +628,12 @@ def _restamped(record: bytes) -> bytes:
 
 def _check_change(honest: bytes, kind: str, index: int, n: int) -> None:
     """Record ``index`` changed by ``_MUTATIONS[kind]``, as it is and under
-    recomputed hashes: every reader gives the oracle's verdict."""
+    recomputed hashes: every reader gives the oracle's verdict, and each
+    pattern of the grammar reads the record as its greedy twin does."""
     records = honest.splitlines(keepends=True)
     changed = _MUTATIONS[kind](records[index], n)
     for record in (changed, _restamped(changed)):
+        _check_twins(record)
         with tempfile.TemporaryDirectory() as base:
             path = Path(base) / BLOCKS_FILE
             path.write_bytes(b"".join([*records[:index], record, *records[index + 1:]]))
