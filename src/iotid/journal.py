@@ -23,11 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
-import signal
 import sys
-import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _json_string
@@ -488,15 +485,13 @@ class ChainReport:
 _READ_BUFFER = 64 * 1024
 
 
-def _walk(path: str | Path, start: int = 0, height: int | None = 0,
-          tip_hash: bytes | None = ZERO_HASH,
-          end: int | None = None) -> Iterator[tuple[bytes, _Record]]:
+def _walk(path: str | Path, start: int = 0, height: int = 0,
+          tip_hash: bytes | None = ZERO_HASH) -> Iterator[tuple[bytes, _Record]]:
     """Stream the journal from byte ``start``: ``(record bytes, _read_record's reading)``.
 
     Block ``height`` begins at ``start`` and must extend ``tip_hash`` (None:
-    unknown, so its number or prevHash goes unchecked), each later block the
-    one before it; the walk stops at the record boundary ``end`` (None: the
-    end of the file). It is the journal's one framing-and-link loop, and
+    unknown, so its prevHash goes unchecked), each later block the one
+    before it. It is the journal's one framing-and-link loop, and
     ``_read_record`` its one check of a record. Raises CorruptJournal at the
     first bad record, on an empty journal, or with ``torn_at`` set at an
     unterminated (torn) last record.
@@ -504,14 +499,10 @@ def _walk(path: str | Path, start: int = 0, height: int | None = 0,
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
         fh.seek(start)
         for raw in fh:
-            if start == end:
-                break
             if not raw.endswith(b"\n"):
                 raise CorruptJournal(height, "unterminated last record", torn_at=start)
             record = _read_record(height, raw)
             link = record.link
-            if height is None:
-                height = link[0]
             if problem := _link_problem(link, height, tip_hash or link[1]):
                 raise BrokenChainLink(height, problem)
             yield raw, record
@@ -606,17 +597,17 @@ def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
 
 class _Record(NamedTuple):
     """What every reader takes from a record the journal accepts: ``Block.link``, header
-    hash, flags, each transaction's group spans in the record (``re.Match.regs`` of
-    ``_grammar``'s transaction pattern), and block 0's network config or None."""
+    hash, flags, each transaction's match of ``_grammar``'s transaction pattern in the
+    record, which holds where its groups lie, and block 0's network config or None."""
 
     link: tuple[int, bytes, int, int]
     header_hash: bytes
     flags: list[str]
-    spans: list[tuple[tuple[int, int], ...]]
+    spans: list[re.Match]
     config: GenesisConfig | None
 
 
-def _read_record(index: int | None, raw: bytes) -> _Record:
+def _read_record(index: int, raw: bytes) -> _Record:
     """What the journal reads from ``raw``, a record it accepts.
 
     Commit writes a record as fixed glue around the pieces that its hashes
@@ -652,7 +643,7 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
         at = head.end()
         more = not raw.startswith(b"]", at)
         while more and (tx := transaction.match(raw, at)) is not None:
-            spans.append(tx.regs)
+            spans.append(tx)
             at, more = tx.end(), tx[4]
         flags = None if more else tail.fullmatch(raw, at)
     if flags is None or hashlib.sha256(flags[1]).hexdigest().encode() != head[3]:
@@ -666,8 +657,7 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
     number, config = int(head[4]), None
     if number == 0:
         try:  # block 0's first transaction, up to its comma, carries the config as its argument
-            (start, _), *_, (end, _) = spans[0]
-            arg = json.loads(raw[start:end])["proposal"]["args"][0]
+            arg = json.loads(raw[spans[0].start():spans[0].start(4)])["proposal"]["args"][0]
             config = GenesisConfig.from_dict(from_canonical_json(arg.encode()))
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise CorruptJournal(index, f"block 0 carries no network config: {exc}") from exc
@@ -675,34 +665,17 @@ def _read_record(index: int | None, raw: bytes) -> _Record:
                    sha256(head[1] + b"}"), flag_list, spans, config)
 
 
-def _invoker_nonce(raw: bytes, spans: tuple[tuple[int, int], ...]) -> tuple[str, bytes]:
-    """The ``(invoker address, nonce)`` of the proposal at ``spans`` in ``raw``
-    (one of ``_read_record``'s spans), which the replay index holds."""
-    (key_start, key_end), (nonce_start, nonce_end) = spans[1:3]
-    return (str(derive_address(bytes.fromhex(raw[key_start:key_end].decode()))),
-            bytes.fromhex(raw[nonce_start:nonce_end].decode()))
+def _invoker_nonce(tx: re.Match) -> tuple[str, bytes]:
+    """The ``(invoker address, nonce)`` of the proposal that ``tx``, one of
+    ``_read_record``'s spans, matched, which the replay index holds."""
+    return str(derive_address(bytes.fromhex(tx[1].decode()))), bytes.fromhex(tx[2].decode())
 
 
-def _writes(raw: bytes, spans: tuple[tuple[int, int], ...]) -> list[tuple[str, bytes]]:
-    """The write set of the transaction at ``spans`` in ``raw`` (one of
-    ``_read_record``'s spans), decoded with no check: the grammar matched it,
-    and its text encodes to UTF-8."""
-    start, end = spans[3]
-    return [(key, value.encode("utf-8")) for key, value in json.loads(raw[start:end])]
-
-
-# chain-verify splits a journal into record-aligned parts of at least
-# _VERIFY_PART_BYTES, one per usable CPU and at most _VERIFY_MAX_PARTS, and
-# verifies every part but the first in a forked worker. On one 2-vCPU VM, in
-# a process that had imported only this module, a fork round trip cost about
-# 1.3 ms and verifying 512 KiB of journal about 2.5 ms, so the first 1.1 MiB
-# of the benchmark's cold_commands journal took 5.4 ms serially and 4.1 ms in
-# two parts. On a later 2-vCPU host whose CPUs did not each run a process at
-# full speed, with possessive grammar repeats, a round trip took 2.2-2.4 ms
-# and 512 KiB 3.3-3.6 ms, and the same 1.1 MiB 6.6-7.0 ms serially against
-# 10.3-10.6 ms in two parts (medians of 20, in three processes).
-_VERIFY_PART_BYTES = 512 * 1024
-_VERIFY_MAX_PARTS = 4
+def _writes(tx: re.Match) -> list[tuple[str, bytes]]:
+    """The write set of the transaction that ``tx``, one of ``_read_record``'s
+    spans, matched, decoded with no check: the grammar matched it, and its
+    text encodes to UTF-8."""
+    return [(key, value.encode("utf-8")) for key, value in json.loads(tx[3])]
 
 
 def verify_chain_file(path: str | Path) -> ChainReport:
@@ -710,133 +683,12 @@ def verify_chain_file(path: str | Path) -> ChainReport:
 
     Works directly on the raw bytes, without replaying state, so it stays
     usable on a journal too damaged to open; reports the first bad block,
-    a torn last record included, and never modifies the file. A large
-    journal is verified in parallel parts, with the serial walk's report.
+    a torn last record included, and never modifies the file.
     """
     try:
-        return ChainReport(ok=True, height=_verify_parts(path, _part_starts(path)))
+        return ChainReport(ok=True, height=sum(1 for _ in _walk(path)))
     except FileNotFoundError:
         return ChainReport(ok=False, height=0, bad_block=0, reason="no journal file")
     except CorruptJournal as exc:
         return ChainReport(ok=False, height=exc.index, bad_block=exc.index,
                            reason=exc.reason)
-
-
-def _part_starts(path: str | Path) -> list[int]:
-    """Where verify's parts begin: 0, then a record boundary for each later part.
-
-    One part, the serial walk, on a platform that cannot name the usable
-    CPUs, and while other threads run: a forked child gets copies of the
-    locks they may hold.
-    """
-    size = os.stat(path).st_size
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if threading.active_count() > 1:
-        cpus = 1
-    parts = min(cpus, size // _VERIFY_PART_BYTES, _VERIFY_MAX_PARTS)
-    starts = [0]
-    if parts < 2:
-        return starts
-    with open(path, "rb") as fh:
-        for k in range(1, parts):
-            fh.seek(k * size // parts)
-            fh.readline()  # on to the end of the record the cut falls in
-            if starts[-1] < fh.tell() < size:
-                starts.append(fh.tell())
-    return starts
-
-
-def _verify_parts(path: str | Path, starts: list[int]) -> int:
-    """Height of a sound journal; else CorruptJournal at its first bad record.
-
-    The parent walks the first part while a forked worker walks each later
-    one, then combines the answers in journal order. A worker cannot know
-    the tip before its part, so the parent checks each part's first block
-    against it as the serial walk does. Where no worker answers (fork
-    failed, or the worker died), the parent walks on from there itself.
-    """
-    ends = [*starts[1:], None]
-    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    _grammar()  # compiled once, before the workers fork
-    try:
-        for start, end in zip(starts[1:], ends[1:]):
-            try:
-                workers.append(_fork_part(path, start, end))
-            except OSError:
-                break
-        height, tip = _verify_range(path, 0, ends[0], 0, ZERO_HASH)
-        rest = ends[0]  # where the blocks not yet verified begin; None: none are left
-        for (_, fd), start, end in zip(workers, starts[1:], ends[1:]):
-            answer = _answer(fd)
-            if answer is None:
-                break
-            # the part's first block against the tip before it, as the serial walk checks it
-            next(_walk(path, start, height, tip))
-            if "reason" in answer:  # at a later block of the part, so its index is known
-                raise CorruptJournal(answer["index"], answer["reason"])
-            height, tip, rest = height + answer["count"], bytes.fromhex(answer["tip"]), end
-        if rest is not None:
-            count, tip = _verify_range(path, rest, None, height, tip)
-            height += count
-        return height
-    finally:
-        # a worker that has answered is a zombie, which the signal leaves as it is
-        for pid, fd in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-            os.waitpid(pid, 0)
-
-
-def _verify_range(path: str | Path, start: int, end: int | None, height: int | None,
-                  tip_hash: bytes | None) -> tuple[int, bytes]:
-    """Verify the blocks from ``start`` to ``end``: their count and the last one's hash."""
-    count = 0
-    for _, record in _walk(path, start, height, tip_hash, end):
-        count, tip_hash = count + 1, record.header_hash
-    return count, tip_hash
-
-
-def _fork_part(path: str | Path, start: int, end: int | None) -> tuple[int, int]:
-    """Fork a worker that verifies one part: its pid and the read end of its pipe.
-
-    The worker writes one short answer and leaves through ``os._exit``, so it
-    runs no atexit handler or finaliser, on an inherited SQLite connection
-    say, and flushes no stdio buffer it inherited.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        try:
-            os.write(write_fd, _part_answer(path, start, end))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _part_answer(path: str | Path, start: int, end: int | None) -> bytes:
-    """A worker's answer: its block count and last hash, or where and why it failed.
-
-    The part's first block sets its height and tip, which the parent checks.
-    """
-    try:
-        count, tip_hash = _verify_range(path, start, end, None, None)
-    except CorruptJournal as exc:
-        return canonical_json({"index": exc.index, "reason": exc.reason})
-    return canonical_json({"count": count, "tip": tip_hash.hex()})
-
-
-def _answer(fd: int) -> dict | None:
-    """The answer a worker wrote to its pipe; None if it ended without one."""
-    chunks = []
-    while chunk := os.read(fd, 4096):
-        chunks.append(chunk)
-    try:
-        return json.loads(b"".join(chunks))
-    except ValueError:
-        return None

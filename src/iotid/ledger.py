@@ -366,11 +366,11 @@ class LedgerEngine:
             walk = chain([first], walk)
         try:
             for raw, record in walk:
-                valid = [(idx, spans) for idx, (flag, spans)
+                valid = [(idx, tx) for idx, (flag, tx)
                          in enumerate(zip(record.flags, record.spans)) if flag == VALID]
                 self._apply_block(record.link[0],
-                                  [(idx, _writes(raw, spans)) for idx, spans in valid],
-                                  [_invoker_nonce(raw, spans) for _, spans in valid],
+                                  [(idx, _writes(tx)) for idx, tx in valid],
+                                  [_invoker_nonce(tx) for _, tx in valid],
                                   record.header_hash, len(raw))
         except CorruptJournal as exc:
             if exc.torn_at is None:

@@ -4,13 +4,9 @@ Expected flag vectors and receipts are hand-walked from the pipeline
 rules before being asserted, not read back from the implementation.
 """
 
-import contextlib
 import itertools
 import json
-import os
 import tempfile
-import threading
-import time
 from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
@@ -1115,11 +1111,18 @@ def _padded_record(number: int, prev_hash: bytes, size: int) -> tuple[bytes, byt
     return record + b"\n", header_hash
 
 
+def _comparable(raw: bytes, record) -> tuple:
+    """``(raw, record)`` with each transaction's match as its group spans, which
+    compare by value."""
+    return raw, record._replace(spans=[m.regs for m in record.spans])
+
+
 def _walked(path, start: int, height: int, tip_hash: bytes):
     """What ``_walk`` yields from ``start``, and ``(index, reason, torn_at)`` of its refusal."""
     read = []
     try:
-        read.extend(journal_module._walk(path, start, height, tip_hash))
+        for raw, record in journal_module._walk(path, start, height, tip_hash):
+            read.append(_comparable(raw, record))
     except CorruptJournal as exc:
         return read, (exc.index, exc.reason, exc.torn_at)
     return read, None
@@ -1132,7 +1135,7 @@ def _read_by_lines(journal: bytes):
         if not raw.endswith(b"\n"):
             return read, (index, "unterminated last record", at)
         try:
-            read.append((raw, journal_module._read_record(index, raw)))
+            read.append(_comparable(raw, journal_module._read_record(index, raw)))
         except CorruptJournal as exc:
             return read, (exc.index, exc.reason, exc.torn_at)
         at += len(raw)
@@ -1483,7 +1486,7 @@ def test_verify_refuses_a_block_0_config_that_open_refuses(tmp_path, three_block
         reopen_engine(tmp_path)
 
 
-# -- chain-verify in parallel parts ---------------------------------------------
+# -- chain-verify of a tampered journal ----------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -1501,35 +1504,10 @@ def grown_journal(tmp_path_factory) -> bytes:
     return (base / "ledger" / BLOCKS_FILE).read_bytes()
 
 
-@contextlib.contextmanager
-def _three_parts():
-    """Verify a journal of a few KiB in three parts, on a host of any size."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(journal_module, "_VERIFY_PART_BYTES", 1)
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        yield
-
-
-def _serial_report(path) -> tuple:
-    """The serial walk's report: the oracle for the split verify."""
-    try:
-        return True, sum(1 for _ in journal_module._walk(path)), None, None
-    except CorruptJournal as exc:
-        return False, exc.index, exc.index, exc.reason
-
-
-def _split_report(path) -> tuple:
-    with _three_parts():
-        report = verify_chain_file(path)
+def _report(path) -> tuple:
+    """``verify_chain_file``'s report as ``(ok, height, badBlock, reason)``."""
+    report = verify_chain_file(path)
     return report.ok, report.height, report.bad_block, report.reason
-
-
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 # rewrites under recomputed hashes (_rewrite_block), each found by the
@@ -1560,123 +1538,46 @@ def _tamper(path, journal: bytes, kind: str, where: int, xor: int = 0xFF) -> Non
         _rewrite_block(path, where, _REWRITES[kind])
 
 
-def _junctions(journal: bytes) -> list[tuple[int, int]]:
-    """(offset, record index) where the second and the third part begin."""
-    with tempfile.TemporaryDirectory() as base:
-        path = Path(base) / BLOCKS_FILE
-        path.write_bytes(journal)
-        with _three_parts():
-            starts = journal_module._part_starts(path)
-    assert len(starts) == 3
-    ends = list(itertools.accumulate(len(r) for r in journal.splitlines(keepends=True)))
-    return [(start, ends.index(start) + 1) for start in starts[1:]]
-
-
-@pytest.mark.parametrize("parts", [2, 3, 4])
-def test_each_part_starts_after_the_record_its_cut_falls_in(tmp_path, monkeypatch,
-                                                            grown_journal, parts):
-    # part k begins at the end of the record that holds byte k * size // parts
-    path = tmp_path / BLOCKS_FILE
-    path.write_bytes(grown_journal)
-    monkeypatch.setattr(journal_module, "_VERIFY_PART_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
-    size = len(grown_journal)
-    ends = list(itertools.accumulate(map(len, grown_journal.splitlines(keepends=True))))
-    assert journal_module._part_starts(path) == \
-        [0, *(next(end for end in ends if end > k * size // parts) for k in range(1, parts))]
-
-
 @given(kind=st.sampled_from(["flip", "cut", "delete", "duplicate", *_REWRITES]),
        data=st.data())
-def test_a_split_verify_gives_the_serial_report(grown_journal, kind, data):
-    # the positions drawn include both sides of each junction between parts
+def test_a_tampered_journal_is_reported_at_its_first_bad_block(grown_journal, kind, data):
+    # the report, worked out from the change alone: a flipped byte fails at
+    # its own block, a cut leaves its whole records and a torn or empty
+    # tail, a deleted or duplicated record breaks the link after it, and a
+    # rewrite fails its own record; verify never writes. The bytes drawn
+    # include both sides of each record boundary
     records = grown_journal.splitlines(keepends=True)
-    junctions = _junctions(grown_journal)
+    ends = list(itertools.accumulate(map(len, records)))
+    last = len(records) - 1
     if kind in ("flip", "cut"):
-        near = [start + d for start, _ in junctions for d in (-2, -1, 0, 1)]
+        near = [0, *(end + d for end in ends[:-1] for d in (-1, 0, 1))]
         where = data.draw(st.sampled_from(near) | st.integers(0, len(grown_journal) - 1))
     else:
-        near = [index + d for _, index in junctions for d in (-1, 0)]
-        where = data.draw(st.sampled_from(near) | st.integers(0, len(records) - 1))
+        where = data.draw(st.integers(0, last))
     with tempfile.TemporaryDirectory() as base:
         path = Path(base) / BLOCKS_FILE
         _tamper(path, grown_journal, kind, where, data.draw(st.integers(1, 255)))
         tampered = path.read_bytes()
-        report = _split_report(path)
-        assert report == _serial_report(path)
+        report = _report(path)
         assert path.read_bytes() == tampered
+    block = sum(1 for end in ends if end <= where)  # the record that byte ``where`` is in
     if kind == "flip":
-        # any flipped byte is found at its block, in every part
-        block = sum(1 for end in itertools.accumulate(map(len, records)) if end <= where)
-        assert report[0] is False and report[2] == block
-    assert _no_child_left()
-
-
-@pytest.mark.parametrize("case", ["passes", "fails in the parent's part",
-                                  "fails in a worker's part", "parent's part raises"])
-def test_a_split_verify_leaves_no_child(tmp_path, monkeypatch, grown_journal, case):
-    path = tmp_path / BLOCKS_FILE
-    if case == "fails in the parent's part":
-        _tamper(path, grown_journal, "delete", 1)
-    elif case == "fails in a worker's part":
-        _tamper(path, grown_journal, "duplicate", len(grown_journal.splitlines()) - 1)
+        assert report[:3] == (False, block, block)
+        return
+    if kind == "cut" and where in (0, *ends):
+        want = (True, block, None, None) if where else (False, 0, 0, "empty chain")
+    elif kind == "cut":
+        want = (False, block, block, "unterminated last record")
+    elif kind == "delete" and where == last:
+        want = (True, last, None, None)
+    elif kind == "delete":
+        want = (False, where, where, f"block number {where + 1} at height {where}")
+    elif kind == "duplicate":
+        want = (False, where + 1, where + 1, f"block number {where} at height {where + 1}")
     else:
-        path.write_bytes(grown_journal)
-    before = path.read_bytes()
-    if case == "parent's part raises":
-        # the workers would run for a minute: only killing them ends the verify
-        parent, walk = os.getpid(), journal_module._walk
-        monkeypatch.setattr(journal_module, "_part_answer", lambda *args: time.sleep(60))
-
-        def interrupted(*args, **kwargs):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return walk(*args, **kwargs)
-
-        monkeypatch.setattr(journal_module, "_walk", interrupted)
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            _split_report(path)
-        assert time.monotonic() - started < 30
-    else:
-        report = _split_report(path)
-        assert report == _serial_report(path)
-        assert report[0] is (case == "passes")
-    assert _no_child_left()
-    assert path.read_bytes() == before
-
-
-def _raise(exc: BaseException):
-    raise exc
-
-
-@pytest.mark.parametrize("fallback", ["fork fails", "a worker dies", "a thread runs"])
-def test_a_verify_without_workers_gives_the_serial_report(tmp_path, monkeypatch,
-                                                          grown_journal, fallback):
-    forks = []
-    fork = os.fork
-    if fallback == "fork fails":
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _raise(OSError(11, "EAGAIN")))
-    else:
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    if fallback == "a worker dies":
-        monkeypatch.setattr(journal_module, "_part_answer", lambda *args: _raise(MemoryError))
-    done = threading.Event()
-    if fallback == "a thread runs":
-        waiter = threading.Thread(target=done.wait)
-        waiter.start()
-    try:
-        path = tmp_path / BLOCKS_FILE
-        last = len(grown_journal.splitlines()) - 1
-        for kind, where in (("cut", len(grown_journal)), ("duplicate", last), ("txId", last)):
-            _tamper(path, grown_journal, kind, where)
-            assert _split_report(path) == _serial_report(path)
-            assert _no_child_left()
-    finally:
-        done.set()
-        if fallback == "a thread runs":
-            waiter.join(timeout=10)
-    assert len(forks) == {"fork fails": 3, "a worker dies": 6, "a thread runs": 0}[fallback]
+        want = (False, where, where, {"txId": "non-canonical block encoding",
+                                      "flag": "unknown validation flag"}[kind])
+    assert report == want
 
 
 # -- canonical encodings -----------------------------------------------------

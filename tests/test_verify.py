@@ -10,15 +10,14 @@ byte from 0x80 makes an undecodable block, and anything else that does
 not decode or encode back a non-canonical block encoding. For any
 single-byte flip, cut, record deletion or duplicated record of an honest
 journal, and any change of ``_MUTATIONS`` as it is and under recomputed
-hashes, the serial walk, a verify split into parts and a store-less open
-all give the oracle's ``(ok, badBlock, reason)``. The reader decodes no
+hashes, chain-verify and a store-less open both give the oracle's
+``(ok, badBlock, reason)``. The reader decodes no
 record that it refuses, but block 0 for the format its config names, and
 refuses a hostile one in linear time.
 """
 
 import io
 import json
-import os
 import re
 import tempfile
 import time
@@ -49,12 +48,9 @@ from iotid.store import ContentStore
 
 from test_ledger import (  # noqa: F401 (grown_journal is a fixture)
     _blocks,
-    _no_child_left,
+    _report,
     _rewrite_block,
-    _serial_report,
-    _split_report,
     _tamper,
-    _three_parts,
     grown_journal,
 )
 from util import (Principal, deep_config, make_engine, register_device, registrar_principal,
@@ -151,7 +147,7 @@ def _open_verdict(path: Path) -> tuple:
 
 
 def _opened_as(report: tuple) -> tuple:
-    """The ``_open_verdict`` that the serial walk's report implies: the
+    """The ``_open_verdict`` that chain-verify's report implies: the
     same, except that open cuts a torn last record off after block 0."""
     ok, height, bad_block, reason = report
     if ok or (reason == "unterminated last record" and height > 0):
@@ -160,14 +156,11 @@ def _opened_as(report: tuple) -> tuple:
 
 
 def _check_verdicts(path: Path) -> None:
-    """The serial walk, a verify in three parts and a store-less open of the
-    journal at ``path`` give the oracle's verdict."""
-    want = _oracle(path.read_bytes())
-    serial = _serial_report(path)
-    assert (serial[0], serial[2], serial[3]) == want
-    split = _split_report(path)
-    assert (split[0], split[2], split[3]) == want
-    assert _open_verdict(path) == _opened_as(serial)
+    """chain-verify and a store-less open of the journal at ``path`` give
+    the oracle's verdict."""
+    report = _report(path)
+    assert (report[0], report[2], report[3]) == _oracle(path.read_bytes())
+    assert _open_verdict(path) == _opened_as(report)
 
 
 @given(kind=st.sampled_from(["flip", "cut", "delete", "duplicate"]), data=st.data())
@@ -181,7 +174,6 @@ def test_the_scanner_gives_the_re_encode_verdict(honest, kind, data):
         path = Path(base) / BLOCKS_FILE
         _tamper(path, honest, kind, where, data.draw(st.integers(1, 255)))
         _check_verdicts(path)
-    assert _no_child_left()
 
 
 def _restamp(record: bytes) -> bytes:
@@ -301,7 +293,7 @@ def test_a_changed_piece_fails_at_its_block(honest, tmp_path, piece):
     assert changed != records[last]
     path = tmp_path / BLOCKS_FILE
     path.write_bytes(b"".join(records[:last]) + changed)
-    assert _serial_report(path) == _split_report(path) == (False, last, last, reason)
+    assert _report(path) == (False, last, last, reason)
     assert _oracle(path.read_bytes()) == (False, last, reason)
     assert _open_verdict(path) == (False, last, reason)
 
@@ -405,7 +397,7 @@ def test_a_block_0_that_the_grammar_refuses_is_read_for_its_format(tmp_path, rec
 def test_a_rehashed_body_in_other_whitespace_is_refused(honest, grown_journal, tmp_path):
     # blocks carry no signature, so hashes taken anew over a re-spaced
     # proposal hold; its bytes are not what commit writes, and every reader
-    # refuses them, the worker that verifies the last of three parts too
+    # refuses them
     for n, journal in enumerate((honest, grown_journal)):
         records = journal.splitlines(keepends=True)
         last = len(records) - 1
@@ -417,7 +409,6 @@ def test_a_rehashed_body_in_other_whitespace_is_refused(honest, grown_journal, t
                              + _restamp(records[last].replace(glue, spaced, 1)))
             assert _oracle(path.read_bytes()) == (False, last, "non-canonical block encoding")
             _check_verdicts(path)
-    assert _no_child_left()
 
 
 @given(_blocks)
@@ -440,14 +431,14 @@ def test_every_record_that_commit_can_write_is_read_back(block):
     else:
         assert (read.link, read.header_hash, read.flags, read.config) == \
             (cut.link, header_hash, cut.validation_flags, None)
-        assert [raw[whole[0]:comma[0]] for whole, *_, comma in read.spans] == \
+        assert [raw[m.start():m.start(4)] for m in read.spans] == \
             [tx.encode() for tx in cut.transactions]
-        assert [(raw[slice(*key)], raw[slice(*nonce)]) for _, key, nonce, *_ in read.spans] == \
+        assert [(m[1], m[2]) for m in read.spans] == \
             [(tx.proposal.invoker_key.hex().encode(), tx.proposal.nonce.hex().encode())
              for tx in cut.transactions]
-        assert [journal_module._invoker_nonce(raw, spans) for spans in read.spans] == \
+        assert [journal_module._invoker_nonce(m) for m in read.spans] == \
             [(str(tx.proposal.invoker), tx.proposal.nonce) for tx in cut.transactions]
-        assert [journal_module._writes(raw, spans) for spans in read.spans] == \
+        assert [journal_module._writes(m) for m in read.spans] == \
             [tx.rwset.writes for tx in cut.transactions]
         assert Block.from_dict(json.loads(record)) == cut
 
@@ -667,29 +658,17 @@ def test_each_value_of_a_transaction_in_another_type_or_form(honest, tmp_path):
         changed = _other_value(records[6], n)
         for record in (changed, _restamped(changed)):
             path.write_bytes(b"".join([*records[:6], record]))
-            serial = _serial_report(path)
-            assert (serial[0], serial[2], serial[3]) == _oracle(path.read_bytes())
+            report = _report(path)
+            assert (report[0], report[2], report[3]) == _oracle(path.read_bytes())
 
 
 @pytest.fixture
-def decoded(tmp_path, monkeypatch) -> Path:
-    """A file to which every ``Block.from_dict`` call, in this process or a
-    forked worker, appends ``<pid> <block number>``."""
-    log = tmp_path / "decoded"
-    log.touch()
-    real = Block.from_dict
-
-    def logged(d):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {d['number']}\n")
-        return real(d)
-
-    monkeypatch.setattr(Block, "from_dict", staticmethod(logged))
+def decoded(monkeypatch) -> list[int]:
+    """The block number of each ``Block.from_dict`` call, in call order."""
+    log, real = [], Block.from_dict
+    monkeypatch.setattr(Block, "from_dict", staticmethod(lambda d: log.append(d["number"])
+                                                         or real(d)))
     return log
-
-
-def _decodes(log: Path) -> list[tuple[int, int]]:
-    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
 def test_verify_decodes_only_block_0_of_an_honest_journal(honest, grown_journal, tmp_path,
@@ -698,15 +677,9 @@ def test_verify_decodes_only_block_0_of_an_honest_journal(honest, grown_journal,
     path = tmp_path / BLOCKS_FILE
     for journal in (honest, grown_journal):
         path.write_bytes(journal)
-        decoded.write_text("")
+        decoded.clear()
         assert verify_chain_file(path).ok
-        assert _decodes(decoded) == []
-    decoded.write_text("")
-    with _three_parts():
-        assert len(journal_module._part_starts(path)) == 3
-        assert verify_chain_file(path).ok
-    assert _decodes(decoded) == []
-    assert _no_child_left()
+        assert decoded == []
 
 
 _LONG = 200_000
@@ -741,6 +714,5 @@ def test_an_adversarial_record_is_refused_in_linear_time(honest, tmp_path, case)
         started = time.perf_counter()
         report = verify_chain_file(path)
         assert time.perf_counter() - started < 1.0
-        assert (report.ok, report.height, report.bad_block, report.reason) == \
-            _serial_report(path)
-        assert (report.ok, report.bad_block) == (False, last)
+        assert (report.ok, report.bad_block, report.reason) == _oracle(path.read_bytes())
+        assert (report.ok, report.height, report.bad_block) == (False, last, last)
