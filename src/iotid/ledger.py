@@ -26,8 +26,8 @@ in-process:
    one is verified. A peer's key is derived only when that peer signs or
    one of its endorsements is checked.
 5. commit: the content that the block's VALID transactions staged in
-   execution is written to the content store, as one file for the block;
-   then the block is appended to the hash-chained journal, valid writes
+   execution is appended to the content store's log, as one chunk for the
+   block; then the block is appended to the hash-chained journal, valid writes
    land in the versioned world state, and the proposals of valid
    transactions in its replay index.
 """
@@ -193,10 +193,12 @@ class LedgerEngine:
     rwset differs rejects the proposal before it signs.
     Proposal execution yields a deterministic rwset over the committed
     state and writes nothing: an
-    upload's payload rides on its transaction, and the commit writes the
-    payloads of the block's VALID transactions to the content store, one
-    file per block, before it appends the block to the journal. A content
-    write that fails commits nothing. Ordering, validation, and commit run
+    upload's payload rides on its transaction, and the commit appends the
+    payloads of the block's VALID transactions to the content store's log,
+    one chunk per block, before it appends the block to the journal; the
+    tip names the log's length up to it. A content write that fails
+    commits nothing, and open cuts off a chunk that no committed block
+    names. Ordering, validation, and commit run
     as one serialized pipeline. A peer's signing key is derived when it
     first endorses or when validation first verifies its endorsement, so an
     engine that only reads derives none, and one that commits only its own
@@ -236,16 +238,17 @@ class LedgerEngine:
             if genesis is None:
                 self.genesis = self._replay()
                 # a commit cut short after its content write, or a torn last
-                # record that replay cut off, may have left the file of the
+                # record that replay cut off, may have left a chunk of the
                 # block number that the next commit takes
-                self.store.remove_block(self.height)
+                *tip, end = self.state.tip
+                self.state.tip = (*tip, self.store.cut(end, self.height))
             elif journal.exists() and not force:
                 raise LedgerError(f"ledger already exists at {self._dir}")
             else:  # provisioning replaces any old ledger
                 self.genesis = genesis
                 block = self._genesis_block()  # a bad config raises before the unlink
                 journal.unlink(missing_ok=True)
-                self.store.remove_blocks()  # the old chain's, which the new one would inherit
+                self.store.truncate(0)  # the old chain's content, which the new one would inherit
                 self._new_store()
                 self.commit_block(block)
         except BaseException:
@@ -371,7 +374,7 @@ class LedgerEngine:
                 self._apply_block(record.link[0],
                                   [(idx, _writes(tx)) for idx, tx in valid],
                                   [_invoker_nonce(tx) for _, tx in valid],
-                                  record.header_hash, len(raw))
+                                  record.header_hash, len(raw), self.state.tip[3])
         except CorruptJournal as exc:
             if exc.torn_at is None:
                 raise
@@ -392,7 +395,7 @@ class LedgerEngine:
             return False
         point = state.savepoint()
         if point is not None:
-            height, tip_hash, tip_start = point
+            height, tip_hash, tip_start, _ = point
             raw, record = first
             # a record past the end raises StopIteration; the full replay
             # reports what is wrong
@@ -422,14 +425,15 @@ class LedgerEngine:
             self.state = WorldState()
 
     def _apply_block(self, number: int, writes: list, proposals: list[tuple[str, bytes]],
-                     header_hash: bytes, size: int) -> None:
+                     header_hash: bytes, size: int, content_end: int) -> None:
         """Apply block ``number``'s writes, the ``(tx index, write set)`` of each VALID
         transaction, index the ``(invoker, nonce)`` of each one's proposal, and make
-        the block the tip; ``size`` is its record's length."""
+        the block the tip; ``size`` is its record's length and ``content_end`` the
+        content log's length up to it."""
         for idx, tx_writes in writes:
             self.state.apply(tx_writes, (number, idx))
         self.state.add_proposals(proposals)
-        self.state.tip = (number + 1, header_hash, self._offset)
+        self.state.tip = (number + 1, header_hash, self._offset, content_end)
         self._offset += size
 
     # -- execution -------------------------------------------------------
@@ -528,7 +532,7 @@ class LedgerEngine:
         """Solo ordering: arrival order, hashes filled, flags unset."""
         if not transactions:
             raise EmptyBatch("no transactions to order")
-        height, tip_hash, _ = self.state.tip
+        height, tip_hash = self.state.tip[:2]
         return Block.cut(height, tip_hash, transactions)
 
     # -- validation ---------------------------------------------------------
@@ -605,27 +609,32 @@ class LedgerEngine:
     # -- commitment -----------------------------------------------------------
 
     def commit_block(self, block: Block) -> Block:
-        """Write its VALID content, append the validated block, apply its VALID
+        """Append its VALID content, append the validated block, apply its VALID
         writes, forget what was signed.
 
         A block off this engine's tip, or a journal that another engine has
         extended past it, raises NonSequentialBlock before any write.
-        The content goes first, so a block in the journal never lacks its
-        file, and a write that fails leaves the journal and state as they
-        were. An append that fails cuts the journal back to its old length,
-        removes the block's file again and leaves the clock as it was, so
-        nothing names a block that was not committed and a retry writes
-        what an unfailed run writes.
+        The content goes first, as the block's chunk in the content log, so
+        a block in the journal never lacks its content, and a write that
+        fails leaves the journal and state as they were. An append that
+        fails cuts the journal and the log back to their old lengths and
+        leaves the clock as it was, so nothing names a block that was not
+        committed and a retry writes what an unfailed run writes.
         """
         if problem := _link_problem(block.link, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
         journal = self._dir / BLOCKS_FILE
-        if (length := journal.stat().st_size if journal.exists() else 0) != self._offset:
+        try:
+            length = os.stat(journal).st_size
+        except FileNotFoundError:
+            length = 0
+        if length != self._offset:
             raise NonSequentialBlock(f"journal has {length} bytes, not the tip's {self._offset}")
         valid = [(idx, tx) for idx, (tx, flag) in
                  enumerate(zip(block.transactions, block.validation_flags)) if flag == VALID]
+        content_end = end = self.state.tip[3]
         if content := [data for _, tx in valid for data in tx.content]:
-            self.store.put_block(block.number, content)
+            content_end = self.store.put_block(block.number, content, end)
         record, header_hash = block.encode()
         try:
             with open(journal, "ab") as fh:
@@ -634,12 +643,12 @@ class LedgerEngine:
             with suppress(OSError):  # the append's error is the one raised
                 os.truncate(journal, self._offset)
             if content:
-                self.store.remove_block(block.number)
+                self.store.truncate(end)
             raise
         self.clock.advance(self.commit_tick)
         self._apply_block(block.number, [(idx, tx.rwset.writes) for idx, tx in valid],
                           [(str(tx.proposal.invoker), tx.proposal.nonce) for _, tx in valid],
-                          header_hash, len(record) + 1)
+                          header_hash, len(record) + 1, content_end)
         for tx, flag in zip(block.transactions, block.validation_flags):
             # a txId submitted twice lands twice; its first copy is the receipt
             self._receipts.setdefault(tx.tx_id, (flag, block.number))

@@ -50,8 +50,9 @@ PRAGMA synchronous = OFF;
 # The store's format, which PRAGMA user_version names: a store of any
 # other format is refused at open, and rebuilt from the journal. Format 4
 # lists no record whose owner is no DID, as format 3 took "did:a:b\n" for one;
-# format 5 keeps the replay index, where format 4 held nonce/ keys.
-_STORE_FORMAT = 5
+# format 5 keeps the replay index, where format 4 held nonce/ keys; format 6's
+# savepoint names the content log's committed length too.
+_STORE_FORMAT = 6
 # An asset/ row also holds its record's listed fields, NULL when the value
 # is no record that the asset contract writes. The listing index covers
 # every asset/ row, so one ordered read meets a row without them first.
@@ -68,7 +69,7 @@ CREATE TABLE proposal (
     PRIMARY KEY (invoker, nonce)) WITHOUT ROWID;
 CREATE TABLE savepoint (
     height INTEGER NOT NULL, tip_hash BLOB NOT NULL, tip_start INTEGER NOT NULL,
-    checksum INTEGER NOT NULL);
+    content_end INTEGER NOT NULL, checksum INTEGER NOT NULL);
 PRAGMA user_version = {_STORE_FORMAT};
 """
 _SELECT_ROWS = "SELECT key, value, block, tx, owner, added_at, asset_name, checksum FROM state"
@@ -186,7 +187,8 @@ class WorldState:
 
     One SQLite store, a file or ``:memory:`` for ``WorldState()``, holds
     the state as of its savepoint, and ``tip`` names the block the state
-    has reached: ``(height, tip hash, tipStart)``. ``apply`` and
+    has reached: ``(height, tip hash, tipStart, contentEnd)``, where
+    ``contentEnd`` is the content log's length up to the tip. ``apply`` and
     ``add_proposals`` write to memory only. ``get`` and ``has_proposal``
     serve a key or a proposal from memory, a remembered miss included, and
     otherwise run one point query. ``range``, ``last_nonce`` and
@@ -213,7 +215,7 @@ class WorldState:
         self._data: dict[str, tuple[bytes, Version] | None] = {}
         # (invoker, nonce) -> whether a VALID proposal of the pair is committed
         self._proposals: dict[tuple[str, bytes], bool] = {}
-        self.tip: tuple[int, bytes, int] = (0, ZERO_HASH, 0)
+        self.tip: tuple[int, bytes, int, int] = (0, ZERO_HASH, 0, 0)
         self._unflushed: list[str] = []  # keys applied since the last flush
         self._unflushed_proposals: list[tuple[str, bytes]] = []
         self._listing: _Listing | None = None  # built by the first listing of all
@@ -344,16 +346,18 @@ class WorldState:
 
     # -- the store ---------------------------------------------------------
 
-    def savepoint(self) -> tuple[int, bytes, int] | None:
-        """``(height, tip hash, tipStart)`` of the last flush, None unless it checks."""
+    def savepoint(self) -> tuple[int, bytes, int, int] | None:
+        """``(height, tip hash, tipStart, contentEnd)`` of the last flush, None unless
+        it checks."""
         try:
-            (height, tip_hash, tip_start, check), = self._db.execute(
-                "SELECT height, tip_hash, tip_start, checksum FROM savepoint").fetchall()
-            if check != _check(height, tip_hash, tip_start):
+            (*point, check), = self._db.execute(
+                "SELECT height, tip_hash, tip_start, content_end, checksum FROM savepoint"
+            ).fetchall()
+            if check != _check(*point):
                 return None
         except (sqlite3.Error, TypeError, ValueError):
             return None
-        return height, tip_hash, tip_start
+        return tuple(point)
 
     def flush(self) -> None:
         """Write the keys applied and proposals indexed since the last flush, and
@@ -377,15 +381,15 @@ class WorldState:
                      for invoker, nonce in self._unflushed_proposals]
         self._unflushed.clear()
         self._unflushed_proposals.clear()
-        height, tip_hash, tip_start = self.tip
+        height = self.tip[0]
         try:
             db.execute("BEGIN")
             if not db.execute("SELECT 1 FROM savepoint WHERE height > ?", (height,)).fetchall():
                 db.executemany("INSERT OR REPLACE INTO state VALUES (?, ?, ?, ?, ?, ?, ?, ?)", rows)
                 db.executemany("INSERT OR REPLACE INTO proposal VALUES (?, ?, ?)", proposals)
                 db.execute("DELETE FROM savepoint")
-                db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?)",
-                           (height, tip_hash, tip_start, _check(height, tip_hash, tip_start)))
+                db.execute("INSERT INTO savepoint VALUES (?, ?, ?, ?, ?)",
+                           (*self.tip, _check(*self.tip)))
             db.execute("COMMIT")
         except sqlite3.Error as exc:
             self._drop(f"state store flush failed, deleted: {exc}")

@@ -3,27 +3,36 @@
 The off-chain half of the system: asset payloads live here, keyed by the
 SHA-256 of their bytes, while the chain holds only the hashes. Contracts
 never read it. The ledger writes a block's content when it commits the
-block: one file per block, named by its number, that holds the content of
-the block's VALID transactions in transaction order, each record a 4-byte
-big-endian length and then the bytes. A block's file is written in place
-before its journal record, so a commit changes the directory once.
-``put``, ``len()`` and the digest-file branch of ``get`` serve one file
-per content, named by its hex digest, which the ledger no longer writes;
-``perfbench`` still traces ``put`` and counts its files. Integrity is
-re-checked on every read from disk because this store is the trust
-boundary for those bytes.
+block, as one chunk appended to the store's one log, ``content.log``:
+an 8-byte header, the block number and the length of what follows, each
+4-byte big-endian, then the content of the block's VALID transactions in
+transaction order, each record a 4-byte big-endian length and then the
+bytes. A block's chunk is appended before its journal record, so a commit
+creates no file; the ledger keeps the log's committed length beside its
+tip, cuts back an append whose commit failed, and at open cuts off what
+a commit cut short left after it. ``put``, ``len()`` and the digest-file
+branch of ``get`` serve one file per content, named by its hex digest,
+which the ledger no longer writes; ``perfbench`` still traces ``put`` and
+counts its files. Integrity is re-checked on every read from disk because
+this store is the trust boundary for those bytes.
 """
 
 from __future__ import annotations
 
 import os
+import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .codec import HASH_BYTES, replace_file, sha256
 
-_LENGTH_BYTES = 4  # the length before each record of a block file
+LOG_FILE = "content.log"  # the log of every committed block's chunk
+_HEADER = struct.Struct(">II")  # a chunk's block number and the length of its records
+_LENGTH_BYTES = 4  # the length before each record of a chunk
+# what opening the log raises where there is none: no file, or no directory
+_NO_LOG = (FileNotFoundError, NotADirectoryError)
 
 
 class EmptyContent(ValueError):
@@ -62,7 +71,7 @@ class ContentHash:
 
 
 class ContentStore:
-    """Directory-backed store whose only index is its file names.
+    """Directory-backed store: the log of block chunks, and files named by digest.
 
     ``len()`` counts the digest-named files once, then adds this store's
     own new puts. Identical concurrent puts are safe because put is
@@ -72,6 +81,7 @@ class ContentStore:
 
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
+        self._log = self._dir / LOG_FILE
         self._count: int | None = None
 
     def __len__(self) -> int:
@@ -81,9 +91,6 @@ class ContentStore:
             except FileNotFoundError:
                 self._count = 0
         return self._count
-
-    def _block_file(self, block: int) -> Path:
-        return self._dir / f"{block}.block"  # never a 64-hex digest
 
     def _replace(self, path: Path, data: bytes) -> None:
         """``replace_file``, making the store's directory if it is missing."""
@@ -105,81 +112,122 @@ class ContentStore:
                 self._count += 1
         return key
 
-    def put_block(self, block: int, contents: list[bytes]) -> None:
-        """Write block ``block``'s contents, in order, as that block's file.
+    def put_block(self, block: int, contents: list[bytes], end: int) -> int:
+        """Append block ``block``'s chunk of ``contents``, in order, to the log, whose
+        committed length is ``end``; return the log's new length.
 
-        The file is written in place at mode 0o600, with no temp file and
-        rename: until the block's record is in the journal no reader looks
-        for it, and open removes the file of a block that was not committed.
-        It truncates any file of that number, which only a commit of that
-        block that was cut short can have left, and a failed write removes it.
+        The log is made at mode 0o600 by its first append. Until the
+        block's record is in the journal no reader looks for its chunk,
+        so the append needs no temp file: a write that fails cuts the log
+        back to ``end``.
         """
-        path = self._block_file(block)
-        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        records = b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data for data in contents)
+        chunk = _HEADER.pack(block, len(records)) + records
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
         try:
-            fd = os.open(path, flags, 0o600)
+            fd = os.open(self._log, flags, 0o600)
         except FileNotFoundError:
             self._dir.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, flags, 0o600)
+            fd = os.open(self._log, flags, 0o600)
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(b"".join(len(data).to_bytes(_LENGTH_BYTES, "big") + data
-                                  for data in contents))
+                fh.write(chunk)
         except BaseException:
-            path.unlink()
+            self.truncate(end)
             raise
+        return end + len(chunk)
 
-    def remove_block(self, block: int) -> None:
-        """Remove block ``block``'s file, which a commit cut short may have left.
+    def truncate(self, end: int) -> None:
+        """Cut the log back to ``end`` bytes; a log cut to nothing is removed."""
+        if end:
+            os.truncate(self._log, end)
+        else:
+            with suppress(*_NO_LOG):
+                self._log.unlink()
 
-        A store without that file, the usual case, is only looked at.
+    def cut(self, end: int, height: int) -> int:
+        """Cut the log after its last whole chunk of a block below ``height``,
+        and return its length.
+
+        The walk starts at ``end``, the committed length that the ledger's
+        savepoint names, or at 0 for a log shorter than that, as in a
+        ledger copied without it. It passes each chunk whose header names
+        a block below ``height`` and that ends inside the log, and cuts
+        the log at the first that does not: the chunk of a commit cut
+        short, or of a block whose torn journal record open cut off. A
+        log that ends where the walk stops, the usual case, is only read.
         """
-        path = self._block_file(block)
-        if path.exists():
-            path.unlink()
+        try:
+            size = os.stat(self._log).st_size
+        except _NO_LOG:
+            return 0
+        at = end if end <= size else 0
+        if at < size:
+            with open(self._log, "rb") as fh:
+                for number, _, chunk_end in _chunks(fh, at, size):
+                    if number >= height:
+                        break
+                    at = chunk_end
+            if at != size:
+                self.truncate(at)
+        return at
 
-    def remove_blocks(self) -> None:
-        """Remove every block's file: a new chain's blocks have none yet."""
-        for path in self._dir.glob("*.block"):
-            path.unlink()
+    def _chunk(self, block: int) -> bytes | None:
+        """The records of block ``block``'s chunk, None if the log holds none."""
+        try:
+            fh = open(self._log, "rb")
+        except _NO_LOG:
+            return None
+        with fh:
+            for number, start, end in _chunks(fh, 0, os.fstat(fh.fileno()).st_size):
+                if number == block:
+                    fh.seek(start)
+                    return fh.read(end - start)
+        return None
 
     def get(self, key: ContentHash, block: int | None = None) -> bytes:
         """Fetch bytes by hash, verifying them against the key before return.
 
-        With ``block``, the block's file is searched first, then the file
-        named by the digest. A block file that exists but holds no record
+        With ``block``, the log's chunk of that block is searched first,
+        then the file named by the digest. A chunk that holds no record
         hashing to ``key``, where no digest file does either, has lost it:
         IntegrityFailure, as for a digest file whose bytes changed.
         """
-        in_block = False
-        if block is not None:
-            try:
-                data = self._block_file(block).read_bytes()
-            except FileNotFoundError:
-                pass
-            else:
-                in_block = True
-                for record in _records(data, block):
-                    if sha256(record) == key.digest:
-                        return record
+        data = self._chunk(block) if block is not None else None
+        if data is not None:
+            for record in _records(data, block):
+                if sha256(record) == key.digest:
+                    return record
         try:
-            data = (self._dir / key.hex).read_bytes()
+            content = (self._dir / key.hex).read_bytes()
         except FileNotFoundError:
-            if in_block:
+            if data is not None:
                 raise IntegrityFailure(
-                    f"content {key.hex} is not intact in block {block}'s file") from None
+                    f"content {key.hex} is not intact in block {block}'s chunk") from None
             raise ContentNotFound(f"no content stored under {key.hex}") from None
-        if sha256(data) != key.digest:
+        if sha256(content) != key.digest:
             raise IntegrityFailure(f"content {key.hex} failed verification")
-        return data
+        return content
+
+
+def _chunks(fh: BinaryIO, at: int, size: int) -> Iterator[tuple[int, int, int]]:
+    """``(block number, start of its records, end)`` of each whole chunk of the log
+    ``fh``, of ``size`` bytes, from offset ``at`` up to a torn one."""
+    while at + _HEADER.size <= size:
+        fh.seek(at)
+        number, length = _HEADER.unpack(fh.read(_HEADER.size))
+        start, at = at + _HEADER.size, at + _HEADER.size + length
+        if at > size:
+            return
+        yield number, start, at
 
 
 def _records(data: bytes, block: int) -> Iterator[bytes]:
-    """The records of a block file, in order; IntegrityFailure where one overruns it."""
+    """The records of a block's chunk, in order; IntegrityFailure where one overruns it."""
     at = 0
     while at < len(data):
         start = at + _LENGTH_BYTES
         at = start + int.from_bytes(data[at:start], "big")
         if at > len(data):
-            raise IntegrityFailure(f"block {block}'s file has a record past its end")
+            raise IntegrityFailure(f"block {block}'s chunk has a record past its end")
         yield data[start:at]

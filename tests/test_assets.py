@@ -25,7 +25,7 @@ from iotid.idm import DidRecord, NotAuthenticatedError, Session, device_key, did
 from iotid.journal import TxProposal, UnsupportedFormat
 from iotid.ledger import ContractError, TxContext
 from iotid.state import KEY_ASSET, WorldState, asset_row
-from iotid.store import ContentHash
+from iotid.store import LOG_FILE, ContentHash
 
 from util import (
     AssetRecord,
@@ -66,11 +66,13 @@ def test_upload_writes_record_and_payload(tmp_path, engine, registrar, registere
     assert record.owner == registered.did
     assert record.asset_name == "device1/1.txt"
     assert record.added_at == proposal.timestamp
-    # the payload is in its block's file, one length-prefixed record
+    # the payload is in its block's chunk of the content log, one
+    # length-prefixed record after the chunk's header
     assert engine.store.get(data_id, block) == PAYLOAD
-    assert [p.name for p in (tmp_path / "objects").iterdir()] == [f"{block}.block"]
-    assert (tmp_path / "objects" / f"{block}.block").read_bytes() == \
-        len(PAYLOAD).to_bytes(4, "big") + PAYLOAD
+    assert [p.name for p in (tmp_path / "objects").iterdir()] == [LOG_FILE]
+    record = len(PAYLOAD).to_bytes(4, "big") + PAYLOAD
+    assert (tmp_path / "objects" / LOG_FILE).read_bytes() == \
+        block.to_bytes(4, "big") + len(record).to_bytes(4, "big") + record
 
 
 def test_duplicate_content_rejected_with_original_id(engine, registrar,

@@ -74,7 +74,7 @@ def grow(engine, writer, blocks, tag="v"):
 
 
 def seen(engine):
-    height, tip_hash, _ = engine.state.tip
+    height, tip_hash = engine.state.tip[:2]
     return height, tip_hash, engine.state.items()
 
 
@@ -329,12 +329,13 @@ def test_a_checkpoint_from_another_ledger(tmp_path, stored, reads):
 def reseal(store, **changes):
     """Change savepoint fields, each by a function of its old value, under
     a check value that matches."""
-    (height, tip_hash, tip_start), = run_sql(
-        store, "SELECT height, tip_hash, tip_start FROM savepoint")
-    point = {"height": height, "tip_hash": tip_hash, "tip_start": tip_start}
+    names = ("height", "tip_hash", "tip_start", "content_end")
+    row, = run_sql(store, f"SELECT {', '.join(names)} FROM savepoint")
+    point = dict(zip(names, row))
     for name, change in changes.items():
         point[name] = change(point[name])
-    run_sql(store, "UPDATE savepoint SET height = ?, tip_hash = ?, tip_start = ?, checksum = ?",
+    run_sql(store, "UPDATE savepoint SET height = ?, tip_hash = ?, tip_start = ?,"
+            " content_end = ?, checksum = ?",
             (*point.values(), state_module._check(*point.values())))
 
 
@@ -999,8 +1000,11 @@ def to_parent_format(store):
     # format 4 kept used nonces as nonce/ keys, and has no replay index
     lambda store: [run_sql(store, sql) for sql in ("DROP TABLE proposal",
                                                    "PRAGMA user_version = 4")],
+    # format 5's savepoint names no content log length
+    lambda store: [run_sql(store, sql) for sql in ("ALTER TABLE savepoint DROP COLUMN content_end",
+                                                   "PRAGMA user_version = 5")],
     lambda store: run_sql(store, "PRAGMA user_version = 99"),  # a later format
-], ids=["parent", "format2", "format4", "later"])
+], ids=["parent", "format2", "format4", "format5", "later"])
 def test_a_store_of_another_format_is_rebuilt_at_open(tmp_path, reads, change):
     genesis = GenesisConfig(peers=[Member("peer1", bytes(32))],
                             registrars=[Member("registrar", bytes([1]) * 32)])
@@ -1090,7 +1094,7 @@ def test_a_stored_state_reads_like_a_plain_dict(steps):
                     state.apply(arg, (n, 0))
                     model.update((key, (value, (n, 0))) for key, value in arg)
                 elif kind == "flush":
-                    state.tip = (n, bytes(32), 0)
+                    state.tip = (n, bytes(32), 0, 0)
                     state.flush()
                     flushed = dict(model)
                 elif kind == "reopen":  # what was not flushed is lost

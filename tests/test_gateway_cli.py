@@ -38,7 +38,7 @@ from iotid.ledger import STATE_FILE, ContractError, LedgerEngine, LedgerLocked
 from iotid.state import KEY_ASSET, KEY_DID
 from iotid.did import Address, derive_address, parse_did
 from iotid.sim import FlowConfig
-from iotid.store import ContentHash, ContentStore
+from iotid.store import LOG_FILE, ContentHash, ContentStore
 
 from test_did import ADDR_01, DID_01, PUB_01, SEED_01
 from test_ledger import _rewrite_block
@@ -1410,13 +1410,28 @@ def test_a_cold_login_and_upload_read_nothing_from_the_store(capsys, ready, tmp_
     source = tmp_path / "reading.txt"
     source.write_bytes(b'{"d":{"temperature":20.01}}')
     assert invoke(capsys, ready, "asset-upload", "dev1", str(source)).code == 0
-    # the commit writes the block's file; the endorsers' executions write nothing
+    # the commit appends the block's chunk; the endorsers' executions write nothing
     assert [name for name, _ in store_calls] == ["put_block"]
 
 
+def test_upload_blocks_leave_one_file_in_objects_and_a_forced_init_none(capsys, ready, tmp_path):
+    # 23 CLI uploads commit 23 blocks, and each appends to the one content
+    # log; a forced network-init starts the new chain with no content
+    objects = Path(ready["ledger"]) / "objects"
+    for n in range(23):
+        source = tmp_path / f"{n}.txt"
+        source.write_bytes(f'{{"d":{{"n":{n}}}}}'.encode())
+        result = invoke(capsys, ready, "asset-upload", "dev1", str(source))
+        assert (result.code, result.data["flag"]) == (0, VALID)
+    assert [p.name for p in objects.iterdir()] == [LOG_FILE]
+    assert stat.S_IMODE((objects / LOG_FILE).stat().st_mode) == 0o600
+    assert invoke(capsys, ready, "network-init", "--force").code == 0
+    assert list(objects.iterdir()) == []
+
+
 def test_cli_uploads_read_back_from_their_blocks(capsys, ready, tmp_path):
-    # each CLI upload commits a block of its own and writes that block's
-    # file; a refused duplicate writes none
+    # each CLI upload commits a block of its own and appends that block's
+    # chunk to the content log; a refused duplicate appends none
     payloads = [f'{{"d":{{"temperature":{n}.5}}}}'.encode() for n in range(3)]
     blocks = []
     for n, payload in enumerate([*payloads, payloads[0]]):
@@ -1429,7 +1444,13 @@ def test_cli_uploads_read_back_from_their_blocks(capsys, ready, tmp_path):
         else:
             assert (result.code, result.data["error"]) == (1, "DuplicateAsset")
     objects = Path(ready["ledger"]) / "objects"
-    assert sorted(p.name for p in objects.iterdir()) == sorted(f"{b}.block" for b in blocks)
+    assert [p.name for p in objects.iterdir()] == [LOG_FILE]
+    log = (objects / LOG_FILE).read_bytes()
+    at, numbers = 0, []
+    while at < len(log):  # each chunk's header: its block number, its records' length
+        numbers.append(int.from_bytes(log[at:at + 4], "big"))
+        at += 8 + int.from_bytes(log[at + 4:at + 8], "big")
+    assert numbers == blocks
     with LedgerEngine.open(ready["ledger"], ContentStore(objects), {}) as engine:
         rows = engine.state.range(KEY_ASSET)
         assert sorted(version[0] for _, _, version in rows) == blocks

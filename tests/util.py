@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -182,6 +183,13 @@ def upload_payload(engine: LedgerEngine, device: Principal, payload: bytes,
     if flush:
         engine.flush()
     return tx_id
+
+
+def chunk(block: int, contents: list[bytes]) -> bytes:
+    """A block's chunk as the content log holds it: the block number and the
+    records' length, then each length-prefixed record."""
+    records = b"".join(struct.pack(">I", len(data)) + data for data in contents)
+    return struct.pack(">II", block, len(records)) + records
 
 
 def state_snapshot(engine: LedgerEngine) -> dict:
