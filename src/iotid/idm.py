@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import secrets
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .clock import Clock
 from .codec import canonical_json, from_canonical_json
@@ -41,6 +42,9 @@ from .store import ContentStore
 
 CHALLENGE_TTL = 300
 SESSION_TTL = 3600
+# the decoded DID records kept, each under its (did, stored bytes), as
+# Fabric's MSP keeps deserialized identities in a bounded cache
+DID_RECORDS_KEPT = 1024
 
 
 class AuthError(Exception):
@@ -93,13 +97,22 @@ class DidRecord:
             "publicKey": self.public_key.hex(),
         }
 
-    @classmethod
-    def from_bytes(cls, did: Did, data: bytes) -> "DidRecord":
-        """``did``'s record as the contract writes it; UnsupportedFormat for any other value."""
+    @staticmethod
+    @lru_cache(maxsize=DID_RECORDS_KEPT)
+    def from_bytes(did: Did, data: bytes) -> "DidRecord":
+        """``did``'s record as the contract writes it; UnsupportedFormat for any other value.
+
+        The record is decoded, and re-encoded to check its form, once per
+        ``(did, data)`` of the last ``DID_RECORDS_KEPT`` asked for: both
+        executions of an upload, and each login, read the one record a
+        device's ``did/`` key holds until its next transfer. The frozen
+        record is shared by every caller of that pair. A value it refuses
+        is kept nowhere, and is judged again on every call.
+        """
         try:
             d = from_canonical_json(data)
-            record = cls(parse_did(d["did"]), bytes.fromhex(d["publicKey"]),
-                         Address.from_text(d["owner"]), int(d["createdAt"]))
+            record = DidRecord(parse_did(d["did"]), bytes.fromhex(d["publicKey"]),
+                               Address.from_text(d["owner"]), int(d["createdAt"]))
             if (record.did, len(record.public_key)) == (did, PUBLIC_KEY_BYTES) and \
                     canonical_json(record.to_dict()) == data:
                 return record

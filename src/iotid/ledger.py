@@ -29,7 +29,9 @@ in-process:
    execution is appended to the content store's log, as one chunk for the
    block; then the block is appended to the hash-chained journal, valid writes
    land in the versioned world state, and the proposals of valid
-   transactions in its replay index.
+   transactions in its replay index. Each append writes through a
+   descriptor that the commit opens and closes, and the journal's length
+   is read from its own descriptor.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .clock import Clock, WallClock
-from .codec import canonical_json
+from .codec import canonical_json, write_all
 from .codec import sha256  # noqa: F401 -- perfbench/tracing.py wraps ledger.sha256
 from .did import Address, derive_address, verify_signature
 from .did import generate_keypair  # noqa: F401 -- perfbench/tracing.py wraps ledger.generate_keypair
@@ -216,7 +218,8 @@ class LedgerEngine:
                  commit_tick: float = 1.0, genesis: GenesisConfig | None = None,
                  force: bool = False):
         self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
+        if genesis is not None:  # open has found the journal, and so the directory
+            self._dir.mkdir(parents=True, exist_ok=True)
         self.store = store
         self.contracts = dict(contracts)
         self.clock = clock if clock is not None else WallClock()
@@ -248,7 +251,7 @@ class LedgerEngine:
                 self.genesis = genesis
                 block = self._genesis_block()  # a bad config raises before the unlink
                 journal.unlink(missing_ok=True)
-                self.store.truncate(0)  # the old chain's content, which the new one would inherit
+                self.store.clear()  # the old chain's content, which the new one would inherit
                 self._new_store()
                 self.commit_block(block)
         except BaseException:
@@ -623,28 +626,34 @@ class LedgerEngine:
         """
         if problem := _link_problem(block.link, *self.state.tip[:2]):
             raise NonSequentialBlock(problem)
-        journal = self._dir / BLOCKS_FILE
-        try:
-            length = os.stat(journal).st_size
-        except FileNotFoundError:
-            length = 0
-        if length != self._offset:
-            raise NonSequentialBlock(f"journal has {length} bytes, not the tip's {self._offset}")
         valid = [(idx, tx) for idx, (tx, flag) in
                  enumerate(zip(block.transactions, block.validation_flags)) if flag == VALID]
+        content = [data for _, tx in valid for data in tx.content]
         content_end = end = self.state.tip[3]
-        if content := [data for _, tx in valid for data in tx.content]:
-            content_end = self.store.put_block(block.number, content, end)
-        record, header_hash = block.encode()
+        journal = self._dir / BLOCKS_FILE
+        # only block 0 makes the journal: one missing past it was removed
+        flags = os.O_WRONLY | os.O_APPEND | (os.O_CREAT if block.number == 0 else 0)
         try:
-            with open(journal, "ab") as fh:
-                fh.write(record + b"\n")
-        except BaseException:
-            with suppress(OSError):  # the append's error is the one raised
-                os.truncate(journal, self._offset)
+            fd = os.open(journal, flags, 0o666)
+        except FileNotFoundError:
+            raise NonSequentialBlock(f"no journal, not the tip's {self._offset} bytes") from None
+        try:
+            if (length := os.fstat(fd).st_size) != self._offset:
+                raise NonSequentialBlock(
+                    f"journal has {length} bytes, not the tip's {self._offset}")
             if content:
-                self.store.truncate(end)
-            raise
+                content_end = self.store.put_block(block.number, content, end)
+            record, header_hash = block.encode()
+            try:
+                write_all(fd, record + b"\n")
+            except BaseException:
+                with suppress(OSError):  # the append's error is the one raised
+                    os.truncate(journal, self._offset)
+                if content:
+                    self.store.truncate(end)
+                raise
+        finally:
+            os.close(fd)
         self.clock.advance(self.commit_tick)
         self._apply_block(block.number, [(idx, tx.rwset.writes) for idx, tx in valid],
                           [(str(tx.proposal.invoker), tx.proposal.nonce) for _, tx in valid],

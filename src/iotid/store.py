@@ -13,22 +13,28 @@ tip, cuts back an append whose commit failed, and at open cuts off what
 a commit cut short left after it. ``put``, ``len()`` and the digest-file
 branch of ``get`` serve one file per content, named by its hex digest,
 which the ledger no longer writes; ``perfbench`` still traces ``put`` and
-counts its files. Integrity is re-checked on every read from disk because
-this store is the trust boundary for those bytes.
+counts its files. ``clear``, at provisioning, removes the log with those
+files and the ``<n>.block`` files of earlier versions. Integrity is
+re-checked on every read from disk because this store is the trust
+boundary for those bytes.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from .codec import HASH_BYTES, replace_file, sha256
+from .codec import HASH_BYTES, replace_file, sha256, write_all
 
 LOG_FILE = "content.log"  # the log of every committed block's chunk
+# the names of the files this store writes: the log, and the files of one
+# block and of one content that earlier versions wrote
+_OWN_NAME = re.compile(r"content\.log|[0-9]+\.block|[0-9a-f]{64}")
 _HEADER = struct.Struct(">II")  # a chunk's block number and the length of its records
 _LENGTH_BYTES = 4  # the length before each record of a chunk
 # what opening the log raises where there is none: no file, or no directory
@@ -130,11 +136,12 @@ class ContentStore:
             self._dir.mkdir(parents=True, exist_ok=True)
             fd = os.open(self._log, flags, 0o600)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(chunk)
+            write_all(fd, chunk)
         except BaseException:
             self.truncate(end)
             raise
+        finally:
+            os.close(fd)
         return end + len(chunk)
 
     def truncate(self, end: int) -> None:
@@ -144,6 +151,18 @@ class ContentStore:
         else:
             with suppress(*_NO_LOG):
                 self._log.unlink()
+
+    def clear(self) -> None:
+        """Remove every file of the store's own names, and nothing else."""
+        self._count = None
+        try:
+            names = os.listdir(self._dir)
+        except _NO_LOG:
+            return
+        for name in names:
+            if _OWN_NAME.fullmatch(name):
+                with suppress(FileNotFoundError):
+                    os.unlink(self._dir / name)
 
     def cut(self, end: int, height: int) -> int:
         """Cut the log after its last whole chunk of a block below ``height``,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,11 +13,11 @@ from iotid.codec import (
 )
 
 
-def _json_trees(leaves):
+def _json_trees(leaves, keys=st.text(max_size=10)):
     return st.recursive(
         leaves,
         lambda children: st.lists(children, max_size=4)
-        | st.dictionaries(st.text(max_size=10), children, max_size=4),
+        | st.dictionaries(keys, children, max_size=4),
         max_leaves=25,
     )
 
@@ -34,6 +35,41 @@ json_values_with_floats = _json_trees(_scalars | st.floats())
 def test_reused_encoder_gives_the_json_dumps_bytes(value):
     expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
     assert canonical_json(value) == expected
+
+
+# any text, lone surrogates too, which json writes as \u escapes
+_any_text = st.text(st.characters(exclude_categories=())
+                    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                                    exclude_categories=()), max_size=12)
+any_json_values = _json_trees(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+    | st.integers(max_value=-(2 ** 64)) | st.floats() | _any_text, keys=_any_text)
+
+
+@given(any_json_values)
+def test_the_prepared_encoder_writes_the_json_dumps_bytes_of_any_value(value):
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert canonical_json(value) == expected
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", {1: 0, "a": 0}, [{"k": {"x"}}]],
+                         ids=["a set", "bytes", "mixed-type keys", "a nested set"])
+def test_a_value_json_dumps_refuses_raises_the_same_type(value):
+    with pytest.raises(Exception) as dumps:
+        json.dumps(value, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(Exception) as ours:
+        canonical_json(value)
+    assert type(ours.value) is type(dumps.value)
+
+
+def test_a_failed_encoding_leaves_nothing_to_the_next():
+    # the list was half encoded when the set failed; a shared record of the
+    # containers being encoded would call it circular the next time
+    value = [[1], {2}]
+    with pytest.raises(TypeError):
+        canonical_json(value)
+    value.pop()
+    assert canonical_json(value) == b"[[1]]"
 
 
 @given(json_values)

@@ -12,10 +12,9 @@ log as long as the tip says. Expected values come from hashlib, struct
 and plain file reads, not from the code under test.
 """
 
-import builtins
 import errno
 import hashlib
-import io
+import os
 import shutil
 import stat
 import tempfile
@@ -25,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotid import ledger as ledger_module
 from iotid.clock import SimClock
 from iotid.journal import (
     BLOCKS_FILE,
@@ -160,15 +158,38 @@ def test_an_upload_endorsed_and_never_ordered_writes_nothing(tmp_path, engine, r
 # -- a fault on either side of the journal append -----------------------------
 
 
+def no_space(write, fd, data):
+    raise OSError(errno.ENOSPC, "no space left on device")
+
+
+class HalfWritten:
+    """A short write that puts down half the bytes; the next write runs out of space."""
+
+    def __init__(self):
+        self.wrote = False
+
+    def __call__(self, write, fd, data):
+        if self.wrote:
+            no_space(write, fd, data)
+        self.wrote = True
+        return write(fd, data[:len(data) // 2])
+
+
+def on_the_journal(monkeypatch, engine, fault) -> None:
+    """Route each ``os.write`` to the engine's journal through ``fault(os.write, fd, data)``."""
+    journal, write = engine._dir / BLOCKS_FILE, os.write
+
+    def routed(fd, data):
+        if os.path.samestat(os.fstat(fd), os.stat(journal)):
+            return fault(write, fd, data)
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", routed)
+
+
 def fail_the_append(monkeypatch, engine, proposal) -> None:
     """Submit ``proposal`` and flush it with a journal append that fails with ENOSPC."""
-
-    def no_space(path, mode="r", *args, **kwargs):
-        if mode == "ab":
-            raise OSError(errno.ENOSPC, "no space left on device")
-        return builtins.open(path, mode, *args, **kwargs)
-
-    monkeypatch.setattr(ledger_module, "open", no_space, raising=False)
+    on_the_journal(monkeypatch, engine, no_space)
     engine.submit(proposal)
     with pytest.raises(OSError, match="no space"):
         engine.flush()
@@ -246,14 +267,6 @@ def test_a_failed_append_leaves_the_warm_engine_as_it_was(tmp_path, monkeypatch)
     assert journals[1] == journals[0]
 
 
-class HalfWritten(io.FileIO):
-    """A journal opened for append whose write puts down half the bytes, then runs out of space."""
-
-    def write(self, data):
-        super().write(data[:len(data) // 2])
-        raise OSError(errno.ENOSPC, "no space left on device")
-
-
 def test_a_half_written_append_is_cut_back(tmp_path, monkeypatch):
     # the failed append leaves half its record in the journal, which it cuts
     # back off; the retry, and a block after it, write the journal of a run
@@ -266,10 +279,7 @@ def test_a_half_written_append_is_cut_back(tmp_path, monkeypatch):
         engine.submit(writer.proposal(engine, "kv", "set", ["x", "1"]))
         if fails:
             before = journal.read_bytes()
-            monkeypatch.setattr(ledger_module, "open",
-                                lambda path, mode="r", *args, **kwargs: HalfWritten(path, mode)
-                                if mode == "ab" else builtins.open(path, mode, *args, **kwargs),
-                                raising=False)
+            on_the_journal(monkeypatch, engine, HalfWritten())
             with pytest.raises(OSError, match="no space"):
                 engine.flush()
             monkeypatch.undo()
@@ -283,6 +293,30 @@ def test_a_half_written_append_is_cut_back(tmp_path, monkeypatch):
             assert again.height == 3
     assert journals[1] == journals[0]
     assert verify_chain_file(journal).ok
+
+
+def test_short_writes_are_finished(tmp_path, monkeypatch):
+    # every write to the journal and the log puts down at most 7 bytes; the
+    # appends finish each record and chunk, so both files hold what a run
+    # of whole writes holds
+    files = []
+    for short in (False, True):
+        base = tmp_path / str(short)
+        engine = make_engine(base)
+        device = Principal.from_seed(1)
+        register_device(engine, registrar_principal(engine), device)
+        if short:
+            write = os.write
+            monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        for n in range(3):
+            upload_payload(engine, device, f"reading {n}".encode())
+        monkeypatch.undo()
+        engine.close()
+        files.append(((base / "ledger" / BLOCKS_FILE).read_bytes(), log_of(base).read_bytes()))
+        with reopen_engine(base) as again:
+            assert assert_contents_read_back(again, again.store) == 3
+    assert files[1] == files[0]
+    assert verify_chain_file(tmp_path / "True" / "ledger" / BLOCKS_FILE).ok
 
 
 def test_a_stale_second_engine_commits_nothing(tmp_path, engine, registrar, device):
@@ -341,21 +375,33 @@ def test_open_removes_the_file_of_a_block_that_never_committed(
 
 def test_provisioning_anew_removes_the_old_chains_block_files(tmp_path, engine, registered):
     # the old chain's block 3 holds an upload; the new chain's block 3 is a
-    # kv set, which has no content and so no chunk
+    # kv set, which has no content and so no chunk. Earlier versions wrote
+    # a file per block and a file per content, named by its digest, some at
+    # mode 0644: the forced create removes them with the log, and leaves
+    # every name that this program does not write
     upload_payload(engine, registered, b"old chain")
     assert engine.height == 4
     engine.close()
     assert LOG_FILE in objects_bytes(tmp_path)
+    objects = tmp_path / "objects"
+    digest = hashlib.sha256(b"old chain").hexdigest()
+    for name in ("3.block", digest):
+        (objects / name).write_bytes(b"old chain")
+        (objects / name).chmod(0o644)
+    kept = {name: b"not iotid's" for name in ("notes.txt", "3.block.bak", digest.upper(),
+                                               digest[:-1], ".content.log.tmp")}
+    for name, data in kept.items():
+        (objects / name).write_bytes(data)
     again = LedgerEngine.create(tmp_path / "ledger", GenesisConfig.default(),
-                                ContentStore(tmp_path / "objects"), {"kv": KvContract()},
+                                ContentStore(objects), {"kv": KvContract()},
                                 clock=SimClock(), force=True)
     with again:
-        assert objects_bytes(tmp_path) == {}
+        assert objects_bytes(tmp_path) == kept
         writer = Principal.from_seed(11)
         while again.height < 5:
             again.submit(writer.proposal(again, "kv", "set", ["x", str(again.height)]))
             again.flush()
-    assert objects_bytes(tmp_path) == {}
+    assert objects_bytes(tmp_path) == kept
     assert verify_chain_file(tmp_path / "ledger" / BLOCKS_FILE).ok
 
 
@@ -459,6 +505,67 @@ def test_a_failed_content_write_commits_nothing(tmp_path, engine, registered):
     engine.close()
     with reopen_engine(tmp_path) as again:
         assert (again.height, state_snapshot(again)) == (height, state)
+
+
+# -- no descriptor outlives a commit -------------------------------------------
+# the appends write through raw descriptors, which -X dev's ResourceWarning
+# does not see; each case gives the count of the process's open descriptors
+# before and after what it checks
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def warm_commits(base, engine, device, monkeypatch):
+    upload_payload(engine, device, b"warm-up")
+    before = open_descriptors()
+    for n in range(50):
+        upload_payload(engine, device, f"reading {n}".encode())
+    return before, open_descriptors()
+
+
+def a_failed_journal_write(base, engine, device, monkeypatch):
+    before = open_descriptors()
+    fail_the_append(monkeypatch, engine, upload(device, engine, b"no room"))
+    return before, open_descriptors()
+
+
+def a_half_written_write(base, engine, device, monkeypatch):
+    before = open_descriptors()
+    on_the_journal(monkeypatch, engine, HalfWritten())
+    engine.submit(upload(device, engine, b"half a record"))
+    with pytest.raises(OSError, match="no space"):
+        engine.flush()
+    monkeypatch.undo()
+    return before, open_descriptors()
+
+
+def a_failed_content_write(base, engine, device, monkeypatch):
+    (base / "objects").write_bytes(b"")  # a file where the directory goes
+    before = open_descriptors()
+    engine.submit(upload(device, engine, b"nowhere to go"))
+    with pytest.raises(OSError):
+        engine.flush()
+    return before, open_descriptors()
+
+
+def a_stale_engines_refusal(base, engine, device, monkeypatch):
+    with reopen_engine(base) as second:
+        upload_payload(engine, device, b"first's reading")
+        before = open_descriptors()
+        with pytest.raises(NonSequentialBlock):
+            upload_payload(second, device, b"second's reading")
+        return before, open_descriptors()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd (Linux)")
+@pytest.mark.parametrize("case", [warm_commits, a_failed_journal_write, a_half_written_write,
+                                  a_failed_content_write, a_stale_engines_refusal],
+                         ids=lambda case: case.__name__)
+def test_no_descriptor_is_left_open(tmp_path, engine, registered, monkeypatch, case):
+    before, after = case(tmp_path, engine, registered, monkeypatch)
+    assert after == before
 
 
 # -- committed content reads back ---------------------------------------------

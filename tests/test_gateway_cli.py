@@ -1425,6 +1425,9 @@ def test_upload_blocks_leave_one_file_in_objects_and_a_forced_init_none(capsys, 
         assert (result.code, result.data["flag"]) == (0, VALID)
     assert [p.name for p in objects.iterdir()] == [LOG_FILE]
     assert stat.S_IMODE((objects / LOG_FILE).stat().st_mode) == 0o600
+    # and the files of one block and of one content that earlier versions wrote
+    for name in ("3.block", hashlib.sha256(b"old").hexdigest()):
+        (objects / name).write_bytes(b"old")
     assert invoke(capsys, ready, "network-init", "--force").code == 0
     assert list(objects.iterdir()) == []
 

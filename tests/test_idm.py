@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from iotid.codec import canonical_json
+from iotid import idm as idm_module
+from iotid.codec import canonical_json, from_canonical_json
 from iotid.did import DidDocument, make_possession_proof
 from iotid.idm import (
+    DID_RECORDS_KEPT,
     BadSignatureError,
     DeviceRecord,
     DidRecord,
@@ -305,6 +307,95 @@ def test_records_round_trip(device):
 def test_a_did_record_nested_too_deep_is_refused_by_name(device):
     with pytest.raises(UnsupportedFormat, match="no DID record"):
         DidRecord.from_bytes(device.did, DEEP_JSON.encode())
+
+
+# -- decoded records are kept -------------------------------------------------
+
+
+def decoded_values(monkeypatch) -> list[bytes]:
+    """Every value idm decodes from here on, in call order; no record is kept from before."""
+    DidRecord.from_bytes.cache_clear()
+    decoded = []
+    monkeypatch.setattr(idm_module, "from_canonical_json",
+                        lambda data: decoded.append(data) or from_canonical_json(data))
+    return decoded
+
+
+def log_in(engine, clock, device) -> None:
+    service = LoginService(engine.state, engine.store, clock)
+    challenge = service.begin_login(device.did)
+    service.complete_login(device.did, challenge.nonce, sign_challenge(device, challenge))
+
+
+def test_uploads_and_logins_decode_a_devices_record_once(engine, clock, registrar, device,
+                                                         monkeypatch):
+    register_device(engine, registrar, device)
+    decoded = decoded_values(monkeypatch)
+    for n in range(3):
+        assert engine.tx_flag(upload_payload(engine, device, f"reading {n}".encode())) == VALID
+        log_in(engine, clock, device)
+    assert decoded == [engine.state.get(did_key(device.did))[0]]
+
+
+def test_after_a_transfer_uploads_and_logins_read_the_new_owner(engine, clock, registrar, device,
+                                                                other_device, monkeypatch):
+    register_device(engine, registrar, device)
+    upload_payload(engine, device, b"before")  # the first owner's record is kept
+    log_in(engine, clock, device)
+    engine.submit(device.proposal(engine, "idm", "transferOwnership",
+                                  [str(device.did), str(other_device.address)]))
+    engine.flush()
+    real, owners = DidRecord.from_bytes, []
+
+    def seen(did, data):
+        record = real(did, data)
+        owners.append(record.owner)
+        return record
+
+    monkeypatch.setattr(DidRecord, "from_bytes", staticmethod(seen))
+    assert engine.tx_flag(upload_payload(engine, device, b"after")) == VALID
+    log_in(engine, clock, device)
+    assert owners == [other_device.address] * 3  # two executions and the login
+
+
+def test_a_did_value_that_is_no_record_is_refused_on_every_call(device, other_device,
+                                                                monkeypatch):
+    record = DidRecord(did=device.did, public_key=device.public_key,
+                       owner=device.address, created_at=7)
+    good = canonical_json(record.to_dict())
+    assert DidRecord.from_bytes(device.did, good) == record
+    refused = [
+        canonical_json({**record.to_dict(), "publicKey": "00"}),  # a key of one byte
+        json.dumps(record.to_dict()).encode(),  # not in canonical form
+        DEEP_JSON.encode(),
+        b"not json",
+    ]
+    decoded = decoded_values(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(UnsupportedFormat, match="no DID record"):
+            DidRecord.from_bytes(other_device.did, good)  # the record of another DID
+        for value in refused:
+            with pytest.raises(UnsupportedFormat, match="no DID record"):
+                DidRecord.from_bytes(device.did, value)
+    assert decoded == [good, *refused] * 3
+    assert DidRecord.from_bytes.cache_info().currsize == 0
+
+
+def test_the_kept_records_never_outnumber_their_bound(device):
+    DidRecord.from_bytes.cache_clear()
+    records = [DidRecord(did=device.did, public_key=device.public_key,
+                         owner=device.address, created_at=n)
+               for n in range(DID_RECORDS_KEPT + 10)]
+    for record in records:
+        assert DidRecord.from_bytes(device.did, canonical_json(record.to_dict())) == record
+        assert DidRecord.from_bytes.cache_info().currsize <= DID_RECORDS_KEPT
+    assert DidRecord.from_bytes.cache_info().currsize == DID_RECORDS_KEPT
+    # the least recently asked for went first: it is decoded again
+    misses = DidRecord.from_bytes.cache_info().misses
+    DidRecord.from_bytes(device.did, canonical_json(records[-1].to_dict()))
+    assert DidRecord.from_bytes.cache_info().misses == misses
+    DidRecord.from_bytes(device.did, canonical_json(records[0].to_dict()))
+    assert DidRecord.from_bytes.cache_info().misses == misses + 1
 
 
 # -- the content store: untouched by idm --------------------------------------

@@ -6,6 +6,7 @@ rules before being asserted, not read back from the implementation.
 
 import itertools
 import json
+import stat
 import tempfile
 from copy import deepcopy
 from dataclasses import replace
@@ -887,6 +888,27 @@ def test_commit_requires_flags_and_sequence(engine, alice):
         engine.commit_block(wrong_link)
     engine.commit_block(block)
     assert engine.height == 2
+
+
+def test_a_commit_to_a_removed_journal_is_refused_and_makes_none(tmp_path, engine, alice):
+    # only block 0 makes the journal; past it, a missing journal was removed
+    # under the engine, and a new one would hold a block with no chain before it
+    journal = tmp_path / "ledger" / BLOCKS_FILE
+    block = engine.order_batch([build_tx(engine, alice.proposal(engine, "kv", "set", ["x", "1"]))])
+    block.validation_flags = engine.validate_block(block)
+    journal.unlink()
+    with pytest.raises(NonSequentialBlock):
+        engine.commit_block(block)
+    assert not journal.exists()
+    assert engine.height == 1
+
+
+def test_the_journal_gets_the_mode_of_a_plain_new_file(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")  # open(..., "wb"): 0o666 less the umask
+    make_engine(tmp_path).close()
+    journal = tmp_path / "ledger" / BLOCKS_FILE
+    assert stat.S_IMODE(journal.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_headers_chain(tmp_path, engine, alice, bob):

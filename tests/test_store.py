@@ -199,13 +199,10 @@ def test_a_missing_block_file_is_content_not_found(store, tmp_path):
 
 
 def test_a_failed_block_write_leaves_no_file(store, tmp_path, monkeypatch):
-    real = os.fdopen
-
-    def full(fd, *args):
-        real(fd).close()  # the log is made, then the disk fills
+    def full(fd, data):  # the log is made, then the disk fills
         raise OSError(28, "no space left on device")
 
-    monkeypatch.setattr("iotid.store.os.fdopen", full)
+    monkeypatch.setattr(os, "write", full)
     with pytest.raises(OSError):
         store.put_block(1, [b"hello world"], 0)
     monkeypatch.undo()
@@ -215,14 +212,14 @@ def test_a_failed_block_write_leaves_no_file(store, tmp_path, monkeypatch):
 def test_a_failed_block_write_leaves_the_log_as_it_was(store, tmp_path, monkeypatch):
     end = store.put_block(1, [b"hello world"], 0)
     before = (tmp_path / "objects" / LOG_FILE).read_bytes()
-    real = os.fdopen
+    real = os.write
 
-    def half(fd, *args):
-        with real(fd, "wb") as fh:
-            fh.write(chunk(2, [b"torn"])[:6])  # part of the chunk, then the disk fills
+    def half(fd, data):
+        assert data == chunk(2, [b"torn"])
+        real(fd, data[:6])  # part of the chunk, then the disk fills
         raise OSError(28, "no space left on device")
 
-    monkeypatch.setattr("iotid.store.os.fdopen", half)
+    monkeypatch.setattr(os, "write", half)
     with pytest.raises(OSError):
         store.put_block(2, [b"torn"], end)
     monkeypatch.undo()
